@@ -5,12 +5,21 @@ inequalities, monomial == 1 equalities, and positive box bounds per variable.
 In log variables y = log x every posynomial becomes log-sum-exp of affine
 forms, so the program is convex and a standard barrier method applies:
 
-  * boxes are folded in as one-term posynomial inequalities,
+  * the objective, every inequality and both sides of every box (one-term
+    inequalities) are stacked into one exponent matrix A with offsets b and
+    segment starts, so each log-sum-exp is one contiguous run of rows of
+    A y + b. Values come from np.maximum.reduceat / np.add.reduceat, the
+    per-segment gradients G from one reduceat of the softmax-weighted rows,
+    and with d = 1 / (-LSE_i) the barrier gradient is G^T d and its Hessian
+    A^T diag(p d[seg]) A + G^T diag(d^2 - d) G (p the within-segment softmax
+    weights): one pass of array operations per Newton step or line-search
+    probe, with no Python loop over constraints,
   * monomial equalities are affine in y and eliminated exactly through an
     SVD null-space parameterization y = y_p + N u,
-  * a phase-1 program (minimize s with every constraint relaxed by s, which
-    just shifts each log-sum-exp) produces a strictly feasible start or a
-    certificate of infeasibility,
+  * a phase-1 program (minimize s with every constraint relaxed by s: the
+    same stacked rows with a -1 slack column, which just shifts each
+    log-sum-exp) produces a strictly feasible start or a certificate of
+    infeasibility,
   * the main path follows t = 1, 10, 100, ... with damped Newton steps until
     the duality-gap bound m/t drops below the tolerance.
 
@@ -42,6 +51,8 @@ class Posynomial:
         e = np.atleast_2d(np.asarray(self.exponents, dtype=float))
         if c.ndim != 1 or e.shape[0] != c.size:
             raise ValueError("need one exponent row per coefficient")
+        if c.size == 0:
+            raise ValueError("a posynomial needs at least one term")
         if np.any(c <= 0) or not np.all(np.isfinite(c)) or not np.all(np.isfinite(e)):
             raise ValueError("coefficients must be positive and finite")
         object.__setattr__(self, "coeffs", c)
@@ -105,40 +116,73 @@ class GpResult:
     iterations: int
 
 
-class _Lse:
-    """log-sum-exp of A y + b with value/gradient/Hessian."""
+class _Centering:
+    """obj(y) + barrier(y) / t over one stacked block of log-sum-exp segments.
 
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        self.a = a
-        self.b = b
+    The rows of A y + b are grouped into contiguous segments, each the log of
+    one posynomial: segment 0 is the objective, segments 1..m are the
+    constraints LSE_i(y) < 0 entering the barrier -sum_i log(-LSE_i(y)).
+    """
 
-    def value(self, y: np.ndarray) -> float:
+    def __init__(self, obj_a, obj_b, con_a, con_b, con_sizes):
+        sizes = np.concatenate([[obj_a.shape[0]], con_sizes]).astype(np.intp)
+        self.a = np.vstack([obj_a, con_a])
+        self.b = np.concatenate([obj_b, con_b])
+        self.starts = np.cumsum(sizes) - sizes
+        self.seg = np.repeat(np.arange(sizes.size), sizes)
+        self.m = sizes.size - 1
+
+    def _softmax(self, y):
+        """Per-segment LSE values and within-segment softmax weights."""
         z = self.a @ y + self.b
-        m = np.max(z)
-        return float(m + np.log(np.sum(np.exp(z - m))))
+        top = np.maximum.reduceat(z, self.starts)
+        w = np.exp(z - top[self.seg])
+        s = np.add.reduceat(w, self.starts)
+        return top + np.log(s), w / s[self.seg]
 
-    def value_grad_hess(self, y: np.ndarray):
-        z = self.a @ y + self.b
-        m = np.max(z)
-        w = np.exp(z - m)
-        s = np.sum(w)
-        p = w / s
-        g = self.a.T @ p
-        h = (self.a.T * p) @ self.a - np.outer(g, g)
-        return float(m + np.log(s)), g, h
+    def lse(self, y: np.ndarray) -> np.ndarray:
+        return self._softmax(y)[0]
+
+    def value(self, y: np.ndarray, t: float) -> float:
+        """Centering value, or inf when y is not strictly feasible."""
+        v = self.lse(y)
+        if np.any(v[1:] >= 0):
+            return math.inf
+        return float(v[0] - np.sum(np.log(-v[1:])) / t)
+
+    def value_grad_hess(self, y: np.ndarray, t: float):
+        """Value, gradient and Hessian of the centering function at y.
+
+        With per-row softmax weights p, per-segment gradients G (rows g_i)
+        and d_i = 1 / (-LSE_i), segment weights are w = (1, d / t) and
+        c = (-1, (d^2 - d) / t): the gradient is G^T w and the Hessian is
+        A^T diag(p w[seg]) A + G^T diag(c) G.
+        """
+        v, p = self._softmax(y)
+        if np.any(v[1:] >= 0):
+            raise FloatingPointError("barrier start left the feasible region")
+        g = np.add.reduceat(p[:, None] * self.a, self.starts)
+        d = 1.0 / -v[1:]
+        w = np.concatenate([[1.0], d / t])
+        c = np.concatenate([[-1.0], (d * d - d) / t])
+        h = (self.a.T * (p * w[self.seg])) @ self.a + (g.T * c) @ g
+        return float(v[0] - np.sum(np.log(-v[1:])) / t), g.T @ w, h
 
 
 def _log_constraints(prog: GeometricProgram):
-    """All inequalities (posynomials + box sides) as LSE(A y + b) <= 0."""
-    out = []
-    for p in prog.inequalities:
-        out.append((p.exponents, np.log(p.coeffs)))
+    """All inequalities and box sides as stacked rows: LSE(A y + b) <= 0.
+
+    Returns A, b and the row count of each constraint; each box side is a
+    one-row constraint.
+    """
     n = prog.n_vars
     eye = np.eye(n)
-    for k in range(n):
-        out.append((eye[k:k + 1], np.array([-math.log(prog.upper[k])])))
-        out.append((-eye[k:k + 1], np.array([math.log(prog.lower[k])])))
-    return out
+    a = np.vstack([p.exponents for p in prog.inequalities] + [eye, -eye])
+    b = np.concatenate([np.log(p.coeffs) for p in prog.inequalities]
+                       + [-np.log(prog.upper), np.log(prog.lower)])
+    sizes = np.array([p.coeffs.size for p in prog.inequalities] + [1] * (2 * n),
+                     dtype=np.intp)
+    return a, b, sizes
 
 
 def _eliminate_equalities(prog: GeometricProgram):
@@ -156,41 +200,21 @@ def _eliminate_equalities(prog: GeometricProgram):
     return y_p, vt[rank:].T, True
 
 
-def _newton_minimize(lses, t_obj, y0, tol, cap=NEWTON_CAP):
-    """Minimize obj(y) + barrier(y) / t over {every lse < 0}; t_obj = (lse, t).
+def _newton_minimize(block: _Centering, t, y0, tol, cap=NEWTON_CAP):
+    """Minimize obj(y) + barrier(y) / t over {every constraint LSE < 0}.
 
     The 1/t scaling keeps the centering value near the objective scale for
     every barrier stage, so line-search decreases stay resolvable in float64
     even when t is large.
     """
     y = y0.copy()
-
-    def barrier_value(cand):
-        total = 0.0
-        for lse in lses:
-            v = lse.value(cand)
-            if v >= 0:
-                return math.inf
-            total += -math.log(-v)
-        return total
-
-    lse0, t = t_obj
+    eye = np.eye(y.size)
     for it in range(cap):
-        v0, g, h = lse0.value_grad_hess(y)
-        val = v0
-        g = g.copy()
-        h = h.copy()
-        for lse in lses:
-            v, gi, hi = lse.value_grad_hess(y)
-            if v >= 0:
-                raise FloatingPointError("barrier start left the feasible region")
-            val += -math.log(-v) / t
-            g += (gi / (-v)) / t
-            h += (hi / (-v) + np.outer(gi, gi) / (v * v)) / t
+        val, g, h = block.value_grad_hess(y, t)
         ridge = 0.0
         while True:
             try:
-                step = -cho_solve(cho_factor(h + ridge * np.eye(y.size)), g)
+                step = -cho_solve(cho_factor(h + ridge * eye), g)
                 break
             except np.linalg.LinAlgError:
                 ridge = max(10.0 * ridge, 1e-12 * max(np.trace(h).real, 1.0))
@@ -202,8 +226,7 @@ def _newton_minimize(lses, t_obj, y0, tol, cap=NEWTON_CAP):
         accepted = False
         while alpha > 1e-14:
             cand = y + alpha * step
-            cand_val = lse0.value(cand) + barrier_value(cand) / t
-            if cand_val <= val - 1e-4 * alpha * decrement:
+            if block.value(cand, t) <= val - 1e-4 * alpha * decrement:
                 accepted = True
                 break
             alpha *= 0.5
@@ -213,25 +236,26 @@ def _newton_minimize(lses, t_obj, y0, tol, cap=NEWTON_CAP):
     return y, cap, decrement / 2.0
 
 
-def _phase_one(constraints, u_dim, u0, tol):
+def _phase_one(con_a, con_b, sizes, u0, tol):
     """Strictly feasible u for all LSE_i(u) < 0, or None if there is none."""
+    # slack variable s: LSE(A u + b - s) <= 0 is LSE of the extended affine map,
+    # minimized as the one-row objective s
+    u_dim = u0.size
+    ext = _Centering(np.eye(1, u_dim + 1, u_dim), np.zeros(1),
+                     np.hstack([con_a, -np.ones((con_a.shape[0], 1))]), con_b,
+                     sizes)
+    vals = ext.lse(np.append(u0, 0.0))[1:]
     if u_dim == 0:
-        ok = all(_Lse(a, b).value(np.zeros(0)) < 0 for a, b in constraints)
-        return np.zeros(0) if ok else None
-    lses = [_Lse(a, b) for a, b in constraints]
-    if all(lse.value(u0) < -FEAS_MARGIN for lse in lses):
+        return u0 if np.all(vals < 0) else None
+    if np.all(vals < -FEAS_MARGIN):
         return u0
-    # slack variable s: LSE(A u + b - s) <= 0 is LSE of the extended affine map
-    ext = [_Lse(np.hstack([a, -np.ones((a.shape[0], 1))]), b) for a, b in constraints]
-    s0 = max(lse.value(u0) for lse in lses) + 1.0
-    z = np.concatenate([u0, [s0]])
-    obj = _Lse(np.concatenate([np.zeros(u_dim), [1.0]])[None, :], np.zeros(1))
+    z = np.append(u0, np.max(vals) + 1.0)
     t = 1.0
     for _ in range(40):
-        z, _, _ = _newton_minimize(ext, (obj, t), z, tol)
+        z, _, _ = _newton_minimize(ext, t, z, tol)
         if z[-1] <= -1e-7:
             return z[:-1]
-        if (len(ext)) / t < 1e-12:
+        if ext.m / t < 1e-12:
             break
         t *= BARRIER_MU
     return z[:-1] if z[-1] <= -FEAS_MARGIN else None
@@ -245,14 +269,13 @@ def solve_gp(prog: GeometricProgram, tol: float = 1e-9) -> GpResult:
         return GpResult(x=nan, value=math.nan, status="infeasible",
                         kkt_residual=math.nan, iterations=0)
     # map every constraint and the objective into the null-space coordinates
-    constraints = [(a @ null, b + a @ y_p) for a, b in _log_constraints(prog)]
-    obj = _Lse(prog.objective.exponents @ null,
-               np.log(prog.objective.coeffs) + prog.objective.exponents @ y_p)
+    a, b, sizes = _log_constraints(prog)
+    con_a, con_b = a @ null, b + a @ y_p
     u_dim = null.shape[1]
 
     y_mid = 0.5 * (np.log(prog.lower) + np.log(prog.upper))
     u0 = null.T @ (y_mid - y_p)
-    u = _phase_one(constraints, u_dim, u0, tol)
+    u = _phase_one(con_a, con_b, sizes, u0, tol)
     if u is None:
         return GpResult(x=nan, value=math.nan, status="infeasible",
                         kkt_residual=math.nan, iterations=0)
@@ -261,13 +284,16 @@ def solve_gp(prog: GeometricProgram, tol: float = 1e-9) -> GpResult:
         return GpResult(x=x, value=prog.objective.value(x), status="optimal",
                         kkt_residual=0.0, iterations=0)
 
-    lses = [_Lse(a, b) for a, b in constraints]
-    m = len(lses)
+    obj = prog.objective
+    block = _Centering(obj.exponents @ null,
+                       np.log(obj.coeffs) + obj.exponents @ y_p,
+                       con_a, con_b, sizes)
+    m = block.m
     t = 1.0
     total_iters = 0
     stationarity = math.inf
     while True:
-        u, its, stationarity = _newton_minimize(lses, (obj, t), u, tol)
+        u, its, stationarity = _newton_minimize(block, t, u, tol)
         total_iters += its
         if m / t <= tol:
             break

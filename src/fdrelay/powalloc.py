@@ -201,7 +201,8 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     up by coarse passes of the same GP map with a wide trust region; the
     measured rounds then start near the fixed point and converge within
     the small default budget. Returns converged=True when the SINR
-    iterates moved less than eps in the final round; infeasible targets
+    iterates moved less than eps in the final round, and status "optimal"
+    only when that round's GP was also certified optimal; infeasible targets
     are reported in status when no round found a feasible point (a
     warning cites the uniform-peak feasibility hint).
     """
@@ -264,5 +265,6 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
         p_s=p_s, p_r=p_r, achieved_se=achieved,
         ee=energy_efficiency(achieved, p_s, p_r, cfg.T, cfg.tau),
         iterations=rounds, converged=converged,
-        status="optimal" if converged else "max_iterations",
+        status=("optimal" if converged and result.status == "optimal"
+                else "max_iterations"),
         gamma=gamma, total_power_trace=tuple(trace))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fdrelay.gp import (
     GeometricProgram,
     Posynomial,
+    _Centering,
     brute_force_gp,
     dump_problem,
     solve_gp,
@@ -180,6 +181,8 @@ def test_posynomial_value_and_validation():
         Posynomial(coeffs=[1.0, 2.0], exponents=[[1.0]])
     with pytest.raises(ValueError):
         Posynomial(coeffs=[np.inf], exponents=[[1.0]])
+    with pytest.raises(ValueError):
+        Posynomial(coeffs=np.zeros(0), exponents=np.zeros((0, 2)))
 
 
 def test_program_validation():
@@ -207,3 +210,101 @@ def test_dump_problem_smoke():
     text = dump_problem(prog)
     assert "minimize" in text
     assert "x0" in text and "x1" in text
+
+
+def _lse_reference(a, b, y):
+    z = a @ y + b
+    p = np.exp(z - z.max())
+    s = p.sum()
+    p /= s
+    g = a.T @ p
+    return z.max() + math.log(s), g, (a.T * p) @ a - np.outer(g, g)
+
+
+def _centering_reference(obj, cons, y, t):
+    """obj + barrier / t summed one constraint at a time."""
+    val, grad, hess = _lse_reference(*obj, y)
+    for a, b in cons:
+        v, g, h = _lse_reference(a, b, y)
+        val -= math.log(-v) / t
+        grad = grad + g / (-v) / t
+        hess = hess + (h / (-v) + np.outer(g, g) / (v * v)) / t
+    return val, grad, hess
+
+
+def _random_centering(rng, n, slack):
+    """A block mixing multi-term and one-term segments, strictly feasible at y.
+
+    With slack, the last variable is the phase-1 slack: a -1 column on every
+    constraint row and the one-row objective s, as phase 1 builds it.
+    """
+    sizes = np.concatenate([rng.integers(2, 5, size=3), np.ones(4, dtype=int)])
+    rng.shuffle(sizes)
+    con_a = rng.uniform(-1.5, 1.5, size=(int(sizes.sum()), n))
+    con_b = rng.uniform(-1.0, 1.0, size=con_a.shape[0])
+    if slack:
+        con_a[:, -1] = -1.0
+        obj_a, obj_b = np.eye(1, n, n - 1), np.zeros(1)
+    else:
+        obj_a = rng.uniform(-1.5, 1.5, size=(3, n))
+        obj_b = rng.uniform(-1.0, 1.0, size=3)
+    y = rng.uniform(-0.5, 0.5, size=n)
+    # shift each constraint so that LSE_i(y) = -margin_i, margins spread widely
+    starts = np.cumsum(sizes) - sizes
+    for i, (lo, k) in enumerate(zip(starts, sizes)):
+        v, _, _ = _lse_reference(con_a[lo:lo + k], con_b[lo:lo + k], y)
+        con_b[lo:lo + k] -= v + 10.0 ** rng.uniform(-2, 0.5)
+    cons = [(con_a[lo:lo + k], con_b[lo:lo + k]) for lo, k in zip(starts, sizes)]
+    block = _Centering(obj_a, obj_b, con_a, con_b, sizes)
+    return block, (obj_a, obj_b), cons, y
+
+
+@pytest.mark.parametrize("slack", [False, True])
+def test_stacked_block_matches_per_constraint_sum(slack):
+    rng = np.random.default_rng(7 + slack)
+    for _ in range(5):
+        n = int(rng.integers(2, 5))
+        block, obj, cons, y = _random_centering(rng, n, slack)
+        assert block.m == len(cons)
+        for t in (1.0, 10.0, 1e4):
+            want = _centering_reference(obj, cons, y, t)
+            val, grad, hess = block.value_grad_hess(y, t)
+            assert val == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+            assert block.value(y, t) == val
+            np.testing.assert_allclose(grad, want[1], rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(hess, want[2], rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("slack", [False, True])
+def test_stacked_block_derivatives_match_central_differences(slack):
+    rng = np.random.default_rng(11 + slack)
+    step = 1e-5
+    for _ in range(5):
+        n = int(rng.integers(2, 5))
+        block, _, _, y = _random_centering(rng, n, slack)
+        t = 10.0
+        _, grad, hess = block.value_grad_hess(y, t)
+        fd_grad = np.empty(n)
+        fd_hess = np.empty((n, n))
+        for k in range(n):
+            e = np.zeros(n)
+            e[k] = step
+            fd_grad[k] = (block.value(y + e, t) - block.value(y - e, t)) / (2 * step)
+            fd_hess[:, k] = (block.value_grad_hess(y + e, t)[1]
+                             - block.value_grad_hess(y - e, t)[1]) / (2 * step)
+        scale = max(1.0, float(np.max(np.abs(hess))))
+        np.testing.assert_allclose(fd_grad, grad, rtol=1e-6, atol=1e-6 * scale)
+        np.testing.assert_allclose(fd_hess, hess, rtol=1e-5, atol=1e-5 * scale)
+
+
+def test_stacked_block_outside_the_feasible_set():
+    rng = np.random.default_rng(3)
+    block, _, _, y = _random_centering(rng, 3, slack=False)
+    # move one one-term (box-like) segment to LSE = +0.1 at y
+    i = int(np.flatnonzero(np.diff(np.append(block.starts, block.b.size)) == 1)[-1])
+    row = block.starts[i]
+    block.b[row] -= block.lse(y)[i] - 0.1
+    assert block.value(y, 1.0) == math.inf
+    with pytest.raises(FloatingPointError):
+        block.value_grad_hess(y, 1.0)

@@ -1,4 +1,5 @@
 """Tests for the successive-GP power allocation."""
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from fdrelay import (
     sinr_coefficients,
     snapshot_profile,
 )
+from fdrelay import powalloc
 
 CFG10 = SystemConfig(K=10, Nrx=100, Ntx=100, T=200, tau=20, Pp=10.0, sigma_li_sq=1.0)
 PROF10 = snapshot_profile(CFG10.tau, CFG10.Pp)
@@ -122,6 +124,24 @@ def test_gamma_reproduces_the_target_se():
     alloc = optimize_powers(CFG10, PROF10, "zf", 6.0)
     se_from_gamma = CFG10.prelog * float(np.sum(np.log2(1.0 + alloc.gamma)))
     assert se_from_gamma == pytest.approx(6.0, rel=1e-4)
+
+
+def test_uncertified_gp_round_is_not_reported_optimal(monkeypatch):
+    # a GP round that ends without its KKT certificate ("max_iter") may still
+    # settle the SINR iterates, but the allocation must not claim optimality
+    real = powalloc.solve_gp
+
+    def uncertified(prog, *args, **kwargs):
+        result = real(prog, *args, **kwargs)
+        if result.status == "optimal":
+            result = dataclasses.replace(result, status="max_iter")
+        return result
+
+    monkeypatch.setattr(powalloc, "solve_gp", uncertified)
+    alloc = optimize_powers(CFG10, PROF10, "zf", 6.0)
+    assert alloc.converged
+    assert alloc.status == "max_iterations"
+    assert np.all(np.isfinite(alloc.p_s)) and math.isfinite(alloc.p_r)
 
 
 def test_infeasible_target_reports_cleanly():
