@@ -5,6 +5,13 @@ Two routes produce a ChannelSet: an explicit pilot-phase simulation
 and error statistics (:func:`sample_estimate_direct`). They are statistically
 equivalent; the direct route is the cheap default for Monte Carlo work and
 the pilot route is the fidelity oracle.
+
+Only :func:`sample_true_channels` and the ``with_rr=True`` branch of
+:func:`direct_channel_batch` (behind :func:`sample_estimate_direct`) draw the
+Nrx x Ntx loop channel G_RR. The Monte Carlo engine asks for the other four
+arrays only: G_RR is iid and independent of them, so the one product it
+needs, W^T G_RR A, is drawn exactly from its K x K matrix-normal law given
+the processing matrices (see :mod:`fdrelay.montecarlo`).
 """
 from __future__ import annotations
 
@@ -122,7 +129,8 @@ def direct_channel_batch(
     Leading axis is the trial index. Estimates and errors are independent
     with per-entry variances sigma^2 and beta - sigma^2; g_rr is None when
     with_rr is False. This is the vectorized core behind
-    sample_estimate_direct and the Monte Carlo estimators.
+    sample_estimate_direct and the Monte Carlo estimators; the latter pass
+    with_rr=False and draw the loop term from its K x K law instead.
     """
     sig_sr = np.sqrt(profile.sigma_sr_sq)
     sig_rd = np.sqrt(profile.sigma_rd_sq)

@@ -113,7 +113,8 @@ class GpResult:
     value: float
     status: str  # "optimal" | "infeasible" | "max_iter"
     kkt_residual: float
-    iterations: int
+    iterations: int  # main-path Newton steps, after phase 1
+    phase1_iterations: int = 0  # Newton steps spent finding a feasible start
 
 
 class _Centering:
@@ -237,7 +238,7 @@ def _newton_minimize(block: _Centering, t, y0, tol, cap=NEWTON_CAP):
 
 
 def _phase_one(con_a, con_b, sizes, u0, tol):
-    """Strictly feasible u for all LSE_i(u) < 0, or None if there is none."""
+    """(u, Newton steps): strictly feasible u for all LSE_i(u) < 0, or None."""
     # slack variable s: LSE(A u + b - s) <= 0 is LSE of the extended affine map,
     # minimized as the one-row objective s
     u_dim = u0.size
@@ -246,19 +247,21 @@ def _phase_one(con_a, con_b, sizes, u0, tol):
                      sizes)
     vals = ext.lse(np.append(u0, 0.0))[1:]
     if u_dim == 0:
-        return u0 if np.all(vals < 0) else None
+        return (u0 if np.all(vals < 0) else None), 0
     if np.all(vals < -FEAS_MARGIN):
-        return u0
+        return u0, 0
     z = np.append(u0, np.max(vals) + 1.0)
     t = 1.0
+    iters = 0
     for _ in range(40):
-        z, _, _ = _newton_minimize(ext, t, z, tol)
+        z, its, _ = _newton_minimize(ext, t, z, tol)
+        iters += its
         if z[-1] <= -1e-7:
-            return z[:-1]
+            return z[:-1], iters
         if ext.m / t < 1e-12:
             break
         t *= BARRIER_MU
-    return z[:-1] if z[-1] <= -FEAS_MARGIN else None
+    return (z[:-1] if z[-1] <= -FEAS_MARGIN else None), iters
 
 
 def solve_gp(prog: GeometricProgram, tol: float = 1e-9) -> GpResult:
@@ -275,10 +278,11 @@ def solve_gp(prog: GeometricProgram, tol: float = 1e-9) -> GpResult:
 
     y_mid = 0.5 * (np.log(prog.lower) + np.log(prog.upper))
     u0 = null.T @ (y_mid - y_p)
-    u = _phase_one(con_a, con_b, sizes, u0, tol)
+    u, phase1_iters = _phase_one(con_a, con_b, sizes, u0, tol)
     if u is None:
         return GpResult(x=nan, value=math.nan, status="infeasible",
-                        kkt_residual=math.nan, iterations=0)
+                        kkt_residual=math.nan, iterations=0,
+                        phase1_iterations=phase1_iters)
     if u_dim == 0:
         x = np.exp(y_p)
         return GpResult(x=x, value=prog.objective.value(x), status="optimal",
@@ -303,7 +307,8 @@ def solve_gp(prog: GeometricProgram, tol: float = 1e-9) -> GpResult:
     kkt = max(stationarity, m / t)
     status = "optimal" if kkt <= 10.0 * tol else "max_iter"
     return GpResult(x=x, value=prog.objective.value(x), status=status,
-                    kkt_residual=kkt, iterations=total_iters)
+                    kkt_residual=kkt, iterations=total_iters,
+                    phase1_iterations=phase1_iters)
 
 
 def brute_force_gp(prog: GeometricProgram, points_per_dim: int = 41,

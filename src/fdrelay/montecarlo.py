@@ -10,6 +10,17 @@ and accumulates the per-pair quantities behind the rate bounds:
     loop       E||w_k^T G_RR A||^2     (relay self-interference, first hop only)
     noise      E||w_k||^2              (amplified receiver noise)
 
+The loop channel G_RR itself is never drawn: only the K x K product
+W^T G_RR A enters the rates. G_RR is iid CN(0, sigma_li^2) and independent of
+the estimates, so conditional on (W, A) the product is matrix normal,
+MN(0, sigma_li^2 W^T W^*, A^T A^*) (vec(W^T G A) = (A^T kron W^T) vec(G)).
+Each trial draws it exactly as sigma_li L_w Z L_a^T, with Z a K x K iid
+CN(0, 1) matrix and L_w L_w^H = W^T W^*, L_a L_a^H = A^T A^*; that costs
+O(K^2 (Nrx + Ntx)) per trial instead of the Nrx x Ntx draw and its
+O(K Nrx Ntx) product, and keeps the full per-trial law, so the bound's loop
+moment and the genie SINR are both exact. The probes likewise draw G_RR v,
+given v, as CN(0, sigma_li^2 ||v||^2 I_Nrx).
+
 Assembling the bound from the pooled estimates reproduces the closed forms;
 the instantaneous-SINR ("genie") rates quantify what perfect gain knowledge
 at the decoders would add. Error bars come from batch means: point estimates
@@ -25,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import direct_channel_batch
+from .channel import _cn, direct_channel_batch
 from .linproc import alpha_mrt, alpha_zf
 from .model import LargeScaleProfile, SystemConfig
 
@@ -83,8 +94,9 @@ class GenieResult:
 
 
 def _chunk_size(cfg: SystemConfig) -> int:
-    # ~64 MB of complex128 per chunk; the loop matrix dominates at large arrays
-    per_trial = 16.0 * (cfg.Nrx * cfg.Ntx + 6.0 * (cfg.Nrx + cfg.Ntx) * cfg.K)
+    # ~64 MB of complex128 per chunk: the Nrx x K and Ntx x K channel,
+    # estimate and processing arrays; the K x K loop term is small beside them
+    per_trial = 16.0 * 6.0 * (cfg.Nrx + cfg.Ntx) * cfg.K
     return max(1, min(4096, int(64e6 / per_trial)))
 
 
@@ -94,8 +106,15 @@ def _batch_edges(trials: int, batches: int) -> np.ndarray:
     return (np.arange(batches + 1) * trials) // batches
 
 
-def _batch_index(start: int, n: int, edges: np.ndarray) -> np.ndarray:
-    return np.searchsorted(edges, np.arange(start, start + n), side="right") - 1
+def _batch_runs(start: int, n: int, edges: np.ndarray):
+    """Batches met by trials start..start+n-1, with each run's first offset and length.
+
+    Trials fill batches in order, so a chunk covers contiguous runs of one
+    batch each: summing values over a run is np.add.reduceat at its offsets.
+    """
+    idx = np.searchsorted(edges, np.arange(start, start + n), side="right") - 1
+    offsets = np.flatnonzero(np.diff(idx, prepend=-1))
+    return idx[offsets], offsets, np.diff(offsets, append=n)
 
 
 def _processing(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
@@ -113,6 +132,30 @@ def _processing(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return w_t, a
+
+
+def _loop_term(cfg: SystemConfig, w_t: np.ndarray, a: np.ndarray,
+               rng: np.random.Generator) -> np.ndarray:
+    """One draw of w_t G_RR a per trial from its law given (w_t, a).
+
+    sigma_li L_w Z L_a^T with Z iid CN(0, 1). L_w = R_w^H and L_a = R_a^T
+    come from the QR factors of w_t^H and a, so L_w L_w^H = w_t w_t^H and
+    L_a L_a^H = a^T a^*: they are the Cholesky factors of those Gram
+    matrices up to unit diagonal phases, which Z absorbs, and they stay
+    defined where a Gram matrix is singular (MR with fewer antennas than
+    pairs).
+    """
+    r_w = np.linalg.qr(np.swapaxes(w_t, 1, 2).conj(), mode="r")
+    r_a = np.linalg.qr(a, mode="r")
+    z = _cn((w_t.shape[0], r_w.shape[1], r_a.shape[1]), rng)
+    return np.sqrt(cfg.sigma_li_sq) * (np.swapaxes(r_w, 1, 2).conj() @ z @ r_a)
+
+
+def _loop_times(cfg: SystemConfig, v: np.ndarray,
+                rng: np.random.Generator) -> np.ndarray:
+    """One draw of G_RR v per trial given v (trials x Ntx): CN(0, sigma_li^2 ||v||^2 I_Nrx)."""
+    scale = np.sqrt(cfg.sigma_li_sq) * np.linalg.norm(v, axis=1, keepdims=True)
+    return scale * _cn((v.shape[0], cfg.Nrx), rng)
 
 
 def _stderr(batch_means: np.ndarray) -> np.ndarray:
@@ -138,10 +181,11 @@ class _Accumulator:
         self.genie_sr = np.zeros(shape)
         self.genie_rd = np.zeros(shape)
 
-    def add(self, idx: np.ndarray, **vals) -> None:
-        np.add.at(self.counts, idx, 1.0)
+    def add(self, runs, **vals) -> None:
+        batch, offsets, sizes = runs
+        self.counts[batch] += sizes
         for name, v in vals.items():
-            np.add.at(getattr(self, name), idx, v)
+            getattr(self, name)[batch] += np.add.reduceat(v, offsets, axis=0)
 
 
 def _simulate(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
@@ -155,16 +199,16 @@ def _simulate(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     done = 0
     while done < trials:
         n = min(chunk, trials - done)
-        ghat_sr, err_sr, ghat_rd, err_rd, g_rr = direct_channel_batch(
-            cfg, profile, n, rng)
+        ghat_sr, err_sr, ghat_rd, err_rd, _ = direct_channel_batch(
+            cfg, profile, n, rng, with_rr=False)
         w_t, a = _processing(cfg, profile, scheme, ghat_sr, ghat_rd)
+        loop = _loop_term(cfg, w_t, a, rng)  # [t, k, j] = w_k^T G_RR a_j
 
         gain_sr = w_t @ (ghat_sr + err_sr)  # [t, k, j] = w_k^T g_j
         abs2_sr = np.abs(gain_sr) ** 2
         diag_sr = np.diagonal(gain_sr, axis1=1, axis2=2)
         mp_sr = np.sum(abs2_sr, axis=2) - np.diagonal(abs2_sr, axis1=1, axis2=2)
-        li_rows = np.abs(w_t @ g_rr @ a) ** 2
-        li = np.sum(li_rows, axis=2)
+        li = np.sum(np.abs(loop) ** 2, axis=2)
         an = np.sum(np.abs(w_t) ** 2, axis=2)
 
         gain_rd = np.swapaxes(ghat_rd + err_rd, 1, 2) @ a  # [t, k, j] = g_k^T a_j
@@ -177,9 +221,8 @@ def _simulate(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
         sinr_sr = cfg.Ps * abs2_diag_sr / (cfg.Ps * mp_sr + cfg.Pr * li + an)
         sinr_rd = cfg.Pr * abs2_diag_rd / (cfg.Pr * mp_rd + 1.0)
 
-        idx = _batch_index(done, n, edges)
         acc.add(
-            idx,
+            _batch_runs(done, n, edges),
             sr_gain=diag_sr, sr_gain2=abs2_diag_sr, sr_mp=mp_sr,
             sr_li=li, sr_an=an,
             rd_gain=diag_rd, rd_gain2=abs2_diag_rd, rd_mp=mp_rd,
@@ -290,14 +333,12 @@ def wishart_inverse_moment(n_ant: int, variances, trials: int,
     done = 0
     while done < trials:
         n = min(chunk, trials - done)
-        g = np.sqrt(variances / 2.0) * (
-            rng.standard_normal((n, n_ant, k))
-            + 1j * rng.standard_normal((n, n_ant, k)))
+        g = _cn((n, n_ant, k), rng) * np.sqrt(variances)
         gram = np.swapaxes(g, 1, 2).conj() @ g
         inv_diag = np.diagonal(np.linalg.inv(gram), axis1=1, axis2=2).real
-        idx = _batch_index(done, n, edges)
-        np.add.at(sums, idx, inv_diag)
-        np.add.at(counts, idx, 1.0)
+        batch, offsets, sizes = _batch_runs(done, n, edges)
+        sums[batch] += np.add.reduceat(inv_diag, offsets, axis=0)
+        counts[batch] += sizes
         done += n
     mean = np.sum(sums, axis=0) / trials
     return mean, _stderr(sums / counts[:, None])
@@ -344,28 +385,29 @@ def convergence_probe(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
     done = 0
     while done < trials:
         n = min(chunk, trials - done)
-        ghat_sr, err_sr, ghat_rd, err_rd, g_rr = direct_channel_batch(
-            cfg, profile, n, rng)
+        ghat_sr, err_sr, ghat_rd, err_rd, _ = direct_channel_batch(
+            cfg, profile, n, rng, with_rr=False)
         w_t, a = _processing(cfg, profile, scheme, ghat_sr, ghat_rd)
-        x = _cn_vec(n, cfg.K, rng)
-        x_fwd = _cn_vec(n, cfg.K, rng)
+        x = _cn((n, cfg.K), rng)
+        x_fwd = _cn((n, cfg.K), rng)
+        a_x = (a @ x_fwd[..., None])[..., 0]  # relay transmit vector
 
         if kind == "decode":
-            noise = _cn_vec(n, cfg.Nrx, rng)
-            y = (np.sqrt(cfg.Ps) * ((ghat_sr + err_sr) @ x[..., None])
-                 + np.sqrt(cfg.Pr) * (g_rr @ a @ x_fwd[..., None])
-                 + noise[..., None])
-            r = (w_t @ y)[..., 0]
+            noise = _cn((n, cfg.Nrx), rng)
+            y = (np.sqrt(cfg.Ps) * ((ghat_sr + err_sr) @ x[..., None])[..., 0]
+                 + np.sqrt(cfg.Pr) * _loop_times(cfg, a_x, rng)
+                 + noise)
+            r = (w_t @ y[..., None])[..., 0]
             if scheme == "mr":
                 r = r / (cfg.Nrx * profile.sigma_sr_sq)
             resid = r - np.sqrt(cfg.Ps) * x
         elif kind == "loop_power":
-            s = np.sqrt(er / cfg.Ntx) * (a @ x_fwd[..., None])
-            resid = (g_rr @ s)[..., 0]  # axis-1 average below is per antenna
+            s = np.sqrt(er / cfg.Ntx) * a_x
+            resid = _loop_times(cfg, s, rng)  # axis-1 average below is per antenna
         elif kind == "forward":
             pr = er / cfg.Ntx
             recv = np.sqrt(pr) * (np.swapaxes(ghat_rd + err_rd, 1, 2)
-                                  @ a @ x_fwd[..., None])[..., 0]
+                                  @ a_x[..., None])[..., 0]
             if scheme == "zf":
                 limit = np.sqrt(er / np.sum(1.0 / profile.sigma_rd_sq))
             else:
@@ -377,7 +419,3 @@ def convergence_probe(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
         total += float(np.sum(np.abs(resid) ** 2)) / resid.shape[1]
         done += n
     return total / trials
-
-
-def _cn_vec(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    return (rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))) / np.sqrt(2.0)

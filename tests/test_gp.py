@@ -86,6 +86,21 @@ def test_box_infeasible_inequality():
     assert res.status == "infeasible"
 
 
+def test_phase_one_steps_are_reported_apart_from_main_path():
+    lo, hi = np.array([0.1]), np.array([5.0])
+    # cold start: the box midpoint sqrt(0.5) violates 2/x <= 1, so phase 1 runs
+    cold = solve_gp(GeometricProgram(mono(1.0, 1.0), (mono(2.0, -1.0),), (), lo, hi))
+    assert cold.status == "optimal" and cold.x[0] == pytest.approx(2.0, rel=1e-6)
+    assert cold.phase1_iterations > 0 and cold.iterations > 0
+    # a strictly feasible midpoint needs no phase-1 step
+    warm = solve_gp(GeometricProgram(mono(1.0, 1.0), (mono(0.1, -1.0),), (), lo, hi))
+    assert warm.status == "optimal" and warm.phase1_iterations == 0
+    # an infeasible program still reports the phase-1 work that proved it
+    bad = solve_gp(GeometricProgram(mono(1.0, 1.0), (mono(10.0, -1.0),), (), lo, hi))
+    assert bad.status == "infeasible"
+    assert bad.phase1_iterations > 0 and bad.iterations == 0
+
+
 def test_constant_constraint_above_one_is_infeasible():
     prog = GeometricProgram(
         mono(1.0, 1.0), (mono(2.0, 0.0),), (), np.array([0.1]), np.array([5.0])

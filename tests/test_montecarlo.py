@@ -6,6 +6,7 @@ import pytest
 
 from fdrelay import (
     SystemConfig,
+    direct_channel_batch,
     convergence_probe,
     genie_rates,
     li_approx_oracle,
@@ -15,6 +16,7 @@ from fdrelay import (
     rate_zf,
     wishart_inverse_moment,
 )
+from fdrelay import montecarlo
 
 CFG = SystemConfig(K=3, Nrx=24, Ntx=24, tau=6, Pp=4.0, Ps=2.0, Pr=6.0, sigma_li_sq=1.0)
 PROF = make_profile([0.6, 1.0, 1.8], [1.4, 0.7, 1.1], CFG.tau, CFG.Pp)
@@ -155,3 +157,67 @@ def test_trials_and_batch_guards():
     # one trial per batch is the smallest legal configuration
     res = mc_rate(CFG, PROF, "zf", 20, np.random.default_rng(0), batches=20)
     assert np.all(np.isfinite(res.r_e2e))
+
+
+def _two_sample_z(x, y):
+    """Per-column |mean(x) - mean(y)| in units of the combined standard error."""
+    se = np.sqrt(np.var(x, axis=0, ddof=1) / len(x) + np.var(y, axis=0, ddof=1) / len(y))
+    return np.abs(np.mean(x, axis=0) - np.mean(y, axis=0)) / se
+
+
+@pytest.mark.parametrize("scheme,nrx,ntx", [("zf", 8, 6), ("mr", 8, 6), ("mr", 2, 6)])
+def test_loop_term_law_matches_explicit_loop_channel(scheme, nrx, ntx):
+    # fixed (W, A); the K x K draw against w_t @ G_RR @ a with G_RR iid CN(0, sigma_li^2)
+    cfg = replace(CFG, Nrx=nrx, Ntx=ntx, sigma_li_sq=0.7)
+    n = 20_000
+    rng = np.random.default_rng(41)
+    ghat_sr, _, ghat_rd, _, _ = direct_channel_batch(cfg, PROF, 1, rng, with_rr=False)
+    w_t, a = montecarlo._processing(cfg, PROF, scheme, ghat_sr, ghat_rd)
+    w_t, a = np.repeat(w_t, n, axis=0), np.repeat(a, n, axis=0)
+    drawn = montecarlo._loop_term(cfg, w_t, a, rng)
+    g_rr = np.sqrt(cfg.sigma_li_sq / 2.0) * (
+        rng.standard_normal((n, nrx, ntx)) + 1j * rng.standard_normal((n, nrx, ntx)))
+    oracle = w_t @ g_rr @ a
+    assert drawn.shape == oracle.shape == (n, cfg.K, cfg.K)
+    li_drawn = np.sum(np.abs(drawn) ** 2, axis=2)
+    li_oracle = np.sum(np.abs(oracle) ** 2, axis=2)
+    assert np.all(_two_sample_z(li_drawn, li_oracle) < 4.0)
+    assert np.all(_two_sample_z(li_drawn**2, li_oracle**2) < 4.0)
+    # the exact conditional mean sigma_li^2 ||w_k||^2 ||A||_F^2 pins both samples
+    expect = cfg.sigma_li_sq * np.sum(np.abs(w_t[0]) ** 2, axis=1) * np.sum(np.abs(a[0]) ** 2)
+    np.testing.assert_allclose(np.mean(li_drawn, axis=0), expect, rtol=0.05)
+
+
+def test_probe_loop_vector_has_per_entry_power_of_its_law():
+    cfg = replace(CFG, sigma_li_sq=0.7)
+    n = 20_000
+    rng = np.random.default_rng(42)
+    v = np.repeat(np.sqrt(0.5) * (rng.standard_normal((1, cfg.Ntx))
+                                  + 1j * rng.standard_normal((1, cfg.Ntx))), n, axis=0)
+    drawn = montecarlo._loop_times(cfg, v, rng)
+    g_rr = np.sqrt(cfg.sigma_li_sq / 2.0) * (
+        rng.standard_normal((n, cfg.Nrx, cfg.Ntx))
+        + 1j * rng.standard_normal((n, cfg.Nrx, cfg.Ntx)))
+    oracle = (g_rr @ v[..., None])[..., 0]
+    assert drawn.shape == oracle.shape == (n, cfg.Nrx)
+    assert np.all(_two_sample_z(np.abs(drawn) ** 2, np.abs(oracle) ** 2) < 4.0)
+    power = cfg.sigma_li_sq * np.sum(np.abs(v[0]) ** 2)
+    assert np.mean(np.abs(drawn) ** 2) == pytest.approx(power, rel=0.02)
+
+
+def test_monte_carlo_never_draws_the_loop_channel(monkeypatch):
+    requested = []
+    real = montecarlo.direct_channel_batch
+
+    def spy(cfg, profile, n, rng, with_rr=True):
+        requested.append(with_rr)
+        return real(cfg, profile, n, rng, with_rr=with_rr)
+
+    monkeypatch.setattr(montecarlo, "direct_channel_batch", spy)
+    for scheme in ("zf", "mr"):
+        mc_rate(CFG, PROF, scheme, 40, np.random.default_rng(0))
+        genie_rates(CFG, PROF, scheme, 40, np.random.default_rng(1))
+        for kind in ("decode", "loop_power", "forward"):
+            convergence_probe(kind, CFG, PROF, scheme, 40,
+                              np.random.default_rng(2), er=10.0)
+    assert len(requested) == 10 and not any(requested)
