@@ -23,9 +23,11 @@ given v, as CN(0, sigma_li^2 ||v||^2 I_Nrx).
 
 Assembling the bound from the pooled estimates reproduces the closed forms;
 the instantaneous-SINR ("genie") rates quantify what perfect gain knowledge
-at the decoders would add. Error bars come from batch means: point estimates
-use all trials pooled, standard errors come from the spread of per-batch
-estimates (20 batches by default).
+at the decoders would add. Point estimates use all trials pooled. Trials are
+iid, so the standard error of a moment that is a plain per-trial mean
+(multipair, loop, noise) comes from its pooled per-trial variance; the
+stderr of a function of means (the gain magnitude and variance, every rate)
+comes from the spread of per-batch estimates (20 batches by default).
 
 Everything consumes a caller-supplied Generator in a fixed chunk order, so a
 given seed reproduces results exactly regardless of available memory.
@@ -45,7 +47,13 @@ DEFAULT_BATCHES = 20
 
 @dataclass(frozen=True)
 class HopTerms:
-    """Per-pair bound ingredients for one hop, with batch-means stderr."""
+    """Per-pair bound ingredients for one hop, with their standard errors.
+
+    multipair, loop and noise are plain per-trial means, so their stderr is
+    the iid one from the pooled per-trial variance; mean_gain (as a
+    magnitude) and var_gain are functions of means and take the batch-means
+    stderr. The second hop has no loop term and unit noise.
+    """
 
     mean_gain: np.ndarray  # complex
     var_gain: np.ndarray
@@ -164,8 +172,23 @@ def _stderr(batch_means: np.ndarray) -> np.ndarray:
     return np.std(batch_means, axis=0, ddof=1) / np.sqrt(b)
 
 
+def _iid_stderr(sums: np.ndarray, squares: np.ndarray, trials: int) -> np.ndarray:
+    # standard error of a plain per-trial mean from its pooled sums of values
+    # and of squares: iid trials let every trial count, not just the spread of
+    # the batch means. The sum-of-squares form is accurate enough here: these
+    # moments vary by far more than its rounding error.
+    mean = np.sum(sums, axis=0) / trials
+    ss = np.maximum(np.sum(squares, axis=0) - trials * mean ** 2, 0.0)
+    return np.sqrt(ss / (trials * (trials - 1.0)))
+
+
 class _Accumulator:
-    """Per-batch sums of every per-pair quantity the bounds need."""
+    """Per-batch sums of every per-pair quantity the bounds need.
+
+    Names ending in 2 hold sums of squares: gain2 of the gain magnitude (the
+    second moment the variance needs), mp2/li2/an2 of the plain moments
+    (for their iid stderr).
+    """
 
     def __init__(self, batches: int, k: int):
         self.counts = np.zeros(batches)
@@ -175,9 +198,13 @@ class _Accumulator:
         self.sr_mp = np.zeros(shape)
         self.sr_li = np.zeros(shape)
         self.sr_an = np.zeros(shape)
+        self.sr_mp2 = np.zeros(shape)
+        self.sr_li2 = np.zeros(shape)
+        self.sr_an2 = np.zeros(shape)
         self.rd_gain = np.zeros(shape, dtype=complex)
         self.rd_gain2 = np.zeros(shape)
         self.rd_mp = np.zeros(shape)
+        self.rd_mp2 = np.zeros(shape)
         self.genie_sr = np.zeros(shape)
         self.genie_rd = np.zeros(shape)
 
@@ -224,8 +251,8 @@ def _simulate(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
         acc.add(
             _batch_runs(done, n, edges),
             sr_gain=diag_sr, sr_gain2=abs2_diag_sr, sr_mp=mp_sr,
-            sr_li=li, sr_an=an,
-            rd_gain=diag_rd, rd_gain2=abs2_diag_rd, rd_mp=mp_rd,
+            sr_li=li, sr_an=an, sr_mp2=mp_sr ** 2, sr_li2=li ** 2, sr_an2=an ** 2,
+            rd_gain=diag_rd, rd_gain2=abs2_diag_rd, rd_mp=mp_rd, rd_mp2=mp_rd ** 2,
             genie_sr=np.log2(1.0 + sinr_sr), genie_rd=np.log2(1.0 + sinr_rd),
         )
         done += n
@@ -251,7 +278,7 @@ def mc_rate(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     def pooled(batched):
         return np.sum(batched, axis=0) / trials
 
-    def terms_of(gain, gain2, mp, li, an):
+    def terms_of(gain, gain2, mp, li, an, mp2, li2, an2):
         mean_b = gain / cnt
         var_b = np.maximum(gain2 / cnt - np.abs(mean_b) ** 2, 0.0)
         mp_b, li_b, an_b = mp / cnt, li / cnt, an / cnt
@@ -263,17 +290,19 @@ def mc_rate(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
                 loop=pooled(li), noise=pooled(an),
                 stderr_mean_gain=_stderr(np.abs(mean_b)),
                 stderr_var_gain=_stderr(var_b),
-                stderr_multipair=_stderr(mp_b),
-                stderr_loop=_stderr(li_b),
-                stderr_noise=_stderr(an_b),
+                stderr_multipair=_iid_stderr(mp, mp2, trials),
+                stderr_loop=_iid_stderr(li, li2, trials),
+                stderr_noise=_iid_stderr(an, an2, trials),
             ),
             (mean_b, var_b, mp_b, li_b, an_b),
         )
 
-    sr_terms, sr_b = terms_of(acc.sr_gain, acc.sr_gain2, acc.sr_mp, acc.sr_li, acc.sr_an)
-    rd_terms, rd_b = terms_of(
-        acc.rd_gain, acc.rd_gain2, acc.rd_mp, np.zeros_like(acc.rd_mp),
-        np.ones_like(acc.rd_mp))
+    sr_terms, sr_b = terms_of(acc.sr_gain, acc.sr_gain2, acc.sr_mp, acc.sr_li,
+                              acc.sr_an, acc.sr_mp2, acc.sr_li2, acc.sr_an2)
+    zero = np.zeros_like(acc.rd_mp)
+    unit = np.broadcast_to(cnt, acc.rd_mp.shape)  # batch sums of a unit noise
+    rd_terms, rd_b = terms_of(acc.rd_gain, acc.rd_gain2, acc.rd_mp, zero,
+                              unit, acc.rd_mp2, zero, unit)
 
     r_sr = _hop_rates(cfg, sr_terms.mean_gain, sr_terms.var_gain,
                       sr_terms.multipair, sr_terms.loop, sr_terms.noise, "sr")

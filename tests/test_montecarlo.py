@@ -221,3 +221,35 @@ def test_monte_carlo_never_draws_the_loop_channel(monkeypatch):
             convergence_probe(kind, CFG, PROF, scheme, 40,
                               np.random.default_rng(2), er=10.0)
     assert len(requested) == 10 and not any(requested)
+
+
+@pytest.mark.parametrize("scheme", ["zf", "mr"])
+def test_plain_moment_stderr_is_the_iid_one(scheme):
+    # one chunk, replayed by hand: the multipair, loop and noise stderrs are
+    # the per-trial sample sd over sqrt(trials), whatever the batch count
+    n = 300
+    res = mc_rate(CFG, PROF, scheme, n, np.random.default_rng(77)).sr_terms
+    rng = np.random.default_rng(77)
+    ghat_sr, err_sr, ghat_rd, _, _ = direct_channel_batch(CFG, PROF, n, rng, with_rr=False)
+    w_t, a = montecarlo._processing(CFG, PROF, scheme, ghat_sr, ghat_rd)
+    loop = montecarlo._loop_term(CFG, w_t, a, rng)
+    abs2 = np.abs(w_t @ (ghat_sr + err_sr)) ** 2
+    per_trial = {
+        "multipair": np.sum(abs2, axis=2) - np.diagonal(abs2, axis1=1, axis2=2),
+        "loop": np.sum(np.abs(loop) ** 2, axis=2),
+        "noise": np.sum(np.abs(w_t) ** 2, axis=2),
+    }
+    for name, x in per_trial.items():
+        np.testing.assert_allclose(getattr(res, name), np.mean(x, axis=0), rtol=1e-12)
+        np.testing.assert_allclose(getattr(res, "stderr_" + name),
+                                   np.std(x, axis=0, ddof=1) / np.sqrt(n), rtol=1e-9)
+    other = mc_rate(CFG, PROF, scheme, n, np.random.default_rng(77), batches=n).sr_terms
+    np.testing.assert_allclose(other.stderr_multipair, res.stderr_multipair, rtol=1e-9)
+
+
+def test_second_hop_has_unit_noise_and_no_loop_term():
+    rd = mc_rate(CFG, PROF, "mr", 400, np.random.default_rng(5)).rd_terms
+    np.testing.assert_array_equal(rd.noise, 1.0)
+    np.testing.assert_array_equal(rd.loop, 0.0)
+    np.testing.assert_array_equal(rd.stderr_noise, 0.0)
+    np.testing.assert_array_equal(rd.stderr_loop, 0.0)
