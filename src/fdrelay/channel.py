@@ -6,12 +6,15 @@ and error statistics (:func:`sample_estimate_direct`). They are statistically
 equivalent; the direct route is the cheap default for Monte Carlo work and
 the pilot route is the fidelity oracle.
 
-Only :func:`sample_true_channels` and the ``with_rr=True`` branch of
-:func:`direct_channel_batch` (behind :func:`sample_estimate_direct`) draw the
-Nrx x Ntx loop channel G_RR. The Monte Carlo engine asks for the other four
-arrays only: G_RR is iid and independent of them, so the one product it
-needs, W^T G_RR A, is drawn exactly from its K x K matrix-normal law given
-the processing matrices (see :mod:`fdrelay.montecarlo`).
+Only :func:`sample_true_channels`, :func:`estimate_via_pilots` and
+:func:`direct_channel_batch` (behind :func:`sample_estimate_direct` and the
+Monte Carlo convergence probes) draw length-N arrays, and only the first and
+the ``with_rr=True`` branch of the last draw the Nrx x Ntx loop channel G_RR.
+The Monte Carlo rate and inverse-Gram estimators draw no length-N array:
+the rates depend on the estimates only through their K x K Gram matrices,
+which :func:`gram_factor_batch` draws from the complex Bartlett decomposition
+in O(K^2) per trial, and every other K x K term is drawn from its exact law
+given the two Grams (see :mod:`fdrelay.montecarlo`).
 """
 from __future__ import annotations
 
@@ -129,8 +132,8 @@ def direct_channel_batch(
     Leading axis is the trial index. Estimates and errors are independent
     with per-entry variances sigma^2 and beta - sigma^2; g_rr is None when
     with_rr is False. This is the vectorized core behind
-    sample_estimate_direct and the Monte Carlo estimators; the latter pass
-    with_rr=False and draw the loop term from its K x K law instead.
+    sample_estimate_direct and the Monte Carlo convergence probes; the probes
+    pass with_rr=False and draw G_RR v from its law given v instead.
     """
     sig_sr = np.sqrt(profile.sigma_sr_sq)
     sig_rd = np.sqrt(profile.sigma_rd_sq)
@@ -140,6 +143,29 @@ def direct_channel_batch(
     err_rd = _cn((n, cfg.Ntx, cfg.K), rng) * np.sqrt(profile.beta_rd - profile.sigma_rd_sq)
     g_rr = _cn((n, cfg.Nrx, cfg.Ntx), rng) * np.sqrt(cfg.sigma_li_sq) if with_rr else None
     return ghat_sr, err_sr, ghat_rd, err_rd, g_rr
+
+
+def gram_factor_batch(n_ant: int, variances, n: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Factors F (n x K x m, m = min(n_ant, K)) with F F^H ~ G^H G.
+
+    G is n_ant x K with independent CN(0, variances[k] I) columns. By the
+    complex Bartlett decomposition G = Q R diag(sqrt(variances)), with Q
+    n_ant x m orthonormal and R m x K upper trapezoidal, independent of Q:
+    |R_ii|^2 ~ Gamma(n_ant - i, 1) and R_ij (j > i) iid CN(0, 1). So
+    F = diag(sqrt(variances)) R^H draws the Gram matrix in O(K^2) per trial.
+    m < K covers fewer antennas than columns. Draw order: the n x m Gamma
+    variates, then the strictly upper entries of each R in row-major order.
+    """
+    root_var = np.sqrt(np.asarray(variances, dtype=float))
+    k = root_var.size
+    m = min(n_ant, k)
+    diag = np.arange(m)
+    rows, cols = np.triu_indices(m, 1, k)
+    r = np.zeros((n, m, k), dtype=complex)
+    r[:, diag, diag] = np.sqrt(rng.standard_gamma(n_ant - diag, size=(n, m)))
+    r[:, rows, cols] = _cn((n, rows.size), rng)
+    return root_var[:, None] * np.swapaxes(r, 1, 2).conj()
 
 
 def sample_estimate_direct(

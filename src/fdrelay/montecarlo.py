@@ -1,8 +1,7 @@
 """Monte Carlo validation of the closed-form rates.
 
-One vectorized engine draws channel estimates and errors in memory-capped
-chunks, forms the ZF or MRC/MRT processing matrices for every trial at once,
-and accumulates the per-pair quantities behind the rate bounds:
+One vectorized engine draws, in memory-capped chunks, every per-trial K x K
+term behind the rate bounds and accumulates the per-pair quantities:
 
     mean_gain  E{w_k^T g_k}            (effective gain the decoder relies on)
     var_gain   Var{w_k^T g_k}          (gain uncertainty, treated as noise)
@@ -10,24 +9,49 @@ and accumulates the per-pair quantities behind the rate bounds:
     loop       E||w_k^T G_RR A||^2     (relay self-interference, first hop only)
     noise      E||w_k||^2              (amplified receiver noise)
 
-The loop channel G_RR itself is never drawn: only the K x K product
-W^T G_RR A enters the rates. G_RR is iid CN(0, sigma_li^2) and independent of
-the estimates, so conditional on (W, A) the product is matrix normal,
-MN(0, sigma_li^2 W^T W^*, A^T A^*) (vec(W^T G A) = (A^T kron W^T) vec(G)).
-Each trial draws it exactly as sigma_li L_w Z L_a^T, with Z a K x K iid
-CN(0, 1) matrix and L_w L_w^H = W^T W^*, L_a L_a^H = A^T A^*; that costs
-O(K^2 (Nrx + Ntx)) per trial instead of the Nrx x Ntx draw and its
-O(K Nrx Ntx) product, and keeps the full per-trial law, so the bound's loop
-moment and the genie SINR are both exact. The probes likewise draw G_RR v,
-given v, as CN(0, sigma_li^2 ||v||^2 I_Nrx).
+No trial draws a length-N vector: all of these depend on the channels only
+through K x K matrices. Write each estimate as Ghat = Q F^H, with Q (N x m,
+m = min(N, K)) orthonormal and F F^H = Ghat^H Ghat; the complex Bartlett
+decomposition draws F directly (:func:`fdrelay.channel.gram_factor_batch`).
+Both schemes factor as W^T = U_w Q_sr^H and A = Q_rd^* U_a^T:
+
+    ZF:  U_w = F_sr^-H,  U_a = alpha F_rd^-H   (U_w U_w^H = Gram_sr^-1 = W^T W^*)
+    MR:  U_w = F_sr,     U_a = alpha F_rd      (U_a U_a^H = A^T A^*)
+
+The errors E_sr, E_rd and the loop channel G_RR are iid Gaussian and
+independent of the estimates, and Q has orthonormal columns, so
+Z_e = Q_sr^H E_sr D_sr^-1, Z_l = Q_sr^H G_RR Q_rd^* / sigma_li and
+Z_r = D_rd^-1 E_rd^T Q_rd^* are iid CN(0, 1), mutually independent and
+independent of both factors (D = diag(sqrt(beta - sigma^2))). Per trial,
+exactly:
+
+    w_k^T g_j       = [U_w (F_sr^H + Z_e D_sr)]_kj
+    w_k^T G_RR a_j  = [sigma_li U_w Z_l U_a^T]_kj
+    ||w_k||^2       = sum_j |U_w[k, j]|^2
+    g_k^T a_j       = [(F_rd^* + D_rd Z_r) U_a^T]_kj
+
+In matrix-normal terms: given the estimates, W^T E_sr ~ MN(0, W^T W^*, D_sr^2),
+E_rd^T A ~ MN(0, D_rd^2, A^T A^*) and W^T G_RR A ~ MN(0, sigma_li^2 W^T W^*,
+A^T A^*), mutually independent, and every covariance and deterministic gain
+(W^T Ghat_sr = U_w F_sr^H, Ghat_rd^T A = F_rd^* U_a^T) is a function of the
+two Grams alone. So each trial has the law of an explicit N-dimensional draw,
+the bound's moments and the genie SINR are both exact, and a trial costs
+O(K^3) whatever the array size. Each chunk draws F_sr, F_rd, Z_e, Z_l, Z_r
+in that order. The inverse-Gram moment uses the same factors:
+[(Ghat^H Ghat)^-1]_kk is the squared norm of column k of F^-1.
+
+The convergence probes measure functions of length-N vectors, so they still
+draw the estimates through direct_channel_batch; they draw G_RR v, given v,
+as CN(0, sigma_li^2 ||v||^2 I_Nrx).
 
 Assembling the bound from the pooled estimates reproduces the closed forms;
 the instantaneous-SINR ("genie") rates quantify what perfect gain knowledge
 at the decoders would add. Point estimates use all trials pooled. Trials are
 iid, so the standard error of a moment that is a plain per-trial mean
-(multipair, loop, noise) comes from its pooled per-trial variance; the
-stderr of a function of means (the gain magnitude and variance, every rate)
-comes from the spread of per-batch estimates (20 batches by default).
+(multipair, loop, noise, the inverse-Gram diagonal) comes from its pooled
+per-trial variance; the stderr of a function of means (the gain magnitude
+and variance, every rate) comes from the spread of per-batch estimates (20
+batches by default).
 
 Everything consumes a caller-supplied Generator in a fixed chunk order, so a
 given seed reproduces results exactly regardless of available memory.
@@ -38,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _cn, direct_channel_batch
+from .channel import _cn, direct_channel_batch, gram_factor_batch
 from .linproc import alpha_mrt, alpha_zf
 from .model import LargeScaleProfile, SystemConfig
 
@@ -101,11 +125,14 @@ class GenieResult:
     trials: int
 
 
-def _chunk_size(cfg: SystemConfig) -> int:
-    # ~64 MB of complex128 per chunk: the Nrx x K and Ntx x K channel,
-    # estimate and processing arrays; the K x K loop term is small beside them
-    per_trial = 16.0 * 6.0 * (cfg.Nrx + cfg.Ntx) * cfg.K
-    return max(1, min(4096, int(64e6 / per_trial)))
+def _chunk_size(per_trial: float) -> int:
+    # ~64 MB of complex128 per chunk for per_trial entries a trial holds, and
+    # at most 4096 trials. A Gram-path trial holds about 16 K x K arrays
+    # (factors, their inverses, the three Z draws and the products), an
+    # inverse-Gram trial about 4, so neither depends on the array size; the
+    # probes hold the Nrx x K and Ntx x K channel, estimate and processing
+    # arrays, 6 (Nrx + Ntx) K entries.
+    return max(1, min(4096, int(64e6 / (16.0 * per_trial))))
 
 
 def _batch_edges(trials: int, batches: int) -> np.ndarray:
@@ -125,10 +152,16 @@ def _batch_runs(start: int, n: int, edges: np.ndarray):
     return idx[offsets], offsets, np.diff(offsets, append=n)
 
 
+def _check_zf(cfg: SystemConfig) -> None:
+    if cfg.Nrx <= cfg.K or cfg.Ntx <= cfg.K:
+        raise ValueError("zero forcing needs Nrx > K and Ntx > K")
+
+
 def _processing(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
                 ghat_sr: np.ndarray, ghat_rd: np.ndarray):
     """Batched (w_t, a) with a leading trial axis."""
     if scheme == "zf":
+        _check_zf(cfg)
         gram_sr = np.swapaxes(ghat_sr, 1, 2).conj() @ ghat_sr
         w_t = np.linalg.solve(gram_sr, np.swapaxes(ghat_sr, 1, 2).conj())
         gram_rd = np.swapaxes(ghat_rd, 1, 2).conj() @ ghat_rd
@@ -142,21 +175,36 @@ def _processing(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     return w_t, a
 
 
-def _loop_term(cfg: SystemConfig, w_t: np.ndarray, a: np.ndarray,
-               rng: np.random.Generator) -> np.ndarray:
-    """One draw of w_t G_RR a per trial from its law given (w_t, a).
+def _trial_terms(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
+                 n: int, rng: np.random.Generator):
+    """One exact draw per trial of (gain_sr, loop, noise, gain_rd), from the Grams.
 
-    sigma_li L_w Z L_a^T with Z iid CN(0, 1). L_w = R_w^H and L_a = R_a^T
-    come from the QR factors of w_t^H and a, so L_w L_w^H = w_t w_t^H and
-    L_a L_a^H = a^T a^*: they are the Cholesky factors of those Gram
-    matrices up to unit diagonal phases, which Z absorbs, and they stay
-    defined where a Gram matrix is singular (MR with fewer antennas than
-    pairs).
+    gain_sr[t, k, j] = w_k^T g_j, loop[t, k, j] = w_k^T G_RR a_j,
+    noise[t, k] = ||w_k||^2 and gain_rd[t, k, j] = g_k^T a_j; the module
+    docstring derives the law and the draw order.
     """
-    r_w = np.linalg.qr(np.swapaxes(w_t, 1, 2).conj(), mode="r")
-    r_a = np.linalg.qr(a, mode="r")
-    z = _cn((w_t.shape[0], r_w.shape[1], r_a.shape[1]), rng)
-    return np.sqrt(cfg.sigma_li_sq) * (np.swapaxes(r_w, 1, 2).conj() @ z @ r_a)
+    f_sr = gram_factor_batch(cfg.Nrx, profile.sigma_sr_sq, n, rng)
+    f_rd = gram_factor_batch(cfg.Ntx, profile.sigma_rd_sq, n, rng)
+    if scheme == "zf":
+        _check_zf(cfg)
+        u_w = np.swapaxes(np.linalg.inv(f_sr), 1, 2).conj()
+        u_a = alpha_zf(cfg, profile) * np.swapaxes(np.linalg.inv(f_rd), 1, 2).conj()
+    elif scheme == "mr":
+        u_w, u_a = f_sr, alpha_mrt(cfg, profile) * f_rd
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    u_a_t = np.swapaxes(u_a, 1, 2)
+    z_e = _cn((n, f_sr.shape[2], cfg.K), rng)
+    z_l = _cn((n, f_sr.shape[2], f_rd.shape[2]), rng)
+    z_r = _cn((n, cfg.K, f_rd.shape[2]), rng)
+
+    d_sr = np.sqrt(profile.beta_sr - profile.sigma_sr_sq)
+    d_rd = np.sqrt(profile.beta_rd - profile.sigma_rd_sq)
+    gain_sr = u_w @ (np.swapaxes(f_sr, 1, 2).conj() + z_e * d_sr)
+    loop = np.sqrt(cfg.sigma_li_sq) * (u_w @ z_l @ u_a_t)
+    noise = np.sum(np.abs(u_w) ** 2, axis=2)
+    gain_rd = (f_rd.conj() + d_rd[:, None] * z_r) @ u_a_t
+    return gain_sr, loop, noise, gain_rd
 
 
 def _loop_times(cfg: SystemConfig, v: np.ndarray,
@@ -222,23 +270,16 @@ def _simulate(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
         raise ValueError("trials must be >= 1")
     edges = _batch_edges(trials, batches)
     acc = _Accumulator(batches, cfg.K)
-    chunk = _chunk_size(cfg)
+    chunk = _chunk_size(16 * cfg.K ** 2)
     done = 0
     while done < trials:
         n = min(chunk, trials - done)
-        ghat_sr, err_sr, ghat_rd, err_rd, _ = direct_channel_batch(
-            cfg, profile, n, rng, with_rr=False)
-        w_t, a = _processing(cfg, profile, scheme, ghat_sr, ghat_rd)
-        loop = _loop_term(cfg, w_t, a, rng)  # [t, k, j] = w_k^T G_RR a_j
-
-        gain_sr = w_t @ (ghat_sr + err_sr)  # [t, k, j] = w_k^T g_j
+        gain_sr, loop, an, gain_rd = _trial_terms(cfg, profile, scheme, n, rng)
         abs2_sr = np.abs(gain_sr) ** 2
         diag_sr = np.diagonal(gain_sr, axis1=1, axis2=2)
         mp_sr = np.sum(abs2_sr, axis=2) - np.diagonal(abs2_sr, axis1=1, axis2=2)
         li = np.sum(np.abs(loop) ** 2, axis=2)
-        an = np.sum(np.abs(w_t) ** 2, axis=2)
 
-        gain_rd = np.swapaxes(ghat_rd + err_rd, 1, 2) @ a  # [t, k, j] = g_k^T a_j
         abs2_rd = np.abs(gain_rd) ** 2
         diag_rd = np.diagonal(gain_rd, axis1=1, axis2=2)
         mp_rd = np.sum(abs2_rd, axis=2) - np.diagonal(abs2_rd, axis1=1, axis2=2)
@@ -350,6 +391,8 @@ def wishart_inverse_moment(n_ant: int, variances, trials: int,
     """MC estimate of E{[(G^H G)^-1]_kk} for G with iid CN(0, var_k) columns.
 
     Returns (mean, stderr) arrays; the closed form is 1/((n_ant - K) var_k).
+    Each trial draws only the K x K Gram factor; the stderr is the iid one of
+    a plain per-trial mean.
     """
     variances = np.asarray(variances, dtype=float)
     k = variances.size
@@ -357,20 +400,18 @@ def wishart_inverse_moment(n_ant: int, variances, trials: int,
         raise ValueError("need more antennas than columns")
     edges = _batch_edges(trials, batches)
     sums = np.zeros((batches, k))
-    counts = np.zeros(batches)
-    chunk = max(1, int(48e6 / (16.0 * n_ant * k)))
+    squares = np.zeros((batches, k))
+    chunk = _chunk_size(4 * k ** 2)
     done = 0
     while done < trials:
         n = min(chunk, trials - done)
-        g = _cn((n, n_ant, k), rng) * np.sqrt(variances)
-        gram = np.swapaxes(g, 1, 2).conj() @ g
-        inv_diag = np.diagonal(np.linalg.inv(gram), axis1=1, axis2=2).real
-        batch, offsets, sizes = _batch_runs(done, n, edges)
+        f_inv = np.linalg.inv(gram_factor_batch(n_ant, variances, n, rng))
+        inv_diag = np.sum(np.abs(f_inv) ** 2, axis=1)  # (F F^H)^-1 = F^-H F^-1
+        batch, offsets, _ = _batch_runs(done, n, edges)
         sums[batch] += np.add.reduceat(inv_diag, offsets, axis=0)
-        counts[batch] += sizes
+        squares[batch] += np.add.reduceat(inv_diag ** 2, offsets, axis=0)
         done += n
-    mean = np.sum(sums, axis=0) / trials
-    return mean, _stderr(sums / counts[:, None])
+    return np.sum(sums, axis=0) / trials, _iid_stderr(sums, squares, trials)
 
 
 def li_approx_oracle(cfg: SystemConfig, profile: LargeScaleProfile,
@@ -409,7 +450,7 @@ def convergence_probe(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
     """
     if kind in ("loop_power", "forward") and (er is None or er <= 0):
         raise ValueError(f"kind {kind!r} needs er > 0")
-    chunk = _chunk_size(cfg)
+    chunk = _chunk_size(6 * (cfg.Nrx + cfg.Ntx) * cfg.K)
     total = 0.0
     done = 0
     while done < trials:

@@ -11,6 +11,7 @@ from fdrelay import (
     sample_estimate_direct,
     sample_true_channels,
 )
+from fdrelay.channel import gram_factor_batch
 from fdrelay.model import LargeScaleProfile
 
 CFG = SystemConfig(K=3, Nrx=16, Ntx=16, tau=6, Pp=10.0, sigma_li_sq=2.0)
@@ -147,3 +148,42 @@ def test_pilot_contamination_absent():
     gbar = rng.standard_normal((CFG.Nrx, CFG.K)) + 1j * rng.standard_normal((CFG.Nrx, CFG.K))
     leak = (gbar @ book.phi_d) @ book.phi_s.conj().T
     assert np.max(np.abs(leak)) < 1e-12
+
+
+def _two_sample_z(x, y):
+    """Per-column |mean(x) - mean(y)| in units of the combined standard error."""
+    se = np.sqrt(np.var(x, axis=0, ddof=1) / len(x) + np.var(y, axis=0, ddof=1) / len(y))
+    return np.abs(np.mean(x, axis=0) - np.mean(y, axis=0)) / se
+
+
+@pytest.mark.parametrize("n_ant", [2, 8])
+def test_gram_factor_matches_explicit_gram(n_ant):
+    # F F^H against G^H G with G drawn as n_ant x K independent CN(0, var_k) columns
+    variances = np.array([0.5, 1.0, 2.0])
+    k, n = variances.size, 20_000
+    rng = np.random.default_rng(60 + n_ant)
+    f = gram_factor_batch(n_ant, variances, n, rng)
+    assert f.shape == (n, k, min(n_ant, k))
+    drawn = f @ np.swapaxes(f, 1, 2).conj()
+    g = np.sqrt(variances / 2.0) * (rng.standard_normal((n, n_ant, k))
+                                    + 1j * rng.standard_normal((n, n_ant, k)))
+    oracle = np.swapaxes(g, 1, 2).conj() @ g
+    off = np.triu_indices(k, 1)
+
+    def stats(gram):
+        return np.concatenate([gram.real.reshape(n, -1), gram.imag[:, off[0], off[1]],
+                               np.abs(gram.reshape(n, -1)) ** 2], axis=1)
+
+    assert np.all(_two_sample_z(stats(drawn), stats(oracle)) < 4.0)
+
+
+def test_gram_factor_gives_the_zf_noise_moment():
+    # ||w_k||^2 = [Gram^-1]_kk, the squared norm of column k of F^-1, has mean
+    # 1/((N - K) sigma_k^2)
+    variances = np.array([0.5, 1.0, 2.0])
+    n_ant, n = 8, 20_000
+    f = gram_factor_batch(n_ant, variances, n, np.random.default_rng(70))
+    noise = np.sum(np.abs(np.linalg.inv(f)) ** 2, axis=1)
+    se = np.std(noise, axis=0, ddof=1) / np.sqrt(n)
+    expect = 1.0 / ((n_ant - variances.size) * variances)
+    np.testing.assert_array_less(np.abs(np.mean(noise, axis=0) - expect), 4.0 * se)

@@ -6,7 +6,8 @@ import pytest
 
 from fdrelay import (
     SystemConfig,
-    direct_channel_batch,
+    alpha_mrt,
+    alpha_zf,
     convergence_probe,
     genie_rates,
     li_approx_oracle,
@@ -165,27 +166,82 @@ def _two_sample_z(x, y):
     return np.abs(np.mean(x, axis=0) - np.mean(y, axis=0)) / se
 
 
-@pytest.mark.parametrize("scheme,nrx,ntx", [("zf", 8, 6), ("mr", 8, 6), ("mr", 2, 6)])
-def test_loop_term_law_matches_explicit_loop_channel(scheme, nrx, ntx):
-    # fixed (W, A); the K x K draw against w_t @ G_RR @ a with G_RR iid CN(0, sigma_li^2)
-    cfg = replace(CFG, Nrx=nrx, Ntx=ntx, sigma_li_sq=0.7)
+def _oracle_terms(cfg, prof, scheme, n, rng):
+    """Brute force: explicit estimates, errors and G_RR, then W, A and every product."""
+    def cn(*shape):
+        return np.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    ghat_sr = cn(n, cfg.Nrx, cfg.K) * np.sqrt(prof.sigma_sr_sq)
+    g_sr = ghat_sr + cn(n, cfg.Nrx, cfg.K) * np.sqrt(prof.beta_sr - prof.sigma_sr_sq)
+    ghat_rd = cn(n, cfg.Ntx, cfg.K) * np.sqrt(prof.sigma_rd_sq)
+    g_rd = ghat_rd + cn(n, cfg.Ntx, cfg.K) * np.sqrt(prof.beta_rd - prof.sigma_rd_sq)
+    g_rr = cn(n, cfg.Nrx, cfg.Ntx) * np.sqrt(cfg.sigma_li_sq)
+    ghat_sr_h = np.swapaxes(ghat_sr, 1, 2).conj()
+    if scheme == "zf":
+        # W^T = (Ghat^H Ghat)^-1 Ghat^H and A = alpha Ghat^* (Ghat^T Ghat^*)^-1
+        w_t = np.linalg.inv(ghat_sr_h @ ghat_sr) @ ghat_sr_h
+        a = alpha_zf(cfg, prof) * ghat_rd.conj() @ np.linalg.inv(
+            np.swapaxes(ghat_rd, 1, 2) @ ghat_rd.conj())
+    else:
+        w_t, a = ghat_sr_h, alpha_mrt(cfg, prof) * ghat_rd.conj()
+    return (w_t @ g_sr, w_t @ g_rr @ a, np.sum(np.abs(w_t) ** 2, axis=2),
+            np.swapaxes(g_rd, 1, 2) @ a)
+
+
+def _per_pair(gain_sr, loop, noise, gain_rd):
+    """Per-trial, per-pair real statistics of the bound and genie terms."""
+    diag_sr = np.diagonal(gain_sr, axis1=1, axis2=2)
+    diag_rd = np.diagonal(gain_rd, axis1=1, axis2=2)
+    abs2_sr, abs2_rd = np.abs(gain_sr) ** 2, np.abs(gain_rd) ** 2
+    return {
+        "gain_sr": diag_sr.real,
+        "gain_sr_im": diag_sr.imag,
+        "multipair_sr": np.sum(abs2_sr, axis=2) - np.abs(diag_sr) ** 2,
+        "loop": np.sum(np.abs(loop) ** 2, axis=2),
+        "noise": noise,
+        "gain_rd": diag_rd.real,
+        "gain_rd_im": diag_rd.imag,
+        "multipair_rd": np.sum(abs2_rd, axis=2) - np.abs(diag_rd) ** 2,
+    }
+
+
+@pytest.mark.parametrize("scheme,nrx,ntx",
+                         [("zf", 8, 6), ("mr", 8, 6), ("mr", 2, 6), ("mr", 8, 2)])
+def test_trial_terms_match_brute_force_oracle(scheme, nrx, ntx, monkeypatch):
+    # weak pilots, so the error variances beta - sigma^2 differ between pairs and hops
+    cfg = replace(CFG, Nrx=nrx, Ntx=ntx, Pp=0.5, sigma_li_sq=0.7)
+    prof = make_profile([0.3, 1.0, 3.0], [2.5, 0.4, 1.2], cfg.tau, cfg.Pp)
     n = 20_000
+    factors = []
+    real = montecarlo.gram_factor_batch
+
+    def keep(n_ant, variances, count, rng):
+        factors.append(real(n_ant, variances, count, rng))
+        return factors[-1]
+
+    monkeypatch.setattr(montecarlo, "gram_factor_batch", keep)
     rng = np.random.default_rng(41)
-    ghat_sr, _, ghat_rd, _, _ = direct_channel_batch(cfg, PROF, 1, rng, with_rr=False)
-    w_t, a = montecarlo._processing(cfg, PROF, scheme, ghat_sr, ghat_rd)
-    w_t, a = np.repeat(w_t, n, axis=0), np.repeat(a, n, axis=0)
-    drawn = montecarlo._loop_term(cfg, w_t, a, rng)
-    g_rr = np.sqrt(cfg.sigma_li_sq / 2.0) * (
-        rng.standard_normal((n, nrx, ntx)) + 1j * rng.standard_normal((n, nrx, ntx)))
-    oracle = w_t @ g_rr @ a
-    assert drawn.shape == oracle.shape == (n, cfg.K, cfg.K)
-    li_drawn = np.sum(np.abs(drawn) ** 2, axis=2)
-    li_oracle = np.sum(np.abs(oracle) ** 2, axis=2)
-    assert np.all(_two_sample_z(li_drawn, li_oracle) < 4.0)
-    assert np.all(_two_sample_z(li_drawn**2, li_oracle**2) < 4.0)
-    # the exact conditional mean sigma_li^2 ||w_k||^2 ||A||_F^2 pins both samples
-    expect = cfg.sigma_li_sq * np.sum(np.abs(w_t[0]) ** 2, axis=1) * np.sum(np.abs(a[0]) ** 2)
-    np.testing.assert_allclose(np.mean(li_drawn, axis=0), expect, rtol=0.05)
+    drawn = montecarlo._trial_terms(cfg, prof, scheme, n, rng)
+    oracle = _oracle_terms(cfg, prof, scheme, n, rng)
+    assert [x.shape for x in drawn] == [x.shape for x in oracle] == [
+        (n, cfg.K, cfg.K), (n, cfg.K, cfg.K), (n, cfg.K), (n, cfg.K, cfg.K)]
+    stats_drawn, stats_oracle = _per_pair(*drawn), _per_pair(*oracle)
+    for name in stats_drawn:
+        x, y = stats_drawn[name], stats_oracle[name]
+        assert np.all(_two_sample_z(x, y) < 4.0), name
+        assert np.all(_two_sample_z(x**2, y**2) < 4.0), name + " squared"
+
+    # given the Grams, E[loop_k] = sigma_li^2 ||w_k||^2 ||A||_F^2 exactly, with
+    # ||A||_F^2 = alpha^2 tr(Gram_rd^-1) for ZF and alpha^2 tr(Gram_rd) for MR
+    f_rd = factors[1]
+    gram_rd = f_rd @ np.swapaxes(f_rd, 1, 2).conj()
+    if scheme == "zf":
+        a_f2 = alpha_zf(cfg, prof) ** 2 * np.trace(np.linalg.inv(gram_rd), axis1=1, axis2=2)
+    else:
+        a_f2 = alpha_mrt(cfg, prof) ** 2 * np.trace(gram_rd, axis1=1, axis2=2)
+    resid = stats_drawn["loop"] - cfg.sigma_li_sq * drawn[2] * a_f2.real[:, None]
+    se = np.std(resid, axis=0, ddof=1) / np.sqrt(n)
+    assert np.all(np.abs(np.mean(resid, axis=0)) < 4.0 * se)
 
 
 def test_probe_loop_vector_has_per_entry_power_of_its_law():
@@ -206,6 +262,8 @@ def test_probe_loop_vector_has_per_entry_power_of_its_law():
 
 
 def test_monte_carlo_never_draws_the_loop_channel(monkeypatch):
+    # the bound and genie paths draw no length-N array at all; only the six
+    # probe calls reach the channel sampler, and never for G_RR
     requested = []
     real = montecarlo.direct_channel_batch
 
@@ -217,10 +275,29 @@ def test_monte_carlo_never_draws_the_loop_channel(monkeypatch):
     for scheme in ("zf", "mr"):
         mc_rate(CFG, PROF, scheme, 40, np.random.default_rng(0))
         genie_rates(CFG, PROF, scheme, 40, np.random.default_rng(1))
+    assert requested == []
+    for scheme in ("zf", "mr"):
         for kind in ("decode", "loop_power", "forward"):
             convergence_probe(kind, CFG, PROF, scheme, 40,
                               np.random.default_rng(2), er=10.0)
-    assert len(requested) == 10 and not any(requested)
+    assert len(requested) == 6 and not any(requested)
+
+
+def test_zero_forcing_fails_cleanly_at_its_boundary():
+    msg = "zero forcing needs Nrx > K and Ntx > K"
+    for nrx, ntx in ((2, 24), (24, 2), (CFG.K, 24), (24, CFG.K)):
+        cfg = replace(CFG, Nrx=nrx, Ntx=ntx)
+        with pytest.raises(ValueError, match=msg):
+            mc_rate(cfg, PROF, "zf", 40, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=msg):
+            genie_rates(cfg, PROF, "zf", 40, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=msg):
+            li_approx_oracle(cfg, PROF, 40, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=msg):
+            convergence_probe("decode", cfg, PROF, "zf", 40, np.random.default_rng(0))
+        # MR has no such boundary
+        assert np.all(np.isfinite(mc_rate(cfg, PROF, "mr", 40,
+                                          np.random.default_rng(0)).r_e2e))
 
 
 @pytest.mark.parametrize("scheme", ["zf", "mr"])
@@ -229,15 +306,13 @@ def test_plain_moment_stderr_is_the_iid_one(scheme):
     # the per-trial sample sd over sqrt(trials), whatever the batch count
     n = 300
     res = mc_rate(CFG, PROF, scheme, n, np.random.default_rng(77)).sr_terms
-    rng = np.random.default_rng(77)
-    ghat_sr, err_sr, ghat_rd, _, _ = direct_channel_batch(CFG, PROF, n, rng, with_rr=False)
-    w_t, a = montecarlo._processing(CFG, PROF, scheme, ghat_sr, ghat_rd)
-    loop = montecarlo._loop_term(CFG, w_t, a, rng)
-    abs2 = np.abs(w_t @ (ghat_sr + err_sr)) ** 2
+    gain_sr, loop, noise, _ = montecarlo._trial_terms(
+        CFG, PROF, scheme, n, np.random.default_rng(77))
+    abs2 = np.abs(gain_sr) ** 2
     per_trial = {
         "multipair": np.sum(abs2, axis=2) - np.diagonal(abs2, axis1=1, axis2=2),
         "loop": np.sum(np.abs(loop) ** 2, axis=2),
-        "noise": np.sum(np.abs(w_t) ** 2, axis=2),
+        "noise": noise,
     }
     for name, x in per_trial.items():
         np.testing.assert_allclose(getattr(res, name), np.mean(x, axis=0), rtol=1e-12)
