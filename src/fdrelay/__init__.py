@@ -4,24 +4,8 @@ Channel generation and MMSE estimation, ZF and MRC/MRT relay processing,
 closed-form and Monte Carlo achievable rates, duplex-mode comparison, a
 small geometric-program solver, and energy-efficient power allocation.
 """
-from .channel import (
-    ChannelSet,
-    PilotBook,
-    direct_channel_batch,
-    estimate_via_pilots,
-    generate_pilots,
-    sample_estimate_direct,
-    sample_true_channels,
-)
+from .channel import PilotBook, estimate_via_pilots, generate_pilots, sample_true_channels
 from .gp import GeometricProgram, GpResult, Posynomial, brute_force_gp, dump_problem, solve_gp
-from .linproc import (
-    ProcessingPair,
-    SingularGramError,
-    alpha_mrt,
-    alpha_zf,
-    mr_pair,
-    zf_pair,
-)
 from .model import (
     DropGeometry,
     LargeScaleProfile,
@@ -63,12 +47,9 @@ from .rates import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelSet", "PilotBook", "direct_channel_batch", "estimate_via_pilots",
-    "generate_pilots", "sample_estimate_direct", "sample_true_channels",
+    "PilotBook", "estimate_via_pilots", "generate_pilots", "sample_true_channels",
     "GeometricProgram", "GpResult", "Posynomial", "brute_force_gp",
     "dump_problem", "solve_gp",
-    "ProcessingPair", "SingularGramError", "alpha_mrt", "alpha_zf",
-    "mr_pair", "zf_pair",
     "DropGeometry", "LargeScaleProfile", "SystemConfig", "draw_urban_profile",
     "estimation_variance", "make_profile", "snapshot_profile",
     "GenieResult", "HopTerms", "McRateResult", "convergence_probe",

@@ -1,19 +1,13 @@
 """Small-scale channel sampling, the pilot phase, and MMSE estimation.
 
-Two routes produce a ChannelSet: an explicit pilot-phase simulation
-(:func:`estimate_via_pilots`) and direct sampling from the known estimate
-and error statistics (:func:`sample_estimate_direct`). They are statistically
-equivalent; the direct route is the cheap default for Monte Carlo work and
-the pilot route is the fidelity oracle.
-
-Only :func:`sample_true_channels`, :func:`estimate_via_pilots` and
-:func:`direct_channel_batch` (behind :func:`sample_estimate_direct` and the
-Monte Carlo convergence probes) draw length-N arrays, and only the first and
-the ``with_rr=True`` branch of the last draw the Nrx x Ntx loop channel G_RR.
-The Monte Carlo rate and inverse-Gram estimators draw no length-N array:
-the rates depend on the estimates only through their K x K Gram matrices,
-which :func:`gram_factor_batch` draws from the complex Bartlett decomposition
-in O(K^2) per trial, and every other K x K term is drawn from its exact law
+:func:`sample_true_channels` and :func:`estimate_via_pilots` simulate one
+explicit pilot phase and are the fidelity oracle; they are the only
+functions here that draw length-N arrays, and the first is the only one
+that draws the Nrx x Ntx loop channel G_RR. The Monte Carlo engine draws no
+length-N array: the rates and the convergence probes depend on the
+estimates only through their K x K Gram matrices, which
+:func:`gram_factor_batch` draws from the complex Bartlett decomposition in
+O(K^2) per trial, and every other K x K term is drawn from its exact law
 given the two Grams (see :mod:`fdrelay.montecarlo`).
 """
 from __future__ import annotations
@@ -31,23 +25,6 @@ class PilotBook:
 
     phi_s: np.ndarray  # K x tau
     phi_d: np.ndarray  # K x tau
-
-
-@dataclass(frozen=True)
-class ChannelSet:
-    """One joint realization of true channels, estimates, and errors.
-
-    The identities g_sr = ghat_sr + err_sr and g_rd = ghat_rd + err_rd hold
-    exactly by construction.
-    """
-
-    g_sr: np.ndarray    # Nrx x K
-    g_rd: np.ndarray    # Ntx x K
-    g_rr: np.ndarray    # Nrx x Ntx loop-interference channel
-    ghat_sr: np.ndarray
-    ghat_rd: np.ndarray
-    err_sr: np.ndarray
-    err_rd: np.ndarray
 
 
 def _cn(shape, rng: np.random.Generator) -> np.ndarray:
@@ -85,19 +62,19 @@ def estimate_via_pilots(
     cfg: SystemConfig,
     profile: LargeScaleProfile,
     rng: np.random.Generator,
-) -> ChannelSet:
-    """Simulate the pilot phase and form MMSE estimates by de-spreading.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate the pilot phase and return the MMSE estimates (ghat_sr, ghat_rd).
 
     Both arrays hear both pilot books: the receive array sees the sources
     plus the destination cross channel, the transmit array sees the
     destinations plus the source cross channel. Pilot orthogonality removes
     the cross terms exactly; the MMSE shrinkage is the diagonal
-    (D^-1/(tau*Pp) + I)^-1 applied per pair. Errors are defined by
-    subtraction so the ChannelSet sum identity is exact.
+    (D^-1/(tau*Pp) + I)^-1 applied per pair. The estimation errors are the
+    true channels minus these estimates.
     """
     if cfg.Pp <= 0:
         raise ValueError("pilot estimation requires Pp > 0")
-    g_sr, g_rd, g_rr = true_channels
+    g_sr, g_rd, _ = true_channels
     root_ep = np.sqrt(cfg.tau * cfg.Pp)
 
     # cross channels seen only during training
@@ -112,37 +89,7 @@ def estimate_via_pilots(
     shrink_rd = profile.sigma_rd_sq / profile.beta_rd
     ghat_sr = (y_rp @ pilots.phi_s.conj().T) / root_ep * shrink_sr
     ghat_rd = (y_tp @ pilots.phi_d.conj().T) / root_ep * shrink_rd
-
-    return ChannelSet(
-        g_sr=g_sr, g_rd=g_rd, g_rr=g_rr,
-        ghat_sr=ghat_sr, ghat_rd=ghat_rd,
-        err_sr=g_sr - ghat_sr, err_rd=g_rd - ghat_rd,
-    )
-
-
-def direct_channel_batch(
-    cfg: SystemConfig,
-    profile: LargeScaleProfile,
-    n: int,
-    rng: np.random.Generator,
-    with_rr: bool = True,
-):
-    """Stacked direct draws for n trials: (ghat_sr, err_sr, ghat_rd, err_rd, g_rr).
-
-    Leading axis is the trial index. Estimates and errors are independent
-    with per-entry variances sigma^2 and beta - sigma^2; g_rr is None when
-    with_rr is False. This is the vectorized core behind
-    sample_estimate_direct and the Monte Carlo convergence probes; the probes
-    pass with_rr=False and draw G_RR v from its law given v instead.
-    """
-    sig_sr = np.sqrt(profile.sigma_sr_sq)
-    sig_rd = np.sqrt(profile.sigma_rd_sq)
-    ghat_sr = _cn((n, cfg.Nrx, cfg.K), rng) * sig_sr
-    err_sr = _cn((n, cfg.Nrx, cfg.K), rng) * np.sqrt(profile.beta_sr - profile.sigma_sr_sq)
-    ghat_rd = _cn((n, cfg.Ntx, cfg.K), rng) * sig_rd
-    err_rd = _cn((n, cfg.Ntx, cfg.K), rng) * np.sqrt(profile.beta_rd - profile.sigma_rd_sq)
-    g_rr = _cn((n, cfg.Nrx, cfg.Ntx), rng) * np.sqrt(cfg.sigma_li_sq) if with_rr else None
-    return ghat_sr, err_sr, ghat_rd, err_rd, g_rr
+    return ghat_sr, ghat_rd
 
 
 def gram_factor_batch(n_ant: int, variances, n: int,
@@ -167,14 +114,3 @@ def gram_factor_batch(n_ant: int, variances, n: int,
     r[:, rows, cols] = _cn((n, rows.size), rng)
     return root_var[:, None] * np.swapaxes(r, 1, 2).conj()
 
-
-def sample_estimate_direct(
-    cfg: SystemConfig, profile: LargeScaleProfile, rng: np.random.Generator
-) -> ChannelSet:
-    """Draw a ChannelSet straight from the estimate/error statistics."""
-    ghat_sr, err_sr, ghat_rd, err_rd, g_rr = direct_channel_batch(cfg, profile, 1, rng)
-    return ChannelSet(
-        g_sr=ghat_sr[0] + err_sr[0], g_rd=ghat_rd[0] + err_rd[0], g_rr=g_rr[0],
-        ghat_sr=ghat_sr[0], ghat_rd=ghat_rd[0],
-        err_sr=err_sr[0], err_rd=err_rd[0],
-    )

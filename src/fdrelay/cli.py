@@ -39,7 +39,7 @@ PRESET_TRIALS = {
 
 _CONFIG_KEYS = {
     "k": ("K", int), "nrx": ("Nrx", int), "ntx": ("Ntx", int),
-    "t": ("T", int), "tau": ("tau", int), "delay_d": ("delay_d", int),
+    "t": ("T", int), "tau": ("tau", int),
     "pp": ("Pp", float), "ps": ("Ps", float), "pr": ("Pr", float),
     "sigma_li_sq": ("sigma_li_sq", float),
 }

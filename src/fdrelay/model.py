@@ -25,7 +25,6 @@ class SystemConfig:
     Ps : per-source data power (linear, uniform case)
     Pr : relay total transmit power (linear)
     sigma_li_sq : loop-interference variance (linear)
-    delay_d : relay processing delay in symbols
     """
 
     K: int
@@ -37,7 +36,6 @@ class SystemConfig:
     Ps: float = 10.0
     Pr: float = 100.0
     sigma_li_sq: float = 1.0
-    delay_d: int = 1
 
     def __post_init__(self) -> None:
         if self.K < 1:
@@ -49,8 +47,6 @@ class SystemConfig:
         for name in ("Pp", "Ps", "Pr", "sigma_li_sq"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.delay_d < 1:
-            raise ValueError("delay_d must be >= 1")
 
     @property
     def prelog(self) -> float:

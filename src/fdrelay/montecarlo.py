@@ -40,9 +40,18 @@ O(K^3) whatever the array size. Each chunk draws F_sr, F_rd, Z_e, Z_l, Z_r
 in that order. The inverse-Gram moment uses the same factors:
 [(Ghat^H Ghat)^-1]_kk is the squared norm of column k of F^-1.
 
-The convergence probes measure functions of length-N vectors, so they still
-draw the estimates through direct_channel_batch; they draw G_RR v, given v,
-as CN(0, sigma_li^2 ||v||^2 I_Nrx).
+The convergence probes reuse the same draw. With x and x_fwd the source and
+forwarded symbols (iid CN(0, 1)), the relay noise n ~ CN(0, I_Nrx) and the
+relay transmit vector s = sqrt(er/Ntx) A x_fwd, exactly:
+
+    W^T y          = sqrt(Ps) S x + sqrt(Pr) L x_fwd + U_w z,   z ~ CN(0, I_m)
+    ||G_RR s||^2   = sigma_li^2 ||s||^2 Gamma(Nrx, 1),  ||s||^2 = (er/Ntx) ||U_a^T x_fwd||^2
+    G_RD^T A x_fwd = R x_fwd
+
+with S, L and R the per-trial [w_k^T g_j], [w_k^T G_RR a_j] and [g_k^T a_j]
+above: z = Q_sr^H n is iid and independent of the rest, given s the entries
+of G_RR s are iid CN(0, sigma_li^2 ||s||^2), and Q_rd has orthonormal
+columns. So a probe trial costs O(K^3) too.
 
 Assembling the bound from the pooled estimates reproduces the closed forms;
 the instantaneous-SINR ("genie") rates quantify what perfect gain knowledge
@@ -62,8 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _cn, direct_channel_batch, gram_factor_batch
-from .linproc import alpha_mrt, alpha_zf
+from .channel import _cn, gram_factor_batch
 from .model import LargeScaleProfile, SystemConfig
 
 DEFAULT_BATCHES = 20
@@ -127,11 +135,10 @@ class GenieResult:
 
 def _chunk_size(per_trial: float) -> int:
     # ~64 MB of complex128 per chunk for per_trial entries a trial holds, and
-    # at most 4096 trials. A Gram-path trial holds about 16 K x K arrays
-    # (factors, their inverses, the three Z draws and the products), an
-    # inverse-Gram trial about 4, so neither depends on the array size; the
-    # probes hold the Nrx x K and Ntx x K channel, estimate and processing
-    # arrays, 6 (Nrx + Ntx) K entries.
+    # at most 4096 trials. A Gram-path trial (bound, genie and probe alike)
+    # holds about 16 K x K arrays (factors, their inverses, the three Z draws
+    # and the products), an inverse-Gram trial about 4, so no chunk depends
+    # on the array size.
     return max(1, min(4096, int(64e6 / (16.0 * per_trial))))
 
 
@@ -157,22 +164,14 @@ def _check_zf(cfg: SystemConfig) -> None:
         raise ValueError("zero forcing needs Nrx > K and Ntx > K")
 
 
-def _processing(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
-                ghat_sr: np.ndarray, ghat_rd: np.ndarray):
-    """Batched (w_t, a) with a leading trial axis."""
-    if scheme == "zf":
-        _check_zf(cfg)
-        gram_sr = np.swapaxes(ghat_sr, 1, 2).conj() @ ghat_sr
-        w_t = np.linalg.solve(gram_sr, np.swapaxes(ghat_sr, 1, 2).conj())
-        gram_rd = np.swapaxes(ghat_rd, 1, 2).conj() @ ghat_rd
-        x = np.linalg.solve(gram_rd, np.swapaxes(ghat_rd, 1, 2).conj())
-        a = alpha_zf(cfg, profile) * np.swapaxes(x, 1, 2)
-    elif scheme == "mr":
-        w_t = np.swapaxes(ghat_sr, 1, 2).conj()
-        a = alpha_mrt(cfg, profile) * ghat_rd.conj()
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return w_t, a
+def alpha_zf(cfg: SystemConfig, profile: LargeScaleProfile) -> float:
+    """ZF precoder normalization: E||A||_F^2 = alpha^2 E tr(Gram_rd^-1) = 1."""
+    return float(np.sqrt((cfg.Ntx - cfg.K) / np.sum(1.0 / profile.sigma_rd_sq)))
+
+
+def alpha_mrt(cfg: SystemConfig, profile: LargeScaleProfile) -> float:
+    """MRT precoder normalization: E||A||_F^2 = alpha^2 E tr(Gram_rd) = 1."""
+    return float(np.sqrt(1.0 / (cfg.Ntx * np.sum(profile.sigma_rd_sq))))
 
 
 def _trial_terms(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
@@ -181,7 +180,8 @@ def _trial_terms(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
 
     gain_sr[t, k, j] = w_k^T g_j, loop[t, k, j] = w_k^T G_RR a_j,
     noise[t, k] = ||w_k||^2 and gain_rd[t, k, j] = g_k^T a_j; the module
-    docstring derives the law and the draw order.
+    docstring derives the law and the draw order. The factors U_w and U_a^T
+    follow, for the probes.
     """
     f_sr = gram_factor_batch(cfg.Nrx, profile.sigma_sr_sq, n, rng)
     f_rd = gram_factor_batch(cfg.Ntx, profile.sigma_rd_sq, n, rng)
@@ -204,14 +204,7 @@ def _trial_terms(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     loop = np.sqrt(cfg.sigma_li_sq) * (u_w @ z_l @ u_a_t)
     noise = np.sum(np.abs(u_w) ** 2, axis=2)
     gain_rd = (f_rd.conj() + d_rd[:, None] * z_r) @ u_a_t
-    return gain_sr, loop, noise, gain_rd
-
-
-def _loop_times(cfg: SystemConfig, v: np.ndarray,
-                rng: np.random.Generator) -> np.ndarray:
-    """One draw of G_RR v per trial given v (trials x Ntx): CN(0, sigma_li^2 ||v||^2 I_Nrx)."""
-    scale = np.sqrt(cfg.sigma_li_sq) * np.linalg.norm(v, axis=1, keepdims=True)
-    return scale * _cn((v.shape[0], cfg.Nrx), rng)
+    return gain_sr, loop, noise, gain_rd, u_w, u_a_t
 
 
 def _stderr(batch_means: np.ndarray) -> np.ndarray:
@@ -274,7 +267,7 @@ def _simulate(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     done = 0
     while done < trials:
         n = min(chunk, trials - done)
-        gain_sr, loop, an, gain_rd = _trial_terms(cfg, profile, scheme, n, rng)
+        gain_sr, loop, an, gain_rd, _, _ = _trial_terms(cfg, profile, scheme, n, rng)
         abs2_sr = np.abs(gain_sr) ** 2
         diag_sr = np.diagonal(gain_sr, axis1=1, axis2=2)
         mp_sr = np.sum(abs2_sr, axis=2) - np.diagonal(abs2_sr, axis1=1, axis2=2)
@@ -434,6 +427,41 @@ def li_approx_oracle(cfg: SystemConfig, profile: LargeScaleProfile,
     return mc, approx
 
 
+def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-trial matrix-vector product of (n, a, b) and (n, b) arrays."""
+    return (m @ v[..., None])[..., 0]
+
+
+def _probe_terms(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
+                 scheme: str, n: int, rng: np.random.Generator,
+                 er: float | None = None) -> np.ndarray:
+    """Per-trial residual power of one probe chunk, averaged over pairs (or antennas).
+
+    The module docstring gives the law, convergence_probe the draw order.
+    """
+    gain_sr, loop, _, gain_rd, u_w, u_a_t = _trial_terms(cfg, profile, scheme, n, rng)
+    x = _cn((n, cfg.K), rng)
+    x_fwd = _cn((n, cfg.K), rng)
+    if kind == "decode":
+        z = _cn((n, u_w.shape[2]), rng)
+        r = (np.sqrt(cfg.Ps) * _mv(gain_sr, x) + np.sqrt(cfg.Pr) * _mv(loop, x_fwd)
+             + _mv(u_w, z))
+        if scheme == "mr":
+            r = r / (cfg.Nrx * profile.sigma_sr_sq)
+        resid = r - np.sqrt(cfg.Ps) * x
+    elif kind == "loop_power":  # ||G_RR s||^2 / Nrx
+        s_sq = er / cfg.Ntx * np.sum(np.abs(_mv(u_a_t, x_fwd)) ** 2, axis=1)
+        return cfg.sigma_li_sq * s_sq * rng.standard_gamma(cfg.Nrx, size=n) / cfg.Nrx
+    else:  # "forward"
+        recv = np.sqrt(er / cfg.Ntx) * _mv(gain_rd, x_fwd)
+        if scheme == "zf":
+            limit = np.sqrt(er / np.sum(1.0 / profile.sigma_rd_sq))
+        else:
+            limit = np.sqrt(er * profile.sigma_rd_sq**2 / np.sum(profile.sigma_rd_sq))
+        resid = recv - limit * x_fwd
+    return np.mean(np.abs(resid) ** 2, axis=1)
+
+
 def convergence_probe(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
                       scheme: str, trials: int, rng: np.random.Generator,
                       er: float | None = None) -> float:
@@ -446,46 +474,21 @@ def convergence_probe(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
     kind "forward": mean square of the destination signal around its
     deterministic large-array amplitude, again with Pr = er/Ntx.
 
-    All three average over pairs and trials and return a single float.
+    All three average over pairs (antennas for "loop_power") and trials and
+    return a single float. Each trial is drawn in K x K terms from the law
+    in the module docstring, so the cost does not grow with the arrays. Per
+    chunk the draws are F_sr, F_rd, Z_e, Z_l, Z_r, then x, x_fwd, then z
+    ("decode") or the Gamma(Nrx, 1) variates ("loop_power").
     """
-    if kind in ("loop_power", "forward") and (er is None or er <= 0):
+    if kind not in ("decode", "loop_power", "forward"):
+        raise ValueError(f"unknown probe kind {kind!r}")
+    if kind != "decode" and (er is None or er <= 0):
         raise ValueError(f"kind {kind!r} needs er > 0")
-    chunk = _chunk_size(6 * (cfg.Nrx + cfg.Ntx) * cfg.K)
+    chunk = _chunk_size(16 * cfg.K ** 2)
     total = 0.0
     done = 0
     while done < trials:
         n = min(chunk, trials - done)
-        ghat_sr, err_sr, ghat_rd, err_rd, _ = direct_channel_batch(
-            cfg, profile, n, rng, with_rr=False)
-        w_t, a = _processing(cfg, profile, scheme, ghat_sr, ghat_rd)
-        x = _cn((n, cfg.K), rng)
-        x_fwd = _cn((n, cfg.K), rng)
-        a_x = (a @ x_fwd[..., None])[..., 0]  # relay transmit vector
-
-        if kind == "decode":
-            noise = _cn((n, cfg.Nrx), rng)
-            y = (np.sqrt(cfg.Ps) * ((ghat_sr + err_sr) @ x[..., None])[..., 0]
-                 + np.sqrt(cfg.Pr) * _loop_times(cfg, a_x, rng)
-                 + noise)
-            r = (w_t @ y[..., None])[..., 0]
-            if scheme == "mr":
-                r = r / (cfg.Nrx * profile.sigma_sr_sq)
-            resid = r - np.sqrt(cfg.Ps) * x
-        elif kind == "loop_power":
-            s = np.sqrt(er / cfg.Ntx) * a_x
-            resid = _loop_times(cfg, s, rng)  # axis-1 average below is per antenna
-        elif kind == "forward":
-            pr = er / cfg.Ntx
-            recv = np.sqrt(pr) * (np.swapaxes(ghat_rd + err_rd, 1, 2)
-                                  @ a_x[..., None])[..., 0]
-            if scheme == "zf":
-                limit = np.sqrt(er / np.sum(1.0 / profile.sigma_rd_sq))
-            else:
-                limit = np.sqrt(er * profile.sigma_rd_sq**2
-                                / np.sum(profile.sigma_rd_sq))
-            resid = recv - limit * x_fwd
-        else:
-            raise ValueError(f"unknown probe kind {kind!r}")
-        total += float(np.sum(np.abs(resid) ** 2)) / resid.shape[1]
+        total += float(np.sum(_probe_terms(kind, cfg, profile, scheme, n, rng, er)))
         done += n
     return total / trials

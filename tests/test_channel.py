@@ -4,15 +4,12 @@ import pytest
 
 from fdrelay import (
     SystemConfig,
-    direct_channel_batch,
     estimate_via_pilots,
     generate_pilots,
     make_profile,
-    sample_estimate_direct,
     sample_true_channels,
 )
 from fdrelay.channel import gram_factor_batch
-from fdrelay.model import LargeScaleProfile
 
 CFG = SystemConfig(K=3, Nrx=16, Ntx=16, tau=6, Pp=10.0, sigma_li_sq=2.0)
 PROF = make_profile([0.5, 1.0, 2.0], [1.5, 0.8, 1.2], CFG.tau, CFG.Pp)
@@ -75,16 +72,21 @@ def test_pilot_estimation_identity_and_moments():
     var_hat = np.zeros(CFG.K)
     var_err = np.zeros(CFG.K)
     cross = 0.0
+    var_hat_rd = np.zeros(CFG.K)
+    var_err_rd = np.zeros(CFG.K)
     for _ in range(n):
-        cs = estimate_via_pilots(sample_true_channels(CFG, PROF, rng), book, CFG, PROF, rng)
-        # errors come from subtraction, so re-adding is exact up to one ulp
-        np.testing.assert_allclose(cs.ghat_sr + cs.err_sr, cs.g_sr, atol=1e-13)
-        np.testing.assert_allclose(cs.ghat_rd + cs.err_rd, cs.g_rd, atol=1e-13)
-        var_hat += np.mean(np.abs(cs.ghat_sr) ** 2, axis=0)
-        var_err += np.mean(np.abs(cs.err_sr) ** 2, axis=0)
-        cross += np.mean((cs.ghat_sr * cs.err_sr.conj()).real)
+        g_sr, g_rd, g_rr = sample_true_channels(CFG, PROF, rng)
+        ghat_sr, ghat_rd = estimate_via_pilots((g_sr, g_rd, g_rr), book, CFG, PROF, rng)
+        err_sr, err_rd = g_sr - ghat_sr, g_rd - ghat_rd
+        var_hat += np.mean(np.abs(ghat_sr) ** 2, axis=0)
+        var_err += np.mean(np.abs(err_sr) ** 2, axis=0)
+        cross += np.mean((ghat_sr * err_sr.conj()).real)
+        var_hat_rd += np.mean(np.abs(ghat_rd) ** 2, axis=0)
+        var_err_rd += np.mean(np.abs(err_rd) ** 2, axis=0)
     np.testing.assert_allclose(var_hat / n, PROF.sigma_sr_sq, rtol=0.05)
     np.testing.assert_allclose(var_err / n, PROF.beta_sr - PROF.sigma_sr_sq, rtol=0.05)
+    np.testing.assert_allclose(var_hat_rd / n, PROF.sigma_rd_sq, rtol=0.05)
+    np.testing.assert_allclose(var_err_rd / n, PROF.beta_rd - PROF.sigma_rd_sq, rtol=0.05)
     # MMSE orthogonality: estimate and error are uncorrelated
     assert abs(cross / n) < 0.01
 
@@ -94,9 +96,10 @@ def test_pilot_estimation_perfect_limit():
     prof = make_profile([0.5, 1.0, 2.0], [1.5, 0.8, 1.2], cfg.tau, cfg.Pp)
     book = generate_pilots(cfg.K, cfg.tau)
     rng = np.random.default_rng(4)
-    cs = estimate_via_pilots(sample_true_channels(cfg, prof, rng), book, cfg, prof, rng)
-    assert np.linalg.norm(cs.ghat_sr - cs.g_sr) / np.linalg.norm(cs.g_sr) < 1e-3
-    assert np.linalg.norm(cs.ghat_rd - cs.g_rd) / np.linalg.norm(cs.g_rd) < 1e-3
+    true = sample_true_channels(cfg, prof, rng)
+    ghat_sr, ghat_rd = estimate_via_pilots(true, book, cfg, prof, rng)
+    assert np.linalg.norm(ghat_sr - true[0]) / np.linalg.norm(true[0]) < 1e-3
+    assert np.linalg.norm(ghat_rd - true[1]) / np.linalg.norm(true[1]) < 1e-3
 
 
 def test_pilot_estimation_requires_pilot_power():
@@ -105,39 +108,6 @@ def test_pilot_estimation_requires_pilot_power():
     with pytest.raises(ValueError):
         estimate_via_pilots(sample_true_channels(CFG, PROF, np.random.default_rng(0)),
                             book, cfg, PROF, np.random.default_rng(0))
-
-
-def test_direct_sampler_matches_pilot_statistics():
-    rng = np.random.default_rng(5)
-    n = 4000
-    var_hat = np.zeros(CFG.K)
-    var_g = np.zeros(CFG.K)
-    for _ in range(n):
-        cs = sample_estimate_direct(CFG, PROF, rng)
-        np.testing.assert_array_equal(cs.g_sr, cs.ghat_sr + cs.err_sr)
-        var_hat += np.mean(np.abs(cs.ghat_rd) ** 2, axis=0)
-        var_g += np.mean(np.abs(cs.g_rd) ** 2, axis=0)
-    np.testing.assert_allclose(var_hat / n, PROF.sigma_rd_sq, rtol=0.05)
-    np.testing.assert_allclose(var_g / n, PROF.beta_rd, rtol=0.05)
-
-
-def test_direct_sampler_zero_error_when_variance_saturates():
-    prof = LargeScaleProfile(
-        beta_sr=np.ones(2), beta_rd=np.ones(2),
-        sigma_sr_sq=np.ones(2), sigma_rd_sq=np.ones(2))
-    cfg = SystemConfig(K=2, Nrx=8, Ntx=8, tau=4)
-    cs = sample_estimate_direct(cfg, prof, np.random.default_rng(6))
-    assert np.all(cs.err_sr == 0) and np.all(cs.err_rd == 0)
-
-
-def test_direct_batch_shapes_and_rr_toggle():
-    got = direct_channel_batch(CFG, PROF, 5, np.random.default_rng(7))
-    ghat_sr, err_sr, ghat_rd, err_rd, g_rr = got
-    assert ghat_sr.shape == (5, CFG.Nrx, CFG.K)
-    assert ghat_rd.shape == (5, CFG.Ntx, CFG.K)
-    assert g_rr.shape == (5, CFG.Nrx, CFG.Ntx)
-    assert direct_channel_batch(CFG, PROF, 2, np.random.default_rng(8),
-                                with_rr=False)[4] is None
 
 
 def test_pilot_contamination_absent():

@@ -79,6 +79,7 @@ def test_custom_sweep_linear_scale(tmp_path):
     ["--preset", "custom", "--set", "sweep=zzz:1:2:2"],
     ["--preset", "custom", "--set", "sweep=ps:1:2:2:cubic"],
     ["--preset", "custom", "--set", "sweep=ps:1:2"],
+    ["--set", "delay_d=2"],
 ])
 def test_bad_requests_exit_2_with_json_error(tmp_path, capsys, argv_extra):
     argv = ["run", "--out", str(tmp_path)] + argv_extra

@@ -30,7 +30,6 @@ def test_config_defaults_and_prelog():
         dict(K=2, Nrx=10, Ntx=10, T=20, tau=20),  # tau == T
         dict(K=2, Nrx=10, Ntx=10, Ps=-1.0),
         dict(K=2, Nrx=10, Ntx=10, sigma_li_sq=-0.5),
-        dict(K=2, Nrx=10, Ntx=10, delay_d=0),
     ],
 )
 def test_config_rejects_bad_values(kw):

@@ -1,13 +1,13 @@
 """Tests for the Monte Carlo rate machinery against the closed forms."""
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fdrelay import (
+    LargeScaleProfile,
     SystemConfig,
-    alpha_mrt,
-    alpha_zf,
     convergence_probe,
     genie_rates,
     li_approx_oracle,
@@ -18,6 +18,8 @@ from fdrelay import (
     wishart_inverse_moment,
 )
 from fdrelay import montecarlo
+from fdrelay.channel import gram_factor_batch
+from fdrelay.montecarlo import alpha_mrt, alpha_zf
 
 CFG = SystemConfig(K=3, Nrx=24, Ntx=24, tau=6, Pp=4.0, Ps=2.0, Pr=6.0, sigma_li_sq=1.0)
 PROF = make_profile([0.6, 1.0, 1.8], [1.4, 0.7, 1.1], CFG.tau, CFG.Pp)
@@ -166,16 +168,17 @@ def _two_sample_z(x, y):
     return np.abs(np.mean(x, axis=0) - np.mean(y, axis=0)) / se
 
 
-def _oracle_terms(cfg, prof, scheme, n, rng):
-    """Brute force: explicit estimates, errors and G_RR, then W, A and every product."""
-    def cn(*shape):
-        return np.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+def _cn(rng, *shape):
+    return np.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
-    ghat_sr = cn(n, cfg.Nrx, cfg.K) * np.sqrt(prof.sigma_sr_sq)
-    g_sr = ghat_sr + cn(n, cfg.Nrx, cfg.K) * np.sqrt(prof.beta_sr - prof.sigma_sr_sq)
-    ghat_rd = cn(n, cfg.Ntx, cfg.K) * np.sqrt(prof.sigma_rd_sq)
-    g_rd = ghat_rd + cn(n, cfg.Ntx, cfg.K) * np.sqrt(prof.beta_rd - prof.sigma_rd_sq)
-    g_rr = cn(n, cfg.Nrx, cfg.Ntx) * np.sqrt(cfg.sigma_li_sq)
+
+def _oracle_channels(cfg, prof, scheme, n, rng):
+    """Brute force: explicit G_SR, G_RD and G_RR, then W^T and A from the estimates."""
+    ghat_sr = _cn(rng, n, cfg.Nrx, cfg.K) * np.sqrt(prof.sigma_sr_sq)
+    g_sr = ghat_sr + _cn(rng, n, cfg.Nrx, cfg.K) * np.sqrt(prof.beta_sr - prof.sigma_sr_sq)
+    ghat_rd = _cn(rng, n, cfg.Ntx, cfg.K) * np.sqrt(prof.sigma_rd_sq)
+    g_rd = ghat_rd + _cn(rng, n, cfg.Ntx, cfg.K) * np.sqrt(prof.beta_rd - prof.sigma_rd_sq)
+    g_rr = _cn(rng, n, cfg.Nrx, cfg.Ntx) * np.sqrt(cfg.sigma_li_sq)
     ghat_sr_h = np.swapaxes(ghat_sr, 1, 2).conj()
     if scheme == "zf":
         # W^T = (Ghat^H Ghat)^-1 Ghat^H and A = alpha Ghat^* (Ghat^T Ghat^*)^-1
@@ -184,6 +187,12 @@ def _oracle_terms(cfg, prof, scheme, n, rng):
             np.swapaxes(ghat_rd, 1, 2) @ ghat_rd.conj())
     else:
         w_t, a = ghat_sr_h, alpha_mrt(cfg, prof) * ghat_rd.conj()
+    return g_sr, g_rd, g_rr, w_t, a
+
+
+def _oracle_terms(cfg, prof, scheme, n, rng):
+    """Every per-trial product of the explicit draw."""
+    g_sr, g_rd, g_rr, w_t, a = _oracle_channels(cfg, prof, scheme, n, rng)
     return (w_t @ g_sr, w_t @ g_rr @ a, np.sum(np.abs(w_t) ** 2, axis=2),
             np.swapaxes(g_rd, 1, 2) @ a)
 
@@ -221,7 +230,7 @@ def test_trial_terms_match_brute_force_oracle(scheme, nrx, ntx, monkeypatch):
 
     monkeypatch.setattr(montecarlo, "gram_factor_batch", keep)
     rng = np.random.default_rng(41)
-    drawn = montecarlo._trial_terms(cfg, prof, scheme, n, rng)
+    drawn = montecarlo._trial_terms(cfg, prof, scheme, n, rng)[:4]
     oracle = _oracle_terms(cfg, prof, scheme, n, rng)
     assert [x.shape for x in drawn] == [x.shape for x in oracle] == [
         (n, cfg.K, cfg.K), (n, cfg.K, cfg.K), (n, cfg.K), (n, cfg.K, cfg.K)]
@@ -244,43 +253,108 @@ def test_trial_terms_match_brute_force_oracle(scheme, nrx, ntx, monkeypatch):
     assert np.all(np.abs(np.mean(resid, axis=0)) < 4.0 * se)
 
 
-def test_probe_loop_vector_has_per_entry_power_of_its_law():
-    cfg = replace(CFG, sigma_li_sq=0.7)
+def _oracle_probe(kind, cfg, prof, scheme, n, rng, er):
+    """The N-dimensional probe: per-trial residual power from explicit channels and noise."""
+    g_sr, g_rd, g_rr, w_t, a = _oracle_channels(cfg, prof, scheme, n, rng)
+    x, x_fwd = _cn(rng, n, cfg.K), _cn(rng, n, cfg.K)
+    a_x = (a @ x_fwd[..., None])[..., 0]  # relay transmit vector
+    if kind == "decode":
+        y = (np.sqrt(cfg.Ps) * (g_sr @ x[..., None])[..., 0]
+             + np.sqrt(cfg.Pr) * (g_rr @ a_x[..., None])[..., 0]
+             + _cn(rng, n, cfg.Nrx))
+        r = (w_t @ y[..., None])[..., 0]
+        if scheme == "mr":
+            r = r / (cfg.Nrx * prof.sigma_sr_sq)
+        resid = r - np.sqrt(cfg.Ps) * x
+    elif kind == "loop_power":
+        resid = np.sqrt(er / cfg.Ntx) * (g_rr @ a_x[..., None])[..., 0]
+    else:
+        recv = np.sqrt(er / cfg.Ntx) * (np.swapaxes(g_rd, 1, 2) @ a_x[..., None])[..., 0]
+        if scheme == "zf":
+            limit = np.sqrt(er / np.sum(1.0 / prof.sigma_rd_sq))
+        else:
+            limit = np.sqrt(er * prof.sigma_rd_sq ** 2 / np.sum(prof.sigma_rd_sq))
+        resid = recv - limit * x_fwd
+    return np.mean(np.abs(resid) ** 2, axis=1)
+
+
+@pytest.mark.parametrize("kind", ["decode", "loop_power", "forward"])
+@pytest.mark.parametrize("scheme,nrx,ntx",
+                         [("zf", 8, 6), ("mr", 8, 6), ("mr", 2, 6), ("mr", 8, 2)])
+def test_probe_terms_match_the_n_dimensional_probe(kind, scheme, nrx, ntx):
+    # the weak-pilot profile of the _trial_terms oracle test
+    cfg = replace(CFG, Nrx=nrx, Ntx=ntx, Pp=0.5, sigma_li_sq=0.7)
+    prof = make_profile([0.3, 1.0, 3.0], [2.5, 0.4, 1.2], cfg.tau, cfg.Pp)
     n = 20_000
-    rng = np.random.default_rng(42)
-    v = np.repeat(np.sqrt(0.5) * (rng.standard_normal((1, cfg.Ntx))
-                                  + 1j * rng.standard_normal((1, cfg.Ntx))), n, axis=0)
-    drawn = montecarlo._loop_times(cfg, v, rng)
-    g_rr = np.sqrt(cfg.sigma_li_sq / 2.0) * (
-        rng.standard_normal((n, cfg.Nrx, cfg.Ntx))
-        + 1j * rng.standard_normal((n, cfg.Nrx, cfg.Ntx)))
-    oracle = (g_rr @ v[..., None])[..., 0]
-    assert drawn.shape == oracle.shape == (n, cfg.Nrx)
-    assert np.all(_two_sample_z(np.abs(drawn) ** 2, np.abs(oracle) ** 2) < 4.0)
-    power = cfg.sigma_li_sq * np.sum(np.abs(v[0]) ** 2)
-    assert np.mean(np.abs(drawn) ** 2) == pytest.approx(power, rel=0.02)
+    rng = np.random.default_rng(43)
+    drawn = montecarlo._probe_terms(kind, cfg, prof, scheme, n, rng, er=10.0)
+    oracle = _oracle_probe(kind, cfg, prof, scheme, n, rng, er=10.0)
+    assert drawn.shape == oracle.shape == (n,)
+    assert _two_sample_z(drawn, oracle) < 4.0
+    assert _two_sample_z(drawn ** 2, oracle ** 2) < 4.0
 
 
-def test_monte_carlo_never_draws_the_loop_channel(monkeypatch):
-    # the bound and genie paths draw no length-N array at all; only the six
-    # probe calls reach the channel sampler, and never for G_RR
-    requested = []
-    real = montecarlo.direct_channel_batch
+def test_probe_is_the_mean_of_its_trials():
+    cfg = replace(CFG, Nrx=16, Ntx=12)
+    for kind in ("decode", "loop_power", "forward"):
+        value = convergence_probe(kind, cfg, PROF, "zf", 300,
+                                  np.random.default_rng(44), er=5.0)
+        terms = montecarlo._probe_terms(kind, cfg, PROF, "zf", 300,
+                                        np.random.default_rng(44), er=5.0)
+        assert value == pytest.approx(np.mean(terms), rel=1e-12)
 
-    def spy(cfg, profile, n, rng, with_rr=True):
-        requested.append(with_rr)
-        return real(cfg, profile, n, rng, with_rr=with_rr)
 
-    monkeypatch.setattr(montecarlo, "direct_channel_batch", spy)
-    for scheme in ("zf", "mr"):
-        mc_rate(CFG, PROF, scheme, 40, np.random.default_rng(0))
-        genie_rates(CFG, PROF, scheme, 40, np.random.default_rng(1))
-    assert requested == []
-    for scheme in ("zf", "mr"):
-        for kind in ("decode", "loop_power", "forward"):
-            convergence_probe(kind, CFG, PROF, scheme, 40,
-                              np.random.default_rng(2), er=10.0)
-    assert len(requested) == 6 and not any(requested)
+def test_monte_carlo_cost_is_flat_in_the_array_size():
+    # every entry point at Nrx = Ntx = 2^16 allocates far less than one
+    # Nrx x K complex array, so none draws a length-N vector
+    big = replace(CFG, Nrx=2 ** 16, Ntx=2 ** 16)
+    column_block = big.Nrx * big.K * 16
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        for scheme in ("zf", "mr"):
+            mc_rate(big, PROF, scheme, 40, rng)
+            genie_rates(big, PROF, scheme, 40, rng)
+            for kind in ("decode", "loop_power", "forward"):
+                convergence_probe(kind, big, PROF, scheme, 40, rng, er=10.0)
+        li_approx_oracle(big, PROF, 40, rng)
+        wishart_inverse_moment(big.Nrx, PROF.sigma_sr_sq, 40, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < column_block / 8, f"traced peak {peak} B"
+
+
+def test_zf_inverts_the_estimated_channels():
+    # saturated estimates (sigma^2 = beta) leave no error, so in every trial
+    # W^T G_SR = I and G_RD^T A = alpha I
+    prof = LargeScaleProfile(beta_sr=PROF.sigma_sr_sq, beta_rd=PROF.sigma_rd_sq,
+                             sigma_sr_sq=PROF.sigma_sr_sq, sigma_rd_sq=PROF.sigma_rd_sq)
+    gain_sr, _, _, gain_rd = montecarlo._trial_terms(
+        CFG, prof, "zf", 500, np.random.default_rng(45))[:4]
+    eye = np.broadcast_to(np.eye(CFG.K), gain_sr.shape)
+    np.testing.assert_allclose(gain_sr, eye, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(gain_rd, alpha_zf(CFG, prof) * eye, rtol=0, atol=1e-10)
+
+
+def test_alpha_formulas_by_hand():
+    # alpha_zf^2 = (Ntx - K) / sum(1/sigma_rd^2), alpha_mrt^2 = 1 / (Ntx sum sigma_rd^2)
+    s2 = PROF.sigma_rd_sq
+    assert alpha_zf(CFG, PROF) == pytest.approx(np.sqrt((CFG.Ntx - CFG.K) / np.sum(1.0 / s2)))
+    assert alpha_mrt(CFG, PROF) == pytest.approx(np.sqrt(1.0 / (CFG.Ntx * np.sum(s2))))
+
+
+@pytest.mark.parametrize("scheme", ["zf", "mr"])
+def test_average_transmit_power_is_unit(scheme):
+    # E||A||_F^2 = alpha^2 E tr(Gram_rd^-1) (ZF) or alpha^2 E tr(Gram_rd) (MR) = 1
+    n = 20_000
+    f = gram_factor_batch(CFG.Ntx, PROF.sigma_rd_sq, n, np.random.default_rng(46))
+    if scheme == "zf":
+        power = alpha_zf(CFG, PROF) ** 2 * np.sum(np.abs(np.linalg.inv(f)) ** 2, axis=(1, 2))
+    else:
+        power = alpha_mrt(CFG, PROF) ** 2 * np.sum(np.abs(f) ** 2, axis=(1, 2))
+    se = np.std(power, ddof=1) / np.sqrt(n)
+    assert abs(np.mean(power) - 1.0) < 4.0 * se
 
 
 def test_zero_forcing_fails_cleanly_at_its_boundary():
@@ -306,8 +380,8 @@ def test_plain_moment_stderr_is_the_iid_one(scheme):
     # the per-trial sample sd over sqrt(trials), whatever the batch count
     n = 300
     res = mc_rate(CFG, PROF, scheme, n, np.random.default_rng(77)).sr_terms
-    gain_sr, loop, noise, _ = montecarlo._trial_terms(
-        CFG, PROF, scheme, n, np.random.default_rng(77))
+    gain_sr, loop, noise = montecarlo._trial_terms(
+        CFG, PROF, scheme, n, np.random.default_rng(77))[:3]
     abs2 = np.abs(gain_sr) ** 2
     per_trial = {
         "multipair": np.sum(abs2, axis=2) - np.diagonal(abs2, axis1=1, axis2=2),
