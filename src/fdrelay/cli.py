@@ -268,9 +268,7 @@ def _run_custom(spec: RunSpec):
     scale = parts[4] if len(parts) == 5 else "linear"
     if points < 1:
         raise ValueError("sweep needs at least one point")
-    if scale == "linear":
-        values = np.linspace(start, stop, points)
-    elif scale == "db":
+    if scale in ("linear", "db"):
         values = np.linspace(start, stop, points)
     elif scale == "log2":
         values = np.logspace(start, stop, points, base=2.0)

@@ -55,12 +55,15 @@ columns. So a probe trial costs O(K^3) too.
 
 Assembling the bound from the pooled estimates reproduces the closed forms;
 the instantaneous-SINR ("genie") rates quantify what perfect gain knowledge
-at the decoders would add. Point estimates use all trials pooled. Trials are
-iid, so the standard error of a moment that is a plain per-trial mean
-(multipair, loop, noise, the inverse-Gram diagonal) comes from its pooled
-per-trial variance; the stderr of a function of means (the gain magnitude
-and variance, every rate) comes from the spread of per-batch estimates (20
-batches by default).
+at the decoders would add. Point estimates use all trials pooled. Every
+reported quantity is a smooth function of the pooled means of a few real
+per-trial features per pair (the rows listed at _FEATURES), and trials are
+iid, so every standard error comes from the delta method (Casella & Berger,
+Statistical Inference, 5.5.4): sqrt(g^T S g / T), with S the sample
+covariance of one trial's features and g the gradient of the quantity at
+the pooled means. A plain per-trial mean (multipair, loop, noise, a genie
+rate, the inverse-Gram diagonal) has a unit gradient, and its stderr is the
+iid one.
 
 Everything consumes a caller-supplied Generator in a fixed chunk order, so a
 given seed reproduces results exactly regardless of available memory.
@@ -68,13 +71,21 @@ given seed reproduces results exactly regardless of available memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channel import _cn, gram_factor_batch
 from .model import LargeScaleProfile, SystemConfig
 
-DEFAULT_BATCHES = 20
+# Feature rows of one simulated trial, K columns (pairs) each: first-hop
+# gain real part, imaginary part, |gain|^2, multipair, loop and noise;
+# second-hop gain real part, imaginary part, |gain|^2 and multipair; the
+# genie log2(1 + SINR) of the first and second hop.
+_FEATURES = 12
+_SR_ROWS = range(0, 6)
+_RD_ROWS = range(6, 10)
+_GENIE_SR, _GENIE_RD = 10, 11
 
 
 @dataclass(frozen=True)
@@ -82,9 +93,9 @@ class HopTerms:
     """Per-pair bound ingredients for one hop, with their standard errors.
 
     multipair, loop and noise are plain per-trial means, so their stderr is
-    the iid one from the pooled per-trial variance; mean_gain (as a
-    magnitude) and var_gain are functions of means and take the batch-means
-    stderr. The second hop has no loop term and unit noise.
+    the iid one; stderr_mean_gain (of the magnitude |mean_gain|) and
+    stderr_var_gain are delta-method stderrs of functions of the pooled
+    gain moments. The second hop has no loop term and unit noise.
     """
 
     mean_gain: np.ndarray  # complex
@@ -142,21 +153,10 @@ def _chunk_size(per_trial: float) -> int:
     return max(1, min(4096, int(64e6 / (16.0 * per_trial))))
 
 
-def _batch_edges(trials: int, batches: int) -> np.ndarray:
-    if trials < batches:
-        raise ValueError("need at least one trial per batch")
-    return (np.arange(batches + 1) * trials) // batches
-
-
-def _batch_runs(start: int, n: int, edges: np.ndarray):
-    """Batches met by trials start..start+n-1, with each run's first offset and length.
-
-    Trials fill batches in order, so a chunk covers contiguous runs of one
-    batch each: summing values over a run is np.add.reduceat at its offsets.
-    """
-    idx = np.searchsorted(edges, np.arange(start, start + n), side="right") - 1
-    offsets = np.flatnonzero(np.diff(idx, prepend=-1))
-    return idx[offsets], offsets, np.diff(offsets, append=n)
+def _check_trials(trials: int, least: int = 1) -> None:
+    # entry points that report a standard error need a sample covariance
+    if trials < least:
+        raise ValueError(f"trials must be >= {least}")
 
 
 def _check_zf(cfg: SystemConfig) -> None:
@@ -207,62 +207,67 @@ def _trial_terms(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     return gain_sr, loop, noise, gain_rd, u_w, u_a_t
 
 
-def _stderr(batch_means: np.ndarray) -> np.ndarray:
-    # spread of per-batch estimates around their mean, standard error of the mean
-    b = batch_means.shape[0]
-    return np.std(batch_means, axis=0, ddof=1) / np.sqrt(b)
-
-
-def _iid_stderr(sums: np.ndarray, squares: np.ndarray, trials: int) -> np.ndarray:
-    # standard error of a plain per-trial mean from its pooled sums of values
-    # and of squares: iid trials let every trial count, not just the spread of
-    # the batch means. The sum-of-squares form is accurate enough here: these
-    # moments vary by far more than its rounding error.
-    mean = np.sum(sums, axis=0) / trials
-    ss = np.maximum(np.sum(squares, axis=0) - trials * mean ** 2, 0.0)
-    return np.sqrt(ss / (trials * (trials - 1.0)))
-
-
 class _Accumulator:
-    """Per-batch sums of every per-pair quantity the bounds need.
+    """Pooled sums and cross-products of per-trial feature rows.
 
-    Names ending in 2 hold sums of squares: gain2 of the gain magnitude (the
-    second moment the variance needs), mp2/li2/an2 of the plain moments
-    (for their iid stderr).
+    A row holds F features for each of K pairs. Read mean and stderr only
+    after the last add: the sample covariance is built once, on first use.
+    The sum-of-products form is accurate enough here: these features vary
+    by far more than its rounding error.
     """
 
-    def __init__(self, batches: int, k: int):
-        self.counts = np.zeros(batches)
-        shape = (batches, k)
-        self.sr_gain = np.zeros(shape, dtype=complex)
-        self.sr_gain2 = np.zeros(shape)
-        self.sr_mp = np.zeros(shape)
-        self.sr_li = np.zeros(shape)
-        self.sr_an = np.zeros(shape)
-        self.sr_mp2 = np.zeros(shape)
-        self.sr_li2 = np.zeros(shape)
-        self.sr_an2 = np.zeros(shape)
-        self.rd_gain = np.zeros(shape, dtype=complex)
-        self.rd_gain2 = np.zeros(shape)
-        self.rd_mp = np.zeros(shape)
-        self.rd_mp2 = np.zeros(shape)
-        self.genie_sr = np.zeros(shape)
-        self.genie_rd = np.zeros(shape)
+    def __init__(self, features: int, k: int):
+        self.shape = (features, k)
+        self.trials = 0
+        self.sums = np.zeros(features * k)
+        self.cross = np.zeros((features * k, features * k))
 
-    def add(self, runs, **vals) -> None:
-        batch, offsets, sizes = runs
-        self.counts[batch] += sizes
-        for name, v in vals.items():
-            getattr(self, name)[batch] += np.add.reduceat(v, offsets, axis=0)
+    def add(self, rows: np.ndarray) -> None:
+        """Add n trials, rows of shape (n, F, K)."""
+        rows = rows.reshape(rows.shape[0], -1)
+        self.trials += rows.shape[0]
+        # numpy sums a contiguous row pairwise but an axis-0 reduction row by
+        # row; the gain variance, a difference of two of these sums, needs
+        # the pairwise accuracy
+        self.sums += np.sum(np.ascontiguousarray(rows.T), axis=1)
+        self.cross += rows.T @ rows
+
+    @property
+    def mean(self) -> np.ndarray:
+        return (self.sums / self.trials).reshape(self.shape)
+
+    @cached_property
+    def cov(self) -> np.ndarray:
+        mean = self.sums / self.trials
+        return (self.cross - self.trials * np.outer(mean, mean)) / (self.trials - 1.0)
+
+    def stderr(self, grad: np.ndarray):
+        """Delta-method stderrs of K per-pair estimates and of their sum.
+
+        grad (F, K): column k is the gradient of estimate k in the features
+        of pair k, the only ones it depends on. The sum's gradient is the
+        sum of the per-pair ones, so its stderr counts the covariance
+        between pairs.
+        """
+        f, k = grad.shape
+        g = (grad[:, :, None] * np.eye(k)).reshape(f * k, k)
+        cov = g.T @ self.cov @ g / self.trials
+        return (np.sqrt(np.maximum(np.diagonal(cov), 0.0)),
+                float(np.sqrt(max(np.sum(cov), 0.0))))
+
+
+def _grad(k: int, rows: dict) -> np.ndarray:
+    """A (_FEATURES, K) gradient: the given rows set, every other row zero."""
+    grad = np.zeros((_FEATURES, k))
+    for row, value in rows.items():
+        grad[row] = value
+    return grad
 
 
 def _simulate(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
-              trials: int, rng: np.random.Generator,
-              batches: int = DEFAULT_BATCHES) -> _Accumulator:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    edges = _batch_edges(trials, batches)
-    acc = _Accumulator(batches, cfg.K)
+              trials: int, rng: np.random.Generator) -> _Accumulator:
+    _check_trials(trials)
+    acc = _Accumulator(_FEATURES, cfg.K)
     chunk = _chunk_size(16 * cfg.K ** 2)
     done = 0
     while done < trials:
@@ -282,105 +287,101 @@ def _simulate(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
         sinr_sr = cfg.Ps * abs2_diag_sr / (cfg.Ps * mp_sr + cfg.Pr * li + an)
         sinr_rd = cfg.Pr * abs2_diag_rd / (cfg.Pr * mp_rd + 1.0)
 
-        acc.add(
-            _batch_runs(done, n, edges),
-            sr_gain=diag_sr, sr_gain2=abs2_diag_sr, sr_mp=mp_sr,
-            sr_li=li, sr_an=an, sr_mp2=mp_sr ** 2, sr_li2=li ** 2, sr_an2=an ** 2,
-            rd_gain=diag_rd, rd_gain2=abs2_diag_rd, rd_mp=mp_rd, rd_mp2=mp_rd ** 2,
-            genie_sr=np.log2(1.0 + sinr_sr), genie_rd=np.log2(1.0 + sinr_rd),
-        )
+        acc.add(np.stack([
+            diag_sr.real, diag_sr.imag, abs2_diag_sr, mp_sr, li, an,
+            diag_rd.real, diag_rd.imag, abs2_diag_rd, mp_rd,
+            np.log2(1.0 + sinr_sr), np.log2(1.0 + sinr_rd),
+        ], axis=1))
         done += n
     return acc
 
 
-def _hop_rates(cfg: SystemConfig, mean, var, mp, li, an, hop: str):
-    if hop == "sr":
-        sinr = cfg.Ps * np.abs(mean) ** 2 / (
-            cfg.Ps * var + cfg.Ps * mp + cfg.Pr * li + an)
-    else:
-        sinr = cfg.Pr * np.abs(mean) ** 2 / (cfg.Pr * var + cfg.Pr * mp + 1.0)
-    return np.log2(1.0 + sinr)
+def _hop_terms(acc: _Accumulator, rows: range) -> HopTerms:
+    """Pooled bound ingredients of one hop, from its feature rows."""
+    re, im, gain2, *plain = acc.mean[rows.start:rows.stop]
+    mean = re + 1j * im
+    mag = np.abs(mean)
+    k = mag.size
+    first = rows.start
+
+    def stderr(grad_rows):
+        return acc.stderr(_grad(k, grad_rows))[0]
+
+    # the second hop draws no loop or noise rows: its loop term is exactly
+    # zero and its noise exactly one
+    zero = np.zeros(k)
+    mp, li, an = (plain + [zero, np.ones(k)])[:3]
+    se_mp, se_li, se_an = ([stderr({row: 1.0}) for row in rows[3:]] + [zero, zero])[:3]
+    return HopTerms(
+        mean_gain=mean, var_gain=np.maximum(gain2 - mag ** 2, 0.0),
+        multipair=mp, loop=li, noise=an,
+        stderr_mean_gain=stderr({first: re / mag, first + 1: im / mag}),
+        stderr_var_gain=stderr({first: -2.0 * re, first + 1: -2.0 * im, first + 2: 1.0}),
+        stderr_multipair=se_mp, stderr_loop=se_li, stderr_noise=se_an,
+    )
+
+
+def _hop_rate(cfg: SystemConfig, p: float, terms: HopTerms, rows: range):
+    """Bound rate of one hop (transmit power p) and its gradient in the features.
+
+    With m = E{w_k^T g_k}, D = p var + p multipair + Pr loop + noise and
+    P = D + p|m|^2 = p E|w_k^T g_k|^2 + p multipair + Pr loop + noise, the
+    rate log2(1 + p|m|^2 / D) is log2(P / D). P is linear in the feature
+    means, so the gradient is 2p (Re m, Im m) / D in the gain's real and
+    imaginary rows and (1/P - 1/D) times the power in every other row, all
+    over ln 2.
+    """
+    m = terms.mean_gain
+    signal = p * np.abs(m) ** 2
+    den = p * terms.var_gain + p * terms.multipair + cfg.Pr * terms.loop + terms.noise
+    shrink = 1.0 / (den + signal) - 1.0 / den
+    slopes = (2.0 * p * m.real / den, 2.0 * p * m.imag / den,
+              p * shrink, p * shrink, cfg.Pr * shrink, shrink)
+    grad = _grad(m.size, dict(zip(rows, slopes))) / np.log(2.0)
+    return np.log2(1.0 + signal / den), grad
+
+
+def _rate_fields(acc: _Accumulator, r_sr, r_rd, grad_sr, grad_rd) -> dict:
+    """Hop, end-to-end and sum rates with their stderrs, from the hop gradients.
+
+    min(r_sr, r_rd) takes the gradient of the smaller hop; it has none at a
+    tie, and there the first hop's gradient stands in.
+    """
+    r_e2e = np.minimum(r_sr, r_rd)
+    se_e2e, se_sum = acc.stderr(np.where(r_sr <= r_rd, grad_sr, grad_rd))
+    return dict(
+        r_sr=r_sr, r_rd=r_rd, r_e2e=r_e2e,
+        stderr_r_sr=acc.stderr(grad_sr)[0], stderr_r_rd=acc.stderr(grad_rd)[0],
+        stderr_r_e2e=se_e2e, sum_rate=float(np.sum(r_e2e)), stderr_sum_rate=se_sum,
+    )
 
 
 def mc_rate(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
-            trials: int, rng: np.random.Generator,
-            batches: int = DEFAULT_BATCHES) -> McRateResult:
+            trials: int, rng: np.random.Generator) -> McRateResult:
     """Simulate the bound ingredients and assemble the per-pair rates."""
-    acc = _simulate(cfg, profile, scheme, trials, rng, batches)
-    cnt = acc.counts[:, None]
-
-    def pooled(batched):
-        return np.sum(batched, axis=0) / trials
-
-    def terms_of(gain, gain2, mp, li, an, mp2, li2, an2):
-        mean_b = gain / cnt
-        var_b = np.maximum(gain2 / cnt - np.abs(mean_b) ** 2, 0.0)
-        mp_b, li_b, an_b = mp / cnt, li / cnt, an / cnt
-        mean = pooled(gain)
-        var = np.maximum(pooled(gain2) - np.abs(mean) ** 2, 0.0)
-        return (
-            HopTerms(
-                mean_gain=mean, var_gain=var, multipair=pooled(mp),
-                loop=pooled(li), noise=pooled(an),
-                stderr_mean_gain=_stderr(np.abs(mean_b)),
-                stderr_var_gain=_stderr(var_b),
-                stderr_multipair=_iid_stderr(mp, mp2, trials),
-                stderr_loop=_iid_stderr(li, li2, trials),
-                stderr_noise=_iid_stderr(an, an2, trials),
-            ),
-            (mean_b, var_b, mp_b, li_b, an_b),
-        )
-
-    sr_terms, sr_b = terms_of(acc.sr_gain, acc.sr_gain2, acc.sr_mp, acc.sr_li,
-                              acc.sr_an, acc.sr_mp2, acc.sr_li2, acc.sr_an2)
-    zero = np.zeros_like(acc.rd_mp)
-    unit = np.broadcast_to(cnt, acc.rd_mp.shape)  # batch sums of a unit noise
-    rd_terms, rd_b = terms_of(acc.rd_gain, acc.rd_gain2, acc.rd_mp, zero,
-                              unit, acc.rd_mp2, zero, unit)
-
-    r_sr = _hop_rates(cfg, sr_terms.mean_gain, sr_terms.var_gain,
-                      sr_terms.multipair, sr_terms.loop, sr_terms.noise, "sr")
-    r_rd = _hop_rates(cfg, rd_terms.mean_gain, rd_terms.var_gain,
-                      rd_terms.multipair, 0.0, 0.0, "rd")
-    r_sr_b = _hop_rates(cfg, sr_b[0], sr_b[1], sr_b[2], sr_b[3], sr_b[4], "sr")
-    r_rd_b = _hop_rates(cfg, rd_b[0], rd_b[1], rd_b[2], 0.0, 0.0, "rd")
-    e2e_b = np.minimum(r_sr_b, r_rd_b)
-    r_e2e = np.minimum(r_sr, r_rd)
-
-    return McRateResult(
-        r_sr=r_sr, r_rd=r_rd, r_e2e=r_e2e,
-        stderr_r_sr=_stderr(r_sr_b), stderr_r_rd=_stderr(r_rd_b),
-        stderr_r_e2e=_stderr(e2e_b),
-        sum_rate=float(np.sum(r_e2e)),
-        stderr_sum_rate=float(_stderr(np.sum(e2e_b, axis=1))),
-        sr_terms=sr_terms, rd_terms=rd_terms, scheme=scheme, trials=trials,
-    )
+    _check_trials(trials, 2)
+    acc = _simulate(cfg, profile, scheme, trials, rng)
+    sr_terms, rd_terms = _hop_terms(acc, _SR_ROWS), _hop_terms(acc, _RD_ROWS)
+    r_sr, grad_sr = _hop_rate(cfg, cfg.Ps, sr_terms, _SR_ROWS)
+    r_rd, grad_rd = _hop_rate(cfg, cfg.Pr, rd_terms, _RD_ROWS)
+    return McRateResult(**_rate_fields(acc, r_sr, r_rd, grad_sr, grad_rd),
+                        sr_terms=sr_terms, rd_terms=rd_terms, scheme=scheme,
+                        trials=trials)
 
 
 def genie_rates(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
-                trials: int, rng: np.random.Generator,
-                batches: int = DEFAULT_BATCHES) -> GenieResult:
+                trials: int, rng: np.random.Generator) -> GenieResult:
     """Average instantaneous-SINR rates (decoder knows each realized gain)."""
-    acc = _simulate(cfg, profile, scheme, trials, rng, batches)
-    cnt = acc.counts[:, None]
-    sr_b, rd_b = acc.genie_sr / cnt, acc.genie_rd / cnt
-    e2e_b = np.minimum(sr_b, rd_b)
-    r_sr = np.sum(acc.genie_sr, axis=0) / trials
-    r_rd = np.sum(acc.genie_rd, axis=0) / trials
-    r_e2e = np.minimum(r_sr, r_rd)
-    return GenieResult(
-        r_sr=r_sr, r_rd=r_rd, r_e2e=r_e2e,
-        stderr_r_sr=_stderr(sr_b), stderr_r_rd=_stderr(rd_b),
-        stderr_r_e2e=_stderr(e2e_b),
-        sum_rate=float(np.sum(r_e2e)),
-        stderr_sum_rate=float(_stderr(np.sum(e2e_b, axis=1))),
-        scheme=scheme, trials=trials,
-    )
+    _check_trials(trials, 2)
+    acc = _simulate(cfg, profile, scheme, trials, rng)
+    r_sr, r_rd = acc.mean[_GENIE_SR], acc.mean[_GENIE_RD]
+    grad_sr, grad_rd = _grad(cfg.K, {_GENIE_SR: 1.0}), _grad(cfg.K, {_GENIE_RD: 1.0})
+    return GenieResult(**_rate_fields(acc, r_sr, r_rd, grad_sr, grad_rd),
+                       scheme=scheme, trials=trials)
 
 
 def wishart_inverse_moment(n_ant: int, variances, trials: int,
-                           rng: np.random.Generator,
-                           batches: int = DEFAULT_BATCHES):
+                           rng: np.random.Generator):
     """MC estimate of E{[(G^H G)^-1]_kk} for G with iid CN(0, var_k) columns.
 
     Returns (mean, stderr) arrays; the closed form is 1/((n_ant - K) var_k).
@@ -391,25 +392,20 @@ def wishart_inverse_moment(n_ant: int, variances, trials: int,
     k = variances.size
     if n_ant <= k:
         raise ValueError("need more antennas than columns")
-    edges = _batch_edges(trials, batches)
-    sums = np.zeros((batches, k))
-    squares = np.zeros((batches, k))
+    _check_trials(trials, 2)
+    acc = _Accumulator(1, k)
     chunk = _chunk_size(4 * k ** 2)
     done = 0
     while done < trials:
         n = min(chunk, trials - done)
         f_inv = np.linalg.inv(gram_factor_batch(n_ant, variances, n, rng))
-        inv_diag = np.sum(np.abs(f_inv) ** 2, axis=1)  # (F F^H)^-1 = F^-H F^-1
-        batch, offsets, _ = _batch_runs(done, n, edges)
-        sums[batch] += np.add.reduceat(inv_diag, offsets, axis=0)
-        squares[batch] += np.add.reduceat(inv_diag ** 2, offsets, axis=0)
+        acc.add(np.sum(np.abs(f_inv) ** 2, axis=1)[:, None])  # (F F^H)^-1 = F^-H F^-1
         done += n
-    return np.sum(sums, axis=0) / trials, _iid_stderr(sums, squares, trials)
+    return acc.mean[0], acc.stderr(np.ones((1, k)))[0]
 
 
 def li_approx_oracle(cfg: SystemConfig, profile: LargeScaleProfile,
-                     trials: int, rng: np.random.Generator, pair: int = 0,
-                     batches: int = DEFAULT_BATCHES):
+                     trials: int, rng: np.random.Generator, pair: int = 0):
     """Measured ZF loop-interference power for one pair vs its closed form.
 
     Returns (mc, approx): mc is the sample mean of Pr E{|w_k^T G_RR A|^2}
@@ -419,8 +415,8 @@ def li_approx_oracle(cfg: SystemConfig, profile: LargeScaleProfile,
     """
     if not 0 <= pair < cfg.K:
         raise ValueError("pair index out of range")
-    acc = _simulate(cfg, profile, "zf", trials, rng, batches)
-    mc = cfg.Pr * float(np.sum(acc.sr_li[:, pair]) / trials)
+    acc = _simulate(cfg, profile, "zf", trials, rng)
+    mc = cfg.Pr * float(acc.mean[_SR_ROWS[4], pair])  # the first-hop loop row
     s2 = float(profile.sigma_sr_sq[pair])
     approx = (cfg.sigma_li_sq * cfg.Pr * (cfg.Ntx - cfg.K)
               / (s2 * cfg.Ntx * (cfg.Nrx - cfg.K)))
@@ -484,6 +480,7 @@ def convergence_probe(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
         raise ValueError(f"unknown probe kind {kind!r}")
     if kind != "decode" and (er is None or er <= 0):
         raise ValueError(f"kind {kind!r} needs er > 0")
+    _check_trials(trials)
     chunk = _chunk_size(16 * cfg.K ** 2)
     total = 0.0
     done = 0

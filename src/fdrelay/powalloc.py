@@ -32,7 +32,7 @@ import numpy as np
 
 from .gp import GeometricProgram, Posynomial, solve_gp
 from .model import LargeScaleProfile, SystemConfig
-from .rates import coefficient_arrays
+from .rates import coefficient_arrays, sinr_from_coefficients
 
 GAMMA_FLOOR = 1e-9
 POWER_FLOOR_SCALE = 1e-12
@@ -64,9 +64,7 @@ class SinrCoefficients:
         return self.a.size
 
     def sinrs(self, p_s: np.ndarray, p_r: float):
-        sr = self.a * p_s / (np.dot(self.b, p_s) + self.c * p_r + 1.0)
-        rd = self.d * p_r / (self.e * p_r + 1.0)
-        return sr, rd
+        return sinr_from_coefficients((self.a, self.b, self.c, self.d, self.e), p_s, p_r)
 
 
 def sinr_coefficients(cfg: SystemConfig, profile: LargeScaleProfile,

@@ -150,8 +150,9 @@ def test_processing_moment_identities():
         assert np.all(np.abs(mean - expect) <= 3.0 * stderr), \
             f"inverse-Gram moment off at {label}"
 
-        # the bound consumes |E{w^T g}|, and stderr_mean_gain is the batch
-        # spread of that magnitude, so the magnitude is the tested statistic
+        # the bound consumes |E{w^T g}|, and stderr_mean_gain is the
+        # delta-method stderr of that magnitude, so the magnitude is the
+        # tested statistic
         zf = mc_rate(cfg, prof, "zf", trials, seeded(10, k, n, 1)).sr_terms
         assert np.all(np.abs(np.abs(zf.mean_gain) - 1.0)
                       <= 3.0 * zf.stderr_mean_gain), \

@@ -66,10 +66,13 @@ def test_custom_sweep_log2_scale(tmp_path):
 
 
 def test_custom_sweep_linear_scale(tmp_path):
-    assert main(["run", "--preset", "custom", "--out", str(tmp_path),
-                 "--set", "sweep=ps:1:5:3"]) == 0
-    _, rows = read_csv(tmp_path / "custom.csv")
-    assert [float(r[0]) for r in rows] == [1.0, 3.0, 5.0]
+    # the db scale spaces its grid linearly too (the dB keys convert it)
+    for spec in ("sweep=ps:1:5:3", "sweep=ps:1:5:3:db"):
+        out = tmp_path / spec.replace(":", "_")
+        assert main(["run", "--preset", "custom", "--out", str(out),
+                     "--set", spec]) == 0
+        _, rows = read_csv(out / "custom.csv")
+        assert [float(r[0]) for r in rows] == [1.0, 3.0, 5.0]
 
 
 @pytest.mark.parametrize("argv_extra", [

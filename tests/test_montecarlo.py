@@ -153,13 +153,23 @@ def test_mc_rate_is_deterministic_per_seed():
 
 
 def test_trials_and_batch_guards():
-    with pytest.raises(ValueError):
-        mc_rate(CFG, PROF, "zf", 0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        mc_rate(CFG, PROF, "zf", 10, np.random.default_rng(0), batches=20)
-    # one trial per batch is the smallest legal configuration
-    res = mc_rate(CFG, PROF, "zf", 20, np.random.default_rng(0), batches=20)
-    assert np.all(np.isfinite(res.r_e2e))
+    # a standard error needs a sample covariance, so two trials is the floor
+    for trials in (0, 1):
+        with pytest.raises(ValueError, match="trials must be >= 2"):
+            mc_rate(CFG, PROF, "zf", trials, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="trials must be >= 2"):
+            genie_rates(CFG, PROF, "zf", trials, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="trials must be >= 2"):
+            wishart_inverse_moment(16, PROF.sigma_sr_sq, trials, np.random.default_rng(0))
+    res = mc_rate(CFG, PROF, "zf", 2, np.random.default_rng(0))
+    assert np.all(np.isfinite(res.r_e2e)) and np.isfinite(res.stderr_sum_rate)
+    genie = genie_rates(CFG, PROF, "zf", 2, np.random.default_rng(0))
+    assert np.isfinite(genie.sum_rate) and np.isfinite(genie.stderr_sum_rate)
+    # a probe reports no stderr, so one trial is enough
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            convergence_probe("decode", CFG, PROF, "zf", trials, np.random.default_rng(0))
+    assert convergence_probe("decode", CFG, PROF, "zf", 1, np.random.default_rng(0)) > 0
 
 
 def _two_sample_z(x, y):
@@ -374,26 +384,73 @@ def test_zero_forcing_fails_cleanly_at_its_boundary():
                                           np.random.default_rng(0)).r_e2e))
 
 
+def _bound_estimates(cfg, means):
+    """Every reported function of the pooled bound features, means (10, K)."""
+    re_sr, im_sr, gain2_sr, mp_sr, loop, noise, re_rd, im_rd, gain2_rd, mp_rd = means
+    mag2_sr, mag2_rd = re_sr ** 2 + im_sr ** 2, re_rd ** 2 + im_rd ** 2
+    var_sr, var_rd = gain2_sr - mag2_sr, gain2_rd - mag2_rd
+    r_sr = np.log2(1.0 + cfg.Ps * mag2_sr / (
+        cfg.Ps * var_sr + cfg.Ps * mp_sr + cfg.Pr * loop + noise))
+    r_rd = np.log2(1.0 + cfg.Pr * mag2_rd / (cfg.Pr * var_rd + cfg.Pr * mp_rd + 1.0))
+    r_e2e = np.minimum(r_sr, r_rd)
+    return {"mean_gain": np.sqrt(mag2_sr), "var_gain": var_sr, "r_sr": r_sr,
+            "r_rd": r_rd, "r_e2e": r_e2e, "sum_rate": np.sum(r_e2e, keepdims=True)}
+
+
+def _delta_stderr(fn, features):
+    """Delta-method stderr of fn(pooled means) from a central-difference
+    gradient and the per-trial sample covariance; features (n, F, K)."""
+    n = features.shape[0]
+    flat = features.reshape(n, -1)
+    mean = np.mean(flat, axis=0)
+    grad = []
+    for i in range(mean.size):
+        h = 1e-6 * max(abs(mean[i]), 1.0)
+        up, down = mean.copy(), mean.copy()
+        up[i] += h
+        down[i] -= h
+        grad.append((fn(up.reshape(features.shape[1:]))
+                     - fn(down.reshape(features.shape[1:]))) / (2.0 * h))
+    grad = np.array(grad)  # (F K, outputs)
+    cov = np.cov(flat, rowvar=False)
+    return np.sqrt(np.einsum("io,ij,jo->o", grad, cov, grad) / n)
+
+
 @pytest.mark.parametrize("scheme", ["zf", "mr"])
 def test_plain_moment_stderr_is_the_iid_one(scheme):
     # one chunk, replayed by hand: the multipair, loop and noise stderrs are
-    # the per-trial sample sd over sqrt(trials), whatever the batch count
+    # the per-trial sample sd over sqrt(trials); the gain magnitude and
+    # variance, the rates and the sum rate take the delta method with a
+    # finite-difference gradient
     n = 300
-    res = mc_rate(CFG, PROF, scheme, n, np.random.default_rng(77)).sr_terms
-    gain_sr, loop, noise = montecarlo._trial_terms(
-        CFG, PROF, scheme, n, np.random.default_rng(77))[:3]
-    abs2 = np.abs(gain_sr) ** 2
-    per_trial = {
-        "multipair": np.sum(abs2, axis=2) - np.diagonal(abs2, axis1=1, axis2=2),
-        "loop": np.sum(np.abs(loop) ** 2, axis=2),
-        "noise": noise,
-    }
-    for name, x in per_trial.items():
-        np.testing.assert_allclose(getattr(res, name), np.mean(x, axis=0), rtol=1e-12)
-        np.testing.assert_allclose(getattr(res, "stderr_" + name),
+    res = mc_rate(CFG, PROF, scheme, n, np.random.default_rng(77))
+    gain_sr, loop, noise, gain_rd = montecarlo._trial_terms(
+        CFG, PROF, scheme, n, np.random.default_rng(77))[:4]
+    stats = _per_pair(gain_sr, loop, noise, gain_rd)
+    for name, key in (("multipair", "multipair_sr"), ("loop", "loop"), ("noise", "noise")):
+        x = stats[key]
+        np.testing.assert_allclose(getattr(res.sr_terms, name), np.mean(x, axis=0),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(getattr(res.sr_terms, "stderr_" + name),
                                    np.std(x, axis=0, ddof=1) / np.sqrt(n), rtol=1e-9)
-    other = mc_rate(CFG, PROF, scheme, n, np.random.default_rng(77), batches=n).sr_terms
-    np.testing.assert_allclose(other.stderr_multipair, res.stderr_multipair, rtol=1e-9)
+
+    features = np.stack([
+        stats["gain_sr"], stats["gain_sr_im"],
+        stats["gain_sr"] ** 2 + stats["gain_sr_im"] ** 2,
+        stats["multipair_sr"], stats["loop"], stats["noise"],
+        stats["gain_rd"], stats["gain_rd_im"],
+        stats["gain_rd"] ** 2 + stats["gain_rd_im"] ** 2, stats["multipair_rd"],
+    ], axis=1)
+    reported = {
+        "mean_gain": res.sr_terms.stderr_mean_gain,
+        "var_gain": res.sr_terms.stderr_var_gain,
+        "r_sr": res.stderr_r_sr, "r_rd": res.stderr_r_rd,
+        "r_e2e": res.stderr_r_e2e, "sum_rate": res.stderr_sum_rate,
+    }
+    for name, stderr in reported.items():
+        expect = _delta_stderr(lambda m: _bound_estimates(CFG, m)[name], features)
+        np.testing.assert_allclose(stderr, expect.reshape(np.shape(stderr)),
+                                   rtol=1e-5, err_msg=name)
 
 
 def test_second_hop_has_unit_noise_and_no_loop_term():
