@@ -19,9 +19,20 @@ forms, so the program is convex and a standard barrier method applies:
   * a phase-1 program (minimize s with every constraint relaxed by s: the
     same stacked rows with a -1 slack column, which just shifts each
     log-sum-exp) produces a strictly feasible start or a certificate of
-    infeasibility,
-  * the main path follows t = 1, 10, 100, ... with damped Newton steps until
-    the duality-gap bound m/t drops below the tolerance.
+    infeasibility. It starts from the box midpoint, or from a caller's
+    positive point (solve_gp's start, e.g. the previous optimum of a chain
+    of similar programs), projected onto the equalities as
+    u0 = N^T (log x - y_p); the point need not be feasible,
+  * the main path starts at t0 = max(1, -g0^T H^-1 g_phi / g0^T H^-1 g0),
+    with g0 the objective gradient and g_phi, H the barrier gradient and
+    Hessian at the phase-1 point: the t minimizing the centrality residual
+    ||t grad f0 + grad phi|| in the H^-1 norm (Boyd & Vandenberghe,
+    Convex Optimization, 11.3.1). From the box midpoint t0 stays near 1;
+    from a previous optimum, close to the central path's end, it is large,
+    so a warm start skips the early barrier stages. The path follows
+    t0, 10 t0, 100 t0, ... with damped Newton steps (LAPACK Cholesky, with
+    a ridge when the Hessian does not factor) until the duality-gap bound
+    m/t drops below the tolerance.
 
 brute_force_gp solves the same problems by dense grid search over the box
 (practical up to four variables) and is used as an independent check.
@@ -32,11 +43,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 BARRIER_MU = 10.0
 NEWTON_CAP = 200
 FEAS_MARGIN = 1e-9
+
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -151,6 +164,18 @@ class _Centering:
             return math.inf
         return float(v[0] - np.sum(np.log(-v[1:])) / t)
 
+    def _segments(self, y):
+        """LSE values, softmax weights, segment gradients G and d at y."""
+        v, p = self._softmax(y)
+        if np.any(v[1:] >= 0):
+            raise FloatingPointError("barrier start left the feasible region")
+        g = np.add.reduceat(p[:, None] * self.a, self.starts)
+        return v, p, g, 1.0 / -v[1:]
+
+    def _grad_hess(self, p, g, w, c):
+        """G^T w and A^T diag(p w[seg]) A + G^T diag(c) G."""
+        return g.T @ w, (self.a.T * (p * w[self.seg])) @ self.a + (g.T * c) @ g
+
     def value_grad_hess(self, y: np.ndarray, t: float):
         """Value, gradient and Hessian of the centering function at y.
 
@@ -159,15 +184,26 @@ class _Centering:
         c = (-1, (d^2 - d) / t): the gradient is G^T w and the Hessian is
         A^T diag(p w[seg]) A + G^T diag(c) G.
         """
-        v, p = self._softmax(y)
-        if np.any(v[1:] >= 0):
-            raise FloatingPointError("barrier start left the feasible region")
-        g = np.add.reduceat(p[:, None] * self.a, self.starts)
-        d = 1.0 / -v[1:]
-        w = np.concatenate([[1.0], d / t])
-        c = np.concatenate([[-1.0], (d * d - d) / t])
-        h = (self.a.T * (p * w[self.seg])) @ self.a + (g.T * c) @ g
-        return float(v[0] - np.sum(np.log(-v[1:])) / t), g.T @ w, h
+        v, p, g, d = self._segments(y)
+        grad, hess = self._grad_hess(p, g, np.concatenate([[1.0], d / t]),
+                                     np.concatenate([[-1.0], (d * d - d) / t]))
+        return float(v[0] - np.sum(np.log(-v[1:])) / t), grad, hess
+
+    def first_weight(self, y: np.ndarray) -> float:
+        """Barrier weight t0 = max(1, -g0^T H^-1 g_phi / g0^T H^-1 g0) at y.
+
+        g0 is the objective gradient, g_phi and H the barrier gradient and
+        Hessian (segment weights w = (0, d), c = (0, d^2 - d)); t0 minimizes
+        the centrality residual ||t g0 + g_phi|| in the H^-1 norm.
+        """
+        _, p, g, d = self._segments(y)
+        g_phi, h = self._grad_hess(p, g, np.concatenate([[0.0], d]),
+                                   np.concatenate([[0.0], d * d - d]))
+        sol = _cholesky_solve(h, np.column_stack([g[0], g_phi]))
+        curvature = float(g[0] @ sol[:, 0])
+        if not curvature > 0.0:
+            return 1.0  # objective flat along every feasible direction
+        return max(1.0, -float(g[0] @ sol[:, 1]) / curvature)
 
 
 def _log_constraints(prog: GeometricProgram):
@@ -201,6 +237,24 @@ def _eliminate_equalities(prog: GeometricProgram):
     return y_p, vt[rank:].T, True
 
 
+def _cholesky_solve(h, rhs):
+    """Solve h x = rhs through LAPACK Cholesky, ridging h until it factors."""
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(rhs))):
+        raise ValueError("Newton system must not contain infs or NaNs")
+    ridge = 0.0
+    while True:
+        c, info = _POTRF(h + ridge * np.eye(h.shape[0]) if ridge else h)
+        if info == 0:
+            break
+        if info < 0:
+            raise ValueError(f"potrf: illegal argument {-info}")
+        ridge = max(10.0 * ridge, 1e-12 * max(np.trace(h).real, 1.0))
+    x, info = _POTRS(c, rhs)
+    if info != 0:
+        raise ValueError(f"potrs: illegal argument {-info}")
+    return x
+
+
 def _newton_minimize(block: _Centering, t, y0, tol, cap=NEWTON_CAP):
     """Minimize obj(y) + barrier(y) / t over {every constraint LSE < 0}.
 
@@ -209,16 +263,9 @@ def _newton_minimize(block: _Centering, t, y0, tol, cap=NEWTON_CAP):
     even when t is large.
     """
     y = y0.copy()
-    eye = np.eye(y.size)
     for it in range(cap):
         val, g, h = block.value_grad_hess(y, t)
-        ridge = 0.0
-        while True:
-            try:
-                step = -cho_solve(cho_factor(h + ridge * eye), g)
-                break
-            except np.linalg.LinAlgError:
-                ridge = max(10.0 * ridge, 1e-12 * max(np.trace(h).real, 1.0))
+        step = -_cholesky_solve(h, g)
         decrement = float(-g @ step)
         if decrement / 2.0 <= tol:
             return y, it, decrement / 2.0
@@ -264,8 +311,21 @@ def _phase_one(con_a, con_b, sizes, u0, tol):
     return (z[:-1] if z[-1] <= -FEAS_MARGIN else None), iters
 
 
-def solve_gp(prog: GeometricProgram, tol: float = 1e-9) -> GpResult:
-    """Barrier solve. status "optimal" comes with kkt_residual <= 10 * tol."""
+def solve_gp(prog: GeometricProgram, tol: float = 1e-9,
+             start=None) -> GpResult:
+    """Barrier solve. status "optimal" comes with kkt_residual <= 10 * tol.
+
+    start, a positive point of length n_vars, replaces the box midpoint as
+    the phase-1 start; it need not be feasible.
+    """
+    if start is None:
+        y_start = 0.5 * (np.log(prog.lower) + np.log(prog.upper))
+    else:
+        x_start = np.asarray(start, dtype=float)
+        if x_start.shape != (prog.n_vars,) or not np.all(np.isfinite(x_start)) \
+                or np.any(x_start <= 0):
+            raise ValueError("start must be a finite positive point of length n_vars")
+        y_start = np.log(x_start)
     y_p, null, consistent = _eliminate_equalities(prog)
     nan = np.full(prog.n_vars, np.nan)
     if not consistent:
@@ -276,8 +336,7 @@ def solve_gp(prog: GeometricProgram, tol: float = 1e-9) -> GpResult:
     con_a, con_b = a @ null, b + a @ y_p
     u_dim = null.shape[1]
 
-    y_mid = 0.5 * (np.log(prog.lower) + np.log(prog.upper))
-    u0 = null.T @ (y_mid - y_p)
+    u0 = null.T @ (y_start - y_p)
     u, phase1_iters = _phase_one(con_a, con_b, sizes, u0, tol)
     if u is None:
         return GpResult(x=nan, value=math.nan, status="infeasible",
@@ -293,7 +352,7 @@ def solve_gp(prog: GeometricProgram, tol: float = 1e-9) -> GpResult:
                        np.log(obj.coeffs) + obj.exponents @ y_p,
                        con_a, con_b, sizes)
     m = block.m
-    t = 1.0
+    t = block.first_weight(u)
     total_iters = 0
     stationarity = math.inf
     while True:

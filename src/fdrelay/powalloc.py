@@ -148,30 +148,25 @@ def _round_gp(coeffs: SinrCoefficients, center: np.ndarray, s0: float,
     eta = center / (1.0 + center)
     kappa = center ** (-eta) * (1.0 + center)
 
-    def unit(ix: int) -> np.ndarray:
-        row = np.zeros(n)
-        row[ix] = 1.0
-        return row
-
     objective = Posynomial(np.ones(k + 1), np.eye(n)[: k + 1])
 
-    ineqs = []
-    for i in range(k):
-        rows, co = [], []
-        for j in range(k):
-            r = unit(g_ix + i) - unit(i)
-            r[j] += 1.0
-            rows.append(r)
-            co.append(coeffs.b[j] / coeffs.a[i])
-        rows.append(unit(g_ix + i) - unit(i) + unit(pr_ix))
-        co.append(coeffs.c[i] / coeffs.a[i])
-        rows.append(unit(g_ix + i) - unit(i))
-        co.append(1.0 / coeffs.a[i])
-        ineqs.append(Posynomial(np.array(co), np.vstack(rows)))
-    for i in range(k):
-        rows = [unit(g_ix + i), unit(g_ix + i) - unit(pr_ix)]
-        co = [coeffs.e[i] / coeffs.d[i], 1.0 / coeffs.d[i]]
-        ineqs.append(Posynomial(np.array(co), np.vstack(rows)))
+    # first hop of pair i: gamma_i (sum_j b_j p_j + c_i p_r + 1) / (a_i p_i)
+    # <= 1, one row per p_j, then the p_r row, then the constant row
+    pair = np.arange(k)
+    sr_rows = np.zeros((k, k + 2, n))
+    sr_rows[pair, :, g_ix + pair] = 1.0
+    sr_rows[pair, :, pair] = -1.0
+    sr_rows[:, pair, pair] += 1.0
+    sr_rows[:, k, pr_ix] = 1.0
+    sr_co = np.column_stack([coeffs.b[None, :] / coeffs.a[:, None],
+                             coeffs.c / coeffs.a, 1.0 / coeffs.a])
+    # second hop of pair i: gamma_i (e_i p_r + 1) / (d_i p_r) <= 1
+    rd_rows = np.zeros((k, 2, n))
+    rd_rows[pair, :, g_ix + pair] = 1.0
+    rd_rows[:, 1, pr_ix] = -1.0
+    rd_co = np.column_stack([coeffs.e / coeffs.d, 1.0 / coeffs.d])
+    ineqs = [Posynomial(co, rows) for co, rows in zip(sr_co, sr_rows)]
+    ineqs += [Posynomial(co, rows) for co, rows in zip(rd_co, rd_rows)]
 
     # log2 target folded into the monomial coefficient
     rhs = 2.0 ** (T * s0 / (T - tau))
@@ -198,7 +193,10 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     allows a factor-trust move per round, so the iteration is first warmed
     up by coarse passes of the same GP map with a wide trust region; the
     measured rounds then start near the fixed point and converge within
-    the small default budget. Returns converged=True when the SINR
+    the small default budget. Every round after the first feasible one,
+    warm-up or measured, starts its GP solve from the previous round's
+    optimum (p_s, p_r, gamma) instead of the box midpoint; the answer is
+    the same to the GP tolerance. Returns converged=True when the SINR
     iterates moved less than eps in the final round, and status "optimal"
     only when that round's GP was also certified optimal; infeasible targets
     are reported in status when no round found a feasible point (a
@@ -222,12 +220,12 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     p_s = nan_k
     p_r = math.nan
     gamma = center
-    seeded = False
+    start = None  # the last feasible round's optimum (p_s, p_r, gamma)
     for _ in range(WARMUP_ROUNDS):
         result = solve_gp(_round_gp(coeffs, center, s0, p0, p1,
-                                    cfg.T, cfg.tau, WARMUP_TRUST))
+                                    cfg.T, cfg.tau, WARMUP_TRUST), start=start)
         if result.status == "infeasible":
-            if not seeded:
+            if start is None:
                 return PowerAllocation(
                     p_s=nan_k, p_r=math.nan, achieved_se=0.0, ee=0.0,
                     iterations=1, converged=False, status="infeasible",
@@ -236,7 +234,7 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
         p_s = result.x[:coeffs.K]
         p_r = float(result.x[coeffs.K])
         gamma = result.x[coeffs.K + 1:]
-        seeded = True
+        start = result.x
         step = float(np.max(np.abs(gamma - center)))
         center = gamma
         if step < 0.5 * eps:
@@ -247,7 +245,7 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     rounds = 0
     for rounds in range(1, max_rounds + 1):
         result = solve_gp(_round_gp(coeffs, center, s0, p0, p1,
-                                    cfg.T, cfg.tau, trust))
+                                    cfg.T, cfg.tau, trust), start=start)
         if result.status == "infeasible":
             break  # keep the last feasible iterate
         p_s = result.x[:coeffs.K]
@@ -258,6 +256,7 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
             converged = True
             break
         center = gamma
+        start = result.x
     achieved = _sum_se_at(coeffs, p_s, p_r, cfg.T, cfg.tau)
     return PowerAllocation(
         p_s=p_s, p_r=p_r, achieved_se=achieved,

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdrelay import powalloc, snapshot_profile
 from fdrelay.gp import (
     GeometricProgram,
     Posynomial,
     _Centering,
+    _newton_minimize,
     brute_force_gp,
     dump_problem,
     solve_gp,
 )
+from fdrelay.model import SystemConfig
 
 
 def mono(c, *exps):
@@ -65,6 +68,18 @@ def test_fully_pinned_variables():
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(2.0, rel=1e-12)
     assert res.iterations == 0
+
+
+def test_objective_flat_on_the_free_variables():
+    # 0.5 x = 1 fixes the objective x = 2; y stays free under 2 / y <= 1, so
+    # the objective gradient vanishes in the free coordinates
+    lo, hi = box(2, 0.1, 10.0)
+    prog = GeometricProgram(mono(1.0, 1.0, 0.0), (mono(2.0, 0.0, -1.0),),
+                            (mono(0.5, 1.0, 0.0),), lo, hi)
+    res = solve_gp(prog)
+    assert res.status == "optimal"
+    assert res.x[0] == pytest.approx(2.0, rel=1e-12)
+    assert 2.0 < res.x[1] < 10.0
 
 
 def test_inconsistent_equalities_are_infeasible():
@@ -313,6 +328,26 @@ def test_stacked_block_derivatives_match_central_differences(slack):
         np.testing.assert_allclose(fd_hess, hess, rtol=1e-5, atol=1e-5 * scale)
 
 
+@pytest.mark.parametrize("slack", [False, True])
+def test_first_weight_minimizes_the_centrality_residual(slack):
+    rng = np.random.default_rng(23 + slack)
+    seen_above_one = False
+    for _ in range(8):
+        n = int(rng.integers(2, 5))
+        block, obj, cons, y = _random_centering(rng, n, slack)
+        _, g0, _ = _lse_reference(*obj, y)
+        g_phi = np.zeros(n)
+        h_phi = np.zeros((n, n))
+        for a, b in cons:
+            v, g, h = _lse_reference(a, b, y)
+            g_phi += g / -v
+            h_phi += h / -v + np.outer(g, g) / (v * v)
+        ratio = -(g0 @ np.linalg.solve(h_phi, g_phi)) / (g0 @ np.linalg.solve(h_phi, g0))
+        assert block.first_weight(y) == pytest.approx(max(1.0, ratio), rel=1e-9)
+        seen_above_one |= ratio > 1.0
+    assert seen_above_one
+
+
 def test_stacked_block_outside_the_feasible_set():
     rng = np.random.default_rng(3)
     block, _, _, y = _random_centering(rng, 3, slack=False)
@@ -323,3 +358,123 @@ def test_stacked_block_outside_the_feasible_set():
     assert block.value(y, 1.0) == math.inf
     with pytest.raises(FloatingPointError):
         block.value_grad_hess(y, 1.0)
+
+
+class _QuadraticBlock:
+    """0.5 y^T h y + q^T y with a fixed Hessian, for Newton-system tests."""
+
+    def __init__(self, h, q):
+        self.h, self.q = np.asarray(h, dtype=float), np.asarray(q, dtype=float)
+
+    def value(self, y, t):
+        return float(0.5 * y @ self.h @ y + self.q @ y)
+
+    def value_grad_hess(self, y, t):
+        return self.value(y, t), self.h @ y + self.q, self.h.copy()
+
+
+def test_newton_rejects_a_non_finite_hessian():
+    block = _QuadraticBlock([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+    block.h[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        _newton_minimize(block, 1.0, np.array([1.0, 0.5]), 1e-9)
+
+
+def test_newton_ridges_a_singular_hessian_to_a_finite_step():
+    # rank-1 Hessian: Cholesky fails, the ridged system still gives the step
+    # along y0 and leaves the flat direction y1 alone
+    block = _QuadraticBlock([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
+    y, iters, decrement = _newton_minimize(block, 1.0, np.array([1.0, 0.5]), 1e-9)
+    assert iters >= 1 and np.all(np.isfinite(y)) and math.isfinite(decrement)
+    assert abs(y[0]) < 1e-4 and y[1] == 0.5
+
+
+def _fig9_round_programs(monkeypatch, scheme, s0):
+    """The GP of every round of one fig9-setting allocation, in order."""
+    cfg = SystemConfig(K=10, Nrx=200, Ntx=200, T=200, tau=20, Pp=10.0,
+                       sigma_li_sq=10.0)
+    progs = []
+    real = powalloc.solve_gp
+
+    def record(prog, *args, **kwargs):
+        progs.append(prog)
+        return real(prog, *args, **kwargs)
+
+    monkeypatch.setattr(powalloc, "solve_gp", record)
+    powalloc.optimize_powers(cfg, snapshot_profile(cfg.tau, cfg.Pp), scheme,
+                             s0, p0=10.0, p1=100.0)
+    return progs
+
+
+def test_warm_start_from_previous_round_matches_cold_solve(monkeypatch):
+    # MR at 4 bit/s/Hz runs the most rounds of the fig9 targets (26 warm-up
+    # and measured GPs after the first). Entries far below the others (a
+    # pair's power near 1e-5 of the total) are fixed only in absolute terms
+    # by the duality-gap tolerance, so x is compared in norm.
+    progs = _fig9_round_programs(monkeypatch, "mr", 4.0)
+    assert len(progs) > 10
+    prev = solve_gp(progs[0]).x
+    cold_p1 = warm_p1 = cold_main = warm_main = 0
+    for prog in progs[1:]:
+        cold = solve_gp(prog)
+        warm = solve_gp(prog, start=prev)
+        assert warm.status == cold.status == "optimal"
+        assert np.linalg.norm(warm.x - cold.x) <= 1e-6 * np.linalg.norm(cold.x)
+        assert warm.value == pytest.approx(cold.value, rel=1e-8)
+        cold_p1 += cold.phase1_iterations
+        warm_p1 += warm.phase1_iterations
+        cold_main += cold.iterations
+        warm_main += warm.iterations
+        prev = cold.x
+    assert warm_p1 < cold_p1
+    # from a point near the boundary, t = 1 would cost more main-path steps
+    # than a cold start; the first-weight rule makes them fewer
+    assert warm_main < cold_main
+
+
+def test_warm_start_still_certifies_infeasibility():
+    # x >= 10 cannot hold under the upper bound 5, from any start
+    prog = GeometricProgram(
+        mono(1.0, 1.0), (mono(10.0, -1.0),), (), np.array([0.1]), np.array([5.0])
+    )
+    for start in ([1.0], [5.0], [20.0]):
+        res = solve_gp(prog, start=start)
+        assert res.status == "infeasible" and res.phase1_iterations > 0
+
+
+@pytest.mark.parametrize("start", [
+    [1e4, 1e-5],    # outside the box
+    [1e3, 1e3],     # on both upper box sides
+    [1e-3, 5.0],    # on a lower box side, violating the inequality
+    [2.0, 2.0],     # on the inequality boundary, at the optimum itself
+])
+def test_warm_start_off_the_interior_reaches_the_cold_optimum(start):
+    lo, hi = box(2)
+    obj = Posynomial(coeffs=[1.0, 1.0], exponents=[[1, 0], [0, 1]])
+    prog = GeometricProgram(obj, (mono(4.0, -1.0, -1.0),), (), lo, hi)
+    cold = solve_gp(prog)
+    warm = solve_gp(prog, start=start)
+    assert warm.status == cold.status == "optimal"
+    np.testing.assert_allclose(warm.x, cold.x, rtol=1e-6)
+    assert warm.value == pytest.approx(cold.value, rel=1e-9)
+
+
+def test_warm_start_off_the_equality_is_projected_onto_it():
+    lo, hi = box(2)
+    obj = Posynomial(coeffs=[1.0, 1.0], exponents=[[1, 0], [0, 1]])
+    prog = GeometricProgram(obj, (), (mono(1.0, 1.0, 1.0),), lo, hi)
+    res = solve_gp(prog, start=[50.0, 3.0])  # x y = 150, not 1
+    assert res.status == "optimal"
+    np.testing.assert_allclose(res.x, [1.0, 1.0], rtol=1e-6)
+
+
+@pytest.mark.parametrize("start", [
+    [1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], [0.0, 1.0], [-1.0, 1.0],
+    [np.nan, 1.0], [np.inf, 1.0],
+])
+def test_bad_start_is_rejected(start):
+    lo, hi = box(2)
+    obj = Posynomial(coeffs=[1.0, 1.0], exponents=[[1, 0], [0, 1]])
+    prog = GeometricProgram(obj, (mono(4.0, -1.0, -1.0),), (), lo, hi)
+    with pytest.raises(ValueError, match="start"):
+        solve_gp(prog, start=start)
