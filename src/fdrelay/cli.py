@@ -38,11 +38,10 @@ PRESET_TRIALS = {
 }
 
 _CONFIG_KEYS = {
-    "k": ("K", int), "nrx": ("Nrx", int), "ntx": ("Ntx", int),
-    "t": ("T", int), "tau": ("tau", int),
-    "pp": ("Pp", float), "ps": ("Ps", float), "pr": ("Pr", float),
-    "sigma_li_sq": ("sigma_li_sq", float),
+    "k": "K", "nrx": "Nrx", "ntx": "Ntx", "t": "T", "tau": "tau",
+    "pp": "Pp", "ps": "Ps", "pr": "Pr", "sigma_li_sq": "sigma_li_sq",
 }
+_INTEGER_KEYS = {"k", "nrx", "ntx", "t", "tau", "n_ant"}
 _DB_KEYS = {"pp_db": "Pp", "ps_db": "Ps", "pr_db": "Pr",
             "sigma_li_db": "sigma_li_sq"}
 _EXTRA_KEYS = ("target_rate", "pp_fixed_db", "p0_db", "p1_db", "sweep",
@@ -63,16 +62,25 @@ def _db(x: float) -> float:
     return 10.0 ** (x / 10.0)
 
 
+def _value(key: str, raw) -> float | int:
+    """An override value; integer keys take integral spellings only (64, 64.0)."""
+    x = float(raw)
+    if key not in _INTEGER_KEYS:
+        return x
+    if not x.is_integer():
+        raise ValueError(f"override {key}={raw} is not an integer")
+    return int(x)
+
+
 def _apply_overrides(cfg: SystemConfig, overrides: dict) -> SystemConfig:
     fields = {}
     for key, raw in overrides.items():
         if key in _CONFIG_KEYS:
-            name, cast = _CONFIG_KEYS[key]
-            fields[name] = cast(float(raw))
+            fields[_CONFIG_KEYS[key]] = _value(key, raw)
         elif key in _DB_KEYS:
             fields[_DB_KEYS[key]] = _db(float(raw))
         elif key == "n_ant":
-            fields["Nrx"] = fields["Ntx"] = int(float(raw))
+            fields["Nrx"] = fields["Ntx"] = _value(key, raw)
         elif key not in _EXTRA_KEYS:
             raise ValueError(f"unknown override key {key!r}")
     return replace(cfg, **fields) if fields else cfg
@@ -283,7 +291,9 @@ def _run_custom(spec: RunSpec):
                                       sigma_li_sq=1.0), spec.overrides)
     rows = []
     for v in values:
-        cfg = _apply_overrides(base, {field: v})
+        # integer fields take the floor of each grid point; the table keeps v
+        point = math.floor(v) if field in _INTEGER_KEYS else v
+        cfg = _apply_overrides(base, {field: point})
         rows.append([float(v)] + _se_columns(cfg, _flat_profile(cfg)))
     return {"custom.csv": (header, rows)}
 

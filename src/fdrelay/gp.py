@@ -32,24 +32,26 @@ forms, so the program is convex and a standard barrier method applies:
     so a warm start skips the early barrier stages. The path follows
     t0, 10 t0, 100 t0, ... with damped Newton steps (LAPACK Cholesky, with
     a ridge when the Hessian does not factor) until the duality-gap bound
-    m/t drops below the tolerance.
+    m/t drops below the tolerance. The line search keeps the LSE values and
+    softmax weights of the point it accepts, and the next step reuses them.
+
+Only numpy loads with this module: scipy's LAPACK potrf/potrs are looked up
+on the first Newton solve, so importing fdrelay costs no scipy.
 
 brute_force_gp solves the same problems by dense grid search over the box
 (practical up to four variables) and is used as an independent check.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 BARRIER_MU = 10.0
 NEWTON_CAP = 200
 FEAS_MARGIN = 1e-9
-
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -157,37 +159,42 @@ class _Centering:
     def lse(self, y: np.ndarray) -> np.ndarray:
         return self._softmax(y)[0]
 
-    def value(self, y: np.ndarray, t: float) -> float:
-        """Centering value, or inf when y is not strictly feasible."""
-        v = self.lse(y)
-        if np.any(v[1:] >= 0):
-            return math.inf
-        return float(v[0] - np.sum(np.log(-v[1:])) / t)
+    def probe(self, y: np.ndarray, t: float):
+        """(centering value, LSE values, softmax weights) at y.
 
-    def _segments(self, y):
-        """LSE values, softmax weights, segment gradients G and d at y."""
+        The value is inf when y is not strictly feasible. value_grad_hess
+        takes the triple back, so a point the line search accepts is not
+        evaluated a second time.
+        """
         v, p = self._softmax(y)
-        if np.any(v[1:] >= 0):
+        if (v[1:] >= 0).any():
+            return math.inf, v, p
+        return float(v[0] - np.log(-v[1:]).sum() / t), v, p
+
+    def _segments(self, v, p):
+        """Segment gradients G and d from LSE values v and softmax weights p."""
+        if (v[1:] >= 0).any():
             raise FloatingPointError("barrier start left the feasible region")
         g = np.add.reduceat(p[:, None] * self.a, self.starts)
-        return v, p, g, 1.0 / -v[1:]
+        return g, 1.0 / -v[1:]
 
     def _grad_hess(self, p, g, w, c):
         """G^T w and A^T diag(p w[seg]) A + G^T diag(c) G."""
         return g.T @ w, (self.a.T * (p * w[self.seg])) @ self.a + (g.T * c) @ g
 
-    def value_grad_hess(self, y: np.ndarray, t: float):
+    def value_grad_hess(self, y: np.ndarray, t: float, probe=None):
         """Value, gradient and Hessian of the centering function at y.
 
-        With per-row softmax weights p, per-segment gradients G (rows g_i)
-        and d_i = 1 / (-LSE_i), segment weights are w = (1, d / t) and
-        c = (-1, (d^2 - d) / t): the gradient is G^T w and the Hessian is
-        A^T diag(p w[seg]) A + G^T diag(c) G.
+        probe, if given, is probe(y, t). With per-row softmax weights p,
+        per-segment gradients G (rows g_i) and d_i = 1 / (-LSE_i), segment
+        weights are w = (1, d / t) and c = (-1, (d^2 - d) / t): the gradient
+        is G^T w and the Hessian is A^T diag(p w[seg]) A + G^T diag(c) G.
         """
-        v, p, g, d = self._segments(y)
+        val, v, p = self.probe(y, t) if probe is None else probe
+        g, d = self._segments(v, p)
         grad, hess = self._grad_hess(p, g, np.concatenate([[1.0], d / t]),
                                      np.concatenate([[-1.0], (d * d - d) / t]))
-        return float(v[0] - np.sum(np.log(-v[1:])) / t), grad, hess
+        return val, grad, hess
 
     def first_weight(self, y: np.ndarray) -> float:
         """Barrier weight t0 = max(1, -g0^T H^-1 g_phi / g0^T H^-1 g0) at y.
@@ -196,7 +203,8 @@ class _Centering:
         Hessian (segment weights w = (0, d), c = (0, d^2 - d)); t0 minimizes
         the centrality residual ||t g0 + g_phi|| in the H^-1 norm.
         """
-        _, p, g, d = self._segments(y)
+        v, p = self._softmax(y)
+        g, d = self._segments(v, p)
         g_phi, h = self._grad_hess(p, g, np.concatenate([[0.0], d]),
                                    np.concatenate([[0.0], d * d - d]))
         sol = _cholesky_solve(h, np.column_stack([g[0], g_phi]))
@@ -237,19 +245,27 @@ def _eliminate_equalities(prog: GeometricProgram):
     return y_p, vt[rank:].T, True
 
 
+@functools.cache
+def _lapack():
+    """LAPACK (potrf, potrs) for float64, looked up on the first Newton solve."""
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
 def _cholesky_solve(h, rhs):
     """Solve h x = rhs through LAPACK Cholesky, ridging h until it factors."""
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(rhs))):
+    if not (np.isfinite(h).all() and np.isfinite(rhs).all()):
         raise ValueError("Newton system must not contain infs or NaNs")
+    potrf, potrs = _lapack()
     ridge = 0.0
     while True:
-        c, info = _POTRF(h + ridge * np.eye(h.shape[0]) if ridge else h)
+        c, info = potrf(h + ridge * np.eye(h.shape[0]) if ridge else h)
         if info == 0:
             break
         if info < 0:
             raise ValueError(f"potrf: illegal argument {-info}")
         ridge = max(10.0 * ridge, 1e-12 * max(np.trace(h).real, 1.0))
-    x, info = _POTRS(c, rhs)
+    x, info = potrs(c, rhs)
     if info != 0:
         raise ValueError(f"potrs: illegal argument {-info}")
     return x
@@ -262,25 +278,24 @@ def _newton_minimize(block: _Centering, t, y0, tol, cap=NEWTON_CAP):
     every barrier stage, so line-search decreases stay resolvable in float64
     even when t is large.
     """
-    y = y0.copy()
+    y, at_y = y0.copy(), None
     for it in range(cap):
-        val, g, h = block.value_grad_hess(y, t)
+        val, g, h = block.value_grad_hess(y, t, at_y)
         step = -_cholesky_solve(h, g)
         decrement = float(-g @ step)
         if decrement / 2.0 <= tol:
             return y, it, decrement / 2.0
         # backtracking: stay strictly inside, then Armijo on the centering value
         alpha = 1.0
-        accepted = False
         while alpha > 1e-14:
             cand = y + alpha * step
-            if block.value(cand, t) <= val - 1e-4 * alpha * decrement:
-                accepted = True
+            at_y = block.probe(cand, t)
+            if at_y[0] <= val - 1e-4 * alpha * decrement:
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             return y, it + 1, decrement / 2.0
-        y = y + alpha * step
+        y = cand
     return y, cap, decrement / 2.0
 
 

@@ -3,9 +3,20 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from fdrelay.cli import PRESET_TRIALS, RunSpec, _cell, main, run_spec
+from fdrelay import SystemConfig
+from fdrelay.cli import (
+    PRESET_TRIALS,
+    RunSpec,
+    _base_cfg,
+    _cell,
+    _flat_profile,
+    _se_columns,
+    main,
+    run_spec,
+)
 
 
 def read_csv(path):
@@ -63,6 +74,47 @@ def test_custom_sweep_log2_scale(tmp_path):
     assert [float(r[0]) for r in rows] == [16.0, 32.0, 64.0]
     ses = [float(r[1]) for r in rows]
     assert ses[0] < ses[1] < ses[2]
+
+
+def test_custom_sweep_floors_integer_fields_and_replays(tmp_path):
+    # 2^3.5 .. 2^5 on four points: the table keeps each grid point, the
+    # config takes its floor, and the manifest replays byte for byte
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--preset", "custom", "--out", str(first),
+                 "--set", "sweep=n_ant:3.5:5:4:log2"]) == 0
+    _, rows = read_csv(first / "custom.csv")
+    grid = np.logspace(3.5, 5.0, 4, base=2.0)
+    assert [float(r[0]) for r in rows] == grid.tolist()
+    for row, v in zip(rows, grid):
+        cfg = _base_cfg(math.floor(v), Pp=10.0, Ps=10.0, Pr=10.0, sigma_li_sq=1.0)
+        assert [float(x) for x in row[1:]] == _se_columns(cfg, _flat_profile(cfg))
+    assert main(["run", "--manifest", str(first / "custom.manifest.json"),
+                 "--out", str(second)]) == 0
+    for name in ("custom.csv", "custom.manifest.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@pytest.mark.parametrize("key", ["k", "nrx", "ntx", "t", "tau", "n_ant"])
+def test_non_integer_overrides_exit_2(tmp_path, capsys, key):
+    assert main(["run", "--preset", "fig6", "--set", f"{key}=10.7",
+                 "--out", str(tmp_path)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": f"override {key}=10.7 is not an integer",
+                       "type": "ValueError"}
+    assert not (tmp_path / "fig6.csv").exists()
+
+
+def test_integral_spellings_are_accepted(tmp_path):
+    for spelling in ("64", "64.0"):
+        out = tmp_path / spelling
+        assert main(["run", "--preset", "fig6", "--set", f"n_ant={spelling}",
+                     "--out", str(out)]) == 0
+    assert (tmp_path / "64" / "fig6.csv").read_bytes() == \
+        (tmp_path / "64.0" / "fig6.csv").read_bytes()
+    _, rows = read_csv(tmp_path / "64" / "fig6.csv")
+    cfg = SystemConfig(K=10, Nrx=64, Ntx=64, T=200, tau=20, Pp=10.0, Ps=10.0,
+                       Pr=10.0, sigma_li_sq=0.1)
+    assert [float(x) for x in rows[0][1:]] == _se_columns(cfg, _flat_profile(cfg))
 
 
 def test_custom_sweep_linear_scale(tmp_path):

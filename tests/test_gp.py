@@ -1,11 +1,17 @@
 """Tests for the log-barrier geometric-program solver."""
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdrelay
 from fdrelay import powalloc, snapshot_profile
 from fdrelay.gp import (
     GeometricProgram,
@@ -47,6 +53,46 @@ def test_am_gm_corner():
     assert res.status == "optimal"
     np.testing.assert_allclose(res.x, [2.0, 2.0], rtol=1e-5)
     assert res.value == pytest.approx(4.0, rel=1e-6)
+
+
+def am_gm_program():
+    """The AM-GM program of test_am_gm_corner, spelled as in _COLD_START."""
+    return GeometricProgram(Posynomial([1.0, 1.0], [[1, 0], [0, 1]]),
+                            (Posynomial([4.0], [[-1, -1]]),), (),
+                            np.full(2, 1e-3), np.full(2, 1e3))
+
+
+_COLD_START = """
+import json, sys, tempfile
+import numpy as np
+import fdrelay, fdrelay.cli
+from fdrelay import GeometricProgram, Posynomial, SystemConfig, make_profile
+cfg = SystemConfig(K=2, Nrx=8, Ntx=8, tau=4)
+profile = make_profile([1.0, 0.5], [0.8, 1.2], cfg.tau, cfg.Pp)
+fdrelay.mc_rate(cfg, profile, "zf", 20, np.random.default_rng(1))
+fdrelay.rate_zf(cfg, profile)
+with tempfile.TemporaryDirectory() as out:
+    assert fdrelay.cli.main(["run", "--preset", "fig6", "--out", out]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+res = fdrelay.solve_gp(GeometricProgram(Posynomial([1.0, 1.0], [[1, 0], [0, 1]]),
+                                        (Posynomial([4.0], [[-1, -1]]),), (),
+                                        np.full(2, 1e-3), np.full(2, 1e3)))
+print(json.dumps({"scipy": loaded, "x": res.x.tobytes().hex(), "value": res.value.hex(),
+                  "status": res.status, "iterations": res.iterations}))
+"""
+
+
+def test_only_the_gp_solver_loads_scipy():
+    # a fresh interpreter: the closed forms, Monte Carlo and a CLI preset run
+    # without scipy; the first GP solve loads it and matches this process
+    env = dict(os.environ, PYTHONPATH=str(Path(fdrelay.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    want = solve_gp(am_gm_program())
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "scipy": [], "x": want.x.tobytes().hex(), "value": want.value.hex(),
+        "status": want.status, "iterations": want.iterations}
 
 
 def test_monomial_equality_is_eliminated():
@@ -300,7 +346,7 @@ def test_stacked_block_matches_per_constraint_sum(slack):
             want = _centering_reference(obj, cons, y, t)
             val, grad, hess = block.value_grad_hess(y, t)
             assert val == pytest.approx(want[0], rel=1e-12, abs=1e-12)
-            assert block.value(y, t) == val
+            assert block.probe(y, t)[0] == val
             np.testing.assert_allclose(grad, want[1], rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(hess, want[2], rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-12)
@@ -320,7 +366,8 @@ def test_stacked_block_derivatives_match_central_differences(slack):
         for k in range(n):
             e = np.zeros(n)
             e[k] = step
-            fd_grad[k] = (block.value(y + e, t) - block.value(y - e, t)) / (2 * step)
+            fd_grad[k] = (block.probe(y + e, t)[0]
+                          - block.probe(y - e, t)[0]) / (2 * step)
             fd_hess[:, k] = (block.value_grad_hess(y + e, t)[1]
                              - block.value_grad_hess(y - e, t)[1]) / (2 * step)
         scale = max(1.0, float(np.max(np.abs(hess))))
@@ -355,7 +402,7 @@ def test_stacked_block_outside_the_feasible_set():
     i = int(np.flatnonzero(np.diff(np.append(block.starts, block.b.size)) == 1)[-1])
     row = block.starts[i]
     block.b[row] -= block.lse(y)[i] - 0.1
-    assert block.value(y, 1.0) == math.inf
+    assert block.probe(y, 1.0)[0] == math.inf
     with pytest.raises(FloatingPointError):
         block.value_grad_hess(y, 1.0)
 
@@ -366,11 +413,11 @@ class _QuadraticBlock:
     def __init__(self, h, q):
         self.h, self.q = np.asarray(h, dtype=float), np.asarray(q, dtype=float)
 
-    def value(self, y, t):
-        return float(0.5 * y @ self.h @ y + self.q @ y)
+    def probe(self, y, t):
+        return float(0.5 * y @ self.h @ y + self.q @ y), None, None
 
-    def value_grad_hess(self, y, t):
-        return self.value(y, t), self.h @ y + self.q, self.h.copy()
+    def value_grad_hess(self, y, t, probe=None):
+        return self.probe(y, t)[0], self.h @ y + self.q, self.h.copy()
 
 
 def test_newton_rejects_a_non_finite_hessian():

@@ -231,3 +231,40 @@ def test_sum_se_grows_with_antennas():
         for n in (20, 50, 100, 400)
     ]
     assert all(lo < hi for lo, hi in zip(ses, ses[1:]))
+
+
+@st.composite
+def small_configs(draw):
+    """A small random config and profile; ZF-valid (Nrx = Ntx > K)."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(k + 1, k + 100))
+    tau = draw(st.integers(2 * k, 2 * k + 20))
+    power = st.floats(-2.0, 3.0).map(lambda e: 10.0**e)
+    gains = st.lists(st.floats(-2.0, 1.0).map(lambda e: 10.0**e), min_size=k, max_size=k)
+    cfg = SystemConfig(K=k, Nrx=n, Ntx=n, T=draw(st.integers(tau + 1, 400)), tau=tau,
+                       Pp=draw(power), Ps=draw(power), Pr=draw(power),
+                       sigma_li_sq=draw(st.floats(0.0, 1e3)))
+    return cfg, make_profile(draw(gains), draw(gains), tau, cfg.Pp)
+
+
+@pytest.mark.parametrize("builder", [rate_zf, rate_mr])
+@given(setup=small_configs(), more_li=st.floats(0.0, 1e3))
+@settings(max_examples=100, deadline=None)
+def test_full_duplex_se_does_not_grow_with_loop_interference(builder, setup, more_li):
+    from dataclasses import replace
+
+    cfg, prof = setup
+    louder = replace(cfg, sigma_li_sq=cfg.sigma_li_sq + more_li)
+    assert builder(louder, prof).sum_se <= builder(cfg, prof).sum_se
+
+
+@pytest.mark.parametrize("builder", [rate_zf, rate_mr])
+@pytest.mark.parametrize("mode", ["fd", "hd"])
+@given(setup=small_configs(), extra=st.integers(1, 200))
+@settings(max_examples=100, deadline=None)
+def test_sum_se_does_not_drop_as_the_arrays_grow(builder, mode, setup, extra):
+    from dataclasses import replace
+
+    cfg, prof = setup
+    bigger = replace(cfg, Nrx=cfg.Nrx + extra, Ntx=cfg.Ntx + extra)
+    assert builder(bigger, prof, mode=mode).sum_se >= builder(cfg, prof, mode=mode).sum_se
