@@ -5,7 +5,7 @@ closed-form and Monte Carlo achievable rates, duplex-mode comparison, a
 small geometric-program solver, and energy-efficient power allocation.
 """
 from .channel import PilotBook, estimate_via_pilots, generate_pilots, sample_true_channels
-from .gp import GeometricProgram, GpResult, Posynomial, brute_force_gp, dump_problem, solve_gp
+from .gp import GeometricProgram, GpResult, Posynomial, brute_force_gp, solve_gp
 from .model import (
     DropGeometry,
     LargeScaleProfile,
@@ -27,20 +27,19 @@ from .montecarlo import (
 )
 from .powalloc import (
     PowerAllocation,
-    SinrCoefficients,
     energy_efficiency,
     max_feasible_se,
     optimize_powers,
-    sinr_coefficients,
 )
 from .rates import (
     RateReport,
+    SinrCoefficients,
     asymptotic_se,
-    coefficient_arrays,
     hybrid_select,
     rate_mr,
     rate_zf,
     required_power,
+    sinr_coefficients,
     sum_se,
 )
 
@@ -48,15 +47,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PilotBook", "estimate_via_pilots", "generate_pilots", "sample_true_channels",
-    "GeometricProgram", "GpResult", "Posynomial", "brute_force_gp",
-    "dump_problem", "solve_gp",
+    "GeometricProgram", "GpResult", "Posynomial", "brute_force_gp", "solve_gp",
     "DropGeometry", "LargeScaleProfile", "SystemConfig", "draw_urban_profile",
     "estimation_variance", "make_profile", "snapshot_profile",
     "GenieResult", "HopTerms", "McRateResult", "convergence_probe",
     "genie_rates", "li_approx_oracle", "mc_rate", "wishart_inverse_moment",
-    "PowerAllocation", "SinrCoefficients", "energy_efficiency",
-    "max_feasible_se", "optimize_powers", "sinr_coefficients",
-    "RateReport", "asymptotic_se", "coefficient_arrays", "hybrid_select",
-    "rate_mr", "rate_zf", "required_power", "sum_se",
+    "PowerAllocation", "energy_efficiency", "max_feasible_se", "optimize_powers",
+    "RateReport", "SinrCoefficients", "asymptotic_se", "hybrid_select",
+    "rate_mr", "rate_zf", "required_power", "sinr_coefficients", "sum_se",
     "__version__",
 ]

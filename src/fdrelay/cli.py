@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .model import DropGeometry, SystemConfig, draw_urban_profile, make_profile, snapshot_profile
 from .montecarlo import genie_rates, mc_rate
-from .powalloc import energy_efficiency, optimize_powers, sinr_coefficients
+from .powalloc import energy_efficiency, optimize_powers
 from .rates import rate_mr, rate_zf, required_power
 
 PRESET_TRIALS = {
@@ -242,10 +242,9 @@ def _run_fig9(spec: RunSpec):
                    f"total_power_{s}", f"achieved_se_{s}", f"ee_opt_{s}",
                    f"se_uniform_{s}", f"ee_uniform_{s}"]
     uniform = {}
-    for scheme in ("zf", "mr"):
-        coeffs = sinr_coefficients(cfg, profile, scheme)
-        sr, rd = coeffs.sinrs(np.full(cfg.K, p0), p1)
-        se = cfg.prelog * float(np.sum(np.log2(1.0 + np.minimum(sr, rd))))
+    peak = replace(cfg, Ps=p0, Pr=p1)
+    for scheme, fn in (("zf", rate_zf), ("mr", rate_mr)):
+        se = fn(peak, profile).sum_se
         uniform[scheme] = (se, energy_efficiency(
             se, np.full(cfg.K, p0), p1, cfg.T, cfg.tau))
     rows = []
@@ -291,10 +290,10 @@ def _run_custom(spec: RunSpec):
                                       sigma_li_sq=1.0), spec.overrides)
     rows = []
     for v in values:
-        # integer fields take the floor of each grid point; the table keeps v
-        point = math.floor(v) if field in _INTEGER_KEYS else v
+        # integer fields take the floor of each grid point, in the table too
+        point = math.floor(v) if field in _INTEGER_KEYS else float(v)
         cfg = _apply_overrides(base, {field: point})
-        rows.append([float(v)] + _se_columns(cfg, _flat_profile(cfg)))
+        rows.append([point] + _se_columns(cfg, _flat_profile(cfg)))
     return {"custom.csv": (header, rows)}
 
 

@@ -436,22 +436,3 @@ def brute_force_gp(prog: GeometricProgram, points_per_dim: int = 41,
     return GpResult(x=np.exp(best_y), value=best_val, status="optimal",
                     kkt_residual=math.nan, iterations=total)
 
-
-def dump_problem(prog: GeometricProgram) -> str:
-    """Human-readable listing, mainly for debugging allocation runs."""
-
-    def term(c: float, e: np.ndarray) -> str:
-        parts = [f"{c:.6g}"]
-        parts += [f"x{k}^{e[k]:.6g}" for k in range(e.size) if e[k] != 0.0]
-        return " * ".join(parts)
-
-    def posy(p: Posynomial) -> str:
-        return " + ".join(term(c, e) for c, e in zip(p.coeffs, p.exponents))
-
-    lines = ["minimize", f"  {posy(prog.objective)}", "subject to"]
-    lines += [f"  {posy(p)} <= 1" for p in prog.inequalities]
-    lines += [f"  {posy(p)} == 1" for p in prog.equalities]
-    lines.append("bounds")
-    lines += [f"  {prog.lower[k]:.6g} <= x{k} <= {prog.upper[k]:.6g}"
-              for k in range(prog.n_vars)]
-    return "\n".join(lines)

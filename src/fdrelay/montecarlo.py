@@ -77,6 +77,7 @@ import numpy as np
 
 from .channel import _cn, gram_factor_batch
 from .model import LargeScaleProfile, SystemConfig
+from .rates import _check_zf
 
 # Feature rows of one simulated trial, K columns (pairs) each: first-hop
 # gain real part, imaginary part, |gain|^2, multipair, loop and noise;
@@ -157,11 +158,6 @@ def _check_trials(trials: int, least: int = 1) -> None:
     # entry points that report a standard error need a sample covariance
     if trials < least:
         raise ValueError(f"trials must be >= {least}")
-
-
-def _check_zf(cfg: SystemConfig) -> None:
-    if cfg.Nrx <= cfg.K or cfg.Ntx <= cfg.K:
-        raise ValueError("zero forcing needs Nrx > K and Ntx > K")
 
 
 def alpha_zf(cfg: SystemConfig, profile: LargeScaleProfile) -> float:

@@ -32,45 +32,12 @@ import numpy as np
 
 from .gp import GeometricProgram, Posynomial, solve_gp
 from .model import LargeScaleProfile, SystemConfig
-from .rates import coefficient_arrays, sinr_from_coefficients
+from .rates import SinrCoefficients, sinr_coefficients, sum_se
 
 GAMMA_FLOOR = 1e-9
 POWER_FLOOR_SCALE = 1e-12
 WARMUP_TRUST = 4.0
 WARMUP_ROUNDS = 25
-
-
-@dataclass(frozen=True)
-class SinrCoefficients:
-    """Positive per-pair SINR coefficients (a, b, c, d, e) of one scheme."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    e: np.ndarray
-    scheme: str
-
-    def __post_init__(self):
-        for name in "abcde":
-            v = np.asarray(getattr(self, name), dtype=float)
-            if np.any(v <= 0) or not np.all(np.isfinite(v)):
-                raise ValueError(f"coefficient {name} must be positive and finite")
-            object.__setattr__(self, name, v)
-            v.setflags(write=False)
-
-    @property
-    def K(self) -> int:
-        return self.a.size
-
-    def sinrs(self, p_s: np.ndarray, p_r: float):
-        return sinr_from_coefficients((self.a, self.b, self.c, self.d, self.e), p_s, p_r)
-
-
-def sinr_coefficients(cfg: SystemConfig, profile: LargeScaleProfile,
-                      scheme: str) -> SinrCoefficients:
-    a, b, c, d, e = coefficient_arrays(cfg, profile, scheme)
-    return SinrCoefficients(a=a, b=b, c=c, d=d, e=e, scheme=scheme)
 
 
 def energy_efficiency(sum_se: float, p_s, p_r: float, T: int, tau: int) -> float:
@@ -83,7 +50,7 @@ def energy_efficiency(sum_se: float, p_s, p_r: float, T: int, tau: int) -> float
 
 def _sum_se_at(coeffs: SinrCoefficients, p_s, p_r: float, T: int, tau: int) -> float:
     sr, rd = coeffs.sinrs(np.asarray(p_s, dtype=float), p_r)
-    return (T - tau) / T * float(np.sum(np.log2(1.0 + np.minimum(sr, rd))))
+    return sum_se(np.log2(1.0 + np.minimum(sr, rd)), T, tau)
 
 
 def max_feasible_se(coeffs: SinrCoefficients, p0: float, p1: float,
@@ -200,7 +167,9 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     iterates moved less than eps in the final round, and status "optimal"
     only when that round's GP was also certified optimal; infeasible targets
     are reported in status when no round found a feasible point (a
-    warning cites the uniform-peak feasibility hint).
+    warning cites the uniform-peak feasibility hint). Raises ValueError when
+    a SINR coefficient is not positive and finite (sigma_li_sq = 0 gives
+    c = 0, say), since no GP round could hold it.
     """
     if s0 <= 0:
         raise ValueError("target sum SE must be positive")
@@ -209,6 +178,10 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     if p0 <= 0 or p1 <= 0:
         raise ValueError("peak powers must be positive")
     coeffs = sinr_coefficients(cfg, profile, scheme)
+    for name in "abcde":
+        v = getattr(coeffs, name)
+        if np.any(v <= 0) or not np.all(np.isfinite(v)):
+            raise ValueError(f"coefficient {name} must be positive and finite")
     hint = max_feasible_se(coeffs, p0, p1, cfg.T, cfg.tau)
     if s0 > hint:
         warnings.warn(

@@ -11,13 +11,15 @@ The SINRs are evaluated through the per-source-power coefficient form
     SINR_SR,k = a_k p_k / (sum_j b_j p_j + c_k P_r + 1)
     SINR_RD,k = d_k P_r / (e_k P_r + 1)
 
-which reduces to the uniform-power expressions when all p_k equal Ps. The
-same coefficients drive the power-allocation module.
+which reduces to the uniform-power expressions when all p_k equal Ps.
+SinrCoefficients holds (a, b, c, d, e) for one scheme; the power-allocation
+module and the CLI read the same type.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,43 +40,56 @@ class RateReport:
     mode: str  # "fd" or "hd"
 
 
-def zf_coefficient_arrays(cfg: SystemConfig, profile: LargeScaleProfile):
-    """(a, b, c, d, e) vectors of the ZF SINR form."""
+class SinrCoefficients(NamedTuple):
+    """Per-pair coefficients (a, b, c, d, e) of one scheme's SINR form.
+
+    Every rate evaluation builds one, so it is a plain named tuple with no
+    checks; optimize_powers checks the positivity its GP rounds need.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+    scheme: str
+
+    @property
+    def K(self) -> int:
+        return self.a.size
+
+    def sinrs(self, p_s: np.ndarray, p_r: float):
+        """Per-pair (SINR_SR, SINR_RD) at source powers p_s and relay power p_r."""
+        sr = self.a * p_s / (np.dot(self.b, p_s) + self.c * p_r + 1.0)
+        rd = self.d * p_r / (self.e * p_r + 1.0)
+        return sr, rd
+
+
+def _check_zf(cfg: SystemConfig) -> None:
     if cfg.Nrx <= cfg.K or cfg.Ntx <= cfg.K:
         raise ValueError("zero forcing needs Nrx > K and Ntx > K")
+
+
+def sinr_coefficients(cfg: SystemConfig, profile: LargeScaleProfile,
+                      scheme: str) -> SinrCoefficients:
+    """The ZF or MRC/MRT coefficients of the SINR form at (cfg, profile)."""
     k = cfg.K
-    a = (cfg.Nrx - k) * profile.sigma_sr_sq
-    b = profile.beta_sr - profile.sigma_sr_sq
-    c = np.full(k, cfg.sigma_li_sq * (1.0 - k / cfg.Ntx))
-    d = np.full(k, (cfg.Ntx - k) / np.sum(1.0 / profile.sigma_rd_sq))
-    e = profile.beta_rd - profile.sigma_rd_sq
-    return a, b, c, d, e
-
-
-def mr_coefficient_arrays(cfg: SystemConfig, profile: LargeScaleProfile):
-    """(a, b, c, d, e) vectors of the MRC/MRT SINR form."""
-    a = cfg.Nrx * profile.sigma_sr_sq
-    b = profile.beta_sr.copy()
-    c = np.full(cfg.K, cfg.sigma_li_sq)
-    d = profile.sigma_rd_sq**2 / np.sum(profile.sigma_rd_sq) * cfg.Ntx
-    e = profile.beta_rd.copy()
-    return a, b, c, d, e
-
-
-def coefficient_arrays(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str):
     if scheme == "zf":
-        return zf_coefficient_arrays(cfg, profile)
-    if scheme == "mr":
-        return mr_coefficient_arrays(cfg, profile)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def sinr_from_coefficients(coeffs, p_s: np.ndarray, p_r: float):
-    """Per-pair (SINR_SR, SINR_RD) at source powers p_s and relay power p_r."""
-    a, b, c, d, e = coeffs
-    sr = a * p_s / (np.dot(b, p_s) + c * p_r + 1.0)
-    rd = d * p_r / (e * p_r + 1.0)
-    return sr, rd
+        _check_zf(cfg)
+        a = (cfg.Nrx - k) * profile.sigma_sr_sq
+        b = profile.beta_sr - profile.sigma_sr_sq
+        c = np.full(k, cfg.sigma_li_sq * (1.0 - k / cfg.Ntx))
+        d = np.full(k, (cfg.Ntx - k) / np.sum(1.0 / profile.sigma_rd_sq))
+        e = profile.beta_rd - profile.sigma_rd_sq
+    elif scheme == "mr":
+        a = cfg.Nrx * profile.sigma_sr_sq
+        b = profile.beta_sr
+        c = np.full(k, cfg.sigma_li_sq)
+        d = profile.sigma_rd_sq**2 / np.sum(profile.sigma_rd_sq) * cfg.Ntx
+        e = profile.beta_rd
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return SinrCoefficients(a, b, c, d, e, scheme)
 
 
 def _report(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
@@ -95,7 +110,7 @@ def _report(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
         cfg = replace(cfg, sigma_li_sq=0.0)
         p_s = 2.0 * p_s
         p_r = 2.0 * p_r
-    sr, rd = sinr_from_coefficients(coefficient_arrays(cfg, profile, scheme), p_s, p_r)
+    sr, rd = sinr_coefficients(cfg, profile, scheme).sinrs(p_s, p_r)
     r_sr = np.log2(1.0 + sr)
     r_rd = np.log2(1.0 + rd)
     r_e2e = np.minimum(r_sr, r_rd)

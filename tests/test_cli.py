@@ -77,16 +77,16 @@ def test_custom_sweep_log2_scale(tmp_path):
 
 
 def test_custom_sweep_floors_integer_fields_and_replays(tmp_path):
-    # 2^3.5 .. 2^5 on four points: the table keeps each grid point, the
-    # config takes its floor, and the manifest replays byte for byte
+    # 2^3.5 .. 2^5 on four points: the config and the table both take the
+    # floor of each grid point, and the manifest replays byte for byte
     first, second = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--preset", "custom", "--out", str(first),
                  "--set", "sweep=n_ant:3.5:5:4:log2"]) == 0
     _, rows = read_csv(first / "custom.csv")
-    grid = np.logspace(3.5, 5.0, 4, base=2.0)
-    assert [float(r[0]) for r in rows] == grid.tolist()
-    for row, v in zip(rows, grid):
-        cfg = _base_cfg(math.floor(v), Pp=10.0, Ps=10.0, Pr=10.0, sigma_li_sq=1.0)
+    floors = [math.floor(v) for v in np.logspace(3.5, 5.0, 4, base=2.0)]
+    assert [r[0] for r in rows] == [str(n) for n in floors]
+    for row, n in zip(rows, floors):
+        cfg = _base_cfg(n, Pp=10.0, Ps=10.0, Pr=10.0, sigma_li_sq=1.0)
         assert [float(x) for x in row[1:]] == _se_columns(cfg, _flat_profile(cfg))
     assert main(["run", "--manifest", str(first / "custom.manifest.json"),
                  "--out", str(second)]) == 0

@@ -19,7 +19,6 @@ from fdrelay.gp import (
     _Centering,
     _newton_minimize,
     brute_force_gp,
-    dump_problem,
     solve_gp,
 )
 from fdrelay.model import SystemConfig
@@ -275,17 +274,6 @@ def test_program_validation():
     two_term = Posynomial(coeffs=[1.0, 1.0], exponents=[[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         GeometricProgram(obj, (), (two_term,), lo, hi)  # equality not monomial
-
-
-def test_dump_problem_smoke():
-    lo, hi = box(2)
-    obj = Posynomial(coeffs=[1.0, 1.0], exponents=[[1, 0], [0, 1]])
-    prog = GeometricProgram(
-        obj, (mono(4.0, -1.0, -1.0),), (mono(1.0, 1.0, 1.0),), lo, hi
-    )
-    text = dump_problem(prog)
-    assert "minimize" in text
-    assert "x0" in text and "x1" in text
 
 
 def _lse_reference(a, b, y):

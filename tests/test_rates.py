@@ -10,15 +10,15 @@ from fdrelay import (
     LargeScaleProfile,
     SystemConfig,
     asymptotic_se,
-    coefficient_arrays,
     hybrid_select,
     make_profile,
+    mc_rate,
     rate_mr,
     rate_zf,
     required_power,
+    sinr_coefficients,
     sum_se,
 )
-from fdrelay.rates import sinr_from_coefficients
 
 # reference configuration: symmetric gains, 10 pairs, 100 antennas each side
 REF_CFG = SystemConfig(
@@ -55,16 +55,41 @@ def test_mr_reference_values():
     assert rep.sum_se == pytest.approx(22.92606803946472, rel=1e-10)
 
 
+# a non-uniform setting: distinct gains per pair, Nrx != Ntx
+ODD_CFG = SystemConfig(K=4, Nrx=32, Ntx=24, tau=8, Ps=2.0, Pr=5.0, sigma_li_sq=0.7)
+ODD_PROF = make_profile([0.5, 1.0, 2.0, 0.8], [1.5, 0.8, 1.2, 0.4], ODD_CFG.tau, ODD_CFG.Pp)
+ODD_PS = np.array([1.0, 2.0, 0.5, 3.0])
+
+
 @pytest.mark.parametrize("scheme,builder", [("zf", rate_zf), ("mr", rate_mr)])
 def test_report_matches_coefficient_form(scheme, builder):
-    cfg = SystemConfig(K=4, Nrx=32, Ntx=24, tau=8, Ps=2.0, Pr=5.0, sigma_li_sq=0.7)
-    prof = make_profile([0.5, 1.0, 2.0, 0.8], [1.5, 0.8, 1.2, 0.4], cfg.tau, cfg.Pp)
-    p_s = np.array([1.0, 2.0, 0.5, 3.0])
+    cfg, prof, p_s = ODD_CFG, ODD_PROF, ODD_PS
     rep = builder(cfg, prof, per_source_powers=p_s)
-    sr, rd = sinr_from_coefficients(coefficient_arrays(cfg, prof, scheme), p_s, cfg.Pr)
+    sr, rd = sinr_coefficients(cfg, prof, scheme).sinrs(p_s, cfg.Pr)
     np.testing.assert_allclose(rep.r_sr, np.log2(1.0 + sr), rtol=1e-12)
     np.testing.assert_allclose(rep.r_rd, np.log2(1.0 + rd), rtol=1e-12)
     np.testing.assert_allclose(rep.r_e2e, np.minimum(rep.r_sr, rep.r_rd), rtol=0)
+
+
+@pytest.mark.parametrize("scheme", ["zf", "mr"])
+def test_sinr_coefficients_match_paper_expressions(scheme):
+    # the SINRs written out term by term, at unequal source powers
+    cfg, prof, p_s, p_r = ODD_CFG, ODD_PROF, ODD_PS, 5.0
+    k, li = cfg.K, cfg.sigma_li_sq
+    b_sr, s_sr = prof.beta_sr, prof.sigma_sr_sq
+    b_rd, s_rd = prof.beta_rd, prof.sigma_rd_sq
+    if scheme == "zf":
+        sr = (cfg.Nrx - k) * s_sr * p_s / (
+            np.sum((b_sr - s_sr) * p_s) + li * (1.0 - k / cfg.Ntx) * p_r + 1.0)
+        rd = (cfg.Ntx - k) / np.sum(1.0 / s_rd) * p_r / ((b_rd - s_rd) * p_r + 1.0)
+    else:
+        sr = cfg.Nrx * s_sr * p_s / (np.sum(b_sr * p_s) + li * p_r + 1.0)
+        rd = cfg.Ntx * s_rd**2 / np.sum(s_rd) * p_r / (b_rd * p_r + 1.0)
+    coeffs = sinr_coefficients(cfg, prof, scheme)
+    got_sr, got_rd = coeffs.sinrs(p_s, p_r)
+    np.testing.assert_allclose(got_sr, sr, rtol=1e-12)
+    np.testing.assert_allclose(got_rd, rd, rtol=1e-12)
+    assert coeffs.K == k and coeffs.scheme == scheme
 
 
 def test_zf_perfect_csi_hand_value():
@@ -220,7 +245,7 @@ def test_per_source_power_validation():
     with pytest.raises(ValueError):
         rate_zf(REF_CFG, REF_PROF, mode="simplex")
     with pytest.raises(ValueError):
-        coefficient_arrays(REF_CFG, REF_PROF, "svd")
+        sinr_coefficients(REF_CFG, REF_PROF, "svd")
 
 
 def test_sum_se_grows_with_antennas():
@@ -268,3 +293,27 @@ def test_sum_se_does_not_drop_as_the_arrays_grow(builder, mode, setup, extra):
     cfg, prof = setup
     bigger = replace(cfg, Nrx=cfg.Nrx + extra, Ntx=cfg.Ntx + extra)
     assert builder(bigger, prof, mode=mode).sum_se >= builder(cfg, prof, mode=mode).sum_se
+
+
+@st.composite
+def small_mr_setups(draw):
+    """A small random config, profile and seed for one Monte Carlo run."""
+    k = draw(st.integers(1, 4))
+    log_uniform = st.floats(-1.0, 2.0).map(lambda e: 10.0**e)
+    gains = st.lists(st.floats(-1.0, 1.0).map(lambda e: 10.0**e), min_size=k, max_size=k)
+    cfg = SystemConfig(K=k, Nrx=draw(st.integers(k + 1, 64)),
+                       Ntx=draw(st.integers(k + 1, 64)), T=200, tau=2 * k,
+                       Pp=draw(log_uniform), Ps=draw(log_uniform), Pr=draw(log_uniform),
+                       sigma_li_sq=draw(log_uniform))
+    prof = make_profile(draw(gains), draw(gains), cfg.tau, cfg.Pp)
+    return cfg, prof, draw(st.integers(0, 2**32 - 1))
+
+
+@given(setup=small_mr_setups())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_mr_closed_form_matches_simulation(setup):
+    # the MRC/MRT closed form is exact, so the simulated bound centres on it
+    cfg, prof, seed = setup
+    sim = mc_rate(cfg, prof, "mr", 4000, np.random.default_rng(seed))
+    closed = float(np.sum(rate_mr(cfg, prof).r_e2e))
+    assert abs(sim.sum_rate - closed) <= 3.0 * sim.stderr_sum_rate
