@@ -21,21 +21,19 @@ from .montecarlo import (
     McRateResult,
     convergence_probe,
     genie_rates,
-    li_approx_oracle,
     mc_rate,
+    simulate,
     wishart_inverse_moment,
 )
 from .powalloc import (
     PowerAllocation,
     energy_efficiency,
-    max_feasible_se,
     optimize_powers,
 )
 from .rates import (
     RateReport,
     SinrCoefficients,
     asymptotic_se,
-    hybrid_select,
     rate_mr,
     rate_zf,
     required_power,
@@ -51,9 +49,9 @@ __all__ = [
     "DropGeometry", "LargeScaleProfile", "SystemConfig", "draw_urban_profile",
     "estimation_variance", "make_profile", "snapshot_profile",
     "GenieResult", "HopTerms", "McRateResult", "convergence_probe",
-    "genie_rates", "li_approx_oracle", "mc_rate", "wishart_inverse_moment",
-    "PowerAllocation", "energy_efficiency", "max_feasible_se", "optimize_powers",
-    "RateReport", "SinrCoefficients", "asymptotic_se", "hybrid_select",
-    "rate_mr", "rate_zf", "required_power", "sinr_coefficients", "sum_se",
+    "genie_rates", "mc_rate", "simulate", "wishart_inverse_moment",
+    "PowerAllocation", "energy_efficiency", "optimize_powers",
+    "RateReport", "SinrCoefficients", "asymptotic_se", "rate_mr", "rate_zf",
+    "required_power", "sinr_coefficients", "sum_se",
     "__version__",
 ]

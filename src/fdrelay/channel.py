@@ -5,10 +5,11 @@ explicit pilot phase and are the fidelity oracle; they are the only
 functions here that draw length-N arrays, and the first is the only one
 that draws the Nrx x Ntx loop channel G_RR. The Monte Carlo engine draws no
 length-N array: the rates and the convergence probes depend on the
-estimates only through their K x K Gram matrices, which
-:func:`gram_factor_batch` draws from the complex Bartlett decomposition in
-O(K^2) per trial, and every other K x K term is drawn from its exact law
-given the two Grams (see :mod:`fdrelay.montecarlo`).
+estimates only through their K x K Gram matrices, whose unit-variance
+factors :func:`gram_factor_batch` draws in O(K^2) per trial; every other
+K x K term has an exact unit-variance law given the two Grams. Powers and
+variances only scale these draws, so one draw serves every point with the
+same (K, Nrx, Ntx) (see :mod:`fdrelay.montecarlo`).
 """
 from __future__ import annotations
 
@@ -92,25 +93,24 @@ def estimate_via_pilots(
     return ghat_sr, ghat_rd
 
 
-def gram_factor_batch(n_ant: int, variances, n: int,
+def gram_factor_batch(n_ant: int, k: int, n: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """Factors F (n x K x m, m = min(n_ant, K)) with F F^H ~ G^H G.
+    """Unit-variance Bartlett factors R^H (n x k x m, m = min(n_ant, k)).
 
-    G is n_ant x K with independent CN(0, variances[k] I) columns. By the
+    G is n_ant x k with independent CN(0, variances[j] I) columns. By the
     complex Bartlett decomposition G = Q R diag(sqrt(variances)), with Q
-    n_ant x m orthonormal and R m x K upper trapezoidal, independent of Q:
+    n_ant x m orthonormal and R m x k upper trapezoidal, independent of Q:
     |R_ii|^2 ~ Gamma(n_ant - i, 1) and R_ij (j > i) iid CN(0, 1). So
-    F = diag(sqrt(variances)) R^H draws the Gram matrix in O(K^2) per trial.
-    m < K covers fewer antennas than columns. Draw order: the n x m Gamma
-    variates, then the strictly upper entries of each R in row-major order.
+    F = diag(sqrt(variances)) R^H has F F^H ~ G^H G, in O(k^2) per trial;
+    no variance enters the draw, so one R serves every variance profile,
+    and the caller scales it. m < k covers fewer antennas than columns.
+    Draw order: the n x m Gamma variates, then the strictly upper entries
+    of each R in row-major order.
     """
-    root_var = np.sqrt(np.asarray(variances, dtype=float))
-    k = root_var.size
     m = min(n_ant, k)
     diag = np.arange(m)
     rows, cols = np.triu_indices(m, 1, k)
     r = np.zeros((n, m, k), dtype=complex)
     r[:, diag, diag] = np.sqrt(rng.standard_gamma(n_ant - diag, size=(n, m)))
     r[:, rows, cols] = _cn((n, rows.size), rng)
-    return root_var[:, None] * np.swapaxes(r, 1, 2).conj()
-
+    return np.swapaxes(np.conjugate(r, out=r), 1, 2)

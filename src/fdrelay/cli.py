@@ -3,8 +3,9 @@
 Each preset binds one experiment family at desk scale (shared setup: T=200,
 K=10, tau=2K, Ntx=Nrx, SNR means Ps) and writes CSV series plus a JSON
 manifest holding everything needed to reproduce the run. Re-running a
-manifest regenerates byte-identical files: every sweep point draws from its
-own seed stream keyed by (seed, point index), so results do not depend on
+manifest regenerates byte-identical files: every Monte Carlo sweep draws
+from its own seed stream keyed by (seed, array size index, scheme index),
+and every urban drop from (seed, drop index), so results do not depend on
 execution order or chunking.
 
     fdrelay run --preset fig3 --seed 1 --trials 2000 --out results/
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .model import DropGeometry, SystemConfig, draw_urban_profile, make_profile, snapshot_profile
-from .montecarlo import genie_rates, mc_rate
+from .montecarlo import simulate
 from .powalloc import energy_efficiency, optimize_powers
 from .rates import rate_mr, rate_zf, required_power
 
@@ -103,6 +104,9 @@ def _base_cfg(n_ant: int = 100, **kw) -> SystemConfig:
     return SystemConfig(K=10, Nrx=n_ant, Ntx=n_ant, T=200, tau=20, **kw)
 
 
+_SE_HEADER = [f"se_{mode}_{s}" for s in ("zf", "mr") for mode in ("fd", "hd", "hybrid")]
+
+
 def _se_columns(cfg: SystemConfig, profile) -> list:
     out = []
     for fn in (rate_zf, rate_mr):
@@ -112,54 +116,46 @@ def _se_columns(cfg: SystemConfig, profile) -> list:
     return out
 
 
-def _run_fig2(spec: RunSpec):
+def _mc_sweep(spec: RunSpec, sizes, schemes, genie: bool) -> tuple:
+    """Closed-form and simulated sum rates over SNR: one simulate call per
+    (size, scheme) on seed stream (seed, size index, scheme index), so
+    presets that share a size and a scheme share its cells."""
     header = ["snr_db", "n_ant"]
-    for s in ("zf", "mr"):
-        header += [f"sum_rate_{s}_closed", f"sum_rate_{s}_mc",
-                   f"sum_rate_{s}_mc_stderr", f"sum_rate_{s}_genie",
-                   f"sum_rate_{s}_genie_stderr"]
+    for s in schemes:
+        header += [f"sum_rate_{s}_closed", f"sum_rate_{s}_mc", f"sum_rate_{s}_mc_stderr"]
+        if genie:
+            header += [f"sum_rate_{s}_genie", f"sum_rate_{s}_genie_stderr"]
+    snrs_db = (-10, -5, 0, 5, 10)
     rows = []
-    point = 0
-    for n_ant in (50, 100):
-        for snr_db in (-10, -5, 0, 5, 10):
+    for i, n_ant in enumerate(sizes):
+        points = []
+        for snr_db in snrs_db:
             ps = _db(snr_db)
             cfg = _apply_overrides(_base_cfg(
                 n_ant, Pp=ps, Ps=ps, Pr=10 * ps, sigma_li_sq=1.0),
                 spec.overrides)
             cfg = replace(cfg, Pr=cfg.K * cfg.Ps)
-            profile = _flat_profile(cfg)
-            row = [snr_db, n_ant]
-            for i, (fn, scheme) in enumerate(((rate_zf, "zf"), (rate_mr, "mr"))):
-                closed = float(np.sum(fn(cfg, profile).r_e2e))
-                mc = mc_rate(cfg, profile, scheme, spec.trials,
-                             _rng(spec.seed, point, 2 * i))
-                gen = genie_rates(cfg, profile, scheme, spec.trials,
-                                  _rng(spec.seed, point, 2 * i + 1))
-                row += [closed, mc.sum_rate, mc.stderr_sum_rate,
-                        gen.sum_rate, gen.stderr_sum_rate]
-            rows.append(row)
-            point += 1
-    return {"fig2.csv": (header, rows)}
+            points.append((cfg, _flat_profile(cfg)))
+        block = [[snr_db, n_ant] for snr_db in snrs_db]
+        for j, (fn, scheme) in enumerate(((rate_zf, "zf"), (rate_mr, "mr"))):
+            if scheme not in schemes:
+                continue
+            results = simulate(points, scheme, spec.trials, _rng(spec.seed, i, j))
+            for row, (cfg, profile), (mc, gen) in zip(block, points, results):
+                row += [float(np.sum(fn(cfg, profile).r_e2e)), mc.sum_rate,
+                        mc.stderr_sum_rate]
+                if genie:
+                    row += [gen.sum_rate, gen.stderr_sum_rate]
+        rows += block
+    return header, rows
+
+
+def _run_fig2(spec: RunSpec):
+    return {"fig2.csv": _mc_sweep(spec, (50, 100), ("zf", "mr"), genie=True)}
 
 
 def _run_fig3(spec: RunSpec):
-    header = ["snr_db", "n_ant", "sum_rate_zf_closed", "sum_rate_zf_mc",
-              "sum_rate_zf_mc_stderr"]
-    rows = []
-    point = 0
-    for n_ant in (50, 100, 200):
-        for snr_db in (-10, -5, 0, 5, 10):
-            ps = _db(snr_db)
-            cfg = _apply_overrides(_base_cfg(
-                n_ant, Pp=ps, Ps=ps, Pr=10 * ps, sigma_li_sq=1.0),
-                spec.overrides)
-            cfg = replace(cfg, Pr=cfg.K * cfg.Ps)
-            profile = _flat_profile(cfg)
-            closed = float(np.sum(rate_zf(cfg, profile).r_e2e))
-            mc = mc_rate(cfg, profile, "zf", spec.trials, _rng(spec.seed, point))
-            rows.append([snr_db, n_ant, closed, mc.sum_rate, mc.stderr_sum_rate])
-            point += 1
-    return {"fig3.csv": (header, rows)}
+    return {"fig3.csv": _mc_sweep(spec, (50, 100, 200), ("zf",), genie=False)}
 
 
 def _run_fig4(spec: RunSpec):
@@ -185,8 +181,7 @@ def _run_fig4(spec: RunSpec):
 
 
 def _run_fig6(spec: RunSpec):
-    header = ["sigma_li_db", "se_fd_zf", "se_hd_zf", "se_hybrid_zf",
-              "se_fd_mr", "se_hd_mr", "se_hybrid_mr"]
+    header = ["sigma_li_db"] + _SE_HEADER
     rows = []
     p = _db(10.0)
     for li_db in range(-10, 22, 2):
@@ -197,8 +192,7 @@ def _run_fig6(spec: RunSpec):
 
 
 def _run_fig7(spec: RunSpec):
-    header = ["n_ant", "se_fd_zf", "se_hd_zf", "se_hybrid_zf",
-              "se_fd_mr", "se_hd_mr", "se_hybrid_mr"]
+    header = ["n_ant"] + _SE_HEADER
     rows = []
     p = _db(10.0)
     for n_ant in (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512):
@@ -209,8 +203,7 @@ def _run_fig7(spec: RunSpec):
 
 
 def _run_fig8(spec: RunSpec):
-    header = ["drop", "se_fd_zf", "se_hd_zf", "se_hybrid_zf",
-              "se_fd_mr", "se_hd_mr", "se_hybrid_mr"]
+    header = ["drop"] + _SE_HEADER
     p = _db(10.0)
     cfg = _apply_overrides(_base_cfg(
         200, Pp=p, Ps=p, Pr=p, sigma_li_sq=_db(10.0)), spec.overrides)
@@ -284,8 +277,7 @@ def _run_custom(spec: RunSpec):
     valid = set(_CONFIG_KEYS) | set(_DB_KEYS) | {"n_ant"}
     if field not in valid:
         raise ValueError(f"sweep field {field!r} is not a config field")
-    header = [field, "se_fd_zf", "se_hd_zf", "se_hybrid_zf",
-              "se_fd_mr", "se_hd_mr", "se_hybrid_mr"]
+    header = [field] + _SE_HEADER
     base = _apply_overrides(_base_cfg(100, Pp=10.0, Ps=10.0, Pr=10.0,
                                       sigma_li_sq=1.0), spec.overrides)
     rows = []

@@ -12,7 +12,8 @@ term behind the rate bounds and accumulates the per-pair quantities:
 No trial draws a length-N vector: all of these depend on the channels only
 through K x K matrices. Write each estimate as Ghat = Q F^H, with Q (N x m,
 m = min(N, K)) orthonormal and F F^H = Ghat^H Ghat; the complex Bartlett
-decomposition draws F directly (:func:`fdrelay.channel.gram_factor_batch`).
+decomposition draws F = diag(sigma) R^H with R^H of unit variance
+(:func:`fdrelay.channel.gram_factor_batch`).
 Both schemes factor as W^T = U_w Q_sr^H and A = Q_rd^* U_a^T:
 
     ZF:  U_w = F_sr^-H,  U_a = alpha F_rd^-H   (U_w U_w^H = Gram_sr^-1 = W^T W^*)
@@ -36,8 +37,12 @@ A^T A^*), mutually independent, and every covariance and deterministic gain
 (W^T Ghat_sr = U_w F_sr^H, Ghat_rd^T A = F_rd^* U_a^T) is a function of the
 two Grams alone. So each trial has the law of an explicit N-dimensional draw,
 the bound's moments and the genie SINR are both exact, and a trial costs
-O(K^3) whatever the array size. Each chunk draws F_sr, F_rd, Z_e, Z_l, Z_r
-in that order. The inverse-Gram moment uses the same factors:
+O(K^3) whatever the array size. Each chunk draws R_sr^H, R_rd^H, Z_e, Z_l,
+Z_r in that order. No power or variance enters these draws: sigma^2,
+beta - sigma^2, alpha, sqrt(Ps), sqrt(Pr) and sigma_li only scale them, so
+one draw serves every point with the same (K, Nrx, Ntx), and
+:func:`simulate` gives a whole sweep the bound and genie rates of common
+random numbers. The inverse-Gram moment uses the same factors:
 [(Ghat^H Ghat)^-1]_kk is the squared norm of column k of F^-1.
 
 The convergence probes reuse the same draw. With x and x_fwd the source and
@@ -145,13 +150,16 @@ class GenieResult:
     trials: int
 
 
-def _chunk_size(per_trial: float) -> int:
-    # ~64 MB of complex128 per chunk for per_trial entries a trial holds, and
-    # at most 4096 trials. A Gram-path trial (bound, genie and probe alike)
-    # holds about 16 K x K arrays (factors, their inverses, the three Z draws
-    # and the products), an inverse-Gram trial about 4, so no chunk depends
-    # on the array size.
-    return max(1, min(4096, int(64e6 / (16.0 * per_trial))))
+def _chunks(trials: int, per_trial: float):
+    """Successive chunk sizes adding up to trials: ~64 MB of complex128 for
+    per_trial entries a trial holds, and at most 4096 trials. A Gram-path
+    trial (bound, genie and probe alike) holds about 16 K x K arrays
+    (factors, their inverses, the three Z draws and the products), an
+    inverse-Gram trial about 4, so no chunk depends on the array size.
+    """
+    chunk = max(1, min(4096, int(64e6 / (16.0 * per_trial))))
+    for done in range(0, trials, chunk):
+        yield min(chunk, trials - done)
 
 
 def _check_trials(trials: int, least: int = 1) -> None:
@@ -170,17 +178,27 @@ def alpha_mrt(cfg: SystemConfig, profile: LargeScaleProfile) -> float:
     return float(np.sqrt(1.0 / (cfg.Ntx * np.sum(profile.sigma_rd_sq))))
 
 
-def _trial_terms(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
-                 n: int, rng: np.random.Generator):
+def _draw(cfg: SystemConfig, n: int, rng: np.random.Generator):
+    """The unit-variance (R_sr^H, R_rd^H, Z_e, Z_l, Z_r) of n trials; they
+    depend on cfg only through (K, Nrx, Ntx), and _trial_terms scales them."""
+    r_sr_h = gram_factor_batch(cfg.Nrx, cfg.K, n, rng)
+    r_rd_h = gram_factor_batch(cfg.Ntx, cfg.K, n, rng)
+    m_sr, m_rd = r_sr_h.shape[2], r_rd_h.shape[2]
+    return (r_sr_h, r_rd_h, _cn((n, m_sr, cfg.K), rng), _cn((n, m_sr, m_rd), rng),
+            _cn((n, cfg.K, m_rd), rng))
+
+
+def _trial_terms(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str, draw):
     """One exact draw per trial of (gain_sr, loop, noise, gain_rd), from the Grams.
 
     gain_sr[t, k, j] = w_k^T g_j, loop[t, k, j] = w_k^T G_RR a_j,
-    noise[t, k] = ||w_k||^2 and gain_rd[t, k, j] = g_k^T a_j; the module
-    docstring derives the law and the draw order. The factors U_w and U_a^T
-    follow, for the probes.
+    noise[t, k] = ||w_k||^2 and gain_rd[t, k, j] = g_k^T a_j, with draw
+    from _draw; the module docstring derives the law and the draw order.
+    The factors U_w and U_a^T follow, for the probes.
     """
-    f_sr = gram_factor_batch(cfg.Nrx, profile.sigma_sr_sq, n, rng)
-    f_rd = gram_factor_batch(cfg.Ntx, profile.sigma_rd_sq, n, rng)
+    r_sr_h, r_rd_h, z_e, z_l, z_r = draw
+    f_sr = np.sqrt(profile.sigma_sr_sq)[:, None] * r_sr_h
+    f_rd = np.sqrt(profile.sigma_rd_sq)[:, None] * r_rd_h
     if scheme == "zf":
         _check_zf(cfg)
         u_w = np.swapaxes(np.linalg.inv(f_sr), 1, 2).conj()
@@ -190,9 +208,6 @@ def _trial_terms(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     u_a_t = np.swapaxes(u_a, 1, 2)
-    z_e = _cn((n, f_sr.shape[2], cfg.K), rng)
-    z_l = _cn((n, f_sr.shape[2], f_rd.shape[2]), rng)
-    z_r = _cn((n, cfg.K, f_rd.shape[2]), rng)
 
     d_sr = np.sqrt(profile.beta_sr - profile.sigma_sr_sq)
     d_rd = np.sqrt(profile.beta_rd - profile.sigma_rd_sq)
@@ -260,36 +275,45 @@ def _grad(k: int, rows: dict) -> np.ndarray:
     return grad
 
 
-def _simulate(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
-              trials: int, rng: np.random.Generator) -> _Accumulator:
-    _check_trials(trials)
-    acc = _Accumulator(_FEATURES, cfg.K)
-    chunk = _chunk_size(16 * cfg.K ** 2)
-    done = 0
-    while done < trials:
-        n = min(chunk, trials - done)
-        gain_sr, loop, an, gain_rd, _, _ = _trial_terms(cfg, profile, scheme, n, rng)
-        abs2_sr = np.abs(gain_sr) ** 2
-        diag_sr = np.diagonal(gain_sr, axis1=1, axis2=2)
-        mp_sr = np.sum(abs2_sr, axis=2) - np.diagonal(abs2_sr, axis1=1, axis2=2)
-        li = np.sum(np.abs(loop) ** 2, axis=2)
+def _features(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
+              draw) -> np.ndarray:
+    """The (n, _FEATURES, K) feature rows of one point's trials."""
+    gain_sr, loop, an, gain_rd, _, _ = _trial_terms(cfg, profile, scheme, draw)
+    abs2_sr = np.abs(gain_sr) ** 2
+    diag_sr = np.diagonal(gain_sr, axis1=1, axis2=2)
+    mp_sr = np.sum(abs2_sr, axis=2) - np.diagonal(abs2_sr, axis1=1, axis2=2)
+    li = np.sum(np.abs(loop) ** 2, axis=2)
 
-        abs2_rd = np.abs(gain_rd) ** 2
-        diag_rd = np.diagonal(gain_rd, axis1=1, axis2=2)
-        mp_rd = np.sum(abs2_rd, axis=2) - np.diagonal(abs2_rd, axis1=1, axis2=2)
+    abs2_rd = np.abs(gain_rd) ** 2
+    diag_rd = np.diagonal(gain_rd, axis1=1, axis2=2)
+    mp_rd = np.sum(abs2_rd, axis=2) - np.diagonal(abs2_rd, axis1=1, axis2=2)
 
-        abs2_diag_sr = np.abs(diag_sr) ** 2
-        abs2_diag_rd = np.abs(diag_rd) ** 2
-        sinr_sr = cfg.Ps * abs2_diag_sr / (cfg.Ps * mp_sr + cfg.Pr * li + an)
-        sinr_rd = cfg.Pr * abs2_diag_rd / (cfg.Pr * mp_rd + 1.0)
+    abs2_diag_sr = np.abs(diag_sr) ** 2
+    abs2_diag_rd = np.abs(diag_rd) ** 2
+    sinr_sr = cfg.Ps * abs2_diag_sr / (cfg.Ps * mp_sr + cfg.Pr * li + an)
+    sinr_rd = cfg.Pr * abs2_diag_rd / (cfg.Pr * mp_rd + 1.0)
+    return np.stack([
+        diag_sr.real, diag_sr.imag, abs2_diag_sr, mp_sr, li, an,
+        diag_rd.real, diag_rd.imag, abs2_diag_rd, mp_rd,
+        np.log2(1.0 + sinr_sr), np.log2(1.0 + sinr_rd),
+    ], axis=1)
 
-        acc.add(np.stack([
-            diag_sr.real, diag_sr.imag, abs2_diag_sr, mp_sr, li, an,
-            diag_rd.real, diag_rd.imag, abs2_diag_rd, mp_rd,
-            np.log2(1.0 + sinr_sr), np.log2(1.0 + sinr_rd),
-        ], axis=1))
-        done += n
-    return acc
+
+def _simulate(points, scheme: str, trials: int,
+              rng: np.random.Generator) -> list:
+    """One _Accumulator per (cfg, profile) point, every point on the same draws."""
+    if not points:
+        raise ValueError("need at least one point")
+    cfg = points[0][0]
+    if any((c.K, c.Nrx, c.Ntx) != (cfg.K, cfg.Nrx, cfg.Ntx) for c, _ in points):
+        raise ValueError("all points must share K, Nrx and Ntx")
+    _check_trials(trials, 2)
+    accs = [_Accumulator(_FEATURES, cfg.K) for _ in points]
+    for n in _chunks(trials, 16 * cfg.K ** 2):
+        draw = _draw(cfg, n, rng)
+        for (c, profile), acc in zip(points, accs):
+            acc.add(_features(c, profile, scheme, draw))
+    return accs
 
 
 def _hop_terms(acc: _Accumulator, rows: range) -> HopTerms:
@@ -352,28 +376,46 @@ def _rate_fields(acc: _Accumulator, r_sr, r_rd, grad_sr, grad_rd) -> dict:
     )
 
 
-def mc_rate(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
-            trials: int, rng: np.random.Generator) -> McRateResult:
-    """Simulate the bound ingredients and assemble the per-pair rates."""
-    _check_trials(trials, 2)
-    acc = _simulate(cfg, profile, scheme, trials, rng)
+def _bound(cfg: SystemConfig, acc: _Accumulator, scheme: str) -> McRateResult:
+    """The bound rates assembled from one point's pooled features."""
     sr_terms, rd_terms = _hop_terms(acc, _SR_ROWS), _hop_terms(acc, _RD_ROWS)
     r_sr, grad_sr = _hop_rate(cfg, cfg.Ps, sr_terms, _SR_ROWS)
     r_rd, grad_rd = _hop_rate(cfg, cfg.Pr, rd_terms, _RD_ROWS)
     return McRateResult(**_rate_fields(acc, r_sr, r_rd, grad_sr, grad_rd),
                         sr_terms=sr_terms, rd_terms=rd_terms, scheme=scheme,
-                        trials=trials)
+                        trials=acc.trials)
+
+
+def _genie(cfg: SystemConfig, acc: _Accumulator, scheme: str) -> GenieResult:
+    """The genie rates of one point's pooled features."""
+    r_sr, r_rd = acc.mean[_GENIE_SR], acc.mean[_GENIE_RD]
+    grad_sr, grad_rd = _grad(cfg.K, {_GENIE_SR: 1.0}), _grad(cfg.K, {_GENIE_RD: 1.0})
+    return GenieResult(**_rate_fields(acc, r_sr, r_rd, grad_sr, grad_rd),
+                       scheme=scheme, trials=acc.trials)
+
+
+def simulate(points, scheme: str, trials: int,
+             rng: np.random.Generator) -> list:
+    """One (McRateResult, GenieResult) pair per (cfg, profile) point, all
+    from the same draws: each chunk is drawn once and scaled to every point,
+    so the points must share K, Nrx and Ntx. A single point gives what
+    mc_rate and genie_rates each give for the same seed.
+    """
+    accs = _simulate(points, scheme, trials, rng)
+    return [(_bound(cfg, acc, scheme), _genie(cfg, acc, scheme))
+            for (cfg, _), acc in zip(points, accs)]
+
+
+def mc_rate(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
+            trials: int, rng: np.random.Generator) -> McRateResult:
+    """Simulate the bound ingredients and assemble the per-pair rates."""
+    return _bound(cfg, _simulate([(cfg, profile)], scheme, trials, rng)[0], scheme)
 
 
 def genie_rates(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
                 trials: int, rng: np.random.Generator) -> GenieResult:
     """Average instantaneous-SINR rates (decoder knows each realized gain)."""
-    _check_trials(trials, 2)
-    acc = _simulate(cfg, profile, scheme, trials, rng)
-    r_sr, r_rd = acc.mean[_GENIE_SR], acc.mean[_GENIE_RD]
-    grad_sr, grad_rd = _grad(cfg.K, {_GENIE_SR: 1.0}), _grad(cfg.K, {_GENIE_RD: 1.0})
-    return GenieResult(**_rate_fields(acc, r_sr, r_rd, grad_sr, grad_rd),
-                       scheme=scheme, trials=trials)
+    return _genie(cfg, _simulate([(cfg, profile)], scheme, trials, rng)[0], scheme)
 
 
 def wishart_inverse_moment(n_ant: int, variances, trials: int,
@@ -390,33 +432,11 @@ def wishart_inverse_moment(n_ant: int, variances, trials: int,
         raise ValueError("need more antennas than columns")
     _check_trials(trials, 2)
     acc = _Accumulator(1, k)
-    chunk = _chunk_size(4 * k ** 2)
-    done = 0
-    while done < trials:
-        n = min(chunk, trials - done)
-        f_inv = np.linalg.inv(gram_factor_batch(n_ant, variances, n, rng))
+    root_var = np.sqrt(variances)
+    for n in _chunks(trials, 4 * k ** 2):
+        f_inv = np.linalg.inv(root_var[:, None] * gram_factor_batch(n_ant, k, n, rng))
         acc.add(np.sum(np.abs(f_inv) ** 2, axis=1)[:, None])  # (F F^H)^-1 = F^-H F^-1
-        done += n
     return acc.mean[0], acc.stderr(np.ones((1, k)))[0]
-
-
-def li_approx_oracle(cfg: SystemConfig, profile: LargeScaleProfile,
-                     trials: int, rng: np.random.Generator, pair: int = 0):
-    """Measured ZF loop-interference power for one pair vs its closed form.
-
-    Returns (mc, approx): mc is the sample mean of Pr E{|w_k^T G_RR A|^2}
-    under ZF processing; approx is sigma_li_sq Pr (Ntx-K) / (sigma_sr_k^2
-    Ntx (Nrx-K)). The gap between the two is the only approximation step in
-    the first-hop ZF rate formula.
-    """
-    if not 0 <= pair < cfg.K:
-        raise ValueError("pair index out of range")
-    acc = _simulate(cfg, profile, "zf", trials, rng)
-    mc = cfg.Pr * float(acc.mean[_SR_ROWS[4], pair])  # the first-hop loop row
-    s2 = float(profile.sigma_sr_sq[pair])
-    approx = (cfg.sigma_li_sq * cfg.Pr * (cfg.Ntx - cfg.K)
-              / (s2 * cfg.Ntx * (cfg.Nrx - cfg.K)))
-    return mc, approx
 
 
 def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -431,7 +451,8 @@ def _probe_terms(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
 
     The module docstring gives the law, convergence_probe the draw order.
     """
-    gain_sr, loop, _, gain_rd, u_w, u_a_t = _trial_terms(cfg, profile, scheme, n, rng)
+    gain_sr, loop, _, gain_rd, u_w, u_a_t = _trial_terms(cfg, profile, scheme,
+                                                         _draw(cfg, n, rng))
     x = _cn((n, cfg.K), rng)
     x_fwd = _cn((n, cfg.K), rng)
     if kind == "decode":
@@ -477,11 +498,7 @@ def convergence_probe(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
     if kind != "decode" and (er is None or er <= 0):
         raise ValueError(f"kind {kind!r} needs er > 0")
     _check_trials(trials)
-    chunk = _chunk_size(16 * cfg.K ** 2)
     total = 0.0
-    done = 0
-    while done < trials:
-        n = min(chunk, trials - done)
+    for n in _chunks(trials, 16 * cfg.K ** 2):
         total += float(np.sum(_probe_terms(kind, cfg, profile, scheme, n, rng, er)))
-        done += n
     return total / trials

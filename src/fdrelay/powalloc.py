@@ -53,7 +53,7 @@ def _sum_se_at(coeffs: SinrCoefficients, p_s, p_r: float, T: int, tau: int) -> f
     return sum_se(np.log2(1.0 + np.minimum(sr, rd)), T, tau)
 
 
-def max_feasible_se(coeffs: SinrCoefficients, p0: float, p1: float,
+def _max_feasible_se(coeffs: SinrCoefficients, p0: float, p1: float,
                     T: int, tau: int) -> float:
     """Uniform-peak sum SE plus a 5% margin, used only as a feasibility hint.
 
@@ -182,7 +182,7 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
         v = getattr(coeffs, name)
         if np.any(v <= 0) or not np.all(np.isfinite(v)):
             raise ValueError(f"coefficient {name} must be positive and finite")
-    hint = max_feasible_se(coeffs, p0, p1, cfg.T, cfg.tau)
+    hint = _max_feasible_se(coeffs, p0, p1, cfg.T, cfg.tau)
     if s0 > hint:
         warnings.warn(
             f"SE target {s0:.4g} exceeds the feasibility hint {hint:.4g}; "

@@ -2,9 +2,8 @@
 
 Everything here is deterministic in (cfg, profile): the finite-antenna
 SINR expressions for ZF and MRC/MRT, full-duplex and half-duplex sum
-spectral efficiencies, hybrid mode selection, the large-array power-scaling
-limits, and the inverse problem of the transmit power required for a target
-per-pair rate.
+spectral efficiencies, the large-array power-scaling limits, and the
+inverse problem of the transmit power required for a target per-pair rate.
 
 The SINRs are evaluated through the per-source-power coefficient form
 
@@ -148,13 +147,6 @@ def sum_se(r_e2e, T: int, tau: int, mode: str = "fd") -> float:
     elif mode != "fd":
         raise ValueError("mode must be 'fd' or 'hd'")
     return float(prelog * np.sum(r_e2e))
-
-
-def hybrid_select(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str):
-    """Pick the duplex mode with the larger sum SE (full duplex on ties)."""
-    fd = _report(cfg, profile, scheme, None, "fd").sum_se
-    hd = _report(cfg, profile, scheme, None, "hd").sum_se
-    return ("fd", fd) if fd >= hd else ("hd", hd)
 
 
 def asymptotic_se(case: str, scheme: str, cfg: SystemConfig, profile: LargeScaleProfile,

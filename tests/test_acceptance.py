@@ -306,6 +306,7 @@ def test_preset_manifest_reproducibility(tmp_path):
     """Re-running a preset from its manifest reproduces every output byte."""
     runs = (
         (["--preset", "fig2", "--trials", "60", "--seed", "11"], "fig2"),
+        (["--preset", "fig3", "--trials", "60", "--seed", "11"], "fig3"),
         (["--preset", "fig4"], "fig4"),
         (["--preset", "fig6", "--set", "nrx=64"], "fig6"),
     )

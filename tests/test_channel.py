@@ -132,7 +132,7 @@ def test_gram_factor_matches_explicit_gram(n_ant):
     variances = np.array([0.5, 1.0, 2.0])
     k, n = variances.size, 20_000
     rng = np.random.default_rng(60 + n_ant)
-    f = gram_factor_batch(n_ant, variances, n, rng)
+    f = np.sqrt(variances)[:, None] * gram_factor_batch(n_ant, k, n, rng)
     assert f.shape == (n, k, min(n_ant, k))
     drawn = f @ np.swapaxes(f, 1, 2).conj()
     g = np.sqrt(variances / 2.0) * (rng.standard_normal((n, n_ant, k))
@@ -152,7 +152,8 @@ def test_gram_factor_gives_the_zf_noise_moment():
     # 1/((N - K) sigma_k^2)
     variances = np.array([0.5, 1.0, 2.0])
     n_ant, n = 8, 20_000
-    f = gram_factor_batch(n_ant, variances, n, np.random.default_rng(70))
+    f = np.sqrt(variances)[:, None] * gram_factor_batch(
+        n_ant, variances.size, n, np.random.default_rng(70))
     noise = np.sum(np.abs(np.linalg.inv(f)) ** 2, axis=1)
     se = np.std(noise, axis=0, ddof=1) / np.sqrt(n)
     expect = 1.0 / ((n_ant - variances.size) * variances)

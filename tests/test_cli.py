@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fdrelay import SystemConfig
+from fdrelay import SystemConfig, cli
 from fdrelay.cli import (
     PRESET_TRIALS,
     RunSpec,
@@ -64,6 +64,33 @@ def test_manifest_rerun_is_byte_identical(tmp_path):
     assert manifest["preset"] == "fig6"
     assert manifest["overrides"] == {"nrx": "64"}
     assert manifest["trials"] == PRESET_TRIALS["fig6"]
+
+
+def test_fig2_and_fig3_share_one_sweep(tmp_path, monkeypatch):
+    # one simulate call per (array size, scheme): 4 for fig2, 3 for fig3;
+    # fig3's ZF rows at N = 50 and 100 are fig2's, cell for cell
+    calls = []
+    real = cli.simulate
+
+    def counted(points, scheme, trials, rng):
+        calls.append((points[0][0].Nrx, scheme, len(points)))
+        return real(points, scheme, trials, rng)
+
+    monkeypatch.setattr(cli, "simulate", counted)
+    tables = {}
+    for preset in ("fig2", "fig3"):
+        calls.clear()
+        assert main(["run", "--preset", preset, "--trials", "40", "--seed", "5",
+                     "--out", str(tmp_path / preset)]) == 0
+        tables[preset] = read_csv(tmp_path / preset / f"{preset}.csv")
+        sizes = (50, 100) if preset == "fig2" else (50, 100, 200)
+        schemes = ("zf", "mr") if preset == "fig2" else ("zf",)
+        assert calls == [(n, s, 5) for n in sizes for s in schemes]
+    header2, rows2 = tables["fig2"]
+    header3, rows3 = tables["fig3"]
+    assert header3 == header2[:5]
+    assert [r[:5] for r in rows2] == rows3[:10]
+    assert [r[1] for r in rows3[10:]] == ["200"] * 5
 
 
 def test_custom_sweep_log2_scale(tmp_path):

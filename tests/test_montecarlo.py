@@ -1,6 +1,6 @@
 """Tests for the Monte Carlo rate machinery against the closed forms."""
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -10,11 +10,12 @@ from fdrelay import (
     SystemConfig,
     convergence_probe,
     genie_rates,
-    li_approx_oracle,
     make_profile,
     mc_rate,
     rate_mr,
     rate_zf,
+    simulate,
+    sinr_coefficients,
     wishart_inverse_moment,
 )
 from fdrelay import montecarlo
@@ -49,30 +50,72 @@ def test_zf_bound_matches_closed_form_without_li():
     assert_within_stderr(res.r_rd, ref.r_rd, res.stderr_r_rd)
 
 
+def loop_terms(cfg, trials, rng):
+    """Pair 0's ZF loop power Pr E|w_0^T G_RR A|^2: simulated, and the closed
+    form's Pr c_0 / a_0, the term the approximation step of the formula sets."""
+    coeffs = sinr_coefficients(cfg, PROF, "zf")
+    mc = cfg.Pr * mc_rate(cfg, PROF, "zf", trials, rng).sr_terms.loop[0]
+    return mc, cfg.Pr * coeffs.c[0] / coeffs.a[0]
+
+
 def test_zf_loop_term_gap_is_k_over_ntx():
     # exact loop power exceeds the closed-form value by exactly Ntx/(Ntx - K):
     # the formula keeps the (Ntx - K)/Ntx projection factor that the unit
     # precoder normalization already absorbs
-    mc, approx = li_approx_oracle(CFG, PROF, TRIALS, np.random.default_rng(23))
+    mc, approx = loop_terms(CFG, TRIALS, np.random.default_rng(23))
     assert approx > 0
     assert mc / approx == pytest.approx(CFG.Ntx / (CFG.Ntx - CFG.K), rel=0.05)
 
 
 def test_zero_li_kills_loop_term():
-    cfg = replace(CFG, sigma_li_sq=0.0)
-    mc, approx = li_approx_oracle(cfg, PROF, 500, np.random.default_rng(24))
+    mc, approx = loop_terms(replace(CFG, sigma_li_sq=0.0), 500, np.random.default_rng(24))
     assert mc == 0.0 and approx == 0.0
-    with pytest.raises(ValueError):
-        li_approx_oracle(CFG, PROF, 500, np.random.default_rng(0), pair=CFG.K)
 
 
 def test_loop_term_gap_shrinks_with_ntx():
     ratios = []
     for ntx in (16, 32, 64):
-        cfg = replace(CFG, Ntx=ntx)
-        mc, approx = li_approx_oracle(cfg, PROF, 8000, np.random.default_rng(ntx))
+        mc, approx = loop_terms(replace(CFG, Ntx=ntx), 8000, np.random.default_rng(ntx))
         ratios.append(mc / approx - 1.0)
     assert ratios[0] > ratios[1] > ratios[2] > 0
+
+
+def assert_same_results(a, b):
+    """Every field of two result dataclasses (HopTerms included) bit for bit."""
+    for field in fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if is_dataclass(x):
+            assert_same_results(x, y)
+        else:
+            np.testing.assert_array_equal(x, y, err_msg=field.name)
+
+
+@pytest.mark.parametrize("scheme,nrx", [("zf", 24), ("mr", 24), ("mr", 2)])
+def test_simulate_matches_single_point_calls(scheme, nrx):
+    # a 3-point SNR sweep over two chunks: each point's bound and genie rates
+    # are those of its own mc_rate and genie_rates call on the same seed
+    points = []
+    for snr in (0.5, 2.0, 8.0):
+        cfg = replace(CFG, Nrx=nrx, Pp=snr, Ps=snr, Pr=3.0 * snr)
+        points.append((cfg, make_profile(PROF.beta_sr, PROF.beta_rd, cfg.tau, cfg.Pp)))
+    trials = 5000
+    results = simulate(points, scheme, trials, np.random.default_rng(31))
+    assert len(results) == len(points)
+    for (cfg, prof), (bound, genie) in zip(points, results):
+        assert_same_results(bound, mc_rate(cfg, prof, scheme, trials,
+                                           np.random.default_rng(31)))
+        assert_same_results(genie, genie_rates(cfg, prof, scheme, trials,
+                                               np.random.default_rng(31)))
+
+
+def test_simulate_needs_points_of_one_shape():
+    for other in (replace(CFG, K=2), replace(CFG, Nrx=30), replace(CFG, Ntx=30)):
+        prof = make_profile(PROF.beta_sr[:other.K], PROF.beta_rd[:other.K],
+                            other.tau, other.Pp)
+        with pytest.raises(ValueError, match="share K, Nrx and Ntx"):
+            simulate([(CFG, PROF), (other, prof)], "mr", 10, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="at least one point"):
+        simulate([], "mr", 10, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("scheme", ["zf", "mr"])
@@ -226,21 +269,14 @@ def _per_pair(gain_sr, loop, noise, gain_rd):
 
 @pytest.mark.parametrize("scheme,nrx,ntx",
                          [("zf", 8, 6), ("mr", 8, 6), ("mr", 2, 6), ("mr", 8, 2)])
-def test_trial_terms_match_brute_force_oracle(scheme, nrx, ntx, monkeypatch):
+def test_trial_terms_match_brute_force_oracle(scheme, nrx, ntx):
     # weak pilots, so the error variances beta - sigma^2 differ between pairs and hops
     cfg = replace(CFG, Nrx=nrx, Ntx=ntx, Pp=0.5, sigma_li_sq=0.7)
     prof = make_profile([0.3, 1.0, 3.0], [2.5, 0.4, 1.2], cfg.tau, cfg.Pp)
     n = 20_000
-    factors = []
-    real = montecarlo.gram_factor_batch
-
-    def keep(n_ant, variances, count, rng):
-        factors.append(real(n_ant, variances, count, rng))
-        return factors[-1]
-
-    monkeypatch.setattr(montecarlo, "gram_factor_batch", keep)
     rng = np.random.default_rng(41)
-    drawn = montecarlo._trial_terms(cfg, prof, scheme, n, rng)[:4]
+    draw = montecarlo._draw(cfg, n, rng)
+    drawn = montecarlo._trial_terms(cfg, prof, scheme, draw)[:4]
     oracle = _oracle_terms(cfg, prof, scheme, n, rng)
     assert [x.shape for x in drawn] == [x.shape for x in oracle] == [
         (n, cfg.K, cfg.K), (n, cfg.K, cfg.K), (n, cfg.K), (n, cfg.K, cfg.K)]
@@ -252,7 +288,7 @@ def test_trial_terms_match_brute_force_oracle(scheme, nrx, ntx, monkeypatch):
 
     # given the Grams, E[loop_k] = sigma_li^2 ||w_k||^2 ||A||_F^2 exactly, with
     # ||A||_F^2 = alpha^2 tr(Gram_rd^-1) for ZF and alpha^2 tr(Gram_rd) for MR
-    f_rd = factors[1]
+    f_rd = np.sqrt(prof.sigma_rd_sq)[:, None] * draw[1]
     gram_rd = f_rd @ np.swapaxes(f_rd, 1, 2).conj()
     if scheme == "zf":
         a_f2 = alpha_zf(cfg, prof) ** 2 * np.trace(np.linalg.inv(gram_rd), axis1=1, axis2=2)
@@ -325,9 +361,9 @@ def test_monte_carlo_cost_is_flat_in_the_array_size():
         for scheme in ("zf", "mr"):
             mc_rate(big, PROF, scheme, 40, rng)
             genie_rates(big, PROF, scheme, 40, rng)
+            simulate([(big, PROF), (replace(big, Ps=8.0), PROF)], scheme, 40, rng)
             for kind in ("decode", "loop_power", "forward"):
                 convergence_probe(kind, big, PROF, scheme, 40, rng, er=10.0)
-        li_approx_oracle(big, PROF, 40, rng)
         wishart_inverse_moment(big.Nrx, PROF.sigma_sr_sq, 40, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -341,7 +377,7 @@ def test_zf_inverts_the_estimated_channels():
     prof = LargeScaleProfile(beta_sr=PROF.sigma_sr_sq, beta_rd=PROF.sigma_rd_sq,
                              sigma_sr_sq=PROF.sigma_sr_sq, sigma_rd_sq=PROF.sigma_rd_sq)
     gain_sr, _, _, gain_rd = montecarlo._trial_terms(
-        CFG, prof, "zf", 500, np.random.default_rng(45))[:4]
+        CFG, prof, "zf", montecarlo._draw(CFG, 500, np.random.default_rng(45)))[:4]
     eye = np.broadcast_to(np.eye(CFG.K), gain_sr.shape)
     np.testing.assert_allclose(gain_sr, eye, rtol=0, atol=1e-10)
     np.testing.assert_allclose(gain_rd, alpha_zf(CFG, prof) * eye, rtol=0, atol=1e-10)
@@ -358,7 +394,8 @@ def test_alpha_formulas_by_hand():
 def test_average_transmit_power_is_unit(scheme):
     # E||A||_F^2 = alpha^2 E tr(Gram_rd^-1) (ZF) or alpha^2 E tr(Gram_rd) (MR) = 1
     n = 20_000
-    f = gram_factor_batch(CFG.Ntx, PROF.sigma_rd_sq, n, np.random.default_rng(46))
+    f = np.sqrt(PROF.sigma_rd_sq)[:, None] * gram_factor_batch(
+        CFG.Ntx, CFG.K, n, np.random.default_rng(46))
     if scheme == "zf":
         power = alpha_zf(CFG, PROF) ** 2 * np.sum(np.abs(np.linalg.inv(f)) ** 2, axis=(1, 2))
     else:
@@ -375,8 +412,6 @@ def test_zero_forcing_fails_cleanly_at_its_boundary():
             mc_rate(cfg, PROF, "zf", 40, np.random.default_rng(0))
         with pytest.raises(ValueError, match=msg):
             genie_rates(cfg, PROF, "zf", 40, np.random.default_rng(0))
-        with pytest.raises(ValueError, match=msg):
-            li_approx_oracle(cfg, PROF, 40, np.random.default_rng(0))
         with pytest.raises(ValueError, match=msg):
             convergence_probe("decode", cfg, PROF, "zf", 40, np.random.default_rng(0))
         # MR has no such boundary
@@ -425,7 +460,7 @@ def test_plain_moment_stderr_is_the_iid_one(scheme):
     n = 300
     res = mc_rate(CFG, PROF, scheme, n, np.random.default_rng(77))
     gain_sr, loop, noise, gain_rd = montecarlo._trial_terms(
-        CFG, PROF, scheme, n, np.random.default_rng(77))[:4]
+        CFG, PROF, scheme, montecarlo._draw(CFG, n, np.random.default_rng(77)))[:4]
     stats = _per_pair(gain_sr, loop, noise, gain_rd)
     for name, key in (("multipair", "multipair_sr"), ("loop", "loop"), ("noise", "noise")):
         x = stats[key]

@@ -11,7 +11,6 @@ from fdrelay import (
     SystemConfig,
     energy_efficiency,
     make_profile,
-    max_feasible_se,
     optimize_powers,
     sinr_coefficients,
     snapshot_profile,
@@ -50,7 +49,7 @@ def test_energy_efficiency_formula():
 def test_max_feasible_se_is_five_percent_above_uniform_peak():
     coeffs = sinr_coefficients(CFG10, PROF10, "zf")
     uniform = sum_se_at(coeffs, np.full(10, 10.0), 100.0, CFG10.T, CFG10.tau)
-    assert max_feasible_se(coeffs, 10.0, 100.0, CFG10.T, CFG10.tau) == pytest.approx(
+    assert powalloc._max_feasible_se(coeffs, 10.0, 100.0, CFG10.T, CFG10.tau) == pytest.approx(
         1.05 * uniform, rel=1e-12
     )
 

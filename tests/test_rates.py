@@ -10,7 +10,6 @@ from fdrelay import (
     LargeScaleProfile,
     SystemConfig,
     asymptotic_se,
-    hybrid_select,
     make_profile,
     mc_rate,
     rate_mr,
@@ -155,17 +154,22 @@ def test_half_duplex_doubles_powers_and_halves_prelog():
     assert hd.mode == "hd"
 
 
-def test_hybrid_select_switches_on_loop_interference():
+def test_hybrid_column_switches_on_loop_interference():
+    # the hybrid SE column takes full duplex on a quiet loop, half duplex on
+    # a loud one
     from dataclasses import replace
+
+    from fdrelay import cli
 
     quiet = replace(REF_CFG, sigma_li_sq=1e-6)
     loud = replace(REF_CFG, sigma_li_sq=1e8)
-    mode_q, se_q = hybrid_select(quiet, REF_PROF, "zf")
-    mode_l, se_l = hybrid_select(loud, REF_PROF, "zf")
-    assert mode_q == "fd"
-    assert mode_l == "hd"
-    assert se_q == pytest.approx(rate_zf(quiet, REF_PROF).sum_se)
-    assert se_l == pytest.approx(rate_zf(loud, REF_PROF, mode="hd").sum_se)
+    fd_q, hd_q, hybrid_q = cli._se_columns(quiet, REF_PROF)[:3]
+    fd_l, hd_l, hybrid_l = cli._se_columns(loud, REF_PROF)[:3]
+    assert fd_q > hd_q and hybrid_q == fd_q
+    assert hd_l > fd_l and hybrid_l == hd_l
+    assert fd_q == pytest.approx(rate_zf(quiet, REF_PROF).sum_se)
+    assert hd_l == pytest.approx(rate_zf(loud, REF_PROF, mode="hd").sum_se)
+    assert cli._SE_HEADER[:3] == ["se_fd_zf", "se_hd_zf", "se_hybrid_zf"]
 
 
 def test_asymptotic_case_one_schemes_collapse():
