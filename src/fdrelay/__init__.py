@@ -5,7 +5,7 @@ closed-form and Monte Carlo achievable rates, duplex-mode comparison, a
 small geometric-program solver, and energy-efficient power allocation.
 """
 from .channel import PilotBook, estimate_via_pilots, generate_pilots, sample_true_channels
-from .gp import GeometricProgram, GpResult, Posynomial, brute_force_gp, solve_gp
+from .gp import GeometricProgram, GpResult, Posynomial, solve_gp
 from .model import (
     DropGeometry,
     LargeScaleProfile,
@@ -45,7 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PilotBook", "estimate_via_pilots", "generate_pilots", "sample_true_channels",
-    "GeometricProgram", "GpResult", "Posynomial", "brute_force_gp", "solve_gp",
+    "GeometricProgram", "GpResult", "Posynomial", "solve_gp",
     "DropGeometry", "LargeScaleProfile", "SystemConfig", "draw_urban_profile",
     "estimation_variance", "make_profile", "snapshot_profile",
     "GenieResult", "HopTerms", "McRateResult", "convergence_probe",

@@ -116,10 +116,18 @@ def _se_columns(cfg: SystemConfig, profile) -> list:
     return out
 
 
+# fields _mc_sweep sets per row: the array size, Ps (the SNR) and Pr = K Ps
+_MC_SWEPT_KEYS = ("n_ant", "nrx", "ntx", "ps", "ps_db", "pr", "pr_db")
+
+
 def _mc_sweep(spec: RunSpec, sizes, schemes, genie: bool) -> tuple:
     """Closed-form and simulated sum rates over SNR: one simulate call per
     (size, scheme) on seed stream (seed, size index, scheme index), so
     presets that share a size and a scheme share its cells."""
+    for key in _MC_SWEPT_KEYS:
+        if key in spec.overrides:
+            raise ValueError(f"{spec.preset} sweeps the array size and SNR "
+                             f"(Pr = K Ps); override {key!r} is not allowed")
     header = ["snr_db", "n_ant"]
     for s in schemes:
         header += [f"sum_rate_{s}_closed", f"sum_rate_{s}_mc", f"sum_rate_{s}_mc_stderr"]

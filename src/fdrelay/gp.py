@@ -2,44 +2,48 @@
 
 Problems are posynomial: minimize a posynomial subject to posynomial <= 1
 inequalities, monomial == 1 equalities, and positive box bounds per variable.
-In log variables y = log x every posynomial becomes log-sum-exp of affine
-forms, so the program is convex and a standard barrier method applies:
+In log variables y = log x every posynomial becomes a log-sum-exp (LSE) of
+affine forms, so the program is convex:
 
-  * the objective, every inequality and both sides of every box (one-term
-    inequalities) are stacked into one exponent matrix A with offsets b and
-    segment starts, so each log-sum-exp is one contiguous run of rows of
-    A y + b. Values come from np.maximum.reduceat / np.add.reduceat, the
-    per-segment gradients G from one reduceat of the softmax-weighted rows,
-    and with d = 1 / (-LSE_i) the barrier gradient is G^T d and its Hessian
-    A^T diag(p d[seg]) A + G^T diag(d^2 - d) G (p the within-segment softmax
-    weights): one pass of array operations per Newton step or line-search
-    probe, with no Python loop over constraints,
-  * monomial equalities are affine in y and eliminated exactly through an
-    SVD null-space parameterization y = y_p + N u,
-  * a phase-1 program (minimize s with every constraint relaxed by s: the
-    same stacked rows with a -1 slack column, which just shifts each
-    log-sum-exp) produces a strictly feasible start or a certificate of
-    infeasibility. It starts from the box midpoint, or from a caller's
-    positive point (solve_gp's start, e.g. the previous optimum of a chain
-    of similar programs), projected onto the equalities as
-    u0 = N^T (log x - y_p); the point need not be feasible,
-  * the main path starts at t0 = max(1, -g0^T H^-1 g_phi / g0^T H^-1 g0),
-    with g0 the objective gradient and g_phi, H the barrier gradient and
-    Hessian at the phase-1 point: the t minimizing the centrality residual
-    ||t grad f0 + grad phi|| in the H^-1 norm (Boyd & Vandenberghe,
-    Convex Optimization, 11.3.1). From the box midpoint t0 stays near 1;
-    from a previous optimum, close to the central path's end, it is large,
-    so a warm start skips the early barrier stages. The path follows
-    t0, 10 t0, 100 t0, ... with damped Newton steps (LAPACK Cholesky, with
-    a ridge when the Hessian does not factor) until the duality-gap bound
-    m/t drops below the tolerance. The line search keeps the LSE values and
-    softmax weights of the point it accepts, and the next step reuses them.
+  * the objective, every inequality and both sides of every box are stacked
+    into one exponent matrix A with offsets b, each LSE one contiguous
+    segment of rows of A y + b. With p the within-segment softmax weights
+    and G the segment gradients (one reduceat), a weighted sum of the
+    segments has gradient G^T w and Hessian A^T diag(p w[seg]) A +
+    G^T diag(c) G: one pass of array operations per Newton step, with no
+    Python loop over constraints,
+  * monomial equalities are eliminated exactly: y = y_p + N u (SVD),
+  * phase 1 (minimize s with every constraint relaxed by s, in damped Newton
+    barrier stages) finds a strictly feasible start or certifies
+    infeasibility. It starts from the box midpoint or from solve_gp's start
+    (e.g. the previous optimum of a chain of similar programs, need not be
+    feasible) projected onto the equalities, u0 = N^T (log x - y_p),
+  * the main path is primal-dual in slack form (Boyd & Vandenberghe, Convex
+    Optimization, 11.7, with Mehrotra's predictor-corrector step). With f0
+    the log objective and f the m constraint LSEs it drives to zero
+        r_dual = grad f0 + Df^T lam, r_prim = f(u) + s, r_cent = s lam - sigma mu
+    over s, lam > 0, mu = s^T lam / m. Each step factors
+        H = hess f0 + sum_i lam_i hess f_i + Df^T diag(lam / s) Df
+    once (w = (1, lam), c = (-1, lam / s - lam); LAPACK Cholesky, ridged
+    when H does not factor) and solves twice: the predictor with sigma = 0,
+    the corrector with sigma = (mu_aff / mu)^3 and the predictor's
+    second-order term. The step is 0.99 of the longest that keeps s and lam
+    positive, capped at 1 and halved while ||(r_dual, r_prim)||, which it
+    cancels to first order, would exceed both (1 - 0.01 a) times its value
+    and the new mu (LSE curvature, as when a Newton step on a nearly linear
+    objective overshoots). u may leave the feasible set on the way,
+  * the path starts at the phase-1 point with s = max(-f(u), 1e-6) and
+    lam = 1 / (t0 s). t0 = max(1, -g0^T H^-1 g_phi / g0^T H^-1 g0), with g0
+    the objective gradient and g_phi, H the barrier's, minimizes the
+    centrality residual ||t grad f0 + grad phi|| in the H^-1 norm (11.3.1):
+    near 1 from the box midpoint, large from a previous optimum, so a warm
+    start begins with a small duality gap,
+  * the path stops when s^T lam <= tol, ||r_dual|| <= 10 tol and
+    ||r_prim||_inf <= tol; s^T lam bounds the duality gap of the log
+    objective once r_prim vanishes.
 
 Only numpy loads with this module: scipy's LAPACK potrf/potrs are looked up
 on the first Newton solve, so importing fdrelay costs no scipy.
-
-brute_force_gp solves the same problems by dense grid search over the box
-(practical up to four variables) and is used as an independent check.
 """
 from __future__ import annotations
 
@@ -127,17 +131,18 @@ class GpResult:
     x: np.ndarray
     value: float
     status: str  # "optimal" | "infeasible" | "max_iter"
-    kkt_residual: float
-    iterations: int  # main-path Newton steps, after phase 1
+    kkt_residual: float  # max(s^T lam, ||r_dual||, ||r_prim||_inf) at x
+    iterations: int  # main-path primal-dual steps (one Cholesky each), after phase 1
     phase1_iterations: int = 0  # Newton steps spent finding a feasible start
 
 
 class _Centering:
-    """obj(y) + barrier(y) / t over one stacked block of log-sum-exp segments.
+    """One stacked block of log-sum-exp segments and its weighted sums.
 
     The rows of A y + b are grouped into contiguous segments, each the log of
-    one posynomial: segment 0 is the objective, segments 1..m are the
-    constraints LSE_i(y) < 0 entering the barrier -sum_i log(-LSE_i(y)).
+    one posynomial: segment 0 is the objective, segments 1..m the constraints
+    LSE_i(y) < 0. Phase 1's Newton stages minimize the centering function
+    obj(y) - sum_i log(-LSE_i(y)) / t; the primal-dual path weights (1, lam).
     """
 
     def __init__(self, obj_a, obj_b, con_a, con_b, con_sizes):
@@ -160,23 +165,22 @@ class _Centering:
         return self._softmax(y)[0]
 
     def probe(self, y: np.ndarray, t: float):
-        """(centering value, LSE values, softmax weights) at y.
-
-        The value is inf when y is not strictly feasible. value_grad_hess
-        takes the triple back, so a point the line search accepts is not
-        evaluated a second time.
-        """
+        """(centering value, LSE values, softmax weights) at y; the value is
+        inf off the strictly feasible set. value_grad_hess takes it back."""
         v, p = self._softmax(y)
         if (v[1:] >= 0).any():
             return math.inf, v, p
         return float(v[0] - np.log(-v[1:]).sum() / t), v, p
 
+    def _gradients(self, p):
+        """Segment gradients G (one row per segment) from softmax weights p."""
+        return np.add.reduceat(p[:, None] * self.a, self.starts)
+
     def _segments(self, v, p):
         """Segment gradients G and d from LSE values v and softmax weights p."""
         if (v[1:] >= 0).any():
             raise FloatingPointError("barrier start left the feasible region")
-        g = np.add.reduceat(p[:, None] * self.a, self.starts)
-        return g, 1.0 / -v[1:]
+        return self._gradients(p), 1.0 / -v[1:]
 
     def _grad_hess(self, p, g, w, c):
         """G^T w and A^T diag(p w[seg]) A + G^T diag(c) G."""
@@ -185,10 +189,8 @@ class _Centering:
     def value_grad_hess(self, y: np.ndarray, t: float, probe=None):
         """Value, gradient and Hessian of the centering function at y.
 
-        probe, if given, is probe(y, t). With per-row softmax weights p,
-        per-segment gradients G (rows g_i) and d_i = 1 / (-LSE_i), segment
-        weights are w = (1, d / t) and c = (-1, (d^2 - d) / t): the gradient
-        is G^T w and the Hessian is A^T diag(p w[seg]) A + G^T diag(c) G.
+        probe, if given, is probe(y, t). With d_i = 1 / (-LSE_i) the segment
+        weights are w = (1, d / t) and c = (-1, (d^2 - d) / t).
         """
         val, v, p = self.probe(y, t) if probe is None else probe
         g, d = self._segments(v, p)
@@ -199,15 +201,14 @@ class _Centering:
     def first_weight(self, y: np.ndarray) -> float:
         """Barrier weight t0 = max(1, -g0^T H^-1 g_phi / g0^T H^-1 g0) at y.
 
-        g0 is the objective gradient, g_phi and H the barrier gradient and
-        Hessian (segment weights w = (0, d), c = (0, d^2 - d)); t0 minimizes
-        the centrality residual ||t g0 + g_phi|| in the H^-1 norm.
+        g_phi and H are the barrier gradient and Hessian (w = (0, d),
+        c = (0, d^2 - d)); t0 minimizes ||t g0 + g_phi|| in the H^-1 norm.
         """
         v, p = self._softmax(y)
         g, d = self._segments(v, p)
         g_phi, h = self._grad_hess(p, g, np.concatenate([[0.0], d]),
                                    np.concatenate([[0.0], d * d - d]))
-        sol = _cholesky_solve(h, np.column_stack([g[0], g_phi]))
+        sol = _cholesky(h)(np.column_stack([g[0], g_phi]))
         curvature = float(g[0] @ sol[:, 0])
         if not curvature > 0.0:
             return 1.0  # objective flat along every feasible direction
@@ -252,9 +253,9 @@ def _lapack():
     return get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
-def _cholesky_solve(h, rhs):
-    """Solve h x = rhs through LAPACK Cholesky, ridging h until it factors."""
-    if not (np.isfinite(h).all() and np.isfinite(rhs).all()):
+def _cholesky(h):
+    """rhs -> h^-1 rhs through one LAPACK Cholesky, ridging h until it factors."""
+    if not np.isfinite(h).all():
         raise ValueError("Newton system must not contain infs or NaNs")
     potrf, potrs = _lapack()
     ridge = 0.0
@@ -265,10 +266,15 @@ def _cholesky_solve(h, rhs):
         if info < 0:
             raise ValueError(f"potrf: illegal argument {-info}")
         ridge = max(10.0 * ridge, 1e-12 * max(np.trace(h).real, 1.0))
-    x, info = potrs(c, rhs)
-    if info != 0:
-        raise ValueError(f"potrs: illegal argument {-info}")
-    return x
+
+    def solve(rhs):
+        if not np.isfinite(rhs).all():
+            raise ValueError("Newton system must not contain infs or NaNs")
+        x, info = potrs(c, rhs)
+        if info != 0:
+            raise ValueError(f"potrs: illegal argument {-info}")
+        return x
+    return solve
 
 
 def _newton_minimize(block: _Centering, t, y0, tol, cap=NEWTON_CAP):
@@ -281,7 +287,7 @@ def _newton_minimize(block: _Centering, t, y0, tol, cap=NEWTON_CAP):
     y, at_y = y0.copy(), None
     for it in range(cap):
         val, g, h = block.value_grad_hess(y, t, at_y)
-        step = -_cholesky_solve(h, g)
+        step = -_cholesky(h)(g)
         decrement = float(-g @ step)
         if decrement / 2.0 <= tol:
             return y, it, decrement / 2.0
@@ -326,9 +332,65 @@ def _phase_one(con_a, con_b, sizes, u0, tol):
     return (z[:-1] if z[-1] <= -FEAS_MARGIN else None), iters
 
 
+def _step_length(s, lam, ds, dlam, fraction):
+    """min(1, fraction * the longest a with s + a ds >= 0, lam + a dlam >= 0)."""
+    return fraction / max(fraction, float(np.max(-ds / s)), float(np.max(-dlam / lam)))
+
+
+def _primal_dual(block: _Centering, u, tol):
+    """(u, steps, kkt residual) of the predictor-corrector path from u."""
+    m = block.m
+    v, p = block._softmax(u)
+    g = block._gradients(p)
+    s = np.maximum(-v[1:], 1e-6)
+    lam = 1.0 / (block.first_weight(u) * s)
+    for it in range(NEWTON_CAP + 1):
+        df = g[1:]
+        r_dual, h = block._grad_hess(p, g, np.concatenate([[1.0], lam]),
+                                     np.concatenate([[-1.0], lam / s - lam]))
+        r_prim = v[1:] + s
+        gap = float(s @ lam)
+        dual = math.sqrt(r_dual @ r_dual)
+        prim = float(np.max(np.abs(r_prim)))
+        kkt = max(gap, dual, prim)
+        if (gap <= tol and dual <= 10.0 * tol and prim <= tol) or it == NEWTON_CAP:
+            return u, it, kkt
+        solve = _cholesky(h)
+
+        def direction(r_cent):
+            du = solve(-(r_dual + df.T @ ((lam * r_prim - r_cent) / s)))
+            ds = -r_prim - df @ du
+            return du, ds, -(r_cent + lam * ds) / s
+
+        _, ds, dlam = direction(s * lam)
+        alpha = _step_length(s, lam, ds, dlam, 1.0)
+        mu = gap / m
+        mu_aff = float((s + alpha * ds) @ (lam + alpha * dlam)) / m
+        du, ds, dlam = direction(s * lam + ds * dlam - (mu_aff / mu) ** 3 * mu)
+        alpha = _step_length(s, lam, ds, dlam, 0.99)
+        # the step cancels r_dual and r_prim to first order; halve it while
+        # they grow past both their linear decrease and the new mu
+        before = math.sqrt(dual * dual + r_prim @ r_prim)
+        while True:
+            u1, s1, lam1 = u + alpha * du, s + alpha * ds, lam + alpha * dlam
+            v, p = block._softmax(u1)
+            g = block._gradients(p)
+            r_dual, r_prim = g[0] + g[1:].T @ lam1, v[1:] + s1
+            after = math.sqrt(r_dual @ r_dual + r_prim @ r_prim)
+            if after <= max((1.0 - 0.01 * alpha) * before, float(s1 @ lam1) / m):
+                break
+            alpha *= 0.5
+            if alpha < 1e-10:
+                return u, it, kkt
+        u, s, lam = u1, s1, lam1
+
+
 def solve_gp(prog: GeometricProgram, tol: float = 1e-9,
              start=None) -> GpResult:
-    """Barrier solve. status "optimal" comes with kkt_residual <= 10 * tol.
+    """Phase 1, then the primal-dual path.
+
+    status "optimal" comes with kkt_residual <= 10 * tol, "max_iter" with a
+    larger one when the path reaches NEWTON_CAP steps or its step stalls.
 
     start, a positive point of length n_vars, replaces the box midpoint as
     the phase-1 start; it need not be feasible.
@@ -366,73 +428,10 @@ def solve_gp(prog: GeometricProgram, tol: float = 1e-9,
     block = _Centering(obj.exponents @ null,
                        np.log(obj.coeffs) + obj.exponents @ y_p,
                        con_a, con_b, sizes)
-    m = block.m
-    t = block.first_weight(u)
-    total_iters = 0
-    stationarity = math.inf
-    while True:
-        u, its, stationarity = _newton_minimize(block, t, u, tol)
-        total_iters += its
-        if m / t <= tol:
-            break
-        t *= BARRIER_MU
+    u, iters, kkt = _primal_dual(block, u, tol)
     x = np.exp(y_p + null @ u)
-    # duality gap of the final centering plus its Newton decrement
-    kkt = max(stationarity, m / t)
     status = "optimal" if kkt <= 10.0 * tol else "max_iter"
     return GpResult(x=x, value=prog.objective.value(x), status=status,
-                    kkt_residual=kkt, iterations=total_iters,
+                    kkt_residual=kkt, iterations=iters,
                     phase1_iterations=phase1_iters)
-
-
-def brute_force_gp(prog: GeometricProgram, points_per_dim: int = 41,
-                   eq_band: float = 1e-2) -> GpResult:
-    """Dense log-space grid search over the box; independent of solve_gp.
-
-    Inequalities pass at posynomial <= 1 + 1e-9 and equalities within
-    |monomial - 1| <= eq_band, so a grid fine enough to land near the
-    equality manifold is the caller's responsibility. kkt_residual is NaN
-    because no optimality certificate exists for a grid point.
-    """
-    n = prog.n_vars
-    if n > 4:
-        raise ValueError("grid search is limited to 4 variables")
-    if points_per_dim < 2:
-        raise ValueError("need at least 2 points per dimension")
-    axes = [np.linspace(math.log(prog.lower[k]), math.log(prog.upper[k]),
-                        points_per_dim) for k in range(n)]
-    total = points_per_dim**n
-    chunk = max(1, int(2e6) // max(1, points_per_dim))
-    best_val = math.inf
-    best_y = None
-
-    def posy_vals(p: Posynomial, ys: np.ndarray) -> np.ndarray:
-        return np.exp(ys @ p.exponents.T + np.log(p.coeffs)).sum(axis=1)
-
-    done = 0
-    while done < total:
-        count = min(chunk, total - done)
-        flat = done + np.arange(count)
-        ys = np.empty((count, n))
-        rem = flat
-        for k in range(n - 1, -1, -1):
-            ys[:, k] = axes[k][rem % points_per_dim]
-            rem = rem // points_per_dim
-        ok = np.ones(count, dtype=bool)
-        for p in prog.inequalities:
-            ok &= posy_vals(p, ys) <= 1.0 + 1e-9
-        for p in prog.equalities:
-            ok &= np.abs(posy_vals(p, ys) - 1.0) <= eq_band
-        if np.any(ok):
-            vals = posy_vals(prog.objective, ys[ok])
-            i = int(np.argmin(vals))
-            if vals[i] < best_val:
-                best_val = float(vals[i])
-                best_y = ys[ok][i].copy()
-        done += count
-    if best_y is None:
-        return GpResult(x=np.full(n, np.nan), value=math.nan,
-                        status="infeasible", kkt_residual=math.nan, iterations=0)
-    return GpResult(x=np.exp(best_y), value=best_val, status="optimal",
-                    kkt_residual=math.nan, iterations=total)
 

@@ -27,7 +27,8 @@ from fdrelay import (
     wishart_inverse_moment,
 )
 from fdrelay.cli import main as cli_main
-from fdrelay.gp import GeometricProgram, Posynomial, brute_force_gp, solve_gp
+from fdrelay.gp import GeometricProgram, Posynomial, solve_gp
+from gp_oracle import brute_force_gp
 
 SNR_GRID_DB = (-10, 0, 10)
 

@@ -93,6 +93,18 @@ def test_fig2_and_fig3_share_one_sweep(tmp_path, monkeypatch):
     assert [r[1] for r in rows3[10:]] == ["200"] * 5
 
 
+@pytest.mark.parametrize("preset, item", [("fig3", "n_ant=64"), ("fig2", "pr_db=5")])
+def test_mc_sweeps_reject_overrides_of_swept_fields(tmp_path, capsys, preset, item):
+    # fig2/fig3 set the array size, Ps and Pr = K Ps per row, so an override
+    # of one would mislabel the rows or vanish
+    assert main(["run", "--preset", preset, "--trials", "20", "--set", item,
+                 "--out", str(tmp_path)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["type"] == "ValueError"
+    assert repr(item.split("=")[0]) in payload["error"]
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_custom_sweep_log2_scale(tmp_path):
     assert main(["run", "--preset", "custom", "--out", str(tmp_path),
                  "--set", "sweep=n_ant:4:6:3:log2"]) == 0

@@ -1,4 +1,4 @@
-"""Tests for the log-barrier geometric-program solver."""
+"""Tests for the geometric-program solver: phase 1 and the primal-dual path."""
 import json
 import math
 import os
@@ -12,16 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdrelay
-from fdrelay import powalloc, snapshot_profile
+from fdrelay import gp, powalloc, snapshot_profile
 from fdrelay.gp import (
     GeometricProgram,
     Posynomial,
     _Centering,
     _newton_minimize,
-    brute_force_gp,
     solve_gp,
 )
 from fdrelay.model import SystemConfig
+from gp_oracle import brute_force_gp
 
 
 def mono(c, *exps):
@@ -462,9 +462,32 @@ def test_warm_start_from_previous_round_matches_cold_solve(monkeypatch):
         warm_main += warm.iterations
         prev = cold.x
     assert warm_p1 < cold_p1
-    # from a point near the boundary, t = 1 would cost more main-path steps
-    # than a cold start; the first-weight rule makes them fewer
+    # duals sized by the first weight start a warm solve near the end of the
+    # path, so it takes fewer main-path steps than a cold one
     assert warm_main < cold_main
+
+
+def test_warm_chain_takes_few_main_path_steps(monkeypatch):
+    # the 27 GPs of MR at 4 bit/s/Hz, each started from the previous optimum
+    # as the allocator does
+    tol = 1e-9
+    steps = []
+    prev = None
+    for prog in _fig9_round_programs(monkeypatch, "mr", 4.0):
+        res = solve_gp(prog, tol, start=prev)
+        assert res.status == "optimal" and res.kkt_residual <= 10.0 * tol
+        steps.append(res.iterations)
+        prev = res.x
+    assert len(steps) == 27
+    assert max(steps) <= 20 and sum(steps) <= 400
+
+
+def test_step_cap_is_not_reported_optimal(monkeypatch):
+    prog = _fig9_round_programs(monkeypatch, "mr", 4.0)[0]
+    monkeypatch.setattr(gp, "NEWTON_CAP", 2)
+    res = solve_gp(prog, 1e-9)
+    assert res.status == "max_iter" and res.iterations == 2
+    assert res.kkt_residual > 10.0 * 1e-9
 
 
 def test_warm_start_still_certifies_infeasibility():
