@@ -4,7 +4,6 @@ Channel generation and MMSE estimation, ZF and MRC/MRT relay processing,
 closed-form and Monte Carlo achievable rates, duplex-mode comparison, a
 small geometric-program solver, and energy-efficient power allocation.
 """
-from .channel import PilotBook, estimate_via_pilots, generate_pilots, sample_true_channels
 from .gp import GeometricProgram, GpResult, Posynomial, solve_gp
 from .model import (
     DropGeometry,
@@ -44,7 +43,6 @@ from .rates import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PilotBook", "estimate_via_pilots", "generate_pilots", "sample_true_channels",
     "GeometricProgram", "GpResult", "Posynomial", "solve_gp",
     "DropGeometry", "LargeScaleProfile", "SystemConfig", "draw_urban_profile",
     "estimation_variance", "make_profile", "snapshot_profile",

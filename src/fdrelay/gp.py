@@ -13,11 +13,15 @@ affine forms, so the program is convex:
     G^T diag(c) G: one pass of array operations per Newton step, with no
     Python loop over constraints,
   * monomial equalities are eliminated exactly: y = y_p + N u (SVD),
-  * phase 1 (minimize s with every constraint relaxed by s, in damped Newton
-    barrier stages) finds a strictly feasible start or certifies
-    infeasibility. It starts from the box midpoint or from solve_gp's start
-    (e.g. the previous optimum of a chain of similar programs, need not be
-    feasible) projected onto the equalities, u0 = N^T (log x - y_p),
+  * phase 1 finds a strictly feasible start on the same primal-dual path
+    (below): it minimizes a slack s subject to LSE_i(u) - s <= 0 from
+    (u0, max_i LSE_i(u0) + 1) and stops at the first iterate whose true
+    constraint values LSE_i(u) are all below -FEAS_MARGIN. Its optimum
+    with s > -FEAS_MARGIN certifies infeasibility; NEWTON_CAP or a stalled
+    step before either outcome gives "max_iter". u0 is the box midpoint or
+    solve_gp's start (e.g. the previous optimum of a chain of similar
+    programs, need not be feasible) projected onto the equalities,
+    u0 = N^T (log x - y_p),
   * the main path is primal-dual in slack form (Boyd & Vandenberghe, Convex
     Optimization, 11.7, with Mehrotra's predictor-corrector step). With f0
     the log objective and f the m constraint LSEs it drives to zero
@@ -32,12 +36,12 @@ affine forms, so the program is convex:
     cancels to first order, would exceed both (1 - 0.01 a) times its value
     and the new mu (LSE curvature, as when a Newton step on a nearly linear
     objective overshoots). u may leave the feasible set on the way,
-  * the path starts at the phase-1 point with s = max(-f(u), 1e-6) and
-    lam = 1 / (t0 s). t0 = max(1, -g0^T H^-1 g_phi / g0^T H^-1 g0), with g0
-    the objective gradient and g_phi, H the barrier's, minimizes the
-    centrality residual ||t grad f0 + grad phi|| in the H^-1 norm (11.3.1):
-    near 1 from the box midpoint, large from a previous optimum, so a warm
-    start begins with a small duality gap,
+  * the main path starts at the phase-1 point (phase 1 at its own start)
+    with s = max(-f(u), 1e-6) and lam = 1 / (t0 s). t0 = max(1, -g0^T H^-1
+    g_phi / g0^T H^-1 g0), with g0 the objective gradient and g_phi, H the
+    barrier's, minimizes the centrality residual ||t grad f0 + grad phi|| in
+    the H^-1 norm (11.3.1): near 1 from the box midpoint, large from a
+    previous optimum, so a warm start begins with a small duality gap,
   * the path stops when s^T lam <= tol, ||r_dual|| <= 10 tol and
     ||r_prim||_inf <= tol; s^T lam bounds the duality gap of the log
     objective once r_prim vanishes.
@@ -53,7 +57,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BARRIER_MU = 10.0
 NEWTON_CAP = 200
 FEAS_MARGIN = 1e-9
 
@@ -106,8 +109,9 @@ class GeometricProgram:
         n = self.objective.n_vars
         if lo.shape != (n,) or hi.shape != (n,):
             raise ValueError("bounds must match the variable count")
-        if np.any(lo <= 0) or np.any(hi < lo):
-            raise ValueError("need 0 < lower <= upper")
+        # an empty interior has no strictly feasible point: pin by an equality
+        if np.any(lo <= 0) or np.any(hi <= lo):
+            raise ValueError("need 0 < lower < upper")
         object.__setattr__(self, "inequalities", tuple(self.inequalities))
         object.__setattr__(self, "equalities", tuple(self.equalities))
         for p in self.inequalities + self.equalities:
@@ -133,7 +137,7 @@ class GpResult:
     status: str  # "optimal" | "infeasible" | "max_iter"
     kkt_residual: float  # max(s^T lam, ||r_dual||, ||r_prim||_inf) at x
     iterations: int  # main-path primal-dual steps (one Cholesky each), after phase 1
-    phase1_iterations: int = 0  # Newton steps spent finding a feasible start
+    phase1_iterations: int = 0  # primal-dual steps spent finding a feasible start
 
 
 class _Centering:
@@ -141,8 +145,7 @@ class _Centering:
 
     The rows of A y + b are grouped into contiguous segments, each the log of
     one posynomial: segment 0 is the objective, segments 1..m the constraints
-    LSE_i(y) < 0. Phase 1's Newton stages minimize the centering function
-    obj(y) - sum_i log(-LSE_i(y)) / t; the primal-dual path weights (1, lam).
+    LSE_i(y) < 0. The primal-dual path weights the segments (1, lam).
     """
 
     def __init__(self, obj_a, obj_b, con_a, con_b, con_sizes):
@@ -164,39 +167,13 @@ class _Centering:
     def lse(self, y: np.ndarray) -> np.ndarray:
         return self._softmax(y)[0]
 
-    def probe(self, y: np.ndarray, t: float):
-        """(centering value, LSE values, softmax weights) at y; the value is
-        inf off the strictly feasible set. value_grad_hess takes it back."""
-        v, p = self._softmax(y)
-        if (v[1:] >= 0).any():
-            return math.inf, v, p
-        return float(v[0] - np.log(-v[1:]).sum() / t), v, p
-
     def _gradients(self, p):
         """Segment gradients G (one row per segment) from softmax weights p."""
         return np.add.reduceat(p[:, None] * self.a, self.starts)
 
-    def _segments(self, v, p):
-        """Segment gradients G and d from LSE values v and softmax weights p."""
-        if (v[1:] >= 0).any():
-            raise FloatingPointError("barrier start left the feasible region")
-        return self._gradients(p), 1.0 / -v[1:]
-
     def _grad_hess(self, p, g, w, c):
         """G^T w and A^T diag(p w[seg]) A + G^T diag(c) G."""
         return g.T @ w, (self.a.T * (p * w[self.seg])) @ self.a + (g.T * c) @ g
-
-    def value_grad_hess(self, y: np.ndarray, t: float, probe=None):
-        """Value, gradient and Hessian of the centering function at y.
-
-        probe, if given, is probe(y, t). With d_i = 1 / (-LSE_i) the segment
-        weights are w = (1, d / t) and c = (-1, (d^2 - d) / t).
-        """
-        val, v, p = self.probe(y, t) if probe is None else probe
-        g, d = self._segments(v, p)
-        grad, hess = self._grad_hess(p, g, np.concatenate([[1.0], d / t]),
-                                     np.concatenate([[-1.0], (d * d - d) / t]))
-        return val, grad, hess
 
     def first_weight(self, y: np.ndarray) -> float:
         """Barrier weight t0 = max(1, -g0^T H^-1 g_phi / g0^T H^-1 g0) at y.
@@ -205,7 +182,9 @@ class _Centering:
         c = (0, d^2 - d)); t0 minimizes ||t g0 + g_phi|| in the H^-1 norm.
         """
         v, p = self._softmax(y)
-        g, d = self._segments(v, p)
+        if (v[1:] >= 0).any():
+            raise FloatingPointError("first_weight needs a strictly feasible y")
+        g, d = self._gradients(p), 1.0 / -v[1:]
         g_phi, h = self._grad_hess(p, g, np.concatenate([[0.0], d]),
                                    np.concatenate([[0.0], d * d - d]))
         sol = _cholesky(h)(np.column_stack([g[0], g_phi]))
@@ -277,59 +256,32 @@ def _cholesky(h):
     return solve
 
 
-def _newton_minimize(block: _Centering, t, y0, tol, cap=NEWTON_CAP):
-    """Minimize obj(y) + barrier(y) / t over {every constraint LSE < 0}.
-
-    The 1/t scaling keeps the centering value near the objective scale for
-    every barrier stage, so line-search decreases stay resolvable in float64
-    even when t is large.
-    """
-    y, at_y = y0.copy(), None
-    for it in range(cap):
-        val, g, h = block.value_grad_hess(y, t, at_y)
-        step = -_cholesky(h)(g)
-        decrement = float(-g @ step)
-        if decrement / 2.0 <= tol:
-            return y, it, decrement / 2.0
-        # backtracking: stay strictly inside, then Armijo on the centering value
-        alpha = 1.0
-        while alpha > 1e-14:
-            cand = y + alpha * step
-            at_y = block.probe(cand, t)
-            if at_y[0] <= val - 1e-4 * alpha * decrement:
-                break
-            alpha *= 0.5
-        else:
-            return y, it + 1, decrement / 2.0
-        y = cand
-    return y, cap, decrement / 2.0
-
-
 def _phase_one(con_a, con_b, sizes, u0, tol):
-    """(u, Newton steps): strictly feasible u for all LSE_i(u) < 0, or None."""
+    """(u, primal-dual steps, None) with u strictly feasible for every
+    LSE_i(u) < 0, or (None, steps, the GpResult status to report)."""
     # slack variable s: LSE(A u + b - s) <= 0 is LSE of the extended affine map,
-    # minimized as the one-row objective s
-    u_dim = u0.size
-    ext = _Centering(np.eye(1, u_dim + 1, u_dim), np.zeros(1),
+    # minimized as the one-row objective s; the extended LSEs are the true
+    # constraint values minus s, so feasibility is judged at u itself
+    ext = _Centering(np.eye(1, u0.size + 1, u0.size), np.zeros(1),
                      np.hstack([con_a, -np.ones((con_a.shape[0], 1))]), con_b,
                      sizes)
-    vals = ext.lse(np.append(u0, 0.0))[1:]
-    if u_dim == 0:
-        return (u0 if np.all(vals < 0) else None), 0
-    if np.all(vals < -FEAS_MARGIN):
-        return u0, 0
-    z = np.append(u0, np.max(vals) + 1.0)
-    t = 1.0
-    iters = 0
-    for _ in range(40):
-        z, its, _ = _newton_minimize(ext, t, z, tol)
-        iters += its
-        if z[-1] <= -1e-7:
-            return z[:-1], iters
-        if ext.m / t < 1e-12:
-            break
-        t *= BARRIER_MU
-    return (z[:-1] if z[-1] <= -FEAS_MARGIN else None), iters
+
+    def feasible(z, v):
+        return bool(np.all(v[1:] + z[-1] < -FEAS_MARGIN))
+
+    z = np.append(u0, 0.0)
+    v = ext.lse(z)
+    if u0.size == 0:
+        return (u0, 0, None) if np.all(v[1:] < 0) else (None, 0, "infeasible")
+    if feasible(z, v):
+        return u0, 0, None
+    z[-1] = np.max(v[1:]) + 1.0
+    z, iters, kkt = _primal_dual(ext, z, tol, stop=feasible)
+    if feasible(z, ext.lse(z)):
+        return z[:-1], iters, None
+    # only an optimum with no slack below -FEAS_MARGIN certifies infeasibility
+    certified = kkt <= 10.0 * tol and z[-1] > -FEAS_MARGIN
+    return None, iters, "infeasible" if certified else "max_iter"
 
 
 def _step_length(s, lam, ds, dlam, fraction):
@@ -337,8 +289,9 @@ def _step_length(s, lam, ds, dlam, fraction):
     return fraction / max(fraction, float(np.max(-ds / s)), float(np.max(-dlam / lam)))
 
 
-def _primal_dual(block: _Centering, u, tol):
-    """(u, steps, kkt residual) of the predictor-corrector path from u."""
+def _primal_dual(block: _Centering, u, tol, stop=None):
+    """(u, steps, kkt residual) of the predictor-corrector path from u; it
+    returns early at the first u with stop(u, LSE values at u)."""
     m = block.m
     v, p = block._softmax(u)
     g = block._gradients(p)
@@ -353,7 +306,8 @@ def _primal_dual(block: _Centering, u, tol):
         dual = math.sqrt(r_dual @ r_dual)
         prim = float(np.max(np.abs(r_prim)))
         kkt = max(gap, dual, prim)
-        if (gap <= tol and dual <= 10.0 * tol and prim <= tol) or it == NEWTON_CAP:
+        if (gap <= tol and dual <= 10.0 * tol and prim <= tol) or it == NEWTON_CAP \
+                or (stop is not None and stop(u, v)):
             return u, it, kkt
         solve = _cholesky(h)
 
@@ -390,7 +344,11 @@ def solve_gp(prog: GeometricProgram, tol: float = 1e-9,
     """Phase 1, then the primal-dual path.
 
     status "optimal" comes with kkt_residual <= 10 * tol, "max_iter" with a
-    larger one when the path reaches NEWTON_CAP steps or its step stalls.
+    larger one when the main path reaches NEWTON_CAP steps or its step
+    stalls. "infeasible" means inconsistent equalities or a phase-1 optimum
+    that no slack below -FEAS_MARGIN attains; a phase 1 cut off by NEWTON_CAP
+    or a stalled step before it finds a feasible point is "max_iter". Both
+    come with NaN x, value and kkt_residual.
 
     start, a positive point of length n_vars, replaces the box midpoint as
     the phase-1 start; it need not be feasible.
@@ -414,9 +372,9 @@ def solve_gp(prog: GeometricProgram, tol: float = 1e-9,
     u_dim = null.shape[1]
 
     u0 = null.T @ (y_start - y_p)
-    u, phase1_iters = _phase_one(con_a, con_b, sizes, u0, tol)
+    u, phase1_iters, status = _phase_one(con_a, con_b, sizes, u0, tol)
     if u is None:
-        return GpResult(x=nan, value=math.nan, status="infeasible",
+        return GpResult(x=nan, value=math.nan, status=status,
                         kkt_residual=math.nan, iterations=0,
                         phase1_iterations=phase1_iters)
     if u_dim == 0:

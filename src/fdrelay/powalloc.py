@@ -165,11 +165,11 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     optimum (p_s, p_r, gamma) instead of the box midpoint; the answer is
     the same to the GP tolerance. Returns converged=True when the SINR
     iterates moved less than eps in the final round, and status "optimal"
-    only when that round's GP was also certified optimal; infeasible targets
-    are reported in status when no round found a feasible point (a
-    warning cites the uniform-peak feasibility hint). Raises ValueError when
-    a SINR coefficient is not positive and finite (sigma_li_sq = 0 gives
-    c = 0, say), since no GP round could hold it.
+    only when that round's GP was also certified optimal; status
+    "infeasible" means no round found a feasible point (for an infeasible
+    target, a warning cites the uniform-peak feasibility hint). Raises
+    ValueError when a SINR coefficient is not positive and finite
+    (sigma_li_sq = 0 gives c = 0, say), since no GP round could hold it.
     """
     if s0 <= 0:
         raise ValueError("target sum SE must be positive")
@@ -197,7 +197,7 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     for _ in range(WARMUP_ROUNDS):
         result = solve_gp(_round_gp(coeffs, center, s0, p0, p1,
                                     cfg.T, cfg.tau, WARMUP_TRUST), start=start)
-        if result.status == "infeasible":
+        if math.isnan(result.value):  # no feasible point: infeasible or cut short
             if start is None:
                 return PowerAllocation(
                     p_s=nan_k, p_r=math.nan, achieved_se=0.0, ee=0.0,
@@ -219,7 +219,7 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     for rounds in range(1, max_rounds + 1):
         result = solve_gp(_round_gp(coeffs, center, s0, p0, p1,
                                     cfg.T, cfg.tau, trust), start=start)
-        if result.status == "infeasible":
+        if math.isnan(result.value):
             break  # keep the last feasible iterate
         p_s = result.x[:coeffs.K]
         p_r = float(result.x[coeffs.K])

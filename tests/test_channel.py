@@ -2,14 +2,9 @@
 import numpy as np
 import pytest
 
-from fdrelay import (
-    SystemConfig,
-    estimate_via_pilots,
-    generate_pilots,
-    make_profile,
-    sample_true_channels,
-)
+from fdrelay import SystemConfig, make_profile
 from fdrelay.channel import gram_factor_batch
+from pilot_oracle import estimate_via_pilots, generate_pilots, sample_true_channels
 
 CFG = SystemConfig(K=3, Nrx=16, Ntx=16, tau=6, Pp=10.0, sigma_li_sq=2.0)
 PROF = make_profile([0.5, 1.0, 2.0], [1.5, 0.8, 1.2], CFG.tau, CFG.Pp)

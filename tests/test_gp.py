@@ -17,7 +17,7 @@ from fdrelay.gp import (
     GeometricProgram,
     Posynomial,
     _Centering,
-    _newton_minimize,
+    _cholesky,
     solve_gp,
 )
 from fdrelay.model import SystemConfig
@@ -274,6 +274,13 @@ def test_program_validation():
     two_term = Posynomial(coeffs=[1.0, 1.0], exponents=[[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         GeometricProgram(obj, (), (two_term,), lo, hi)  # equality not monomial
+    # an empty box interior: x + y s.t. 4/(x y) <= 1 with y in [2, 2], and x
+    # on [2, 2]; a pinned variable is spelled as a monomial equality instead
+    with pytest.raises(ValueError, match="lower < upper"):
+        GeometricProgram(two_term, (mono(4.0, -1.0, -1.0),), (),
+                         np.array([1e-3, 2.0]), np.array([1e3, 2.0]))
+    with pytest.raises(ValueError, match="lower < upper"):
+        GeometricProgram(mono(1.0, 1.0), (), (), np.array([2.0]), np.array([2.0]))
 
 
 def _lse_reference(a, b, y):
@@ -294,6 +301,20 @@ def _centering_reference(obj, cons, y, t):
         grad = grad + g / (-v) / t
         hess = hess + (h / (-v) + np.outer(g, g) / (v * v)) / t
     return val, grad, hess
+
+
+def _barrier(block, y, t):
+    """Value, gradient and Hessian of obj(y) - sum_i log(-LSE_i(y)) / t.
+
+    With d_i = 1 / (-LSE_i) the stacked block's segment weights are
+    w = (1, d / t) and c = (-1, (d^2 - d) / t).
+    """
+    v, p = block._softmax(y)
+    d = 1.0 / -v[1:]
+    grad, hess = block._grad_hess(p, block._gradients(p),
+                                  np.concatenate([[1.0], d / t]),
+                                  np.concatenate([[-1.0], (d * d - d) / t]))
+    return float(v[0] - np.log(-v[1:]).sum() / t), grad, hess
 
 
 def _random_centering(rng, n, slack):
@@ -332,9 +353,8 @@ def test_stacked_block_matches_per_constraint_sum(slack):
         assert block.m == len(cons)
         for t in (1.0, 10.0, 1e4):
             want = _centering_reference(obj, cons, y, t)
-            val, grad, hess = block.value_grad_hess(y, t)
+            val, grad, hess = _barrier(block, y, t)
             assert val == pytest.approx(want[0], rel=1e-12, abs=1e-12)
-            assert block.probe(y, t)[0] == val
             np.testing.assert_allclose(grad, want[1], rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(hess, want[2], rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-12)
@@ -348,16 +368,16 @@ def test_stacked_block_derivatives_match_central_differences(slack):
         n = int(rng.integers(2, 5))
         block, _, _, y = _random_centering(rng, n, slack)
         t = 10.0
-        _, grad, hess = block.value_grad_hess(y, t)
+        _, grad, hess = _barrier(block, y, t)
         fd_grad = np.empty(n)
         fd_hess = np.empty((n, n))
         for k in range(n):
             e = np.zeros(n)
             e[k] = step
-            fd_grad[k] = (block.probe(y + e, t)[0]
-                          - block.probe(y - e, t)[0]) / (2 * step)
-            fd_hess[:, k] = (block.value_grad_hess(y + e, t)[1]
-                             - block.value_grad_hess(y - e, t)[1]) / (2 * step)
+            fd_grad[k] = (_barrier(block, y + e, t)[0]
+                          - _barrier(block, y - e, t)[0]) / (2 * step)
+            fd_hess[:, k] = (_barrier(block, y + e, t)[1]
+                             - _barrier(block, y - e, t)[1]) / (2 * step)
         scale = max(1.0, float(np.max(np.abs(hess))))
         np.testing.assert_allclose(fd_grad, grad, rtol=1e-6, atol=1e-6 * scale)
         np.testing.assert_allclose(fd_hess, hess, rtol=1e-5, atol=1e-5 * scale)
@@ -390,38 +410,25 @@ def test_stacked_block_outside_the_feasible_set():
     i = int(np.flatnonzero(np.diff(np.append(block.starts, block.b.size)) == 1)[-1])
     row = block.starts[i]
     block.b[row] -= block.lse(y)[i] - 0.1
-    assert block.probe(y, 1.0)[0] == math.inf
+    assert block.lse(y)[i] == pytest.approx(0.1)
     with pytest.raises(FloatingPointError):
-        block.value_grad_hess(y, 1.0)
-
-
-class _QuadraticBlock:
-    """0.5 y^T h y + q^T y with a fixed Hessian, for Newton-system tests."""
-
-    def __init__(self, h, q):
-        self.h, self.q = np.asarray(h, dtype=float), np.asarray(q, dtype=float)
-
-    def probe(self, y, t):
-        return float(0.5 * y @ self.h @ y + self.q @ y), None, None
-
-    def value_grad_hess(self, y, t, probe=None):
-        return self.probe(y, t)[0], self.h @ y + self.q, self.h.copy()
+        block.first_weight(y)
 
 
 def test_newton_rejects_a_non_finite_hessian():
-    block = _QuadraticBlock([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
-    block.h[1, 0] = np.nan
+    h = np.eye(2)
+    h[1, 0] = np.nan
     with pytest.raises(ValueError):
-        _newton_minimize(block, 1.0, np.array([1.0, 0.5]), 1e-9)
+        _cholesky(h)
 
 
 def test_newton_ridges_a_singular_hessian_to_a_finite_step():
     # rank-1 Hessian: Cholesky fails, the ridged system still gives the step
     # along y0 and leaves the flat direction y1 alone
-    block = _QuadraticBlock([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
-    y, iters, decrement = _newton_minimize(block, 1.0, np.array([1.0, 0.5]), 1e-9)
-    assert iters >= 1 and np.all(np.isfinite(y)) and math.isfinite(decrement)
-    assert abs(y[0]) < 1e-4 and y[1] == 0.5
+    h = np.array([[1.0, 0.0], [0.0, 0.0]])
+    step = _cholesky(h)(h @ np.array([1.0, 0.5]))
+    assert np.all(np.isfinite(step))
+    assert abs(step[0] - 1.0) < 1e-4 and step[1] == 0.0
 
 
 def _fig9_round_programs(monkeypatch, scheme, s0):
@@ -482,12 +489,29 @@ def test_warm_chain_takes_few_main_path_steps(monkeypatch):
     assert max(steps) <= 20 and sum(steps) <= 400
 
 
+def test_phase_one_cost_on_cold_starts(monkeypatch):
+    # the 27 GPs of MR at 4 bit/s/Hz, each from the box midpoint: phase 1
+    # stops at its first strictly feasible iterate
+    steps = [solve_gp(prog).phase1_iterations
+             for prog in _fig9_round_programs(monkeypatch, "mr", 4.0)]
+    assert len(steps) == 27
+    assert max(steps) <= 10 and sum(steps) <= 200
+
+
 def test_step_cap_is_not_reported_optimal(monkeypatch):
-    prog = _fig9_round_programs(monkeypatch, "mr", 4.0)[0]
+    first, second = _fig9_round_programs(monkeypatch, "mr", 4.0)[:2]
+    prev = solve_gp(first, 1e-9).x
     monkeypatch.setattr(gp, "NEWTON_CAP", 2)
-    res = solve_gp(prog, 1e-9)
+    # the previous optimum is strictly feasible here, so the main path is cut
+    res = solve_gp(second, 1e-9, start=prev)
     assert res.status == "max_iter" and res.iterations == 2
+    assert res.phase1_iterations == 0
     assert res.kkt_residual > 10.0 * 1e-9
+    # from the box midpoint, phase 1 is cut before it finds a feasible point
+    res = solve_gp(first, 1e-9)
+    assert res.status == "max_iter" and res.phase1_iterations == 2
+    assert res.iterations == 0
+    assert np.all(np.isnan(res.x)) and math.isnan(res.value)
 
 
 def test_warm_start_still_certifies_infeasibility():

@@ -15,7 +15,7 @@ from fdrelay import (
     sinr_coefficients,
     snapshot_profile,
 )
-from fdrelay import powalloc
+from fdrelay import gp, powalloc
 
 CFG10 = SystemConfig(K=10, Nrx=100, Ntx=100, T=200, tau=20, Pp=10.0, sigma_li_sq=1.0)
 PROF10 = snapshot_profile(CFG10.tau, CFG10.Pp)
@@ -129,6 +129,34 @@ def test_uncertified_gp_round_is_not_reported_optimal(monkeypatch):
     assert alloc.converged
     assert alloc.status == "max_iterations"
     assert np.all(np.isfinite(alloc.p_s)) and math.isfinite(alloc.p_r)
+
+
+def test_gp_round_without_a_feasible_point_stops_the_allocation(monkeypatch):
+    # a GP whose phase 1 is cut off by the step cap ("max_iter", NaN x) ends
+    # the rounds as an infeasible one does: no NaN power is taken from it
+    real = powalloc.solve_gp
+    calls = []
+
+    def cut_after_first(prog, *args, **kwargs):
+        calls.append(prog)
+        if len(calls) == 1:
+            return real(prog, *args, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(gp, "NEWTON_CAP", 0)
+            result = real(prog)  # from the box midpoint, which is infeasible
+        assert result.status == "max_iter" and math.isnan(result.value)
+        return result
+
+    monkeypatch.setattr(powalloc, "solve_gp", cut_after_first)
+    alloc = optimize_powers(CFG10, PROF10, "zf", 6.0)
+    # the cut ends the warm-up, then the first measured round
+    assert len(calls) == 3 and alloc.status == "max_iterations"
+    assert np.all(np.isfinite(alloc.p_s)) and math.isfinite(alloc.p_r)
+    # the first round cut off: no round found a feasible point
+    monkeypatch.setattr(powalloc, "solve_gp", real)
+    monkeypatch.setattr(gp, "NEWTON_CAP", 0)
+    alloc = optimize_powers(CFG10, PROF10, "zf", 6.0)
+    assert alloc.status == "infeasible" and np.all(np.isnan(alloc.p_s))
 
 
 def test_infeasible_target_reports_cleanly():
