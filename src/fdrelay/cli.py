@@ -13,6 +13,8 @@ execution order or chunking.
 
 Overrides (--set key=value) use flat lower-case keys mirroring the config
 fields; keys with a _db suffix are converted to linear scale at parse time.
+A preset refuses an override of a field it sweeps and an extra key it does
+not read, and a failed run writes no file.
 """
 from __future__ import annotations
 
@@ -38,16 +40,16 @@ PRESET_TRIALS = {
     "fig8": 1000, "fig9": 1, "custom": 1,
 }
 
-_CONFIG_KEYS = {
-    "k": "K", "nrx": "Nrx", "ntx": "Ntx", "t": "T", "tau": "tau",
-    "pp": "Pp", "ps": "Ps", "pr": "Pr", "sigma_li_sq": "sigma_li_sq",
+# the config fields each override key sets; keys ending in _db are in dB
+_KEY_FIELDS = {
+    "k": ("K",), "nrx": ("Nrx",), "ntx": ("Ntx",), "n_ant": ("Nrx", "Ntx"),
+    "t": ("T",), "tau": ("tau",), "pp": ("Pp",), "ps": ("Ps",), "pr": ("Pr",),
+    "sigma_li_sq": ("sigma_li_sq",), "pp_db": ("Pp",), "ps_db": ("Ps",),
+    "pr_db": ("Pr",), "sigma_li_db": ("sigma_li_sq",),
 }
 _INTEGER_KEYS = {"k", "nrx", "ntx", "t", "tau", "n_ant"}
-_DB_KEYS = {"pp_db": "Pp", "ps_db": "Ps", "pr_db": "Pr",
-            "sigma_li_db": "sigma_li_sq"}
-_EXTRA_KEYS = ("target_rate", "pp_fixed_db", "p0_db", "p1_db", "sweep",
-               "disk_diameter", "shadow_sigma_db", "path_exponent",
-               "ref_distance")
+_GEOMETRY = {"disk_diameter": 1000.0, "shadow_sigma_db": 8.0,
+             "path_exponent": 3.8, "ref_distance": 200.0}
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,8 @@ def _db(x: float) -> float:
 def _value(key: str, raw) -> float | int:
     """An override value; integer keys take integral spellings only (64, 64.0)."""
     x = float(raw)
+    if key.endswith("_db"):
+        return _db(x)
     if key not in _INTEGER_KEYS:
         return x
     if not x.is_integer():
@@ -74,21 +78,21 @@ def _value(key: str, raw) -> float | int:
 
 
 def _apply_overrides(cfg: SystemConfig, overrides: dict) -> SystemConfig:
+    """cfg with the config keys of overrides set (run_spec vets every key)."""
     fields = {}
     for key, raw in overrides.items():
-        if key in _CONFIG_KEYS:
-            fields[_CONFIG_KEYS[key]] = _value(key, raw)
-        elif key in _DB_KEYS:
-            fields[_DB_KEYS[key]] = _db(float(raw))
-        elif key == "n_ant":
-            fields["Nrx"] = fields["Ntx"] = _value(key, raw)
-        elif key not in _EXTRA_KEYS:
-            raise ValueError(f"unknown override key {key!r}")
+        for name in _KEY_FIELDS.get(key, ()):
+            fields[name] = _value(key, raw)
     return replace(cfg, **fields) if fields else cfg
 
 
-def _extra(overrides: dict, key: str, default: float) -> float:
-    return float(overrides[key]) if key in overrides else default
+def _reject_swept(spec: RunSpec, keys) -> None:
+    """Refuse an override of a config field that the sweep sets per row."""
+    swept = {name for key in keys for name in _KEY_FIELDS[key]}
+    for key in spec.overrides:
+        if swept.intersection(_KEY_FIELDS.get(key, ())):
+            raise ValueError(f"{spec.preset} sweeps {'/'.join(sorted(swept))}; "
+                             f"override {key!r} is not allowed")
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -116,18 +120,26 @@ def _se_columns(cfg: SystemConfig, profile) -> list:
     return out
 
 
-# fields _mc_sweep sets per row: the array size, Ps (the SNR) and Pr = K Ps
-_MC_SWEPT_KEYS = ("n_ant", "nrx", "ntx", "ps", "ps_db", "pr", "pr_db")
+def _flat_se(cfg: SystemConfig) -> list:
+    return _se_columns(cfg, _flat_profile(cfg))
+
+
+def _sweep(spec: RunSpec, base: SystemConfig, field: str, values, header,
+           columns) -> tuple:
+    """One row per value of the config key field: the overrides apply to
+    base, then the row's value, after refusing any override of its fields."""
+    _reject_swept(spec, (field,))
+    base = _apply_overrides(base, spec.overrides)
+    rows = [[v] + columns(_apply_overrides(base, {field: v})) for v in values]
+    return [field] + header, rows
 
 
 def _mc_sweep(spec: RunSpec, sizes, schemes, genie: bool) -> tuple:
     """Closed-form and simulated sum rates over SNR: one simulate call per
     (size, scheme) on seed stream (seed, size index, scheme index), so
-    presets that share a size and a scheme share its cells."""
-    for key in _MC_SWEPT_KEYS:
-        if key in spec.overrides:
-            raise ValueError(f"{spec.preset} sweeps the array size and SNR "
-                             f"(Pr = K Ps); override {key!r} is not allowed")
+    presets that share a size and a scheme share its cells. Each row sets
+    the array size, Ps (the SNR) and Pr = K Ps."""
+    _reject_swept(spec, ("n_ant", "ps", "pr"))
     header = ["snr_db", "n_ant"]
     for s in schemes:
         header += [f"sum_rate_{s}_closed", f"sum_rate_{s}_mc", f"sum_rate_{s}_mc_stderr"]
@@ -167,47 +179,34 @@ def _run_fig3(spec: RunSpec):
 
 
 def _run_fig4(spec: RunSpec):
-    target = _extra(spec.overrides, "target_rate", 1.0)
-    pp_fixed = _db(_extra(spec.overrides, "pp_fixed_db", 10.0))
-    header = ["n_ant"]
-    for s in ("zf", "mr"):
-        header += [f"ps_req_db_{s}_fixed_pp", f"ps_req_db_{s}_pp_tracks"]
-    rows = []
-    for n_ant in (64, 128, 256, 512):
-        cfg = _apply_overrides(_base_cfg(
-            n_ant, Pp=pp_fixed, Ps=1.0, Pr=10.0, sigma_li_sq=1.0),
-            spec.overrides)
+    target = float(spec.overrides.get("target_rate", 1.0))
+    pp_fixed = _db(float(spec.overrides.get("pp_fixed_db", 10.0)))
+    header = [f"ps_req_db_{s}_{pp}" for s in ("zf", "mr")
+              for pp in ("fixed_pp", "pp_tracks")]
+
+    def columns(cfg):
         profile = _flat_profile(cfg)
-        row = [n_ant]
-        for scheme in ("zf", "mr"):
-            for tracks in (False, True):
-                ps = required_power(target, scheme, cfg, profile,
-                                    pilot_tracks_data=tracks)
-                row.append(10.0 * math.log10(ps))
-        rows.append(row)
-    return {"fig4.csv": (header, rows)}
+        return [10.0 * math.log10(required_power(target, scheme, cfg, profile,
+                                                 pilot_tracks_data=tracks))
+                for scheme in ("zf", "mr") for tracks in (False, True)]
+
+    base = _base_cfg(Pp=pp_fixed, Ps=1.0, Pr=10.0, sigma_li_sq=1.0)
+    return {"fig4.csv": _sweep(spec, base, "n_ant", (64, 128, 256, 512),
+                               header, columns)}
 
 
 def _run_fig6(spec: RunSpec):
-    header = ["sigma_li_db"] + _SE_HEADER
-    rows = []
     p = _db(10.0)
-    for li_db in range(-10, 22, 2):
-        cfg = _apply_overrides(_base_cfg(
-            100, Pp=p, Ps=p, Pr=p, sigma_li_sq=_db(li_db)), spec.overrides)
-        rows.append([li_db] + _se_columns(cfg, _flat_profile(cfg)))
-    return {"fig6.csv": (header, rows)}
+    base = _base_cfg(Pp=p, Ps=p, Pr=p)
+    return {"fig6.csv": _sweep(spec, base, "sigma_li_db", range(-10, 22, 2),
+                               _SE_HEADER, _flat_se)}
 
 
 def _run_fig7(spec: RunSpec):
-    header = ["n_ant"] + _SE_HEADER
-    rows = []
     p = _db(10.0)
-    for n_ant in (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512):
-        cfg = _apply_overrides(_base_cfg(
-            n_ant, Pp=p, Ps=p, Pr=p, sigma_li_sq=_db(10.0)), spec.overrides)
-        rows.append([n_ant] + _se_columns(cfg, _flat_profile(cfg)))
-    return {"fig7.csv": (header, rows)}
+    base = _base_cfg(Pp=p, Ps=p, Pr=p, sigma_li_sq=_db(10.0))
+    sizes = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
+    return {"fig7.csv": _sweep(spec, base, "n_ant", sizes, _SE_HEADER, _flat_se)}
 
 
 def _run_fig8(spec: RunSpec):
@@ -215,11 +214,8 @@ def _run_fig8(spec: RunSpec):
     p = _db(10.0)
     cfg = _apply_overrides(_base_cfg(
         200, Pp=p, Ps=p, Pr=p, sigma_li_sq=_db(10.0)), spec.overrides)
-    geometry = DropGeometry(
-        disk_diameter=_extra(spec.overrides, "disk_diameter", 1000.0),
-        shadow_sigma_db=_extra(spec.overrides, "shadow_sigma_db", 8.0),
-        path_exponent=_extra(spec.overrides, "path_exponent", 3.8),
-        ref_distance=_extra(spec.overrides, "ref_distance", 200.0))
+    geometry = DropGeometry(**{key: float(spec.overrides.get(key, default))
+                               for key, default in _GEOMETRY.items()})
     rows = []
     for drop in range(spec.trials):
         profile = draw_urban_profile(geometry, cfg.K, cfg.tau, cfg.Pp,
@@ -229,8 +225,8 @@ def _run_fig8(spec: RunSpec):
 
 
 def _run_fig9(spec: RunSpec):
-    p0 = _db(_extra(spec.overrides, "p0_db", 10.0))
-    p1 = _db(_extra(spec.overrides, "p1_db", 20.0))
+    p0 = _db(float(spec.overrides.get("p0_db", 10.0)))
+    p1 = _db(float(spec.overrides.get("p1_db", 20.0)))
     cfg = _apply_overrides(_base_cfg(
         200, Pp=_db(10.0), Ps=p0, Pr=p1, sigma_li_sq=_db(10.0)),
         spec.overrides)
@@ -282,37 +278,32 @@ def _run_custom(spec: RunSpec):
         values = np.logspace(start, stop, points, base=2.0)
     else:
         raise ValueError(f"unknown sweep scale {scale!r}")
-    valid = set(_CONFIG_KEYS) | set(_DB_KEYS) | {"n_ant"}
-    if field not in valid:
+    if field not in _KEY_FIELDS:
         raise ValueError(f"sweep field {field!r} is not a config field")
-    header = [field] + _SE_HEADER
-    base = _apply_overrides(_base_cfg(100, Pp=10.0, Ps=10.0, Pr=10.0,
-                                      sigma_li_sq=1.0), spec.overrides)
-    rows = []
-    for v in values:
-        # integer fields take the floor of each grid point, in the table too
-        point = math.floor(v) if field in _INTEGER_KEYS else float(v)
-        cfg = _apply_overrides(base, {field: point})
-        rows.append([point] + _se_columns(cfg, _flat_profile(cfg)))
-    return {"custom.csv": (header, rows)}
+    # integer fields take the floor of each grid point, in the table too
+    points = [math.floor(v) if field in _INTEGER_KEYS else float(v) for v in values]
+    base = _base_cfg(Pp=10.0, Ps=10.0, Pr=10.0, sigma_li_sq=1.0)
+    return {"custom.csv": _sweep(spec, base, field, points, _SE_HEADER, _flat_se)}
 
 
+# per preset: runner, description, and the extra (non-config) keys it reads
 _PRESETS = {
-    "fig2": (_run_fig2, "rate bound and genie sum rates vs SNR (Monte Carlo)"),
-    "fig3": (_run_fig3, "ZF closed form vs Monte Carlo sum rate (tightness)"),
-    "fig4": (_run_fig4, "source power required for 1 bit/use per pair vs array size"),
-    "fig6": (_run_fig6, "FD/HD/hybrid sum SE vs loop interference level"),
-    "fig7": (_run_fig7, "FD/HD/hybrid sum SE vs number of antennas"),
-    "fig8": (_run_fig8, "sum SE distribution over random urban drops"),
-    "fig9": (_run_fig9, "energy efficiency vs target sum SE under power allocation"),
-    "custom": (_run_custom, "closed-form SE along a user-chosen config sweep"),
+    "fig2": (_run_fig2, "rate bound and genie sum rates vs SNR (Monte Carlo)", ()),
+    "fig3": (_run_fig3, "ZF closed form vs Monte Carlo sum rate (tightness)", ()),
+    "fig4": (_run_fig4, "source power required for 1 bit/use per pair vs array size",
+             ("target_rate", "pp_fixed_db")),
+    "fig6": (_run_fig6, "FD/HD/hybrid sum SE vs loop interference level", ()),
+    "fig7": (_run_fig7, "FD/HD/hybrid sum SE vs number of antennas", ()),
+    "fig8": (_run_fig8, "sum SE distribution over random urban drops", tuple(_GEOMETRY)),
+    "fig9": (_run_fig9, "energy efficiency vs target sum SE under power allocation",
+             ("p0_db", "p1_db")),
+    "custom": (_run_custom, "closed-form SE along a user-chosen config sweep", ("sweep",)),
 }
+_EXTRA_KEYS = {key for _, _, extras in _PRESETS.values() for key in extras}
 
 
 def _cell(v):
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (bool, np.bool_, int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         f = float(v)
@@ -322,22 +313,39 @@ def _cell(v):
     return str(v)
 
 
+def _cells(name: str, header, rows) -> list:
+    """The table as CSV cells, header first; names the first bad cell."""
+    out = [header]
+    for i, row in enumerate(rows, 1):
+        cells = []
+        for column, v in zip(header, row):
+            try:
+                cells.append(_cell(v))
+            except ValueError as exc:
+                raise ValueError(f"{exc}: {name} row {i}, column {column}") from None
+        out.append(cells)
+    return out
+
+
 def run_spec(spec: RunSpec) -> list:
-    """Execute the preset and write its CSVs and manifest; returns paths."""
+    """Execute the preset and write its CSVs and manifest; returns paths.
+    A run that fails writes no file."""
     if spec.preset not in _PRESETS:
         raise ValueError(f"unknown preset {spec.preset!r}")
     if spec.trials < 1:
         raise ValueError("trials must be >= 1")
-    tables = _PRESETS[spec.preset][0](spec)
+    run, _, extras = _PRESETS[spec.preset]
+    for key in spec.overrides:
+        if key not in _KEY_FIELDS and key not in extras:
+            raise ValueError(f"{spec.preset} does not read override {key!r}"
+                             if key in _EXTRA_KEYS else f"unknown override key {key!r}")
+    tables = {name: _cells(name, *table) for name, table in sorted(run(spec).items())}
     os.makedirs(spec.out_dir, exist_ok=True)
     written = []
-    for name, (header, rows) in sorted(tables.items()):
+    for name, cells in tables.items():
         path = os.path.join(spec.out_dir, name)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_cell(v) for v in row])
+            csv.writer(fh, lineterminator="\n").writerows(cells)
         written.append(path)
     manifest = {
         "preset": spec.preset,

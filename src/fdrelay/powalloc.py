@@ -13,7 +13,9 @@ successive approximation replaces each factor with the monomial
 kappa_k gamma_k^eta_k fitted at the current center (eta = gamma/(1+gamma),
 kappa = gamma^-eta (1+gamma), exact in value and slope at the center), solves
 the resulting GP inside a trust region gamma in [center/alpha, alpha*center],
-recenters, and repeats until the SINRs settle.
+recenters, and repeats until the SINRs settle. The objective, the 2K SINR
+inequalities and the power box are built once per allocation; a round adds
+only the fitted equality and the trust region.
 
 The first center lies on the equality manifold: the uniform-peak SINR vector
 is scaled by the s > 0 that makes sum_k log2(1 + s * gamma_peak,k) hit the
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,8 +38,11 @@ from .rates import SinrCoefficients, sinr_coefficients, sum_se
 
 GAMMA_FLOOR = 1e-9
 POWER_FLOOR_SCALE = 1e-12
-WARMUP_TRUST = 4.0
-WARMUP_ROUNDS = 25
+EPS = 0.01  # largest SINR step of a converged measured round
+# the rounds run in stages of (trust alpha, most rounds, SINR step that ends
+# the stage): a wide warm-up, then the measured rounds
+WARMUP = (4.0, 25, 0.5 * EPS)
+MEASURED = (1.1, 5, EPS)
 
 
 def energy_efficiency(sum_se: float, p_s, p_r: float, T: int, tau: int) -> float:
@@ -77,12 +82,11 @@ class PowerAllocation:
     total_power_trace: tuple
 
 
-def _init_gamma(coeffs: SinrCoefficients, s0: float, p0: float, p1: float,
-                T: int, tau: int) -> np.ndarray:
-    """Uniform-peak SINRs scaled onto the SE-target manifold."""
+def _init_gamma(coeffs: SinrCoefficients, target: float, p0: float,
+                p1: float) -> np.ndarray:
+    """Uniform-peak SINRs scaled so that sum log2(1 + gamma) = target."""
     sr, rd = coeffs.sinrs(np.full(coeffs.K, p0), p1)
     gamma_peak = np.minimum(sr, rd)
-    target = T * s0 / (T - tau)  # sum of log2(1 + gamma) to hit
 
     def excess(s: float) -> float:
         return float(np.sum(np.log2(1.0 + s * gamma_peak))) - target
@@ -103,17 +107,15 @@ def _init_gamma(coeffs: SinrCoefficients, s0: float, p0: float, p1: float,
     return np.maximum(0.5 * (lo + hi) * gamma_peak, GAMMA_FLOOR)
 
 
-def _round_gp(coeffs: SinrCoefficients, center: np.ndarray, s0: float,
-              p0: float, p1: float, T: int, tau: int,
-              trust: float) -> GeometricProgram:
-    """One Algorithm round: variables (p_1..p_K, p_r, gamma_1..gamma_K)."""
+def _sinr_program(coeffs: SinrCoefficients, p0: float,
+                  p1: float) -> GeometricProgram:
+    """The rounds' common GP over (p_1..p_K, p_r, gamma_1..gamma_K): total
+    power, the 2K SINR inequalities and the power box; gamma is only
+    floored, each round sets its box and the SE equality."""
     k = coeffs.K
     n = 2 * k + 1
     pr_ix = k
     g_ix = k + 1
-
-    eta = center / (1.0 + center)
-    kappa = center ** (-eta) * (1.0 + center)
 
     objective = Posynomial(np.ones(k + 1), np.eye(n)[: k + 1])
 
@@ -135,46 +137,52 @@ def _round_gp(coeffs: SinrCoefficients, center: np.ndarray, s0: float,
     ineqs = [Posynomial(co, rows) for co, rows in zip(sr_co, sr_rows)]
     ineqs += [Posynomial(co, rows) for co, rows in zip(rd_co, rd_rows)]
 
-    # log2 target folded into the monomial coefficient
-    rhs = 2.0 ** (T * s0 / (T - tau))
-    eq_row = np.zeros(n)
-    eq_row[g_ix:] = eta
-    equality = Posynomial(np.array([float(np.prod(kappa)) / rhs]), eq_row[None, :])
-
-    lower = np.concatenate([
-        np.full(k, POWER_FLOOR_SCALE * p0), [POWER_FLOOR_SCALE * p1],
-        np.maximum(center / trust, GAMMA_FLOOR),
-    ])
-    upper = np.concatenate([np.full(k, p0), [p1], trust * center])
+    lower = np.concatenate([np.full(k, POWER_FLOOR_SCALE * p0),
+                            [POWER_FLOOR_SCALE * p1], np.full(k, GAMMA_FLOOR)])
+    upper = np.concatenate([np.full(k, p0), [p1], np.full(k, np.inf)])
     return GeometricProgram(objective=objective, inequalities=tuple(ineqs),
-                            equalities=(equality,), lower=lower, upper=upper)
+                            equalities=(), lower=lower, upper=upper)
+
+
+def _round_gp(base: GeometricProgram, center: np.ndarray, trust: float,
+              target: float) -> GeometricProgram:
+    """One Algorithm round: base plus the SE fit at center and its trust box."""
+    k = center.size
+    eta = center / (1.0 + center)
+    kappa = center ** (-eta) * (1.0 + center)
+    # log2 target folded into the monomial coefficient
+    eq_row = np.concatenate([np.zeros(k + 1), eta])
+    equality = Posynomial(np.array([float(np.prod(kappa)) / 2.0 ** target]),
+                          eq_row[None, :])
+    return replace(
+        base, equalities=(equality,),
+        lower=np.concatenate([base.lower[:k + 1],
+                              np.maximum(center / trust, GAMMA_FLOOR)]),
+        upper=np.concatenate([base.upper[:k + 1], trust * center]))
 
 
 def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
-                    s0: float, p0: float = 10.0, p1: float = 100.0,
-                    eps: float = 0.01, max_rounds: int = 5,
-                    trust: float = 1.1) -> PowerAllocation:
+                    s0: float, p0: float = 10.0, p1: float = 100.0) -> PowerAllocation:
     """Successive GP rounds for the minimum-power allocation at sum SE s0.
 
-    Defaults eps=0.01, max_rounds=5, trust=1.1. The trust region only
-    allows a factor-trust move per round, so the iteration is first warmed
-    up by coarse passes of the same GP map with a wide trust region; the
-    measured rounds then start near the fixed point and converge within
-    the small default budget. Every round after the first feasible one,
-    warm-up or measured, starts its GP solve from the previous round's
-    optimum (p_s, p_r, gamma) instead of the box midpoint; the answer is
-    the same to the GP tolerance. Returns converged=True when the SINR
-    iterates moved less than eps in the final round, and status "optimal"
-    only when that round's GP was also certified optimal; status
-    "infeasible" means no round found a feasible point (for an infeasible
-    target, a warning cites the uniform-peak feasibility hint). Raises
-    ValueError when a SINR coefficient is not positive and finite
-    (sigma_li_sq = 0 gives c = 0, say), since no GP round could hold it.
+    The trust region only allows a factor-alpha move per round, so the
+    rounds run in two stages of one loop: WARMUP (alpha 4, at most 25
+    rounds, until the largest SINR step is below EPS/2) walks the center
+    towards the fixed point, then MEASURED (alpha 1.1, at most 5 rounds)
+    converges when a step is below EPS = 0.01. A round without a feasible
+    point ends its stage. The first round is solved cold; every later one
+    starts its GP solve from the last feasible round's optimum (p_s, p_r,
+    gamma) instead of the box midpoint, with the same answer to the GP
+    tolerance. iterations, converged and total_power_trace describe the
+    measured rounds alone. Status "optimal" means converged with the last
+    round's GP certified optimal; "infeasible" means no round found a
+    feasible point (for an infeasible target, a warning cites the
+    uniform-peak feasibility hint). Raises ValueError when a SINR
+    coefficient is not positive and finite (sigma_li_sq = 0 gives c = 0,
+    say), since no GP round could hold it.
     """
     if s0 <= 0:
         raise ValueError("target sum SE must be positive")
-    if eps <= 0 or max_rounds < 1 or trust <= 1.0:
-        raise ValueError("need eps > 0, max_rounds >= 1, trust > 1")
     if p0 <= 0 or p1 <= 0:
         raise ValueError("peak powers must be positive")
     coeffs = sinr_coefficients(cfg, profile, scheme)
@@ -188,48 +196,31 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
             f"SE target {s0:.4g} exceeds the feasibility hint {hint:.4g}; "
             "expecting an infeasible first round", stacklevel=2)
 
-    center = _init_gamma(coeffs, s0, p0, p1, cfg.T, cfg.tau)
-    nan_k = np.full(coeffs.K, np.nan)
-    p_s = nan_k
-    p_r = math.nan
-    gamma = center
+    k = coeffs.K
+    target = cfg.T * s0 / (cfg.T - cfg.tau)  # sum of log2(1 + gamma) to hit
+    base = _sinr_program(coeffs, p0, p1)
+    center = _init_gamma(coeffs, target, p0, p1)
     start = None  # the last feasible round's optimum (p_s, p_r, gamma)
-    for _ in range(WARMUP_ROUNDS):
-        result = solve_gp(_round_gp(coeffs, center, s0, p0, p1,
-                                    cfg.T, cfg.tau, WARMUP_TRUST), start=start)
-        if math.isnan(result.value):  # no feasible point: infeasible or cut short
-            if start is None:
-                return PowerAllocation(
-                    p_s=nan_k, p_r=math.nan, achieved_se=0.0, ee=0.0,
-                    iterations=1, converged=False, status="infeasible",
-                    gamma=nan_k, total_power_trace=())
-            break
-        p_s = result.x[:coeffs.K]
-        p_r = float(result.x[coeffs.K])
-        gamma = result.x[coeffs.K + 1:]
-        start = result.x
-        step = float(np.max(np.abs(gamma - center)))
-        center = gamma
-        if step < 0.5 * eps:
-            break
-
-    trace: list[float] = []
-    converged = False
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
-        result = solve_gp(_round_gp(coeffs, center, s0, p0, p1,
-                                    cfg.T, cfg.tau, trust), start=start)
-        if math.isnan(result.value):
-            break  # keep the last feasible iterate
-        p_s = result.x[:coeffs.K]
-        p_r = float(result.x[coeffs.K])
-        gamma = result.x[coeffs.K + 1:]
-        trace.append(float(np.sum(p_s)) + p_r)
-        if float(np.max(np.abs(gamma - center))) < eps:
-            converged = True
-            break
-        center = gamma
-        start = result.x
+    for trust, max_rounds, tol in (WARMUP, MEASURED):
+        trace, converged = [], False
+        for rounds in range(1, max_rounds + 1):
+            result = solve_gp(_round_gp(base, center, trust, target), start=start)
+            if math.isnan(result.value):  # no feasible point: infeasible or cut short
+                break
+            start = result.x
+            trace.append(float(np.sum(start[:k])) + float(start[k]))
+            step = float(np.max(np.abs(start[k + 1:] - center)))
+            center = start[k + 1:]
+            if step < tol:
+                converged = True
+                break
+        if start is None:
+            nan_k = np.full(k, np.nan)
+            return PowerAllocation(
+                p_s=nan_k, p_r=math.nan, achieved_se=0.0, ee=0.0,
+                iterations=1, converged=False, status="infeasible",
+                gamma=nan_k, total_power_trace=())
+    p_s, p_r, gamma = start[:k], float(start[k]), start[k + 1:]
     achieved = _sum_se_at(coeffs, p_s, p_r, cfg.T, cfg.tau)
     return PowerAllocation(
         p_s=p_s, p_r=p_r, achieved_se=achieved,

@@ -93,16 +93,55 @@ def test_fig2_and_fig3_share_one_sweep(tmp_path, monkeypatch):
     assert [r[1] for r in rows3[10:]] == ["200"] * 5
 
 
-@pytest.mark.parametrize("preset, item", [("fig3", "n_ant=64"), ("fig2", "pr_db=5")])
+@pytest.mark.parametrize("preset, item", [
+    ("fig3", "n_ant=64"), ("fig2", "pr_db=5"), ("fig4", "nrx=64"),
+    ("fig6", "sigma_li_db=0"), ("fig7", "n_ant=64"), ("custom", "nrx=50"),
+])
 def test_mc_sweeps_reject_overrides_of_swept_fields(tmp_path, capsys, preset, item):
-    # fig2/fig3 set the array size, Ps and Pr = K Ps per row, so an override
+    # fig2/fig3 set the array size, Ps and Pr = K Ps per row, fig4/fig7 the
+    # array size, fig6 the loop level and custom its field, so an override
     # of one would mislabel the rows or vanish
-    assert main(["run", "--preset", preset, "--trials", "20", "--set", item,
-                 "--out", str(tmp_path)]) == 2
+    argv = ["run", "--preset", preset, "--trials", "20", "--set", item,
+            "--out", str(tmp_path)]
+    if preset == "custom":
+        argv += ["--set", "sweep=nrx:40:60:3"]
+    assert main(argv) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["type"] == "ValueError"
     assert repr(item.split("=")[0]) in payload["error"]
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("preset, item", [
+    ("fig6", "target_rate=3"), ("fig6", "p0_db=40"), ("fig4", "p1_db=20"),
+    ("fig9", "sweep=ps:1:2:2"), ("fig2", "disk_diameter=500"),
+])
+def test_presets_reject_extra_keys_they_do_not_read(tmp_path, capsys, preset, item):
+    # an extra a preset never reads would change nothing but its manifest
+    assert main(["run", "--preset", preset, "--set", item,
+                 "--out", str(tmp_path)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": f"{preset} does not read override "
+                                f"{item.split('=')[0]!r}", "type": "ValueError"}
+    assert not tmp_path.exists() or not list(tmp_path.iterdir())
+
+
+def test_failed_run_writes_no_file(tmp_path, capsys):
+    # 8 bit/use per pair is out of reach, so every required power is inf:
+    # the run exits 2 naming the first bad cell, and writes nothing, not
+    # even over an older table in the same directory
+    fresh, older = tmp_path / "fresh", tmp_path / "older"
+    argv = ["run", "--preset", "fig4", "--set", "target_rate=8"]
+    assert main(argv + ["--out", str(fresh)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == ("non-finite value in results table: fig4.csv "
+                                "row 1, column ps_req_db_zf_fixed_pp")
+    assert not (fresh / "fig4.csv").exists()
+    assert not (fresh / "fig4.manifest.json").exists()
+    assert main(["run", "--preset", "fig4", "--out", str(older)]) == 0
+    before = {f.name: f.read_bytes() for f in older.iterdir()}
+    assert main(argv + ["--out", str(older)]) == 2
+    assert {f.name: f.read_bytes() for f in older.iterdir()} == before
 
 
 def test_custom_sweep_log2_scale(tmp_path):

@@ -33,7 +33,7 @@ def test_sinr_coefficients_validation():
     ones = np.ones(3)
     coeffs = SinrCoefficients(a=-ones, b=ones, c=ones, d=ones, e=ones, scheme="zf")
     with pytest.raises(ValueError, match="positive and finite"):
-        powalloc._round_gp(coeffs, ones, 1.0, 10.0, 100.0, 200, 20, 1.1)
+        powalloc._sinr_program(coeffs, 10.0, 100.0)
 
 
 def test_energy_efficiency_formula():
@@ -173,12 +173,6 @@ def test_optimizer_validation():
     with pytest.raises(ValueError):
         optimize_powers(CFG10, PROF10, "zf", 0.0)
     with pytest.raises(ValueError):
-        optimize_powers(CFG10, PROF10, "zf", 1.0, eps=0.0)
-    with pytest.raises(ValueError):
-        optimize_powers(CFG10, PROF10, "zf", 1.0, max_rounds=0)
-    with pytest.raises(ValueError):
-        optimize_powers(CFG10, PROF10, "zf", 1.0, trust=1.0)
-    with pytest.raises(ValueError):
         optimize_powers(CFG10, PROF10, "zf", 1.0, p0=0.0)
 
 
@@ -226,7 +220,8 @@ def test_round_gp_matches_row_by_row_construction(k):
     coeffs = SinrCoefficients(*(rng.uniform(0.1, 5.0, size=k) for _ in range(5)),
                               scheme="zf")
     center = rng.uniform(0.5, 20.0, size=k)
-    prog = powalloc._round_gp(coeffs, center, 3.0, 10.0, 100.0, 200, 20, 1.1)
+    base = powalloc._sinr_program(coeffs, 10.0, 100.0)
+    prog = powalloc._round_gp(base, center, 1.1, 200 * 3.0 / (200 - 20))
     ineqs, (eq_coeff, eq_row), lower, upper = _round_gp_by_loops(
         coeffs, center, 3.0, 10.0, 100.0, 200, 20, 1.1)
     assert len(prog.inequalities) == len(ineqs) == 2 * k
@@ -240,6 +235,26 @@ def test_round_gp_matches_row_by_row_construction(k):
     assert np.array_equal(eq.coeffs, [eq_coeff])
     assert np.array_equal(eq.exponents, eq_row[None, :])
     assert np.array_equal(prog.lower, lower) and np.array_equal(prog.upper, upper)
+
+
+def test_rounds_share_one_sinr_program(monkeypatch):
+    # only the SE-fit equality and the gamma box move from round to round;
+    # the objective and the 2K SINR inequalities are built once
+    progs = []
+    real = powalloc.solve_gp
+
+    def record(prog, *args, **kwargs):
+        progs.append(prog)
+        return real(prog, *args, **kwargs)
+
+    monkeypatch.setattr(powalloc, "solve_gp", record)
+    optimize_powers(CFG10, PROF10, "mr", 4.0)
+    first = progs[0]
+    assert len(progs) > 2 and len(first.inequalities) == 2 * CFG10.K
+    for prog in progs[1:]:
+        assert prog.objective is first.objective
+        assert len(prog.inequalities) == len(first.inequalities)
+        assert all(a is b for a, b in zip(prog.inequalities, first.inequalities))
 
 
 def test_every_round_after_the_first_starts_from_the_previous_optimum(monkeypatch):
