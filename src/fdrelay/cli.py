@@ -13,8 +13,8 @@ execution order or chunking.
 
 Overrides (--set key=value) use flat lower-case keys mirroring the config
 fields; keys with a _db suffix are converted to linear scale at parse time.
-A preset refuses an override of a field it sweeps and an extra key it does
-not read, and a failed run writes no file.
+A preset refuses an override of a field it sets itself and an extra key it
+does not read, and a failed run writes no file.
 """
 from __future__ import annotations
 
@@ -87,11 +87,11 @@ def _apply_overrides(cfg: SystemConfig, overrides: dict) -> SystemConfig:
 
 
 def _reject_swept(spec: RunSpec, keys) -> None:
-    """Refuse an override of a config field that the sweep sets per row."""
+    """Refuse an override of a config field that the preset sets itself."""
     swept = {name for key in keys for name in _KEY_FIELDS[key]}
     for key in spec.overrides:
         if swept.intersection(_KEY_FIELDS.get(key, ())):
-            raise ValueError(f"{spec.preset} sweeps {'/'.join(sorted(swept))}; "
+            raise ValueError(f"{spec.preset} sets {'/'.join(sorted(swept))} itself; "
                              f"override {key!r} is not allowed")
 
 
@@ -179,6 +179,8 @@ def _run_fig3(spec: RunSpec):
 
 
 def _run_fig4(spec: RunSpec):
+    # required_power sets Ps, and Pr = K Ps, at every bisection step
+    _reject_swept(spec, ("ps", "pr"))
     target = float(spec.overrides.get("target_rate", 1.0))
     pp_fixed = _db(float(spec.overrides.get("pp_fixed_db", 10.0)))
     header = [f"ps_req_db_{s}_{pp}" for s in ("zf", "mr")
@@ -225,6 +227,8 @@ def _run_fig8(spec: RunSpec):
 
 
 def _run_fig9(spec: RunSpec):
+    # the allocator chooses the powers under the peaks p0_db and p1_db
+    _reject_swept(spec, ("ps", "pr"))
     p0 = _db(float(spec.overrides.get("p0_db", 10.0)))
     p1 = _db(float(spec.overrides.get("p1_db", 20.0)))
     cfg = _apply_overrides(_base_cfg(

@@ -30,6 +30,7 @@ exactly:
     w_k^T G_RR a_j  = [sigma_li U_w Z_l U_a^T]_kj
     ||w_k||^2       = sum_j |U_w[k, j]|^2
     g_k^T a_j       = [(F_rd^* + D_rd Z_r) U_a^T]_kj
+    ||a_k||^2       = sum_j |U_a[k, j]|^2
 
 In matrix-normal terms: given the estimates, W^T E_sr ~ MN(0, W^T W^*, D_sr^2),
 E_rd^T A ~ MN(0, D_rd^2, A^T A^*) and W^T G_RR A ~ MN(0, sigma_li^2 W^T W^*,
@@ -45,18 +46,24 @@ one draw serves every point with the same (K, Nrx, Ntx), and
 random numbers. The inverse-Gram moment uses the same factors:
 [(Ghat^H Ghat)^-1]_kk is the squared norm of column k of F^-1.
 
-The convergence probes reuse the same draw. With x and x_fwd the source and
-forwarded symbols (iid CN(0, 1)), the relay noise n ~ CN(0, I_Nrx) and the
-relay transmit vector s = sqrt(er/Ntx) A x_fwd, exactly:
+The convergence probes read the same pass. With x and x_fwd the source
+and forwarded symbols (iid CN(0, 1)), the relay noise n ~ CN(0, I_Nrx) and
+the relay transmit vector s = sqrt(er/Ntx) A x_fwd, they are the residual
+powers |[W^T y]_k / c_k - sqrt(Ps) x_k|^2 (decode; c_k = 1 for ZF, Nrx
+sigma_sr,k^2 for MR), ||G_RR s||^2 / Nrx (loop_power) and
+|g_k^T s - limit_k x_fwd,k|^2 (forward, limit_k the large-array amplitude).
+Their expectations over x, x_fwd, n and, given s, G_RR are closed in the
+per-trial terms above, so each probe is a function of the pooled feature
+means (mp and li the multipair and loop rows, an = ||w_k||^2):
 
-    W^T y          = sqrt(Ps) S x + sqrt(Pr) L x_fwd + U_w z,   z ~ CN(0, I_m)
-    ||G_RR s||^2   = sigma_li^2 ||s||^2 Gamma(Nrx, 1),  ||s||^2 = (er/Ntx) ||U_a^T x_fwd||^2
-    G_RD^T A x_fwd = R x_fwd
+    decode      mean_k Ps E|S_kk/c_k - 1|^2 + (Ps mp_k + Pr li_k + an_k)/c_k^2
+    loop_power  sigma_li^2 (er/Ntx) sum_k E||a_k||^2
+    forward     mean_k (er/Ntx) E(|R_kk|^2 + mp_rd,k)
+                       - 2 sqrt(er/Ntx) limit_k E Re R_kk + limit_k^2
 
-with S, L and R the per-trial [w_k^T g_j], [w_k^T G_RR a_j] and [g_k^T a_j]
-above: z = Q_sr^H n is iid and independent of the rest, given s the entries
-of G_RR s are iid CN(0, sigma_li^2 ||s||^2), and Q_rd has orthonormal
-columns. So a probe trial costs O(K^3) too.
+with S = [w_k^T g_j] and R = [g_k^T a_j]. A conditional mean has the
+expectation of the residual it replaces and no more variance (Rao-Blackwell;
+Casella & Berger, 7.3), and a probe costs what a bound pass costs.
 
 Assembling the bound from the pooled estimates reproduces the closed forms;
 the instantaneous-SINR ("genie") rates quantify what perfect gain knowledge
@@ -87,8 +94,9 @@ from .rates import _check_zf
 # Feature rows of one simulated trial, K columns (pairs) each: first-hop
 # gain real part, imaginary part, |gain|^2, multipair, loop and noise;
 # second-hop gain real part, imaginary part, |gain|^2 and multipair; the
-# genie log2(1 + SINR) of the first and second hop.
-_FEATURES = 12
+# genie log2(1 + SINR) of the first and second hop; the precoder column
+# power ||a_k||^2.
+_FEATURES = 13
 _SR_ROWS = range(0, 6)
 _RD_ROWS = range(6, 10)
 _GENIE_SR, _GENIE_RD = 10, 11
@@ -152,10 +160,11 @@ class GenieResult:
 
 def _chunks(trials: int, per_trial: float):
     """Successive chunk sizes adding up to trials: ~64 MB of complex128 for
-    per_trial entries a trial holds, and at most 4096 trials. A Gram-path
-    trial (bound, genie and probe alike) holds about 16 K x K arrays
-    (factors, their inverses, the three Z draws and the products), an
-    inverse-Gram trial about 4, so no chunk depends on the array size.
+    per_trial entries a trial holds, and at most 4096 trials. A trial of a
+    pass (which the bound, the genie rates and the probes all read) holds
+    about 16 K x K arrays (factors, their inverses, the three Z draws and
+    the products), an inverse-Gram trial about 4, so no chunk depends on
+    the array size.
     """
     chunk = max(1, min(4096, int(64e6 / (16.0 * per_trial))))
     for done in range(0, trials, chunk):
@@ -189,12 +198,12 @@ def _draw(cfg: SystemConfig, n: int, rng: np.random.Generator):
 
 
 def _trial_terms(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str, draw):
-    """One exact draw per trial of (gain_sr, loop, noise, gain_rd), from the Grams.
+    """One exact draw per trial of (gain_sr, loop, noise, gain_rd, power), from the Grams.
 
     gain_sr[t, k, j] = w_k^T g_j, loop[t, k, j] = w_k^T G_RR a_j,
-    noise[t, k] = ||w_k||^2 and gain_rd[t, k, j] = g_k^T a_j, with draw
-    from _draw; the module docstring derives the law and the draw order.
-    The factors U_w and U_a^T follow, for the probes.
+    noise[t, k] = ||w_k||^2, gain_rd[t, k, j] = g_k^T a_j and
+    power[t, k] = ||a_k||^2, with draw from _draw; the module docstring
+    derives the law and the draw order.
     """
     r_sr_h, r_rd_h, z_e, z_l, z_r = draw
     f_sr = np.sqrt(profile.sigma_sr_sq)[:, None] * r_sr_h
@@ -215,7 +224,7 @@ def _trial_terms(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str, dra
     loop = np.sqrt(cfg.sigma_li_sq) * (u_w @ z_l @ u_a_t)
     noise = np.sum(np.abs(u_w) ** 2, axis=2)
     gain_rd = (f_rd.conj() + d_rd[:, None] * z_r) @ u_a_t
-    return gain_sr, loop, noise, gain_rd, u_w, u_a_t
+    return gain_sr, loop, noise, gain_rd, np.sum(np.abs(u_a) ** 2, axis=2)
 
 
 class _Accumulator:
@@ -278,36 +287,37 @@ def _grad(k: int, rows: dict) -> np.ndarray:
 def _features(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
               draw) -> np.ndarray:
     """The (n, _FEATURES, K) feature rows of one point's trials."""
-    gain_sr, loop, an, gain_rd, _, _ = _trial_terms(cfg, profile, scheme, draw)
+    gain_sr, loop, an, gain_rd, power = _trial_terms(cfg, profile, scheme, draw)
     abs2_sr = np.abs(gain_sr) ** 2
     diag_sr = np.diagonal(gain_sr, axis1=1, axis2=2)
-    mp_sr = np.sum(abs2_sr, axis=2) - np.diagonal(abs2_sr, axis1=1, axis2=2)
+    abs2_diag_sr = np.diagonal(abs2_sr, axis1=1, axis2=2)
+    mp_sr = np.sum(abs2_sr, axis=2) - abs2_diag_sr
     li = np.sum(np.abs(loop) ** 2, axis=2)
 
     abs2_rd = np.abs(gain_rd) ** 2
     diag_rd = np.diagonal(gain_rd, axis1=1, axis2=2)
-    mp_rd = np.sum(abs2_rd, axis=2) - np.diagonal(abs2_rd, axis1=1, axis2=2)
+    abs2_diag_rd = np.diagonal(abs2_rd, axis1=1, axis2=2)
+    mp_rd = np.sum(abs2_rd, axis=2) - abs2_diag_rd
 
-    abs2_diag_sr = np.abs(diag_sr) ** 2
-    abs2_diag_rd = np.abs(diag_rd) ** 2
     sinr_sr = cfg.Ps * abs2_diag_sr / (cfg.Ps * mp_sr + cfg.Pr * li + an)
     sinr_rd = cfg.Pr * abs2_diag_rd / (cfg.Pr * mp_rd + 1.0)
     return np.stack([
         diag_sr.real, diag_sr.imag, abs2_diag_sr, mp_sr, li, an,
         diag_rd.real, diag_rd.imag, abs2_diag_rd, mp_rd,
-        np.log2(1.0 + sinr_sr), np.log2(1.0 + sinr_rd),
+        np.log2(1.0 + sinr_sr), np.log2(1.0 + sinr_rd), power,
     ], axis=1)
 
 
-def _simulate(points, scheme: str, trials: int,
-              rng: np.random.Generator) -> list:
-    """One _Accumulator per (cfg, profile) point, every point on the same draws."""
+def _simulate(points, scheme: str, trials: int, rng: np.random.Generator,
+              least: int = 2) -> list:
+    """One _Accumulator per (cfg, profile) point, every point on the same
+    draws; least is the fewest trials the caller takes (2 for a stderr)."""
     if not points:
         raise ValueError("need at least one point")
     cfg = points[0][0]
     if any((c.K, c.Nrx, c.Ntx) != (cfg.K, cfg.Nrx, cfg.Ntx) for c, _ in points):
         raise ValueError("all points must share K, Nrx and Ntx")
-    _check_trials(trials, 2)
+    _check_trials(trials, least)
     accs = [_Accumulator(_FEATURES, cfg.K) for _ in points]
     for n in _chunks(trials, 16 * cfg.K ** 2):
         draw = _draw(cfg, n, rng)
@@ -439,42 +449,6 @@ def wishart_inverse_moment(n_ant: int, variances, trials: int,
     return acc.mean[0], acc.stderr(np.ones((1, k)))[0]
 
 
-def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-trial matrix-vector product of (n, a, b) and (n, b) arrays."""
-    return (m @ v[..., None])[..., 0]
-
-
-def _probe_terms(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
-                 scheme: str, n: int, rng: np.random.Generator,
-                 er: float | None = None) -> np.ndarray:
-    """Per-trial residual power of one probe chunk, averaged over pairs (or antennas).
-
-    The module docstring gives the law, convergence_probe the draw order.
-    """
-    gain_sr, loop, _, gain_rd, u_w, u_a_t = _trial_terms(cfg, profile, scheme,
-                                                         _draw(cfg, n, rng))
-    x = _cn((n, cfg.K), rng)
-    x_fwd = _cn((n, cfg.K), rng)
-    if kind == "decode":
-        z = _cn((n, u_w.shape[2]), rng)
-        r = (np.sqrt(cfg.Ps) * _mv(gain_sr, x) + np.sqrt(cfg.Pr) * _mv(loop, x_fwd)
-             + _mv(u_w, z))
-        if scheme == "mr":
-            r = r / (cfg.Nrx * profile.sigma_sr_sq)
-        resid = r - np.sqrt(cfg.Ps) * x
-    elif kind == "loop_power":  # ||G_RR s||^2 / Nrx
-        s_sq = er / cfg.Ntx * np.sum(np.abs(_mv(u_a_t, x_fwd)) ** 2, axis=1)
-        return cfg.sigma_li_sq * s_sq * rng.standard_gamma(cfg.Nrx, size=n) / cfg.Nrx
-    else:  # "forward"
-        recv = np.sqrt(er / cfg.Ntx) * _mv(gain_rd, x_fwd)
-        if scheme == "zf":
-            limit = np.sqrt(er / np.sum(1.0 / profile.sigma_rd_sq))
-        else:
-            limit = np.sqrt(er * profile.sigma_rd_sq**2 / np.sum(profile.sigma_rd_sq))
-        resid = recv - limit * x_fwd
-    return np.mean(np.abs(resid) ** 2, axis=1)
-
-
 def convergence_probe(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
                       scheme: str, trials: int, rng: np.random.Generator,
                       er: float | None = None) -> float:
@@ -488,17 +462,27 @@ def convergence_probe(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
     deterministic large-array amplitude, again with Pr = er/Ntx.
 
     All three average over pairs (antennas for "loop_power") and trials and
-    return a single float. Each trial is drawn in K x K terms from the law
-    in the module docstring, so the cost does not grow with the arrays. Per
-    chunk the draws are F_sr, F_rd, Z_e, Z_l, Z_r, then x, x_fwd, then z
-    ("decode") or the Gamma(Nrx, 1) variates ("loop_power").
+    return a single float: the closed form of the module docstring in the
+    pooled feature means of one pass, so the cost does not grow with the
+    arrays and the draws are those of mc_rate on the same rng.
     """
     if kind not in ("decode", "loop_power", "forward"):
         raise ValueError(f"unknown probe kind {kind!r}")
     if kind != "decode" and (er is None or er <= 0):
         raise ValueError(f"kind {kind!r} needs er > 0")
-    _check_trials(trials)
-    total = 0.0
-    for n in _chunks(trials, 16 * cfg.K ** 2):
-        total += float(np.sum(_probe_terms(kind, cfg, profile, scheme, n, rng, er)))
-    return total / trials
+    means = _simulate([(cfg, profile)], scheme, trials, rng, least=1)[0].mean
+    re_sr, _, gain2_sr, mp_sr, li, an, re_rd, _, gain2_rd, mp_rd, _, _, power = means
+    if kind == "decode":
+        c = 1.0 if scheme == "zf" else cfg.Nrx * profile.sigma_sr_sq
+        resid = (cfg.Ps * (gain2_sr / c ** 2 - 2.0 * re_sr / c + 1.0)
+                 + (cfg.Ps * mp_sr + cfg.Pr * li + an) / c ** 2)
+    elif kind == "loop_power":
+        return float(cfg.sigma_li_sq * er / cfg.Ntx * np.sum(power))
+    else:  # "forward"
+        if scheme == "zf":
+            limit = np.sqrt(er / np.sum(1.0 / profile.sigma_rd_sq))
+        else:
+            limit = np.sqrt(er * profile.sigma_rd_sq**2 / np.sum(profile.sigma_rd_sq))
+        pr = er / cfg.Ntx
+        resid = pr * (gain2_rd + mp_rd) - 2.0 * np.sqrt(pr) * limit * re_rd + limit ** 2
+    return float(np.mean(resid))

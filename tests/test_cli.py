@@ -96,11 +96,15 @@ def test_fig2_and_fig3_share_one_sweep(tmp_path, monkeypatch):
 @pytest.mark.parametrize("preset, item", [
     ("fig3", "n_ant=64"), ("fig2", "pr_db=5"), ("fig4", "nrx=64"),
     ("fig6", "sigma_li_db=0"), ("fig7", "n_ant=64"), ("custom", "nrx=50"),
+    *[(preset, item) for preset in ("fig4", "fig9")
+      for item in ("ps=2", "ps_db=30", "pr=0.5", "pr_db=0")],
 ])
 def test_mc_sweeps_reject_overrides_of_swept_fields(tmp_path, capsys, preset, item):
     # fig2/fig3 set the array size, Ps and Pr = K Ps per row, fig4/fig7 the
     # array size, fig6 the loop level and custom its field, so an override
-    # of one would mislabel the rows or vanish
+    # of one would mislabel the rows or vanish; fig4 bisects Ps with
+    # Pr = K Ps and fig9's allocator chooses both powers, so a power
+    # override would change nothing but the manifest
     argv = ["run", "--preset", preset, "--trials", "20", "--set", item,
             "--out", str(tmp_path)]
     if preset == "custom":

@@ -328,26 +328,51 @@ def _oracle_probe(kind, cfg, prof, scheme, n, rng, er):
 @pytest.mark.parametrize("scheme,nrx,ntx",
                          [("zf", 8, 6), ("mr", 8, 6), ("mr", 2, 6), ("mr", 8, 2)])
 def test_probe_terms_match_the_n_dimensional_probe(kind, scheme, nrx, ntx):
-    # the weak-pilot profile of the _trial_terms oracle test
+    # the weak-pilot profile of the _trial_terms oracle test; the probe is a
+    # conditional mean of the oracle's residual, so its variance is at most
+    # the oracle's and sqrt(2) se_oracle bounds the stderr of the difference
     cfg = replace(CFG, Nrx=nrx, Ntx=ntx, Pp=0.5, sigma_li_sq=0.7)
     prof = make_profile([0.3, 1.0, 3.0], [2.5, 0.4, 1.2], cfg.tau, cfg.Pp)
     n = 20_000
     rng = np.random.default_rng(43)
-    drawn = montecarlo._probe_terms(kind, cfg, prof, scheme, n, rng, er=10.0)
+    value = convergence_probe(kind, cfg, prof, scheme, n, rng, er=10.0)
     oracle = _oracle_probe(kind, cfg, prof, scheme, n, rng, er=10.0)
-    assert drawn.shape == oracle.shape == (n,)
-    assert _two_sample_z(drawn, oracle) < 4.0
-    assert _two_sample_z(drawn ** 2, oracle ** 2) < 4.0
+    se = np.std(oracle, ddof=1) / np.sqrt(n)
+    assert abs(value - np.mean(oracle)) < 4.0 * np.sqrt(2.0) * se
+
+
+def _closed_probes(cfg, scheme, er, mc):
+    """decode and forward in the pooled bound terms of one mc_rate result."""
+    sr, rd = mc.sr_terms, mc.rd_terms
+    c = 1.0 if scheme == "zf" else cfg.Nrx * PROF.sigma_sr_sq
+    gain2_sr = sr.var_gain + np.abs(sr.mean_gain) ** 2
+    decode = np.mean(cfg.Ps * (gain2_sr / c ** 2 - 2.0 * sr.mean_gain.real / c + 1.0)
+                     + (cfg.Ps * sr.multipair + cfg.Pr * sr.loop + sr.noise) / c ** 2)
+    if scheme == "zf":
+        limit = np.sqrt(er / np.sum(1.0 / PROF.sigma_rd_sq))
+    else:
+        limit = np.sqrt(er * PROF.sigma_rd_sq ** 2 / np.sum(PROF.sigma_rd_sq))
+    pr = er / cfg.Ntx
+    forward = np.mean(pr * (rd.var_gain + np.abs(rd.mean_gain) ** 2 + rd.multipair)
+                      - 2.0 * np.sqrt(pr) * limit * rd.mean_gain.real + limit ** 2)
+    return {"decode": decode, "forward": forward}
 
 
 def test_probe_is_the_mean_of_its_trials():
-    cfg = replace(CFG, Nrx=16, Ntx=12)
-    for kind in ("decode", "loop_power", "forward"):
-        value = convergence_probe(kind, cfg, PROF, "zf", 300,
-                                  np.random.default_rng(44), er=5.0)
-        terms = montecarlo._probe_terms(kind, cfg, PROF, "zf", 300,
-                                        np.random.default_rng(44), er=5.0)
-        assert value == pytest.approx(np.mean(terms), rel=1e-12)
+    # on the same seed, decode and forward are their closed forms in the
+    # bound's pooled terms, and loop_power the mean of the per-trial ||a_k||^2
+    cfg, er, n = replace(CFG, Nrx=16, Ntx=12), 5.0, 300
+    for scheme in ("zf", "mr"):
+        expected = _closed_probes(
+            cfg, scheme, er, mc_rate(cfg, PROF, scheme, n, np.random.default_rng(44)))
+        power = montecarlo._trial_terms(
+            cfg, PROF, scheme, montecarlo._draw(cfg, n, np.random.default_rng(44)))[4]
+        expected["loop_power"] = cfg.sigma_li_sq * er / cfg.Ntx * np.mean(
+            np.sum(power, axis=1))
+        for kind, want in expected.items():
+            value = convergence_probe(kind, cfg, PROF, scheme, n,
+                                      np.random.default_rng(44), er=er)
+            assert value == pytest.approx(want, rel=1e-12), (scheme, kind)
 
 
 def test_monte_carlo_cost_is_flat_in_the_array_size():
