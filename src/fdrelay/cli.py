@@ -26,6 +26,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,11 +35,6 @@ from .model import DropGeometry, SystemConfig, draw_urban_profile, make_profile,
 from .montecarlo import simulate
 from .powalloc import energy_efficiency, optimize_powers
 from .rates import rate_mr, rate_zf, required_power
-
-PRESET_TRIALS = {
-    "fig2": 2000, "fig3": 2000, "fig4": 1, "fig6": 1, "fig7": 1,
-    "fig8": 1000, "fig9": 1, "custom": 1,
-}
 
 # the config fields each override key sets; keys ending in _db are in dB
 _KEY_FIELDS = {
@@ -151,9 +147,8 @@ def _mc_sweep(spec: RunSpec, sizes, schemes, genie: bool) -> tuple:
         points = []
         for snr_db in snrs_db:
             ps = _db(snr_db)
-            cfg = _apply_overrides(_base_cfg(
-                n_ant, Pp=ps, Ps=ps, Pr=10 * ps, sigma_li_sq=1.0),
-                spec.overrides)
+            cfg = _apply_overrides(_base_cfg(n_ant, Pp=ps, Ps=ps, sigma_li_sq=1.0),
+                                   spec.overrides)
             cfg = replace(cfg, Pr=cfg.K * cfg.Ps)
             points.append((cfg, _flat_profile(cfg)))
         block = [[snr_db, n_ant] for snr_db in snrs_db]
@@ -290,20 +285,28 @@ def _run_custom(spec: RunSpec):
     return {"custom.csv": _sweep(spec, base, field, points, _SE_HEADER, _flat_se)}
 
 
-# per preset: runner, description, and the extra (non-config) keys it reads
+class _Preset(NamedTuple):
+    run: object
+    description: str
+    trials: int  # default Monte Carlo trials or drops
+    extras: tuple = ()  # the extra (non-config) keys it reads
+
+
 _PRESETS = {
-    "fig2": (_run_fig2, "rate bound and genie sum rates vs SNR (Monte Carlo)", ()),
-    "fig3": (_run_fig3, "ZF closed form vs Monte Carlo sum rate (tightness)", ()),
-    "fig4": (_run_fig4, "source power required for 1 bit/use per pair vs array size",
-             ("target_rate", "pp_fixed_db")),
-    "fig6": (_run_fig6, "FD/HD/hybrid sum SE vs loop interference level", ()),
-    "fig7": (_run_fig7, "FD/HD/hybrid sum SE vs number of antennas", ()),
-    "fig8": (_run_fig8, "sum SE distribution over random urban drops", tuple(_GEOMETRY)),
-    "fig9": (_run_fig9, "energy efficiency vs target sum SE under power allocation",
-             ("p0_db", "p1_db")),
-    "custom": (_run_custom, "closed-form SE along a user-chosen config sweep", ("sweep",)),
+    "fig2": _Preset(_run_fig2, "rate bound and genie sum rates vs SNR (Monte Carlo)", 2000),
+    "fig3": _Preset(_run_fig3, "ZF closed form vs Monte Carlo sum rate (tightness)", 2000),
+    "fig4": _Preset(_run_fig4, "source power required for 1 bit/use per pair vs array size",
+                    1, ("target_rate", "pp_fixed_db")),
+    "fig6": _Preset(_run_fig6, "FD/HD/hybrid sum SE vs loop interference level", 1),
+    "fig7": _Preset(_run_fig7, "FD/HD/hybrid sum SE vs number of antennas", 1),
+    "fig8": _Preset(_run_fig8, "sum SE distribution over random urban drops", 1000,
+                    tuple(_GEOMETRY)),
+    "fig9": _Preset(_run_fig9, "energy efficiency vs target sum SE under power allocation",
+                    1, ("p0_db", "p1_db")),
+    "custom": _Preset(_run_custom, "closed-form SE along a user-chosen config sweep", 1,
+                      ("sweep",)),
 }
-_EXTRA_KEYS = {key for _, _, extras in _PRESETS.values() for key in extras}
+_EXTRA_KEYS = {key for preset in _PRESETS.values() for key in preset.extras}
 
 
 def _cell(v):
@@ -338,12 +341,12 @@ def run_spec(spec: RunSpec) -> list:
         raise ValueError(f"unknown preset {spec.preset!r}")
     if spec.trials < 1:
         raise ValueError("trials must be >= 1")
-    run, _, extras = _PRESETS[spec.preset]
+    preset = _PRESETS[spec.preset]
     for key in spec.overrides:
-        if key not in _KEY_FIELDS and key not in extras:
+        if key not in _KEY_FIELDS and key not in preset.extras:
             raise ValueError(f"{spec.preset} does not read override {key!r}"
                              if key in _EXTRA_KEYS else f"unknown override key {key!r}")
-    tables = {name: _cells(name, *table) for name, table in sorted(run(spec).items())}
+    tables = {name: _cells(name, *table) for name, table in sorted(preset.run(spec).items())}
     os.makedirs(spec.out_dir, exist_ok=True)
     written = []
     for name, cells in tables.items():
@@ -381,7 +384,8 @@ def _parse_args(argv):
     run = sub.add_parser("run", help="execute one preset")
     run.add_argument("--preset", choices=sorted(_PRESETS),
                      help="experiment family: "
-                          + "; ".join(f"{k}: {v[1]}" for k, v in sorted(_PRESETS.items())))
+                          + "; ".join(f"{k}: {v.description}"
+                                      for k, v in sorted(_PRESETS.items())))
     run.add_argument("--manifest", help="re-run from a manifest JSON file")
     run.add_argument("--set", dest="overrides", action="append", default=[],
                      metavar="KEY=VALUE", help="config override (repeatable)")
@@ -411,7 +415,7 @@ def main(argv=None) -> int:
                 key, value = item.split("=", 1)
                 overrides[key.strip().lower()] = value.strip()
             trials = args.trials if args.trials is not None \
-                else PRESET_TRIALS[args.preset]
+                else _PRESETS[args.preset].trials
             spec = RunSpec(preset=args.preset, seed=args.seed, trials=trials,
                            overrides=overrides, out_dir=out_dir)
         for path in run_spec(spec):

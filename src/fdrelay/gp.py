@@ -42,8 +42,8 @@ affine forms, so the program is convex:
     barrier's, minimizes the centrality residual ||t grad f0 + grad phi|| in
     the H^-1 norm (11.3.1): near 1 from the box midpoint, large from a
     previous optimum, so a warm start begins with a small duality gap,
-  * the path stops when s^T lam <= tol, ||r_dual|| <= 10 tol and
-    ||r_prim||_inf <= tol; s^T lam bounds the duality gap of the log
+  * the path stops when s^T lam <= TOL, ||r_dual|| <= 10 TOL and
+    ||r_prim||_inf <= TOL; s^T lam bounds the duality gap of the log
     objective once r_prim vanishes.
 
 Only numpy loads with this module: scipy's LAPACK potrf/potrs are looked up
@@ -59,6 +59,7 @@ import numpy as np
 
 NEWTON_CAP = 200
 FEAS_MARGIN = 1e-9
+TOL = 1e-9  # stopping tolerance of the primal-dual path
 
 
 @dataclass(frozen=True)
@@ -256,7 +257,7 @@ def _cholesky(h):
     return solve
 
 
-def _phase_one(con_a, con_b, sizes, u0, tol):
+def _phase_one(con_a, con_b, sizes, u0):
     """(u, primal-dual steps, None) with u strictly feasible for every
     LSE_i(u) < 0, or (None, steps, the GpResult status to report)."""
     # slack variable s: LSE(A u + b - s) <= 0 is LSE of the extended affine map,
@@ -276,11 +277,11 @@ def _phase_one(con_a, con_b, sizes, u0, tol):
     if feasible(z, v):
         return u0, 0, None
     z[-1] = np.max(v[1:]) + 1.0
-    z, iters, kkt = _primal_dual(ext, z, tol, stop=feasible)
+    z, iters, kkt = _primal_dual(ext, z, stop=feasible)
     if feasible(z, ext.lse(z)):
         return z[:-1], iters, None
     # only an optimum with no slack below -FEAS_MARGIN certifies infeasibility
-    certified = kkt <= 10.0 * tol and z[-1] > -FEAS_MARGIN
+    certified = kkt <= 10.0 * TOL and z[-1] > -FEAS_MARGIN
     return None, iters, "infeasible" if certified else "max_iter"
 
 
@@ -289,7 +290,7 @@ def _step_length(s, lam, ds, dlam, fraction):
     return fraction / max(fraction, float(np.max(-ds / s)), float(np.max(-dlam / lam)))
 
 
-def _primal_dual(block: _Centering, u, tol, stop=None):
+def _primal_dual(block: _Centering, u, stop=None):
     """(u, steps, kkt residual) of the predictor-corrector path from u; it
     returns early at the first u with stop(u, LSE values at u)."""
     m = block.m
@@ -306,7 +307,7 @@ def _primal_dual(block: _Centering, u, tol, stop=None):
         dual = math.sqrt(r_dual @ r_dual)
         prim = float(np.max(np.abs(r_prim)))
         kkt = max(gap, dual, prim)
-        if (gap <= tol and dual <= 10.0 * tol and prim <= tol) or it == NEWTON_CAP \
+        if (gap <= TOL and dual <= 10.0 * TOL and prim <= TOL) or it == NEWTON_CAP \
                 or (stop is not None and stop(u, v)):
             return u, it, kkt
         solve = _cholesky(h)
@@ -339,11 +340,10 @@ def _primal_dual(block: _Centering, u, tol, stop=None):
         u, s, lam = u1, s1, lam1
 
 
-def solve_gp(prog: GeometricProgram, tol: float = 1e-9,
-             start=None) -> GpResult:
+def solve_gp(prog: GeometricProgram, start=None) -> GpResult:
     """Phase 1, then the primal-dual path.
 
-    status "optimal" comes with kkt_residual <= 10 * tol, "max_iter" with a
+    status "optimal" comes with kkt_residual <= 10 * TOL, "max_iter" with a
     larger one when the main path reaches NEWTON_CAP steps or its step
     stalls. "infeasible" means inconsistent equalities or a phase-1 optimum
     that no slack below -FEAS_MARGIN attains; a phase 1 cut off by NEWTON_CAP
@@ -372,7 +372,7 @@ def solve_gp(prog: GeometricProgram, tol: float = 1e-9,
     u_dim = null.shape[1]
 
     u0 = null.T @ (y_start - y_p)
-    u, phase1_iters, status = _phase_one(con_a, con_b, sizes, u0, tol)
+    u, phase1_iters, status = _phase_one(con_a, con_b, sizes, u0)
     if u is None:
         return GpResult(x=nan, value=math.nan, status=status,
                         kkt_residual=math.nan, iterations=0,
@@ -386,9 +386,9 @@ def solve_gp(prog: GeometricProgram, tol: float = 1e-9,
     block = _Centering(obj.exponents @ null,
                        np.log(obj.coeffs) + obj.exponents @ y_p,
                        con_a, con_b, sizes)
-    u, iters, kkt = _primal_dual(block, u, tol)
+    u, iters, kkt = _primal_dual(block, u)
     x = np.exp(y_p + null @ u)
-    status = "optimal" if kkt <= 10.0 * tol else "max_iter"
+    status = "optimal" if kkt <= 10.0 * TOL else "max_iter"
     return GpResult(x=x, value=prog.objective.value(x), status=status,
                     kkt_residual=kkt, iterations=iters,
                     phase1_iterations=phase1_iters)

@@ -77,7 +77,9 @@ class LargeScaleProfile:
 
     Arrays are stored read-only; instances are safe to share across threads.
     Use :func:`make_profile` instead of constructing directly so the sigma
-    vectors stay consistent with (beta, tau, Pp).
+    vectors stay consistent with (beta, tau, Pp). Every estimation variance
+    must be positive (sigma^2 = beta is perfect CSI); sigma^2 = 0, which
+    tau*Pp = 0 gives, has no estimate for the decoders and precoders to use.
     """
 
     beta_sr: np.ndarray
@@ -95,6 +97,10 @@ class LargeScaleProfile:
             raise ValueError("profile vectors must share one length K")
         if np.any(self.beta_sr <= 0) or np.any(self.beta_rd <= 0):
             raise ValueError("large-scale gains must be positive")
+        for name in ("sigma_sr_sq", "sigma_rd_sq"):
+            if (getattr(self, name) <= 0).any():
+                raise ValueError(f"{name} must be positive: tau*Pp = 0 leaves "
+                                 "no channel estimate")
 
     @property
     def K(self) -> int:
@@ -109,8 +115,7 @@ def make_profile(beta_sr, beta_rd, tau: int, Pp: float) -> LargeScaleProfile:
         raise ValueError("beta_sr and beta_rd must be 1-D vectors of equal length")
     if beta_sr.size < 1:
         raise ValueError("profile needs at least one pair")
-    if np.any(beta_sr <= 0) or np.any(beta_rd <= 0):
-        raise ValueError("large-scale gains must be positive")
+    # LargeScaleProfile checks the gains and the variances
     return LargeScaleProfile(
         beta_sr=beta_sr,
         beta_rd=beta_rd,

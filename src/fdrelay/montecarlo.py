@@ -125,8 +125,8 @@ class HopTerms:
 
 
 @dataclass(frozen=True)
-class McRateResult:
-    """Bound rates assembled from simulated moments."""
+class _Rates:
+    """Per-pair hop and end-to-end rates, the sum rate, and their stderrs."""
 
     r_sr: np.ndarray
     r_rd: np.ndarray
@@ -136,26 +136,21 @@ class McRateResult:
     stderr_r_e2e: np.ndarray
     sum_rate: float
     stderr_sum_rate: float
-    sr_terms: HopTerms
-    rd_terms: HopTerms
     scheme: str
     trials: int
 
 
 @dataclass(frozen=True)
-class GenieResult:
-    """E{log2(1 + instantaneous SINR)} with known realized gains."""
+class McRateResult(_Rates):
+    """Bound rates assembled from simulated moments."""
 
-    r_sr: np.ndarray
-    r_rd: np.ndarray
-    r_e2e: np.ndarray
-    stderr_r_sr: np.ndarray
-    stderr_r_rd: np.ndarray
-    stderr_r_e2e: np.ndarray
-    sum_rate: float
-    stderr_sum_rate: float
-    scheme: str
-    trials: int
+    sr_terms: HopTerms
+    rd_terms: HopTerms
+
+
+@dataclass(frozen=True)
+class GenieResult(_Rates):
+    """E{log2(1 + instantaneous SINR)} with known realized gains."""
 
 
 def _chunks(trials: int, per_trial: float):
@@ -209,13 +204,10 @@ def _trial_terms(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str, dra
     f_sr = np.sqrt(profile.sigma_sr_sq)[:, None] * r_sr_h
     f_rd = np.sqrt(profile.sigma_rd_sq)[:, None] * r_rd_h
     if scheme == "zf":
-        _check_zf(cfg)
         u_w = np.swapaxes(np.linalg.inv(f_sr), 1, 2).conj()
         u_a = alpha_zf(cfg, profile) * np.swapaxes(np.linalg.inv(f_rd), 1, 2).conj()
-    elif scheme == "mr":
+    else:  # "mr"
         u_w, u_a = f_sr, alpha_mrt(cfg, profile) * f_rd
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
     u_a_t = np.swapaxes(u_a, 1, 2)
 
     d_sr = np.sqrt(profile.beta_sr - profile.sigma_sr_sq)
@@ -311,12 +303,17 @@ def _features(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
 def _simulate(points, scheme: str, trials: int, rng: np.random.Generator,
               least: int = 2) -> list:
     """One _Accumulator per (cfg, profile) point, every point on the same
-    draws; least is the fewest trials the caller takes (2 for a stderr)."""
+    draws; least is the fewest trials the caller takes (2 for a stderr).
+    Every check runs before the first draw."""
     if not points:
         raise ValueError("need at least one point")
     cfg = points[0][0]
     if any((c.K, c.Nrx, c.Ntx) != (cfg.K, cfg.Nrx, cfg.Ntx) for c, _ in points):
         raise ValueError("all points must share K, Nrx and Ntx")
+    if scheme == "zf":
+        _check_zf(cfg)
+    elif scheme != "mr":
+        raise ValueError(f"unknown scheme {scheme!r}")
     _check_trials(trials, least)
     accs = [_Accumulator(_FEATURES, cfg.K) for _ in points]
     for n in _chunks(trials, 16 * cfg.K ** 2):

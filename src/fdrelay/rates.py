@@ -12,7 +12,9 @@ The SINRs are evaluated through the per-source-power coefficient form
 
 which reduces to the uniform-power expressions when all p_k equal Ps.
 SinrCoefficients holds (a, b, c, d, e) for one scheme; the power-allocation
-module and the CLI read the same type.
+module and the CLI read the same type. rate_zf and rate_mr evaluate it at
+the uniform powers (Ps, Pr) of the config; per-source powers go through
+sinr_coefficients(cfg, profile, scheme).sinrs(p_s, p_r).
 """
 from __future__ import annotations
 
@@ -92,24 +94,13 @@ def sinr_coefficients(cfg: SystemConfig, profile: LargeScaleProfile,
 
 
 def _report(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
-            per_source_powers, mode: str) -> RateReport:
-    if mode not in ("fd", "hd"):
-        raise ValueError("mode must be 'fd' or 'hd'")
-    if per_source_powers is None:
-        p_s = np.full(cfg.K, cfg.Ps)
-    else:
-        p_s = np.asarray(per_source_powers, dtype=float)
-        if p_s.shape != (cfg.K,):
-            raise ValueError("per_source_powers must have length K")
-        if np.any(p_s < 0):
-            raise ValueError("powers must be >= 0")
-    p_r = cfg.Pr
+            mode: str) -> RateReport:
     if mode == "hd":
         # half duplex: both hops at doubled power, no loop interference
-        cfg = replace(cfg, sigma_li_sq=0.0)
-        p_s = 2.0 * p_s
-        p_r = 2.0 * p_r
-    sr, rd = sinr_coefficients(cfg, profile, scheme).sinrs(p_s, p_r)
+        cfg = replace(cfg, sigma_li_sq=0.0, Ps=2.0 * cfg.Ps, Pr=2.0 * cfg.Pr)
+    elif mode != "fd":
+        raise ValueError("mode must be 'fd' or 'hd'")
+    sr, rd = sinr_coefficients(cfg, profile, scheme).sinrs(np.full(cfg.K, cfg.Ps), cfg.Pr)
     r_sr = np.log2(1.0 + sr)
     r_rd = np.log2(1.0 + rd)
     r_e2e = np.minimum(r_sr, r_rd)
@@ -120,16 +111,14 @@ def _report(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     )
 
 
-def rate_zf(cfg: SystemConfig, profile: LargeScaleProfile,
-            per_source_powers=None, mode: str = "fd") -> RateReport:
+def rate_zf(cfg: SystemConfig, profile: LargeScaleProfile, mode: str = "fd") -> RateReport:
     """Closed-form ZF rates (approximate in the loop-interference term)."""
-    return _report(cfg, profile, "zf", per_source_powers, mode)
+    return _report(cfg, profile, "zf", mode)
 
 
-def rate_mr(cfg: SystemConfig, profile: LargeScaleProfile,
-            per_source_powers=None, mode: str = "fd") -> RateReport:
+def rate_mr(cfg: SystemConfig, profile: LargeScaleProfile, mode: str = "fd") -> RateReport:
     """Closed-form MRC/MRT rates (exact)."""
-    return _report(cfg, profile, "mr", per_source_powers, mode)
+    return _report(cfg, profile, "mr", mode)
 
 
 def sum_se(r_e2e, T: int, tau: int, mode: str = "fd") -> float:
@@ -190,7 +179,7 @@ def _min_rate_at(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
         make_profile(profile.beta_sr, profile.beta_rd, cfg.tau, pp)
         if pilot_tracks_data else profile
     )
-    report = _report(trial_cfg, trial_profile, scheme, None, "fd")
+    report = _report(trial_cfg, trial_profile, scheme, "fd")
     return float(np.min(report.r_e2e))
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from fdrelay import SystemConfig, cli
 from fdrelay.cli import (
-    PRESET_TRIALS,
     RunSpec,
     _base_cfg,
     _cell,
@@ -63,7 +62,7 @@ def test_manifest_rerun_is_byte_identical(tmp_path):
     manifest = json.loads((first / "fig6.manifest.json").read_text())
     assert manifest["preset"] == "fig6"
     assert manifest["overrides"] == {"nrx": "64"}
-    assert manifest["trials"] == PRESET_TRIALS["fig6"]
+    assert manifest["trials"] == cli._PRESETS["fig6"].trials
 
 
 def test_fig2_and_fig3_share_one_sweep(tmp_path, monkeypatch):
@@ -146,6 +145,17 @@ def test_failed_run_writes_no_file(tmp_path, capsys):
     before = {f.name: f.read_bytes() for f in older.iterdir()}
     assert main(argv + ["--out", str(older)]) == 2
     assert {f.name: f.read_bytes() for f in older.iterdir()} == before
+
+
+def test_zero_pilot_power_is_refused_by_the_profile(tmp_path, capsys):
+    # Pp = 0 leaves no channel estimate (sigma^2 = 0): the profile names the
+    # field before any rate is computed, and nothing is written
+    assert main(["run", "--preset", "fig6", "--set", "pp=0",
+                 "--out", str(tmp_path)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["type"] == "ValueError"
+    assert "sigma_sr_sq" in payload["error"]
+    assert not tmp_path.exists() or not list(tmp_path.iterdir())
 
 
 def test_custom_sweep_log2_scale(tmp_path):

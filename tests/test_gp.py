@@ -477,12 +477,11 @@ def test_warm_start_from_previous_round_matches_cold_solve(monkeypatch):
 def test_warm_chain_takes_few_main_path_steps(monkeypatch):
     # the 27 GPs of MR at 4 bit/s/Hz, each started from the previous optimum
     # as the allocator does
-    tol = 1e-9
     steps = []
     prev = None
     for prog in _fig9_round_programs(monkeypatch, "mr", 4.0):
-        res = solve_gp(prog, tol, start=prev)
-        assert res.status == "optimal" and res.kkt_residual <= 10.0 * tol
+        res = solve_gp(prog, start=prev)
+        assert res.status == "optimal" and res.kkt_residual <= 10.0 * gp.TOL
         steps.append(res.iterations)
         prev = res.x
     assert len(steps) == 27
@@ -500,15 +499,15 @@ def test_phase_one_cost_on_cold_starts(monkeypatch):
 
 def test_step_cap_is_not_reported_optimal(monkeypatch):
     first, second = _fig9_round_programs(monkeypatch, "mr", 4.0)[:2]
-    prev = solve_gp(first, 1e-9).x
+    prev = solve_gp(first).x
     monkeypatch.setattr(gp, "NEWTON_CAP", 2)
     # the previous optimum is strictly feasible here, so the main path is cut
-    res = solve_gp(second, 1e-9, start=prev)
+    res = solve_gp(second, start=prev)
     assert res.status == "max_iter" and res.iterations == 2
     assert res.phase1_iterations == 0
-    assert res.kkt_residual > 10.0 * 1e-9
+    assert res.kkt_residual > 10.0 * gp.TOL
     # from the box midpoint, phase 1 is cut before it finds a feasible point
-    res = solve_gp(first, 1e-9)
+    res = solve_gp(first)
     assert res.status == "max_iter" and res.phase1_iterations == 2
     assert res.iterations == 0
     assert np.all(np.isnan(res.x)) and math.isnan(res.value)

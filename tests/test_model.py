@@ -107,6 +107,19 @@ def test_profile_direct_constructor_checks_shapes():
             sigma_sr_sq=np.full(3, 0.5), sigma_rd_sq=np.full(3, 0.5))
 
 
+def test_zero_pilot_energy_leaves_no_estimate():
+    # tau*Pp = 0 gives sigma^2 = 0 on both hops; every profile refuses it
+    with pytest.raises(ValueError, match="sigma_sr_sq must be positive.*tau\\*Pp = 0"):
+        make_profile([1.0, 0.5], [1.0, 2.0], 6, 0.0)
+    with pytest.raises(ValueError, match="sigma_rd_sq must be positive"):
+        LargeScaleProfile(beta_sr=np.ones(2), beta_rd=np.ones(2),
+                          sigma_sr_sq=np.full(2, 0.5), sigma_rd_sq=np.array([0.5, 0.0]))
+    # perfect CSI (sigma^2 = beta) is a valid profile
+    prof = LargeScaleProfile(beta_sr=np.ones(2), beta_rd=np.ones(2),
+                             sigma_sr_sq=np.ones(2), sigma_rd_sq=np.ones(2))
+    assert prof.K == 2
+
+
 def test_snapshot_profile_values():
     prof = snapshot_profile(20, 10.0)
     assert prof.K == 10

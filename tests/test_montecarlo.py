@@ -187,6 +187,33 @@ def test_forward_probe_and_validation():
                           np.random.default_rng(0), er=1.0)
 
 
+@pytest.mark.parametrize("scheme,ntx", [("zf", 24), ("mr", 24), ("mr", 2)])
+def test_loop_power_probe_is_its_exact_value(scheme, ntx):
+    # alpha_zf and alpha_mrt make E||A||_F^2 = 1, so the probe
+    # sigma_li^2 (er/Ntx) E||A||_F^2 has expectation sigma_li^2 er/Ntx, also
+    # for MR with fewer transmit antennas than pairs; the stderr comes from
+    # the per-trial ||A||_F^2 of the same draw
+    cfg = replace(CFG, Ntx=ntx, sigma_li_sq=0.7)
+    er, n = 12.0, 4000
+    scale = cfg.sigma_li_sq * er / cfg.Ntx
+    value = convergence_probe("loop_power", cfg, PROF, scheme, n,
+                              np.random.default_rng(47), er=er)
+    power = montecarlo._trial_terms(
+        cfg, PROF, scheme, montecarlo._draw(cfg, n, np.random.default_rng(47)))[4]
+    se = scale * np.std(np.sum(power, axis=1), ddof=1) / np.sqrt(n)
+    assert abs(value - scale) < 4.0 * se
+
+
+def test_scheme_and_zf_dimensions_are_checked_before_the_first_draw():
+    for scheme, cfg, msg in (("svd", CFG, "unknown scheme"),
+                             ("zf", replace(CFG, Nrx=CFG.K), "zero forcing needs")):
+        rng = np.random.default_rng(48)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=msg):
+            mc_rate(cfg, PROF, scheme, 40, rng)
+        assert rng.bit_generator.state == before
+
+
 def test_mc_rate_is_deterministic_per_seed():
     a = mc_rate(CFG, PROF, "zf", 600, np.random.default_rng(99))
     b = mc_rate(CFG, PROF, "zf", 600, np.random.default_rng(99))

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fdrelay import (
-    SinrCoefficients,
     SystemConfig,
     energy_efficiency,
     make_profile,
@@ -16,6 +15,7 @@ from fdrelay import (
     snapshot_profile,
 )
 from fdrelay import gp, powalloc
+from fdrelay.rates import SinrCoefficients
 
 CFG10 = SystemConfig(K=10, Nrx=100, Ntx=100, T=200, tau=20, Pp=10.0, sigma_li_sq=1.0)
 PROF10 = snapshot_profile(CFG10.tau, CFG10.Pp)
@@ -261,8 +261,8 @@ def test_every_round_after_the_first_starts_from_the_previous_optimum(monkeypatc
     calls = []
     real = powalloc.solve_gp
 
-    def record(prog, tol=1e-9, start=None):
-        result = real(prog, tol, start)
+    def record(prog, start=None):
+        result = real(prog, start)
         calls.append((start, result.x))
         return result
 
@@ -298,7 +298,7 @@ def test_warm_started_rounds_match_cold_rounds(monkeypatch):
     warm = sweep()
     real = powalloc.solve_gp
     monkeypatch.setattr(powalloc, "solve_gp",
-                        lambda prog, tol=1e-9, start=None: real(prog, tol))
+                        lambda prog, start=None: real(prog))
     cold = sweep()
     for key, a in warm.items():
         b = cold[key]
