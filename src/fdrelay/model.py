@@ -54,11 +54,20 @@ class SystemConfig:
         return (self.T - self.tau) / self.T
 
 
+def _mmse_variance(beta: np.ndarray, pilot_energy: float) -> np.ndarray:
+    """tau*Pp*beta^2 / (tau*Pp*beta + 1) at pilot_energy = tau*Pp, unchecked.
+
+    The quotient rounds one ulp above beta once tau*Pp*beta exceeds about
+    7e15, so it is clamped to beta, the perfect-CSI limit.
+    """
+    return np.minimum(pilot_energy * beta**2 / (pilot_energy * beta + 1.0), beta)
+
+
 def estimation_variance(beta, tau: int, Pp: float):
     """MMSE estimate variance tau*Pp*beta^2 / (tau*Pp*beta + 1).
 
-    Accepts scalar or array ``beta`` and broadcasts. The result is strictly
-    below beta for finite pilot energy and approaches beta as tau*Pp grows.
+    Accepts scalar or array ``beta`` and broadcasts. The result is at most
+    beta and approaches it as tau*Pp grows.
     """
     beta = np.asarray(beta, dtype=float)
     if np.any(beta < 0):
@@ -67,7 +76,7 @@ def estimation_variance(beta, tau: int, Pp: float):
         raise ValueError("tau must be >= 1")
     if Pp < 0:
         raise ValueError("Pp must be >= 0")
-    out = tau * Pp * beta**2 / (tau * Pp * beta + 1.0)
+    out = _mmse_variance(beta, tau * Pp)
     return out if out.ndim else float(out)
 
 
@@ -78,7 +87,8 @@ class LargeScaleProfile:
     Arrays are stored read-only; instances are safe to share across threads.
     Use :func:`make_profile` instead of constructing directly so the sigma
     vectors stay consistent with (beta, tau, Pp). Every estimation variance
-    must be positive (sigma^2 = beta is perfect CSI); sigma^2 = 0, which
+    must be positive and at most its gain: sigma^2 = beta is perfect CSI,
+    sigma^2 > beta is no pilot phase's outcome, and sigma^2 = 0, which
     tau*Pp = 0 gives, has no estimate for the decoders and precoders to use.
     """
 
@@ -97,10 +107,14 @@ class LargeScaleProfile:
             raise ValueError("profile vectors must share one length K")
         if np.any(self.beta_sr <= 0) or np.any(self.beta_rd <= 0):
             raise ValueError("large-scale gains must be positive")
-        for name in ("sigma_sr_sq", "sigma_rd_sq"):
-            if (getattr(self, name) <= 0).any():
+        for name, gain in (("sigma_sr_sq", "beta_sr"), ("sigma_rd_sq", "beta_rd")):
+            sigma_sq = getattr(self, name)
+            if (sigma_sq <= 0).any():
                 raise ValueError(f"{name} must be positive: tau*Pp = 0 leaves "
                                  "no channel estimate")
+            if (sigma_sq > getattr(self, gain)).any():
+                raise ValueError(f"{name} must not exceed {gain}: an estimate "
+                                 "cannot carry more power than its channel")
 
     @property
     def K(self) -> int:

@@ -19,12 +19,12 @@ sinr_coefficients(cfg, profile, scheme).sinrs(p_s, p_r).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import LargeScaleProfile, SystemConfig, make_profile
+from .model import LargeScaleProfile, SystemConfig, _mmse_variance
 
 SCHEMES = ("zf", "mr")
 
@@ -74,20 +74,26 @@ def _check_zf(cfg: SystemConfig) -> None:
 def sinr_coefficients(cfg: SystemConfig, profile: LargeScaleProfile,
                       scheme: str) -> SinrCoefficients:
     """The ZF or MRC/MRT coefficients of the SINR form at (cfg, profile)."""
+    return _coefficients(cfg, scheme, profile.beta_sr, profile.sigma_sr_sq,
+                         profile.beta_rd, profile.sigma_rd_sq)
+
+
+def _coefficients(cfg: SystemConfig, scheme: str, beta_sr, sigma_sr_sq,
+                  beta_rd, sigma_rd_sq) -> SinrCoefficients:
     k = cfg.K
     if scheme == "zf":
         _check_zf(cfg)
-        a = (cfg.Nrx - k) * profile.sigma_sr_sq
-        b = profile.beta_sr - profile.sigma_sr_sq
+        a = (cfg.Nrx - k) * sigma_sr_sq
+        b = beta_sr - sigma_sr_sq
         c = np.full(k, cfg.sigma_li_sq * (1.0 - k / cfg.Ntx))
-        d = np.full(k, (cfg.Ntx - k) / np.sum(1.0 / profile.sigma_rd_sq))
-        e = profile.beta_rd - profile.sigma_rd_sq
+        d = np.full(k, (cfg.Ntx - k) / np.sum(1.0 / sigma_rd_sq))
+        e = beta_rd - sigma_rd_sq
     elif scheme == "mr":
-        a = cfg.Nrx * profile.sigma_sr_sq
-        b = profile.beta_sr
+        a = cfg.Nrx * sigma_sr_sq
+        b = beta_sr
         c = np.full(k, cfg.sigma_li_sq)
-        d = profile.sigma_rd_sq**2 / np.sum(profile.sigma_rd_sq) * cfg.Ntx
-        e = profile.beta_rd
+        d = sigma_rd_sq**2 / np.sum(sigma_rd_sq) * cfg.Ntx
+        e = beta_rd
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return SinrCoefficients(a, b, c, d, e, scheme)
@@ -95,12 +101,15 @@ def sinr_coefficients(cfg: SystemConfig, profile: LargeScaleProfile,
 
 def _report(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
             mode: str) -> RateReport:
-    if mode == "hd":
-        # half duplex: both hops at doubled power, no loop interference
-        cfg = replace(cfg, sigma_li_sq=0.0, Ps=2.0 * cfg.Ps, Pr=2.0 * cfg.Pr)
-    elif mode != "fd":
+    if mode not in ("fd", "hd"):
         raise ValueError("mode must be 'fd' or 'hd'")
-    sr, rd = sinr_coefficients(cfg, profile, scheme).sinrs(np.full(cfg.K, cfg.Ps), cfg.Pr)
+    coeffs = sinr_coefficients(cfg, profile, scheme)
+    p_s, p_r = cfg.Ps, cfg.Pr
+    if mode == "hd":
+        # half duplex: no loop interference (c = 0), both hops at doubled power
+        coeffs = coeffs._replace(c=np.zeros(cfg.K))
+        p_s, p_r = 2.0 * p_s, 2.0 * p_r
+    sr, rd = coeffs.sinrs(np.full(cfg.K, p_s), p_r)
     r_sr = np.log2(1.0 + sr)
     r_rd = np.log2(1.0 + rd)
     r_e2e = np.minimum(r_sr, r_rd)
@@ -171,16 +180,32 @@ def asymptotic_se(case: str, scheme: str, cfg: SystemConfig, profile: LargeScale
     return sum_se(rates, cfg.T, cfg.tau, "fd")
 
 
-def _min_rate_at(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
-                 ps: float, pilot_tracks_data: bool) -> float:
-    pp = ps if pilot_tracks_data else cfg.Pp
-    trial_cfg = replace(cfg, Ps=ps, Pr=cfg.K * ps, Pp=pp)
-    trial_profile = (
-        make_profile(profile.beta_sr, profile.beta_rd, cfg.tau, pp)
-        if pilot_tracks_data else profile
-    )
-    report = _report(trial_cfg, trial_profile, scheme, "fd")
-    return float(np.min(report.r_e2e))
+def _min_rate(scheme: str, cfg: SystemConfig, profile: LargeScaleProfile,
+              pilot_tracks_data: bool):
+    """ps -> smallest per-pair rate at Ps = ps and Pr = K*ps.
+
+    Fixed pilots leave the coefficients independent of ps, so they are
+    built once; tracking pilots (Pp = ps) recompute only sigma^2(ps) from
+    the gains and the coefficients from it.
+    """
+    k = cfg.K
+    if pilot_tracks_data:
+        def coefficients(ps: float) -> SinrCoefficients:
+            energy = cfg.tau * ps
+            return _coefficients(cfg, scheme,
+                                 profile.beta_sr, _mmse_variance(profile.beta_sr, energy),
+                                 profile.beta_rd, _mmse_variance(profile.beta_rd, energy))
+    else:
+        fixed = sinr_coefficients(cfg, profile, scheme)
+
+        def coefficients(ps: float) -> SinrCoefficients:
+            return fixed
+
+    def min_rate(ps: float) -> float:
+        sr, rd = coefficients(ps).sinrs(np.full(k, ps), k * ps)
+        return float(np.min(np.minimum(np.log2(1.0 + sr), np.log2(1.0 + rd))))
+
+    return min_rate
 
 
 def required_power(target_rate_per_pair: float, scheme: str, cfg: SystemConfig,
@@ -189,15 +214,22 @@ def required_power(target_rate_per_pair: float, scheme: str, cfg: SystemConfig,
 
     The target is in bits/channel use without the training prelog. With
     pilot_tracks_data the pilot power follows Ps (and the estimation
-    variances with it); otherwise Pp stays at cfg.Pp. Returns math.inf when
-    the target is unreachable even at the bracket ceiling: the SINRs stay
-    bounded as Ps grows because Pr = K*Ps scales the loop interference too.
+    variances with it); otherwise the profile's variances, set by cfg.Pp,
+    stay as they are. The ps -> min-rate evaluator is built once per call.
+
+    Bisection in log power (at the geometric mean) on the bracket
+    [1e-6, 1e6]. The ceiling grows tenfold until it reaches the target, and
+    past 1e12 the result is math.inf: the SINRs stay bounded as Ps grows
+    because Pr = K*Ps scales the loop interference too. A target reached at
+    the floor returns the floor 1e-6. Otherwise the bracket shrinks until
+    hi - lo <= 1e-6 * hi, and hi, which reaches the target, is returned.
     """
-    if target_rate_per_pair <= 0:
+    if not target_rate_per_pair > 0:
         raise ValueError("target rate must be positive")
+    min_rate = _min_rate(scheme, cfg, profile, pilot_tracks_data)
 
     def reaches(ps: float) -> bool:
-        return _min_rate_at(cfg, profile, scheme, ps, pilot_tracks_data) >= target_rate_per_pair
+        return min_rate(ps) >= target_rate_per_pair
 
     lo, hi = 1e-6, 1e6
     while not reaches(hi):

@@ -65,6 +65,30 @@ def test_manifest_rerun_is_byte_identical(tmp_path):
     assert manifest["trials"] == cli._PRESETS["fig6"].trials
 
 
+@pytest.mark.parametrize("preset,want", [
+    ("fig4", {"required_power": 16, "rate_zf": 0, "rate_mr": 0}),
+    ("fig6", {"required_power": 0, "rate_zf": 32, "rate_mr": 32}),
+])
+def test_presets_reach_the_rate_layer_through_the_cli_names(tmp_path, monkeypatch,
+                                                            preset, want):
+    # the benchmark trace counts the rate layer at these module attributes,
+    # so a preset that routes around them would zero its per-layer metrics
+    calls = dict.fromkeys(want, 0)
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in want:
+        monkeypatch.setattr(cli, name, counted(name))
+    assert main(["run", "--preset", preset, "--out", str(tmp_path)]) == 0
+    assert calls == want
+
+
 def test_fig2_and_fig3_share_one_sweep(tmp_path, monkeypatch):
     # one simulate call per (array size, scheme): 4 for fig2, 3 for fig3;
     # fig3's ZF rows at N = 50 and 100 are fig2's, cell for cell

@@ -120,6 +120,30 @@ def test_zero_pilot_energy_leaves_no_estimate():
     assert prof.K == 2
 
 
+def test_profile_refuses_a_variance_above_its_gain():
+    ones = np.ones(3)
+    with pytest.raises(ValueError, match="sigma_sr_sq must not exceed beta_sr"):
+        LargeScaleProfile(beta_sr=ones, beta_rd=ones,
+                          sigma_sr_sq=np.array([0.5, 2.0, 0.5]), sigma_rd_sq=np.full(3, 0.5))
+    with pytest.raises(ValueError, match="sigma_rd_sq must not exceed beta_rd"):
+        LargeScaleProfile(beta_sr=ones, beta_rd=ones,
+                          sigma_sr_sq=np.full(3, 0.5), sigma_rd_sq=np.array([0.5, 0.5, 1.5]))
+    # perfect CSI (sigma^2 = beta) stays valid
+    assert LargeScaleProfile(beta_sr=ones, beta_rd=2 * ones,
+                             sigma_sr_sq=ones, sigma_rd_sq=2 * ones).K == 3
+
+
+def test_huge_pilot_energy_gives_at_most_the_gain():
+    # at tau*Pp = 1e16 the unclamped quotient rounds one ulp above beta = 3.7
+    beta_sr, beta_rd = [0.5, 3.7, 1.0, 123.0], [1.5, 0.9, 3.7, 0.031]
+    prof = make_profile(beta_sr, beta_rd, 20, 5e14)
+    for beta, sigma_sq in ((prof.beta_sr, prof.sigma_sr_sq), (prof.beta_rd, prof.sigma_rd_sq)):
+        assert np.all(sigma_sq <= beta)
+        np.testing.assert_allclose(sigma_sq, beta, rtol=1e-14)
+    assert prof.sigma_sr_sq[1] == 3.7 and prof.sigma_rd_sq[2] == 3.7
+    assert estimation_variance(3.7, 20, 5e14) == 3.7
+
+
 def test_snapshot_profile_values():
     prof = snapshot_profile(20, 10.0)
     assert prof.K == 10

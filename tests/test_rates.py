@@ -16,8 +16,10 @@ from fdrelay import (
     rate_zf,
     required_power,
     sinr_coefficients,
+    snapshot_profile,
     sum_se,
 )
+from power_oracle import min_rate_at, required_power_per_step
 
 # reference configuration: symmetric gains, 10 pairs, 100 antennas each side
 REF_CFG = SystemConfig(
@@ -239,6 +241,63 @@ def test_required_power_tracking_pilots():
     assert float(np.min(rate_zf(cfg, prof).r_e2e)) == pytest.approx(1.0, rel=1e-5)
     with pytest.raises(ValueError):
         required_power(0.0, "zf", REF_CFG, REF_PROF)
+
+
+def test_required_power_refuses_a_nan_target():
+    with pytest.raises(ValueError, match="target rate must be positive"):
+        required_power(math.nan, "zf", REF_CFG, REF_PROF)
+    with pytest.raises(ValueError, match="target rate must be positive"):
+        required_power(-1.0, "mr", REF_CFG, REF_PROF, pilot_tracks_data=True)
+    # an infinite target is a valid request that no power reaches
+    assert required_power(math.inf, "mr", REF_CFG, REF_PROF) == math.inf
+
+
+SNAP_CFG = SystemConfig(K=10, Nrx=200, Ntx=200, Pp=10.0, sigma_li_sq=0.1)
+POWER_SETUPS = {
+    "flat": (REF_CFG, REF_PROF),
+    "snapshot": (SNAP_CFG, snapshot_profile(SNAP_CFG.tau, SNAP_CFG.Pp)),
+    "unequal": (ODD_CFG, ODD_PROF),
+}
+
+
+@pytest.mark.parametrize("setup", sorted(POWER_SETUPS))
+@pytest.mark.parametrize("scheme", ["zf", "mr"])
+@pytest.mark.parametrize("tracks", [False, True])
+def test_required_power_equals_the_per_step_bisection(setup, scheme, tracks):
+    # the evaluator built once per call returns the per-step path's power,
+    # bit for bit, from the 1e-6 floor through bisected values to inf
+    cfg, prof = POWER_SETUPS[setup]
+    got = [required_power(t, scheme, cfg, prof, pilot_tracks_data=tracks)
+           for t in (1e-9, 0.5, 1.0, 2.0, 50.0)]
+    want = [required_power_per_step(t, scheme, cfg, prof, pilot_tracks_data=tracks)
+            for t in (1e-9, 0.5, 1.0, 2.0, 50.0)]
+    assert got == want
+    assert 1e-6 < got[1] < math.inf and got[-1] == math.inf
+    if setup == "flat":
+        assert got[0] == 1e-6
+
+
+@st.composite
+def power_requests(draw):
+    """Gains in [0.1, 10] per pair, a scheme, a pilot mode and two targets in (0, 3]."""
+    k = draw(st.integers(1, 4))
+    gains = st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k)
+    cfg = SystemConfig(K=k, Nrx=32, Ntx=32, tau=2 * k, Pp=10.0, sigma_li_sq=1.0)
+    prof = make_profile(draw(gains), draw(gains), cfg.tau, cfg.Pp)
+    targets = sorted(draw(st.lists(st.floats(1e-3, 3.0), min_size=2, max_size=2)))
+    return cfg, prof, draw(st.sampled_from(["zf", "mr"])), draw(st.booleans()), targets
+
+
+@given(request=power_requests())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_required_power_is_the_bisected_threshold(request):
+    cfg, prof, scheme, tracks, (low, high) = request
+    ps = required_power(high, scheme, cfg, prof, pilot_tracks_data=tracks)
+    if 1e-6 < ps < math.inf:
+        # within the stop rule's 1e-6 of the smallest power that reaches it
+        below = min_rate_at(ps * (1.0 - 1e-6), scheme, cfg, prof, tracks)
+        assert below < high <= min_rate_at(ps, scheme, cfg, prof, tracks)
+    assert required_power(low, scheme, cfg, prof, pilot_tracks_data=tracks) <= ps
 
 
 def test_per_source_power_validation():
