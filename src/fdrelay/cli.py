@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -44,8 +44,7 @@ _KEY_FIELDS = {
     "pr_db": ("Pr",), "sigma_li_db": ("sigma_li_sq",),
 }
 _INTEGER_KEYS = {"k", "nrx", "ntx", "t", "tau", "n_ant"}
-_GEOMETRY = {"disk_diameter": 1000.0, "shadow_sigma_db": 8.0,
-             "path_exponent": 3.8, "ref_distance": 200.0}
+_GEOMETRY = {f.name: f.default for f in fields(DropGeometry)}
 
 
 @dataclass(frozen=True)
@@ -229,18 +228,15 @@ def _run_fig9(spec: RunSpec):
     cfg = _apply_overrides(_base_cfg(
         200, Pp=_db(10.0), Ps=p0, Pr=p1, sigma_li_sq=_db(10.0)),
         spec.overrides)
-    if cfg.K != 10:
-        raise ValueError("the allocation preset uses the fixed K=10 snapshot profile")
     profile = snapshot_profile(cfg.tau, cfg.Pp)
     header = ["target_se"]
     for s in ("zf", "mr"):
         header += [f"feasible_{s}", f"converged_{s}", f"iterations_{s}",
                    f"total_power_{s}", f"achieved_se_{s}", f"ee_opt_{s}",
                    f"se_uniform_{s}", f"ee_uniform_{s}"]
-    uniform = {}
-    peak = replace(cfg, Ps=p0, Pr=p1)
+    uniform = {}  # at the peaks: _reject_swept keeps cfg's Ps = p0 and Pr = p1
     for scheme, fn in (("zf", rate_zf), ("mr", rate_mr)):
-        se = fn(peak, profile).sum_se
+        se = fn(cfg, profile).sum_se
         uniform[scheme] = (se, energy_efficiency(
             se, np.full(cfg.K, p0), p1, cfg.T, cfg.tau))
     rows = []

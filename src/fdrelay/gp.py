@@ -1,7 +1,7 @@
 """A small geometric-program solver.
 
 Problems are posynomial: minimize a posynomial subject to posynomial <= 1
-inequalities, monomial == 1 equalities, and positive box bounds per variable.
+inequalities, monomial == 1 equalities, and a finite positive box per variable.
 In log variables y = log x every posynomial becomes a log-sum-exp (LSE) of
 affine forms, so the program is convex:
 
@@ -110,9 +110,10 @@ class GeometricProgram:
         n = self.objective.n_vars
         if lo.shape != (n,) or hi.shape != (n,):
             raise ValueError("bounds must match the variable count")
-        # an empty interior has no strictly feasible point: pin by an equality
-        if np.any(lo <= 0) or np.any(hi <= lo):
-            raise ValueError("need 0 < lower < upper")
+        # an empty interior has no strictly feasible point: pin by an equality;
+        # an infinite bound has no box midpoint to start from
+        if not ((lo > 0).all() and (hi > lo).all() and np.isfinite(hi).all()):
+            raise ValueError("need 0 < lower < upper < inf")
         object.__setattr__(self, "inequalities", tuple(self.inequalities))
         object.__setattr__(self, "equalities", tuple(self.equalities))
         for p in self.inequalities + self.equalities:

@@ -45,8 +45,8 @@ class SystemConfig:
         if not 2 * self.K <= self.tau < self.T:
             raise ValueError("training length must satisfy 2K <= tau < T")
         for name in ("Pp", "Ps", "Pr", "sigma_li_sq"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0")
 
     @property
     def prelog(self) -> float:
@@ -86,7 +86,8 @@ class LargeScaleProfile:
 
     Arrays are stored read-only; instances are safe to share across threads.
     Use :func:`make_profile` instead of constructing directly so the sigma
-    vectors stay consistent with (beta, tau, Pp). Every estimation variance
+    vectors stay consistent with (beta, tau, Pp). The vectors are 1-D of one
+    length K >= 1 and the gains positive and finite. Every estimation variance
     must be positive and at most its gain: sigma^2 = beta is perfect CSI,
     sigma^2 > beta is no pilot phase's outcome, and sigma^2 = 0, which
     tau*Pp = 0 gives, has no estimate for the decoders and precoders to use.
@@ -98,18 +99,19 @@ class LargeScaleProfile:
     sigma_rd_sq: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("beta_sr", "beta_rd", "sigma_sr_sq", "sigma_rd_sq"):
+        names = ("beta_sr", "beta_rd", "sigma_sr_sq", "sigma_rd_sq")
+        for name in names:
             arr = np.asarray(getattr(self, name), dtype=float).copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        k = self.beta_sr.shape
-        if not (self.beta_rd.shape == self.sigma_sr_sq.shape == self.sigma_rd_sq.shape == k):
-            raise ValueError("profile vectors must share one length K")
-        if np.any(self.beta_sr <= 0) or np.any(self.beta_rd <= 0):
-            raise ValueError("large-scale gains must be positive")
+        shapes = {getattr(self, name).shape for name in names}
+        if len(shapes) != 1 or self.beta_sr.ndim != 1 or self.beta_sr.size < 1:
+            raise ValueError("profile vectors must be 1-D of one length K >= 1")
+        if not all(((0 < g) & (g < np.inf)).all() for g in (self.beta_sr, self.beta_rd)):
+            raise ValueError("large-scale gains must be positive and finite")
         for name, gain in (("sigma_sr_sq", "beta_sr"), ("sigma_rd_sq", "beta_rd")):
             sigma_sq = getattr(self, name)
-            if (sigma_sq <= 0).any():
+            if not (sigma_sq > 0).all():  # NaN fails too
                 raise ValueError(f"{name} must be positive: tau*Pp = 0 leaves "
                                  "no channel estimate")
             if (sigma_sq > getattr(self, gain)).any():
@@ -123,13 +125,7 @@ class LargeScaleProfile:
 
 def make_profile(beta_sr, beta_rd, tau: int, Pp: float) -> LargeScaleProfile:
     """Build a LargeScaleProfile, deriving sigma^2 from the pilot phase."""
-    beta_sr = np.asarray(beta_sr, dtype=float)
-    beta_rd = np.asarray(beta_rd, dtype=float)
-    if beta_sr.ndim != 1 or beta_sr.shape != beta_rd.shape:
-        raise ValueError("beta_sr and beta_rd must be 1-D vectors of equal length")
-    if beta_sr.size < 1:
-        raise ValueError("profile needs at least one pair")
-    # LargeScaleProfile checks the gains and the variances
+    # LargeScaleProfile checks the shapes, the gains and the variances
     return LargeScaleProfile(
         beta_sr=beta_sr,
         beta_rd=beta_rd,

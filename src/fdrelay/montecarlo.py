@@ -78,7 +78,8 @@ rate, the inverse-Gram diagonal) has a unit gradient, and its stderr is the
 iid one.
 
 Everything consumes a caller-supplied Generator in a fixed chunk order, so a
-given seed reproduces results exactly regardless of available memory.
+given seed reproduces results exactly regardless of available memory, and
+rates._check_inputs refuses a bad (cfg, profile, scheme) before the first draw.
 """
 from __future__ import annotations
 
@@ -89,7 +90,7 @@ import numpy as np
 
 from .channel import _cn, gram_factor_batch
 from .model import LargeScaleProfile, SystemConfig
-from .rates import _check_zf
+from .rates import _check_inputs, _rd_limit
 
 # Feature rows of one simulated trial, K columns (pairs) each: first-hop
 # gain real part, imaginary part, |gain|^2, multipair, loop and noise;
@@ -304,16 +305,15 @@ def _simulate(points, scheme: str, trials: int, rng: np.random.Generator,
               least: int = 2) -> list:
     """One _Accumulator per (cfg, profile) point, every point on the same
     draws; least is the fewest trials the caller takes (2 for a stderr).
-    Every check runs before the first draw."""
+    Every check, rates._check_inputs on each point among them, runs before
+    the first draw."""
     if not points:
         raise ValueError("need at least one point")
     cfg = points[0][0]
     if any((c.K, c.Nrx, c.Ntx) != (cfg.K, cfg.Nrx, cfg.Ntx) for c, _ in points):
         raise ValueError("all points must share K, Nrx and Ntx")
-    if scheme == "zf":
-        _check_zf(cfg)
-    elif scheme != "mr":
-        raise ValueError(f"unknown scheme {scheme!r}")
+    for c, profile in points:
+        _check_inputs(c, profile, scheme)
     _check_trials(trials, least)
     accs = [_Accumulator(_FEATURES, cfg.K) for _ in points]
     for n in _chunks(trials, 16 * cfg.K ** 2):
@@ -476,10 +476,7 @@ def convergence_probe(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
     elif kind == "loop_power":
         return float(cfg.sigma_li_sq * er / cfg.Ntx * np.sum(power))
     else:  # "forward"
-        if scheme == "zf":
-            limit = np.sqrt(er / np.sum(1.0 / profile.sigma_rd_sq))
-        else:
-            limit = np.sqrt(er * profile.sigma_rd_sq**2 / np.sum(profile.sigma_rd_sq))
+        limit = np.sqrt(_rd_limit(scheme, profile, er))
         pr = er / cfg.Ntx
         resid = pr * (gain2_rd + mp_rd) - 2.0 * np.sqrt(pr) * limit * re_rd + limit ** 2
     return float(np.mean(resid))

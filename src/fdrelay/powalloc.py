@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,11 +107,11 @@ def _init_gamma(coeffs: SinrCoefficients, target: float, p0: float,
     return np.maximum(0.5 * (lo + hi) * gamma_peak, GAMMA_FLOOR)
 
 
-def _sinr_program(coeffs: SinrCoefficients, p0: float,
-                  p1: float) -> GeometricProgram:
-    """The rounds' common GP over (p_1..p_K, p_r, gamma_1..gamma_K): total
-    power, the 2K SINR inequalities and the power box; gamma is only
-    floored, each round sets its box and the SE equality."""
+def _sinr_program(coeffs: SinrCoefficients, p0: float, p1: float) -> tuple:
+    """The rounds' common parts of the GP over (p_1..p_K, p_r, gamma_1..gamma_K):
+    (objective, inequalities, lower, upper), the total power, the 2K SINR
+    inequalities and the box of the K + 1 powers; each round adds the gamma
+    box and the SE equality."""
     k = coeffs.K
     n = 2 * k + 1
     pr_ix = k
@@ -137,16 +137,15 @@ def _sinr_program(coeffs: SinrCoefficients, p0: float,
     ineqs = [Posynomial(co, rows) for co, rows in zip(sr_co, sr_rows)]
     ineqs += [Posynomial(co, rows) for co, rows in zip(rd_co, rd_rows)]
 
-    lower = np.concatenate([np.full(k, POWER_FLOOR_SCALE * p0),
-                            [POWER_FLOOR_SCALE * p1], np.full(k, GAMMA_FLOOR)])
-    upper = np.concatenate([np.full(k, p0), [p1], np.full(k, np.inf)])
-    return GeometricProgram(objective=objective, inequalities=tuple(ineqs),
-                            equalities=(), lower=lower, upper=upper)
+    lower = np.append(np.full(k, POWER_FLOOR_SCALE * p0), POWER_FLOOR_SCALE * p1)
+    upper = np.append(np.full(k, p0), p1)
+    return objective, tuple(ineqs), lower, upper
 
 
-def _round_gp(base: GeometricProgram, center: np.ndarray, trust: float,
+def _round_gp(base: tuple, center: np.ndarray, trust: float,
               target: float) -> GeometricProgram:
     """One Algorithm round: base plus the SE fit at center and its trust box."""
+    objective, inequalities, lower, upper = base
     k = center.size
     eta = center / (1.0 + center)
     kappa = center ** (-eta) * (1.0 + center)
@@ -154,11 +153,10 @@ def _round_gp(base: GeometricProgram, center: np.ndarray, trust: float,
     eq_row = np.concatenate([np.zeros(k + 1), eta])
     equality = Posynomial(np.array([float(np.prod(kappa)) / 2.0 ** target]),
                           eq_row[None, :])
-    return replace(
-        base, equalities=(equality,),
-        lower=np.concatenate([base.lower[:k + 1],
-                              np.maximum(center / trust, GAMMA_FLOOR)]),
-        upper=np.concatenate([base.upper[:k + 1], trust * center]))
+    return GeometricProgram(
+        objective, inequalities, (equality,),
+        lower=np.concatenate([lower, np.maximum(center / trust, GAMMA_FLOOR)]),
+        upper=np.concatenate([upper, trust * center]))
 
 
 def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,

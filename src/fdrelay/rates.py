@@ -15,6 +15,8 @@ SinrCoefficients holds (a, b, c, d, e) for one scheme; the power-allocation
 module and the CLI read the same type. rate_zf and rate_mr evaluate it at
 the uniform powers (Ps, Pr) of the config; per-source powers go through
 sinr_coefficients(cfg, profile, scheme).sinrs(p_s, p_r).
+Every entry point that takes (cfg, profile, scheme), here and in montecarlo,
+runs _check_inputs once before any work.
 """
 from __future__ import annotations
 
@@ -66,36 +68,41 @@ class SinrCoefficients(NamedTuple):
         return sr, rd
 
 
-def _check_zf(cfg: SystemConfig) -> None:
-    if cfg.Nrx <= cfg.K or cfg.Ntx <= cfg.K:
+def _check_inputs(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str) -> None:
+    """The one input check of every (cfg, profile, scheme) entry point: the
+    profile has cfg.K pairs, the scheme is "zf" or "mr", and zero forcing
+    has more relay antennas than pairs on both sides."""
+    if profile.K != cfg.K:
+        raise ValueError(f"profile has {profile.K} pairs but cfg.K is {cfg.K}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == "zf" and (cfg.Nrx <= cfg.K or cfg.Ntx <= cfg.K):
         raise ValueError("zero forcing needs Nrx > K and Ntx > K")
 
 
 def sinr_coefficients(cfg: SystemConfig, profile: LargeScaleProfile,
                       scheme: str) -> SinrCoefficients:
     """The ZF or MRC/MRT coefficients of the SINR form at (cfg, profile)."""
-    return _coefficients(cfg, scheme, profile.beta_sr, profile.sigma_sr_sq,
-                         profile.beta_rd, profile.sigma_rd_sq)
+    _check_inputs(cfg, profile, scheme)
+    return _coefficients(cfg, scheme, profile, profile.sigma_sr_sq, profile.sigma_rd_sq)
 
 
-def _coefficients(cfg: SystemConfig, scheme: str, beta_sr, sigma_sr_sq,
-                  beta_rd, sigma_rd_sq) -> SinrCoefficients:
+def _coefficients(cfg: SystemConfig, scheme: str, profile: LargeScaleProfile,
+                  sigma_sr_sq, sigma_rd_sq) -> SinrCoefficients:
+    """The formulas at the profile's gains and the given variances, unchecked."""
     k = cfg.K
     if scheme == "zf":
-        _check_zf(cfg)
         a = (cfg.Nrx - k) * sigma_sr_sq
-        b = beta_sr - sigma_sr_sq
+        b = profile.beta_sr - sigma_sr_sq
         c = np.full(k, cfg.sigma_li_sq * (1.0 - k / cfg.Ntx))
         d = np.full(k, (cfg.Ntx - k) / np.sum(1.0 / sigma_rd_sq))
-        e = beta_rd - sigma_rd_sq
-    elif scheme == "mr":
+        e = profile.beta_rd - sigma_rd_sq
+    else:  # "mr"
         a = cfg.Nrx * sigma_sr_sq
-        b = beta_sr
+        b = profile.beta_sr
         c = np.full(k, cfg.sigma_li_sq)
         d = sigma_rd_sq**2 / np.sum(sigma_rd_sq) * cfg.Ntx
-        e = beta_rd
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        e = profile.beta_rd
     return SinrCoefficients(a, b, c, d, e, scheme)
 
 
@@ -156,15 +163,10 @@ def asymptotic_se(case: str, scheme: str, cfg: SystemConfig, profile: LargeScale
     the limits depend on beta and tau instead of sigma^2 (the estimation
     squaring effect).
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    _check_inputs(cfg, profile, scheme)
     if case == "I":
-        if scheme == "zf":
-            sr = Es * profile.sigma_sr_sq
-            rd = Er / np.sum(1.0 / profile.sigma_rd_sq)
-        else:
-            sr = Es * profile.sigma_sr_sq
-            rd = profile.sigma_rd_sq**2 * Er / np.sum(profile.sigma_rd_sq)
+        sr = Es * profile.sigma_sr_sq
+        rd = _rd_limit(scheme, profile, Er)
     elif case == "II":
         if kappa is None or kappa <= 0:
             raise ValueError("case II needs kappa = Ntx/Nrx > 0")
@@ -180,6 +182,14 @@ def asymptotic_se(case: str, scheme: str, cfg: SystemConfig, profile: LargeScale
     return sum_se(rates, cfg.T, cfg.tau, "fd")
 
 
+def _rd_limit(scheme: str, profile: LargeScaleProfile, er: float):
+    """Per-pair large-array second-hop SINR at relay energy er = Pr*Ntx:
+    er / sum(1/sigma_rd^2) for ZF, er sigma_rd^4 / sum(sigma_rd^2) for MR."""
+    if scheme == "zf":
+        return er / np.sum(1.0 / profile.sigma_rd_sq)
+    return profile.sigma_rd_sq**2 * er / np.sum(profile.sigma_rd_sq)
+
+
 def _min_rate(scheme: str, cfg: SystemConfig, profile: LargeScaleProfile,
               pilot_tracks_data: bool):
     """ps -> smallest per-pair rate at Ps = ps and Pr = K*ps.
@@ -192,11 +202,10 @@ def _min_rate(scheme: str, cfg: SystemConfig, profile: LargeScaleProfile,
     if pilot_tracks_data:
         def coefficients(ps: float) -> SinrCoefficients:
             energy = cfg.tau * ps
-            return _coefficients(cfg, scheme,
-                                 profile.beta_sr, _mmse_variance(profile.beta_sr, energy),
-                                 profile.beta_rd, _mmse_variance(profile.beta_rd, energy))
+            return _coefficients(cfg, scheme, profile, _mmse_variance(profile.beta_sr, energy),
+                                 _mmse_variance(profile.beta_rd, energy))
     else:
-        fixed = sinr_coefficients(cfg, profile, scheme)
+        fixed = _coefficients(cfg, scheme, profile, profile.sigma_sr_sq, profile.sigma_rd_sq)
 
         def coefficients(ps: float) -> SinrCoefficients:
             return fixed
@@ -226,6 +235,7 @@ def required_power(target_rate_per_pair: float, scheme: str, cfg: SystemConfig,
     """
     if not target_rate_per_pair > 0:
         raise ValueError("target rate must be positive")
+    _check_inputs(cfg, profile, scheme)
     min_rate = _min_rate(scheme, cfg, profile, pilot_tracks_data)
 
     def reaches(ps: float) -> bool:

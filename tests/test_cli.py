@@ -171,6 +171,18 @@ def test_failed_run_writes_no_file(tmp_path, capsys):
     assert {f.name: f.read_bytes() for f in older.iterdir()} == before
 
 
+def test_fig9_refuses_a_pair_count_other_than_its_profile(tmp_path, capsys):
+    # fig9 allocates on the ten-pair snapshot profile: k=4 stops at the first
+    # rate call with the pair counts, and nothing is written
+    out = tmp_path / "out"
+    assert main(["run", "--preset", "fig9", "--set", "k=4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "profile has 10 pairs but cfg.K is 4",
+                                  "type": "ValueError"}
+    assert not out.exists()
+
+
 def test_zero_pilot_power_is_refused_by_the_profile(tmp_path, capsys):
     # Pp = 0 leaves no channel estimate (sigma^2 = 0): the profile names the
     # field before any rate is computed, and nothing is written

@@ -281,6 +281,11 @@ def test_program_validation():
                          np.array([1e-3, 2.0]), np.array([1e3, 2.0]))
     with pytest.raises(ValueError, match="lower < upper"):
         GeometricProgram(mono(1.0, 1.0), (), (), np.array([2.0]), np.array([2.0]))
+    # an infinite or NaN bound has no box midpoint to start a solve from
+    for low, high in (([1e-3, 1e-3], [np.inf, 10.0]), ([np.nan, 1e-3], [10.0, 10.0]),
+                     ([1e-3, 1e-3], [10.0, np.nan])):
+        with pytest.raises(ValueError, match="lower < upper < inf"):
+            GeometricProgram(obj, (), (), np.array(low), np.array(high))
 
 
 def _lse_reference(a, b, y):

@@ -30,6 +30,11 @@ def test_config_defaults_and_prelog():
         dict(K=2, Nrx=10, Ntx=10, T=20, tau=20),  # tau == T
         dict(K=2, Nrx=10, Ntx=10, Ps=-1.0),
         dict(K=2, Nrx=10, Ntx=10, sigma_li_sq=-0.5),
+        # a non-finite power would reach the rates as a NaN sum SE
+        dict(K=2, Nrx=10, Ntx=10, Ps=np.nan),
+        dict(K=2, Nrx=10, Ntx=10, Pr=np.inf),
+        dict(K=2, Nrx=10, Ntx=10, sigma_li_sq=np.nan),
+        dict(K=2, Nrx=10, Ntx=10, Pp=np.inf),
     ],
 )
 def test_config_rejects_bad_values(kw):
@@ -92,6 +97,10 @@ def test_make_profile_rejects_bad_shapes():
         make_profile([1.0, 0.0], [1.0, 1.0], 20, 10.0)
     with pytest.raises(ValueError):
         make_profile([], [], 20, 10.0)
+    with pytest.raises(ValueError, match="gains must be positive and finite"):
+        make_profile([np.nan, 1.0], [1.0, 1.0], 4, 10.0)
+    with pytest.raises(ValueError, match="1-D of one length K >= 1"):
+        make_profile(np.ones((2, 2)), np.ones((2, 2)), 4, 10.0)
 
 
 def test_profile_arrays_are_read_only():
@@ -105,6 +114,20 @@ def test_profile_direct_constructor_checks_shapes():
         LargeScaleProfile(
             beta_sr=np.ones(3), beta_rd=np.ones(2),
             sigma_sr_sq=np.full(3, 0.5), sigma_rd_sq=np.full(3, 0.5))
+    # the rules live in the profile, so direct construction meets them too:
+    # a (2, 2) profile would give rate_mr a 2 x 2 "per-pair" array
+    square, empty, ones = np.full((2, 2), 0.5), np.zeros(0), np.ones(2)
+    with pytest.raises(ValueError, match="1-D of one length K >= 1"):
+        LargeScaleProfile(beta_sr=2 * square, beta_rd=2 * square,
+                          sigma_sr_sq=square, sigma_rd_sq=square)
+    with pytest.raises(ValueError, match="1-D of one length K >= 1"):
+        LargeScaleProfile(beta_sr=empty, beta_rd=empty, sigma_sr_sq=empty, sigma_rd_sq=empty)
+    with pytest.raises(ValueError, match="gains must be positive and finite"):
+        LargeScaleProfile(beta_sr=ones, beta_rd=np.array([1.0, np.inf]),
+                          sigma_sr_sq=ones, sigma_rd_sq=ones)
+    with pytest.raises(ValueError, match="sigma_sr_sq must be positive"):
+        LargeScaleProfile(beta_sr=ones, beta_rd=ones,
+                          sigma_sr_sq=np.array([0.5, np.nan]), sigma_rd_sq=ones)
 
 
 def test_zero_pilot_energy_leaves_no_estimate():

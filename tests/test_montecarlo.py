@@ -205,13 +205,22 @@ def test_loop_power_probe_is_its_exact_value(scheme, ntx):
 
 
 def test_scheme_and_zf_dimensions_are_checked_before_the_first_draw():
-    for scheme, cfg, msg in (("svd", CFG, "unknown scheme"),
-                             ("zf", replace(CFG, Nrx=CFG.K), "zero forcing needs")):
+    two = make_profile([0.6, 1.0], [1.4, 0.7], CFG.tau, CFG.Pp)
+    pairs = "profile has 2 pairs but cfg.K is 3"
+    for scheme, cfg, prof, msg in (("svd", CFG, PROF, "unknown scheme"),
+                                   ("zf", replace(CFG, Nrx=CFG.K), PROF, "zero forcing needs"),
+                                   ("mr", CFG, two, pairs)):
         rng = np.random.default_rng(48)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match=msg):
-            mc_rate(cfg, PROF, scheme, 40, rng)
+            mc_rate(cfg, prof, scheme, 40, rng)
         assert rng.bit_generator.state == before
+    # simulate checks every point, not only the first
+    rng = np.random.default_rng(48)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=pairs):
+        simulate([(CFG, PROF), (CFG, two)], "mr", 40, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_mc_rate_is_deterministic_per_seed():

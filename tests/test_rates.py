@@ -1,4 +1,5 @@
 """Tests for the closed-form rate expressions and derived quantities."""
+import inspect
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdrelay
 from fdrelay import (
     LargeScaleProfile,
     SystemConfig,
@@ -19,6 +21,7 @@ from fdrelay import (
     snapshot_profile,
     sum_se,
 )
+from fdrelay import rates
 from power_oracle import min_rate_at, required_power_per_step
 
 # reference configuration: symmetric gains, 10 pairs, 100 antennas each side
@@ -205,6 +208,56 @@ def test_asymptotic_validation():
         asymptotic_se("III", "zf", REF_CFG, REF_PROF, Es=1.0, Er=1.0)
     with pytest.raises(ValueError):
         asymptotic_se("I", "dpc", REF_CFG, REF_PROF, Es=1.0, Er=1.0)
+
+
+# the arguments besides cfg and profile of each public (cfg, profile) entry
+# point, one dict per call; required_power runs in both pilot modes
+ENTRY_CALLS = {
+    "asymptotic_se": [dict(case="I", scheme="zf", Es=1.0, Er=1.0)],
+    "convergence_probe": [dict(kind="forward", scheme="mr", trials=4,
+                               rng=np.random.default_rng(0), er=1.0)],
+    "genie_rates": [dict(scheme="zf", trials=4, rng=np.random.default_rng(0))],
+    "mc_rate": [dict(scheme="mr", trials=4, rng=np.random.default_rng(0))],
+    "optimize_powers": [dict(scheme="zf", s0=2.0)],
+    "rate_mr": [{}],
+    "rate_zf": [{}],
+    "required_power": [dict(target_rate_per_pair=1.0, scheme="zf", pilot_tracks_data=tracks)
+                       for tracks in (False, True)],
+    "sinr_coefficients": [dict(scheme="mr")],
+}
+
+
+def test_every_entry_point_refuses_a_profile_of_another_pair_count():
+    # unchecked, a one-pair profile under K = 4 gives plausible numbers and a
+    # three-pair one numpy broadcast errors; a new entry point that takes
+    # (cfg, profile) has to join ENTRY_CALLS, and so meet the check
+    entry_points = sorted(
+        name for name in fdrelay.__all__ if callable(getattr(fdrelay, name))
+        and {"cfg", "profile"} <= set(inspect.signature(getattr(fdrelay, name)).parameters))
+    assert sorted(ENTRY_CALLS) == entry_points
+    cfg = SystemConfig(K=4, Nrx=32, Ntx=32, tau=8)
+    for pairs in (3, 5):
+        profile = make_profile(np.ones(pairs), np.ones(pairs), cfg.tau, cfg.Pp)
+        for name, calls in ENTRY_CALLS.items():
+            for extra in calls:
+                with pytest.raises(ValueError,
+                                   match=f"profile has {pairs} pairs but cfg.K is 4"):
+                    getattr(fdrelay, name)(cfg=cfg, profile=profile, **extra)
+
+
+@pytest.mark.parametrize("tracks", [False, True])
+def test_required_power_checks_its_inputs_once(monkeypatch, tracks):
+    # not once per bisection step, whatever the pilot mode
+    calls = []
+    real = rates._check_inputs
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rates, "_check_inputs", counted)
+    ps = required_power(1.0, "zf", REF_CFG, REF_PROF, pilot_tracks_data=tracks)
+    assert 1e-6 < ps < math.inf and len(calls) == 1
 
 
 def test_required_power_hits_target():
