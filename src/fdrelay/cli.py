@@ -12,9 +12,9 @@ execution order or chunking.
     fdrelay run --manifest results/fig3.manifest.json --out verify/
 
 Overrides (--set key=value) use flat lower-case keys mirroring the config
-fields; keys with a _db suffix are converted to linear scale at parse time.
-A preset refuses an override of a field it sets itself and an extra key it
-does not read, and a failed run writes no file.
+fields; a _db key other than shadow_sigma_db is converted to linear scale at
+parse time. A preset refuses an override of a field it sets itself and an
+extra key it does not read, and a failed run writes no file.
 """
 from __future__ import annotations
 
@@ -63,7 +63,7 @@ def _db(x: float) -> float:
 def _value(key: str, raw) -> float | int:
     """An override value; integer keys take integral spellings only (64, 64.0)."""
     x = float(raw)
-    if key.endswith("_db"):
+    if key.endswith("_db") and key not in _GEOMETRY:
         return _db(x)
     if key not in _INTEGER_KEYS:
         return x
@@ -175,8 +175,8 @@ def _run_fig3(spec: RunSpec):
 def _run_fig4(spec: RunSpec):
     # required_power sets Ps, and Pr = K Ps, at every bisection step
     _reject_swept(spec, ("ps", "pr"))
-    target = float(spec.overrides.get("target_rate", 1.0))
-    pp_fixed = _db(float(spec.overrides.get("pp_fixed_db", 10.0)))
+    target = _value("target_rate", spec.overrides.get("target_rate", 1.0))
+    pp_fixed = _value("pp_fixed_db", spec.overrides.get("pp_fixed_db", 10.0))
     header = [f"ps_req_db_{s}_{pp}" for s in ("zf", "mr")
               for pp in ("fixed_pp", "pp_tracks")]
 
@@ -210,7 +210,7 @@ def _run_fig8(spec: RunSpec):
     p = _db(10.0)
     cfg = _apply_overrides(_base_cfg(
         200, Pp=p, Ps=p, Pr=p, sigma_li_sq=_db(10.0)), spec.overrides)
-    geometry = DropGeometry(**{key: float(spec.overrides.get(key, default))
+    geometry = DropGeometry(**{key: _value(key, spec.overrides.get(key, default))
                                for key, default in _GEOMETRY.items()})
     rows = []
     for drop in range(spec.trials):
@@ -223,8 +223,8 @@ def _run_fig8(spec: RunSpec):
 def _run_fig9(spec: RunSpec):
     # the allocator chooses the powers under the peaks p0_db and p1_db
     _reject_swept(spec, ("ps", "pr"))
-    p0 = _db(float(spec.overrides.get("p0_db", 10.0)))
-    p1 = _db(float(spec.overrides.get("p1_db", 20.0)))
+    p0 = _value("p0_db", spec.overrides.get("p0_db", 10.0))
+    p1 = _value("p1_db", spec.overrides.get("p1_db", 20.0))
     cfg = _apply_overrides(_base_cfg(
         200, Pp=_db(10.0), Ps=p0, Pr=p1, sigma_li_sq=_db(10.0)),
         spec.overrides)

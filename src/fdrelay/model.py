@@ -10,6 +10,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _check_real(name: str, x, strict: bool = False) -> None:
+    """The scalar rule: x is finite and >= 0 (> 0 if strict); NaN and None fail."""
+    if x is None or not (0 < x if strict else 0 <= x) or not x < np.inf:
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0")
+
+
+def _check_count(name: str, n, least: int = 1) -> None:
+    if not isinstance(n, (int, np.integer)) or n < least:
+        raise ValueError(f"{name} must be >= {least} and an integer")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Scalar parameters of the multipair full-duplex relay link.
@@ -38,15 +49,12 @@ class SystemConfig:
     sigma_li_sq: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.Nrx < 1 or self.Ntx < 1:
-            raise ValueError("antenna counts must be >= 1")
+        for name in ("K", "Nrx", "Ntx", "T", "tau"):
+            _check_count(name, getattr(self, name))
         if not 2 * self.K <= self.tau < self.T:
             raise ValueError("training length must satisfy 2K <= tau < T")
         for name in ("Pp", "Ps", "Pr", "sigma_li_sq"):
-            if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
-                raise ValueError(f"{name} must be finite and >= 0")
+            _check_real(name, getattr(self, name))
 
     @property
     def prelog(self) -> float:
@@ -70,12 +78,10 @@ def estimation_variance(beta, tau: int, Pp: float):
     beta and approaches it as tau*Pp grows.
     """
     beta = np.asarray(beta, dtype=float)
-    if np.any(beta < 0):
-        raise ValueError("beta must be >= 0")
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    if Pp < 0:
-        raise ValueError("Pp must be >= 0")
+    if not ((0 <= beta) & (beta < np.inf)).all():  # NaN fails too
+        raise ValueError("beta must be finite and >= 0")
+    _check_count("tau", tau)
+    _check_real("Pp", Pp)
     out = _mmse_variance(beta, tau * Pp)
     return out if out.ndim else float(out)
 
@@ -155,10 +161,9 @@ class DropGeometry:
     ref_distance: float = 200.0
 
     def __post_init__(self) -> None:
-        if self.disk_diameter <= 0 or self.ref_distance <= 0 or self.path_exponent <= 0:
-            raise ValueError("geometry lengths and exponent must be positive")
-        if self.shadow_sigma_db < 0:
-            raise ValueError("shadow_sigma_db must be >= 0")
+        for name in ("disk_diameter", "path_exponent", "ref_distance"):
+            _check_real(name, getattr(self, name), strict=True)
+        _check_real("shadow_sigma_db", self.shadow_sigma_db)
 
 
 def draw_urban_profile(
@@ -171,6 +176,7 @@ def draw_urban_profile(
     normal with std shadow_sigma_db. Source and destination sides use the
     same model with independent draws.
     """
+    _check_count("K", K)
     radius = geometry.disk_diameter / 2.0
 
     def gains(n: int) -> np.ndarray:

@@ -89,7 +89,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import _cn, gram_factor_batch
-from .model import LargeScaleProfile, SystemConfig
+from .model import LargeScaleProfile, SystemConfig, _check_count, _check_real
 from .rates import _check_inputs, _rd_limit
 
 # Feature rows of one simulated trial, K columns (pairs) each: first-hop
@@ -165,12 +165,6 @@ def _chunks(trials: int, per_trial: float):
     chunk = max(1, min(4096, int(64e6 / (16.0 * per_trial))))
     for done in range(0, trials, chunk):
         yield min(chunk, trials - done)
-
-
-def _check_trials(trials: int, least: int = 1) -> None:
-    # entry points that report a standard error need a sample covariance
-    if trials < least:
-        raise ValueError(f"trials must be >= {least}")
 
 
 def alpha_zf(cfg: SystemConfig, profile: LargeScaleProfile) -> float:
@@ -314,7 +308,7 @@ def _simulate(points, scheme: str, trials: int, rng: np.random.Generator,
         raise ValueError("all points must share K, Nrx and Ntx")
     for c, profile in points:
         _check_inputs(c, profile, scheme)
-    _check_trials(trials, least)
+    _check_count("trials", trials, least)
     accs = [_Accumulator(_FEATURES, cfg.K) for _ in points]
     for n in _chunks(trials, 16 * cfg.K ** 2):
         draw = _draw(cfg, n, rng)
@@ -431,13 +425,16 @@ def wishart_inverse_moment(n_ant: int, variances, trials: int,
 
     Returns (mean, stderr) arrays; the closed form is 1/((n_ant - K) var_k).
     Each trial draws only the K x K Gram factor; the stderr is the iid one of
-    a plain per-trial mean.
+    a plain per-trial mean. Needs n_ant > K, trials >= 2 and finite var_k > 0.
     """
     variances = np.asarray(variances, dtype=float)
+    for v in variances:
+        _check_real("variances", v, strict=True)
     k = variances.size
+    _check_count("n_ant", n_ant)
     if n_ant <= k:
         raise ValueError("need more antennas than columns")
-    _check_trials(trials, 2)
+    _check_count("trials", trials, 2)
     acc = _Accumulator(1, k)
     root_var = np.sqrt(variances)
     for n in _chunks(trials, 4 * k ** 2):
@@ -454,19 +451,19 @@ def convergence_probe(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
     kind "decode": mean square of the decoded first-hop symbol around
     sqrt(Ps) x_k, after removing the ZF unit gain or the Nrx sigma^2 MRC gain.
     kind "loop_power": per-antenna received self-interference power when the
-    relay spends Pr = er/Ntx.
+    relay spends Pr = er/Ntx, where er is finite and > 0 (decode ignores it).
     kind "forward": mean square of the destination signal around its
     deterministic large-array amplitude, again with Pr = er/Ntx.
 
     All three average over pairs (antennas for "loop_power") and trials and
     return a single float: the closed form of the module docstring in the
-    pooled feature means of one pass, so the cost does not grow with the
-    arrays and the draws are those of mc_rate on the same rng.
+    pooled feature means of one pass (trials >= 1), so the cost does not grow
+    with the arrays and the draws are those of mc_rate on the same rng.
     """
     if kind not in ("decode", "loop_power", "forward"):
         raise ValueError(f"unknown probe kind {kind!r}")
-    if kind != "decode" and (er is None or er <= 0):
-        raise ValueError(f"kind {kind!r} needs er > 0")
+    if kind != "decode":
+        _check_real("er", er, strict=True)
     means = _simulate([(cfg, profile)], scheme, trials, rng, least=1)[0].mean
     re_sr, _, gain2_sr, mp_sr, li, an, re_rd, _, gain2_rd, mp_rd, _, _, power = means
     if kind == "decode":

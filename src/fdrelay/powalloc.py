@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gp import GeometricProgram, Posynomial, solve_gp
-from .model import LargeScaleProfile, SystemConfig
+from .model import LargeScaleProfile, SystemConfig, _check_count, _check_real
 from .rates import SinrCoefficients, sinr_coefficients, sum_se
 
 GAMMA_FLOOR = 1e-9
@@ -47,9 +47,12 @@ MEASURED = (1.1, 5, EPS)
 
 def energy_efficiency(sum_se: float, p_s, p_r: float, T: int, tau: int) -> float:
     """Sum SE divided by the effective data-phase transmit power."""
+    _check_real("sum_se", sum_se)
+    _check_real("p_r", p_r)
+    _check_count("tau", tau)
+    _check_count("T", T, tau + 1)
     total = float(np.sum(p_s)) + float(p_r)
-    if total <= 0:
-        raise ValueError("total transmit power must be positive")
+    _check_real("total transmit power", total, strict=True)
     return sum_se / ((T - tau) / T * total)
 
 
@@ -175,14 +178,12 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     measured rounds alone. Status "optimal" means converged with the last
     round's GP certified optimal; "infeasible" means no round found a
     feasible point (for an infeasible target, a warning cites the
-    uniform-peak feasibility hint). Raises ValueError when a SINR
-    coefficient is not positive and finite (sigma_li_sq = 0 gives c = 0,
-    say), since no GP round could hold it.
+    uniform-peak feasibility hint). Raises ValueError unless s0, p0 and p1
+    are finite and > 0 and every SINR coefficient is positive and finite
+    (sigma_li_sq = 0 gives c = 0, say), since no GP round could hold it.
     """
-    if s0 <= 0:
-        raise ValueError("target sum SE must be positive")
-    if p0 <= 0 or p1 <= 0:
-        raise ValueError("peak powers must be positive")
+    for name, x in (("s0", s0), ("p0", p0), ("p1", p1)):
+        _check_real(name, x, strict=True)
     coeffs = sinr_coefficients(cfg, profile, scheme)
     for name in "abcde":
         v = getattr(coeffs, name)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import LargeScaleProfile, SystemConfig, _mmse_variance
+from .model import LargeScaleProfile, SystemConfig, _check_count, _check_real, _mmse_variance
 
 SCHEMES = ("zf", "mr")
 
@@ -108,8 +108,6 @@ def _coefficients(cfg: SystemConfig, scheme: str, profile: LargeScaleProfile,
 
 def _report(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
             mode: str) -> RateReport:
-    if mode not in ("fd", "hd"):
-        raise ValueError("mode must be 'fd' or 'hd'")
     coeffs = sinr_coefficients(cfg, profile, scheme)
     p_s, p_r = cfg.Ps, cfg.Pr
     if mode == "hd":
@@ -144,6 +142,8 @@ def sum_se(r_e2e, T: int, tau: int, mode: str = "fd") -> float:
     protocol. The rates passed in must already match the mode (the rate_*
     functions handle the half-duplex power doubling and LI removal).
     """
+    _check_count("T", T)
+    _check_count("tau", tau)
     if not tau < T:
         raise ValueError("tau must be below T")
     prelog = (T - tau) / T
@@ -159,17 +159,18 @@ def asymptotic_se(case: str, scheme: str, cfg: SystemConfig, profile: LargeScale
     """Large-array sum SE limit under the two power-scaling regimes.
 
     Case I: Pp fixed, Ps = Es/Nrx, Pr = Er/Ntx. Case II: Pp = Ps = Es/sqrt(Nrx),
-    Pr = Er/sqrt(Ntx) with Ntx = kappa*Nrx; the pilot energy then vanishes and
-    the limits depend on beta and tau instead of sigma^2 (the estimation
-    squaring effect).
+    Pr = Er/sqrt(Ntx) with Ntx = kappa*Nrx; the pilot energy vanishes and the
+    limits depend on beta and tau, not sigma^2 (estimation squaring). Es and
+    Er are finite and >= 0; case II needs a finite kappa > 0.
     """
     _check_inputs(cfg, profile, scheme)
+    _check_real("Es", Es)
+    _check_real("Er", Er)
     if case == "I":
         sr = Es * profile.sigma_sr_sq
         rd = _rd_limit(scheme, profile, Er)
     elif case == "II":
-        if kappa is None or kappa <= 0:
-            raise ValueError("case II needs kappa = Ntx/Nrx > 0")
+        _check_real("kappa", kappa, strict=True)
         sr = cfg.tau * Es**2 * profile.beta_sr**2
         rd_common = np.sqrt(kappa) * cfg.tau * Es * Er / np.sum(1.0 / profile.beta_rd**2)
         if scheme == "zf":

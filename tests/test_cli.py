@@ -274,6 +274,22 @@ def test_bad_requests_exit_2_with_json_error(tmp_path, capsys, argv_extra):
     assert set(payload) == {"error", "type"}
 
 
+@pytest.mark.parametrize("key", ["disk_diameter", "shadow_sigma_db"])
+def test_geometry_extras_meet_the_scalar_rule(tmp_path, capsys, key):
+    # fig8's extras go through cli._value like every key; a NaN then fails
+    # DropGeometry by name, not the drawn gains
+    out = tmp_path / "out"
+    assert main(["run", "--preset", "fig8", "--trials", "2", "--set", f"{key}=nan",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"].startswith(f"{key} must be finite")
+    assert not out.exists()
+    # the drop model takes its shadowing spread in dB; other _db keys convert
+    assert cli._value("shadow_sigma_db", "6") == 6.0
+    assert cli._value("p0_db", "20") == 100.0
+
+
 def test_preset_and_manifest_are_exclusive(tmp_path, capsys):
     assert main(["run", "--preset", "fig6", "--manifest", "x.json",
                  "--out", str(tmp_path)]) == 2

@@ -97,7 +97,8 @@ def test_make_profile_rejects_bad_shapes():
         make_profile([1.0, 0.0], [1.0, 1.0], 20, 10.0)
     with pytest.raises(ValueError):
         make_profile([], [], 20, 10.0)
-    with pytest.raises(ValueError, match="gains must be positive and finite"):
+    # estimation_variance refuses a NaN gain before the profile sees it
+    with pytest.raises(ValueError, match="beta must be finite and >= 0"):
         make_profile([np.nan, 1.0], [1.0, 1.0], 4, 10.0)
     with pytest.raises(ValueError, match="1-D of one length K >= 1"):
         make_profile(np.ones((2, 2)), np.ones((2, 2)), 4, 10.0)
