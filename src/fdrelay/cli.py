@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import itertools
 import json
 import math
 import os
@@ -94,9 +96,9 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed,) + key))
 
 
-def _flat_profile(cfg: SystemConfig):
-    ones = np.ones(cfg.K)
-    return make_profile(ones, ones, cfg.tau, cfg.Pp)
+def _flat_profile(k: int, tau: int, pp: float):
+    ones = np.ones(k)
+    return make_profile(ones, ones, tau, pp)
 
 
 def _base_cfg(n_ant: int = 100, **kw) -> SystemConfig:
@@ -106,34 +108,40 @@ def _base_cfg(n_ant: int = 100, **kw) -> SystemConfig:
 _SE_HEADER = [f"se_{mode}_{s}" for s in ("zf", "mr") for mode in ("fd", "hd", "hybrid")]
 
 
-def _se_columns(cfg: SystemConfig, profile) -> list:
-    out = []
+def _se_columns(cfgs, profiles) -> list:
+    """_SE_HEADER rows of points of one K: one rate call per scheme and mode."""
+    columns = []
     for fn in (rate_zf, rate_mr):
-        fd = fn(cfg, profile, mode="fd").sum_se
-        hd = fn(cfg, profile, mode="hd").sum_se
-        out += [fd, hd, max(fd, hd)]
-    return out
+        fd = fn(cfgs, profiles, mode="fd").sum_se.tolist()
+        hd = fn(cfgs, profiles, mode="hd").sum_se.tolist()
+        columns += [fd, hd, list(map(max, fd, hd))]
+    return [list(row) for row in zip(*columns)]
 
 
-def _flat_se(cfg: SystemConfig) -> list:
-    return _se_columns(cfg, _flat_profile(cfg))
+def _se_rows(cfgs, profiles) -> list:
+    """_se_columns with one batch per run of equal K (a k sweep changes K)."""
+    runs = itertools.groupby(zip(cfgs, profiles), key=lambda point: point[0].K)
+    return [row for _, run in runs for row in _se_columns(*zip(*run))]
 
 
 def _sweep(spec: RunSpec, base: SystemConfig, field: str, values, header,
            columns) -> tuple:
     """One row per value of the config key field: the overrides apply to
-    base, then the row's value, after refusing any override of its fields."""
+    base, then the row's value, after refusing any override of its fields.
+    columns maps the row configs and their flat profiles to rows of cells."""
     _reject_swept(spec, (field,))
     base = _apply_overrides(base, spec.overrides)
-    rows = [[v] + columns(_apply_overrides(base, {field: v})) for v in values]
-    return [field] + header, rows
+    cfgs = [_apply_overrides(base, {field: v}) for v in values]
+    flat = functools.cache(_flat_profile)  # each distinct profile once per sweep
+    rows = columns(cfgs, [flat(cfg.K, cfg.tau, cfg.Pp) for cfg in cfgs])
+    return [field] + header, [[v] + row for v, row in zip(values, rows)]
 
 
 def _mc_sweep(spec: RunSpec, sizes, schemes, genie: bool) -> tuple:
     """Closed-form and simulated sum rates over SNR: one simulate call per
     (size, scheme) on seed stream (seed, size index, scheme index), so
-    presets that share a size and a scheme share its cells. Each row sets
-    the array size, Ps (the SNR) and Pr = K Ps."""
+    presets that share a size and a scheme share its cells; one closed-form
+    call per scheme. Each row sets the array size, Ps (the SNR) and Pr = K Ps."""
     _reject_swept(spec, ("n_ant", "ps", "pr"))
     header = ["snr_db", "n_ant"]
     for s in schemes:
@@ -141,26 +149,29 @@ def _mc_sweep(spec: RunSpec, sizes, schemes, genie: bool) -> tuple:
         if genie:
             header += [f"sum_rate_{s}_genie", f"sum_rate_{s}_genie_stderr"]
     snrs_db = (-10, -5, 0, 5, 10)
-    rows = []
+    rows, points, sims = [], [], {scheme: [] for scheme in schemes}
     for i, n_ant in enumerate(sizes):
-        points = []
+        block = []
         for snr_db in snrs_db:
             ps = _db(snr_db)
             cfg = _apply_overrides(_base_cfg(n_ant, Pp=ps, Ps=ps, sigma_li_sq=1.0),
                                    spec.overrides)
             cfg = replace(cfg, Pr=cfg.K * cfg.Ps)
-            points.append((cfg, _flat_profile(cfg)))
-        block = [[snr_db, n_ant] for snr_db in snrs_db]
-        for j, (fn, scheme) in enumerate(((rate_zf, "zf"), (rate_mr, "mr"))):
-            if scheme not in schemes:
-                continue
-            results = simulate(points, scheme, spec.trials, _rng(spec.seed, i, j))
-            for row, (cfg, profile), (mc, gen) in zip(block, points, results):
-                row += [float(np.sum(fn(cfg, profile).r_e2e)), mc.sum_rate,
-                        mc.stderr_sum_rate]
-                if genie:
-                    row += [gen.sum_rate, gen.stderr_sum_rate]
-        rows += block
+            block.append((cfg, _flat_profile(cfg.K, cfg.tau, cfg.Pp)))
+            rows.append([snr_db, n_ant])
+        for j, scheme in enumerate(("zf", "mr")):
+            if scheme in schemes:
+                sims[scheme] += simulate(block, scheme, spec.trials, _rng(spec.seed, i, j))
+        points += block
+    cfgs, profiles = zip(*points)
+    for fn, scheme in ((rate_zf, "zf"), (rate_mr, "mr")):
+        if scheme not in schemes:
+            continue
+        closed = np.sum(fn(cfgs, profiles).r_e2e, axis=-1).tolist()
+        for row, sum_rate, (mc, gen) in zip(rows, closed, sims[scheme]):
+            row += [sum_rate, mc.sum_rate, mc.stderr_sum_rate]
+            if genie:
+                row += [gen.sum_rate, gen.stderr_sum_rate]
     return header, rows
 
 
@@ -180,11 +191,11 @@ def _run_fig4(spec: RunSpec):
     header = [f"ps_req_db_{s}_{pp}" for s in ("zf", "mr")
               for pp in ("fixed_pp", "pp_tracks")]
 
-    def columns(cfg):
-        profile = _flat_profile(cfg)
-        return [10.0 * math.log10(required_power(target, scheme, cfg, profile,
-                                                 pilot_tracks_data=tracks))
-                for scheme in ("zf", "mr") for tracks in (False, True)]
+    def columns(cfgs, profiles):
+        return [[10.0 * math.log10(required_power(target, scheme, cfg, profile,
+                                                  pilot_tracks_data=tracks))
+                 for scheme in ("zf", "mr") for tracks in (False, True)]
+                for cfg, profile in zip(cfgs, profiles)]
 
     base = _base_cfg(Pp=pp_fixed, Ps=1.0, Pr=10.0, sigma_li_sq=1.0)
     return {"fig4.csv": _sweep(spec, base, "n_ant", (64, 128, 256, 512),
@@ -195,14 +206,14 @@ def _run_fig6(spec: RunSpec):
     p = _db(10.0)
     base = _base_cfg(Pp=p, Ps=p, Pr=p)
     return {"fig6.csv": _sweep(spec, base, "sigma_li_db", range(-10, 22, 2),
-                               _SE_HEADER, _flat_se)}
+                               _SE_HEADER, _se_rows)}
 
 
 def _run_fig7(spec: RunSpec):
     p = _db(10.0)
     base = _base_cfg(Pp=p, Ps=p, Pr=p, sigma_li_sq=_db(10.0))
     sizes = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
-    return {"fig7.csv": _sweep(spec, base, "n_ant", sizes, _SE_HEADER, _flat_se)}
+    return {"fig7.csv": _sweep(spec, base, "n_ant", sizes, _SE_HEADER, _se_rows)}
 
 
 def _run_fig8(spec: RunSpec):
@@ -212,12 +223,10 @@ def _run_fig8(spec: RunSpec):
         200, Pp=p, Ps=p, Pr=p, sigma_li_sq=_db(10.0)), spec.overrides)
     geometry = DropGeometry(**{key: _value(key, spec.overrides.get(key, default))
                                for key, default in _GEOMETRY.items()})
-    rows = []
-    for drop in range(spec.trials):
-        profile = draw_urban_profile(geometry, cfg.K, cfg.tau, cfg.Pp,
-                                     _rng(spec.seed, drop))
-        rows.append([drop] + _se_columns(cfg, profile))
-    return {"fig8.csv": (header, rows)}
+    profiles = [draw_urban_profile(geometry, cfg.K, cfg.tau, cfg.Pp, _rng(spec.seed, drop))
+                for drop in range(spec.trials)]
+    rows = _se_columns([cfg] * spec.trials, profiles)
+    return {"fig8.csv": (header, [[drop] + row for drop, row in enumerate(rows)])}
 
 
 def _run_fig9(spec: RunSpec):
@@ -278,7 +287,7 @@ def _run_custom(spec: RunSpec):
     # integer fields take the floor of each grid point, in the table too
     points = [math.floor(v) if field in _INTEGER_KEYS else float(v) for v in values]
     base = _base_cfg(Pp=10.0, Ps=10.0, Pr=10.0, sigma_li_sq=1.0)
-    return {"custom.csv": _sweep(spec, base, field, points, _SE_HEADER, _flat_se)}
+    return {"custom.csv": _sweep(spec, base, field, points, _SE_HEADER, _se_rows)}
 
 
 class _Preset(NamedTuple):
@@ -396,31 +405,37 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     args = _parse_args(argv)
     out_dir = args.out or os.environ.get("FDRELAY_OUT") or "results"
-    try:
-        if args.manifest and args.preset:
-            raise ValueError("use either --preset or --manifest, not both")
-        if args.manifest:
-            spec = spec_from_manifest(args.manifest, out_dir)
-        else:
-            if not args.preset:
-                raise ValueError("one of --preset or --manifest is required")
-            overrides = {}
-            for item in args.overrides:
-                if "=" not in item:
-                    raise ValueError(f"override {item!r} is not KEY=VALUE")
-                key, value = item.split("=", 1)
-                overrides[key.strip().lower()] = value.strip()
-            trials = args.trials if args.trials is not None \
-                else _PRESETS[args.preset].trials
-            spec = RunSpec(preset=args.preset, seed=args.seed, trials=trials,
-                           overrides=overrides, out_dir=out_dir)
-        for path in run_spec(spec):
-            print(path)
-        return 0
-    except Exception as exc:  # one machine-readable line on any failure
-        print(json.dumps({"error": str(exc), "type": type(exc).__name__}),
-              file=sys.stderr)
-        return 2
+    # under the active filters; a failure lists the warnings, a success re-issues them
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            if args.manifest and args.preset:
+                raise ValueError("use either --preset or --manifest, not both")
+            if args.manifest:
+                spec = spec_from_manifest(args.manifest, out_dir)
+            else:
+                if not args.preset:
+                    raise ValueError("one of --preset or --manifest is required")
+                overrides = {}
+                for item in args.overrides:
+                    if "=" not in item:
+                        raise ValueError(f"override {item!r} is not KEY=VALUE")
+                    key, value = item.split("=", 1)
+                    overrides[key.strip().lower()] = value.strip()
+                trials = args.trials if args.trials is not None \
+                    else _PRESETS[args.preset].trials
+                spec = RunSpec(preset=args.preset, seed=args.seed, trials=trials,
+                               overrides=overrides, out_dir=out_dir)
+            paths = run_spec(spec)
+        except Exception as exc:  # one machine-readable line on any failure
+            error = {"error": str(exc), "type": type(exc).__name__}
+            if caught:
+                error["warnings"] = [str(w.message) for w in caught]
+            print(json.dumps(error), file=sys.stderr)
+            return 2
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    print(*paths, sep="\n")
+    return 0
 
 
 if __name__ == "__main__":

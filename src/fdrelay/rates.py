@@ -14,14 +14,18 @@ which reduces to the uniform-power expressions when all p_k equal Ps.
 SinrCoefficients holds (a, b, c, d, e) for one scheme; the power-allocation
 module and the CLI read the same type. rate_zf and rate_mr evaluate it at
 the uniform powers (Ps, Pr) of the config; per-source powers go through
-sinr_coefficients(cfg, profile, scheme).sinrs(p_s, p_r).
+sinr_coefficients(cfg, profile, scheme).sinrs(p_s, p_r). rate_zf and rate_mr
+also take a batch of points of one K, stacked: each profile vector a row of
+a (P, K) array, each config field a (P, 1) column. One point is a batch of one.
 Every entry point that takes (cfg, profile, scheme), here and in montecarlo,
-runs _check_inputs once before any work.
+runs _check_inputs once per point before any work.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -29,16 +33,18 @@ import numpy as np
 from .model import LargeScaleProfile, SystemConfig, _check_count, _check_real, _mmse_variance
 
 SCHEMES = ("zf", "mr")
+_COLUMNS = tuple(f.name for f in fields(SystemConfig))
+_ROWS = tuple(f.name for f in fields(LargeScaleProfile))
 
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-pair rates (bits/channel use) and the sum spectral efficiency."""
+    """Per-pair rates (bits/channel use) and the sum SE: (K,), float or (P, K), (P,)."""
 
     r_sr: np.ndarray
     r_rd: np.ndarray
     r_e2e: np.ndarray
-    sum_se: float
+    sum_se: float | np.ndarray
     scheme: str
     mode: str  # "fd" or "hd"
 
@@ -59,11 +65,14 @@ class SinrCoefficients(NamedTuple):
 
     @property
     def K(self) -> int:
-        return self.a.size
+        return self.a.shape[-1]
 
     def sinrs(self, p_s: np.ndarray, p_r: float):
-        """Per-pair (SINR_SR, SINR_RD) at source powers p_s and relay power p_r."""
-        sr = self.a * p_s / (np.dot(self.b, p_s) + self.c * p_r + 1.0)
+        """Per-pair (SINR_SR, SINR_RD) at source powers p_s and relay power p_r,
+        (P, K) and (P, 1) on stacked points; the matmul rounds as np.dot
+        unless p_s is a stride-0 broadcast."""
+        interference = (self.b[..., None, :] @ p_s[..., :, None])[..., 0]
+        sr = self.a * p_s / (interference + self.c * p_r + 1.0)
         rd = self.d * p_r / (self.e * p_r + 1.0)
         return sr, rd
 
@@ -90,49 +99,69 @@ def sinr_coefficients(cfg: SystemConfig, profile: LargeScaleProfile,
 def _coefficients(cfg: SystemConfig, scheme: str, profile: LargeScaleProfile,
                   sigma_sr_sq, sigma_rd_sq) -> SinrCoefficients:
     """The formulas at the profile's gains and the given variances, unchecked."""
-    k = cfg.K
+    k, shape = cfg.K, sigma_sr_sq.shape
     if scheme == "zf":
         a = (cfg.Nrx - k) * sigma_sr_sq
         b = profile.beta_sr - sigma_sr_sq
-        c = np.full(k, cfg.sigma_li_sq * (1.0 - k / cfg.Ntx))
-        d = np.full(k, (cfg.Ntx - k) / np.sum(1.0 / sigma_rd_sq))
+        c = np.full(shape, cfg.sigma_li_sq * (1.0 - k / cfg.Ntx))
+        d = np.full(shape, (cfg.Ntx - k) / (1.0 / sigma_rd_sq).sum(-1, keepdims=True))
         e = profile.beta_rd - sigma_rd_sq
     else:  # "mr"
         a = cfg.Nrx * sigma_sr_sq
         b = profile.beta_sr
-        c = np.full(k, cfg.sigma_li_sq)
-        d = sigma_rd_sq**2 / np.sum(sigma_rd_sq) * cfg.Ntx
+        c = np.full(shape, cfg.sigma_li_sq)
+        d = sigma_rd_sq**2 / sigma_rd_sq.sum(-1, keepdims=True) * cfg.Ntx
         e = profile.beta_rd
     return SinrCoefficients(a, b, c, d, e, scheme)
 
 
-def _report(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
-            mode: str) -> RateReport:
-    coeffs = sinr_coefficients(cfg, profile, scheme)
+def _report(cfg, profile, scheme: str, mode: str) -> RateReport:
+    """Rates of one point, or of a batch of points of one K, each checked
+    first, then stacked into (P, 1) config columns and (P, K) profile rows."""
+    single = isinstance(cfg, SystemConfig)
+    cfgs, profiles = ([cfg], [profile]) if single else (list(cfg), list(profile))
+    if not cfgs or len(cfgs) != len(profiles) or len({c.K for c in cfgs}) > 1:
+        raise ValueError("a batch needs one profile per config, one K and at least one point")
+    for point in zip(cfgs, profiles):
+        _check_inputs(*point, scheme)
+    columns = np.array(list(map(attrgetter(*_COLUMNS), cfgs)), float).T[:, :, None]
+    cfg = SimpleNamespace(**dict(zip(_COLUMNS, columns)))
+    profile = SimpleNamespace(**{name: np.array([getattr(p, name) for p in profiles])
+                                 for name in _ROWS})
+    coeffs = _coefficients(cfg, scheme, profile, profile.sigma_sr_sq, profile.sigma_rd_sq)
     p_s, p_r = cfg.Ps, cfg.Pr
     if mode == "hd":
         # half duplex: no loop interference (c = 0), both hops at doubled power
-        coeffs = coeffs._replace(c=np.zeros(cfg.K))
+        coeffs = coeffs._replace(c=np.zeros_like(coeffs.c))
         p_s, p_r = 2.0 * p_s, 2.0 * p_r
-    sr, rd = coeffs.sinrs(np.full(cfg.K, p_s), p_r)
+    # np.full, not a stride-0 broadcast: the interference matmul must round as np.dot
+    sr, rd = coeffs.sinrs(np.full(coeffs.a.shape, p_s), p_r)
     r_sr = np.log2(1.0 + sr)
     r_rd = np.log2(1.0 + rd)
     r_e2e = np.minimum(r_sr, r_rd)
-    return RateReport(
-        r_sr=r_sr, r_rd=r_rd, r_e2e=r_e2e,
-        sum_se=sum_se(r_e2e, cfg.T, cfg.tau, mode),
-        scheme=scheme, mode=mode,
-    )
+    # the row sums over the contiguous last axis equal 1-D np.sum bit for bit
+    se = _prelog(cfg.T, cfg.tau, mode)[:, 0] * r_e2e.sum(-1)
+    if single:
+        r_sr, r_rd, r_e2e, se = r_sr[0], r_rd[0], r_e2e[0], float(se[0])
+    return RateReport(r_sr=r_sr, r_rd=r_rd, r_e2e=r_e2e, sum_se=se,
+                      scheme=scheme, mode=mode)
 
 
 def rate_zf(cfg: SystemConfig, profile: LargeScaleProfile, mode: str = "fd") -> RateReport:
-    """Closed-form ZF rates (approximate in the loop-interference term)."""
+    """Closed-form ZF rates (approximate in the LI term) at one point or a batch."""
     return _report(cfg, profile, "zf", mode)
 
 
 def rate_mr(cfg: SystemConfig, profile: LargeScaleProfile, mode: str = "fd") -> RateReport:
-    """Closed-form MRC/MRT rates (exact)."""
+    """Closed-form MRC/MRT rates (exact) at one point or a batch, as rate_zf."""
     return _report(cfg, profile, "mr", mode)
+
+
+def _prelog(T, tau, mode: str):
+    """(T - tau)/T in full duplex, half that in half duplex; T and tau may be arrays."""
+    if mode not in ("fd", "hd"):
+        raise ValueError("mode must be 'fd' or 'hd'")
+    return (T - tau) / T / (2.0 if mode == "hd" else 1.0)
 
 
 def sum_se(r_e2e, T: int, tau: int, mode: str = "fd") -> float:
@@ -146,12 +175,7 @@ def sum_se(r_e2e, T: int, tau: int, mode: str = "fd") -> float:
     _check_count("tau", tau)
     if not tau < T:
         raise ValueError("tau must be below T")
-    prelog = (T - tau) / T
-    if mode == "hd":
-        prelog /= 2.0
-    elif mode != "fd":
-        raise ValueError("mode must be 'fd' or 'hd'")
-    return float(prelog * np.sum(r_e2e))
+    return float(_prelog(T, tau, mode) * np.sum(r_e2e))
 
 
 def asymptotic_se(case: str, scheme: str, cfg: SystemConfig, profile: LargeScaleProfile,
@@ -213,7 +237,7 @@ def _min_rate(scheme: str, cfg: SystemConfig, profile: LargeScaleProfile,
 
     def min_rate(ps: float) -> float:
         sr, rd = coefficients(ps).sinrs(np.full(k, ps), k * ps)
-        return float(np.min(np.minimum(np.log2(1.0 + sr), np.log2(1.0 + rd))))
+        return float(np.minimum(np.log2(1.0 + sr), np.log2(1.0 + rd)).min())
 
     return min_rate
 

@@ -1,0 +1,123 @@
+"""Digest of the CLI's outputs over a fixed list of runs, for byte-identity checks.
+
+Runs every spec of :func:`specs` in process through ``fdrelay.cli.main`` and
+prints one line per output: the spec, its exit code, the file name, the file's
+sha256 and the run's stderr (a failed run prints one line with ``-`` for the
+file and the hash). Warnings use the ``default`` filter, as outside pytest.
+
+    PYTHONPATH=src python tests/cli_digest.py
+    PYTHONPATH=src python tests/cli_digest.py --against ../other/src
+
+``--against SRC`` runs the same specs on the fdrelay package under SRC (in a
+child process) and prints a unified diff of the two digests, or a count of
+identical outputs; it exits 1 if any output differs. Both sides take the
+benchmark specs from this tree's ``perfbench/workloads.py``.
+"""
+import argparse
+import contextlib
+import difflib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+
+from fdrelay import cli
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
+
+# the scalar edges of the boundary probes (tests/test_boundary.py), K = 10
+EDGE_VALUES = ("0", "1", "10", "11", "-1", "1e300", "2.5", "nan", "inf")
+CONFIG_KEYS = ("k", "nrx", "ntx", "n_ant", "t", "tau", "pp", "ps", "pr", "sigma_li_sq",
+               "pp_db", "ps_db", "pr_db", "sigma_li_db")
+EXTRA_KEYS = {"fig4": ("target_rate", "pp_fixed_db"),
+              "fig8": ("disk_diameter", "shadow_sigma_db", "path_exponent", "ref_distance")}
+
+
+def _sets(*items) -> list:
+    return [arg for item in items for arg in ("--set", item)]
+
+
+def specs() -> list:
+    """argv lists (after ``run``): presets, sweeps, benchmark ops and edge probes."""
+    sys.path.insert(0, PERFBENCH)
+    from workloads import CLI_PRESETS, _cli_args, _rng
+
+    out = [["--preset", p] for p in ("fig2", "fig3", "fig4", "fig6", "fig7", "fig8",
+                                     "fig9", "custom")]
+    out += [
+        ["--preset", "fig2", "--trials", "200"],
+        ["--preset", "fig3", "--trials", "200"],
+        ["--preset", "fig4"] + _sets("target_rate=1.7", "pp_fixed_db=13"),
+        ["--preset", "fig8", "--trials", "300"] + _sets("path_exponent=2"),
+        ["--preset", "fig8", "--trials", "50"] + _sets("shadow_sigma_db=6"),
+        ["--preset", "fig8", "--trials", "2"] + _sets("path_exponent=1e300"),
+        ["--preset", "fig2", "--trials", "2"] + _sets("sigma_li_sq=1e300"),
+        ["--preset", "fig9"] + _sets("k=4"),
+    ]
+    for sweep in ("pp_db:-10:20:7:db", "n_ant:16:512:6:log2", "k:2:9:8", "k:2:12:11",
+                  "k:9:2:8", "tau:20:150:6", "t:21:400:9", "t:400:5:4", "n_ant:5:-3:3"):
+        out.append(["--preset", "custom"] + _sets(f"sweep={sweep}"))
+    out.append(["--preset", "custom"] + _sets("sweep=n_ant:16:512:6:log2", "k=6", "tau=12"))
+    for seed in range(60):
+        out += [_cli_args(p, _rng(seed, i)) for i, p in enumerate(CLI_PRESETS)]
+    for preset in ("fig2", "fig3", "fig4", "fig6", "fig7", "fig8", "custom"):
+        for key in CONFIG_KEYS + EXTRA_KEYS.get(preset, ()):
+            for value in EDGE_VALUES:
+                argv = ["--preset", preset, "--trials", "2"] + _sets(f"{key}={value}")
+                if preset == "custom":
+                    argv += _sets("sweep=sigma_li_db:-10:10:3")
+                out.append(argv)
+    return out
+
+
+def digest(argv: list, tmp: str) -> list:
+    out = os.path.join(tmp, "out")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(["run"] + argv + ["--out", out])
+    label = " ".join(argv)
+    err = json.dumps(stderr.getvalue())
+    names = sorted(os.listdir(out)) if os.path.isdir(out) else []
+    if not names:
+        return [f"{label}\t{code}\t-\t-\t{err}"]
+    lines = []
+    for name in names:
+        with open(os.path.join(out, name), "rb") as fh:
+            sha = hashlib.sha256(fh.read()).hexdigest()
+        lines.append(f"{label}\t{code}\t{name}\t{sha}\t{err}")
+    return lines
+
+
+def digest_all() -> list:
+    warnings.simplefilter("default")
+    lines = []
+    for argv in specs():
+        with tempfile.TemporaryDirectory() as tmp:
+            lines += digest(argv, tmp)
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="SRC",
+                        help="the src/ directory of another checkout to compare with")
+    args = parser.parse_args()
+    lines = digest_all()
+    if not args.against:
+        print("\n".join(lines))
+        return 0
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(args.against))
+    other = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
+                           capture_output=True, text=True, check=True).stdout.splitlines()
+    diff = list(difflib.unified_diff(other, lines, args.against, "this tree", lineterm=""))
+    print("\n".join(diff) if diff else f"{len(lines)} outputs identical")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

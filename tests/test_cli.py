@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,12 +68,20 @@ def test_manifest_rerun_is_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("preset,want", [
     ("fig4", {"required_power": 16, "rate_zf": 0, "rate_mr": 0}),
-    ("fig6", {"required_power": 0, "rate_zf": 32, "rate_mr": 32}),
+    ("fig6", {"required_power": 0, "rate_zf": 2, "rate_mr": 2}),
+    ("fig7", {"required_power": 0, "rate_zf": 2, "rate_mr": 2}),
+    ("fig8 --trials 50", {"required_power": 0, "rate_zf": 2, "rate_mr": 2}),
+    ("fig2 --trials 4", {"required_power": 0, "rate_zf": 1, "rate_mr": 1}),
+    ("custom --set sweep=pp_db:-10:20:7:db", {"required_power": 0, "rate_zf": 2,
+                                              "rate_mr": 2}),
+    ("custom --set sweep=k:2:9:8", {"required_power": 0, "rate_zf": 16, "rate_mr": 16}),
 ])
 def test_presets_reach_the_rate_layer_through_the_cli_names(tmp_path, monkeypatch,
                                                             preset, want):
     # the benchmark trace counts the rate layer at these module attributes,
-    # so a preset that routes around them would zero its per-layer metrics
+    # so a preset that routes around them would zero its per-layer metrics;
+    # a sweep makes one batched call per scheme and mode (full and half
+    # duplex), one per run of equal K, and fig2's closed form one per scheme
     calls = dict.fromkeys(want, 0)
 
     def counted(name):
@@ -85,7 +94,7 @@ def test_presets_reach_the_rate_layer_through_the_cli_names(tmp_path, monkeypatc
 
     for name in want:
         monkeypatch.setattr(cli, name, counted(name))
-    assert main(["run", "--preset", preset, "--out", str(tmp_path)]) == 0
+    assert main(["run", "--preset"] + preset.split() + ["--out", str(tmp_path)]) == 0
     assert calls == want
 
 
@@ -215,7 +224,8 @@ def test_custom_sweep_floors_integer_fields_and_replays(tmp_path):
     assert [r[0] for r in rows] == [str(n) for n in floors]
     for row, n in zip(rows, floors):
         cfg = _base_cfg(n, Pp=10.0, Ps=10.0, Pr=10.0, sigma_li_sq=1.0)
-        assert [float(x) for x in row[1:]] == _se_columns(cfg, _flat_profile(cfg))
+        profile = _flat_profile(cfg.K, cfg.tau, cfg.Pp)
+        assert [float(x) for x in row[1:]] == _se_columns([cfg], [profile])[0]
     assert main(["run", "--manifest", str(first / "custom.manifest.json"),
                  "--out", str(second)]) == 0
     for name in ("custom.csv", "custom.manifest.json"):
@@ -242,7 +252,8 @@ def test_integral_spellings_are_accepted(tmp_path):
     _, rows = read_csv(tmp_path / "64" / "fig6.csv")
     cfg = SystemConfig(K=10, Nrx=64, Ntx=64, T=200, tau=20, Pp=10.0, Ps=10.0,
                        Pr=10.0, sigma_li_sq=0.1)
-    assert [float(x) for x in rows[0][1:]] == _se_columns(cfg, _flat_profile(cfg))
+    profile = _flat_profile(cfg.K, cfg.tau, cfg.Pp)
+    assert [float(x) for x in rows[0][1:]] == _se_columns([cfg], [profile])[0]
 
 
 def test_custom_sweep_linear_scale(tmp_path):
@@ -288,6 +299,38 @@ def test_geometry_extras_meet_the_scalar_rule(tmp_path, capsys, key):
     # the drop model takes its shadowing spread in dB; other _db keys convert
     assert cli._value("shadow_sigma_db", "6") == 6.0
     assert cli._value("p0_db", "20") == 100.0
+
+
+@pytest.mark.parametrize("argv_extra,first_warning", [
+    (["fig8", "--set", "path_exponent=1e300"], "overflow encountered in power"),
+    (["fig2", "--set", "sigma_li_sq=1e300"], "overflow encountered in matmul"),
+])
+def test_a_failed_run_reports_its_warnings_in_its_one_line(tmp_path, capsys,
+                                                           argv_extra, first_warning):
+    # outside pytest's error filter numpy warns first and the run fails
+    # later; stderr is still the one JSON line, which lists the warnings
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert main(["run", "--preset"] + argv_extra + ["--trials", "2",
+                                                        "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["type"] == "ValueError" and payload["warnings"][0] == first_warning
+    assert not out.exists()
+
+
+def test_a_successful_run_reissues_its_warnings(tmp_path, monkeypatch):
+    real = cli.rate_zf
+
+    def warning_rate_zf(*args, **kwargs):
+        warnings.warn("from the rate layer", UserWarning)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "rate_zf", warning_rate_zf)
+    with pytest.warns(UserWarning, match="from the rate layer"):
+        assert main(["run", "--preset", "fig6", "--out", str(tmp_path)]) == 0
 
 
 def test_preset_and_manifest_are_exclusive(tmp_path, capsys):

@@ -168,8 +168,8 @@ def test_hybrid_column_switches_on_loop_interference():
 
     quiet = replace(REF_CFG, sigma_li_sq=1e-6)
     loud = replace(REF_CFG, sigma_li_sq=1e8)
-    fd_q, hd_q, hybrid_q = cli._se_columns(quiet, REF_PROF)[:3]
-    fd_l, hd_l, hybrid_l = cli._se_columns(loud, REF_PROF)[:3]
+    fd_q, hd_q, hybrid_q = cli._se_columns([quiet], [REF_PROF])[0][:3]
+    fd_l, hd_l, hybrid_l = cli._se_columns([loud], [REF_PROF])[0][:3]
     assert fd_q > hd_q and hybrid_q == fd_q
     assert hd_l > fd_l and hybrid_l == hd_l
     assert fd_q == pytest.approx(rate_zf(quiet, REF_PROF).sum_se)
@@ -429,3 +429,65 @@ def test_mr_closed_form_matches_simulation(setup):
     sim = mc_rate(cfg, prof, "mr", 4000, np.random.default_rng(seed))
     closed = float(np.sum(rate_mr(cfg, prof).r_e2e))
     assert abs(sim.sum_rate - closed) <= 3.0 * sim.stderr_sum_rate
+
+
+@st.composite
+def rate_batches(draw):
+    """Up to 8 points of one K with non-flat gains, each with its own Nrx, Ntx,
+    Ps, Pr, sigma_LI^2, T and tau (Nrx, Ntx > K, so ZF applies)."""
+    k = draw(st.integers(1, 6))
+    power = st.floats(-2.0, 3.0).map(lambda e: 10.0**e)
+    gains = st.lists(st.floats(-2.0, 1.0).map(lambda e: 10.0**e), min_size=k, max_size=k)
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        tau = draw(st.integers(2 * k, 2 * k + 20))
+        cfg = SystemConfig(K=k, Nrx=draw(st.integers(k + 1, 300)),
+                           Ntx=draw(st.integers(k + 1, 300)),
+                           T=draw(st.integers(tau + 1, 400)), tau=tau, Pp=draw(power),
+                           Ps=draw(power), Pr=draw(power),
+                           sigma_li_sq=draw(st.floats(0.0, 1e3)))
+        points.append((cfg, make_profile(draw(gains), draw(gains), tau, cfg.Pp)))
+    return points
+
+
+@pytest.mark.parametrize("scheme,builder", [("zf", rate_zf), ("mr", rate_mr)])
+@pytest.mark.parametrize("mode", ["fd", "hd"])
+@given(points=rate_batches())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_a_batch_equals_its_points_bit_for_bit(scheme, builder, mode, points):
+    # a single point is a batch of one, so every row must be the point's own
+    # report; a stride-0 power operand would round the interference sum
+    # differently from the coefficient form's np.dot-equal matmul
+    cfgs, profs = zip(*points)
+    batch = builder(cfgs, profs, mode=mode)
+    assert batch.r_e2e.shape == (len(points), cfgs[0].K)
+    assert batch.sum_se.shape == (len(points),)
+    for i, (cfg, prof) in enumerate(points):
+        one = builder(cfg, prof, mode=mode)
+        assert isinstance(one.sum_se, float) and one.r_e2e.shape == (cfg.K,)
+        for name in ("r_sr", "r_rd", "r_e2e"):
+            assert (getattr(batch, name)[i] == getattr(one, name)).all(), name
+        assert batch.sum_se[i] == one.sum_se
+        coeffs, scale = sinr_coefficients(cfg, prof, scheme), 1.0
+        if mode == "hd":
+            coeffs, scale = coeffs._replace(c=np.zeros(cfg.K)), 2.0
+        sr, rd = coeffs.sinrs(np.full(cfg.K, scale * cfg.Ps), scale * cfg.Pr)
+        assert (batch.r_sr[i] == np.log2(1.0 + sr)).all()
+        assert (batch.r_rd[i] == np.log2(1.0 + rd)).all()
+
+
+def test_a_batch_refuses_mixed_pair_counts_and_bad_points():
+    from dataclasses import replace
+
+    small = SystemConfig(K=4, Nrx=32, Ntx=32, tau=8)
+    small_prof = make_profile([1.0] * 4, [1.0] * 4, 8, small.Pp)
+    for builder in (rate_zf, rate_mr):
+        for cfgs, profs in (([REF_CFG, small], [REF_PROF, small_prof]),
+                            ([REF_CFG, REF_CFG], [REF_PROF]), ([], [])):
+            with pytest.raises(ValueError, match="one profile per config, one K"):
+                builder(cfgs, profs)
+        # every point is checked before any work
+        with pytest.raises(ValueError, match="profile has 4 pairs"):
+            builder([REF_CFG, REF_CFG], [REF_PROF, small_prof])
+    with pytest.raises(ValueError, match="zero forcing"):
+        rate_zf([REF_CFG, replace(REF_CFG, Nrx=10)], [REF_PROF, REF_PROF])
