@@ -13,8 +13,12 @@ import numpy as np
 
 
 def _cn(shape, rng: np.random.Generator) -> np.ndarray:
-    """Unit-variance circularly-symmetric complex Gaussian samples."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Unit-variance circularly-symmetric complex Gaussian samples from one buffer,
+    real parts first; 1/sqrt(2) scales it as numpy rounds (a + 1j b) / sqrt(2)."""
+    x = rng.standard_normal((2, *shape)) * (1.0 / np.sqrt(2.0))
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = x
+    return z
 
 
 def gram_factor_batch(n_ant: int, k: int, n: int,

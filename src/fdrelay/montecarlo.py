@@ -23,14 +23,19 @@ The errors E_sr, E_rd and the loop channel G_RR are iid Gaussian and
 independent of the estimates, and Q has orthonormal columns, so
 Z_e = Q_sr^H E_sr D_sr^-1, Z_l = Q_sr^H G_RR Q_rd^* / sigma_li and
 Z_r = D_rd^-1 E_rd^T Q_rd^* are iid CN(0, 1), mutually independent and
-independent of both factors (D = diag(sqrt(beta - sigma^2))). Per trial,
-exactly:
+independent of both factors (D = diag(d), d = sqrt(beta - sigma^2)). With
+L = R^H (so F = S L, S = diag(sigma)), X = L^-1 and M = X^H, per trial exactly:
 
-    w_k^T g_j       = [U_w (F_sr^H + Z_e D_sr)]_kj
-    w_k^T G_RR a_j  = [sigma_li U_w Z_l U_a^T]_kj
-    ||w_k||^2       = sum_j |U_w[k, j]|^2
-    g_k^T a_j       = [(F_rd^* + D_rd Z_r) U_a^T]_kj
-    ||a_k||^2       = sum_j |U_a[k, j]|^2
+    w_k^T g_j      = [U_w (F_sr^H + Z_e D_sr)]_kj = u_k [P_sr S_sr + Q_sr D_sr]_kj
+    w_k^T G_RR a_j = [sigma_li U_w Z_l U_a^T]_kj = sigma_li alpha u_k [B_l]_kj v_j
+    g_k^T a_j      = [(F_rd^* + D_rd Z_r) U_a^T]_kj = alpha [S_rd P_rd + D_rd Q_rd]_kj v_j
+    ||w_k||^2      = sum_j |U_w[k, j]|^2 = u_k^2 N_sr,k
+    ||a_k||^2      = sum_j |U_a[k, j]|^2 = alpha^2 v_k^2 N_rd,k
+
+    ZF:  u, v = 1/sigma_sr, 1/sigma_rd;  P = I, Q_sr = M_sr Z_e, B_l = M_sr Z_l Xbar_rd,
+         Q_rd = Z_r Xbar_rd, N_k = ||column k of X||^2
+    MR:  u, v = sigma_sr, sigma_rd;  P_sr = L_sr L_sr^H, P_rd = Lbar_rd L_rd^T,
+         Q_sr = L_sr Z_e, B_l = L_sr Z_l L_rd^T, Q_rd = Z_r L_rd^T, N_k = [P]_kk
 
 In matrix-normal terms: given the estimates, W^T E_sr ~ MN(0, W^T W^*, D_sr^2),
 E_rd^T A ~ MN(0, D_rd^2, A^T A^*) and W^T G_RR A ~ MN(0, sigma_li^2 W^T W^*,
@@ -39,12 +44,15 @@ A^T A^*), mutually independent, and every covariance and deterministic gain
 two Grams alone. So each trial has the law of an explicit N-dimensional draw,
 the bound's moments and the genie SINR are both exact, and a trial costs
 O(K^3) whatever the array size. Each chunk draws R_sr^H, R_rd^H, Z_e, Z_l,
-Z_r in that order. No power or variance enters these draws: sigma^2,
-beta - sigma^2, alpha, sqrt(Ps), sqrt(Pr) and sigma_li only scale them, so
+Z_r in that order, and no power or variance enters them, only the diagonal
+scalings above: _bases forms a chunk's P, Q, B_l and N once (X by forward
+substitution), and _features gives each point its rows with no matmul or
+inverse. The loop row and ZF's multipair rows are (n, K, K) real |.|^2 bases
+times per-point (K,) weights; MR combines P and Q per point elementwise. So
 one draw serves every point with the same (K, Nrx, Ntx), and
 :func:`simulate` gives a whole sweep the bound and genie rates of common
-random numbers. The inverse-Gram moment uses the same factors:
-[(Ghat^H Ghat)^-1]_kk is the squared norm of column k of F^-1.
+random numbers. The inverse-Gram moment reads the same inverse:
+[(Ghat^H Ghat)^-1]_kk = ||column k of X||^2 / sigma_k^2.
 
 The convergence probes read the same pass. With x and x_fwd the source
 and forwarded symbols (iid CN(0, 1)), the relay noise n ~ CN(0, I_Nrx) and
@@ -156,11 +164,11 @@ class GenieResult(_Rates):
 
 def _chunks(trials: int, per_trial: float):
     """Successive chunk sizes adding up to trials: ~64 MB of complex128 for
-    per_trial entries a trial holds, and at most 4096 trials. A trial of a
-    pass (which the bound, the genie rates and the probes all read) holds
-    about 16 K x K arrays (factors, their inverses, the three Z draws and
-    the products), an inverse-Gram trial about 4, so no chunk depends on
-    the array size.
+    per_trial entries a trial holds, and at most 4096 trials. A pass (which
+    the bound, the genie rates and the probes all read) budgets 16 K x K
+    arrays a trial and holds at most about 10 (the five draws and the
+    chunk's products while _bases runs); the inverse-Gram moment budgets 4
+    and holds about 3. So no chunk depends on the array size.
     """
     chunk = max(1, min(4096, int(64e6 / (16.0 * per_trial))))
     for done in range(0, trials, chunk):
@@ -179,7 +187,7 @@ def alpha_mrt(cfg: SystemConfig, profile: LargeScaleProfile) -> float:
 
 def _draw(cfg: SystemConfig, n: int, rng: np.random.Generator):
     """The unit-variance (R_sr^H, R_rd^H, Z_e, Z_l, Z_r) of n trials; they
-    depend on cfg only through (K, Nrx, Ntx), and _trial_terms scales them."""
+    depend on cfg only through (K, Nrx, Ntx), and _bases forms their products."""
     r_sr_h = gram_factor_batch(cfg.Nrx, cfg.K, n, rng)
     r_rd_h = gram_factor_batch(cfg.Ntx, cfg.K, n, rng)
     m_sr, m_rd = r_sr_h.shape[2], r_rd_h.shape[2]
@@ -187,31 +195,34 @@ def _draw(cfg: SystemConfig, n: int, rng: np.random.Generator):
             _cn((n, cfg.K, m_rd), rng))
 
 
-def _trial_terms(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str, draw):
-    """One exact draw per trial of (gain_sr, loop, noise, gain_rd, power), from the Grams.
+def _tri_inv(low: np.ndarray) -> np.ndarray:
+    """Invert a batch (n, K, K) of lower-triangular L with real diagonals in place
+    by forward substitution: X[i, :i] = -L[i, :i] X[:i, :i] / L_ii, X_ii = 1 / L_ii."""
+    for i in range(low.shape[-1]):
+        recip = 1.0 / low[:, i, i, None].real
+        low[:, i, :i] = (low[:, i, None, :i] @ low[:, :i, :i])[:, 0] * -recip
+        low[:, i, i] = recip[:, 0]
+    return low
 
-    gain_sr[t, k, j] = w_k^T g_j, loop[t, k, j] = w_k^T G_RR a_j,
-    noise[t, k] = ||w_k||^2, gain_rd[t, k, j] = g_k^T a_j and
-    power[t, k] = ||a_k||^2, with draw from _draw; the module docstring
-    derives the law and the draw order.
-    """
-    r_sr_h, r_rd_h, z_e, z_l, z_r = draw
-    f_sr = np.sqrt(profile.sigma_sr_sq)[:, None] * r_sr_h
-    f_rd = np.sqrt(profile.sigma_rd_sq)[:, None] * r_rd_h
-    if scheme == "zf":
-        u_w = np.swapaxes(np.linalg.inv(f_sr), 1, 2).conj()
-        u_a = alpha_zf(cfg, profile) * np.swapaxes(np.linalg.inv(f_rd), 1, 2).conj()
-    else:  # "mr"
-        u_w, u_a = f_sr, alpha_mrt(cfg, profile) * f_rd
-    u_a_t = np.swapaxes(u_a, 1, 2)
 
-    d_sr = np.sqrt(profile.beta_sr - profile.sigma_sr_sq)
-    d_rd = np.sqrt(profile.beta_rd - profile.sigma_rd_sq)
-    gain_sr = u_w @ (np.swapaxes(f_sr, 1, 2).conj() + z_e * d_sr)
-    loop = np.sqrt(cfg.sigma_li_sq) * (u_w @ z_l @ u_a_t)
-    noise = np.sum(np.abs(u_w) ** 2, axis=2)
-    gain_rd = (f_rd.conj() + d_rd[:, None] * z_r) @ u_a_t
-    return gain_sr, loop, noise, gain_rd, np.sum(np.abs(u_a) ** 2, axis=2)
+def _bases(cfg: SystemConfig, scheme: str, draw) -> tuple:
+    """A chunk's point-independent products (module docstring): per hop ZF's
+    diag(Q) and |Q|^2 or MR's P and Q, the norms N and |B_l|^2."""
+    l_sr, l_rd, z_e, z_l, z_r = draw
+    if scheme == "zf":  # Xbar_sr and Xbar_rd overwrite the draw's factors
+        xbar_sr = np.conjugate(_tri_inv(l_sr), out=l_sr)
+        xbar_rd = np.conjugate(_tri_inv(l_rd), out=l_rd)
+        m_sr = np.swapaxes(xbar_sr, 1, 2)
+        q_sr, q_rd = m_sr @ z_e, z_r @ xbar_rd
+        return (np.diagonal(q_sr, axis1=1, axis2=2).copy(), np.abs(q_sr) ** 2,
+                np.sum(np.abs(xbar_sr) ** 2, axis=1), np.abs(m_sr @ z_l @ xbar_rd) ** 2,
+                np.diagonal(q_rd, axis1=1, axis2=2).copy(), np.abs(q_rd) ** 2,
+                np.sum(np.abs(xbar_rd) ** 2, axis=1))
+    l_rd_t = np.swapaxes(l_rd, 1, 2)
+    p_sr, p_rd = l_sr @ np.swapaxes(l_sr, 1, 2).conj(), l_rd.conj() @ l_rd_t
+    return (p_sr, l_sr @ z_e, np.diagonal(p_sr, axis1=1, axis2=2).real,
+            np.abs(l_sr @ z_l @ l_rd_t) ** 2,
+            p_rd, z_r @ l_rd_t, np.diagonal(p_rd, axis1=1, axis2=2).real)
 
 
 class _Accumulator:
@@ -272,26 +283,35 @@ def _grad(k: int, rows: dict) -> np.ndarray:
 
 
 def _features(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
-              draw) -> np.ndarray:
-    """The (n, _FEATURES, K) feature rows of one point's trials."""
-    gain_sr, loop, an, gain_rd, power = _trial_terms(cfg, profile, scheme, draw)
-    abs2_sr = np.abs(gain_sr) ** 2
-    diag_sr = np.diagonal(gain_sr, axis1=1, axis2=2)
-    abs2_diag_sr = np.diagonal(abs2_sr, axis1=1, axis2=2)
-    mp_sr = np.sum(abs2_sr, axis=2) - abs2_diag_sr
-    li = np.sum(np.abs(loop) ** 2, axis=2)
-
-    abs2_rd = np.abs(gain_rd) ** 2
-    diag_rd = np.diagonal(gain_rd, axis1=1, axis2=2)
-    abs2_diag_rd = np.diagonal(abs2_rd, axis1=1, axis2=2)
-    mp_rd = np.sum(abs2_rd, axis=2) - abs2_diag_rd
-
-    sinr_sr = cfg.Ps * abs2_diag_sr / (cfg.Ps * mp_sr + cfg.Pr * li + an)
-    sinr_rd = cfg.Pr * abs2_diag_rd / (cfg.Pr * mp_rd + 1.0)
+              bases) -> np.ndarray:
+    """The (n, _FEATURES, K) feature rows of one point's trials, from a chunk's
+    _bases: gd is the diagonal and go the off-diagonal sum of each bracket."""
+    a_sr, b_sr, norm_sr, loop2, a_rd, b_rd, norm_rd = bases
+    s_sr, s_rd = np.sqrt(profile.sigma_sr_sq), np.sqrt(profile.sigma_rd_sq)
+    d_sr = np.sqrt(profile.beta_sr - profile.sigma_sr_sq)
+    d_rd = np.sqrt(profile.beta_rd - profile.sigma_rd_sq)
+    if scheme == "zf":
+        alpha, u, v = alpha_zf(cfg, profile), 1.0 / s_sr, 1.0 / s_rd
+        gd_sr, gd_rd = s_sr + d_sr * a_sr, s_rd + d_rd * a_rd
+        go_sr = b_sr @ d_sr ** 2 - np.abs(a_sr) ** 2 * d_sr ** 2
+        go_rd = d_rd ** 2 * (b_rd @ v ** 2 - np.abs(a_rd) ** 2 * v ** 2)
+    else:  # "mr"
+        alpha, u, v = alpha_mrt(cfg, profile), s_sr, s_rd
+        g_sr, g_rd = a_sr * s_sr + b_sr * d_sr, a_rd * s_rd[:, None] + b_rd * d_rd[:, None]
+        gd_sr, gd_rd = np.diagonal(g_sr, axis1=1, axis2=2), np.diagonal(g_rd, axis1=1, axis2=2)
+        go_sr = np.sum(np.abs(g_sr) ** 2, axis=2) - np.abs(gd_sr) ** 2
+        go_rd = np.abs(g_rd) ** 2 @ v ** 2 - np.abs(gd_rd) ** 2 * v ** 2
+    diag_sr, mp_sr = u * gd_sr, u ** 2 * go_sr
+    diag_rd, mp_rd = alpha * v * gd_rd, alpha ** 2 * go_rd
+    li = cfg.sigma_li_sq * alpha ** 2 * u ** 2 * (loop2 @ v ** 2)
+    an = u ** 2 * norm_sr
+    abs2_sr, abs2_rd = np.abs(diag_sr) ** 2, np.abs(diag_rd) ** 2
+    sinr_sr = cfg.Ps * abs2_sr / (cfg.Ps * mp_sr + cfg.Pr * li + an)
+    sinr_rd = cfg.Pr * abs2_rd / (cfg.Pr * mp_rd + 1.0)
     return np.stack([
-        diag_sr.real, diag_sr.imag, abs2_diag_sr, mp_sr, li, an,
-        diag_rd.real, diag_rd.imag, abs2_diag_rd, mp_rd,
-        np.log2(1.0 + sinr_sr), np.log2(1.0 + sinr_rd), power,
+        diag_sr.real, diag_sr.imag, abs2_sr, mp_sr, li, an,
+        diag_rd.real, diag_rd.imag, abs2_rd, mp_rd,
+        np.log2(1.0 + sinr_sr), np.log2(1.0 + sinr_rd), alpha ** 2 * v ** 2 * norm_rd,
     ], axis=1)
 
 
@@ -311,9 +331,9 @@ def _simulate(points, scheme: str, trials: int, rng: np.random.Generator,
     _check_count("trials", trials, least)
     accs = [_Accumulator(_FEATURES, cfg.K) for _ in points]
     for n in _chunks(trials, 16 * cfg.K ** 2):
-        draw = _draw(cfg, n, rng)
+        bases = _bases(cfg, scheme, _draw(cfg, n, rng))
         for (c, profile), acc in zip(points, accs):
-            acc.add(_features(c, profile, scheme, draw))
+            acc.add(_features(c, profile, scheme, bases))
     return accs
 
 
@@ -436,10 +456,10 @@ def wishart_inverse_moment(n_ant: int, variances, trials: int,
         raise ValueError("need more antennas than columns")
     _check_count("trials", trials, 2)
     acc = _Accumulator(1, k)
-    root_var = np.sqrt(variances)
     for n in _chunks(trials, 4 * k ** 2):
-        f_inv = np.linalg.inv(root_var[:, None] * gram_factor_batch(n_ant, k, n, rng))
-        acc.add(np.sum(np.abs(f_inv) ** 2, axis=1)[:, None])  # (F F^H)^-1 = F^-H F^-1
+        # (F F^H)^-1 = F^-H F^-1 with F^-1 = R^-H diag(1/sqrt(variances))
+        inv = _tri_inv(gram_factor_batch(n_ant, k, n, rng))
+        acc.add((np.sum(np.abs(inv) ** 2, axis=1) / variances)[:, None])
     return acc.mean[0], acc.stderr(np.ones((1, k)))[0]
 
 

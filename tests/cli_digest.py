@@ -8,13 +8,20 @@ file and the hash). Warnings use the ``default`` filter, as outside pytest.
     PYTHONPATH=src python tests/cli_digest.py
     PYTHONPATH=src python tests/cli_digest.py --against ../other/src
 
+    PYTHONPATH=src python tests/cli_digest.py --against ../other/src --rel
+
 ``--against SRC`` runs the same specs on the fdrelay package under SRC (in a
 child process) and prints a unified diff of the two digests, or a count of
 identical outputs; it exits 1 if any output differs. Both sides take the
-benchmark specs from this tree's ``perfbench/workloads.py``.
+benchmark specs from this tree's ``perfbench/workloads.py``. With ``--rel``
+it prints, instead of the diff, one line per column of each CSV that differs
+(spec, file, column, and the largest |a - b| / max(|a|, |b|) over the rows),
+and one line for any other output that differs. ``--keep DIR`` also writes
+every output under ``DIR/<spec number>/``.
 """
 import argparse
 import contextlib
+import csv
 import difflib
 import hashlib
 import io
@@ -75,8 +82,7 @@ def specs() -> list:
     return out
 
 
-def digest(argv: list, tmp: str) -> list:
-    out = os.path.join(tmp, "out")
+def digest(argv: list, out: str) -> list:
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         code = cli.main(["run"] + argv + ["--out", out])
@@ -93,12 +99,57 @@ def digest(argv: list, tmp: str) -> list:
     return lines
 
 
-def digest_all() -> list:
+def digest_all(keep=None) -> list:
     warnings.simplefilter("default")
     lines = []
-    for argv in specs():
+    for i, argv in enumerate(specs()):
         with tempfile.TemporaryDirectory() as tmp:
-            lines += digest(argv, tmp)
+            lines += digest(argv, os.path.join(keep, str(i)) if keep else os.path.join(tmp, "out"))
+    return lines
+
+
+def _read(path: str):
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _rel(a: str, b: str) -> float:
+    """|a - b| / max(|a|, |b|) of two numeric cells, 0 when equal; inf for text that differs."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return float("inf")
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def rel_report(mine: str, theirs: str) -> list:
+    """Per differing output of two --keep trees: one line per CSV column with the
+    largest relative difference over its rows, or one line for another file."""
+    labels = [" ".join(argv) for argv in specs()]
+    lines = []
+    for i, label in enumerate(labels):
+        names = set()
+        for root in (mine, theirs):
+            if os.path.isdir(os.path.join(root, str(i))):
+                names |= set(os.listdir(os.path.join(root, str(i))))
+        for name in sorted(names):
+            blobs = [_read(os.path.join(root, str(i), name)) for root in (mine, theirs)]
+            if blobs[0] == blobs[1]:
+                continue
+            if not name.endswith(".csv") or None in blobs:
+                lines.append(f"{label}\t{name}\tdiffers")
+                continue
+            a, b = (list(csv.reader(io.StringIO(blob.decode()))) for blob in blobs)
+            if len(a) != len(b) or a[0] != b[0]:
+                lines.append(f"{label}\t{name}\tshape or header differs")
+                continue
+            for j, column in enumerate(a[0]):
+                worst = max(_rel(x[j], y[j]) for x, y in zip(a[1:], b[1:]))
+                lines.append(f"{label}\t{name}\t{column}\t{worst:.3g}")
     return lines
 
 
@@ -106,16 +157,29 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="SRC",
                         help="the src/ directory of another checkout to compare with")
+    parser.add_argument("--rel", action="store_true",
+                        help="with --against: largest relative difference per CSV column")
+    parser.add_argument("--keep", metavar="DIR", help="also write every output under DIR")
     args = parser.parse_args()
-    lines = digest_all()
-    if not args.against:
-        print("\n".join(lines))
-        return 0
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(args.against))
-    other = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
-                           capture_output=True, text=True, check=True).stdout.splitlines()
-    diff = list(difflib.unified_diff(other, lines, args.against, "this tree", lineterm=""))
-    print("\n".join(diff) if diff else f"{len(lines)} outputs identical")
+    if args.rel and not args.against:
+        parser.error("--rel needs --against")
+    with tempfile.TemporaryDirectory() as tmp:
+        mine = args.keep or (os.path.join(tmp, "this") if args.rel else None)
+        lines = digest_all(mine)
+        if not args.against:
+            print("\n".join(lines))
+            return 0
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(args.against))
+        theirs = os.path.join(tmp, "other")
+        child = [sys.executable, os.path.abspath(__file__)] + (["--keep", theirs] if args.rel else [])
+        other = subprocess.run(child, env=env, capture_output=True, text=True,
+                               check=True).stdout.splitlines()
+        diff = list(difflib.unified_diff(other, lines, args.against, "this tree", lineterm=""))
+        if args.rel:
+            print("\n".join(rel_report(mine, theirs)
+                            + [f"{len(set(lines) - set(other))} of {len(lines)} digest lines differ"]))
+        else:
+            print("\n".join(diff) if diff else f"{len(lines)} outputs identical")
     return 1 if diff else 0
 
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from fdrelay import SystemConfig, make_profile
+from fdrelay import SystemConfig, make_profile, montecarlo
 from fdrelay.channel import gram_factor_batch
 from pilot_oracle import estimate_via_pilots, generate_pilots, sample_true_channels
 
@@ -153,3 +153,35 @@ def test_gram_factor_gives_the_zf_noise_moment():
     se = np.std(noise, axis=0, ddof=1) / np.sqrt(n)
     expect = 1.0 / ((n_ant - variances.size) * variances)
     np.testing.assert_array_less(np.abs(np.mean(noise, axis=0) - expect), 4.0 * se)
+
+
+def _two_call_cn(shape, rng):
+    """The two-draw complex normal the one-buffer sampler must reproduce."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def _two_call_gram(n_ant, k, n, rng):
+    m = min(n_ant, k)
+    diag = np.arange(m)
+    rows, cols = np.triu_indices(m, 1, k)
+    r = np.zeros((n, m, k), dtype=complex)
+    r[:, diag, diag] = np.sqrt(rng.standard_gamma(n_ant - diag, size=(n, m)))
+    r[:, rows, cols] = _two_call_cn((n, rows.size), rng)
+    return np.swapaxes(r.conj(), 1, 2)
+
+
+@pytest.mark.parametrize("k,nrx,ntx,n", [(10, 100, 100, 100), (3, 2, 6, 101), (3, 8, 2, 7)])
+def test_draws_are_the_two_call_construction_bit_for_bit(k, nrx, ntx, n):
+    # the sampler's stream and bits are fixed: a Monte Carlo draw (also with
+    # fewer antennas than pairs, and an odd trial count) is exactly the
+    # Bartlett factors and Z blocks of (a + 1j b) / sqrt(2) from two calls
+    cfg = SystemConfig(K=k, Nrx=nrx, Ntx=ntx, tau=2 * k)
+    rng = np.random.default_rng(80)
+    l_sr, l_rd = _two_call_gram(nrx, k, n, rng), _two_call_gram(ntx, k, n, rng)
+    m_sr, m_rd = min(nrx, k), min(ntx, k)
+    want = (l_sr, l_rd, _two_call_cn((n, m_sr, k), rng), _two_call_cn((n, m_sr, m_rd), rng),
+            _two_call_cn((n, k, m_rd), rng))
+    got = montecarlo._draw(cfg, n, np.random.default_rng(80))
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    assert (gram_factor_batch(nrx, k, n, np.random.default_rng(81)).tobytes()
+            == _two_call_gram(nrx, k, n, np.random.default_rng(81)).tobytes())

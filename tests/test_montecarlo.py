@@ -25,6 +25,13 @@ from fdrelay.montecarlo import alpha_mrt, alpha_zf
 CFG = SystemConfig(K=3, Nrx=24, Ntx=24, tau=6, Pp=4.0, Ps=2.0, Pr=6.0, sigma_li_sq=1.0)
 PROF = make_profile([0.6, 1.0, 1.8], [1.4, 0.7, 1.1], CFG.tau, CFG.Pp)
 TRIALS = 20_000
+POWER = 12  # the feature row of the precoder column power ||a_k||^2
+
+
+def _rows(cfg, prof, scheme, n, rng):
+    """The (n, 13, K) feature rows of one point on one draw."""
+    draw = montecarlo._draw(cfg, n, rng)
+    return montecarlo._features(cfg, prof, scheme, montecarlo._bases(cfg, scheme, draw))
 
 
 def assert_within_stderr(measured, expected, stderr, n_sigma=4.0, floor=1e-3):
@@ -198,8 +205,7 @@ def test_loop_power_probe_is_its_exact_value(scheme, ntx):
     scale = cfg.sigma_li_sq * er / cfg.Ntx
     value = convergence_probe("loop_power", cfg, PROF, scheme, n,
                               np.random.default_rng(47), er=er)
-    power = montecarlo._trial_terms(
-        cfg, PROF, scheme, montecarlo._draw(cfg, n, np.random.default_rng(47)))[4]
+    power = _rows(cfg, PROF, scheme, n, np.random.default_rng(47))[:, POWER]
     se = scale * np.std(np.sum(power, axis=1), ddof=1) / np.sqrt(n)
     assert abs(value - scale) < 4.0 * se
 
@@ -303,34 +309,105 @@ def _per_pair(gain_sr, loop, noise, gain_rd):
     }
 
 
-@pytest.mark.parametrize("scheme,nrx,ntx",
-                         [("zf", 8, 6), ("mr", 8, 6), ("mr", 2, 6), ("mr", 8, 2)])
-def test_trial_terms_match_brute_force_oracle(scheme, nrx, ntx):
-    # weak pilots, so the error variances beta - sigma^2 differ between pairs and hops
+def _trial_terms(cfg, prof, scheme, draw):
+    """Reference: per trial the whole matrices gain_sr = [w_k^T g_j], loop =
+    [w_k^T G_RR a_j], gain_rd = [g_k^T a_j] and the norms ||w_k||^2, ||a_k||^2,
+    from the scaled factors with a general inverse and per-point matmuls."""
+    r_sr_h, r_rd_h, z_e, z_l, z_r = draw
+    f_sr = np.sqrt(prof.sigma_sr_sq)[:, None] * r_sr_h
+    f_rd = np.sqrt(prof.sigma_rd_sq)[:, None] * r_rd_h
+    if scheme == "zf":
+        u_w = np.swapaxes(np.linalg.inv(f_sr), 1, 2).conj()
+        u_a = alpha_zf(cfg, prof) * np.swapaxes(np.linalg.inv(f_rd), 1, 2).conj()
+    else:
+        u_w, u_a = f_sr, alpha_mrt(cfg, prof) * f_rd
+    u_a_t = np.swapaxes(u_a, 1, 2)
+    d_sr = np.sqrt(prof.beta_sr - prof.sigma_sr_sq)
+    d_rd = np.sqrt(prof.beta_rd - prof.sigma_rd_sq)
+    gain_sr = u_w @ (np.swapaxes(f_sr, 1, 2).conj() + z_e * d_sr)
+    loop = np.sqrt(cfg.sigma_li_sq) * (u_w @ z_l @ u_a_t)
+    noise = np.sum(np.abs(u_w) ** 2, axis=2)
+    gain_rd = (f_rd.conj() + d_rd[:, None] * z_r) @ u_a_t
+    return gain_sr, loop, noise, gain_rd, np.sum(np.abs(u_a) ** 2, axis=2)
+
+
+def _reference_rows(cfg, prof, scheme, draw):
+    """The (n, 13, K) feature rows of montecarlo._features, from _trial_terms."""
+    gain_sr, loop, noise, gain_rd, power = _trial_terms(cfg, prof, scheme, draw)
+    st = _per_pair(gain_sr, loop, noise, gain_rd)
+    gain2_sr = st["gain_sr"] ** 2 + st["gain_sr_im"] ** 2
+    gain2_rd = st["gain_rd"] ** 2 + st["gain_rd_im"] ** 2
+    sinr_sr = cfg.Ps * gain2_sr / (cfg.Ps * st["multipair_sr"] + cfg.Pr * st["loop"] + noise)
+    sinr_rd = cfg.Pr * gain2_rd / (cfg.Pr * st["multipair_rd"] + 1.0)
+    return np.stack([
+        st["gain_sr"], st["gain_sr_im"], gain2_sr, st["multipair_sr"], st["loop"], noise,
+        st["gain_rd"], st["gain_rd_im"], gain2_rd, st["multipair_rd"],
+        np.log2(1.0 + sinr_sr), np.log2(1.0 + sinr_rd), power], axis=1)
+
+
+def _weak_pilots(nrx, ntx):
+    """Weak pilots, so the error variances beta - sigma^2 differ between pairs and hops."""
     cfg = replace(CFG, Nrx=nrx, Ntx=ntx, Pp=0.5, sigma_li_sq=0.7)
-    prof = make_profile([0.3, 1.0, 3.0], [2.5, 0.4, 1.2], cfg.tau, cfg.Pp)
+    return cfg, make_profile([0.3, 1.0, 3.0], [2.5, 0.4, 1.2], cfg.tau, cfg.Pp)
+
+
+_SHAPES = [("zf", 8, 6), ("mr", 8, 6), ("mr", 2, 6), ("mr", 8, 2)]
+
+
+@pytest.mark.parametrize("scheme,nrx,ntx", _SHAPES + [("zf", 24, 24), ("mr", 24, 24)])
+def test_features_equal_the_per_trial_reference(scheme, nrx, ntx):
+    # the bases and their per-point scalings give every feature row of the
+    # reference on the same draw, to rounding; the reference reads the draw
+    # first, because the ZF bases overwrite its factors
+    cfg, prof = _weak_pilots(nrx, ntx)
+    draw = montecarlo._draw(cfg, 400, np.random.default_rng(49))
+    want = _reference_rows(cfg, prof, scheme, draw)
+    bases = montecarlo._bases(cfg, scheme, draw)
+    np.testing.assert_allclose(montecarlo._features(cfg, prof, scheme, bases), want, rtol=1e-9)
+
+
+@pytest.mark.parametrize("scheme", ["zf", "mr"])
+def test_a_sweep_pools_the_reference_rows_of_each_point(scheme):
+    # three points on one draw, with their own powers, loop level and profile
+    cfg, prof = _weak_pilots(8, 6)
+    points = [(cfg, prof), (replace(cfg, Ps=9.0, Pr=0.3), prof),
+              (replace(cfg, sigma_li_sq=3.0), make_profile([1.0, 0.5, 2.0], [0.7, 1.9, 1.0],
+                                                          cfg.tau, 2.0))]
+    n = 300
+    accs = montecarlo._simulate(points, scheme, n, np.random.default_rng(50))
+    draw = montecarlo._draw(cfg, n, np.random.default_rng(50))
+    for (c, p), acc in zip(points, accs):
+        want = _reference_rows(c, p, scheme, draw)
+        np.testing.assert_allclose(acc.mean, np.mean(want, axis=0), rtol=1e-9)
+
+
+@pytest.mark.parametrize("scheme,nrx,ntx", _SHAPES)
+def test_trial_terms_match_brute_force_oracle(scheme, nrx, ntx):
+    # the feature rows of the bases against explicit N-dimensional channels
+    cfg, prof = _weak_pilots(nrx, ntx)
     n = 20_000
     rng = np.random.default_rng(41)
     draw = montecarlo._draw(cfg, n, rng)
-    drawn = montecarlo._trial_terms(cfg, prof, scheme, draw)[:4]
-    oracle = _oracle_terms(cfg, prof, scheme, n, rng)
-    assert [x.shape for x in drawn] == [x.shape for x in oracle] == [
-        (n, cfg.K, cfg.K), (n, cfg.K, cfg.K), (n, cfg.K), (n, cfg.K, cfg.K)]
-    stats_drawn, stats_oracle = _per_pair(*drawn), _per_pair(*oracle)
-    for name in stats_drawn:
-        x, y = stats_drawn[name], stats_oracle[name]
-        assert np.all(_two_sample_z(x, y) < 4.0), name
-        assert np.all(_two_sample_z(x**2, y**2) < 4.0), name + " squared"
-
-    # given the Grams, E[loop_k] = sigma_li^2 ||w_k||^2 ||A||_F^2 exactly, with
-    # ||A||_F^2 = alpha^2 tr(Gram_rd^-1) for ZF and alpha^2 tr(Gram_rd) for MR
+    # ||A||_F^2 = alpha^2 tr(Gram_rd^-1) for ZF and alpha^2 tr(Gram_rd) for MR,
+    # read before the ZF bases overwrite the factors
     f_rd = np.sqrt(prof.sigma_rd_sq)[:, None] * draw[1]
     gram_rd = f_rd @ np.swapaxes(f_rd, 1, 2).conj()
     if scheme == "zf":
         a_f2 = alpha_zf(cfg, prof) ** 2 * np.trace(np.linalg.inv(gram_rd), axis1=1, axis2=2)
     else:
         a_f2 = alpha_mrt(cfg, prof) ** 2 * np.trace(gram_rd, axis1=1, axis2=2)
-    resid = stats_drawn["loop"] - cfg.sigma_li_sq * drawn[2] * a_f2.real[:, None]
+    rows = montecarlo._features(cfg, prof, scheme, montecarlo._bases(cfg, scheme, draw))
+    stats_oracle = _per_pair(*_oracle_terms(cfg, prof, scheme, n, rng))
+    # the same statistics are the feature rows 0, 1, 3, 4, 5, 6, 7 and 9
+    stats_drawn = dict(zip(stats_oracle, np.moveaxis(rows[:, [0, 1, 3, 4, 5, 6, 7, 9]], 1, 0)))
+    for name in stats_drawn:
+        x, y = stats_drawn[name], stats_oracle[name]
+        assert x.shape == y.shape == (n, cfg.K), name
+        assert np.all(_two_sample_z(x, y) < 4.0), name
+        assert np.all(_two_sample_z(x**2, y**2) < 4.0), name + " squared"
+
+    # given the Grams, E[loop_k] = sigma_li^2 ||w_k||^2 ||A||_F^2 exactly
+    resid = stats_drawn["loop"] - cfg.sigma_li_sq * stats_drawn["noise"] * a_f2.real[:, None]
     se = np.std(resid, axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(np.mean(resid, axis=0)) < 4.0 * se)
 
@@ -361,14 +438,12 @@ def _oracle_probe(kind, cfg, prof, scheme, n, rng, er):
 
 
 @pytest.mark.parametrize("kind", ["decode", "loop_power", "forward"])
-@pytest.mark.parametrize("scheme,nrx,ntx",
-                         [("zf", 8, 6), ("mr", 8, 6), ("mr", 2, 6), ("mr", 8, 2)])
+@pytest.mark.parametrize("scheme,nrx,ntx", _SHAPES)
 def test_probe_terms_match_the_n_dimensional_probe(kind, scheme, nrx, ntx):
     # the weak-pilot profile of the _trial_terms oracle test; the probe is a
     # conditional mean of the oracle's residual, so its variance is at most
     # the oracle's and sqrt(2) se_oracle bounds the stderr of the difference
-    cfg = replace(CFG, Nrx=nrx, Ntx=ntx, Pp=0.5, sigma_li_sq=0.7)
-    prof = make_profile([0.3, 1.0, 3.0], [2.5, 0.4, 1.2], cfg.tau, cfg.Pp)
+    cfg, prof = _weak_pilots(nrx, ntx)
     n = 20_000
     rng = np.random.default_rng(43)
     value = convergence_probe(kind, cfg, prof, scheme, n, rng, er=10.0)
@@ -401,8 +476,7 @@ def test_probe_is_the_mean_of_its_trials():
     for scheme in ("zf", "mr"):
         expected = _closed_probes(
             cfg, scheme, er, mc_rate(cfg, PROF, scheme, n, np.random.default_rng(44)))
-        power = montecarlo._trial_terms(
-            cfg, PROF, scheme, montecarlo._draw(cfg, n, np.random.default_rng(44)))[4]
+        power = _rows(cfg, PROF, scheme, n, np.random.default_rng(44))[:, POWER]
         expected["loop_power"] = cfg.sigma_li_sq * er / cfg.Ntx * np.mean(
             np.sum(power, axis=1))
         for kind, want in expected.items():
@@ -432,16 +506,33 @@ def test_monte_carlo_cost_is_flat_in_the_array_size():
     assert peak < column_block / 8, f"traced peak {peak} B"
 
 
+@pytest.mark.parametrize("scheme,limit_mb", [("zf", 2.40), ("mr", 2.25)])
+def test_a_bound_call_keeps_no_scaled_copy_of_its_draw(scheme, limit_mb):
+    # the traced peak of one K = 10, 100-trial call stays at or below that of
+    # the engine that kept the unit factors alive beside their scaled copies
+    cfg = SystemConfig(K=10, Nrx=128, Ntx=128, tau=20, Pp=1.0, Ps=1.0, Pr=10.0)
+    prof = make_profile(np.ones(10), np.ones(10), cfg.tau, cfg.Pp)
+    mc_rate(cfg, prof, scheme, 100, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        mc_rate(cfg, prof, scheme, 100, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 1e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
 def test_zf_inverts_the_estimated_channels():
     # saturated estimates (sigma^2 = beta) leave no error, so in every trial
     # W^T G_SR = I and G_RD^T A = alpha I
     prof = LargeScaleProfile(beta_sr=PROF.sigma_sr_sq, beta_rd=PROF.sigma_rd_sq,
                              sigma_sr_sq=PROF.sigma_sr_sq, sigma_rd_sq=PROF.sigma_rd_sq)
-    gain_sr, _, _, gain_rd = montecarlo._trial_terms(
-        CFG, prof, "zf", montecarlo._draw(CFG, 500, np.random.default_rng(45)))[:4]
-    eye = np.broadcast_to(np.eye(CFG.K), gain_sr.shape)
-    np.testing.assert_allclose(gain_sr, eye, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(gain_rd, alpha_zf(CFG, prof) * eye, rtol=0, atol=1e-10)
+    rows = _rows(CFG, prof, "zf", 500, np.random.default_rng(45))
+    # gain real and imaginary parts, |gain|^2 and multipair of each hop
+    want = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0,
+            6: alpha_zf(CFG, prof), 7: 0.0, 8: alpha_zf(CFG, prof) ** 2, 9: 0.0}
+    for row, value in want.items():
+        np.testing.assert_allclose(rows[:, row], value, rtol=0, atol=1e-10, err_msg=row)
 
 
 def test_alpha_formulas_by_hand():
@@ -520,23 +611,14 @@ def test_plain_moment_stderr_is_the_iid_one(scheme):
     # finite-difference gradient
     n = 300
     res = mc_rate(CFG, PROF, scheme, n, np.random.default_rng(77))
-    gain_sr, loop, noise, gain_rd = montecarlo._trial_terms(
-        CFG, PROF, scheme, montecarlo._draw(CFG, n, np.random.default_rng(77)))[:4]
-    stats = _per_pair(gain_sr, loop, noise, gain_rd)
-    for name, key in (("multipair", "multipair_sr"), ("loop", "loop"), ("noise", "noise")):
-        x = stats[key]
+    features = _rows(CFG, PROF, scheme, n, np.random.default_rng(77))[:, :10]
+    for name, row in (("multipair", 3), ("loop", 4), ("noise", 5)):
+        x = features[:, row]
         np.testing.assert_allclose(getattr(res.sr_terms, name), np.mean(x, axis=0),
                                    rtol=1e-12)
         np.testing.assert_allclose(getattr(res.sr_terms, "stderr_" + name),
                                    np.std(x, axis=0, ddof=1) / np.sqrt(n), rtol=1e-9)
 
-    features = np.stack([
-        stats["gain_sr"], stats["gain_sr_im"],
-        stats["gain_sr"] ** 2 + stats["gain_sr_im"] ** 2,
-        stats["multipair_sr"], stats["loop"], stats["noise"],
-        stats["gain_rd"], stats["gain_rd_im"],
-        stats["gain_rd"] ** 2 + stats["gain_rd_im"] ** 2, stats["multipair_rd"],
-    ], axis=1)
     reported = {
         "mean_gain": res.sr_terms.stderr_mean_gain,
         "var_gain": res.sr_terms.stderr_var_gain,
