@@ -252,10 +252,7 @@ def _run_fig9(spec: RunSpec):
     for s0 in range(2, 15):
         row = [s0]
         for scheme in ("zf", "mr"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                alloc = optimize_powers(cfg, profile, scheme, float(s0),
-                                        p0=p0, p1=p1)
+            alloc = optimize_powers(cfg, profile, scheme, float(s0), p0=p0, p1=p1)
             feasible = alloc.status != "infeasible"
             total = float(np.sum(alloc.p_s)) + alloc.p_r if feasible else 0.0
             row += [int(feasible), int(alloc.converged), alloc.iterations,

@@ -56,11 +56,6 @@ class SystemConfig:
         for name in ("Pp", "Ps", "Pr", "sigma_li_sq"):
             _check_real(name, getattr(self, name))
 
-    @property
-    def prelog(self) -> float:
-        """Training overhead factor (T - tau) / T of the full-duplex mode."""
-        return (self.T - self.tau) / self.T
-
 
 def _mmse_variance(beta: np.ndarray, pilot_energy: float) -> np.ndarray:
     """tau*Pp*beta^2 / (tau*Pp*beta + 1) at pilot_energy = tau*Pp, unchecked.

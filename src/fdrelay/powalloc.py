@@ -22,12 +22,14 @@ is scaled by the s > 0 that makes sum_k log2(1 + s * gamma_peak,k) hit the
 SE target, which reduces to the plain uniform-peak start when S0 equals the
 uniform-peak SE. Starting anywhere else would make the first trust region
 miss the equality manifold entirely for targets away from the peak SE, and
-the first GP would be spuriously infeasible.
+the first GP would be spuriously infeasible. The same scaling proves a
+target out of reach, which status "infeasible" alone reports: no powers under
+the peaks give gamma_k above min(a_k p0, d_k p1 / (e_k p1 + 1)), which the
+uniform-peak SINRs reach once scaled by the largest uniform-peak SR denominator.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,25 +53,11 @@ def energy_efficiency(sum_se: float, p_s, p_r: float, T: int, tau: int) -> float
     _check_real("p_r", p_r)
     _check_count("tau", tau)
     _check_count("T", T, tau + 1)
+    for x in np.ravel(p_s):
+        _check_real("p_s", x)
     total = float(np.sum(p_s)) + float(p_r)
     _check_real("total transmit power", total, strict=True)
     return sum_se / ((T - tau) / T * total)
-
-
-def _sum_se_at(coeffs: SinrCoefficients, p_s, p_r: float, T: int, tau: int) -> float:
-    sr, rd = coeffs.sinrs(np.asarray(p_s, dtype=float), p_r)
-    return sum_se(np.log2(1.0 + np.minimum(sr, rd)), T, tau)
-
-
-def _max_feasible_se(coeffs: SinrCoefficients, p0: float, p1: float,
-                    T: int, tau: int) -> float:
-    """Uniform-peak sum SE plus a 5% margin, used only as a feasibility hint.
-
-    SINR numerators grow with the own power but the interference terms grow
-    with the others', so the true maximum can sit above the uniform-peak
-    point; the margin absorbs that slack for warning purposes only.
-    """
-    return 1.05 * _sum_se_at(coeffs, np.full(coeffs.K, p0), p1, T, tau)
 
 
 @dataclass(frozen=True)
@@ -86,19 +74,24 @@ class PowerAllocation:
 
 
 def _init_gamma(coeffs: SinrCoefficients, target: float, p0: float,
-                p1: float) -> np.ndarray:
-    """Uniform-peak SINRs scaled so that sum log2(1 + gamma) = target."""
+                p1: float) -> np.ndarray | None:
+    """Uniform-peak SINRs scaled so that sum log2(1 + gamma) = target, or None
+    when no powers under the peaks reach the target."""
     sr, rd = coeffs.sinrs(np.full(coeffs.K, p0), p1)
     gamma_peak = np.minimum(sr, rd)
+    # under the peaks gamma_k <= min(a_k p0, d_k p1 / (e_k p1 + 1)); the
+    # uniform-peak SR denominators lie in [1, s_bound], so s_bound * gamma_peak
+    # bounds every such gamma and no powers reach a target short at s_bound
+    s_bound = float(np.max(p0 * np.sum(coeffs.b) + coeffs.c * p1 + 1.0))
 
     def excess(s: float) -> float:
         return float(np.sum(np.log2(1.0 + s * gamma_peak))) - target
 
     lo, hi = 0.0, 1.0
     while excess(hi) < 0.0:
+        if hi >= s_bound:
+            return None
         hi *= 2.0
-        if hi > 1e18:
-            raise ValueError("SE target out of reach of the SINR scaling")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if excess(mid) < 0.0:
@@ -176,11 +169,12 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     gamma) instead of the box midpoint, with the same answer to the GP
     tolerance. iterations, converged and total_power_trace describe the
     measured rounds alone. Status "optimal" means converged with the last
-    round's GP certified optimal; "infeasible" means no round found a
-    feasible point (for an infeasible target, a warning cites the
-    uniform-peak feasibility hint). Raises ValueError unless s0, p0 and p1
-    are finite and > 0 and every SINR coefficient is positive and finite
-    (sigma_li_sq = 0 gives c = 0, say), since no GP round could hold it.
+    round's GP certified optimal; "infeasible", the one signal of a target
+    out of reach, means that the first center's scaling proved no powers
+    under the peaks reach s0 or that no round found a feasible point. Raises
+    ValueError only when s0, p0 or p1 is not finite and > 0 or an SINR
+    coefficient is not positive and finite (sigma_li_sq = 0 gives c = 0,
+    say), since no GP round could hold it.
     """
     for name, x in (("s0", s0), ("p0", p0), ("p1", p1)):
         _check_real(name, x, strict=True)
@@ -189,18 +183,13 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
         v = getattr(coeffs, name)
         if np.any(v <= 0) or not np.all(np.isfinite(v)):
             raise ValueError(f"coefficient {name} must be positive and finite")
-    hint = _max_feasible_se(coeffs, p0, p1, cfg.T, cfg.tau)
-    if s0 > hint:
-        warnings.warn(
-            f"SE target {s0:.4g} exceeds the feasibility hint {hint:.4g}; "
-            "expecting an infeasible first round", stacklevel=2)
-
     k = coeffs.K
     target = cfg.T * s0 / (cfg.T - cfg.tau)  # sum of log2(1 + gamma) to hit
     base = _sinr_program(coeffs, p0, p1)
     center = _init_gamma(coeffs, target, p0, p1)
     start = None  # the last feasible round's optimum (p_s, p_r, gamma)
-    for trust, max_rounds, tol in (WARMUP, MEASURED):
+    # no center: the target is out of reach, and no round runs
+    for trust, max_rounds, tol in (WARMUP, MEASURED) if center is not None else ():
         trace, converged = [], False
         for rounds in range(1, max_rounds + 1):
             result = solve_gp(_round_gp(base, center, trust, target), start=start)
@@ -214,13 +203,16 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
                 converged = True
                 break
         if start is None:
-            nan_k = np.full(k, np.nan)
-            return PowerAllocation(
-                p_s=nan_k, p_r=math.nan, achieved_se=0.0, ee=0.0,
-                iterations=1, converged=False, status="infeasible",
-                gamma=nan_k, total_power_trace=())
+            break
+    if start is None:
+        nan_k = np.full(k, np.nan)
+        return PowerAllocation(
+            p_s=nan_k, p_r=math.nan, achieved_se=0.0, ee=0.0,
+            iterations=1, converged=False, status="infeasible",
+            gamma=nan_k, total_power_trace=())
     p_s, p_r, gamma = start[:k], float(start[k]), start[k + 1:]
-    achieved = _sum_se_at(coeffs, p_s, p_r, cfg.T, cfg.tau)
+    sr, rd = coeffs.sinrs(p_s, p_r)
+    achieved = sum_se(np.log2(1.0 + np.minimum(sr, rd)), cfg.T, cfg.tau)
     return PowerAllocation(
         p_s=p_s, p_r=p_r, achieved_se=achieved,
         ee=energy_efficiency(achieved, p_s, p_r, cfg.T, cfg.tau),

@@ -163,7 +163,10 @@ def test_array_and_relational_edges_name_their_argument():
             (lambda: fdrelay.wishart_inverse_moment(16, [1.0, -1.0], 4, np.random.default_rng(0)),
              "variances must be"),
             (lambda: fdrelay.wishart_inverse_moment(16, [math.nan], 4, np.random.default_rng(0)),
-             "variances must be")):
+             "variances must be"),
+            (lambda: fdrelay.energy_efficiency(1.0, [-5.0, 6.0], 0.0, 200, 20), "p_s must be"),
+            (lambda: fdrelay.energy_efficiency(1.0, [math.nan, 1.0], 0.0, 200, 20),
+             "p_s must be")):
         with pytest.raises(ValueError, match=f"^{prefix}"):
             call()
 

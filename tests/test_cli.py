@@ -192,6 +192,23 @@ def test_fig9_refuses_a_pair_count_other_than_its_profile(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fig9_flags_targets_out_of_reach_and_replays(tmp_path):
+    # a loop interference of 1e20 leaves every target out of reach: the run
+    # still writes its table, each allocation flagged by its status alone
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--preset", "fig9", "--set", "sigma_li_sq=1e20",
+                 "--out", str(first)]) == 0
+    header, rows = read_csv(first / "fig9.csv")
+    flags = [i for i, name in enumerate(header)
+             if name.startswith(("feasible_", "converged_"))]
+    assert len(flags) == 4 and len(rows) == 13
+    assert all(float(row[i]) == 0.0 for row in rows for i in flags)
+    assert main(["run", "--manifest", str(first / "fig9.manifest.json"),
+                 "--out", str(second)]) == 0
+    for name in ("fig9.csv", "fig9.manifest.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
 def test_zero_pilot_power_is_refused_by_the_profile(tmp_path, capsys):
     # Pp = 0 leaves no channel estimate (sigma^2 = 0): the profile names the
     # field before any rate is computed, and nothing is written

@@ -18,7 +18,7 @@ from fdrelay import (
 def test_config_defaults_and_prelog():
     cfg = SystemConfig(K=10, Nrx=100, Ntx=100)
     assert cfg.T == 200 and cfg.tau == 20
-    assert cfg.prelog == pytest.approx(0.9)
+    assert (cfg.T - cfg.tau) / cfg.T == pytest.approx(0.9)
 
 
 @pytest.mark.parametrize(

@@ -46,14 +46,6 @@ def test_energy_efficiency_formula():
         energy_efficiency(1.0, [0.0], 0.0, T=200, tau=20)
 
 
-def test_max_feasible_se_is_five_percent_above_uniform_peak():
-    coeffs = sinr_coefficients(CFG10, PROF10, "zf")
-    uniform = sum_se_at(coeffs, np.full(10, 10.0), 100.0, CFG10.T, CFG10.tau)
-    assert powalloc._max_feasible_se(coeffs, 10.0, 100.0, CFG10.T, CFG10.tau) == pytest.approx(
-        1.05 * uniform, rel=1e-12
-    )
-
-
 def test_single_pair_matches_dense_grid():
     cfg = SystemConfig(K=1, Nrx=32, Ntx=32, T=200, tau=2, Pp=4.0, sigma_li_sq=1.0)
     prof = make_profile([1.0], [1.0], cfg.tau, cfg.Pp)
@@ -69,7 +61,7 @@ def test_single_pair_matches_dense_grid():
     sr = coeffs.a[0] * p[:, None] / (coeffs.b[0] * p[:, None]
                                      + coeffs.c[0] * pr[None, :] + 1.0)
     rd = coeffs.d[0] * pr / (coeffs.e[0] * pr + 1.0)
-    se = cfg.prelog * np.log2(1.0 + np.minimum(sr, rd[None, :]))
+    se = (cfg.T - cfg.tau) / cfg.T * np.log2(1.0 + np.minimum(sr, rd[None, :]))
     total = p[:, None] + pr[None, :]
     feasible = se >= s0
     assert np.any(feasible)
@@ -109,7 +101,8 @@ def test_gamma_reproduces_the_target_se():
     # the GP enforces the target through a monomial fit of prod(1 + gamma),
     # so the recovered SE is exact only up to the converged fit residual
     alloc = optimize_powers(CFG10, PROF10, "zf", 6.0)
-    se_from_gamma = CFG10.prelog * float(np.sum(np.log2(1.0 + alloc.gamma)))
+    prelog = (CFG10.T - CFG10.tau) / CFG10.T
+    se_from_gamma = prelog * float(np.sum(np.log2(1.0 + alloc.gamma)))
     assert se_from_gamma == pytest.approx(6.0, rel=1e-4)
 
 
@@ -159,10 +152,18 @@ def test_gp_round_without_a_feasible_point_stops_the_allocation(monkeypatch):
     assert alloc.status == "infeasible" and np.all(np.isnan(alloc.p_s))
 
 
-def test_infeasible_target_reports_cleanly():
-    with pytest.warns(UserWarning, match="feasibility hint"):
-        alloc = optimize_powers(CFG10, PROF10, "zf", 200.0)
-    assert alloc.status == "infeasible"
+@pytest.mark.parametrize("scheme, sigma_li_sq, s0", [
+    ("zf", 1.0, 200.0), ("zf", 1.0, 600.0), ("zf", 1.0, 1e6),
+    ("zf", 1e20, 2.0), ("zf", 1e20, 14.0), ("mr", 1e20, 2.0), ("mr", 1e20, 14.0)])
+def test_infeasible_target_reports_cleanly(scheme, sigma_li_sq, s0):
+    # the status is the one signal: no warning and no error, whether the SINR
+    # bound rules the target out (the large s0) or the GP rounds find no
+    # feasible point (the loop interference of 1e20)
+    cfg = dataclasses.replace(CFG10, sigma_li_sq=sigma_li_sq)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alloc = optimize_powers(cfg, PROF10, scheme, s0)
+    assert alloc.status == "infeasible" and alloc.iterations == 1
     assert not alloc.converged
     assert np.all(np.isnan(alloc.p_s)) and math.isnan(alloc.p_r)
     assert alloc.achieved_se == 0.0 and alloc.ee == 0.0
@@ -287,15 +288,25 @@ def test_warm_started_rounds_match_cold_rounds(monkeypatch):
 
     def sweep():
         out = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for scheme in ("zf", "mr"):
-                for s0 in range(2, 15):
-                    out[scheme, s0] = optimize_powers(cfg, prof, scheme, float(s0),
-                                                      p0=10.0, p1=100.0)
+        for scheme in ("zf", "mr"):
+            for s0 in range(2, 15):
+                out[scheme, s0] = optimize_powers(cfg, prof, scheme, float(s0),
+                                                  p0=10.0, p1=100.0)
         return out
 
     warm = sweep()
+    # the bound that rules targets out: under the peaks no SINR passes
+    # gamma_max, and the uniform-peak SINRs scaled by the largest SR
+    # denominator at the peaks pass it
+    for scheme in ("zf", "mr"):
+        co = sinr_coefficients(cfg, prof, scheme)
+        gamma_max = np.minimum(co.a * 10.0, co.d * 100.0 / (co.e * 100.0 + 1.0))
+        reach = np.max(10.0 * np.sum(co.b) + co.c * 100.0 + 1.0)
+        gamma_peak = np.minimum(*co.sinrs(np.full(co.K, 10.0), 100.0))
+        assert np.all(reach * gamma_peak >= gamma_max * (1.0 - 1e-12)), scheme
+        for s0 in range(2, 15):
+            gamma = warm[scheme, s0].gamma
+            assert np.all(gamma <= gamma_max * (1.0 + 1e-6)), (scheme, s0)
     real = powalloc.solve_gp
     monkeypatch.setattr(powalloc, "solve_gp",
                         lambda prog, start=None: real(prog))

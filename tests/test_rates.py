@@ -185,7 +185,7 @@ def test_asymptotic_case_one_schemes_collapse():
     # hand form: sr = Es sigma^2, rd = Er sigma^2 / K
     s2 = float(REF_PROF.sigma_sr_sq[0])
     rate = math.log2(1.0 + min(10.0 * s2, 20.0 * s2 / 10.0))
-    assert se_zf == pytest.approx(REF_CFG.prelog * 10 * rate, rel=1e-12)
+    assert se_zf == pytest.approx((REF_CFG.T - REF_CFG.tau) / REF_CFG.T * 10 * rate, rel=1e-12)
 
 
 def test_asymptotic_case_two_hand_value():
@@ -194,7 +194,7 @@ def test_asymptotic_case_two_hand_value():
     es, er, kappa = 3.0, 5.0, 1.0
     sr = cfg.tau * es**2
     rd = math.sqrt(kappa) * cfg.tau * es * er
-    want = cfg.prelog * math.log2(1.0 + min(sr, rd))
+    want = (cfg.T - cfg.tau) / cfg.T * math.log2(1.0 + min(sr, rd))
     assert asymptotic_se("II", "zf", cfg, prof, Es=es, Er=er, kappa=kappa) == pytest.approx(want, rel=1e-12)
     assert asymptotic_se("II", "mr", cfg, prof, Es=es, Er=er, kappa=kappa) == pytest.approx(want, rel=1e-12)
 
