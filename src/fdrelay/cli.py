@@ -14,7 +14,9 @@ execution order or chunking.
 Overrides (--set key=value) use flat lower-case keys mirroring the config
 fields; a _db key other than shadow_sigma_db is converted to linear scale at
 parse time. A preset refuses an override of a field it sets itself and an
-extra key it does not read, and a failed run writes no file.
+extra key it does not read, and a failed run writes no file. A manifest
+replay takes its seed, trials and overrides from the manifest alone, so it
+refuses --set, --trials and --seed.
 """
 from __future__ import annotations
 
@@ -243,21 +245,24 @@ def _run_fig9(spec: RunSpec):
         header += [f"feasible_{s}", f"converged_{s}", f"iterations_{s}",
                    f"total_power_{s}", f"achieved_se_{s}", f"ee_opt_{s}",
                    f"se_uniform_{s}", f"ee_uniform_{s}"]
-    uniform = {}  # at the peaks: _reject_swept keeps cfg's Ps = p0 and Pr = p1
-    for scheme, fn in (("zf", rate_zf), ("mr", rate_mr)):
+    schemes = (("zf", rate_zf), ("mr", rate_mr))
+    targets = range(2, 15)
+    # allocate first: optimize_powers refuses by name peaks at which a
+    # uniform-peak SINR term overflows, before the uniform rates overflow
+    allocs = [[optimize_powers(cfg, profile, scheme, float(s0), p0=p0, p1=p1)
+               for scheme, _ in schemes] for s0 in targets]
+    uniform = []  # at the peaks: _reject_swept keeps cfg's Ps = p0 and Pr = p1
+    for _, fn in schemes:
         se = fn(cfg, profile).sum_se
-        uniform[scheme] = (se, energy_efficiency(
-            se, np.full(cfg.K, p0), p1, cfg.T, cfg.tau))
+        uniform.append((se, energy_efficiency(se, np.full(cfg.K, p0), p1, cfg.T, cfg.tau)))
     rows = []
-    for s0 in range(2, 15):
+    for s0, row_allocs in zip(targets, allocs):
         row = [s0]
-        for scheme in ("zf", "mr"):
-            alloc = optimize_powers(cfg, profile, scheme, float(s0), p0=p0, p1=p1)
+        for alloc, (se, ee) in zip(row_allocs, uniform):
             feasible = alloc.status != "infeasible"
             total = float(np.sum(alloc.p_s)) + alloc.p_r if feasible else 0.0
             row += [int(feasible), int(alloc.converged), alloc.iterations,
-                    total, alloc.achieved_se, alloc.ee,
-                    uniform[scheme][0], uniform[scheme][1]]
+                    total, alloc.achieved_se, alloc.ee, se, ee]
         rows.append(row)
     return {"fig9.csv": (header, rows)}
 
@@ -379,7 +384,11 @@ def spec_from_manifest(path: str, out_dir: str) -> RunSpec:
                    overrides=dict(data.get("overrides", {})), out_dir=out_dir)
 
 
-def _parse_args(argv):
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first main call and reused by every
+    later one: argparse keeps no state between parses, and the append
+    action copies --set's [] default before appending to it."""
     parser = argparse.ArgumentParser(
         prog="fdrelay", description="Run relaying experiments to CSV.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -391,16 +400,16 @@ def _parse_args(argv):
     run.add_argument("--manifest", help="re-run from a manifest JSON file")
     run.add_argument("--set", dest="overrides", action="append", default=[],
                      metavar="KEY=VALUE", help="config override (repeatable)")
-    run.add_argument("--seed", type=int, default=1)
+    run.add_argument("--seed", type=int, default=None, help="random seed (default 1)")
     run.add_argument("--trials", type=int, default=None,
                      help="Monte Carlo trials or drops (preset default otherwise)")
     run.add_argument("--out", default=None,
                      help="output directory (default $FDRELAY_OUT or ./results)")
-    return parser.parse_args(argv)
+    return parser
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = _parser().parse_args(argv)
     out_dir = args.out or os.environ.get("FDRELAY_OUT") or "results"
     # under the active filters; a failure lists the warnings, a success re-issues them
     with warnings.catch_warnings(record=True) as caught:
@@ -408,6 +417,12 @@ def main(argv=None) -> int:
             if args.manifest and args.preset:
                 raise ValueError("use either --preset or --manifest, not both")
             if args.manifest:
+                for option, given in (("--set", bool(args.overrides)),
+                                      ("--trials", args.trials is not None),
+                                      ("--seed", args.seed is not None)):
+                    if given:
+                        raise ValueError(f"{option} is not allowed with --manifest, "
+                                         f"which replays the manifest's own run")
                 spec = spec_from_manifest(args.manifest, out_dir)
             else:
                 if not args.preset:
@@ -420,7 +435,8 @@ def main(argv=None) -> int:
                     overrides[key.strip().lower()] = value.strip()
                 trials = args.trials if args.trials is not None \
                     else _PRESETS[args.preset].trials
-                spec = RunSpec(preset=args.preset, seed=args.seed, trials=trials,
+                seed = args.seed if args.seed is not None else 1
+                spec = RunSpec(preset=args.preset, seed=seed, trials=trials,
                                overrides=overrides, out_dir=out_dir)
             paths = run_spec(spec)
         except Exception as exc:  # one machine-readable line on any failure

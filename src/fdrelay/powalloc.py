@@ -103,6 +103,21 @@ def _init_gamma(coeffs: SinrCoefficients, target: float, p0: float,
     return np.maximum(0.5 * (lo + hi) * gamma_peak, GAMMA_FLOOR)
 
 
+def _check_peak_terms(coeffs: SinrCoefficients, p0: float, p1: float) -> None:
+    """Refuse, naming the peak, p0 or p1 at which a term of the uniform-peak
+    SINRs overflows; the first center and the reach bound are built from them."""
+    with np.errstate(over="ignore"):
+        b_p0 = np.sum(coeffs.b) * p0
+        terms = (("p0", "a*p0", coeffs.a * p0), ("p0", "sum(b)*p0", b_p0),
+                 ("p1", "c*p1", coeffs.c * p1), ("p1", "d*p1", coeffs.d * p1),
+                 ("p1", "e*p1", coeffs.e * p1),
+                 ("p0 and p1", "sum(b)*p0 + c*p1", b_p0 + coeffs.c * p1))
+    for name, term, value in terms:
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} too large: the uniform-peak SINR term {term} "
+                             f"is not finite")
+
+
 def _sinr_program(coeffs: SinrCoefficients, p0: float, p1: float) -> tuple:
     """The rounds' common parts of the GP over (p_1..p_K, p_r, gamma_1..gamma_K):
     (objective, inequalities, lower, upper), the total power, the 2K SINR
@@ -172,9 +187,12 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     round's GP certified optimal; "infeasible", the one signal of a target
     out of reach, means that the first center's scaling proved no powers
     under the peaks reach s0 or that no round found a feasible point. Raises
-    ValueError only when s0, p0 or p1 is not finite and > 0 or an SINR
+    ValueError only when s0, p0 or p1 is not finite and > 0, an SINR
     coefficient is not positive and finite (sigma_li_sq = 0 gives c = 0,
-    say), since no GP round could hold it.
+    say), since no GP round could hold it, or p0 or p1 makes a uniform-peak
+    SINR term (a*p0, sum(b)*p0, c*p1, d*p1, e*p1 or the first-hop
+    denominator) overflow; the error names the peak, and nothing overflows
+    before it.
     """
     for name, x in (("s0", s0), ("p0", p0), ("p1", p1)):
         _check_real(name, x, strict=True)
@@ -183,6 +201,7 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
         v = getattr(coeffs, name)
         if np.any(v <= 0) or not np.all(np.isfinite(v)):
             raise ValueError(f"coefficient {name} must be positive and finite")
+    _check_peak_terms(coeffs, p0, p1)
     k = coeffs.K
     target = cfg.T * s0 / (cfg.T - cfg.tau)  # sum of log2(1 + gamma) to hit
     base = _sinr_program(coeffs, p0, p1)

@@ -4,6 +4,9 @@ Runs every spec of :func:`specs` in process through ``fdrelay.cli.main`` and
 prints one line per output: the spec, its exit code, the file name, the file's
 sha256 and the run's stderr (a failed run prints one line with ``-`` for the
 file and the hash). Warnings use the ``default`` filter, as outside pytest.
+Every spec that exits 0 is replayed from its manifest in the same process;
+stderr gets the replay count and each spec whose replay wrote other bytes,
+and the script exits 1 if any did.
 
     PYTHONPATH=src python tests/cli_digest.py
     PYTHONPATH=src python tests/cli_digest.py --against ../other/src
@@ -12,7 +15,8 @@ file and the hash). Warnings use the ``default`` filter, as outside pytest.
 
 ``--against SRC`` runs the same specs on the fdrelay package under SRC (in a
 child process) and prints a unified diff of the two digests, or a count of
-identical outputs; it exits 1 if any output differs. Both sides take the
+identical outputs; it exits 1 if any output differs. The child checks its
+own replays, and a failure there stops the comparison. Both sides take the
 benchmark specs from this tree's ``perfbench/workloads.py``. With ``--rel``
 it prints, instead of the diff, one line per column of each CSV that differs
 (spec, file, column, and the largest |a - b| / max(|a|, |b|) over the rows),
@@ -82,7 +86,8 @@ def specs() -> list:
     return out
 
 
-def digest(argv: list, out: str) -> list:
+def digest(argv: list, out: str) -> tuple:
+    """The run's exit code and its digest lines."""
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         code = cli.main(["run"] + argv + ["--out", out])
@@ -90,22 +95,40 @@ def digest(argv: list, out: str) -> list:
     err = json.dumps(stderr.getvalue())
     names = sorted(os.listdir(out)) if os.path.isdir(out) else []
     if not names:
-        return [f"{label}\t{code}\t-\t-\t{err}"]
+        return code, [f"{label}\t{code}\t-\t-\t{err}"]
     lines = []
     for name in names:
         with open(os.path.join(out, name), "rb") as fh:
             sha = hashlib.sha256(fh.read()).hexdigest()
         lines.append(f"{label}\t{code}\t{name}\t{sha}\t{err}")
-    return lines
+    return code, lines
 
 
-def digest_all(keep=None) -> list:
+def replay_differs(out: str, again: str) -> bool:
+    """Replay the manifest in out into again; True if any output's bytes differ."""
+    manifest = next(name for name in os.listdir(out) if name.endswith(".manifest.json"))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["run", "--manifest", os.path.join(out, manifest), "--out", again])
+    names = sorted(os.listdir(out))
+    return code != 0 or not os.path.isdir(again) or names != sorted(os.listdir(again)) \
+        or any(_read(os.path.join(out, n)) != _read(os.path.join(again, n)) for n in names)
+
+
+def digest_all(keep=None) -> tuple:
+    """The digest lines, and the labels of the specs that exit 0 and whose
+    manifest replay in this process writes other bytes, with the replay count."""
     warnings.simplefilter("default")
-    lines = []
+    lines, differs, replays = [], [], 0
     for i, argv in enumerate(specs()):
         with tempfile.TemporaryDirectory() as tmp:
-            lines += digest(argv, os.path.join(keep, str(i)) if keep else os.path.join(tmp, "out"))
-    return lines
+            out = os.path.join(keep, str(i)) if keep else os.path.join(tmp, "out")
+            code, spec_lines = digest(argv, out)
+            lines += spec_lines
+            if code == 0:
+                replays += 1
+                if replay_differs(out, os.path.join(tmp, "replay")):
+                    differs.append(" ".join(argv))
+    return lines, differs, replays
 
 
 def _read(path: str):
@@ -165,14 +188,18 @@ def main() -> int:
         parser.error("--rel needs --against")
     with tempfile.TemporaryDirectory() as tmp:
         mine = args.keep or (os.path.join(tmp, "this") if args.rel else None)
-        lines = digest_all(mine)
+        lines, differs, replays = digest_all(mine)
+        for label in differs:
+            print(f"replay differs: {label}", file=sys.stderr)
+        print(f"{replays - len(differs)} of {replays} replays byte-identical "
+              f"({os.path.dirname(cli.__file__)})", file=sys.stderr)
         if not args.against:
             print("\n".join(lines))
-            return 0
+            return 1 if differs else 0
         env = dict(os.environ, PYTHONPATH=os.path.abspath(args.against))
         theirs = os.path.join(tmp, "other")
         child = [sys.executable, os.path.abspath(__file__)] + (["--keep", theirs] if args.rel else [])
-        other = subprocess.run(child, env=env, capture_output=True, text=True,
+        other = subprocess.run(child, env=env, stdout=subprocess.PIPE, text=True,
                                check=True).stdout.splitlines()
         diff = list(difflib.unified_diff(other, lines, args.against, "this tree", lineterm=""))
         if args.rel:
@@ -180,7 +207,7 @@ def main() -> int:
                             + [f"{len(set(lines) - set(other))} of {len(lines)} digest lines differ"]))
         else:
             print("\n".join(diff) if diff else f"{len(lines)} outputs identical")
-    return 1 if diff else 0
+    return 1 if diff or differs else 0
 
 
 if __name__ == "__main__":

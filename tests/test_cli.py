@@ -1,7 +1,11 @@
 """Tests for the experiment CLI: presets, overrides, manifests, errors."""
+import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -209,6 +213,23 @@ def test_fig9_flags_targets_out_of_reach_and_replays(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+def test_fig9_refuses_an_overflowing_peak_by_name(tmp_path, capsys):
+    # c*p1 overflows at this loop level and relay peak: the allocator names
+    # p1 before any arithmetic overflows, so even outside pytest's error
+    # filter the one JSON line lists no warning, and nothing is written
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert main(["run", "--preset", "fig9", "--set", "sigma_li_sq=1e300",
+                     "--set", "p1_db=100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "p1 too large: the uniform-peak SINR term c*p1 is not finite",
+        "type": "ValueError"}
+    assert not out.exists()
+
+
 def test_zero_pilot_power_is_refused_by_the_profile(tmp_path, capsys):
     # Pp = 0 leaves no channel estimate (sigma^2 = 0): the profile names the
     # field before any rate is computed, and nothing is written
@@ -358,10 +379,81 @@ def test_preset_and_manifest_are_exclusive(tmp_path, capsys):
     assert "required" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("extra", [["--set", "shadow_sigma_db=2"], ["--trials", "50"],
+                                   ["--seed", "9"], ["--seed", "1"], ["--trials", "0"]])
+def test_a_manifest_replay_refuses_options_it_would_ignore(tmp_path, capsys, extra):
+    # a replay reruns the manifest's own seed, trials and overrides, so an
+    # option that would change them is refused by name, even one equal to
+    # the manifest's value, and no directory is written
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--preset", "fig8", "--trials", "5", "--out", str(first)]) == 0
+    assert json.loads((first / "fig8.manifest.json").read_text())["seed"] == 1
+    capsys.readouterr()
+    assert main(["run", "--manifest", str(first / "fig8.manifest.json"),
+                 "--out", str(second)] + extra) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": f"{extra[0]} is not allowed with --manifest, "
+                 "which replays the manifest's own run",
+        "type": "ValueError"}
+    assert not second.exists()
+
+
+def test_main_calls_share_one_parser(tmp_path, monkeypatch):
+    # the parser (with its run subparser) is built on the first call only
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.__wrapped__()
+    per_parser = len(built)
+    built.clear()
+    cli._parser.cache_clear()
+    for i in range(3):
+        assert main(["run", "--preset", "custom", "--set", "sweep=ps:1:2:2",
+                     "--out", str(tmp_path / str(i))]) == 0
+    assert len(built) == per_parser
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import argparse\n"
+             "built = []\n"
+             "real = argparse.ArgumentParser.__init__\n"
+             "argparse.ArgumentParser.__init__ = "
+             "lambda self, *a, **k: built.append(1) or real(self, *a, **k)\n"
+             "import fdrelay.cli\n"
+             "print(len(built), fdrelay.cli._parser.cache_info().currsize)\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+    assert done.stdout.split() == ["0", "0"]
+
+
+def test_a_reused_parser_carries_no_override_into_the_next_run(tmp_path):
+    assert main(["run", "--preset", "fig6", "--set", "nrx=64",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", "--preset", "fig6", "--out", str(tmp_path / "b")]) == 0
+    for name, overrides in (("a", {"nrx": "64"}), ("b", {})):
+        manifest = json.loads((tmp_path / name / "fig6.manifest.json").read_text())
+        assert manifest["overrides"] == overrides
+
+
 def test_unknown_preset_is_an_argparse_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--preset", "fig99", "--out", str(tmp_path)])
+        main(["run", "--preset", "fig99", "--out", str(tmp_path / "a")])
     assert exc.value.code == 2
+    assert not (tmp_path / "a").exists()
+    # the parser that raised serves the next call
+    assert main(["run", "--preset", "custom", "--set", "sweep=ps:1:2:2",
+                 "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / "custom.csv").exists()
 
 
 def test_out_dir_falls_back_to_environment(tmp_path, monkeypatch):

@@ -170,6 +170,47 @@ def test_infeasible_target_reports_cleanly(scheme, sigma_li_sq, s0):
     assert alloc.total_power_trace == ()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scheme", ["zf", "mr"])
+@pytest.mark.parametrize("sigma_li_sq, p0, p1, message", [
+    (1e300, 10.0, 1e10, "p1 too large: the uniform-peak SINR term c*p1 is not finite"),
+    (1.0, 1e307, 100.0, "p0 too large: the uniform-peak SINR term a*p0 is not finite"),
+])
+def test_peaks_that_overflow_a_uniform_peak_term_are_refused_by_name(
+        scheme, sigma_li_sq, p0, p1, message):
+    # c*p1 = inf once made every uniform-peak SINR 0 and the first center NaN,
+    # which Posynomial refused without naming an argument; the check names
+    # the peak before any arithmetic overflows (a RuntimeWarning is an error)
+    cfg = dataclasses.replace(CFG10, sigma_li_sq=sigma_li_sq)
+    with pytest.raises(ValueError) as exc:
+        optimize_powers(cfg, PROF10, scheme, 2.0, p0=p0, p1=p1)
+    assert str(exc.value) == message
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("field, p0, p1, name, term", [
+    ("a", 1e300, 1.0, "p0", "a*p0"),
+    ("b", 1e300, 1.0, "p0", "sum(b)*p0"),
+    ("c", 1.0, 1e300, "p1", "c*p1"),
+    ("d", 1.0, 1e300, "p1", "d*p1"),
+    ("e", 1.0, 1e300, "p1", "e*p1"),
+    (None, 1e308, 1e308, "p0 and p1", "sum(b)*p0 + c*p1"),
+])
+def test_each_uniform_peak_term_is_checked(field, p0, p1, name, term):
+    # tiny coefficients keep every term finite and 1e10 in one field
+    # overflows its term alone; with b and c near 1 the first-hop
+    # denominator overflows as a sum of finite terms
+    coeffs = {f: np.full(3, 1e-8 if field is None else 1e-300) for f in "abcde"}
+    if field is not None:
+        coeffs[field] = np.full(3, 1e10)
+    else:
+        coeffs["b"], coeffs["c"] = np.full(3, 0.5), np.full(3, 1.0)
+    with pytest.raises(ValueError) as exc:
+        powalloc._check_peak_terms(SinrCoefficients(**coeffs, scheme="zf"), p0, p1)
+    assert str(exc.value) == (f"{name} too large: the uniform-peak SINR term {term} "
+                              "is not finite")
+
+
 def test_optimizer_validation():
     with pytest.raises(ValueError):
         optimize_powers(CFG10, PROF10, "zf", 0.0)
