@@ -111,19 +111,18 @@ _SE_HEADER = [f"se_{mode}_{s}" for s in ("zf", "mr") for mode in ("fd", "hd", "h
 
 
 def _se_columns(cfgs, profiles) -> list:
-    """_SE_HEADER rows of points of one K: one rate call per scheme and mode."""
-    columns = []
-    for fn in (rate_zf, rate_mr):
-        fd = fn(cfgs, profiles, mode="fd").sum_se.tolist()
-        hd = fn(cfgs, profiles, mode="hd").sum_se.tolist()
-        columns += [fd, hd, list(map(max, fd, hd))]
-    return [list(row) for row in zip(*columns)]
-
-
-def _se_rows(cfgs, profiles) -> list:
-    """_se_columns with one batch per run of equal K (a k sweep changes K)."""
-    runs = itertools.groupby(zip(cfgs, profiles), key=lambda point: point[0].K)
-    return [row for _, run in runs for row in _se_columns(*zip(*run))]
+    """_SE_HEADER rows of the points: one rate call per scheme and mode for
+    each run of equal K (a k sweep changes K)."""
+    rows = []
+    for _, run in itertools.groupby(zip(cfgs, profiles), key=lambda point: point[0].K):
+        run_cfgs, run_profiles = zip(*run)
+        columns = []
+        for fn in (rate_zf, rate_mr):
+            fd = fn(run_cfgs, run_profiles, mode="fd").sum_se.tolist()
+            hd = fn(run_cfgs, run_profiles, mode="hd").sum_se.tolist()
+            columns += [fd, hd, list(map(max, fd, hd))]
+        rows += [list(row) for row in zip(*columns)]
+    return rows
 
 
 def _sweep(spec: RunSpec, base: SystemConfig, field: str, values, header,
@@ -208,14 +207,14 @@ def _run_fig6(spec: RunSpec):
     p = _db(10.0)
     base = _base_cfg(Pp=p, Ps=p, Pr=p)
     return {"fig6.csv": _sweep(spec, base, "sigma_li_db", range(-10, 22, 2),
-                               _SE_HEADER, _se_rows)}
+                               _SE_HEADER, _se_columns)}
 
 
 def _run_fig7(spec: RunSpec):
     p = _db(10.0)
     base = _base_cfg(Pp=p, Ps=p, Pr=p, sigma_li_sq=_db(10.0))
     sizes = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
-    return {"fig7.csv": _sweep(spec, base, "n_ant", sizes, _SE_HEADER, _se_rows)}
+    return {"fig7.csv": _sweep(spec, base, "n_ant", sizes, _SE_HEADER, _se_columns)}
 
 
 def _run_fig8(spec: RunSpec):
@@ -289,7 +288,7 @@ def _run_custom(spec: RunSpec):
     # integer fields take the floor of each grid point, in the table too
     points = [math.floor(v) if field in _INTEGER_KEYS else float(v) for v in values]
     base = _base_cfg(Pp=10.0, Ps=10.0, Pr=10.0, sigma_li_sq=1.0)
-    return {"custom.csv": _sweep(spec, base, field, points, _SE_HEADER, _se_rows)}
+    return {"custom.csv": _sweep(spec, base, field, points, _SE_HEADER, _se_columns)}
 
 
 class _Preset(NamedTuple):

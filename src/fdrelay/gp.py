@@ -12,7 +12,8 @@ affine forms, so the program is convex:
     segments has gradient G^T w and Hessian A^T diag(p w[seg]) A +
     G^T diag(c) G: one pass of array operations per Newton step, with no
     Python loop over constraints,
-  * monomial equalities are eliminated exactly: y = y_p + N u (SVD),
+  * monomial equalities are eliminated exactly: y = y_p + N u (SVD); when
+    they pin every variable, solve_gp only checks the constraints at y_p,
   * phase 1 finds a strictly feasible start on the same primal-dual path
     (below): it minimizes a slack s subject to LSE_i(u) - s <= 0 from
     (u0, max_i LSE_i(u0) + 1) and stops at the first iterate whose true
@@ -273,8 +274,6 @@ def _phase_one(con_a, con_b, sizes, u0):
 
     z = np.append(u0, 0.0)
     v = ext.lse(z)
-    if u0.size == 0:
-        return (u0, 0, None) if np.all(v[1:] < 0) else (None, 0, "infeasible")
     if feasible(z, v):
         return u0, 0, None
     z[-1] = np.max(v[1:]) + 1.0
@@ -346,7 +345,8 @@ def solve_gp(prog: GeometricProgram, start=None) -> GpResult:
 
     status "optimal" comes with kkt_residual <= 10 * TOL, "max_iter" with a
     larger one when the main path reaches NEWTON_CAP steps or its step
-    stalls. "infeasible" means inconsistent equalities or a phase-1 optimum
+    stalls. "infeasible" means inconsistent equalities, equalities that pin
+    every variable outside a constraint or the box, or a phase-1 optimum
     that no slack below -FEAS_MARGIN attains; a phase 1 cut off by NEWTON_CAP
     or a stalled step before it finds a feasible point is "max_iter". Both
     come with NaN x, value and kkt_residual.
@@ -363,34 +363,34 @@ def solve_gp(prog: GeometricProgram, start=None) -> GpResult:
             raise ValueError("start must be a finite positive point of length n_vars")
         y_start = np.log(x_start)
     y_p, null, consistent = _eliminate_equalities(prog)
-    nan = np.full(prog.n_vars, np.nan)
+
+    def failed(status, phase1_iterations=0):
+        return GpResult(x=np.full(prog.n_vars, np.nan), value=math.nan, status=status,
+                        kkt_residual=math.nan, iterations=0,
+                        phase1_iterations=phase1_iterations)
+
     if not consistent:
-        return GpResult(x=nan, value=math.nan, status="infeasible",
-                        kkt_residual=math.nan, iterations=0)
+        return failed("infeasible")
     # map every constraint and the objective into the null-space coordinates
     a, b, sizes = _log_constraints(prog)
     con_a, con_b = a @ null, b + a @ y_p
-    u_dim = null.shape[1]
-
-    u0 = null.T @ (y_start - y_p)
-    u, phase1_iters, status = _phase_one(con_a, con_b, sizes, u0)
-    if u is None:
-        return GpResult(x=nan, value=math.nan, status=status,
-                        kkt_residual=math.nan, iterations=0,
-                        phase1_iterations=phase1_iters)
-    if u_dim == 0:
-        x = np.exp(y_p)
-        return GpResult(x=x, value=prog.objective.value(x), status="optimal",
-                        kkt_residual=0.0, iterations=0)
-
     obj = prog.objective
     block = _Centering(obj.exponents @ null,
                        np.log(obj.coeffs) + obj.exponents @ y_p,
                        con_a, con_b, sizes)
+    if null.shape[1] == 0:  # the equalities pin x = exp(y_p): no path to follow
+        if not np.all(block.lse(np.zeros(0))[1:] < 0):
+            return failed("infeasible")
+        x = np.exp(y_p)
+        return GpResult(x=x, value=obj.value(x), status="optimal",
+                        kkt_residual=0.0, iterations=0)
+
+    u, phase1_iters, status = _phase_one(con_a, con_b, sizes, null.T @ (y_start - y_p))
+    if u is None:
+        return failed(status, phase1_iters)
     u, iters, kkt = _primal_dual(block, u)
     x = np.exp(y_p + null @ u)
     status = "optimal" if kkt <= 10.0 * TOL else "max_iter"
-    return GpResult(x=x, value=prog.objective.value(x), status=status,
+    return GpResult(x=x, value=obj.value(x), status=status,
                     kkt_residual=kkt, iterations=iters,
                     phase1_iterations=phase1_iters)
-

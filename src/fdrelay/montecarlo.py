@@ -13,7 +13,7 @@ No trial draws a length-N vector: all of these depend on the channels only
 through K x K matrices. Write each estimate as Ghat = Q F^H, with Q (N x m,
 m = min(N, K)) orthonormal and F F^H = Ghat^H Ghat; the complex Bartlett
 decomposition draws F = diag(sigma) R^H with R^H of unit variance
-(:func:`fdrelay.channel.gram_factor_batch`).
+(:func:`gram_factor_batch`, O(K^2) per trial).
 Both schemes factor as W^T = U_w Q_sr^H and A = Q_rd^* U_a^T:
 
     ZF:  U_w = F_sr^-H,  U_a = alpha F_rd^-H   (U_w U_w^H = Gram_sr^-1 = W^T W^*)
@@ -96,7 +96,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import _cn, gram_factor_batch
 from .model import LargeScaleProfile, SystemConfig, _check_count, _check_real
 from .rates import _check_inputs, _rd_limit
 
@@ -185,6 +184,38 @@ def alpha_mrt(cfg: SystemConfig, profile: LargeScaleProfile) -> float:
     return float(np.sqrt(1.0 / (cfg.Ntx * np.sum(profile.sigma_rd_sq))))
 
 
+def _cn(shape, rng: np.random.Generator) -> np.ndarray:
+    """Unit-variance circularly-symmetric complex Gaussian samples from one buffer,
+    real parts first; 1/sqrt(2) scales it as numpy rounds (a + 1j b) / sqrt(2)."""
+    x = rng.standard_normal((2, *shape)) * (1.0 / np.sqrt(2.0))
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = x
+    return z
+
+
+def gram_factor_batch(n_ant: int, k: int, n: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Unit-variance Bartlett factors R^H (n x k x m, m = min(n_ant, k)).
+
+    G is n_ant x k with independent CN(0, variances[j] I) columns. By the
+    complex Bartlett decomposition G = Q R diag(sqrt(variances)), with Q
+    n_ant x m orthonormal and R m x k upper trapezoidal, independent of Q:
+    |R_ii|^2 ~ Gamma(n_ant - i, 1) and R_ij (j > i) iid CN(0, 1). So
+    F = diag(sqrt(variances)) R^H has F F^H ~ G^H G, in O(k^2) per trial;
+    no variance enters the draw, so one R serves every variance profile,
+    and the caller scales it. m < k covers fewer antennas than columns.
+    Draw order: the n x m Gamma variates, then the strictly upper entries
+    of each R in row-major order.
+    """
+    m = min(n_ant, k)
+    diag = np.arange(m)
+    rows, cols = np.triu_indices(m, 1, k)
+    r = np.zeros((n, m, k), dtype=complex)
+    r[:, diag, diag] = np.sqrt(rng.standard_gamma(n_ant - diag, size=(n, m)))
+    r[:, rows, cols] = _cn((n, rows.size), rng)
+    return np.swapaxes(np.conjugate(r, out=r), 1, 2)
+
+
 def _draw(cfg: SystemConfig, n: int, rng: np.random.Generator):
     """The unit-variance (R_sr^H, R_rd^H, Z_e, Z_l, Z_r) of n trials; they
     depend on cfg only through (K, Nrx, Ntx), and _bases forms their products."""
@@ -205,7 +236,7 @@ def _tri_inv(low: np.ndarray) -> np.ndarray:
     return low
 
 
-def _bases(cfg: SystemConfig, scheme: str, draw) -> tuple:
+def _bases(scheme: str, draw) -> tuple:
     """A chunk's point-independent products (module docstring): per hop ZF's
     diag(Q) and |Q|^2 or MR's P and Q, the norms N and |B_l|^2."""
     l_sr, l_rd, z_e, z_l, z_r = draw
@@ -331,7 +362,7 @@ def _simulate(points, scheme: str, trials: int, rng: np.random.Generator,
     _check_count("trials", trials, least)
     accs = [_Accumulator(_FEATURES, cfg.K) for _ in points]
     for n in _chunks(trials, 16 * cfg.K ** 2):
-        bases = _bases(cfg, scheme, _draw(cfg, n, rng))
+        bases = _bases(scheme, _draw(cfg, n, rng))
         for (c, profile), acc in zip(points, accs):
             acc.add(_features(c, profile, scheme, bases))
     return accs

@@ -215,33 +215,6 @@ def _rd_limit(scheme: str, profile: LargeScaleProfile, er: float):
     return profile.sigma_rd_sq**2 * er / np.sum(profile.sigma_rd_sq)
 
 
-def _min_rate(scheme: str, cfg: SystemConfig, profile: LargeScaleProfile,
-              pilot_tracks_data: bool):
-    """ps -> smallest per-pair rate at Ps = ps and Pr = K*ps.
-
-    Fixed pilots leave the coefficients independent of ps, so they are
-    built once; tracking pilots (Pp = ps) recompute only sigma^2(ps) from
-    the gains and the coefficients from it.
-    """
-    k = cfg.K
-    if pilot_tracks_data:
-        def coefficients(ps: float) -> SinrCoefficients:
-            energy = cfg.tau * ps
-            return _coefficients(cfg, scheme, profile, _mmse_variance(profile.beta_sr, energy),
-                                 _mmse_variance(profile.beta_rd, energy))
-    else:
-        fixed = _coefficients(cfg, scheme, profile, profile.sigma_sr_sq, profile.sigma_rd_sq)
-
-        def coefficients(ps: float) -> SinrCoefficients:
-            return fixed
-
-    def min_rate(ps: float) -> float:
-        sr, rd = coefficients(ps).sinrs(np.full(k, ps), k * ps)
-        return float(np.minimum(np.log2(1.0 + sr), np.log2(1.0 + rd)).min())
-
-    return min_rate
-
-
 def required_power(target_rate_per_pair: float, scheme: str, cfg: SystemConfig,
                    profile: LargeScaleProfile, pilot_tracks_data: bool = False) -> float:
     """Smallest Ps with Pr = K*Ps reaching the per-pair rate target on every pair.
@@ -249,7 +222,7 @@ def required_power(target_rate_per_pair: float, scheme: str, cfg: SystemConfig,
     The target is in bits/channel use without the training prelog. With
     pilot_tracks_data the pilot power follows Ps (and the estimation
     variances with it); otherwise the profile's variances, set by cfg.Pp,
-    stay as they are. The ps -> min-rate evaluator is built once per call.
+    stay as they are, and the SINR coefficients are built once per call.
 
     Bisection in log power (at the geometric mean) on the bracket
     [1e-6, 1e6]. The ceiling grows tenfold until it reaches the target, and
@@ -261,10 +234,19 @@ def required_power(target_rate_per_pair: float, scheme: str, cfg: SystemConfig,
     if not target_rate_per_pair > 0:
         raise ValueError("target rate must be positive")
     _check_inputs(cfg, profile, scheme)
-    min_rate = _min_rate(scheme, cfg, profile, pilot_tracks_data)
+    k = cfg.K
+    fixed = None if pilot_tracks_data else _coefficients(
+        cfg, scheme, profile, profile.sigma_sr_sq, profile.sigma_rd_sq)
 
     def reaches(ps: float) -> bool:
-        return min_rate(ps) >= target_rate_per_pair
+        coeffs = fixed
+        if coeffs is None:  # Pp = ps: only sigma^2(ps) changes, from the gains
+            energy = cfg.tau * ps
+            coeffs = _coefficients(cfg, scheme, profile, _mmse_variance(profile.beta_sr, energy),
+                                   _mmse_variance(profile.beta_rd, energy))
+        sr, rd = coeffs.sinrs(np.full(k, ps), k * ps)
+        rate = np.minimum(np.log2(1.0 + sr), np.log2(1.0 + rd)).min()
+        return float(rate) >= target_rate_per_pair
 
     lo, hi = 1e-6, 1e6
     while not reaches(hi):

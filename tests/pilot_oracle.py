@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fdrelay.channel import _cn
+from fdrelay.montecarlo import _cn
 from fdrelay.model import LargeScaleProfile, SystemConfig
 
 

@@ -23,7 +23,6 @@ from fdrelay import (
     required_power,
     sinr_coefficients,
     snapshot_profile,
-    wishart_inverse_moment,
 )
 from fdrelay.cli import main as cli_main
 from fdrelay.gp import GeometricProgram, Posynomial, solve_gp
@@ -144,12 +143,6 @@ def test_processing_moment_identities():
         trials = 100_000
         label = f"(K={k}, N={n})"
 
-        mean, stderr = wishart_inverse_moment(n, prof.sigma_sr_sq, trials,
-                                              seeded(10, k, n, 0))
-        expect = 1.0 / ((n - k) * prof.sigma_sr_sq)
-        assert np.all(np.abs(mean - expect) <= 3.0 * stderr), \
-            f"inverse-Gram moment off at {label}"
-
         # the bound consumes |E{w^T g}|, and stderr_mean_gain is the
         # delta-method stderr of that magnitude, so the magnitude is the
         # tested statistic
@@ -157,6 +150,10 @@ def test_processing_moment_identities():
         assert np.all(np.abs(np.abs(zf.mean_gain) - 1.0)
                       <= 3.0 * zf.stderr_mean_gain), \
             f"ZF receive gain not unit at {label}"
+        # the ZF noise term ||w_k||^2 is the inverse-Gram diagonal of each trial
+        expect = 1.0 / ((n - k) * prof.sigma_sr_sq)
+        assert np.all(np.abs(zf.noise - expect) <= 3.0 * zf.stderr_noise), \
+            f"inverse-Gram moment off at {label}"
 
         mr = mc_rate(cfg, prof, "mr", trials, seeded(10, k, n, 2)).sr_terms
         base = n * prof.sigma_sr_sq

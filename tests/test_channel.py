@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from fdrelay import SystemConfig, make_profile, montecarlo
-from fdrelay.channel import gram_factor_batch
+from fdrelay.montecarlo import gram_factor_batch
 from pilot_oracle import estimate_via_pilots, generate_pilots, sample_true_channels
 
 CFG = SystemConfig(K=3, Nrx=16, Ntx=16, tau=6, Pp=10.0, sigma_li_sq=2.0)

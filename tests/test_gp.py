@@ -115,6 +115,16 @@ def test_fully_pinned_variables():
     assert res.iterations == 0
 
 
+def test_fully_pinned_variables_outside_the_box():
+    # 0.5 x = 1 fixes x = 2 above the upper bound 1.5: nothing to solve
+    lo, hi = box(1, 0.1, 1.5)
+    prog = GeometricProgram(mono(1.0, 1.0), (), (mono(0.5, 1.0),), lo, hi)
+    res = solve_gp(prog)
+    assert res.status == "infeasible"
+    assert np.all(np.isnan(res.x)) and math.isnan(res.value)
+    assert res.iterations == 0 and res.phase1_iterations == 0
+
+
 def test_objective_flat_on_the_free_variables():
     # 0.5 x = 1 fixes the objective x = 2; y stays free under 2 / y <= 1, so
     # the objective gradient vanishes in the free coordinates

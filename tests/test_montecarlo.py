@@ -19,8 +19,7 @@ from fdrelay import (
     wishart_inverse_moment,
 )
 from fdrelay import montecarlo
-from fdrelay.channel import gram_factor_batch
-from fdrelay.montecarlo import alpha_mrt, alpha_zf
+from fdrelay.montecarlo import alpha_mrt, alpha_zf, gram_factor_batch
 
 CFG = SystemConfig(K=3, Nrx=24, Ntx=24, tau=6, Pp=4.0, Ps=2.0, Pr=6.0, sigma_li_sq=1.0)
 PROF = make_profile([0.6, 1.0, 1.8], [1.4, 0.7, 1.1], CFG.tau, CFG.Pp)
@@ -31,7 +30,7 @@ POWER = 12  # the feature row of the precoder column power ||a_k||^2
 def _rows(cfg, prof, scheme, n, rng):
     """The (n, 13, K) feature rows of one point on one draw."""
     draw = montecarlo._draw(cfg, n, rng)
-    return montecarlo._features(cfg, prof, scheme, montecarlo._bases(cfg, scheme, draw))
+    return montecarlo._features(cfg, prof, scheme, montecarlo._bases(scheme, draw))
 
 
 def assert_within_stderr(measured, expected, stderr, n_sigma=4.0, floor=1e-3):
@@ -362,7 +361,7 @@ def test_features_equal_the_per_trial_reference(scheme, nrx, ntx):
     cfg, prof = _weak_pilots(nrx, ntx)
     draw = montecarlo._draw(cfg, 400, np.random.default_rng(49))
     want = _reference_rows(cfg, prof, scheme, draw)
-    bases = montecarlo._bases(cfg, scheme, draw)
+    bases = montecarlo._bases(scheme, draw)
     np.testing.assert_allclose(montecarlo._features(cfg, prof, scheme, bases), want, rtol=1e-9)
 
 
@@ -396,7 +395,7 @@ def test_trial_terms_match_brute_force_oracle(scheme, nrx, ntx):
         a_f2 = alpha_zf(cfg, prof) ** 2 * np.trace(np.linalg.inv(gram_rd), axis1=1, axis2=2)
     else:
         a_f2 = alpha_mrt(cfg, prof) ** 2 * np.trace(gram_rd, axis1=1, axis2=2)
-    rows = montecarlo._features(cfg, prof, scheme, montecarlo._bases(cfg, scheme, draw))
+    rows = montecarlo._features(cfg, prof, scheme, montecarlo._bases(scheme, draw))
     stats_oracle = _per_pair(*_oracle_terms(cfg, prof, scheme, n, rng))
     # the same statistics are the feature rows 0, 1, 3, 4, 5, 6, 7 and 9
     stats_drawn = dict(zip(stats_oracle, np.moveaxis(rows[:, [0, 1, 3, 4, 5, 6, 7, 9]], 1, 0)))

@@ -260,6 +260,28 @@ def test_required_power_checks_its_inputs_once(monkeypatch, tracks):
     assert 1e-6 < ps < math.inf and len(calls) == 1
 
 
+@pytest.mark.parametrize("tracks", [False, True])
+def test_required_power_builds_coefficients_once_or_once_per_step(monkeypatch, tracks):
+    # fixed pilots build the SINR coefficients once per call; tracking
+    # pilots build them from sigma^2(ps) at each bisection step, no more
+    built, steps = [], []
+    coefficients, sinrs = rates._coefficients, rates.SinrCoefficients.sinrs
+
+    def counted_coefficients(*args):
+        built.append(args)
+        return coefficients(*args)
+
+    def counted_sinrs(self, *args):
+        steps.append(args)
+        return sinrs(self, *args)
+
+    monkeypatch.setattr(rates, "_coefficients", counted_coefficients)
+    monkeypatch.setattr(rates.SinrCoefficients, "sinrs", counted_sinrs)
+    ps = required_power(1.0, "zf", REF_CFG, REF_PROF, pilot_tracks_data=tracks)
+    assert 1e-6 < ps < math.inf and len(steps) > 10
+    assert len(built) == (len(steps) if tracks else 1)
+
+
 def test_required_power_hits_target():
     from dataclasses import replace
 
