@@ -215,6 +215,24 @@ def _rd_limit(scheme: str, profile: LargeScaleProfile, er: float):
     return profile.sigma_rd_sq**2 * er / np.sum(profile.sigma_rd_sq)
 
 
+_LOOKAHEAD = 5  # bisection levels resolved per numpy evaluation
+
+
+def _midpoints(lo: float, hi: float) -> list:
+    """The next _LOOKAHEAD levels of bisection midpoints below [lo, hi], each
+    math.sqrt(a * b) of its bracket as one bisection step computes it, listed
+    level by level: node i splits into nodes 2i + 1 (its lower bracket) and
+    2i + 2 (its upper one)."""
+    edges, mids = [lo, hi], []
+    for _ in range(_LOOKAHEAD):
+        level = [math.sqrt(a * b) for a, b in zip(edges, edges[1:])]
+        mids += level
+        woven = [0.0] * (2 * len(level) + 1)
+        woven[0::2], woven[1::2] = edges, level
+        edges = woven
+    return mids
+
+
 def required_power(target_rate_per_pair: float, scheme: str, cfg: SystemConfig,
                    profile: LargeScaleProfile, pilot_tracks_data: bool = False) -> float:
     """Smallest Ps with Pr = K*Ps reaching the per-pair rate target on every pair.
@@ -230,6 +248,14 @@ def required_power(target_rate_per_pair: float, scheme: str, cfg: SystemConfig,
     because Pr = K*Ps scales the loop interference too. A target reached at
     the floor returns the floor 1e-6. Otherwise the bracket shrinks until
     hi - lo <= 1e-6 * hi, and hi, which reaches the target, is returned.
+
+    Each numpy evaluation resolves the next five levels of the bisection:
+    the step taken at a midpoint depends only on whether it reaches the
+    target, so all 31 midpoints below the bracket are evaluated at once and
+    the bisection walks down them. The midpoints and the result are those
+    of one step at a time. The first evaluation also holds the floor and
+    every ceiling, so a call takes 5 evaluations when 1e6 reaches the
+    target and at most 7.
     """
     if not target_rate_per_pair > 0:
         raise ValueError("target rate must be positive")
@@ -238,28 +264,37 @@ def required_power(target_rate_per_pair: float, scheme: str, cfg: SystemConfig,
     fixed = None if pilot_tracks_data else _coefficients(
         cfg, scheme, profile, profile.sigma_sr_sq, profile.sigma_rd_sq)
 
-    def reaches(ps: float) -> bool:
+    def reaches(ps: list) -> list:
+        """Whether each power reaches the target, one (P, K) evaluation."""
+        column = np.array(ps)[:, None]
         coeffs = fixed
         if coeffs is None:  # Pp = ps: only sigma^2(ps) changes, from the gains
-            energy = cfg.tau * ps
+            energy = cfg.tau * column
             coeffs = _coefficients(cfg, scheme, profile, _mmse_variance(profile.beta_sr, energy),
                                    _mmse_variance(profile.beta_rd, energy))
-        sr, rd = coeffs.sinrs(np.full(k, ps), k * ps)
-        rate = np.minimum(np.log2(1.0 + sr), np.log2(1.0 + rd)).min()
-        return float(rate) >= target_rate_per_pair
+        # np.full, not a stride-0 broadcast: the interference matmul must round as np.dot
+        sr, rd = coeffs.sinrs(np.full((len(ps), k), column), k * column)
+        rate = np.minimum(np.log2(1.0 + sr), np.log2(1.0 + rd)).min(-1)
+        # Python floats: numpy cannot convert an int target above the float range
+        return [r >= target_rate_per_pair for r in rate.tolist()]
 
-    lo, hi = 1e-6, 1e6
-    while not reaches(hi):
-        hi *= 10.0
-        if hi > 1e12:
-            return math.inf
-    if reaches(lo):
+    ceilings = (1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12)  # 1e6 grown tenfold, each product exact
+    lo, mids = 1e-6, _midpoints(1e-6, 1e6)
+    ok = reaches([lo, *ceilings, *mids])  # speculates that 1e6 reaches the target
+    hi = next((h for h, r in zip(ceilings, ok[1:]) if r), math.inf)
+    if hi == math.inf:
+        return hi
+    if ok[0]:
         return lo
+    mids, ok = (mids, ok[1 + len(ceilings):]) if hi == 1e6 else ([], [])
     # min rate is nondecreasing in Ps under the Pr = K*Ps coupling
+    node = 0
     while (hi - lo) > 1e-6 * hi:
-        mid = math.sqrt(lo * hi)
-        if reaches(mid):
-            hi = mid
+        if node >= len(mids):
+            mids, node = _midpoints(lo, hi), 0
+            ok = reaches(mids)
+        if ok[node]:
+            hi, node = mids[node], 2 * node + 1
         else:
-            lo = mid
+            lo, node = mids[node], 2 * node + 2
     return hi

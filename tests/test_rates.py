@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import fdrelay
@@ -22,6 +22,7 @@ from fdrelay import (
     sum_se,
 )
 from fdrelay import rates
+from fdrelay.model import _mmse_variance
 from power_oracle import min_rate_at, required_power_per_step
 
 # reference configuration: symmetric gains, 10 pairs, 100 antennas each side
@@ -260,10 +261,19 @@ def test_required_power_checks_its_inputs_once(monkeypatch, tracks):
     assert 1e-6 < ps < math.inf and len(calls) == 1
 
 
+# gains of 1e-10 at Pp = 1e3 and sigma_LI^2 = 1e-6: ZF needs more than 1e6 at
+# these targets, so the ceiling grows to 1e7 in both pilot modes
+DIM_CFG = SystemConfig(K=2, Nrx=40, Ntx=40, T=200, tau=4, Pp=1e3, sigma_li_sq=1e-6)
+DIM_PROF = make_profile([1e-10, 2e-10], [1e-10, 3e-10], DIM_CFG.tau, DIM_CFG.Pp)
+
+
 @pytest.mark.parametrize("tracks", [False, True])
 def test_required_power_builds_coefficients_once_or_once_per_step(monkeypatch, tracks):
     # fixed pilots build the SINR coefficients once per call; tracking
-    # pilots build them from sigma^2(ps) at each bisection step, no more
+    # pilots build them from sigma^2(ps) once per evaluation, no more. An
+    # evaluation resolves five bisection levels, and the first also holds
+    # the floor and the seven ceilings: 5 evaluations when 1e6 reaches the
+    # target, at most 7 when the ceiling grows, 1 at the floor or inf
     built, steps = [], []
     coefficients, sinrs = rates._coefficients, rates.SinrCoefficients.sinrs
 
@@ -277,9 +287,23 @@ def test_required_power_builds_coefficients_once_or_once_per_step(monkeypatch, t
 
     monkeypatch.setattr(rates, "_coefficients", counted_coefficients)
     monkeypatch.setattr(rates.SinrCoefficients, "sinrs", counted_sinrs)
-    ps = required_power(1.0, "zf", REF_CFG, REF_PROF, pilot_tracks_data=tracks)
-    assert 1e-6 < ps < math.inf and len(steps) > 10
-    assert len(built) == (len(steps) if tracks else 1)
+
+    def rows(target, cfg, prof):
+        built.clear()
+        steps.clear()
+        ps = required_power(target, "zf", cfg, prof, pilot_tracks_data=tracks)
+        assert len(built) == (len(steps) if tracks else 1)
+        # a stride-0 power stack would round the interference sum away from
+        # the one-power np.dot, so each stack is an np.full copy
+        assert all(0 not in p_s.strides for p_s, _ in steps)
+        return ps, [p_s.shape for p_s, _ in steps]
+
+    ps, shapes = rows(1.0, REF_CFG, REF_PROF)
+    assert 1e-6 < ps < 1e6 and shapes == [(39, 10)] + [(31, 10)] * 4
+    ps, shapes = rows(1e-6 if tracks else 1e-9, DIM_CFG, DIM_PROF)
+    assert 1e6 < ps < 1e7 and shapes[0] == (39, 2) and shapes[1:] == [(31, 2)] * 5
+    for target, want in ((1e-9, 1e-6), (50.0, math.inf)):
+        assert rows(target, REF_CFG, REF_PROF) == (want, [(39, 10)])
 
 
 def test_required_power_hits_target():
@@ -373,6 +397,65 @@ def test_required_power_is_the_bisected_threshold(request):
         below = min_rate_at(ps * (1.0 - 1e-6), scheme, cfg, prof, tracks)
         assert below < high <= min_rate_at(ps, scheme, cfg, prof, tracks)
     assert required_power(low, scheme, cfg, prof, pilot_tracks_data=tracks) <= ps
+
+
+def return_class(ps: float) -> str:
+    """Which of required_power's four kinds of result ps is."""
+    if ps == 1e-6:
+        return "floor"
+    if ps == math.inf:
+        return "inf"
+    return "ceiling grown" if ps > 1e6 else "bisected below 1e6"
+
+
+# one request per return class: (target, scheme, cfg, profile, pilot_tracks_data)
+ORACLE_TABLE = {
+    "floor": (1e-9, "zf", REF_CFG, REF_PROF, False),
+    "bisected below 1e6": (1.0, "mr", REF_CFG, REF_PROF, True),
+    "ceiling grown": (1e-9, "zf", DIM_CFG, DIM_PROF, False),
+    "inf": (50.0, "mr", REF_CFG, REF_PROF, True),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_TABLE))
+def test_required_power_equals_the_oracle_in_every_return_class(kind):
+    target, scheme, cfg, prof, tracks = ORACLE_TABLE[kind]
+    got = required_power(target, scheme, cfg, prof, pilot_tracks_data=tracks)
+    assert return_class(got) == kind
+    assert got == required_power_per_step(target, scheme, cfg, prof, pilot_tracks_data=tracks)
+
+
+@st.composite
+def oracle_requests(draw):
+    """A request anywhere in required_power's range: K of 1 to 10, Nrx and Ntx
+    of K+1 to K+300, Pp and sigma_LI^2 over several decades, gains of about
+    1e-12 to 10 within a decade of each other, targets of 1e-9 to 10, both
+    schemes and both pilot modes."""
+    def decades(lo, hi):  # a whole decade, then a point in it
+        return st.tuples(st.integers(lo, hi - 1), st.floats(0.0, 1.0)).map(
+            lambda e: 10.0 ** sum(e))
+
+    k = draw(st.integers(1, 10))
+    tau = draw(st.integers(2 * k, 2 * k + 20))
+    cfg = SystemConfig(K=k, Nrx=draw(st.integers(k + 1, k + 300)),
+                       Ntx=draw(st.integers(k + 1, k + 300)), T=tau + 100, tau=tau,
+                       Pp=draw(decades(-3, 3)), sigma_li_sq=draw(decades(-6, 2)))
+    scale = draw(decades(-12, 0))
+    gains = st.lists(decades(0, 1).map(lambda g: scale * g), min_size=k, max_size=k)
+    prof = make_profile(draw(gains), draw(gains), tau, cfg.Pp)
+    return (draw(decades(-9, 1)), draw(st.sampled_from(["zf", "mr"])), cfg, prof,
+            draw(st.booleans()))
+
+
+@given(request=oracle_requests())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_required_power_equals_the_oracle_on_drawn_requests(request):
+    # five levels per evaluation walk the per-step path's midpoints, so the
+    # result is its float in every return class (the event names the class)
+    target, scheme, cfg, prof, tracks = request
+    want = required_power_per_step(target, scheme, cfg, prof, pilot_tracks_data=tracks)
+    event(return_class(want))
+    assert required_power(target, scheme, cfg, prof, pilot_tracks_data=tracks) == want
 
 
 def test_per_source_power_validation():
@@ -496,6 +579,33 @@ def test_a_batch_equals_its_points_bit_for_bit(scheme, builder, mode, points):
         sr, rd = coeffs.sinrs(np.full(cfg.K, scale * cfg.Ps), scale * cfg.Pr)
         assert (batch.r_sr[i] == np.log2(1.0 + sr)).all()
         assert (batch.r_rd[i] == np.log2(1.0 + rd)).all()
+
+
+@pytest.mark.parametrize("scheme", ["zf", "mr"])
+@given(points=rate_batches(), powers=st.lists(st.floats(-6.0, 12.0).map(lambda e: 10.0**e),
+                                              min_size=1, max_size=40))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_a_power_stack_equals_its_rows_bit_for_bit(scheme, points, powers):
+    # required_power evaluates a stack of powers at once: fixed pilots put
+    # (K,) coefficients over a (P, K) np.full power stack, tracking pilots
+    # build (P, K) coefficients at a (P, 1) pilot-energy column; each row
+    # must be the one-power evaluation, which the per-step bisection made
+    column = np.array(powers)[:, None]
+    for cfg, prof in points:
+        k, fixed = cfg.K, sinr_coefficients(cfg, prof, scheme)
+
+        def tracking(energy):
+            return rates._coefficients(cfg, scheme, prof, _mmse_variance(prof.beta_sr, energy),
+                                       _mmse_variance(prof.beta_rd, energy))
+
+        stack = np.full((len(powers), k), column)
+        stacks = (fixed.sinrs(stack, k * column),
+                  tracking(cfg.tau * column).sinrs(stack, k * column))
+        for i, ps in enumerate(powers):
+            rows = (fixed.sinrs(np.full(k, ps), k * ps),
+                    tracking(cfg.tau * ps).sinrs(np.full(k, ps), k * ps))
+            for (sr, rd), (sr_row, rd_row) in zip(stacks, rows):
+                assert (sr[i] == sr_row).all() and (rd[i] == rd_row).all()
 
 
 def test_a_batch_refuses_mixed_pair_counts_and_bad_points():
