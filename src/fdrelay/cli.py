@@ -35,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .model import DropGeometry, SystemConfig, draw_urban_profile, make_profile, snapshot_profile
+from .model import (DropGeometry, SystemConfig, _check_count, draw_urban_profile, make_profile,
+                    snapshot_profile)
 from .montecarlo import simulate
 from .powalloc import energy_efficiency, optimize_powers
 from .rates import rate_mr, rate_zf, required_power
@@ -347,6 +348,7 @@ def run_spec(spec: RunSpec) -> list:
         raise ValueError(f"unknown preset {spec.preset!r}")
     if spec.trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_count("seed", spec.seed, 0)
     preset = _PRESETS[spec.preset]
     for key in spec.overrides:
         if key not in _KEY_FIELDS and key not in preset.extras:

@@ -29,13 +29,12 @@ L = R^H (so F = S L, S = diag(sigma)), X = L^-1 and M = X^H, per trial exactly:
     w_k^T g_j      = [U_w (F_sr^H + Z_e D_sr)]_kj = u_k [P_sr S_sr + Q_sr D_sr]_kj
     w_k^T G_RR a_j = [sigma_li U_w Z_l U_a^T]_kj = sigma_li alpha u_k [B_l]_kj v_j
     g_k^T a_j      = [(F_rd^* + D_rd Z_r) U_a^T]_kj = alpha [S_rd P_rd + D_rd Q_rd]_kj v_j
-    ||w_k||^2      = sum_j |U_w[k, j]|^2 = u_k^2 N_sr,k
-    ||a_k||^2      = sum_j |U_a[k, j]|^2 = alpha^2 v_k^2 N_rd,k
+    ||w_k||^2      = sum_j |U_w[k, j]|^2 = u_k^2 N_k
 
     ZF:  u, v = 1/sigma_sr, 1/sigma_rd;  P = I, Q_sr = M_sr Z_e, B_l = M_sr Z_l Xbar_rd,
-         Q_rd = Z_r Xbar_rd, N_k = ||column k of X||^2
+         Q_rd = Z_r Xbar_rd, N_k = ||column k of X_sr||^2
     MR:  u, v = sigma_sr, sigma_rd;  P_sr = L_sr L_sr^H, P_rd = Lbar_rd L_rd^T,
-         Q_sr = L_sr Z_e, B_l = L_sr Z_l L_rd^T, Q_rd = Z_r L_rd^T, N_k = [P]_kk
+         Q_sr = L_sr Z_e, B_l = L_sr Z_l L_rd^T, Q_rd = Z_r L_rd^T, N_k = [P_sr]_kk
 
 In matrix-normal terms: given the estimates, W^T E_sr ~ MN(0, W^T W^*, D_sr^2),
 E_rd^T A ~ MN(0, D_rd^2, A^T A^*) and W^T G_RR A ~ MN(0, sigma_li^2 W^T W^*,
@@ -54,24 +53,25 @@ one draw serves every point with the same (K, Nrx, Ntx), and
 random numbers. The inverse-Gram moment reads the same inverse:
 [(Ghat^H Ghat)^-1]_kk = ||column k of X||^2 / sigma_k^2.
 
-The convergence probes read the same pass. With x and x_fwd the source
-and forwarded symbols (iid CN(0, 1)), the relay noise n ~ CN(0, I_Nrx) and
-the relay transmit vector s = sqrt(er/Ntx) A x_fwd, they are the residual
+The decode and forward probes read the same pass. With x and x_fwd the
+source and forwarded symbols (iid CN(0, 1)), the relay noise n ~ CN(0, I_Nrx)
+and the relay transmit vector s = sqrt(er/Ntx) A x_fwd, they are the residual
 powers |[W^T y]_k / c_k - sqrt(Ps) x_k|^2 (decode; c_k = 1 for ZF, Nrx
-sigma_sr,k^2 for MR), ||G_RR s||^2 / Nrx (loop_power) and
-|g_k^T s - limit_k x_fwd,k|^2 (forward, limit_k the large-array amplitude).
-Their expectations over x, x_fwd, n and, given s, G_RR are closed in the
-per-trial terms above, so each probe is a function of the pooled feature
+sigma_sr,k^2 for MR) and |g_k^T s - limit_k x_fwd,k|^2 (forward, limit_k the
+large-array amplitude). Their expectations over x, x_fwd and n are closed in
+the per-trial terms above, so each probe is a function of the pooled feature
 means (mp and li the multipair and loop rows, an = ||w_k||^2):
 
     decode      mean_k Ps E|S_kk/c_k - 1|^2 + (Ps mp_k + Pr li_k + an_k)/c_k^2
-    loop_power  sigma_li^2 (er/Ntx) sum_k E||a_k||^2
     forward     mean_k (er/Ntx) E(|R_kk|^2 + mp_rd,k)
                        - 2 sqrt(er/Ntx) limit_k E Re R_kk + limit_k^2
 
 with S = [w_k^T g_j] and R = [g_k^T a_j]. A conditional mean has the
 expectation of the residual it replaces and no more variance (Rao-Blackwell;
-Casella & Berger, 7.3), and a probe costs what a bound pass costs.
+Casella & Berger, 7.3), and each costs what a bound pass costs. The
+loop_power probe ||G_RR s||^2 / Nrx draws nothing: its expectation
+sigma_li^2 (er/Ntx) E||A||_F^2 is exactly sigma_li^2 er/Ntx, since alpha_zf
+and alpha_mrt make E||A||_F^2 = 1.
 
 Assembling the bound from the pooled estimates reproduces the closed forms;
 the instantaneous-SINR ("genie") rates quantify what perfect gain knowledge
@@ -102,9 +102,8 @@ from .rates import _check_inputs, _rd_limit
 # Feature rows of one simulated trial, K columns (pairs) each: first-hop
 # gain real part, imaginary part, |gain|^2, multipair, loop and noise;
 # second-hop gain real part, imaginary part, |gain|^2 and multipair; the
-# genie log2(1 + SINR) of the first and second hop; the precoder column
-# power ||a_k||^2.
-_FEATURES = 13
+# genie log2(1 + SINR) of the first and second hop.
+_FEATURES = 12
 _SR_ROWS = range(0, 6)
 _RD_ROWS = range(6, 10)
 _GENIE_SR, _GENIE_RD = 10, 11
@@ -164,7 +163,7 @@ class GenieResult(_Rates):
 def _chunks(trials: int, per_trial: float):
     """Successive chunk sizes adding up to trials: ~64 MB of complex128 for
     per_trial entries a trial holds, and at most 4096 trials. A pass (which
-    the bound, the genie rates and the probes all read) budgets 16 K x K
+    the bound, the genie rates and two of the probes read) budgets 16 K x K
     arrays a trial and holds at most about 10 (the five draws and the
     chunk's products while _bases runs); the inverse-Gram moment budgets 4
     and holds about 3. So no chunk depends on the array size.
@@ -238,7 +237,7 @@ def _tri_inv(low: np.ndarray) -> np.ndarray:
 
 def _bases(scheme: str, draw) -> tuple:
     """A chunk's point-independent products (module docstring): per hop ZF's
-    diag(Q) and |Q|^2 or MR's P and Q, the norms N and |B_l|^2."""
+    diag(Q) and |Q|^2 or MR's P and Q, and the first hop's norms N and |B_l|^2."""
     l_sr, l_rd, z_e, z_l, z_r = draw
     if scheme == "zf":  # Xbar_sr and Xbar_rd overwrite the draw's factors
         xbar_sr = np.conjugate(_tri_inv(l_sr), out=l_sr)
@@ -247,13 +246,12 @@ def _bases(scheme: str, draw) -> tuple:
         q_sr, q_rd = m_sr @ z_e, z_r @ xbar_rd
         return (np.diagonal(q_sr, axis1=1, axis2=2).copy(), np.abs(q_sr) ** 2,
                 np.sum(np.abs(xbar_sr) ** 2, axis=1), np.abs(m_sr @ z_l @ xbar_rd) ** 2,
-                np.diagonal(q_rd, axis1=1, axis2=2).copy(), np.abs(q_rd) ** 2,
-                np.sum(np.abs(xbar_rd) ** 2, axis=1))
+                np.diagonal(q_rd, axis1=1, axis2=2).copy(), np.abs(q_rd) ** 2)
     l_rd_t = np.swapaxes(l_rd, 1, 2)
     p_sr, p_rd = l_sr @ np.swapaxes(l_sr, 1, 2).conj(), l_rd.conj() @ l_rd_t
     return (p_sr, l_sr @ z_e, np.diagonal(p_sr, axis1=1, axis2=2).real,
             np.abs(l_sr @ z_l @ l_rd_t) ** 2,
-            p_rd, z_r @ l_rd_t, np.diagonal(p_rd, axis1=1, axis2=2).real)
+            p_rd, z_r @ l_rd_t)
 
 
 class _Accumulator:
@@ -317,7 +315,7 @@ def _features(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
               bases) -> np.ndarray:
     """The (n, _FEATURES, K) feature rows of one point's trials, from a chunk's
     _bases: gd is the diagonal and go the off-diagonal sum of each bracket."""
-    a_sr, b_sr, norm_sr, loop2, a_rd, b_rd, norm_rd = bases
+    a_sr, b_sr, norm_sr, loop2, a_rd, b_rd = bases
     s_sr, s_rd = np.sqrt(profile.sigma_sr_sq), np.sqrt(profile.sigma_rd_sq)
     d_sr = np.sqrt(profile.beta_sr - profile.sigma_sr_sq)
     d_rd = np.sqrt(profile.beta_rd - profile.sigma_rd_sq)
@@ -342,8 +340,7 @@ def _features(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     return np.stack([
         diag_sr.real, diag_sr.imag, abs2_sr, mp_sr, li, an,
         diag_rd.real, diag_rd.imag, abs2_rd, mp_rd,
-        np.log2(1.0 + sinr_sr), np.log2(1.0 + sinr_rd), alpha ** 2 * v ** 2 * norm_rd,
-    ], axis=1)
+        np.log2(1.0 + sinr_sr), np.log2(1.0 + sinr_rd)], axis=1)
 
 
 def _simulate(points, scheme: str, trials: int, rng: np.random.Generator,
@@ -506,23 +503,27 @@ def convergence_probe(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
     kind "forward": mean square of the destination signal around its
     deterministic large-array amplitude, again with Pr = er/Ntx.
 
-    All three average over pairs (antennas for "loop_power") and trials and
-    return a single float: the closed form of the module docstring in the
-    pooled feature means of one pass (trials >= 1), so the cost does not grow
-    with the arrays and the draws are those of mc_rate on the same rng.
+    Each returns a single float. decode and forward average over pairs and
+    trials: the closed form of the module docstring in the pooled feature
+    means of one pass (trials >= 1), so the cost does not grow with the
+    arrays and the draws are those of mc_rate on the same rng. loop_power
+    is its exact value sigma_li^2 er/Ntx (module docstring) after the same
+    checks, trials among them, and draws nothing from rng.
     """
     if kind not in ("decode", "loop_power", "forward"):
         raise ValueError(f"unknown probe kind {kind!r}")
     if kind != "decode":
         _check_real("er", er, strict=True)
+    if kind == "loop_power":
+        _check_inputs(cfg, profile, scheme)
+        _check_count("trials", trials)
+        return float(cfg.sigma_li_sq * er / cfg.Ntx)
     means = _simulate([(cfg, profile)], scheme, trials, rng, least=1)[0].mean
-    re_sr, _, gain2_sr, mp_sr, li, an, re_rd, _, gain2_rd, mp_rd, _, _, power = means
+    re_sr, _, gain2_sr, mp_sr, li, an, re_rd, _, gain2_rd, mp_rd, _, _ = means
     if kind == "decode":
         c = 1.0 if scheme == "zf" else cfg.Nrx * profile.sigma_sr_sq
         resid = (cfg.Ps * (gain2_sr / c ** 2 - 2.0 * re_sr / c + 1.0)
                  + (cfg.Ps * mp_sr + cfg.Pr * li + an) / c ** 2)
-    elif kind == "loop_power":
-        return float(cfg.sigma_li_sq * er / cfg.Ntx * np.sum(power))
     else:  # "forward"
         limit = np.sqrt(_rd_limit(scheme, profile, er))
         pr = er / cfg.Ntx

@@ -76,13 +76,25 @@ class PowerAllocation:
 def _init_gamma(coeffs: SinrCoefficients, target: float, p0: float,
                 p1: float) -> np.ndarray | None:
     """Uniform-peak SINRs scaled so that sum log2(1 + gamma) = target, or None
-    when no powers under the peaks reach the target."""
-    sr, rd = coeffs.sinrs(np.full(coeffs.K, p0), p1)
+    when no powers under the peaks reach the target. First refuses, naming
+    the peak, p0 or p1 at which a term of the uniform-peak SINRs overflows."""
+    with np.errstate(over="ignore"):
+        b_p0 = np.sum(coeffs.b) * p0
+        interference = b_p0 + coeffs.c * p1
+        terms = (("p0", "a*p0", coeffs.a * p0), ("p0", "sum(b)*p0", b_p0),
+                 ("p1", "c*p1", coeffs.c * p1), ("p1", "d*p1", coeffs.d * p1),
+                 ("p1", "e*p1", coeffs.e * p1),
+                 ("p0 and p1", "sum(b)*p0 + c*p1", interference))
+    for name, term, value in terms:
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} too large: the uniform-peak SINR term {term} "
+                             f"is not finite")
+    sr, rd = coeffs.sinrs(p0, p1)
     gamma_peak = np.minimum(sr, rd)
     # under the peaks gamma_k <= min(a_k p0, d_k p1 / (e_k p1 + 1)); the
     # uniform-peak SR denominators lie in [1, s_bound], so s_bound * gamma_peak
     # bounds every such gamma and no powers reach a target short at s_bound
-    s_bound = float(np.max(p0 * np.sum(coeffs.b) + coeffs.c * p1 + 1.0))
+    s_bound = float(np.max(interference + 1.0))
 
     def excess(s: float) -> float:
         return float(np.sum(np.log2(1.0 + s * gamma_peak))) - target
@@ -101,21 +113,6 @@ def _init_gamma(coeffs: SinrCoefficients, target: float, p0: float,
         if hi - lo <= 1e-14 * hi:
             break
     return np.maximum(0.5 * (lo + hi) * gamma_peak, GAMMA_FLOOR)
-
-
-def _check_peak_terms(coeffs: SinrCoefficients, p0: float, p1: float) -> None:
-    """Refuse, naming the peak, p0 or p1 at which a term of the uniform-peak
-    SINRs overflows; the first center and the reach bound are built from them."""
-    with np.errstate(over="ignore"):
-        b_p0 = np.sum(coeffs.b) * p0
-        terms = (("p0", "a*p0", coeffs.a * p0), ("p0", "sum(b)*p0", b_p0),
-                 ("p1", "c*p1", coeffs.c * p1), ("p1", "d*p1", coeffs.d * p1),
-                 ("p1", "e*p1", coeffs.e * p1),
-                 ("p0 and p1", "sum(b)*p0 + c*p1", b_p0 + coeffs.c * p1))
-    for name, term, value in terms:
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} too large: the uniform-peak SINR term {term} "
-                             f"is not finite")
 
 
 def _sinr_program(coeffs: SinrCoefficients, p0: float, p1: float) -> tuple:
@@ -201,11 +198,10 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
         v = getattr(coeffs, name)
         if np.any(v <= 0) or not np.all(np.isfinite(v)):
             raise ValueError(f"coefficient {name} must be positive and finite")
-    _check_peak_terms(coeffs, p0, p1)
     k = coeffs.K
     target = cfg.T * s0 / (cfg.T - cfg.tau)  # sum of log2(1 + gamma) to hit
-    base = _sinr_program(coeffs, p0, p1)
     center = _init_gamma(coeffs, target, p0, p1)
+    base = _sinr_program(coeffs, p0, p1)
     start = None  # the last feasible round's optimum (p_s, p_r, gamma)
     # no center: the target is out of reach, and no round runs
     for trust, max_rounds, tol in (WARMUP, MEASURED) if center is not None else ():

@@ -67,10 +67,12 @@ class SinrCoefficients(NamedTuple):
     def K(self) -> int:
         return self.a.shape[-1]
 
-    def sinrs(self, p_s: np.ndarray, p_r: float):
+    def sinrs(self, p_s, p_r: float):
         """Per-pair (SINR_SR, SINR_RD) at source powers p_s and relay power p_r,
-        (P, K) and (P, 1) on stacked points; the matmul rounds as np.dot
-        unless p_s is a stride-0 broadcast."""
+        (P, K) and (P, 1) on stacked points; a scalar or a (P, 1) p_s is a
+        uniform power. p_s is copied into a full stack first, so the
+        interference matmul rounds as np.dot whatever its strides."""
+        p_s = np.full(np.broadcast(self.a, p_s).shape, p_s)
         interference = (self.b[..., None, :] @ p_s[..., :, None])[..., 0]
         sr = self.a * p_s / (interference + self.c * p_r + 1.0)
         rd = self.d * p_r / (self.e * p_r + 1.0)
@@ -134,8 +136,7 @@ def _report(cfg, profile, scheme: str, mode: str) -> RateReport:
         # half duplex: no loop interference (c = 0), both hops at doubled power
         coeffs = coeffs._replace(c=np.zeros_like(coeffs.c))
         p_s, p_r = 2.0 * p_s, 2.0 * p_r
-    # np.full, not a stride-0 broadcast: the interference matmul must round as np.dot
-    sr, rd = coeffs.sinrs(np.full(coeffs.a.shape, p_s), p_r)
+    sr, rd = coeffs.sinrs(p_s, p_r)
     r_sr = np.log2(1.0 + sr)
     r_rd = np.log2(1.0 + rd)
     r_e2e = np.minimum(r_sr, r_rd)
@@ -272,8 +273,7 @@ def required_power(target_rate_per_pair: float, scheme: str, cfg: SystemConfig,
             energy = cfg.tau * column
             coeffs = _coefficients(cfg, scheme, profile, _mmse_variance(profile.beta_sr, energy),
                                    _mmse_variance(profile.beta_rd, energy))
-        # np.full, not a stride-0 broadcast: the interference matmul must round as np.dot
-        sr, rd = coeffs.sinrs(np.full((len(ps), k), column), k * column)
+        sr, rd = coeffs.sinrs(column, k * column)
         rate = np.minimum(np.log2(1.0 + sr), np.log2(1.0 + rd)).min(-1)
         # Python floats: numpy cannot convert an int target above the float range
         return [r >= target_rate_per_pair for r in rate.tolist()]

@@ -41,12 +41,13 @@ from fdrelay import cli
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 
-# the scalar edges of the boundary probes (tests/test_boundary.py), K = 10
+# the scalar edges of the boundary probes (tests/test_boundary.py), K = 10,
+# at every config key and every scalar extra key the CLI reads (custom's
+# sweep is no scalar; its edge probes set it themselves)
 EDGE_VALUES = ("0", "1", "10", "11", "-1", "1e300", "2.5", "nan", "inf")
-CONFIG_KEYS = ("k", "nrx", "ntx", "n_ant", "t", "tau", "pp", "ps", "pr", "sigma_li_sq",
-               "pp_db", "ps_db", "pr_db", "sigma_li_db")
-EXTRA_KEYS = {"fig4": ("target_rate", "pp_fixed_db"),
-              "fig8": ("disk_diameter", "shadow_sigma_db", "path_exponent", "ref_distance")}
+CONFIG_KEYS = tuple(cli._KEY_FIELDS)
+EXTRA_KEYS = {name: tuple(key for key in preset.extras if key != "sweep")
+              for name, preset in cli._PRESETS.items()}
 
 
 def _sets(*items) -> list:
@@ -77,7 +78,7 @@ def specs() -> list:
     for seed in range(60):
         out += [_cli_args(p, _rng(seed, i)) for i, p in enumerate(CLI_PRESETS)]
     for preset in ("fig2", "fig3", "fig4", "fig6", "fig7", "fig8", "custom"):
-        for key in CONFIG_KEYS + EXTRA_KEYS.get(preset, ()):
+        for key in CONFIG_KEYS + EXTRA_KEYS[preset]:
             for value in EDGE_VALUES:
                 argv = ["--preset", preset, "--trials", "2"] + _sets(f"{key}={value}")
                 if preset == "custom":

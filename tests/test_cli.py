@@ -312,6 +312,7 @@ def test_custom_sweep_linear_scale(tmp_path):
     ["--preset", "custom", "--set", "sweep=ps:1:2:2:cubic"],
     ["--preset", "custom", "--set", "sweep=ps:1:2"],
     ["--set", "delay_d=2"],
+    ["--seed", "-3"],
 ])
 def test_bad_requests_exit_2_with_json_error(tmp_path, capsys, argv_extra):
     argv = ["run", "--out", str(tmp_path)] + argv_extra
@@ -474,6 +475,9 @@ def test_cell_formatting_rules():
 def test_run_spec_guards(tmp_path):
     with pytest.raises(ValueError):
         run_spec(RunSpec(preset="fig1", seed=1, trials=1, overrides={},
+                         out_dir=str(tmp_path)))
+    with pytest.raises(ValueError, match="seed must be >= 0 and an integer"):
+        run_spec(RunSpec(preset="fig6", seed=-3, trials=1, overrides={},
                          out_dir=str(tmp_path)))
     with pytest.raises(ValueError):
         run_spec(RunSpec(preset="fig6", seed=1, trials=0, overrides={},

@@ -24,11 +24,10 @@ from fdrelay.montecarlo import alpha_mrt, alpha_zf, gram_factor_batch
 CFG = SystemConfig(K=3, Nrx=24, Ntx=24, tau=6, Pp=4.0, Ps=2.0, Pr=6.0, sigma_li_sq=1.0)
 PROF = make_profile([0.6, 1.0, 1.8], [1.4, 0.7, 1.1], CFG.tau, CFG.Pp)
 TRIALS = 20_000
-POWER = 12  # the feature row of the precoder column power ||a_k||^2
 
 
 def _rows(cfg, prof, scheme, n, rng):
-    """The (n, 13, K) feature rows of one point on one draw."""
+    """The (n, 12, K) feature rows of one point on one draw."""
     draw = montecarlo._draw(cfg, n, rng)
     return montecarlo._features(cfg, prof, scheme, montecarlo._bases(scheme, draw))
 
@@ -196,17 +195,15 @@ def test_forward_probe_and_validation():
 @pytest.mark.parametrize("scheme,ntx", [("zf", 24), ("mr", 24), ("mr", 2)])
 def test_loop_power_probe_is_its_exact_value(scheme, ntx):
     # alpha_zf and alpha_mrt make E||A||_F^2 = 1, so the probe
-    # sigma_li^2 (er/Ntx) E||A||_F^2 has expectation sigma_li^2 er/Ntx, also
-    # for MR with fewer transmit antennas than pairs; the stderr comes from
-    # the per-trial ||A||_F^2 of the same draw
+    # sigma_li^2 (er/Ntx) E||A||_F^2 is exactly sigma_li^2 er/Ntx, also for
+    # MR with fewer transmit antennas than pairs, and it draws nothing
+    # (test_average_transmit_power_is_unit simulates E||A||_F^2 = 1)
     cfg = replace(CFG, Ntx=ntx, sigma_li_sq=0.7)
-    er, n = 12.0, 4000
-    scale = cfg.sigma_li_sq * er / cfg.Ntx
-    value = convergence_probe("loop_power", cfg, PROF, scheme, n,
-                              np.random.default_rng(47), er=er)
-    power = _rows(cfg, PROF, scheme, n, np.random.default_rng(47))[:, POWER]
-    se = scale * np.std(np.sum(power, axis=1), ddof=1) / np.sqrt(n)
-    assert abs(value - scale) < 4.0 * se
+    er, rng = 12.0, np.random.default_rng(47)
+    before = rng.bit_generator.state
+    value = convergence_probe("loop_power", cfg, PROF, scheme, 4000, rng, er=er)
+    assert value == cfg.sigma_li_sq * er / cfg.Ntx
+    assert rng.bit_generator.state == before
 
 
 def test_scheme_and_zf_dimensions_are_checked_before_the_first_draw():
@@ -310,8 +307,8 @@ def _per_pair(gain_sr, loop, noise, gain_rd):
 
 def _trial_terms(cfg, prof, scheme, draw):
     """Reference: per trial the whole matrices gain_sr = [w_k^T g_j], loop =
-    [w_k^T G_RR a_j], gain_rd = [g_k^T a_j] and the norms ||w_k||^2, ||a_k||^2,
-    from the scaled factors with a general inverse and per-point matmuls."""
+    [w_k^T G_RR a_j], gain_rd = [g_k^T a_j] and the norms ||w_k||^2, from the
+    scaled factors with a general inverse and per-point matmuls."""
     r_sr_h, r_rd_h, z_e, z_l, z_r = draw
     f_sr = np.sqrt(prof.sigma_sr_sq)[:, None] * r_sr_h
     f_rd = np.sqrt(prof.sigma_rd_sq)[:, None] * r_rd_h
@@ -327,12 +324,12 @@ def _trial_terms(cfg, prof, scheme, draw):
     loop = np.sqrt(cfg.sigma_li_sq) * (u_w @ z_l @ u_a_t)
     noise = np.sum(np.abs(u_w) ** 2, axis=2)
     gain_rd = (f_rd.conj() + d_rd[:, None] * z_r) @ u_a_t
-    return gain_sr, loop, noise, gain_rd, np.sum(np.abs(u_a) ** 2, axis=2)
+    return gain_sr, loop, noise, gain_rd
 
 
 def _reference_rows(cfg, prof, scheme, draw):
-    """The (n, 13, K) feature rows of montecarlo._features, from _trial_terms."""
-    gain_sr, loop, noise, gain_rd, power = _trial_terms(cfg, prof, scheme, draw)
+    """The (n, 12, K) feature rows of montecarlo._features, from _trial_terms."""
+    gain_sr, loop, noise, gain_rd = _trial_terms(cfg, prof, scheme, draw)
     st = _per_pair(gain_sr, loop, noise, gain_rd)
     gain2_sr = st["gain_sr"] ** 2 + st["gain_sr_im"] ** 2
     gain2_rd = st["gain_rd"] ** 2 + st["gain_rd_im"] ** 2
@@ -341,7 +338,7 @@ def _reference_rows(cfg, prof, scheme, draw):
     return np.stack([
         st["gain_sr"], st["gain_sr_im"], gain2_sr, st["multipair_sr"], st["loop"], noise,
         st["gain_rd"], st["gain_rd_im"], gain2_rd, st["multipair_rd"],
-        np.log2(1.0 + sinr_sr), np.log2(1.0 + sinr_rd), power], axis=1)
+        np.log2(1.0 + sinr_sr), np.log2(1.0 + sinr_rd)], axis=1)
 
 
 def _weak_pilots(nrx, ntx):
@@ -470,14 +467,12 @@ def _closed_probes(cfg, scheme, er, mc):
 
 def test_probe_is_the_mean_of_its_trials():
     # on the same seed, decode and forward are their closed forms in the
-    # bound's pooled terms, and loop_power the mean of the per-trial ||a_k||^2
+    # bound's pooled terms, and loop_power its exact value sigma_li^2 er/Ntx
     cfg, er, n = replace(CFG, Nrx=16, Ntx=12), 5.0, 300
     for scheme in ("zf", "mr"):
         expected = _closed_probes(
             cfg, scheme, er, mc_rate(cfg, PROF, scheme, n, np.random.default_rng(44)))
-        power = _rows(cfg, PROF, scheme, n, np.random.default_rng(44))[:, POWER]
-        expected["loop_power"] = cfg.sigma_li_sq * er / cfg.Ntx * np.mean(
-            np.sum(power, axis=1))
+        expected["loop_power"] = cfg.sigma_li_sq * er / cfg.Ntx
         for kind, want in expected.items():
             value = convergence_probe(kind, cfg, PROF, scheme, n,
                                       np.random.default_rng(44), er=er)

@@ -206,7 +206,7 @@ def test_each_uniform_peak_term_is_checked(field, p0, p1, name, term):
     else:
         coeffs["b"], coeffs["c"] = np.full(3, 0.5), np.full(3, 1.0)
     with pytest.raises(ValueError) as exc:
-        powalloc._check_peak_terms(SinrCoefficients(**coeffs, scheme="zf"), p0, p1)
+        powalloc._init_gamma(SinrCoefficients(**coeffs, scheme="zf"), 1.0, p0, p1)
     assert str(exc.value) == (f"{name} too large: the uniform-peak SINR term {term} "
                               "is not finite")
 

@@ -273,7 +273,9 @@ def test_required_power_builds_coefficients_once_or_once_per_step(monkeypatch, t
     # pilots build them from sigma^2(ps) once per evaluation, no more. An
     # evaluation resolves five bisection levels, and the first also holds
     # the floor and the seven ceilings: 5 evaluations when 1e6 reaches the
-    # target, at most 7 when the ceiling grows, 1 at the floor or inf
+    # target, at most 7 when the ceiling grows, 1 at the floor or inf. Each
+    # evaluation passes sinrs one (P, 1) power column, which it copies into
+    # the (P, K) stack (test_a_power_stack_equals_its_rows_bit_for_bit)
     built, steps = [], []
     coefficients, sinrs = rates._coefficients, rates.SinrCoefficients.sinrs
 
@@ -293,17 +295,15 @@ def test_required_power_builds_coefficients_once_or_once_per_step(monkeypatch, t
         steps.clear()
         ps = required_power(target, "zf", cfg, prof, pilot_tracks_data=tracks)
         assert len(built) == (len(steps) if tracks else 1)
-        # a stride-0 power stack would round the interference sum away from
-        # the one-power np.dot, so each stack is an np.full copy
-        assert all(0 not in p_s.strides for p_s, _ in steps)
+        assert all((p_r == cfg.K * p_s).all() for p_s, p_r in steps)
         return ps, [p_s.shape for p_s, _ in steps]
 
     ps, shapes = rows(1.0, REF_CFG, REF_PROF)
-    assert 1e-6 < ps < 1e6 and shapes == [(39, 10)] + [(31, 10)] * 4
+    assert 1e-6 < ps < 1e6 and shapes == [(39, 1)] + [(31, 1)] * 4
     ps, shapes = rows(1e-6 if tracks else 1e-9, DIM_CFG, DIM_PROF)
-    assert 1e6 < ps < 1e7 and shapes[0] == (39, 2) and shapes[1:] == [(31, 2)] * 5
+    assert 1e6 < ps < 1e7 and shapes[0] == (39, 1) and shapes[1:] == [(31, 1)] * 5
     for target, want in ((1e-9, 1e-6), (50.0, math.inf)):
-        assert rows(target, REF_CFG, REF_PROF) == (want, [(39, 10)])
+        assert rows(target, REF_CFG, REF_PROF) == (want, [(39, 1)])
 
 
 def test_required_power_hits_target():
@@ -587,9 +587,12 @@ def test_a_batch_equals_its_points_bit_for_bit(scheme, builder, mode, points):
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_a_power_stack_equals_its_rows_bit_for_bit(scheme, points, powers):
     # required_power evaluates a stack of powers at once: fixed pilots put
-    # (K,) coefficients over a (P, K) np.full power stack, tracking pilots
-    # build (P, K) coefficients at a (P, 1) pilot-energy column; each row
-    # must be the one-power evaluation, which the per-step bisection made
+    # (K,) coefficients under a (P, 1) power column, tracking pilots build
+    # (P, K) coefficients at a (P, 1) pilot-energy column; each row must be
+    # the one-power evaluation, which the per-step bisection made. sinrs
+    # copies p_s into a full stack, so a scalar, a column, a full stack and
+    # a stride-0 view (which would round the interference sum differently
+    # from np.dot) all give the same bits
     column = np.array(powers)[:, None]
     for cfg, prof in points:
         k, fixed = cfg.K, sinr_coefficients(cfg, prof, scheme)
@@ -598,14 +601,19 @@ def test_a_power_stack_equals_its_rows_bit_for_bit(scheme, points, powers):
             return rates._coefficients(cfg, scheme, prof, _mmse_variance(prof.beta_sr, energy),
                                        _mmse_variance(prof.beta_rd, energy))
 
-        stack = np.full((len(powers), k), column)
-        stacks = (fixed.sinrs(stack, k * column),
-                  tracking(cfg.tau * column).sinrs(stack, k * column))
-        for i, ps in enumerate(powers):
-            rows = (fixed.sinrs(np.full(k, ps), k * ps),
-                    tracking(cfg.tau * ps).sinrs(np.full(k, ps), k * ps))
-            for (sr, rd), (sr_row, rd_row) in zip(stacks, rows):
-                assert (sr[i] == sr_row).all() and (rd[i] == rd_row).all()
+        rows = [(fixed.sinrs(np.full(k, ps), k * ps),
+                 tracking(cfg.tau * ps).sinrs(np.full(k, ps), k * ps)) for ps in powers]
+        for p_s in (column, np.full((len(powers), k), column),
+                    np.broadcast_to(column, (len(powers), k))):
+            stacks = (fixed.sinrs(p_s, k * column),
+                      tracking(cfg.tau * column).sinrs(p_s, k * column))
+            for i, row in enumerate(rows):
+                for (sr, rd), (sr_row, rd_row) in zip(stacks, row):
+                    assert (sr[i] == sr_row).all() and (rd[i] == rd_row).all()
+        for ps, row in zip(powers, rows):
+            scalar = (fixed.sinrs(ps, k * ps), tracking(cfg.tau * ps).sinrs(ps, k * ps))
+            for (sr, rd), (sr_row, rd_row) in zip(scalar, row):
+                assert (sr == sr_row).all() and (rd == rd_row).all()
 
 
 def test_a_batch_refuses_mixed_pair_counts_and_bad_points():
