@@ -1,7 +1,7 @@
 """Experiment runner.
 
 Each preset binds one experiment family at desk scale (shared setup: T=200,
-K=10, tau=2K, Ntx=Nrx, SNR means Ps) and writes CSV series plus a JSON
+K=10, tau=2K, Ntx=Nrx, SNR means Ps) and writes one CSV table plus a JSON
 manifest holding everything needed to reproduce the run. Re-running a
 manifest regenerates byte-identical files: every Monte Carlo sweep draws
 from its own seed stream keyed by (seed, array size index, scheme index),
@@ -13,10 +13,10 @@ execution order or chunking.
 
 Overrides (--set key=value) use flat lower-case keys mirroring the config
 fields; a _db key other than shadow_sigma_db is converted to linear scale at
-parse time. A preset refuses an override of a field it sets itself and an
-extra key it does not read, and a failed run writes no file. A manifest
-replay takes its seed, trials and overrides from the manifest alone, so it
-refuses --set, --trials and --seed.
+parse time. A run refuses two keys that set one field, and a preset an
+override of a field it sets itself and an extra key it does not read; a
+failed run writes no file. A manifest replay takes its seed, trials and
+overrides from the manifest alone, so it refuses --set, --trials and --seed.
 """
 from __future__ import annotations
 
@@ -178,11 +178,11 @@ def _mc_sweep(spec: RunSpec, sizes, schemes, genie: bool) -> tuple:
 
 
 def _run_fig2(spec: RunSpec):
-    return {"fig2.csv": _mc_sweep(spec, (50, 100), ("zf", "mr"), genie=True)}
+    return _mc_sweep(spec, (50, 100), ("zf", "mr"), genie=True)
 
 
 def _run_fig3(spec: RunSpec):
-    return {"fig3.csv": _mc_sweep(spec, (50, 100, 200), ("zf",), genie=False)}
+    return _mc_sweep(spec, (50, 100, 200), ("zf",), genie=False)
 
 
 def _run_fig4(spec: RunSpec):
@@ -200,22 +200,20 @@ def _run_fig4(spec: RunSpec):
                 for cfg, profile in zip(cfgs, profiles)]
 
     base = _base_cfg(Pp=pp_fixed, Ps=1.0, Pr=10.0, sigma_li_sq=1.0)
-    return {"fig4.csv": _sweep(spec, base, "n_ant", (64, 128, 256, 512),
-                               header, columns)}
+    return _sweep(spec, base, "n_ant", (64, 128, 256, 512), header, columns)
 
 
 def _run_fig6(spec: RunSpec):
     p = _db(10.0)
     base = _base_cfg(Pp=p, Ps=p, Pr=p)
-    return {"fig6.csv": _sweep(spec, base, "sigma_li_db", range(-10, 22, 2),
-                               _SE_HEADER, _se_columns)}
+    return _sweep(spec, base, "sigma_li_db", range(-10, 22, 2), _SE_HEADER, _se_columns)
 
 
 def _run_fig7(spec: RunSpec):
     p = _db(10.0)
     base = _base_cfg(Pp=p, Ps=p, Pr=p, sigma_li_sq=_db(10.0))
     sizes = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
-    return {"fig7.csv": _sweep(spec, base, "n_ant", sizes, _SE_HEADER, _se_columns)}
+    return _sweep(spec, base, "n_ant", sizes, _SE_HEADER, _se_columns)
 
 
 def _run_fig8(spec: RunSpec):
@@ -228,7 +226,7 @@ def _run_fig8(spec: RunSpec):
     profiles = [draw_urban_profile(geometry, cfg.K, cfg.tau, cfg.Pp, _rng(spec.seed, drop))
                 for drop in range(spec.trials)]
     rows = _se_columns([cfg] * spec.trials, profiles)
-    return {"fig8.csv": (header, [[drop] + row for drop, row in enumerate(rows)])}
+    return header, [[drop] + row for drop, row in enumerate(rows)]
 
 
 def _run_fig9(spec: RunSpec):
@@ -264,7 +262,7 @@ def _run_fig9(spec: RunSpec):
             row += [int(feasible), int(alloc.converged), alloc.iterations,
                     total, alloc.achieved_se, alloc.ee, se, ee]
         rows.append(row)
-    return {"fig9.csv": (header, rows)}
+    return header, rows
 
 
 def _run_custom(spec: RunSpec):
@@ -274,7 +272,10 @@ def _run_custom(spec: RunSpec):
     parts = str(sweep).split(":")
     if len(parts) not in (4, 5):
         raise ValueError("sweep spec is field:start:stop:points[:scale]")
-    field, start, stop, points = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
+    try:
+        field, start, stop, points = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
+    except ValueError as exc:  # names the part that is not a number
+        raise ValueError(f"sweep {sweep!r}: {exc}") from None
     scale = parts[4] if len(parts) == 5 else "linear"
     if points < 1:
         raise ValueError("sweep needs at least one point")
@@ -289,7 +290,7 @@ def _run_custom(spec: RunSpec):
     # integer fields take the floor of each grid point, in the table too
     points = [math.floor(v) if field in _INTEGER_KEYS else float(v) for v in values]
     base = _base_cfg(Pp=10.0, Ps=10.0, Pr=10.0, sigma_li_sq=1.0)
-    return {"custom.csv": _sweep(spec, base, field, points, _SE_HEADER, _se_columns)}
+    return _sweep(spec, base, field, points, _SE_HEADER, _se_columns)
 
 
 class _Preset(NamedTuple):
@@ -342,46 +343,47 @@ def _cells(name: str, header, rows) -> list:
 
 
 def run_spec(spec: RunSpec) -> list:
-    """Execute the preset and write its CSVs and manifest; returns paths.
-    A run that fails writes no file."""
+    """Run the preset, write its table as <preset>.csv and its manifest as
+    <preset>.manifest.json, return the two paths. Seed, trials (a manifest's as
+    written) and override keys are vetted first; a failed run writes no file."""
     if spec.preset not in _PRESETS:
         raise ValueError(f"unknown preset {spec.preset!r}")
-    if spec.trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_count("trials", spec.trials)
     _check_count("seed", spec.seed, 0)
     preset = _PRESETS[spec.preset]
+    set_by = {}  # config field: the override key that sets it; pp_fixed_db is fig4's Pp
     for key in spec.overrides:
         if key not in _KEY_FIELDS and key not in preset.extras:
             raise ValueError(f"{spec.preset} does not read override {key!r}"
                              if key in _EXTRA_KEYS else f"unknown override key {key!r}")
-    tables = {name: _cells(name, *table) for name, table in sorted(preset.run(spec).items())}
+        for name in _KEY_FIELDS.get(key, ("Pp",) if key == "pp_fixed_db" else ()):
+            if set_by.setdefault(name, key) != key:
+                raise ValueError(f"overrides {set_by[name]!r} and {key!r} both set {name}")
+    name = f"{spec.preset}.csv"
+    cells = _cells(name, *preset.run(spec))
     os.makedirs(spec.out_dir, exist_ok=True)
-    written = []
-    for name, cells in tables.items():
-        path = os.path.join(spec.out_dir, name)
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(cells)
-        written.append(path)
+    path = os.path.join(spec.out_dir, name)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(cells)
     manifest = {
         "preset": spec.preset,
         "seed": spec.seed,
         "trials": spec.trials,
         "overrides": {k: str(v) for k, v in sorted(spec.overrides.items())},
-        "outputs": sorted(tables),
+        "outputs": [name],
         "version": __version__,
     }
     mpath = os.path.join(spec.out_dir, f"{spec.preset}.manifest.json")
     with open(mpath, "w", newline="") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return written + [mpath]
+    return [path, mpath]
 
 
 def spec_from_manifest(path: str, out_dir: str) -> RunSpec:
     with open(path) as fh:
         data = json.load(fh)
-    return RunSpec(preset=data["preset"], seed=int(data["seed"]),
-                   trials=int(data["trials"]),
+    return RunSpec(preset=data["preset"], seed=data["seed"], trials=data["trials"],
                    overrides=dict(data.get("overrides", {})), out_dir=out_dir)
 
 

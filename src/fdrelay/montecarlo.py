@@ -525,7 +525,7 @@ def convergence_probe(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
         resid = (cfg.Ps * (gain2_sr / c ** 2 - 2.0 * re_sr / c + 1.0)
                  + (cfg.Ps * mp_sr + cfg.Pr * li + an) / c ** 2)
     else:  # "forward"
-        limit = np.sqrt(_rd_limit(scheme, profile, er))
+        limit = np.sqrt(_rd_limit(scheme, profile.sigma_rd_sq, er))
         pr = er / cfg.Ntx
         resid = pr * (gain2_rd + mp_rd) - 2.0 * np.sqrt(pr) * limit * re_rd + limit ** 2
     return float(np.mean(resid))

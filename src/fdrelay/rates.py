@@ -183,37 +183,34 @@ def asymptotic_se(case: str, scheme: str, cfg: SystemConfig, profile: LargeScale
                   Es: float, Er: float, kappa: float | None = None) -> float:
     """Large-array sum SE limit under the two power-scaling regimes.
 
-    Case I: Pp fixed, Ps = Es/Nrx, Pr = Er/Ntx. Case II: Pp = Ps = Es/sqrt(Nrx),
-    Pr = Er/sqrt(Ntx) with Ntx = kappa*Nrx; the pilot energy vanishes and the
-    limits depend on beta and tau, not sigma^2 (estimation squaring). Es and
-    Er are finite and >= 0; case II needs a finite kappa > 0.
+    Case I: Pp fixed, Ps = Es/Nrx, Pr = Er/Ntx; the hops see sigma^2 and Er.
+    Case II: Pp = Ps = Es/sqrt(Nrx), Pr = Er/sqrt(Ntx), Ntx = kappa*Nrx; they see
+    the leading orders tau*Es*beta^2 of sqrt(Nrx)*sigma^2 (estimation squaring)
+    and sqrt(kappa)*Er of Pr*Ntx. The hop SINRs are Es*variance and _rd_limit.
+    Es and Er are finite and >= 0; case II needs a finite kappa > 0.
     """
     _check_inputs(cfg, profile, scheme)
     _check_real("Es", Es)
     _check_real("Er", Er)
     if case == "I":
-        sr = Es * profile.sigma_sr_sq
-        rd = _rd_limit(scheme, profile, Er)
+        v_sr, v_rd, er = profile.sigma_sr_sq, profile.sigma_rd_sq, Er
     elif case == "II":
         _check_real("kappa", kappa, strict=True)
-        sr = cfg.tau * Es**2 * profile.beta_sr**2
-        rd_common = np.sqrt(kappa) * cfg.tau * Es * Er / np.sum(1.0 / profile.beta_rd**2)
-        if scheme == "zf":
-            rd = rd_common
-        else:
-            rd = profile.beta_rd**4 * rd_common
+        v_sr, v_rd = cfg.tau * Es * profile.beta_sr**2, cfg.tau * Es * profile.beta_rd**2
+        er = np.sqrt(kappa) * Er
     else:
         raise ValueError("case must be 'I' or 'II'")
-    rates = np.log2(1.0 + np.minimum(sr, rd))
+    with np.errstate(divide="ignore", invalid="ignore"):  # Case II's 0/0 rd at Es = 0
+        rates = np.log2(1.0 + np.fmin(Es * v_sr, _rd_limit(scheme, v_rd, er)))
     return sum_se(rates, cfg.T, cfg.tau, "fd")
 
 
-def _rd_limit(scheme: str, profile: LargeScaleProfile, er: float):
-    """Per-pair large-array second-hop SINR at relay energy er = Pr*Ntx:
-    er / sum(1/sigma_rd^2) for ZF, er sigma_rd^4 / sum(sigma_rd^2) for MR."""
+def _rd_limit(scheme: str, sigma_rd_sq, er: float):
+    """Per-pair large-array second-hop SINR at variances sigma_rd_sq and relay energy
+    er = Pr*Ntx: er / sum(1/sigma_rd^2) for ZF, er sigma_rd^4 / sum(sigma_rd^2) for MR."""
     if scheme == "zf":
-        return er / np.sum(1.0 / profile.sigma_rd_sq)
-    return profile.sigma_rd_sq**2 * er / np.sum(profile.sigma_rd_sq)
+        return er / np.sum(1.0 / sigma_rd_sq)
+    return sigma_rd_sq**2 * er / np.sum(sigma_rd_sq)
 
 
 _LOOKAHEAD = 5  # bisection levels resolved per numpy evaluation

@@ -130,6 +130,24 @@ def test_case_one_asymptote_collapse_and_approach():
         assert abs(finite - a_zf) / a_zf <= 0.02
 
 
+@pytest.mark.parametrize("es,er,kappa", [(1.0, 1.0, 1), (5.0, 10.0, 2)])
+def test_case_two_asymptote_approach(es, er, kappa):
+    """On the snapshot profile's unequal gains, finite-N rates under
+    Pp = Ps = Es/sqrt(Nrx), Pr = Er/sqrt(Ntx), Ntx = kappa Nrx sit within 2%
+    of the Case II limit at Nrx = 10^6 and within 0.5% at 10^8, both schemes
+    (the MR gap is not monotone in Nrx at Es = 5, Er = 10, kappa = 2)."""
+    for fn, scheme in ((rate_zf, "zf"), (rate_mr, "mr")):
+        for n, tol in ((10**6, 0.02), (10**8, 0.005)):
+            cfg = SystemConfig(K=10, Nrx=n, Ntx=kappa * n, T=200, tau=20,
+                               Pp=es / math.sqrt(n), Ps=es / math.sqrt(n),
+                               Pr=er / math.sqrt(kappa * n), sigma_li_sq=1.0)
+            prof = snapshot_profile(cfg.tau, cfg.Pp)
+            limit = asymptotic_se("II", scheme, cfg, prof, Es=es, Er=er, kappa=kappa)
+            finite = fn(cfg, prof).sum_se
+            assert abs(finite - limit) / limit <= tol, \
+                f"{scheme} at Nrx={n}: {finite:.4f} against limit {limit:.4f}"
+
+
 def test_processing_moment_identities():
     """Simulated processing moments hit their exact expectations (3 stderr,
     10^5 trials) across (K, N) in {(2,16), (5,64), (10,128)}:

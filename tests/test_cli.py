@@ -68,6 +68,15 @@ def test_manifest_rerun_is_byte_identical(tmp_path):
     assert manifest["preset"] == "fig6"
     assert manifest["overrides"] == {"nrx": "64"}
     assert manifest["trials"] == cli._PRESETS["fig6"].trials
+    # a dB key and a linear key for two different fields replay as they ran
+    third, fourth = tmp_path / "c", tmp_path / "d"
+    assert main(["run", "--preset", "fig6", "--set", "ps_db=20", "--set", "pr=3",
+                 "--out", str(third)]) == 0
+    assert main(["run", "--manifest", str(third / "fig6.manifest.json"),
+                 "--out", str(fourth)]) == 0
+    for name in ("fig6.csv", "fig6.manifest.json"):
+        assert (third / name).read_bytes() == (fourth / name).read_bytes()
+    assert (third / "fig6.csv").read_bytes() != (first / "fig6.csv").read_bytes()
 
 
 @pytest.mark.parametrize("preset,want", [
@@ -164,6 +173,51 @@ def test_presets_reject_extra_keys_they_do_not_read(tmp_path, capsys, preset, it
     assert payload == {"error": f"{preset} does not read override "
                                 f"{item.split('=')[0]!r}", "type": "ValueError"}
     assert not tmp_path.exists() or not list(tmp_path.iterdir())
+
+
+TWO_KEYS = [  # (preset, first key=value, second key=value, the field both set)
+    ("custom", "ps_db=20", "ps=1", "Ps"),
+    ("fig6", "n_ant=64", "nrx=32", "Nrx"),
+    ("fig4", "pp_fixed_db=5", "pp=2", "Pp"),
+]
+
+
+@pytest.mark.parametrize("preset, first, second, field", TWO_KEYS)
+def test_two_keys_for_one_field_exit_2_by_name(tmp_path, capsys, preset, first, second,
+                                                 field):
+    # the two keys would apply in argv order but replay in the manifest's
+    # sorted order, so the run is refused by name and writes nothing
+    out = tmp_path / "out"
+    argv = ["run", "--preset", preset, "--set", first, "--set", second, "--out", str(out)]
+    if preset == "custom":
+        argv += ["--set", "sweep=sigma_li_db:0:10:2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": f"overrides {first.split('=')[0]!r} and {second.split('=')[0]!r} "
+                 f"both set {field}",
+        "type": "ValueError"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset, first, second, field", TWO_KEYS)
+def test_run_spec_refuses_two_keys_for_one_field_before_the_preset_runs(
+        tmp_path, monkeypatch, preset, first, second, field):
+    def run(spec):
+        raise AssertionError("the preset ran")
+
+    monkeypatch.setitem(cli._PRESETS, preset, cli._PRESETS[preset]._replace(run=run))
+    # each key alone passes the vetting and reaches the preset
+    for item in (first, second):
+        with pytest.raises(AssertionError, match="the preset ran"):
+            run_spec(RunSpec(preset=preset, seed=1, trials=1,
+                             overrides=dict([item.split("=")]), out_dir=str(tmp_path)))
+    overrides = dict(item.split("=") for item in (second, first))
+    with pytest.raises(ValueError, match=f"both set {field}$"):
+        run_spec(RunSpec(preset=preset, seed=1, trials=1, overrides=overrides,
+                         out_dir=str(tmp_path / "out")))
+    assert not (tmp_path / "out").exists()
 
 
 def test_failed_run_writes_no_file(tmp_path, capsys):
@@ -324,6 +378,20 @@ def test_bad_requests_exit_2_with_json_error(tmp_path, capsys, argv_extra):
     assert set(payload) == {"error", "type"}
 
 
+@pytest.mark.parametrize("sweep, message", [
+    ("n_ant:8:12:x", "sweep 'n_ant:8:12:x': invalid literal for int() with base 10: 'x'"),
+    ("n_ant:a:12:3", "sweep 'n_ant:a:12:3': could not convert string to float: 'a'"),
+], ids=["points", "start"])
+def test_a_bad_sweep_number_names_the_sweep(tmp_path, capsys, sweep, message):
+    out = tmp_path / "out"
+    assert main(["run", "--preset", "custom", "--set", f"sweep={sweep}",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": message, "type": "ValueError"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["disk_diameter", "shadow_sigma_db"])
 def test_geometry_extras_meet_the_scalar_rule(tmp_path, capsys, key):
     # fig8's extras go through cli._value like every key; a NaN then fails
@@ -398,6 +466,19 @@ def test_a_manifest_replay_refuses_options_it_would_ignore(tmp_path, capsys, ext
         "error": f"{extra[0]} is not allowed with --manifest, "
                  "which replays the manifest's own run",
         "type": "ValueError"}
+    assert not second.exists()
+
+
+def test_a_replay_reads_the_manifest_trials_as_written(tmp_path, capsys):
+    # a hand-edited 2.5 is refused by name, not rounded into another run
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--preset", "fig6", "--out", str(first)]) == 0
+    path = first / "fig6.manifest.json"
+    path.write_text(path.read_text().replace('"trials": 1', '"trials": 2.5'))
+    capsys.readouterr()
+    assert main(["run", "--manifest", str(path), "--out", str(second)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "trials must be >= 1 and an integer", "type": "ValueError"}
     assert not second.exists()
 
 
@@ -482,3 +563,9 @@ def test_run_spec_guards(tmp_path):
     with pytest.raises(ValueError):
         run_spec(RunSpec(preset="fig6", seed=1, trials=0, overrides={},
                          out_dir=str(tmp_path)))
+    # a fractional trials count is refused by name, fig8's drops too
+    for preset in ("fig6", "fig8"):
+        with pytest.raises(ValueError, match="trials must be >= 1 and an integer"):
+            run_spec(RunSpec(preset=preset, seed=1, trials=2.5, overrides={},
+                             out_dir=str(tmp_path / "out")))
+    assert not (tmp_path / "out").exists()

@@ -190,14 +190,25 @@ def test_asymptotic_case_one_schemes_collapse():
 
 
 def test_asymptotic_case_two_hand_value():
-    cfg = SystemConfig(K=1, Nrx=100, Ntx=100, tau=2, Pp=1.0)
-    prof = make_profile([1.0], [1.0], cfg.tau, cfg.Pp)
+    # sr = tau Es^2 beta_sr^2; rd = sqrt(kappa) tau Es Er over sum(beta_rd^-2)
+    # for ZF, times beta_rd^4 over sum(beta_rd^2) for MR; K = 1 with unit
+    # gains cannot tell sum(beta^2) from sum(beta^-2), the K = 2 row can
     es, er, kappa = 3.0, 5.0, 1.0
-    sr = cfg.tau * es**2
-    rd = math.sqrt(kappa) * cfg.tau * es * er
-    want = (cfg.T - cfg.tau) / cfg.T * math.log2(1.0 + min(sr, rd))
-    assert asymptotic_se("II", "zf", cfg, prof, Es=es, Er=er, kappa=kappa) == pytest.approx(want, rel=1e-12)
-    assert asymptotic_se("II", "mr", cfg, prof, Es=es, Er=er, kappa=kappa) == pytest.approx(want, rel=1e-12)
+    for beta_sr, beta_rd in (([1.0], [1.0]), ([1.0, 0.5], [2.0, 0.25])):
+        k = len(beta_sr)
+        cfg = SystemConfig(K=k, Nrx=100, Ntx=100, tau=2 * k, Pp=1.0)
+        prof = make_profile(beta_sr, beta_rd, cfg.tau, cfg.Pp)
+        b_sr, b_rd = np.array(beta_sr), np.array(beta_rd)
+        sr = cfg.tau * es**2 * b_sr**2
+        common = math.sqrt(kappa) * cfg.tau * es * er
+        for scheme, rd in (("zf", common / np.sum(b_rd**-2)),
+                           ("mr", common * b_rd**4 / np.sum(b_rd**2))):
+            want = (cfg.T - cfg.tau) / cfg.T * np.sum(np.log2(1.0 + np.minimum(sr, rd)))
+            got = asymptotic_se("II", scheme, cfg, prof, Es=es, Er=er, kappa=kappa)
+            assert got == pytest.approx(want, rel=1e-12), f"{scheme} at K={k}"
+    # Es = 0 zeroes the first hop, and the second hop's 0/0 does not leak
+    for scheme in rates.SCHEMES:
+        assert asymptotic_se("II", scheme, cfg, prof, Es=0.0, Er=er, kappa=kappa) == 0.0
 
 
 def test_asymptotic_validation():
