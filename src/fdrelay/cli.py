@@ -13,9 +13,9 @@ execution order or chunking.
 
 Overrides (--set key=value) use flat lower-case keys mirroring the config
 fields; a _db key other than shadow_sigma_db is converted to linear scale at
-parse time. A run refuses two keys that set one field, and a preset an
-override of a field it sets itself and an extra key it does not read; a
-failed run writes no file. A manifest replay takes its seed, trials and
+parse time. A field has one source, the preset or one key, and a preset
+reads only its own extras, or the run is refused before the preset starts;
+a failed run writes no file. A manifest replay takes its seed, trials and
 overrides from the manifest alone, so it refuses --set, --trials and --seed.
 """
 from __future__ import annotations
@@ -67,7 +67,10 @@ def _db(x: float) -> float:
 
 def _value(key: str, raw) -> float | int:
     """An override value; integer keys take integral spellings only (64, 64.0)."""
-    x = float(raw)
+    try:
+        x = float(raw)
+    except ValueError:
+        raise ValueError(f"override {key}={raw} is not a number") from None
     if key.endswith("_db") and key not in _GEOMETRY:
         return _db(x)
     if key not in _INTEGER_KEYS:
@@ -84,15 +87,6 @@ def _apply_overrides(cfg: SystemConfig, overrides: dict) -> SystemConfig:
         for name in _KEY_FIELDS.get(key, ()):
             fields[name] = _value(key, raw)
     return replace(cfg, **fields) if fields else cfg
-
-
-def _reject_swept(spec: RunSpec, keys) -> None:
-    """Refuse an override of a config field that the preset sets itself."""
-    swept = {name for key in keys for name in _KEY_FIELDS[key]}
-    for key in spec.overrides:
-        if swept.intersection(_KEY_FIELDS.get(key, ())):
-            raise ValueError(f"{spec.preset} sets {'/'.join(sorted(swept))} itself; "
-                             f"override {key!r} is not allowed")
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -129,9 +123,8 @@ def _se_columns(cfgs, profiles) -> list:
 def _sweep(spec: RunSpec, base: SystemConfig, field: str, values, header,
            columns) -> tuple:
     """One row per value of the config key field: the overrides apply to
-    base, then the row's value, after refusing any override of its fields.
-    columns maps the row configs and their flat profiles to rows of cells."""
-    _reject_swept(spec, (field,))
+    base, then the row's value (run_spec has refused any override of its
+    fields). columns maps the row configs and their flat profiles to rows."""
     base = _apply_overrides(base, spec.overrides)
     cfgs = [_apply_overrides(base, {field: v}) for v in values]
     flat = functools.cache(_flat_profile)  # each distinct profile once per sweep
@@ -144,7 +137,6 @@ def _mc_sweep(spec: RunSpec, sizes, schemes, genie: bool) -> tuple:
     (size, scheme) on seed stream (seed, size index, scheme index), so
     presets that share a size and a scheme share its cells; one closed-form
     call per scheme. Each row sets the array size, Ps (the SNR) and Pr = K Ps."""
-    _reject_swept(spec, ("n_ant", "ps", "pr"))
     header = ["snr_db", "n_ant"]
     for s in schemes:
         header += [f"sum_rate_{s}_closed", f"sum_rate_{s}_mc", f"sum_rate_{s}_mc_stderr"]
@@ -187,7 +179,6 @@ def _run_fig3(spec: RunSpec):
 
 def _run_fig4(spec: RunSpec):
     # required_power sets Ps, and Pr = K Ps, at every bisection step
-    _reject_swept(spec, ("ps", "pr"))
     target = _value("target_rate", spec.overrides.get("target_rate", 1.0))
     pp_fixed = _value("pp_fixed_db", spec.overrides.get("pp_fixed_db", 10.0))
     header = [f"ps_req_db_{s}_{pp}" for s in ("zf", "mr")
@@ -231,7 +222,6 @@ def _run_fig8(spec: RunSpec):
 
 def _run_fig9(spec: RunSpec):
     # the allocator chooses the powers under the peaks p0_db and p1_db
-    _reject_swept(spec, ("ps", "pr"))
     p0 = _value("p0_db", spec.overrides.get("p0_db", 10.0))
     p1 = _value("p1_db", spec.overrides.get("p1_db", 20.0))
     cfg = _apply_overrides(_base_cfg(
@@ -249,7 +239,7 @@ def _run_fig9(spec: RunSpec):
     # uniform-peak SINR term overflows, before the uniform rates overflow
     allocs = [[optimize_powers(cfg, profile, scheme, float(s0), p0=p0, p1=p1)
                for scheme, _ in schemes] for s0 in targets]
-    uniform = []  # at the peaks: _reject_swept keeps cfg's Ps = p0 and Pr = p1
+    uniform = []  # at the peaks: fig9 sets Ps and Pr, so cfg's Ps = p0 and Pr = p1
     for _, fn in schemes:
         se = fn(cfg, profile).sum_se
         uniform.append((se, energy_efficiency(se, np.full(cfg.K, p0), p1, cfg.T, cfg.tau)))
@@ -276,6 +266,8 @@ def _run_custom(spec: RunSpec):
         field, start, stop, points = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:  # names the part that is not a number
         raise ValueError(f"sweep {sweep!r}: {exc}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"sweep {sweep!r}: start and stop must be finite")
     scale = parts[4] if len(parts) == 5 else "linear"
     if points < 1:
         raise ValueError("sweep needs at least one point")
@@ -298,19 +290,24 @@ class _Preset(NamedTuple):
     description: str
     trials: int  # default Monte Carlo trials or drops
     extras: tuple = ()  # the extra (non-config) keys it reads
+    sets: tuple = ()  # the config fields it sets itself
 
 
 _PRESETS = {
-    "fig2": _Preset(_run_fig2, "rate bound and genie sum rates vs SNR (Monte Carlo)", 2000),
-    "fig3": _Preset(_run_fig3, "ZF closed form vs Monte Carlo sum rate (tightness)", 2000),
+    "fig2": _Preset(_run_fig2, "rate bound and genie sum rates vs SNR (Monte Carlo)", 2000,
+                    sets=("Nrx", "Ntx", "Ps", "Pr")),
+    "fig3": _Preset(_run_fig3, "ZF closed form vs Monte Carlo sum rate (tightness)", 2000,
+                    sets=("Nrx", "Ntx", "Ps", "Pr")),
     "fig4": _Preset(_run_fig4, "source power required for 1 bit/use per pair vs array size",
-                    1, ("target_rate", "pp_fixed_db")),
-    "fig6": _Preset(_run_fig6, "FD/HD/hybrid sum SE vs loop interference level", 1),
-    "fig7": _Preset(_run_fig7, "FD/HD/hybrid sum SE vs number of antennas", 1),
+                    1, ("target_rate", "pp_fixed_db"), ("Nrx", "Ntx", "Ps", "Pr")),
+    "fig6": _Preset(_run_fig6, "FD/HD/hybrid sum SE vs loop interference level", 1,
+                    sets=("sigma_li_sq",)),
+    "fig7": _Preset(_run_fig7, "FD/HD/hybrid sum SE vs number of antennas", 1,
+                    sets=("Nrx", "Ntx")),
     "fig8": _Preset(_run_fig8, "sum SE distribution over random urban drops", 1000,
                     tuple(_GEOMETRY)),
     "fig9": _Preset(_run_fig9, "energy efficiency vs target sum SE under power allocation",
-                    1, ("p0_db", "p1_db")),
+                    1, ("p0_db", "p1_db"), ("Ps", "Pr")),
     "custom": _Preset(_run_custom, "closed-form SE along a user-chosen config sweep", 1,
                       ("sweep",)),
 }
@@ -345,20 +342,27 @@ def _cells(name: str, header, rows) -> list:
 def run_spec(spec: RunSpec) -> list:
     """Run the preset, write its table as <preset>.csv and its manifest as
     <preset>.manifest.json, return the two paths. Seed, trials (a manifest's as
-    written) and override keys are vetted first; a failed run writes no file."""
+    written) and override keys are vetted first: each is a config key or an
+    extra the preset reads, and a config field has one source, the preset or
+    one key. A failed run writes no file."""
     if spec.preset not in _PRESETS:
         raise ValueError(f"unknown preset {spec.preset!r}")
     _check_count("trials", spec.trials)
     _check_count("seed", spec.seed, 0)
     preset = _PRESETS[spec.preset]
-    set_by = {}  # config field: the override key that sets it; pp_fixed_db is fig4's Pp
-    for key in spec.overrides:
+    set_by = dict.fromkeys(preset.sets, spec.preset)  # config field: its one source
+    for key, raw in spec.overrides.items():
         if key not in _KEY_FIELDS and key not in preset.extras:
             raise ValueError(f"{spec.preset} does not read override {key!r}"
                              if key in _EXTRA_KEYS else f"unknown override key {key!r}")
-        for name in _KEY_FIELDS.get(key, ("Pp",) if key == "pp_fixed_db" else ()):
-            if set_by.setdefault(name, key) != key:
-                raise ValueError(f"overrides {set_by[name]!r} and {key!r} both set {name}")
+        # fig4's pp_fixed_db sets the fields of pp, custom's sweep those of its key
+        alias = {"pp_fixed_db": "pp", "sweep": str(raw).split(":")[0]}.get(key, key)
+        for name in _KEY_FIELDS.get(alias, ()):
+            if (source := set_by.setdefault(name, key)) != key:
+                raise ValueError(
+                    f"{spec.preset} sets {name} itself; override {key!r} is not allowed"
+                    if source == spec.preset else
+                    f"overrides {source!r} and {key!r} both set {name}")
     name = f"{spec.preset}.csv"
     cells = _cells(name, *preset.run(spec))
     os.makedirs(spec.out_dir, exist_ok=True)

@@ -15,9 +15,12 @@ and the script exits 1 if any did.
 
 ``--against SRC`` runs the same specs on the fdrelay package under SRC (in a
 child process) and prints a unified diff of the two digests, or a count of
-identical outputs; it exits 1 if any output differs. The child checks its
-own replays, and a failure there stops the comparison. Both sides take the
-benchmark specs from this tree's ``perfbench/workloads.py``. With ``--rel``
+identical outputs; it exits 1 if any output differs. After a diff, stderr
+gets one line that counts this tree's differing outputs by exit code: 0 on
+both sides, 2 on both sides (only the refusal's message changed), or
+changed. The child checks its own replays, and a failure there stops the
+comparison. Both sides take the benchmark specs from this tree's
+``perfbench/workloads.py``. With ``--rel``
 it prints, instead of the diff, one line per column of each CSV that differs
 (spec, file, column, and the largest |a - b| / max(|a|, |b|) over the rows),
 and one line for any other output that differs. ``--keep DIR`` also writes
@@ -177,6 +180,21 @@ def rel_report(mine: str, theirs: str) -> list:
     return lines
 
 
+def classify(theirs: list, mine: list) -> str:
+    """The counts of mine's digest lines missing from theirs, by the exit code
+    of their spec on each side; a failed run writes no file, so an exit 2 on
+    both sides differs in stderr alone."""
+    codes = {line.split("\t")[0]: line.split("\t")[1] for line in theirs}
+    counts = {"0": 0, "2": 0, "changed": 0}
+    known = set(theirs)
+    for line in mine:
+        if line not in known:
+            label, code = line.split("\t")[:2]
+            counts[code if codes.get(label) == code else "changed"] += 1
+    return (f"{counts['0']} differ with exit 0 on both sides, {counts['2']} exit 2 "
+            f"on both sides with only stderr changed, {counts['changed']} changed exit code")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="SRC",
@@ -208,6 +226,8 @@ def main() -> int:
                             + [f"{len(set(lines) - set(other))} of {len(lines)} digest lines differ"]))
         else:
             print("\n".join(diff) if diff else f"{len(lines)} outputs identical")
+        if diff:
+            print(classify(other, lines), file=sys.stderr)
     return 1 if diff or differs else 0
 
 

@@ -179,7 +179,20 @@ TWO_KEYS = [  # (preset, first key=value, second key=value, the field both set)
     ("custom", "ps_db=20", "ps=1", "Ps"),
     ("fig6", "n_ant=64", "nrx=32", "Nrx"),
     ("fig4", "pp_fixed_db=5", "pp=2", "Pp"),
+    # custom's sweep sets the fields of the key it sweeps
+    ("custom", "nrx=50", "sweep=nrx:40:60:3", "Nrx"),
+    ("custom", "sweep=n_ant:16:64:3", "ntx=32", "Ntx"),
 ]
+# the config fields each preset sets itself, so that no key may set them
+PRESET_SETS = {
+    "fig2": ("Nrx", "Ntx", "Ps", "Pr"), "fig3": ("Nrx", "Ntx", "Ps", "Pr"),
+    "fig4": ("Nrx", "Ntx", "Ps", "Pr"), "fig6": ("sigma_li_sq",), "fig7": ("Nrx", "Ntx"),
+    "fig8": (), "fig9": ("Ps", "Pr"), "custom": (),
+}
+# a value for every config key, other than every preset's own
+KEY_VALUES = {"k": "4", "nrx": "150", "ntx": "150", "n_ant": "150", "t": "300",
+              "tau": "30", "pp": "5", "ps": "5", "pr": "5", "sigma_li_sq": "0.5",
+              "pp_db": "7", "ps_db": "7", "pr_db": "7", "sigma_li_db": "-3"}
 
 
 @pytest.mark.parametrize("preset, first, second, field", TWO_KEYS)
@@ -189,7 +202,7 @@ def test_two_keys_for_one_field_exit_2_by_name(tmp_path, capsys, preset, first, 
     # sorted order, so the run is refused by name and writes nothing
     out = tmp_path / "out"
     argv = ["run", "--preset", preset, "--set", first, "--set", second, "--out", str(out)]
-    if preset == "custom":
+    if preset == "custom" and "sweep=" not in first + second:
         argv += ["--set", "sweep=sigma_li_db:0:10:2"]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
@@ -201,13 +214,17 @@ def test_two_keys_for_one_field_exit_2_by_name(tmp_path, capsys, preset, first, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("preset, first, second, field", TWO_KEYS)
-def test_run_spec_refuses_two_keys_for_one_field_before_the_preset_runs(
-        tmp_path, monkeypatch, preset, first, second, field):
+def _stub_run(monkeypatch, preset):
     def run(spec):
         raise AssertionError("the preset ran")
 
     monkeypatch.setitem(cli._PRESETS, preset, cli._PRESETS[preset]._replace(run=run))
+
+
+@pytest.mark.parametrize("preset, first, second, field", TWO_KEYS)
+def test_run_spec_refuses_two_keys_for_one_field_before_the_preset_runs(
+        tmp_path, monkeypatch, preset, first, second, field):
+    _stub_run(monkeypatch, preset)
     # each key alone passes the vetting and reaches the preset
     for item in (first, second):
         with pytest.raises(AssertionError, match="the preset ran"):
@@ -218,6 +235,81 @@ def test_run_spec_refuses_two_keys_for_one_field_before_the_preset_runs(
         run_spec(RunSpec(preset=preset, seed=1, trials=1, overrides=overrides,
                          out_dir=str(tmp_path / "out")))
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_SETS))
+def test_run_spec_refuses_a_field_the_preset_sets_before_the_preset_runs(
+        tmp_path, monkeypatch, preset):
+    # every key of a field the preset sets is refused by name, the preset,
+    # the key and the (first) field, before the preset runs; every other
+    # config key reaches the preset
+    _stub_run(monkeypatch, preset)
+    for key, value in KEY_VALUES.items():
+        spec = RunSpec(preset=preset, seed=1, trials=1, overrides={key: value},
+                       out_dir=str(tmp_path / "out"))
+        field = next((f for f in cli._KEY_FIELDS[key] if f in PRESET_SETS[preset]), None)
+        if field is None:
+            with pytest.raises(AssertionError, match="the preset ran"):
+                run_spec(spec)
+        else:
+            with pytest.raises(ValueError) as exc:
+                run_spec(spec)
+            assert str(exc.value) == (f"{preset} sets {field} itself; "
+                                      f"override {key!r} is not allowed")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_SETS))
+def test_an_accepted_override_reaches_every_config_the_preset_hands_on(
+        tmp_path, monkeypatch, preset):
+    # each config key is either refused before the preset runs or its value
+    # is in every SystemConfig the preset hands to the rate, Monte Carlo,
+    # bisection and allocation layers, so a preset's declared fields cannot
+    # drift from what its body overwrites
+    assert set(KEY_VALUES) == set(cli._KEY_FIELDS)
+    ran, seen = [], []
+    real_run = cli._PRESETS[preset].run
+
+    def run(spec):
+        ran.append(1)
+        return real_run(spec)
+
+    def configs(obj):
+        if isinstance(obj, SystemConfig):
+            yield obj
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                yield from configs(item)
+
+    def spied(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            seen.extend(configs(args))
+            if name == "optimize_powers":  # out of reach: reported without a GP round
+                args = args[:3] + (1e6,)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setitem(cli._PRESETS, preset, cli._PRESETS[preset]._replace(run=run))
+    for name in ("rate_zf", "rate_mr", "simulate", "required_power", "optimize_powers"):
+        monkeypatch.setattr(cli, name, spied(name))
+    extra = {"sweep": "ps_db:0:10:2"} if preset == "custom" else {}
+    trials = 2 if preset in ("fig2", "fig3", "fig8") else 1
+    for key, value in KEY_VALUES.items():
+        ran.clear()
+        seen.clear()
+        spec = RunSpec(preset=preset, seed=1, trials=trials, overrides={key: value, **extra},
+                       out_dir=str(tmp_path / key))
+        try:
+            run_spec(spec)
+        except ValueError:
+            if not ran:  # refused before the preset ran
+                assert not (tmp_path / key).exists()
+                continue
+        assert ran and seen, key
+        for field in cli._KEY_FIELDS[key]:
+            assert {getattr(cfg, field) for cfg in seen} == {cli._value(key, value)}, key
 
 
 def test_failed_run_writes_no_file(tmp_path, capsys):
@@ -334,6 +426,22 @@ def test_non_integer_overrides_exit_2(tmp_path, capsys, key):
     assert not (tmp_path / "fig6.csv").exists()
 
 
+@pytest.mark.parametrize("preset, item", [
+    ("fig6", "ps=abc"), ("fig6", "k=abc"), ("fig4", "target_rate=x"),
+    ("fig8", "path_exponent=y"),
+])
+def test_a_value_that_is_not_a_number_names_its_key(tmp_path, capsys, preset, item):
+    # a config key, an integer key and two extras
+    out = tmp_path / "out"
+    assert main(["run", "--preset", preset, "--trials", "2", "--set", item,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": f"override {item} is not a number",
+                                  "type": "ValueError"}
+    assert not out.exists()
+
+
 def test_integral_spellings_are_accepted(tmp_path):
     for spelling in ("64", "64.0"):
         out = tmp_path / spelling
@@ -381,11 +489,18 @@ def test_bad_requests_exit_2_with_json_error(tmp_path, capsys, argv_extra):
 @pytest.mark.parametrize("sweep, message", [
     ("n_ant:8:12:x", "sweep 'n_ant:8:12:x': invalid literal for int() with base 10: 'x'"),
     ("n_ant:a:12:3", "sweep 'n_ant:a:12:3': could not convert string to float: 'a'"),
-], ids=["points", "start"])
+    ("n_ant:1e400:3:2", "sweep 'n_ant:1e400:3:2': start and stop must be finite"),
+    ("ps_db:0:inf:3", "sweep 'ps_db:0:inf:3': start and stop must be finite"),
+    ("ps:nan:1:3", "sweep 'ps:nan:1:3': start and stop must be finite"),
+], ids=["points", "start", "overflow", "inf", "nan"])
 def test_a_bad_sweep_number_names_the_sweep(tmp_path, capsys, sweep, message):
+    # refused before numpy builds the grid: outside pytest's error filter
+    # the one JSON line still lists no warning
     out = tmp_path / "out"
-    assert main(["run", "--preset", "custom", "--set", f"sweep={sweep}",
-                 "--out", str(out)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert main(["run", "--preset", "custom", "--set", f"sweep={sweep}",
+                     "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert json.loads(err[0]) == {"error": message, "type": "ValueError"}
