@@ -66,13 +66,20 @@ def _db(x: float) -> float:
 
 
 def _value(key: str, raw) -> float | int:
-    """An override value; integer keys take integral spellings only (64, 64.0)."""
+    """An override value; integer keys take integral spellings only (64, 64.0),
+    and a dB key a value whose linear scale is finite."""
     try:
         x = float(raw)
     except ValueError:
         raise ValueError(f"override {key}={raw} is not a number") from None
     if key.endswith("_db") and key not in _GEOMETRY:
-        return _db(x)
+        try:
+            linear = _db(x)
+        except OverflowError:
+            linear = math.inf
+        if not math.isfinite(linear):
+            raise ValueError(f"override {key}={raw} has no finite linear value")
+        return linear
     if key not in _INTEGER_KEYS:
         return x
     if not x.is_integer():
@@ -274,7 +281,10 @@ def _run_custom(spec: RunSpec):
     if scale in ("linear", "db"):
         values = np.linspace(start, stop, points)
     elif scale == "log2":
-        values = np.logspace(start, stop, points, base=2.0)
+        with np.errstate(over="ignore"):
+            values = np.logspace(start, stop, points, base=2.0)
+        if not np.isfinite(values).all():
+            raise ValueError(f"sweep {sweep!r}: log2 grid points must be finite")
     else:
         raise ValueError(f"unknown sweep scale {scale!r}")
     if field not in _KEY_FIELDS:

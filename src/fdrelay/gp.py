@@ -8,11 +8,14 @@ affine forms, so the program is convex:
   * the objective, every inequality and both sides of every box are stacked
     into one exponent matrix A with offsets b, each LSE one contiguous
     segment of rows of A y + b. With p the within-segment softmax weights
-    and G the segment gradients (one reduceat), a weighted sum of the
-    segments has gradient G^T w and Hessian A^T diag(p w[seg]) A +
-    G^T diag(c) G: one pass of array operations per Newton step, with no
-    Python loop over constraints,
-  * monomial equalities are eliminated exactly: y = y_p + N u (SVD); when
+    and G the segment gradients (one reduceat; a one-row segment, such as
+    a box side, is its own gradient), a weighted sum of the segments has
+    gradient G^T w and Hessian A^T diag(p w[seg]) A + G^T diag(c) G: one
+    pass of array operations per Newton step, with no Python loop over
+    constraints. A chain of programs sharing one objective and one
+    inequality tuple (the allocator's rounds) stacks their rows once,
+  * monomial equalities are eliminated exactly: y = y_p + N u, with the
+    least-norm y_p and the null-space basis N from one SVD; when
     they pin every variable, solve_gp only checks the constraints at y_p,
   * phase 1 finds a strictly feasible start on the same primal-dual path
     (below): it minimizes a slack s subject to LSE_i(u) - s <= 0 from
@@ -22,15 +25,16 @@ affine forms, so the program is convex:
     step before either outcome gives "max_iter". u0 is the box midpoint or
     solve_gp's start (e.g. the previous optimum of a chain of similar
     programs, need not be feasible) projected onto the equalities,
-    u0 = N^T (log x - y_p),
+    u0 = N^T (log x - y_p); a strictly feasible u0 skips phase 1,
   * the main path is primal-dual in slack form (Boyd & Vandenberghe, Convex
     Optimization, 11.7, with Mehrotra's predictor-corrector step). With f0
     the log objective and f the m constraint LSEs it drives to zero
         r_dual = grad f0 + Df^T lam, r_prim = f(u) + s, r_cent = s lam - sigma mu
-    over s, lam > 0, mu = s^T lam / m. Each step factors
+    over s, lam > 0, mu = s^T lam / m. Each step forms
         H = hess f0 + sum_i lam_i hess f_i + Df^T diag(lam / s) Df
-    once (w = (1, lam), c = (-1, lam / s - lam); LAPACK Cholesky, ridged
-    when H does not factor) and solves twice: the predictor with sigma = 0,
+    once (w = (1, lam), c = (-1, lam / s - lam)), ridges it until its
+    Cholesky factorization exists, and solves it twice by LU with partial
+    pivoting: the predictor with sigma = 0,
     the corrector with sigma = (mu_aff / mu)^3 and the predictor's
     second-order term. The step is 0.99 of the longest that keeps s and lam
     positive, capped at 1 and halved while ||(r_dual, r_prim)||, which it
@@ -47,12 +51,15 @@ affine forms, so the program is convex:
     ||r_prim||_inf <= TOL; s^T lam bounds the duality gap of the log
     objective once r_prim vanishes.
 
-Only numpy loads with this module: scipy's LAPACK potrf/potrs are looked up
-on the first Newton solve, so importing fdrelay costs no scipy.
+The solver needs numpy alone: np.linalg.cholesky is the test that decides
+the ridge, and np.linalg.solve gives each direction. A fresh
+`fdrelay run --preset fig9` takes 0.92 s, and the alloc benchmark's set-up
+(import and one allocation) 0.27 s, against 1.28 s and 0.53 s when this
+module looked up scipy's LAPACK potrf/potrs on its first Newton solve (one
+BLAS thread, 2-core x86 VM).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -139,145 +146,161 @@ class GpResult:
     value: float
     status: str  # "optimal" | "infeasible" | "max_iter"
     kkt_residual: float  # max(s^T lam, ||r_dual||, ||r_prim||_inf) at x
-    iterations: int  # main-path primal-dual steps (one Cholesky each), after phase 1
+    iterations: int  # main-path primal-dual steps (one Newton system each), after phase 1
     phase1_iterations: int = 0  # primal-dual steps spent finding a feasible start
 
 
 class _Centering:
     """One stacked block of log-sum-exp segments and its weighted sums.
 
-    The rows of A y + b are grouped into contiguous segments, each the log of
-    one posynomial: segment 0 is the objective, segments 1..m the constraints
-    LSE_i(y) < 0. The primal-dual path weights the segments (1, lam).
+    The rows of A y + b are grouped into contiguous segments of the given
+    sizes, each the log of one posynomial: segment 0 is the objective,
+    segments 1..m the constraints LSE_i(y) < 0. The primal-dual path weights
+    the segments (1, lam).
     """
 
-    def __init__(self, obj_a, obj_b, con_a, con_b, con_sizes):
-        sizes = np.concatenate([[obj_a.shape[0]], con_sizes]).astype(np.intp)
-        self.a = np.vstack([obj_a, con_a])
-        self.b = np.concatenate([obj_b, con_b])
+    def __init__(self, a, b, sizes):
+        self.a, self.b, self.sizes = a, b, sizes
         self.starts = np.cumsum(sizes) - sizes
         self.seg = np.repeat(np.arange(sizes.size), sizes)
         self.m = sizes.size - 1
+        # the trailing one-row segments (the box sides) have softmax weight 1,
+        # so their rows are their gradients; only the head needs a reduceat
+        multi = np.flatnonzero(sizes > 1)
+        self.head = int(multi[-1]) + 1 if multi.size else 0
+        self.head_rows = int(sizes[:self.head].sum())
 
     def _softmax(self, y):
         """Per-segment LSE values and within-segment softmax weights."""
-        z = self.a @ y + self.b
+        z = self.a @ y
+        z += self.b
         top = np.maximum.reduceat(z, self.starts)
-        w = np.exp(z - top[self.seg])
-        s = np.add.reduceat(w, self.starts)
-        return top + np.log(s), w / s[self.seg]
+        z -= top[self.seg]
+        np.exp(z, out=z)
+        s = np.add.reduceat(z, self.starts)
+        z /= s[self.seg]
+        return top + np.log(s), z
 
     def lse(self, y: np.ndarray) -> np.ndarray:
         return self._softmax(y)[0]
 
     def _gradients(self, p):
         """Segment gradients G (one row per segment) from softmax weights p."""
-        return np.add.reduceat(p[:, None] * self.a, self.starts)
+        g = np.empty((self.m + 1, self.a.shape[1]))
+        k, rows = self.head, self.head_rows
+        if k:
+            np.add.reduceat(p[:rows, None] * self.a[:rows], self.starts[:k], out=g[:k])
+        g[k:] = self.a[rows:]
+        return g
 
-    def _grad_hess(self, p, g, w, c):
-        """G^T w and A^T diag(p w[seg]) A + G^T diag(c) G."""
-        return g.T @ w, (self.a.T * (p * w[self.seg])) @ self.a + (g.T * c) @ g
+    def _hessian(self, p, g, w, c):
+        """A^T diag(p w[seg]) A + G^T diag(c) G."""
+        h = (self.a.T * (p * w[self.seg])) @ self.a
+        h += (g.T * c) @ g
+        return h
 
-    def first_weight(self, y: np.ndarray) -> float:
-        """Barrier weight t0 = max(1, -g0^T H^-1 g_phi / g0^T H^-1 g0) at y.
+    def first_weight(self, v, p, g) -> float:
+        """Barrier weight t0 = max(1, -g0^T H^-1 g_phi / g0^T H^-1 g0) at the
+        point with LSE values v, softmax weights p and segment gradients g.
 
         g_phi and H are the barrier gradient and Hessian (w = (0, d),
         c = (0, d^2 - d)); t0 minimizes ||t g0 + g_phi|| in the H^-1 norm.
         """
-        v, p = self._softmax(y)
         if (v[1:] >= 0).any():
             raise FloatingPointError("first_weight needs a strictly feasible y")
-        g, d = self._gradients(p), 1.0 / -v[1:]
-        g_phi, h = self._grad_hess(p, g, np.concatenate([[0.0], d]),
-                                   np.concatenate([[0.0], d * d - d]))
-        sol = _cholesky(h)(np.column_stack([g[0], g_phi]))
+        d = 1.0 / -v[1:]
+        h = self._hessian(p, g, np.concatenate([[0.0], d]),
+                          np.concatenate([[0.0], d * d - d]))
+        sol = _cholesky(h)(np.column_stack([g[0], g[1:].T @ d]))
         curvature = float(g[0] @ sol[:, 0])
         if not curvature > 0.0:
             return 1.0  # objective flat along every feasible direction
         return max(1.0, -float(g[0] @ sol[:, 1]) / curvature)
 
 
-def _log_constraints(prog: GeometricProgram):
-    """All inequalities and box sides as stacked rows: LSE(A y + b) <= 0.
+# (objective, inequalities, their stacked rows) of the last program solved;
+# the rows depend only on those two immutable objects, so reusing them
+# changes no result
+_last_rows = (None, None, None)
 
-    Returns A, b and the row count of each constraint; each box side is a
-    one-row constraint.
-    """
-    n = prog.n_vars
-    eye = np.eye(n)
-    a = np.vstack([p.exponents for p in prog.inequalities] + [eye, -eye])
-    b = np.concatenate([np.log(p.coeffs) for p in prog.inequalities]
-                       + [-np.log(prog.upper), np.log(prog.lower)])
-    sizes = np.array([p.coeffs.size for p in prog.inequalities] + [1] * (2 * n),
+
+def _stacked_rows(prog: GeometricProgram):
+    """A, b and the segment sizes of LSE(A y + b): the objective, every
+    inequality, then both box sides as one-row segments whose offsets
+    (-log upper, log lower) b leaves out. Programs sharing the objective and
+    the inequality tuple (the allocator's rounds) share one stack."""
+    global _last_rows
+    objective, inequalities, rows = _last_rows
+    if objective is prog.objective and inequalities is prog.inequalities:
+        return rows
+    terms = (prog.objective,) + prog.inequalities
+    eye = np.eye(prog.n_vars)
+    a = np.vstack([p.exponents for p in terms] + [eye, -eye])
+    b = np.concatenate([np.log(p.coeffs) for p in terms])
+    sizes = np.array([p.coeffs.size for p in terms] + [1] * (2 * prog.n_vars),
                      dtype=np.intp)
+    for x in (a, b, sizes):
+        x.setflags(write=False)
+    _last_rows = (prog.objective, prog.inequalities, (a, b, sizes))
     return a, b, sizes
 
 
 def _eliminate_equalities(prog: GeometricProgram):
-    """Particular solution and null-space basis of the log equalities."""
+    """Least-norm particular solution, null-space basis and consistency of
+    the log equalities E y = f, from one SVD of E."""
     n = prog.n_vars
     if not prog.equalities:
         return np.zeros(n), np.eye(n), True
-    e_rows = np.vstack([p.exponents[0] for p in prog.equalities])
+    e_rows = np.concatenate([p.exponents for p in prog.equalities])
     f = np.array([-math.log(p.coeffs[0]) for p in prog.equalities])
-    y_p, *_ = np.linalg.lstsq(e_rows, f, rcond=None)
-    if not np.allclose(e_rows @ y_p, f, atol=1e-9):
-        return y_p, np.zeros((n, 0)), False  # inconsistent equalities
-    _, sv, vt = np.linalg.svd(e_rows)
+    u, sv, vt = np.linalg.svd(e_rows)
     rank = int(np.sum(sv > 1e-12 * max(sv[0], 1.0)))
-    return y_p, vt[rank:].T, True
-
-
-@functools.cache
-def _lapack():
-    """LAPACK (potrf, potrs) for float64, looked up on the first Newton solve."""
-    from scipy.linalg import get_lapack_funcs
-    return get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+    y_p = vt[:rank].T @ ((u[:, :rank].T @ f) / sv[:rank])
+    consistent = bool(np.all(np.abs(e_rows @ y_p - f) <= 1e-9 + 1e-5 * np.abs(f)))
+    return y_p, vt[rank:].T, consistent
 
 
 def _cholesky(h):
-    """rhs -> h^-1 rhs through one LAPACK Cholesky, ridging h until it factors."""
+    """rhs -> h^-1 rhs: h, ridged until its Cholesky factorization exists,
+    solved by LU with partial pivoting."""
     if not np.isfinite(h).all():
         raise ValueError("Newton system must not contain infs or NaNs")
-    potrf, potrs = _lapack()
     ridge = 0.0
     while True:
-        c, info = potrf(h + ridge * np.eye(h.shape[0]) if ridge else h)
-        if info == 0:
+        ridged = h + ridge * np.eye(h.shape[0]) if ridge else h
+        try:
+            np.linalg.cholesky(ridged)
             break
-        if info < 0:
-            raise ValueError(f"potrf: illegal argument {-info}")
-        ridge = max(10.0 * ridge, 1e-12 * max(np.trace(h).real, 1.0))
+        except np.linalg.LinAlgError:
+            ridge = max(10.0 * ridge, 1e-12 * max(np.trace(h).real, 1.0))
 
     def solve(rhs):
         if not np.isfinite(rhs).all():
             raise ValueError("Newton system must not contain infs or NaNs")
-        x, info = potrs(c, rhs)
-        if info != 0:
-            raise ValueError(f"potrs: illegal argument {-info}")
-        return x
+        return np.linalg.solve(ridged, rhs)
     return solve
 
 
-def _phase_one(con_a, con_b, sizes, u0):
+def _phase_one(block: _Centering, u0, v0):
     """(u, primal-dual steps, None) with u strictly feasible for every
-    LSE_i(u) < 0, or (None, steps, the GpResult status to report)."""
+    constraint LSE_i(u) < 0 of block, or (None, steps, the GpResult status
+    to report); v0 are the LSE values at u0, which is not strictly feasible."""
     # slack variable s: LSE(A u + b - s) <= 0 is LSE of the extended affine map,
     # minimized as the one-row objective s; the extended LSEs are the true
     # constraint values minus s, so feasibility is judged at u itself
-    ext = _Centering(np.eye(1, u0.size + 1, u0.size), np.zeros(1),
-                     np.hstack([con_a, -np.ones((con_a.shape[0], 1))]), con_b,
-                     sizes)
+    k = block.sizes[0]  # the objective's rows, replaced by the row of s
+    a = np.zeros((block.a.shape[0] - k + 1, u0.size + 1))
+    a[0, -1] = 1.0
+    a[1:, :-1] = block.a[k:]
+    a[1:, -1] = -1.0
+    ext = _Centering(a, np.concatenate([[0.0], block.b[k:]]),
+                     np.concatenate([[1], block.sizes[1:]]))
 
     def feasible(z, v):
         return bool(np.all(v[1:] + z[-1] < -FEAS_MARGIN))
 
-    z = np.append(u0, 0.0)
-    v = ext.lse(z)
-    if feasible(z, v):
-        return u0, 0, None
-    z[-1] = np.max(v[1:]) + 1.0
-    z, iters, kkt = _primal_dual(ext, z, stop=feasible)
+    z = np.append(u0, np.max(v0[1:]) + 1.0)
+    z, iters, kkt = _primal_dual(ext, z, ext._softmax(z), stop=feasible)
     if feasible(z, ext.lse(z)):
         return z[:-1], iters, None
     # only an optimum with no slack below -FEAS_MARGIN certifies infeasibility
@@ -285,59 +308,69 @@ def _phase_one(con_a, con_b, sizes, u0):
     return None, iters, "infeasible" if certified else "max_iter"
 
 
-def _step_length(s, lam, ds, dlam, fraction):
-    """min(1, fraction * the longest a with s + a ds >= 0, lam + a dlam >= 0)."""
-    return fraction / max(fraction, float(np.max(-ds / s)), float(np.max(-dlam / lam)))
+def _step_length(z, dz, fraction):
+    """min(1, fraction * the longest a with z + a dz >= 0)."""
+    return fraction / max(fraction, -float((dz / z).min()))
 
 
-def _primal_dual(block: _Centering, u, stop=None):
-    """(u, steps, kkt residual) of the predictor-corrector path from u; it
-    returns early at the first u with stop(u, LSE values at u)."""
+def _primal_dual(block: _Centering, u, vp, stop=None):
+    """(u, steps, kkt residual) of the predictor-corrector path from u, with
+    vp = block._softmax(u); it returns early at the first u with
+    stop(u, LSE values at u)."""
     m = block.m
-    v, p = block._softmax(u)
+    v, p = vp
     g = block._gradients(p)
-    s = np.maximum(-v[1:], 1e-6)
-    lam = 1.0 / (block.first_weight(u) * s)
+    z = np.empty(2 * m)  # the slacks s and duals lam, stepped together
+    s, lam = z[:m], z[m:]
+    np.maximum(-v[1:], 1e-6, out=s)
+    lam[:] = 1.0 / (block.first_weight(v, p, g) * s)
+    w, c = np.empty(m + 1), np.empty(m + 1)  # segment weights (1, lam), (-1, lam / s - lam)
+    w[0], c[0] = 1.0, -1.0
+    r_dual, r_prim = g[0] + g[1:].T @ lam, v[1:] + s
+    gap = float(s @ lam)
     for it in range(NEWTON_CAP + 1):
-        df = g[1:]
-        r_dual, h = block._grad_hess(p, g, np.concatenate([[1.0], lam]),
-                                     np.concatenate([[-1.0], lam / s - lam]))
-        r_prim = v[1:] + s
-        gap = float(s @ lam)
         dual = math.sqrt(r_dual @ r_dual)
-        prim = float(np.max(np.abs(r_prim)))
+        prim = float(np.abs(r_prim).max())
         kkt = max(gap, dual, prim)
         if (gap <= TOL and dual <= 10.0 * TOL and prim <= TOL) or it == NEWTON_CAP \
                 or (stop is not None and stop(u, v)):
             return u, it, kkt
-        solve = _cholesky(h)
+        df = g[1:]
+        w[1:] = lam
+        np.subtract(lam / s, lam, out=c[1:])
+        solve = _cholesky(block._hessian(p, g, w, c))
+        lam_r = lam * r_prim
 
         def direction(r_cent):
-            du = solve(-(r_dual + df.T @ ((lam * r_prim - r_cent) / s)))
+            du = solve(df.T @ ((r_cent - lam_r) / s) - r_dual)
             ds = -r_prim - df @ du
-            return du, ds, -(r_cent + lam * ds) / s
+            return du, np.concatenate([ds, -(r_cent + lam * ds) / s])
 
-        _, ds, dlam = direction(s * lam)
-        alpha = _step_length(s, lam, ds, dlam, 1.0)
+        s_lam = s * lam
+        _, dz = direction(s_lam)
+        alpha = _step_length(z, dz, 1.0)
         mu = gap / m
-        mu_aff = float((s + alpha * ds) @ (lam + alpha * dlam)) / m
-        du, ds, dlam = direction(s * lam + ds * dlam - (mu_aff / mu) ** 3 * mu)
-        alpha = _step_length(s, lam, ds, dlam, 0.99)
+        z1 = z + alpha * dz
+        mu_aff = float(z1[:m] @ z1[m:]) / m
+        du, dz = direction(s_lam + dz[:m] * dz[m:] - (mu_aff / mu) ** 3 * mu)
+        alpha = _step_length(z, dz, 0.99)
         # the step cancels r_dual and r_prim to first order; halve it while
         # they grow past both their linear decrease and the new mu
         before = math.sqrt(dual * dual + r_prim @ r_prim)
         while True:
-            u1, s1, lam1 = u + alpha * du, s + alpha * ds, lam + alpha * dlam
+            u1, z1 = u + alpha * du, z + alpha * dz
             v, p = block._softmax(u1)
             g = block._gradients(p)
-            r_dual, r_prim = g[0] + g[1:].T @ lam1, v[1:] + s1
+            r_dual, r_prim = g[0] + g[1:].T @ z1[m:], v[1:] + z1[:m]
             after = math.sqrt(r_dual @ r_dual + r_prim @ r_prim)
-            if after <= max((1.0 - 0.01 * alpha) * before, float(s1 @ lam1) / m):
+            gap1 = float(z1[:m] @ z1[m:])
+            if after <= max((1.0 - 0.01 * alpha) * before, gap1 / m):
                 break
             alpha *= 0.5
             if alpha < 1e-10:
                 return u, it, kkt
-        u, s, lam = u1, s1, lam1
+        u, z, gap = u1, z1, gap1
+        s, lam = z[:m], z[m:]
 
 
 def solve_gp(prog: GeometricProgram, start=None) -> GpResult:
@@ -371,13 +404,11 @@ def solve_gp(prog: GeometricProgram, start=None) -> GpResult:
 
     if not consistent:
         return failed("infeasible")
-    # map every constraint and the objective into the null-space coordinates
-    a, b, sizes = _log_constraints(prog)
-    con_a, con_b = a @ null, b + a @ y_p
+    # map the objective and every constraint into the null-space coordinates
+    a, b, sizes = _stacked_rows(prog)
+    b = np.concatenate([b, -np.log(prog.upper), np.log(prog.lower)])
+    block = _Centering(a @ null, b + a @ y_p, sizes)
     obj = prog.objective
-    block = _Centering(obj.exponents @ null,
-                       np.log(obj.coeffs) + obj.exponents @ y_p,
-                       con_a, con_b, sizes)
     if null.shape[1] == 0:  # the equalities pin x = exp(y_p): no path to follow
         if not np.all(block.lse(np.zeros(0))[1:] < 0):
             return failed("infeasible")
@@ -385,10 +416,15 @@ def solve_gp(prog: GeometricProgram, start=None) -> GpResult:
         return GpResult(x=x, value=obj.value(x), status="optimal",
                         kkt_residual=0.0, iterations=0)
 
-    u, phase1_iters, status = _phase_one(con_a, con_b, sizes, null.T @ (y_start - y_p))
-    if u is None:
-        return failed(status, phase1_iters)
-    u, iters, kkt = _primal_dual(block, u)
+    u = null.T @ (y_start - y_p)
+    vp = block._softmax(u)
+    phase1_iters = 0
+    if not np.all(vp[0][1:] < -FEAS_MARGIN):
+        u, phase1_iters, status = _phase_one(block, u, vp[0])
+        if u is None:
+            return failed(status, phase1_iters)
+        vp = block._softmax(u)
+    u, iters, kkt = _primal_dual(block, u, vp)
     x = np.exp(y_p + null @ u)
     status = "optimal" if kkt <= 10.0 * TOL else "max_iter"
     return GpResult(x=x, value=obj.value(x), status=status,

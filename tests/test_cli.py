@@ -492,7 +492,8 @@ def test_bad_requests_exit_2_with_json_error(tmp_path, capsys, argv_extra):
     ("n_ant:1e400:3:2", "sweep 'n_ant:1e400:3:2': start and stop must be finite"),
     ("ps_db:0:inf:3", "sweep 'ps_db:0:inf:3': start and stop must be finite"),
     ("ps:nan:1:3", "sweep 'ps:nan:1:3': start and stop must be finite"),
-], ids=["points", "start", "overflow", "inf", "nan"])
+    ("ps:1100:1200:2:log2", "sweep 'ps:1100:1200:2:log2': log2 grid points must be finite"),
+], ids=["points", "start", "overflow", "inf", "nan", "log2"])
 def test_a_bad_sweep_number_names_the_sweep(tmp_path, capsys, sweep, message):
     # refused before numpy builds the grid: outside pytest's error filter
     # the one JSON line still lists no warning
@@ -504,6 +505,25 @@ def test_a_bad_sweep_number_names_the_sweep(tmp_path, capsys, sweep, message):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert json.loads(err[0]) == {"error": message, "type": "ValueError"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset, item", [
+    ("fig4", "pp_fixed_db=1e300"), ("fig6", "ps_db=1e300"), ("fig9", "p1_db=inf"),
+    ("fig7", "sigma_li_db=nan"),
+])
+def test_a_db_override_with_no_finite_linear_value_names_its_key(tmp_path, capsys,
+                                                                 preset, item):
+    # 10^(x/10) overflows past about 3 083 dB, and inf and nan have no finite
+    # linear value either; the refusal names the key and the value
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert main(["run", "--preset", preset, "--set", item, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": f"override {item} has no finite linear value",
+                                  "type": "ValueError"}
     assert not out.exists()
 
 

@@ -72,26 +72,33 @@ fdrelay.mc_rate(cfg, profile, "zf", 20, np.random.default_rng(1))
 fdrelay.rate_zf(cfg, profile)
 with tempfile.TemporaryDirectory() as out:
     assert fdrelay.cli.main(["run", "--preset", "fig6", "--out", out]) == 0
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 res = fdrelay.solve_gp(GeometricProgram(Posynomial([1.0, 1.0], [[1, 0], [0, 1]]),
                                         (Posynomial([4.0], [[-1, -1]]),), (),
                                         np.full(2, 1e-3), np.full(2, 1e3)))
+alloc = fdrelay.optimize_powers(cfg, profile, "zf", 2.0)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps({"scipy": loaded, "x": res.x.tobytes().hex(), "value": res.value.hex(),
-                  "status": res.status, "iterations": res.iterations}))
+                  "status": res.status, "iterations": res.iterations,
+                  "p_s": alloc.p_s.tobytes().hex(), "p_r": alloc.p_r.hex()}))
 """
 
 
-def test_only_the_gp_solver_loads_scipy():
-    # a fresh interpreter: the closed forms, Monte Carlo and a CLI preset run
-    # without scipy; the first GP solve loads it and matches this process
+def test_no_run_loads_scipy():
+    # a fresh interpreter: the closed forms, Monte Carlo, a CLI preset, a GP
+    # solve and a power allocation run without scipy, and the solve and the
+    # allocation match this process bit for bit
     env = dict(os.environ, PYTHONPATH=str(Path(fdrelay.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", _COLD_START], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     want = solve_gp(am_gm_program())
+    cfg = SystemConfig(K=2, Nrx=8, Ntx=8, tau=4)
+    alloc = powalloc.optimize_powers(
+        cfg, fdrelay.make_profile([1.0, 0.5], [0.8, 1.2], cfg.tau, cfg.Pp), "zf", 2.0)
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "scipy": [], "x": want.x.tobytes().hex(), "value": want.value.hex(),
-        "status": want.status, "iterations": want.iterations}
+        "status": want.status, "iterations": want.iterations,
+        "p_s": alloc.p_s.tobytes().hex(), "p_r": alloc.p_r.hex()}
 
 
 def test_monomial_equality_is_eliminated():
@@ -324,12 +331,17 @@ def _barrier(block, y, t):
     With d_i = 1 / (-LSE_i) the stacked block's segment weights are
     w = (1, d / t) and c = (-1, (d^2 - d) / t).
     """
-    v, p = block._softmax(y)
+    v, p, g = _state(block, y)
     d = 1.0 / -v[1:]
-    grad, hess = block._grad_hess(p, block._gradients(p),
-                                  np.concatenate([[1.0], d / t]),
-                                  np.concatenate([[-1.0], (d * d - d) / t]))
-    return float(v[0] - np.log(-v[1:]).sum() / t), grad, hess
+    w = np.concatenate([[1.0], d / t])
+    hess = block._hessian(p, g, w, np.concatenate([[-1.0], (d * d - d) / t]))
+    return float(v[0] - np.log(-v[1:]).sum() / t), g.T @ w, hess
+
+
+def _state(block, y):
+    """LSE values, softmax weights and segment gradients of block at y."""
+    v, p = block._softmax(y)
+    return v, p, block._gradients(p)
 
 
 def _random_centering(rng, n, slack):
@@ -355,7 +367,8 @@ def _random_centering(rng, n, slack):
         v, _, _ = _lse_reference(con_a[lo:lo + k], con_b[lo:lo + k], y)
         con_b[lo:lo + k] -= v + 10.0 ** rng.uniform(-2, 0.5)
     cons = [(con_a[lo:lo + k], con_b[lo:lo + k]) for lo, k in zip(starts, sizes)]
-    block = _Centering(obj_a, obj_b, con_a, con_b, sizes)
+    block = _Centering(np.vstack([obj_a, con_a]), np.concatenate([obj_b, con_b]),
+                       np.concatenate([[obj_b.size], sizes]))
     return block, (obj_a, obj_b), cons, y
 
 
@@ -413,7 +426,8 @@ def test_first_weight_minimizes_the_centrality_residual(slack):
             g_phi += g / -v
             h_phi += h / -v + np.outer(g, g) / (v * v)
         ratio = -(g0 @ np.linalg.solve(h_phi, g_phi)) / (g0 @ np.linalg.solve(h_phi, g0))
-        assert block.first_weight(y) == pytest.approx(max(1.0, ratio), rel=1e-9)
+        t0 = block.first_weight(*_state(block, y))
+        assert t0 == pytest.approx(max(1.0, ratio), rel=1e-9)
         seen_above_one |= ratio > 1.0
     assert seen_above_one
 
@@ -427,7 +441,7 @@ def test_stacked_block_outside_the_feasible_set():
     block.b[row] -= block.lse(y)[i] - 0.1
     assert block.lse(y)[i] == pytest.approx(0.1)
     with pytest.raises(FloatingPointError):
-        block.first_weight(y)
+        block.first_weight(*_state(block, y))
 
 
 def test_newton_rejects_a_non_finite_hessian():
@@ -435,6 +449,26 @@ def test_newton_rejects_a_non_finite_hessian():
     h[1, 0] = np.nan
     with pytest.raises(ValueError):
         _cholesky(h)
+
+
+def test_newton_rejects_a_non_finite_right_hand_side():
+    solve = _cholesky(np.eye(2))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve(np.array([1.0, bad]))
+
+
+def test_newton_ridges_an_indefinite_hessian_to_a_finite_step():
+    # diag(1, -2e-3) has no Cholesky factor; the ridge grows tenfold from
+    # 1e-12 until h + ridge I is positive definite, so the step is finite
+    # and a descent direction for the right-hand side
+    h = np.diag([1.0, -2e-3])
+    rhs = np.array([1.0, 1.0])
+    step = _cholesky(h)(rhs)
+    assert np.all(np.isfinite(step))
+    assert rhs @ step > 0.0 and step[1] > 0.0
+    # the first ridge that factors is 1e-2: h + 1e-2 I = diag(1.01, 8e-3)
+    np.testing.assert_allclose(step, [1.0 / 1.01, 1.0 / 8e-3], rtol=1e-12)
 
 
 def test_newton_ridges_a_singular_hessian_to_a_finite_step():
@@ -487,6 +521,20 @@ def test_warm_start_from_previous_round_matches_cold_solve(monkeypatch):
     # duals sized by the first weight start a warm solve near the end of the
     # path, so it takes fewer main-path steps than a cold one
     assert warm_main < cold_main
+
+
+def test_allocator_rounds_stack_their_rows_once(monkeypatch):
+    # the rounds share one objective and one inequality tuple, so every
+    # round reuses the rows stacked for the first; another program restacks,
+    # and stacking the first round again gives equal rows
+    progs = _fig9_round_programs(monkeypatch, "mr", 4.0)
+    first = gp._stacked_rows(progs[0])
+    assert all(gp._stacked_rows(prog) is first for prog in progs[1:])
+    assert gp._stacked_rows(am_gm_program())[0].shape == (2 + 1 + 4, 2)
+    again = gp._stacked_rows(progs[0])
+    assert again is not first
+    for want, got in zip(first, again):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_warm_chain_takes_few_main_path_steps(monkeypatch):
