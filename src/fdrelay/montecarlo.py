@@ -53,6 +53,20 @@ one draw serves every point with the same (K, Nrx, Ntx), and
 random numbers. The inverse-Gram moment reads the same inverse:
 [(Ghat^H Ghat)^-1]_kk = ||column k of X||^2 / sigma_k^2.
 
+Every batched product of _tri_inv, _bases and _features goes through _mm,
+which chooses its method by the pair count K. `@` makes one numpy call per
+K x K matrix, so at K <= 3 a product is instead one whole-batch
+multiply-add per contracted index; from K = 4 it is `@`, bit for bit.
+Complex (n, K, K) products, one BLAS thread, µs (best of 15 on a 2-core
+x86 VM):
+
+    K    n      @      multiply-adds
+    2    600    179     41
+    3    600    198     89
+    4    100     34     38
+    5    600    220    825
+    10   100     67    330
+
 The decode and forward probes read the same pass. With x and x_fwd the
 source and forwarded symbols (iid CN(0, 1)), the relay noise n ~ CN(0, I_Nrx)
 and the relay transmit vector s = sqrt(er/Ntx) A x_fwd, they are the residual
@@ -83,7 +97,8 @@ Statistical Inference, 5.5.4): sqrt(g^T S g / T), with S the sample
 covariance of one trial's features and g the gradient of the quantity at
 the pooled means. A plain per-trial mean (multipair, loop, noise, a genie
 rate, the inverse-Gram diagonal) has a unit gradient, and its stderr is the
-iid one.
+iid one. A result's stderrs all come from one product G^T S G of its
+stacked gradients: 11 for a bound, 3 for the genie rates.
 
 Everything consumes a caller-supplied Generator in a fixed chunk order, so a
 given seed reproduces results exactly regardless of available memory, and
@@ -225,12 +240,44 @@ def _draw(cfg: SystemConfig, n: int, rng: np.random.Generator):
             _cn((n, cfg.K, m_rd), rng))
 
 
+# Up to this pair count a batched product is one whole-batch multiply-add
+# per contracted index; above it the product is `@`, which makes one numpy
+# call per matrix. Complex (n, K, K) products, one BLAS thread, µs for `@` /
+# multiply-adds:
+#
+#     K = 2,  n = 600:  179 /  41      K = 5,  n = 600:  220 / 825
+#     K = 3,  n = 600:  198 /  89      K = 10, n = 100:   67 / 330
+#     K = 4,  n = 100:   34 /  38
+#
+# The rule goes by K, not by the contracted length, so every product at
+# K >= 4 (the short first rows of _tri_inv among them) keeps the bits of `@`.
+_BROADCAST_MAX_K = 3
+
+
+def _mm(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """a @ b for a batch of products at pair count k: a matrix or, for a 1-D b,
+    a vector over the last axis of a (_BROADCAST_MAX_K chooses the method)."""
+    width = a.shape[-1]
+    if k > _BROADCAST_MAX_K or width == 0:  # an empty contraction is @'s zeros
+        return a @ b
+    if b.ndim == 1:
+        out = a[..., 0] * b[0]
+        for j in range(1, width):
+            out += a[..., j] * b[j]
+        return out
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for j in range(1, width):
+        out += a[..., :, j, None] * b[..., None, j, :]
+    return out
+
+
 def _tri_inv(low: np.ndarray) -> np.ndarray:
     """Invert a batch (n, K, K) of lower-triangular L with real diagonals in place
     by forward substitution: X[i, :i] = -L[i, :i] X[:i, :i] / L_ii, X_ii = 1 / L_ii."""
-    for i in range(low.shape[-1]):
+    k = low.shape[-1]
+    for i in range(k):
         recip = 1.0 / low[:, i, i, None].real
-        low[:, i, :i] = (low[:, i, None, :i] @ low[:, :i, :i])[:, 0] * -recip
+        low[:, i, :i] = _mm(low[:, i, None, :i], low[:, :i, :i], k)[:, 0] * -recip
         low[:, i, i] = recip[:, 0]
     return low
 
@@ -239,19 +286,22 @@ def _bases(scheme: str, draw) -> tuple:
     """A chunk's point-independent products (module docstring): per hop ZF's
     diag(Q) and |Q|^2 or MR's P and Q, and the first hop's norms N and |B_l|^2."""
     l_sr, l_rd, z_e, z_l, z_r = draw
+    k = l_sr.shape[1]
     if scheme == "zf":  # Xbar_sr and Xbar_rd overwrite the draw's factors
         xbar_sr = np.conjugate(_tri_inv(l_sr), out=l_sr)
         xbar_rd = np.conjugate(_tri_inv(l_rd), out=l_rd)
         m_sr = np.swapaxes(xbar_sr, 1, 2)
-        q_sr, q_rd = m_sr @ z_e, z_r @ xbar_rd
+        q_sr, q_rd = _mm(m_sr, z_e, k), _mm(z_r, xbar_rd, k)
         return (np.diagonal(q_sr, axis1=1, axis2=2).copy(), np.abs(q_sr) ** 2,
-                np.sum(np.abs(xbar_sr) ** 2, axis=1), np.abs(m_sr @ z_l @ xbar_rd) ** 2,
+                np.sum(np.abs(xbar_sr) ** 2, axis=1),
+                np.abs(_mm(_mm(m_sr, z_l, k), xbar_rd, k)) ** 2,
                 np.diagonal(q_rd, axis1=1, axis2=2).copy(), np.abs(q_rd) ** 2)
     l_rd_t = np.swapaxes(l_rd, 1, 2)
-    p_sr, p_rd = l_sr @ np.swapaxes(l_sr, 1, 2).conj(), l_rd.conj() @ l_rd_t
-    return (p_sr, l_sr @ z_e, np.diagonal(p_sr, axis1=1, axis2=2).real,
-            np.abs(l_sr @ z_l @ l_rd_t) ** 2,
-            p_rd, z_r @ l_rd_t)
+    p_sr = _mm(l_sr, np.swapaxes(l_sr, 1, 2).conj(), k)
+    p_rd = _mm(l_rd.conj(), l_rd_t, k)
+    return (p_sr, _mm(l_sr, z_e, k), np.diagonal(p_sr, axis1=1, axis2=2).real,
+            np.abs(_mm(_mm(l_sr, z_l, k), l_rd_t, k)) ** 2,
+            p_rd, _mm(z_r, l_rd_t, k))
 
 
 class _Accumulator:
@@ -294,13 +344,18 @@ class _Accumulator:
         grad (F, K): column k is the gradient of estimate k in the features
         of pair k, the only ones it depends on. The sum's gradient is the
         sum of the per-pair ones, so its stderr counts the covariance
-        between pairs.
+        between pairs. Returns a (K,) array and a float; a stack (M, F, K)
+        of gradients returns (M, K) and (M,) arrays, all from one product.
         """
-        f, k = grad.shape
-        g = (grad[:, :, None] * np.eye(k)).reshape(f * k, k)
-        cov = g.T @ self.cov @ g / self.trials
-        return (np.sqrt(np.maximum(np.diagonal(cov), 0.0)),
-                float(np.sqrt(max(np.sum(cov), 0.0))))
+        stack = grad.reshape(-1, *grad.shape[-2:])
+        m, f, k = stack.shape
+        # column i K + j: estimate j of gradient i, in the features of pair j
+        g = (stack[..., None] * np.eye(k)).transpose(1, 2, 0, 3).reshape(f * k, m * k)
+        cov = (g.T @ self.cov @ g / self.trials).reshape(m, k, m, k)
+        own = cov[np.arange(m), :, np.arange(m)]  # (M, K, K): each estimate's own block
+        se = np.sqrt(np.maximum(np.diagonal(own, axis1=1, axis2=2), 0.0))
+        se_sum = np.sqrt(np.maximum(np.sum(own, axis=(1, 2)), 0.0))
+        return (se[0], float(se_sum[0])) if grad.ndim == 2 else (se, se_sum)
 
 
 def _grad(k: int, rows: dict) -> np.ndarray:
@@ -322,17 +377,17 @@ def _features(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     if scheme == "zf":
         alpha, u, v = alpha_zf(cfg, profile), 1.0 / s_sr, 1.0 / s_rd
         gd_sr, gd_rd = s_sr + d_sr * a_sr, s_rd + d_rd * a_rd
-        go_sr = b_sr @ d_sr ** 2 - np.abs(a_sr) ** 2 * d_sr ** 2
-        go_rd = d_rd ** 2 * (b_rd @ v ** 2 - np.abs(a_rd) ** 2 * v ** 2)
+        go_sr = _mm(b_sr, d_sr ** 2, cfg.K) - np.abs(a_sr) ** 2 * d_sr ** 2
+        go_rd = d_rd ** 2 * (_mm(b_rd, v ** 2, cfg.K) - np.abs(a_rd) ** 2 * v ** 2)
     else:  # "mr"
         alpha, u, v = alpha_mrt(cfg, profile), s_sr, s_rd
         g_sr, g_rd = a_sr * s_sr + b_sr * d_sr, a_rd * s_rd[:, None] + b_rd * d_rd[:, None]
         gd_sr, gd_rd = np.diagonal(g_sr, axis1=1, axis2=2), np.diagonal(g_rd, axis1=1, axis2=2)
         go_sr = np.sum(np.abs(g_sr) ** 2, axis=2) - np.abs(gd_sr) ** 2
-        go_rd = np.abs(g_rd) ** 2 @ v ** 2 - np.abs(gd_rd) ** 2 * v ** 2
+        go_rd = _mm(np.abs(g_rd) ** 2, v ** 2, cfg.K) - np.abs(gd_rd) ** 2 * v ** 2
     diag_sr, mp_sr = u * gd_sr, u ** 2 * go_sr
     diag_rd, mp_rd = alpha * v * gd_rd, alpha ** 2 * go_rd
-    li = cfg.sigma_li_sq * alpha ** 2 * u ** 2 * (loop2 @ v ** 2)
+    li = cfg.sigma_li_sq * alpha ** 2 * u ** 2 * _mm(loop2, v ** 2, cfg.K)
     an = u ** 2 * norm_sr
     abs2_sr, abs2_rd = np.abs(diag_sr) ** 2, np.abs(diag_rd) ** 2
     sinr_sr = cfg.Ps * abs2_sr / (cfg.Ps * mp_sr + cfg.Pr * li + an)
@@ -365,32 +420,26 @@ def _simulate(points, scheme: str, trials: int, rng: np.random.Generator,
     return accs
 
 
-def _hop_terms(acc: _Accumulator, rows: range) -> HopTerms:
-    """Pooled bound ingredients of one hop, from its feature rows."""
+def _hop_terms(acc: _Accumulator, rows: range):
+    """Pooled bound ingredients of one hop, from its feature rows, and the
+    gradients of its drawn fields' stderrs in HopTerms order."""
     re, im, gain2, *plain = acc.mean[rows.start:rows.stop]
     mean = re + 1j * im
     mag = np.abs(mean)
     k = mag.size
     first = rows.start
-
-    def stderr(grad_rows):
-        return acc.stderr(_grad(k, grad_rows))[0]
-
     # the second hop draws no loop or noise rows: its loop term is exactly
     # zero and its noise exactly one
-    zero = np.zeros(k)
-    mp, li, an = (plain + [zero, np.ones(k)])[:3]
-    se_mp, se_li, se_an = ([stderr({row: 1.0}) for row in rows[3:]] + [zero, zero])[:3]
-    return HopTerms(
-        mean_gain=mean, var_gain=np.maximum(gain2 - mag ** 2, 0.0),
-        multipair=mp, loop=li, noise=an,
-        stderr_mean_gain=stderr({first: re / mag, first + 1: im / mag}),
-        stderr_var_gain=stderr({first: -2.0 * re, first + 1: -2.0 * im, first + 2: 1.0}),
-        stderr_multipair=se_mp, stderr_loop=se_li, stderr_noise=se_an,
-    )
+    mp, li, an = (plain + [np.zeros(k), np.ones(k)])[:3]
+    grads = [_grad(k, {first: re / mag, first + 1: im / mag}),
+             _grad(k, {first: -2.0 * re, first + 1: -2.0 * im, first + 2: 1.0})]
+    grads += [_grad(k, {row: 1.0}) for row in rows[3:]]
+    terms = dict(mean_gain=mean, var_gain=np.maximum(gain2 - mag ** 2, 0.0),
+                 multipair=mp, loop=li, noise=an)
+    return terms, grads
 
 
-def _hop_rate(cfg: SystemConfig, p: float, terms: HopTerms, rows: range):
+def _hop_rate(cfg: SystemConfig, p: float, terms: dict, rows: range):
     """Bound rate of one hop (transmit power p) and its gradient in the features.
 
     With m = E{w_k^T g_k}, D = p var + p multipair + Pr loop + noise and
@@ -400,9 +449,10 @@ def _hop_rate(cfg: SystemConfig, p: float, terms: HopTerms, rows: range):
     imaginary rows and (1/P - 1/D) times the power in every other row, all
     over ln 2.
     """
-    m = terms.mean_gain
+    m = terms["mean_gain"]
     signal = p * np.abs(m) ** 2
-    den = p * terms.var_gain + p * terms.multipair + cfg.Pr * terms.loop + terms.noise
+    den = (p * terms["var_gain"] + p * terms["multipair"] + cfg.Pr * terms["loop"]
+           + terms["noise"])
     shrink = 1.0 / (den + signal) - 1.0 / den
     slopes = (2.0 * p * m.real / den, 2.0 * p * m.imag / den,
               p * shrink, p * shrink, cfg.Pr * shrink, shrink)
@@ -410,28 +460,40 @@ def _hop_rate(cfg: SystemConfig, p: float, terms: HopTerms, rows: range):
     return np.log2(1.0 + signal / den), grad
 
 
-def _rate_fields(acc: _Accumulator, r_sr, r_rd, grad_sr, grad_rd) -> dict:
-    """Hop, end-to-end and sum rates with their stderrs, from the hop gradients.
+def _rate_fields(acc: _Accumulator, r_sr, r_rd, grad_sr, grad_rd, more=()):
+    """Hop, end-to-end and sum rates with their stderrs, from the hop gradients,
+    and the (M, K) stderrs of M more gradients, all from one stderr product.
 
     min(r_sr, r_rd) takes the gradient of the smaller hop; it has none at a
     tie, and there the first hop's gradient stands in.
     """
     r_e2e = np.minimum(r_sr, r_rd)
-    se_e2e, se_sum = acc.stderr(np.where(r_sr <= r_rd, grad_sr, grad_rd))
+    grad_e2e = np.where(r_sr <= r_rd, grad_sr, grad_rd)
+    se, se_sum = acc.stderr(np.stack([grad_e2e, grad_sr, grad_rd, *more]))
     return dict(
         r_sr=r_sr, r_rd=r_rd, r_e2e=r_e2e,
-        stderr_r_sr=acc.stderr(grad_sr)[0], stderr_r_rd=acc.stderr(grad_rd)[0],
-        stderr_r_e2e=se_e2e, sum_rate=float(np.sum(r_e2e)), stderr_sum_rate=se_sum,
-    )
+        stderr_r_sr=se[1], stderr_r_rd=se[2], stderr_r_e2e=se[0],
+        sum_rate=float(np.sum(r_e2e)), stderr_sum_rate=float(se_sum[0]),
+    ), se[3:]
+
+
+_HOP_STDERRS = ("stderr_mean_gain", "stderr_var_gain", "stderr_multipair",
+                "stderr_loop", "stderr_noise")
 
 
 def _bound(cfg: SystemConfig, acc: _Accumulator, scheme: str) -> McRateResult:
     """The bound rates assembled from one point's pooled features."""
-    sr_terms, rd_terms = _hop_terms(acc, _SR_ROWS), _hop_terms(acc, _RD_ROWS)
+    sr_terms, sr_grads = _hop_terms(acc, _SR_ROWS)
+    rd_terms, rd_grads = _hop_terms(acc, _RD_ROWS)
     r_sr, grad_sr = _hop_rate(cfg, cfg.Ps, sr_terms, _SR_ROWS)
     r_rd, grad_rd = _hop_rate(cfg, cfg.Pr, rd_terms, _RD_ROWS)
-    return McRateResult(**_rate_fields(acc, r_sr, r_rd, grad_sr, grad_rd),
-                        sr_terms=sr_terms, rd_terms=rd_terms, scheme=scheme,
+    fields, se = _rate_fields(acc, r_sr, r_rd, grad_sr, grad_rd, sr_grads + rd_grads)
+    # the second hop's loop and noise are exact: zero stderr
+    zero, n = np.zeros(cfg.K), len(sr_grads)
+    se_sr = dict(zip(_HOP_STDERRS, se[:n]))
+    se_rd = dict(zip(_HOP_STDERRS, [*se[n:], zero, zero]))
+    return McRateResult(**fields, sr_terms=HopTerms(**sr_terms, **se_sr),
+                        rd_terms=HopTerms(**rd_terms, **se_rd), scheme=scheme,
                         trials=acc.trials)
 
 
@@ -439,7 +501,7 @@ def _genie(cfg: SystemConfig, acc: _Accumulator, scheme: str) -> GenieResult:
     """The genie rates of one point's pooled features."""
     r_sr, r_rd = acc.mean[_GENIE_SR], acc.mean[_GENIE_RD]
     grad_sr, grad_rd = _grad(cfg.K, {_GENIE_SR: 1.0}), _grad(cfg.K, {_GENIE_RD: 1.0})
-    return GenieResult(**_rate_fields(acc, r_sr, r_rd, grad_sr, grad_rd),
+    return GenieResult(**_rate_fields(acc, r_sr, r_rd, grad_sr, grad_rd)[0],
                        scheme=scheme, trials=acc.trials)
 
 
@@ -473,9 +535,12 @@ def wishart_inverse_moment(n_ant: int, variances, trials: int,
 
     Returns (mean, stderr) arrays; the closed form is 1/((n_ant - K) var_k).
     Each trial draws only the K x K Gram factor; the stderr is the iid one of
-    a plain per-trial mean. Needs n_ant > K, trials >= 2 and finite var_k > 0.
+    a plain per-trial mean. Needs a non-empty 1-D variances, n_ant > K,
+    trials >= 2 and finite var_k > 0.
     """
     variances = np.asarray(variances, dtype=float)
+    if variances.ndim != 1 or variances.size == 0:
+        raise ValueError("variances must be a non-empty 1-D vector")
     for v in variances:
         _check_real("variances", v, strict=True)
     k = variances.size

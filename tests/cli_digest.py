@@ -67,6 +67,8 @@ def specs() -> list:
     out += [
         ["--preset", "fig2", "--trials", "200"],
         ["--preset", "fig3", "--trials", "200"],
+        ["--preset", "fig2", "--trials", "200"] + _sets("k=2", "tau=4"),
+        ["--preset", "fig3", "--trials", "200"] + _sets("k=3", "tau=6"),
         ["--preset", "fig4"] + _sets("target_rate=1.7", "pp_fixed_db=13"),
         ["--preset", "fig8", "--trials", "300"] + _sets("path_exponent=2"),
         ["--preset", "fig8", "--trials", "50"] + _sets("shadow_sigma_db=6"),

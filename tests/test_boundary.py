@@ -171,6 +171,12 @@ def test_array_and_relational_edges_name_their_argument():
             call()
 
 
+@pytest.mark.parametrize("variances", [1.0, [[1.0, 2.0]], []], ids=["scalar", "2-D", "empty"])
+def test_wishart_variances_must_be_a_non_empty_vector(variances):
+    with pytest.raises(ValueError, match="^variances must be a non-empty 1-D vector"):
+        fdrelay.wishart_inverse_moment(16, variances, 4, np.random.default_rng(0))
+
+
 # override values at the edges, K = 10 in every preset
 EDGE_VALUES = ("0", "1", "10", "11", "-1", "1e300", "2.5", "nan", "inf")
 

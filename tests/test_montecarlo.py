@@ -631,3 +631,84 @@ def test_second_hop_has_unit_noise_and_no_loop_term():
     np.testing.assert_array_equal(rd.loop, 0.0)
     np.testing.assert_array_equal(rd.stderr_noise, 0.0)
     np.testing.assert_array_equal(rd.stderr_loop, 0.0)
+
+
+@pytest.mark.parametrize("width", range(6))
+def test_small_k_products_match_matmul(width):
+    # montecarlo._mm's multiply-add branch against `@`, contracted over
+    # width: a matrix product, a _tri_inv row (n, 1, i) @ (n, i, i) (width 0
+    # is the first row) and the (n, K, K) @ (K,) matvecs of _features, on
+    # complex and on real |.|^2 batches; the bound is 1e-13 of the sum of
+    # |a_ij b_jk|, the scale of a dot product's rounding
+    rng = np.random.default_rng(60 + width)
+    n = 50
+    for a, b in ((_cn(rng, n, 3, width), _cn(rng, n, width, 2)),
+                 (_cn(rng, n, 1, width), _cn(rng, n, width, width)),
+                 (_cn(rng, n, width, width), _cn(rng, width)),
+                 (np.abs(_cn(rng, n, width, width)) ** 2, rng.random(width))):
+        got, want = montecarlo._mm(a, b, montecarlo._BROADCAST_MAX_K), a @ b
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(a) @ np.abs(b)))
+
+
+def _leaves(x, name=""):
+    """(name, array) for every numeric leaf of nested results, tuples and lists."""
+    if is_dataclass(x):
+        for field in fields(x):
+            yield from _leaves(getattr(x, field.name), f"{name}.{field.name}")
+    elif isinstance(x, (tuple, list)):
+        for i, item in enumerate(x):
+            yield from _leaves(item, f"{name}[{i}]")
+    elif not isinstance(x, str):
+        yield name, np.asarray(x)
+
+
+def _entry_point_results(k):
+    """mc_rate, genie_rates, a two-point simulate and wishart_inverse_moment at K = k."""
+    cfg = SystemConfig(K=k, Nrx=2 * k + 4, Ntx=2 * k + 5, tau=2 * k, Pp=4.0, Ps=1.0,
+                       Pr=2.0, sigma_li_sq=2.0)
+    prof = make_profile(np.linspace(0.6, 1.8, k), np.linspace(1.5, 0.7, k), cfg.tau, cfg.Pp)
+    out = []
+    for scheme in ("zf", "mr"):
+        out += [mc_rate(cfg, prof, scheme, 300, np.random.default_rng(k)),
+                genie_rates(cfg, prof, scheme, 300, np.random.default_rng(k)),
+                simulate([(cfg, prof), (replace(cfg, Ps=4.0), prof)], scheme, 300,
+                         np.random.default_rng(k))]
+    out.append(wishart_inverse_moment(cfg.Nrx, prof.sigma_sr_sq, 300, np.random.default_rng(k)))
+    return list(_leaves(out))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 10])
+def test_the_small_k_branch_changes_only_rounding(k, monkeypatch):
+    # every entry point against the same call with `@` at every K: bit for
+    # bit from K = 4, and at K <= 3 a stderr may move more than its estimate,
+    # since the covariance's sum-of-products form scales a feature's
+    # rounding by about mean^2 / var
+    small_k = k <= 3
+    got = _entry_point_results(k)
+    monkeypatch.setattr(montecarlo, "_BROADCAST_MAX_K", 0)
+    want = _entry_point_results(k)
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, x), (_, y) in zip(got, want):
+        if small_k:
+            rtol = 1e-10 if "stderr" in name else 1e-12
+            np.testing.assert_allclose(x, y, rtol=rtol, atol=0, err_msg=name)
+        else:
+            np.testing.assert_array_equal(x, y, err_msg=name)
+
+
+@pytest.mark.parametrize("scheme", ["zf", "mr"])
+@pytest.mark.parametrize("k", [2, 10])
+def test_a_gradient_stack_gives_the_stderrs_of_its_gradients(scheme, k):
+    cfg = SystemConfig(K=k, Nrx=3 * k, Ntx=3 * k, tau=2 * k, Pp=4.0, Ps=1.0, Pr=2.0)
+    prof = make_profile(np.linspace(0.6, 1.8, k), np.ones(k), cfg.tau, cfg.Pp)
+    acc = montecarlo._simulate([(cfg, prof)], scheme, 400, np.random.default_rng(k))[0]
+    grads = np.random.default_rng(8).standard_normal((7, montecarlo._FEATURES, k))
+    se, se_sum = acc.stderr(grads)
+    assert se.shape == (7, k) and se_sum.shape == (7,)
+    for grad, row, total in zip(grads, se, se_sum):
+        one, one_sum = acc.stderr(grad)
+        assert isinstance(one, np.ndarray) and one.shape == (k,)
+        assert isinstance(one_sum, float)
+        np.testing.assert_allclose(row, one, rtol=1e-12)
+        assert total == pytest.approx(one_sum, rel=1e-12)
