@@ -39,7 +39,7 @@ from .model import (DropGeometry, SystemConfig, _check_count, draw_urban_profile
                     snapshot_profile)
 from .montecarlo import simulate
 from .powalloc import energy_efficiency, optimize_powers
-from .rates import rate_mr, rate_zf, required_power
+from .rates import _required_powers, rate_mr, rate_zf
 
 # the config fields each override key sets; keys ending in _db are in dB
 _KEY_FIELDS = {
@@ -185,17 +185,16 @@ def _run_fig3(spec: RunSpec):
 
 
 def _run_fig4(spec: RunSpec):
-    # required_power sets Ps, and Pr = K Ps, at every bisection step
+    # the bisection sets Ps, and Pr = K Ps, at every step
     target = _value("target_rate", spec.overrides.get("target_rate", 1.0))
     pp_fixed = _value("pp_fixed_db", spec.overrides.get("pp_fixed_db", 10.0))
     header = [f"ps_req_db_{s}_{pp}" for s in ("zf", "mr")
               for pp in ("fixed_pp", "pp_tracks")]
 
-    def columns(cfgs, profiles):
-        return [[10.0 * math.log10(required_power(target, scheme, cfg, profile,
-                                                  pilot_tracks_data=tracks))
-                 for scheme in ("zf", "mr") for tracks in (False, True)]
-                for cfg, profile in zip(cfgs, profiles)]
+    def columns(cfgs, profiles):  # one lockstep bisection per scheme and pilot mode
+        powers = [_required_powers(target, scheme, cfgs, profiles, pilot_tracks_data=tracks)
+                  for scheme in ("zf", "mr") for tracks in (False, True)]
+        return [[10.0 * math.log10(ps) for ps in row] for row in zip(*powers)]
 
     base = _base_cfg(Pp=pp_fixed, Ps=1.0, Pr=10.0, sigma_li_sq=1.0)
     return _sweep(spec, base, "n_ant", (64, 128, 256, 512), header, columns)
@@ -221,8 +220,8 @@ def _run_fig8(spec: RunSpec):
         200, Pp=p, Ps=p, Pr=p, sigma_li_sq=_db(10.0)), spec.overrides)
     geometry = DropGeometry(**{key: _value(key, spec.overrides.get(key, default))
                                for key, default in _GEOMETRY.items()})
-    profiles = [draw_urban_profile(geometry, cfg.K, cfg.tau, cfg.Pp, _rng(spec.seed, drop))
-                for drop in range(spec.trials)]
+    profiles = draw_urban_profile(geometry, cfg.K, cfg.tau, cfg.Pp,
+                                  [_rng(spec.seed, drop) for drop in range(spec.trials)])
     rows = _se_columns([cfg] * spec.trials, profiles)
     return header, [[drop] + row for drop, row in enumerate(rows)]
 

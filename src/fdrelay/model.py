@@ -5,6 +5,7 @@ boundary, never inside formulas.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,9 @@ def estimation_variance(beta, tau: int, Pp: float):
     return out if out.ndim else float(out)
 
 
+_PROFILE_ROWS = ("beta_sr", "beta_rd", "sigma_sr_sq", "sigma_rd_sq")
+
+
 @dataclass(frozen=True)
 class LargeScaleProfile:
     """Per-pair large-scale gains and the derived estimation variances.
@@ -100,22 +104,24 @@ class LargeScaleProfile:
     sigma_rd_sq: np.ndarray
 
     def __post_init__(self) -> None:
-        names = ("beta_sr", "beta_rd", "sigma_sr_sq", "sigma_rd_sq")
-        for name in names:
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        shapes = {getattr(self, name).shape for name in names}
-        if len(shapes) != 1 or self.beta_sr.ndim != 1 or self.beta_sr.size < 1:
+        vectors = [np.asarray(getattr(self, name), dtype=float) for name in _PROFILE_ROWS]
+        if len({v.shape for v in vectors}) != 1 or vectors[0].ndim != 1 or vectors[0].size < 1:
             raise ValueError("profile vectors must be 1-D of one length K >= 1")
-        if not all(((0 < g) & (g < np.inf)).all() for g in (self.beta_sr, self.beta_rd)):
+        rows = np.array(vectors)  # one read-only (4, K) copy; the fields are its rows
+        rows.setflags(write=False)
+        for name, row in zip(_PROFILE_ROWS, rows):
+            object.__setattr__(self, name, row)
+        gains, variances = rows[:2], rows[2:]
+        if ((0 < variances) & (variances <= gains) & (gains < np.inf)).all():
+            return  # 0 < sigma^2 <= beta < inf meets every rule below
+        if not ((0 < gains) & (gains < np.inf)).all():
             raise ValueError("large-scale gains must be positive and finite")
-        for name, gain in (("sigma_sr_sq", "beta_sr"), ("sigma_rd_sq", "beta_rd")):
-            sigma_sq = getattr(self, name)
-            if not (sigma_sq > 0).all():  # NaN fails too
+        positive, exceeds = (variances > 0).all(1), (variances > gains).any(1)  # NaN fails
+        for name, gain, pos, over in zip(_PROFILE_ROWS[2:], _PROFILE_ROWS[:2], positive, exceeds):
+            if not pos:
                 raise ValueError(f"{name} must be positive: tau*Pp = 0 leaves "
                                  "no channel estimate")
-            if (sigma_sq > getattr(self, gain)).any():
+            if over:
                 raise ValueError(f"{name} must not exceed {gain}: an estimate "
                                  "cannot carry more power than its channel")
 
@@ -161,23 +167,38 @@ class DropGeometry:
         _check_real("shadow_sigma_db", self.shadow_sigma_db)
 
 
-def draw_urban_profile(
-    geometry: DropGeometry, K: int, tau: int, Pp: float, rng: np.random.Generator
-) -> LargeScaleProfile:
+def draw_urban_profile(geometry: DropGeometry, K: int, tau: int, Pp: float,
+                       rng: np.random.Generator | Sequence[np.random.Generator]
+                       ) -> LargeScaleProfile | list[LargeScaleProfile]:
     """Draw one random large-scale realization of the urban drop model.
 
     Each gain is beta = z / (1 + (l/l0)^nu) where l is the distance of a
     uniform point on the disk from the center and 10*log10(z) is zero-mean
     normal with std shadow_sigma_db. Source and destination sides use the
     same model with independent draws.
+
+    rng is one Generator, which returns one profile, or a sequence of them,
+    which returns one profile per Generator, each the profile that Generator
+    alone gives: every Generator draws its own drop, K uniforms and K normals
+    per side, and the gains and variances of all drops are formed at once.
     """
     _check_count("K", K)
-    radius = geometry.disk_diameter / 2.0
-
-    def gains(n: int) -> np.ndarray:
-        # uniform over the disk area: r = R*sqrt(u)
-        dist = radius * np.sqrt(rng.uniform(size=n))
-        shadow = 10.0 ** (geometry.shadow_sigma_db * rng.standard_normal(n) / 10.0)
-        return shadow / (1.0 + (dist / geometry.ref_distance) ** geometry.path_exponent)
-
-    return make_profile(gains(K), gains(K), tau, Pp)
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    if not rngs:
+        raise ValueError("rng must be a Generator or a non-empty sequence of them")
+    draws = np.empty((len(rngs), 2, 2, K))  # (drop, side, uniform/normal, pair)
+    for gen, drop in zip(rngs, draws):
+        for side in drop:
+            gen.random(out=side[0])
+            gen.standard_normal(out=side[1])
+    # uniform over the disk area: r = R*sqrt(u)
+    dist = geometry.disk_diameter / 2.0 * np.sqrt(draws[:, :, 0])
+    shadow = 10.0 ** (geometry.shadow_sigma_db * draws[:, :, 1] / 10.0)
+    gains = shadow / (1.0 + (dist / geometry.ref_distance) ** geometry.path_exponent)
+    if not ((0 <= gains) & (gains < np.inf)).all():
+        for sr, rd in gains:  # refused as drop by drop: the first bad drop raises
+            make_profile(sr, rd, tau, Pp)
+    variances = estimation_variance(gains, tau, Pp)
+    profiles = [LargeScaleProfile(*g, *v) for g, v in zip(gains, variances)]
+    return profiles[0] if single else profiles

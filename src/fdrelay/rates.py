@@ -17,6 +17,8 @@ the uniform powers (Ps, Pr) of the config; per-source powers go through
 sinr_coefficients(cfg, profile, scheme).sinrs(p_s, p_r). rate_zf and rate_mr
 also take a batch of points of one K, stacked: each profile vector a row of
 a (P, K) array, each config field a (P, 1) column. One point is a batch of one.
+required_power bisects one point; the CLI's fig4 bisects the points of a
+batch in lockstep through _required_powers, of which it is the batch of one.
 Every entry point that takes (cfg, profile, scheme), here and in montecarlo,
 runs _check_inputs once per point before any work.
 """
@@ -30,11 +32,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import LargeScaleProfile, SystemConfig, _check_count, _check_real, _mmse_variance
+from .model import (_PROFILE_ROWS, LargeScaleProfile, SystemConfig, _check_count, _check_real,
+                    _mmse_variance)
 
 SCHEMES = ("zf", "mr")
 _COLUMNS = tuple(f.name for f in fields(SystemConfig))
-_ROWS = tuple(f.name for f in fields(LargeScaleProfile))
 
 
 @dataclass(frozen=True)
@@ -117,11 +119,10 @@ def _coefficients(cfg: SystemConfig, scheme: str, profile: LargeScaleProfile,
     return SinrCoefficients(a, b, c, d, e, scheme)
 
 
-def _report(cfg, profile, scheme: str, mode: str) -> RateReport:
-    """Rates of one point, or of a batch of points of one K, each checked
-    first, then stacked into (P, 1) config columns and (P, K) profile rows."""
-    single = isinstance(cfg, SystemConfig)
-    cfgs, profiles = ([cfg], [profile]) if single else (list(cfg), list(profile))
+def _stacked(cfgs, profiles, scheme: str) -> tuple:
+    """A batch of points of one K, each checked first, then stacked into
+    (P, 1) config columns and (P, K) profile rows."""
+    cfgs, profiles = list(cfgs), list(profiles)
     if not cfgs or len(cfgs) != len(profiles) or len({c.K for c in cfgs}) > 1:
         raise ValueError("a batch needs one profile per config, one K and at least one point")
     for point in zip(cfgs, profiles):
@@ -129,7 +130,14 @@ def _report(cfg, profile, scheme: str, mode: str) -> RateReport:
     columns = np.array(list(map(attrgetter(*_COLUMNS), cfgs)), float).T[:, :, None]
     cfg = SimpleNamespace(**dict(zip(_COLUMNS, columns)))
     profile = SimpleNamespace(**{name: np.array([getattr(p, name) for p in profiles])
-                                 for name in _ROWS})
+                                 for name in _PROFILE_ROWS})
+    return cfg, profile
+
+
+def _report(cfg, profile, scheme: str, mode: str) -> RateReport:
+    """Rates of one point, or of a batch of points of one K (see _stacked)."""
+    single = isinstance(cfg, SystemConfig)
+    cfg, profile = _stacked(*(([cfg], [profile]) if single else (cfg, profile)), scheme)
     coeffs = _coefficients(cfg, scheme, profile, profile.sigma_sr_sq, profile.sigma_rd_sq)
     p_s, p_r = cfg.Ps, cfg.Pr
     if mode == "hd":
@@ -214,21 +222,95 @@ def _rd_limit(scheme: str, sigma_rd_sq, er: float):
 
 
 _LOOKAHEAD = 5  # bisection levels resolved per numpy evaluation
+_CEILINGS = (1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12)  # 1e6 grown tenfold, each product exact
+# _midpoints fills a table of 2^_LOOKAHEAD + 1 edges per bracket, lo in
+# column 0 and hi in the last: the midpoints of level l fill the columns at
+# odd multiples of _HALVES[l], each between the two columns _HALVES[l] away,
+# and _LEVEL_ORDER lists the filled columns level by level
+_HALVES = [2**level for level in reversed(range(_LOOKAHEAD))]
+_LEVEL_ORDER = np.concatenate([np.arange(h, 2**_LOOKAHEAD, 2 * h) for h in _HALVES])
 
 
-def _midpoints(lo: float, hi: float) -> list:
-    """The next _LOOKAHEAD levels of bisection midpoints below [lo, hi], each
-    math.sqrt(a * b) of its bracket as one bisection step computes it, listed
-    level by level: node i splits into nodes 2i + 1 (its lower bracket) and
-    2i + 2 (its upper one)."""
-    edges, mids = [lo, hi], []
-    for _ in range(_LOOKAHEAD):
-        level = [math.sqrt(a * b) for a, b in zip(edges, edges[1:])]
-        mids += level
-        woven = [0.0] * (2 * len(level) + 1)
-        woven[0::2], woven[1::2] = edges, level
-        edges = woven
-    return mids
+def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The next _LOOKAHEAD levels of bisection midpoints below each bracket
+    [lo, hi], each sqrt(a * b) of its bracket as one bisection step computes
+    it, one row per bracket, listed level by level: node i splits into nodes
+    2i + 1 (its lower bracket) and 2i + 2 (its upper one)."""
+    edges = np.empty((len(lo), 2**_LOOKAHEAD + 1))
+    edges[:, 0], edges[:, -1] = lo, hi
+    for h in _HALVES:
+        edges[:, h::2 * h] = np.sqrt(edges[:, :-1:2 * h] * edges[:, 2 * h::2 * h])
+    return edges[:, _LEVEL_ORDER]
+
+
+# the first evaluation's powers: the floor, the ceilings, then the midpoints below 1e6
+_BELOW_1E6 = _midpoints(np.array([1e-6]), np.array([1e6]))[0].tolist()
+_FIRST = np.array([1e-6, *_CEILINGS, *_BELOW_1E6])
+
+
+def _required_powers(target_rate_per_pair: float, scheme: str, cfgs, profiles,
+                     pilot_tracks_data: bool = False) -> list:
+    """required_power at each point of a batch of one K, as a list of floats.
+
+    Every point walks its own bisection, and the points walk in lockstep:
+    each numpy evaluation holds the next 31 midpoints of every point still
+    bisecting, stacked as one (P * 31, 1) power column over its points'
+    repeated coefficient rows. Fixed pilots build the rows once per call,
+    tracking pilots once per evaluation. The result of each point is the
+    float a call on it alone returns.
+    """
+    target = target_rate_per_pair
+    if not target > 0:
+        raise ValueError("target rate must be positive")
+    cfg, profile = _stacked(cfgs, profiles, scheme)
+    n, k = len(cfg.K), cfg.K[0, 0]
+    fixed = None if pilot_tracks_data else _coefficients(
+        cfg, scheme, profile, profile.sigma_sr_sq, profile.sigma_rd_sq)
+
+    def reaches(points: list, powers: np.ndarray) -> list:
+        """Whether each power reaches the target, a row of powers per point."""
+        rows, column = np.array(points).repeat(powers.shape[1]), powers.reshape(-1, 1)
+        if fixed is not None:
+            coeffs = SinrCoefficients(*(x.take(rows, 0) for x in fixed[:5]), scheme)
+        else:  # Pp = ps: only sigma^2(ps) changes, from the gains
+            at = SimpleNamespace(**{name: x.take(rows, 0) for name, x in vars(cfg).items()})
+            gains = SimpleNamespace(beta_sr=profile.beta_sr.take(rows, 0),
+                                    beta_rd=profile.beta_rd.take(rows, 0))
+            energy = at.tau * column
+            coeffs = _coefficients(at, scheme, gains, _mmse_variance(gains.beta_sr, energy),
+                                   _mmse_variance(gains.beta_rd, energy))
+        sr, rd = coeffs.sinrs(column, k * column)
+        rate = np.minimum(np.log2(1.0 + sr), np.log2(1.0 + rd)).min(-1)
+        # Python floats: numpy cannot convert an int target above the float range
+        return [[r >= target for r in row] for row in rate.reshape(powers.shape).tolist()]
+
+    def walk(points: list, mids: list, ok: list) -> None:
+        """Move each point's bracket in los and his down its row of evaluated
+        midpoints, as many steps as the stop rule lets it take."""
+        for p, row, reached in zip(points, mids, ok):
+            lo, hi, node = los[p], his[p], 0
+            while node < len(row) and (hi - lo) > 1e-6 * hi:
+                if reached[node]:
+                    hi, node = row[node], 2 * node + 1
+                else:
+                    lo, node = row[node], 2 * node + 2
+            los[p], his[p] = lo, hi
+
+    # the first evaluation holds the floor, every ceiling and the midpoints
+    # below 1e6 at every point: it speculates that 1e6 reaches the target
+    ok = reaches(list(range(n)), np.tile(_FIRST, (n, 1)))
+    los, his = [1e-6] * n, []
+    for reached in ok:
+        hi = next((h for h, r in zip(_CEILINGS, reached[1:]) if r), math.inf)
+        his.append(1e-6 if reached[0] and hi < math.inf else hi)  # a target met at the floor
+    # min rate is nondecreasing in Ps under the Pr = K*Ps coupling
+    at_1e6 = [p for p in range(n) if his[p] == 1e6]
+    walk(at_1e6, [_BELOW_1E6] * len(at_1e6), [ok[p][-len(_BELOW_1E6):] for p in at_1e6])
+    live = [p for p in range(n) if los[p] < his[p] < math.inf]
+    while live := [p for p in live if (his[p] - los[p]) > 1e-6 * his[p]]:
+        mids = _midpoints(np.array([los[p] for p in live]), np.array([his[p] for p in live]))
+        walk(live, mids.tolist(), reaches(live, mids))
+    return his
 
 
 def required_power(target_rate_per_pair: float, scheme: str, cfg: SystemConfig,
@@ -253,45 +335,8 @@ def required_power(target_rate_per_pair: float, scheme: str, cfg: SystemConfig,
     the bisection walks down them. The midpoints and the result are those
     of one step at a time. The first evaluation also holds the floor and
     every ceiling, so a call takes 5 evaluations when 1e6 reaches the
-    target and at most 7.
+    target and at most 7. A single point is a batch of one of
+    _required_powers, which bisects many points in lockstep.
     """
-    if not target_rate_per_pair > 0:
-        raise ValueError("target rate must be positive")
-    _check_inputs(cfg, profile, scheme)
-    k = cfg.K
-    fixed = None if pilot_tracks_data else _coefficients(
-        cfg, scheme, profile, profile.sigma_sr_sq, profile.sigma_rd_sq)
-
-    def reaches(ps: list) -> list:
-        """Whether each power reaches the target, one (P, K) evaluation."""
-        column = np.array(ps)[:, None]
-        coeffs = fixed
-        if coeffs is None:  # Pp = ps: only sigma^2(ps) changes, from the gains
-            energy = cfg.tau * column
-            coeffs = _coefficients(cfg, scheme, profile, _mmse_variance(profile.beta_sr, energy),
-                                   _mmse_variance(profile.beta_rd, energy))
-        sr, rd = coeffs.sinrs(column, k * column)
-        rate = np.minimum(np.log2(1.0 + sr), np.log2(1.0 + rd)).min(-1)
-        # Python floats: numpy cannot convert an int target above the float range
-        return [r >= target_rate_per_pair for r in rate.tolist()]
-
-    ceilings = (1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12)  # 1e6 grown tenfold, each product exact
-    lo, mids = 1e-6, _midpoints(1e-6, 1e6)
-    ok = reaches([lo, *ceilings, *mids])  # speculates that 1e6 reaches the target
-    hi = next((h for h, r in zip(ceilings, ok[1:]) if r), math.inf)
-    if hi == math.inf:
-        return hi
-    if ok[0]:
-        return lo
-    mids, ok = (mids, ok[1 + len(ceilings):]) if hi == 1e6 else ([], [])
-    # min rate is nondecreasing in Ps under the Pr = K*Ps coupling
-    node = 0
-    while (hi - lo) > 1e-6 * hi:
-        if node >= len(mids):
-            mids, node = _midpoints(lo, hi), 0
-            ok = reaches(mids)
-        if ok[node]:
-            hi, node = mids[node], 2 * node + 1
-        else:
-            lo, node = mids[node], 2 * node + 2
-    return hi
+    return _required_powers(target_rate_per_pair, scheme, [cfg], [profile],
+                            pilot_tracks_data)[0]

@@ -1,14 +1,16 @@
 """Digest of the CLI's outputs over a fixed list of runs, for byte-identity checks.
 
 Runs every spec of :func:`specs` in process through ``fdrelay.cli.main`` and
-prints one line per output: the spec, its exit code, the file name, the file's
-sha256 and the run's stderr (a failed run prints one line with ``-`` for the
-file and the hash). Warnings use the ``default`` filter, as outside pytest.
+prints the numpy, scipy and BLAS versions, then one line per output: the spec,
+its exit code, the file name, the file's sha256 and the run's stderr (a failed
+run prints one line with ``-`` for the file and the hash). Warnings use the
+``default`` filter, as outside pytest.
 Every spec that exits 0 is replayed from its manifest in the same process;
 stderr gets the replay count and each spec whose replay wrote other bytes,
 and the script exits 1 if any did.
 
     PYTHONPATH=src python tests/cli_digest.py
+    PYTHONPATH=src python tests/cli_digest.py > tests/cli_digest.txt
     PYTHONPATH=src python tests/cli_digest.py --against ../other/src
 
     PYTHONPATH=src python tests/cli_digest.py --against ../other/src --rel
@@ -25,12 +27,18 @@ it prints, instead of the diff, one line per column of each CSV that differs
 (spec, file, column, and the largest |a - b| / max(|a|, |b|) over the rows),
 and one line for any other output that differs. ``--keep DIR`` also writes
 every output under ``DIR/<spec number>/``.
+
+``tests/cli_digest.txt`` is the committed stdout, which
+``tests/test_cli_digest.py`` compares with this tree's digest line by line; a
+change that moves output bytes, or runs under other library versions, writes
+it again with the second command above.
 """
 import argparse
 import contextlib
 import csv
 import difflib
 import hashlib
+import importlib.metadata
 import io
 import json
 import os
@@ -38,6 +46,8 @@ import subprocess
 import sys
 import tempfile
 import warnings
+
+import numpy as np
 
 from fdrelay import cli
 
@@ -57,6 +67,13 @@ def _sets(*items) -> list:
     return [arg for item in items for arg in ("--set", item)]
 
 
+def versions() -> str:
+    """The digest's first line: the numpy, scipy and BLAS builds its bytes come from."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"numpy {np.__version__} scipy {importlib.metadata.version('scipy')} "
+            f"blas {blas.get('name')} {blas.get('version')}")
+
+
 def specs() -> list:
     """argv lists (after ``run``): presets, sweeps, benchmark ops and edge probes."""
     sys.path.insert(0, PERFBENCH)
@@ -73,6 +90,7 @@ def specs() -> list:
         ["--preset", "fig8", "--trials", "300"] + _sets("path_exponent=2"),
         ["--preset", "fig8", "--trials", "50"] + _sets("shadow_sigma_db=6"),
         ["--preset", "fig8", "--trials", "2"] + _sets("path_exponent=1e300"),
+        ["--preset", "fig8", "--trials", "1"],
         ["--preset", "fig2", "--trials", "2"] + _sets("sigma_li_sq=1e300"),
         ["--preset", "fig9"] + _sets("k=4"),
     ]
@@ -210,6 +228,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         mine = args.keep or (os.path.join(tmp, "this") if args.rel else None)
         lines, differs, replays = digest_all(mine)
+        lines.insert(0, versions())
         for label in differs:
             print(f"replay differs: {label}", file=sys.stderr)
         print(f"{replays - len(differs)} of {replays} replays byte-identical "

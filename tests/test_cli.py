@@ -80,21 +80,22 @@ def test_manifest_rerun_is_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("preset,want", [
-    ("fig4", {"required_power": 16, "rate_zf": 0, "rate_mr": 0}),
-    ("fig6", {"required_power": 0, "rate_zf": 2, "rate_mr": 2}),
-    ("fig7", {"required_power": 0, "rate_zf": 2, "rate_mr": 2}),
-    ("fig8 --trials 50", {"required_power": 0, "rate_zf": 2, "rate_mr": 2}),
-    ("fig2 --trials 4", {"required_power": 0, "rate_zf": 1, "rate_mr": 1}),
-    ("custom --set sweep=pp_db:-10:20:7:db", {"required_power": 0, "rate_zf": 2,
+    ("fig4", {"_required_powers": 4, "rate_zf": 0, "rate_mr": 0}),
+    ("fig6", {"_required_powers": 0, "rate_zf": 2, "rate_mr": 2}),
+    ("fig7", {"_required_powers": 0, "rate_zf": 2, "rate_mr": 2}),
+    ("fig8 --trials 50", {"_required_powers": 0, "rate_zf": 2, "rate_mr": 2}),
+    ("fig2 --trials 4", {"_required_powers": 0, "rate_zf": 1, "rate_mr": 1}),
+    ("custom --set sweep=pp_db:-10:20:7:db", {"_required_powers": 0, "rate_zf": 2,
                                               "rate_mr": 2}),
-    ("custom --set sweep=k:2:9:8", {"required_power": 0, "rate_zf": 16, "rate_mr": 16}),
+    ("custom --set sweep=k:2:9:8", {"_required_powers": 0, "rate_zf": 16, "rate_mr": 16}),
 ])
 def test_presets_reach_the_rate_layer_through_the_cli_names(tmp_path, monkeypatch,
                                                             preset, want):
     # the benchmark trace counts the rate layer at these module attributes,
     # so a preset that routes around them would zero its per-layer metrics;
     # a sweep makes one batched call per scheme and mode (full and half
-    # duplex), one per run of equal K, and fig2's closed form one per scheme
+    # duplex), one per run of equal K, fig2's closed form one per scheme,
+    # and fig4 one lockstep bisection per scheme and pilot mode
     calls = dict.fromkeys(want, 0)
 
     def counted(name):
@@ -109,6 +110,20 @@ def test_presets_reach_the_rate_layer_through_the_cli_names(tmp_path, monkeypatc
         monkeypatch.setattr(cli, name, counted(name))
     assert main(["run", "--preset"] + preset.split() + ["--out", str(tmp_path)]) == 0
     assert calls == want
+
+
+def test_fig8_draws_all_its_drops_in_one_call(tmp_path, monkeypatch):
+    # one Generator per drop, on seed stream (seed, drop index), in one stack
+    calls = []
+    real = cli.draw_urban_profile
+
+    def counted(geometry, K, tau, Pp, rng):
+        calls.append(len(rng))
+        return real(geometry, K, tau, Pp, rng)
+
+    monkeypatch.setattr(cli, "draw_urban_profile", counted)
+    assert main(["run", "--preset", "fig8", "--trials", "7", "--out", str(tmp_path)]) == 0
+    assert calls == [7] and len(read_csv(tmp_path / "fig8.csv")[1]) == 7
 
 
 def test_fig2_and_fig3_share_one_sweep(tmp_path, monkeypatch):
@@ -292,7 +307,7 @@ def test_an_accepted_override_reaches_every_config_the_preset_hands_on(
         return wrapper
 
     monkeypatch.setitem(cli._PRESETS, preset, cli._PRESETS[preset]._replace(run=run))
-    for name in ("rate_zf", "rate_mr", "simulate", "required_power", "optimize_powers"):
+    for name in ("rate_zf", "rate_mr", "simulate", "_required_powers", "optimize_powers"):
         monkeypatch.setattr(cli, name, spied(name))
     extra = {"sweep": "ps_db:0:10:2"} if preset == "custom" else {}
     trials = 2 if preset in ("fig2", "fig3", "fig8") else 1

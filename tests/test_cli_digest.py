@@ -1,0 +1,18 @@
+"""Every CLI output of tests/cli_digest.py against the committed digest."""
+import difflib
+import os
+
+import cli_digest
+
+
+def test_every_cli_output_matches_the_committed_digest():
+    # byte-identity of every preset, sweep, benchmark op and edge probe, and
+    # of each successful run's manifest replay; the first line holds the
+    # library versions, so another numpy, scipy or BLAS build fails here too
+    with open(os.path.join(cli_digest.HERE, "cli_digest.txt")) as fh:
+        want = fh.read().splitlines()
+    lines, differs, _ = cli_digest.digest_all()
+    got = [cli_digest.versions()] + lines
+    assert got == want, "\n".join(difflib.unified_diff(
+        want, got, "tests/cli_digest.txt", "this tree", lineterm=""))
+    assert not differs, differs

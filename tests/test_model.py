@@ -204,6 +204,103 @@ def test_urban_shadowing_median_near_one():
     assert abs(np.median(prof.beta_sr) - 1.0) < 0.02
 
 
+PROFILE_FIELDS = ("beta_sr", "beta_rd", "sigma_sr_sq", "sigma_rd_sq")
+
+
+@pytest.mark.parametrize("drops", [1, 3, 60])
+@pytest.mark.parametrize("k", [1, 10])
+@pytest.mark.parametrize("shadow_sigma_db", [0.0, 8.0])
+def test_a_stack_of_drops_equals_one_call_per_generator(drops, k, shadow_sigma_db):
+    geo = DropGeometry(shadow_sigma_db=shadow_sigma_db)
+    seeds = [np.random.SeedSequence((5, drop)) for drop in range(drops)]
+    stack = draw_urban_profile(geo, k, 20, 10.0, [np.random.default_rng(s) for s in seeds])
+    assert isinstance(stack, list) and len(stack) == drops
+    for prof, seed in zip(stack, seeds):
+        alone = draw_urban_profile(geo, k, 20, 10.0, np.random.default_rng(seed))
+        for name in PROFILE_FIELDS:
+            np.testing.assert_array_equal(getattr(prof, name), getattr(alone, name))
+
+
+def test_one_generator_draws_one_drop_in_the_model_order():
+    # K uniforms then K normals for the source side, then the same for the
+    # destination side, each gain formed as the docstring's formula
+    geo, rng = DropGeometry(), np.random.default_rng(3)
+    prof = draw_urban_profile(geo, 6, 20, 10.0, np.random.default_rng(3))
+    assert isinstance(prof, LargeScaleProfile)
+    for gain in (prof.beta_sr, prof.beta_rd):
+        dist = geo.disk_diameter / 2.0 * np.sqrt(rng.uniform(size=6))
+        shadow = 10.0 ** (geo.shadow_sigma_db * rng.standard_normal(6) / 10.0)
+        np.testing.assert_array_equal(
+            gain, shadow / (1.0 + (dist / geo.ref_distance) ** geo.path_exponent))
+    np.testing.assert_array_equal(prof.sigma_rd_sq, estimation_variance(prof.beta_rd, 20, 10.0))
+    [again] = draw_urban_profile(geo, 6, 20, 10.0, (np.random.default_rng(3),))
+    np.testing.assert_array_equal(again.beta_rd, prof.beta_rd)
+
+
+def test_an_empty_stack_of_drops_is_refused_by_name():
+    with pytest.raises(ValueError, match="rng must be a Generator or a non-empty sequence"):
+        draw_urban_profile(DropGeometry(), 4, 20, 10.0, [])
+
+
+GAINS_REFUSED = "large-scale gains must be positive and finite"
+BETA_REFUSED = "beta must be finite and >= 0"
+
+
+@pytest.mark.parametrize("geo,seeds,message", [
+    # an overflowing path loss zeroes the gains of far nodes
+    (DropGeometry(path_exponent=1e300), (0, 1, 2), GAINS_REFUSED),
+    # at K = 1, a shadowing of 1e300 dB makes each gain 0 or inf: seed 2's
+    # drop has no inf gain and so reaches the profile's check, seed 4's does
+    (DropGeometry(shadow_sigma_db=1e300), (2, 4), GAINS_REFUSED),
+    (DropGeometry(shadow_sigma_db=1e300), (4, 2), BETA_REFUSED),
+])
+def test_a_stack_of_drops_raises_what_its_first_bad_drop_raises(geo, seeds, message):
+    k = 1 if geo.shadow_sigma_db > 8.0 else 10
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=message):
+            draw_urban_profile(geo, k, 20, 10.0, np.random.default_rng(seeds[0]))
+        with pytest.raises(ValueError, match=message):
+            draw_urban_profile(geo, k, 20, 10.0, [np.random.default_rng(s) for s in seeds])
+
+
+# each profile violates its rule and every rule after it, so the first
+# message in the constructor's order is the one raised
+ONES, HALF = np.ones(2), np.full(2, 0.5)
+PROFILE_REFUSALS = [
+    ("profile vectors must be 1-D of one length K >= 1",
+     (np.ones(3), np.array([np.nan, 1.0]), np.zeros(2), 2 * ONES)),
+    ("profile vectors must be 1-D of one length K >= 1",
+     (np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))),
+    ("large-scale gains must be positive and finite",
+     (ONES, np.array([1.0, np.nan]), np.zeros(2), 2 * ONES)),
+    ("sigma_sr_sq must be positive", (ONES, ONES, np.array([0.0, 2.0]), np.zeros(2))),
+    ("sigma_sr_sq must not exceed beta_sr", (ONES, ONES, np.array([0.5, 2.0]), np.zeros(2))),
+    ("sigma_rd_sq must be positive", (ONES, ONES, HALF, np.array([0.0, 2.0]))),
+    ("sigma_rd_sq must not exceed beta_rd", (ONES, ONES, HALF, np.array([2.0, 0.5]))),
+]
+
+
+@pytest.mark.parametrize("message,vectors", PROFILE_REFUSALS)
+def test_profile_refusals_come_in_their_order(message, vectors):
+    with pytest.raises(ValueError) as caught:
+        LargeScaleProfile(*vectors)
+    assert str(caught.value).startswith(message)
+
+
+def test_profile_vectors_are_read_only_copies():
+    vectors = [np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([0.5, 1.5]),
+               np.array([2.5, 3.5])]
+    prof = LargeScaleProfile(*vectors)
+    for vector in vectors:
+        vector[:] = 0.25
+    for name, want in zip(PROFILE_FIELDS, ([1.0, 2.0], [3.0, 4.0], [0.5, 1.5], [2.5, 3.5])):
+        stored = getattr(prof, name)
+        assert not stored.flags.writeable and stored.shape == (2,)
+        np.testing.assert_array_equal(stored, want)
+        with pytest.raises(ValueError):
+            stored[0] = 9.0
+
+
 def test_geometry_validation():
     with pytest.raises(ValueError):
         DropGeometry(disk_diameter=-1.0)

@@ -469,6 +469,61 @@ def test_required_power_equals_the_oracle_on_drawn_requests(request):
     assert required_power(target, scheme, cfg, prof, pilot_tracks_data=tracks) == want
 
 
+def lockstep_point(scale, n_ant, sigma_li_sq, pp):
+    """A K = 2 point with gains scale * (1, 2) and scale * (1, 3)."""
+    cfg = SystemConfig(K=2, Nrx=n_ant, Ntx=n_ant, tau=4, Pp=pp, sigma_li_sq=sigma_li_sq)
+    return cfg, make_profile(scale * np.array([1.0, 2.0]), scale * np.array([1.0, 3.0]),
+                             cfg.tau, pp)
+
+
+# at a target of 1e-9: strong gains return the floor, a loop term of 1e12
+# returns inf, DIM_CFG's point grows the ceiling to 1e7 with fixed pilots and
+# the 1e-12 gains grow it with tracking ones; the rest are bisected below 1e6
+LOCKSTEP_POINTS = [lockstep_point(*p) for p in (
+    (1e7, 40, 1.0, 10.0), (1e-10, 40, 1e-6, 1e3), (1.0, 40, 1e12, 10.0),
+    (1.0, 8, 1.0, 10.0), (0.1, 300, 0.01, 1.0), (10.0, 40, 1.0, 100.0),
+    (3e-9, 40, 1e-6, 1e3), (1e-12, 40, 1e-8, 1e3))]
+
+
+@pytest.mark.parametrize("scheme", ["zf", "mr"])
+@pytest.mark.parametrize("tracks", [False, True])
+def test_lockstep_bisections_equal_the_oracle_and_the_single_calls(monkeypatch, scheme,
+                                                                   tracks):
+    # the points leave the lockstep after different numbers of evaluations,
+    # each with the float of the per-step oracle and of its own call
+    rows, sinrs = [], rates.SinrCoefficients.sinrs
+
+    def counted_sinrs(self, p_s, p_r):
+        rows.append(len(p_s))
+        return sinrs(self, p_s, p_r)
+
+    monkeypatch.setattr(rates.SinrCoefficients, "sinrs", counted_sinrs)
+    cfgs, profiles = zip(*LOCKSTEP_POINTS)
+    assert cfgs[1] == DIM_CFG and np.array_equal(profiles[1].beta_rd, DIM_PROF.beta_rd)
+    got = rates._required_powers(1e-9, scheme, cfgs, profiles, pilot_tracks_data=tracks)
+    assert rows[0] == 39 * len(cfgs) and rows[1:] == sorted(rows[1:], reverse=True)
+    assert len(set(rows[1:])) >= 2 and rows[-1] == 31
+    monkeypatch.undo()
+    assert {return_class(ps) for ps in got} == set(ORACLE_TABLE)
+    assert 1e6 < got[1 if not tracks else 7] <= 1e7
+    for ps, cfg, prof in zip(got, cfgs, profiles):
+        assert type(ps) is float
+        assert ps == required_power_per_step(1e-9, scheme, cfg, prof, pilot_tracks_data=tracks)
+        assert ps == required_power(1e-9, scheme, cfg, prof, pilot_tracks_data=tracks)
+
+
+def test_lockstep_bisections_refuse_a_bad_target_before_any_work(monkeypatch):
+    def fail(*args):
+        raise AssertionError("work began before the target was checked")
+
+    monkeypatch.setattr(rates, "_stacked", fail)
+    monkeypatch.setattr(rates, "_coefficients", fail)
+    cfgs, profiles = zip(*LOCKSTEP_POINTS)
+    for target in (math.nan, 0.0, -1.0, 0):
+        with pytest.raises(ValueError, match="target rate must be positive"):
+            rates._required_powers(target, "zf", cfgs, profiles)
+
+
 def test_per_source_power_validation():
     with pytest.raises(ValueError):
         rate_zf(REF_CFG, REF_PROF, mode="simplex")
