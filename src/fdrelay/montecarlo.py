@@ -509,9 +509,12 @@ def simulate(points, scheme: str, trials: int,
              rng: np.random.Generator) -> list:
     """One (McRateResult, GenieResult) pair per (cfg, profile) point, all
     from the same draws: each chunk is drawn once and scaled to every point,
-    so the points must share K, Nrx and Ntx. A single point gives what
-    mc_rate and genie_rates each give for the same seed.
+    so the points must share K, Nrx and Ntx. points may be any iterable of
+    pairs (a list, a zip, a generator). The library's one Monte Carlo entry
+    point: a single point gives what mc_rate and genie_rates each give for
+    the same seed.
     """
+    points = list(points)
     accs = _simulate(points, scheme, trials, rng)
     return [(_bound(cfg, acc, scheme), _genie(cfg, acc, scheme))
             for (cfg, _), acc in zip(points, accs)]
@@ -519,13 +522,21 @@ def simulate(points, scheme: str, trials: int,
 
 def mc_rate(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
             trials: int, rng: np.random.Generator) -> McRateResult:
-    """Simulate the bound ingredients and assemble the per-pair rates."""
+    """Simulate the bound ingredients and assemble the per-pair rates.
+
+    Kept only because perfbench/workloads.py calls it; the entry point is
+    simulate, whose [0][0] this is bit for bit.
+    """
     return _bound(cfg, _simulate([(cfg, profile)], scheme, trials, rng)[0], scheme)
 
 
 def genie_rates(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
                 trials: int, rng: np.random.Generator) -> GenieResult:
-    """Average instantaneous-SINR rates (decoder knows each realized gain)."""
+    """Average instantaneous-SINR rates (decoder knows each realized gain).
+
+    Kept only because perfbench/workloads.py calls it; the entry point is
+    simulate, whose [0][1] this is bit for bit.
+    """
     return _genie(cfg, _simulate([(cfg, profile)], scheme, trials, rng)[0], scheme)
 
 
@@ -536,7 +547,9 @@ def wishart_inverse_moment(n_ant: int, variances, trials: int,
     Returns (mean, stderr) arrays; the closed form is 1/((n_ant - K) var_k).
     Each trial draws only the K x K Gram factor; the stderr is the iid one of
     a plain per-trial mean. Needs a non-empty 1-D variances, n_ant > K,
-    trials >= 2 and finite var_k > 0.
+    trials >= 2 and finite var_k > 0. Kept only because perfbench/workloads.py
+    calls it; the entry point is simulate, whose ZF pass reads the same
+    inverse (module docstring).
     """
     variances = np.asarray(variances, dtype=float)
     if variances.ndim != 1 or variances.size == 0:
@@ -571,9 +584,9 @@ def convergence_probe(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
     Each returns a single float. decode and forward average over pairs and
     trials: the closed form of the module docstring in the pooled feature
     means of one pass (trials >= 1), so the cost does not grow with the
-    arrays and the draws are those of mc_rate on the same rng. loop_power
-    is its exact value sigma_li^2 er/Ntx (module docstring) after the same
-    checks, trials among them, and draws nothing from rng.
+    arrays and the draws are those of a one-point simulate on the same
+    rng. loop_power is its exact value sigma_li^2 er/Ntx (module docstring)
+    after the same checks, trials among them, and draws nothing from rng.
     """
     if kind not in ("decode", "loop_power", "forward"):
         raise ValueError(f"unknown probe kind {kind!r}")

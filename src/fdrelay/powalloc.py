@@ -184,7 +184,9 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     round's GP certified optimal; "infeasible", the one signal of a target
     out of reach, means that the first center's scaling proved no powers
     under the peaks reach s0 or that no round found a feasible point. Raises
-    ValueError only when s0, p0 or p1 is not finite and > 0, an SINR
+    ValueError only when s0, p0 or p1 is not finite and > 0, s0 is below
+    (T - tau)/T * K * log2(1 + GAMMA_FLOOR) (every round holds each SINR at
+    or above GAMMA_FLOOR, so no round could meet a smaller target), an SINR
     coefficient is not positive and finite (sigma_li_sq = 0 gives c = 0,
     say), since no GP round could hold it, or p0 or p1 makes a uniform-peak
     SINR term (a*p0, sum(b)*p0, c*p1, d*p1, e*p1 or the first-hop
@@ -193,6 +195,11 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     """
     for name, x in (("s0", s0), ("p0", p0), ("p1", p1)):
         _check_real(name, x, strict=True)
+    # every round keeps each SINR at or above GAMMA_FLOOR
+    s0_min = (cfg.T - cfg.tau) / cfg.T * cfg.K * math.log2(1.0 + GAMMA_FLOOR)
+    if s0 < s0_min:
+        raise ValueError(f"s0 must be at least {s0_min:.6g}, the sum SE of every "
+                         f"SINR at GAMMA_FLOOR = {GAMMA_FLOOR:g}")
     coeffs = sinr_coefficients(cfg, profile, scheme)
     for name in "abcde":
         v = getattr(coeffs, name)

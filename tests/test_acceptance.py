@@ -14,18 +14,17 @@ from fdrelay import (
     asymptotic_se,
     convergence_probe,
     energy_efficiency,
-    genie_rates,
     make_profile,
-    mc_rate,
     optimize_powers,
     rate_mr,
     rate_zf,
     required_power,
-    sinr_coefficients,
+    simulate,
     snapshot_profile,
 )
 from fdrelay.cli import main as cli_main
 from fdrelay.gp import GeometricProgram, Posynomial, solve_gp
+from fdrelay.rates import sinr_coefficients
 from gp_oracle import brute_force_gp
 
 SNR_GRID_DB = (-10, 0, 10)
@@ -55,7 +54,7 @@ def test_exact_rate_formula_matches_simulation_grid():
         for snr in SNR_GRID_DB:
             cfg = grid_cfg(n, snr)
             prof = flat_profile(cfg)
-            res = mc_rate(cfg, prof, "mr", 10_000, seeded(2, n, snr + 10))
+            res = simulate([(cfg, prof)], "mr", 10_000, seeded(2, n, snr + 10))[0][0]
             ref = rate_mr(cfg, prof)
             z = np.abs(res.r_e2e - ref.r_e2e) / res.stderr_r_e2e
             assert float(np.max(z)) <= 3.0, \
@@ -73,7 +72,7 @@ def test_zf_approximation_tightness_bands():
         for snr in SNR_GRID_DB:
             cfg = grid_cfg(n, snr)
             prof = flat_profile(cfg)
-            res = mc_rate(cfg, prof, "zf", 10_000, seeded(1, 2, n, snr + 10))
+            res = simulate([(cfg, prof)], "zf", 10_000, seeded(1, 2, n, snr + 10))[0][0]
             closed = float(np.sum(rate_zf(cfg, prof).r_e2e))
             rel = abs(closed - res.sum_rate) / res.sum_rate
             if rel > limit:
@@ -90,9 +89,9 @@ def test_genie_to_bound_sum_rate_gaps():
     cfg = grid_cfg(50, 5)
     prof = flat_profile(cfg)
     for idx, (scheme, center) in enumerate((("mr", 0.65), ("zf", 0.9))):
-        rng = seeded(1, 3, idx)
-        bound = mc_rate(cfg, prof, scheme, 20_000, rng)
-        genie = genie_rates(cfg, prof, scheme, 20_000, rng)
+        rng = seeded(1, 3, idx)  # two passes on one stream, the bound's first
+        bound = simulate([(cfg, prof)], scheme, 20_000, rng)[0][0]
+        genie = simulate([(cfg, prof)], scheme, 20_000, rng)[0][1]
         gap = genie.sum_rate - bound.sum_rate
         assert center - 0.25 <= gap <= center + 0.25, \
             f"{scheme}: gap {gap:.3f} outside {center} +- 0.25"
@@ -164,7 +163,7 @@ def test_processing_moment_identities():
         # the bound consumes |E{w^T g}|, and stderr_mean_gain is the
         # delta-method stderr of that magnitude, so the magnitude is the
         # tested statistic
-        zf = mc_rate(cfg, prof, "zf", trials, seeded(10, k, n, 1)).sr_terms
+        zf = simulate([(cfg, prof)], "zf", trials, seeded(10, k, n, 1))[0][0].sr_terms
         assert np.all(np.abs(np.abs(zf.mean_gain) - 1.0)
                       <= 3.0 * zf.stderr_mean_gain), \
             f"ZF receive gain not unit at {label}"
@@ -173,7 +172,7 @@ def test_processing_moment_identities():
         assert np.all(np.abs(zf.noise - expect) <= 3.0 * zf.stderr_noise), \
             f"inverse-Gram moment off at {label}"
 
-        mr = mc_rate(cfg, prof, "mr", trials, seeded(10, k, n, 2)).sr_terms
+        mr = simulate([(cfg, prof)], "mr", trials, seeded(10, k, n, 2))[0][0].sr_terms
         base = n * prof.sigma_sr_sq
         checks = (
             ("mean", np.abs(np.abs(mr.mean_gain) - base), mr.stderr_mean_gain),

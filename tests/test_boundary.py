@@ -1,7 +1,8 @@
 """Degenerate scalars at the library and CLI boundary.
 
-Every int- or float-annotated parameter of the public API fails at the call
-with a ValueError that names it; every preset either runs to finite cells or
+Every int- or float-annotated parameter of the public API, and of the
+callables that stay importable from their modules, fails at the call with a
+ValueError that names it; every preset either runs to finite cells or
 exits 2 with one JSON line and no output.
 """
 import contextlib
@@ -19,25 +20,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fdrelay
 from fdrelay import (
     DropGeometry,
     LargeScaleProfile,
     SystemConfig,
     cli,
     convergence_probe,
+    energy_efficiency,
     make_profile,
-    mc_rate,
     rate_zf,
     required_power,
+    simulate,
 )
+from fdrelay.model import estimation_variance
+from fdrelay.montecarlo import wishart_inverse_moment
+from test_api import public_callables
+
+CALLABLES = public_callables()
 
 CFG = SystemConfig(K=4, Nrx=32, Ntx=32, tau=8)
 PROF = make_profile(np.ones(4), np.ones(4), CFG.tau, CFG.Pp)
 
 
 def valid_call(name: str) -> dict:
-    """Keyword arguments of one valid call of the exported callable name."""
+    """Keyword arguments of one valid call of the public callable name."""
     rng = np.random.default_rng(0)
     sim = dict(cfg=CFG, profile=PROF, scheme="zf", trials=4, rng=rng)
     return {
@@ -106,13 +112,11 @@ MESSAGE_NAMES = {"target_rate_per_pair": "target rate"}
 
 def scalar_arguments():
     """(callable, argument) for every int- or float-annotated parameter of
-    an exported callable, and every field of SystemConfig and DropGeometry."""
+    an exported or module-held callable, and every field of SystemConfig and
+    DropGeometry."""
     found = {(cls.__name__, f.name) for cls in (SystemConfig, DropGeometry)
              for f in dataclasses.fields(cls)}
-    for name in fdrelay.__all__:
-        obj = getattr(fdrelay, name)
-        if not callable(obj):
-            continue
+    for name, obj in CALLABLES.items():
         for param in inspect.signature(obj, eval_str=True).parameters.values():
             ann = param.annotation
             if {int, float} & ({ann} | set(typing.get_args(ann))):
@@ -128,7 +132,7 @@ def test_every_scalar_argument_refuses_its_edges_by_name():
         prefix = MESSAGE_NAMES.get(arg, arg) + " must be"
         for value in values:
             try:
-                getattr(fdrelay, name)(**dict(valid_call(name), **{arg: value}))
+                CALLABLES[name](**dict(valid_call(name), **{arg: value}))
                 failures.append(f"{name}({arg}={value!r}) raised nothing")
             except ValueError as exc:
                 if not str(exc).startswith(prefix):
@@ -140,7 +144,7 @@ def test_every_scalar_argument_refuses_its_edges_by_name():
 
 def test_valid_edges_still_pass():
     for name in sorted({name for name, _ in EDGES}):
-        getattr(fdrelay, name)(**valid_call(name))
+        CALLABLES[name](**valid_call(name))
     # zero powers and no loop interference are a valid config
     zero = SystemConfig(K=4, Nrx=32, Ntx=32, tau=8, Pp=0.0, Ps=0.0, Pr=0.0, sigma_li_sq=0.0)
     assert zero.Pp == zero.Ps == zero.Pr == zero.sigma_li_sq == 0.0
@@ -148,7 +152,8 @@ def test_valid_edges_still_pass():
     ones = np.ones(4)
     perfect = LargeScaleProfile(beta_sr=ones, beta_rd=ones, sigma_sr_sq=ones, sigma_rd_sq=ones)
     assert math.isfinite(rate_zf(CFG, perfect).sum_se)
-    assert math.isfinite(mc_rate(CFG, perfect, "zf", 4, np.random.default_rng(0)).sum_rate)
+    bound = simulate([(CFG, perfect)], "zf", 4, np.random.default_rng(0))[0][0]
+    assert math.isfinite(bound.sum_rate)
     assert required_power(math.inf, "zf", CFG, PROF) == math.inf
     assert convergence_probe("decode", CFG, PROF, "zf", 4, np.random.default_rng(0),
                              er=None) > 0
@@ -158,14 +163,14 @@ def test_array_and_relational_edges_name_their_argument():
     # tau = 8.5 meets 2K <= tau < T at K = 4, so only the count rule refuses it
     for call, prefix in (
             (lambda: SystemConfig(K=4, Nrx=32, Ntx=32, tau=8.5), "tau must be"),
-            (lambda: fdrelay.estimation_variance([1.0, math.nan], 8, 1.0), "beta must be"),
-            (lambda: fdrelay.estimation_variance([1.0, -1.0], 8, 1.0), "beta must be"),
-            (lambda: fdrelay.wishart_inverse_moment(16, [1.0, -1.0], 4, np.random.default_rng(0)),
+            (lambda: estimation_variance([1.0, math.nan], 8, 1.0), "beta must be"),
+            (lambda: estimation_variance([1.0, -1.0], 8, 1.0), "beta must be"),
+            (lambda: wishart_inverse_moment(16, [1.0, -1.0], 4, np.random.default_rng(0)),
              "variances must be"),
-            (lambda: fdrelay.wishart_inverse_moment(16, [math.nan], 4, np.random.default_rng(0)),
+            (lambda: wishart_inverse_moment(16, [math.nan], 4, np.random.default_rng(0)),
              "variances must be"),
-            (lambda: fdrelay.energy_efficiency(1.0, [-5.0, 6.0], 0.0, 200, 20), "p_s must be"),
-            (lambda: fdrelay.energy_efficiency(1.0, [math.nan, 1.0], 0.0, 200, 20),
+            (lambda: energy_efficiency(1.0, [-5.0, 6.0], 0.0, 200, 20), "p_s must be"),
+            (lambda: energy_efficiency(1.0, [math.nan, 1.0], 0.0, 200, 20),
              "p_s must be")):
         with pytest.raises(ValueError, match=f"^{prefix}"):
             call()
@@ -174,7 +179,7 @@ def test_array_and_relational_edges_name_their_argument():
 @pytest.mark.parametrize("variances", [1.0, [[1.0, 2.0]], []], ids=["scalar", "2-D", "empty"])
 def test_wishart_variances_must_be_a_non_empty_vector(variances):
     with pytest.raises(ValueError, match="^variances must be a non-empty 1-D vector"):
-        fdrelay.wishart_inverse_moment(16, variances, 4, np.random.default_rng(0))
+        wishart_inverse_moment(16, variances, 4, np.random.default_rng(0))
 
 
 # override values at the edges, K = 10 in every preset

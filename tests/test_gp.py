@@ -65,16 +65,17 @@ _COLD_START = """
 import json, sys, tempfile
 import numpy as np
 import fdrelay, fdrelay.cli
-from fdrelay import GeometricProgram, Posynomial, SystemConfig, make_profile
+from fdrelay import SystemConfig, make_profile
+from fdrelay.gp import GeometricProgram, Posynomial, solve_gp
 cfg = SystemConfig(K=2, Nrx=8, Ntx=8, tau=4)
 profile = make_profile([1.0, 0.5], [0.8, 1.2], cfg.tau, cfg.Pp)
-fdrelay.mc_rate(cfg, profile, "zf", 20, np.random.default_rng(1))
+fdrelay.simulate([(cfg, profile)], "zf", 20, np.random.default_rng(1))
 fdrelay.rate_zf(cfg, profile)
 with tempfile.TemporaryDirectory() as out:
     assert fdrelay.cli.main(["run", "--preset", "fig6", "--out", out]) == 0
-res = fdrelay.solve_gp(GeometricProgram(Posynomial([1.0, 1.0], [[1, 0], [0, 1]]),
-                                        (Posynomial([4.0], [[-1, -1]]),), (),
-                                        np.full(2, 1e-3), np.full(2, 1e3)))
+res = solve_gp(GeometricProgram(Posynomial([1.0, 1.0], [[1, 0], [0, 1]]),
+                                (Posynomial([4.0], [[-1, -1]]),), (),
+                                np.full(2, 1e-3), np.full(2, 1e3)))
 alloc = fdrelay.optimize_powers(cfg, profile, "zf", 2.0)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps({"scipy": loaded, "x": res.x.tobytes().hex(), "value": res.value.hex(),

@@ -9,10 +9,10 @@ from fdrelay import (
     LargeScaleProfile,
     SystemConfig,
     draw_urban_profile,
-    estimation_variance,
     make_profile,
     snapshot_profile,
 )
+from fdrelay.model import estimation_variance
 
 
 def test_config_defaults_and_prelog():

@@ -9,21 +9,28 @@ from fdrelay import (
     LargeScaleProfile,
     SystemConfig,
     convergence_probe,
-    genie_rates,
     make_profile,
-    mc_rate,
     rate_mr,
     rate_zf,
     simulate,
-    sinr_coefficients,
-    wishart_inverse_moment,
 )
 from fdrelay import montecarlo
-from fdrelay.montecarlo import alpha_mrt, alpha_zf, gram_factor_batch
+from fdrelay.montecarlo import alpha_mrt, alpha_zf, gram_factor_batch, wishart_inverse_moment
+from fdrelay.rates import sinr_coefficients
 
 CFG = SystemConfig(K=3, Nrx=24, Ntx=24, tau=6, Pp=4.0, Ps=2.0, Pr=6.0, sigma_li_sq=1.0)
 PROF = make_profile([0.6, 1.0, 1.8], [1.4, 0.7, 1.1], CFG.tau, CFG.Pp)
 TRIALS = 20_000
+
+
+def point_bound(cfg, prof, scheme, trials, rng):
+    """The simulated bound of one point: simulate's first result of a single point."""
+    return simulate([(cfg, prof)], scheme, trials, rng)[0][0]
+
+
+def point_genie(cfg, prof, scheme, trials, rng):
+    """The genie rates of one point: simulate's second result of a single point."""
+    return simulate([(cfg, prof)], scheme, trials, rng)[0][1]
 
 
 def _rows(cfg, prof, scheme, n, rng):
@@ -39,7 +46,7 @@ def assert_within_stderr(measured, expected, stderr, n_sigma=4.0, floor=1e-3):
 
 
 def test_mr_bound_matches_exact_closed_form():
-    res = mc_rate(CFG, PROF, "mr", TRIALS, np.random.default_rng(21))
+    res = point_bound(CFG, PROF, "mr", TRIALS, np.random.default_rng(21))
     ref = rate_mr(CFG, PROF)
     assert_within_stderr(res.r_sr, ref.r_sr, res.stderr_r_sr)
     assert_within_stderr(res.r_rd, ref.r_rd, res.stderr_r_rd)
@@ -49,7 +56,7 @@ def test_mr_bound_matches_exact_closed_form():
 def test_zf_bound_matches_closed_form_without_li():
     # with no loop interference the ZF formula has no approximation left
     cfg = replace(CFG, sigma_li_sq=0.0)
-    res = mc_rate(cfg, PROF, "zf", TRIALS, np.random.default_rng(22))
+    res = point_bound(cfg, PROF, "zf", TRIALS, np.random.default_rng(22))
     ref = rate_zf(cfg, PROF)
     assert_within_stderr(res.r_sr, ref.r_sr, res.stderr_r_sr)
     assert_within_stderr(res.r_rd, ref.r_rd, res.stderr_r_rd)
@@ -59,7 +66,7 @@ def loop_terms(cfg, trials, rng):
     """Pair 0's ZF loop power Pr E|w_0^T G_RR A|^2: simulated, and the closed
     form's Pr c_0 / a_0, the term the approximation step of the formula sets."""
     coeffs = sinr_coefficients(cfg, PROF, "zf")
-    mc = cfg.Pr * mc_rate(cfg, PROF, "zf", trials, rng).sr_terms.loop[0]
+    mc = cfg.Pr * point_bound(cfg, PROF, "zf", trials, rng).sr_terms.loop[0]
     return mc, cfg.Pr * coeffs.c[0] / coeffs.a[0]
 
 
@@ -98,7 +105,8 @@ def assert_same_results(a, b):
 @pytest.mark.parametrize("scheme,nrx", [("zf", 24), ("mr", 24), ("mr", 2)])
 def test_simulate_matches_single_point_calls(scheme, nrx):
     # a 3-point SNR sweep over two chunks: each point's bound and genie rates
-    # are those of its own mc_rate and genie_rates call on the same seed
+    # are those of its own mc_rate and genie_rates call on the same seed; the
+    # benchmark calls those two one-point views, and this pins them
     points = []
     for snr in (0.5, 2.0, 8.0):
         cfg = replace(CFG, Nrx=nrx, Pp=snr, Ps=snr, Pr=3.0 * snr)
@@ -107,10 +115,23 @@ def test_simulate_matches_single_point_calls(scheme, nrx):
     results = simulate(points, scheme, trials, np.random.default_rng(31))
     assert len(results) == len(points)
     for (cfg, prof), (bound, genie) in zip(points, results):
-        assert_same_results(bound, mc_rate(cfg, prof, scheme, trials,
-                                           np.random.default_rng(31)))
-        assert_same_results(genie, genie_rates(cfg, prof, scheme, trials,
-                                               np.random.default_rng(31)))
+        assert_same_results(bound, montecarlo.mc_rate(cfg, prof, scheme, trials,
+                                                      np.random.default_rng(31)))
+        assert_same_results(genie, montecarlo.genie_rates(cfg, prof, scheme, trials,
+                                                          np.random.default_rng(31)))
+
+
+def test_simulate_takes_any_iterable_of_points():
+    # a zip and a generator give the list's results bit for bit
+    cfgs = [CFG, replace(CFG, Ps=8.0, sigma_li_sq=0.3)]
+    profs = [PROF, make_profile([1.0, 0.5, 2.0], [0.7, 1.9, 1.0], CFG.tau, CFG.Pp)]
+    want = simulate(list(zip(cfgs, profs)), "mr", 300, np.random.default_rng(52))
+    for points in (zip(cfgs, profs), (point for point in zip(cfgs, profs))):
+        got = simulate(points, "mr", 300, np.random.default_rng(52))
+        assert len(got) == len(want)
+        for pair, want_pair in zip(got, want):
+            for result, want_result in zip(pair, want_pair):
+                assert_same_results(result, want_result)
 
 
 def test_simulate_needs_points_of_one_shape():
@@ -124,10 +145,11 @@ def test_simulate_needs_points_of_one_shape():
 
 
 @pytest.mark.parametrize("scheme", ["zf", "mr"])
-def test_genie_rates_dominate_the_bound(scheme):
+def test_the_genie_rate_dominates_the_bound(scheme):
+    # two passes on one stream, the bound's first
     rng = np.random.default_rng(25)
-    bound = mc_rate(CFG, PROF, scheme, TRIALS, rng)
-    genie = genie_rates(CFG, PROF, scheme, TRIALS, rng)
+    bound = point_bound(CFG, PROF, scheme, TRIALS, rng)
+    genie = point_genie(CFG, PROF, scheme, TRIALS, rng)
     slack = 4.0 * (genie.stderr_r_e2e + bound.stderr_r_e2e) + 1e-3
     np.testing.assert_array_less(bound.r_e2e, genie.r_e2e + slack)
     assert genie.sum_rate > 0
@@ -215,7 +237,7 @@ def test_scheme_and_zf_dimensions_are_checked_before_the_first_draw():
         rng = np.random.default_rng(48)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match=msg):
-            mc_rate(cfg, prof, scheme, 40, rng)
+            simulate([(cfg, prof)], scheme, 40, rng)
         assert rng.bit_generator.state == before
     # simulate checks every point, not only the first
     rng = np.random.default_rng(48)
@@ -225,9 +247,9 @@ def test_scheme_and_zf_dimensions_are_checked_before_the_first_draw():
     assert rng.bit_generator.state == before
 
 
-def test_mc_rate_is_deterministic_per_seed():
-    a = mc_rate(CFG, PROF, "zf", 600, np.random.default_rng(99))
-    b = mc_rate(CFG, PROF, "zf", 600, np.random.default_rng(99))
+def test_the_bound_is_deterministic_per_seed():
+    a = point_bound(CFG, PROF, "zf", 600, np.random.default_rng(99))
+    b = point_bound(CFG, PROF, "zf", 600, np.random.default_rng(99))
     np.testing.assert_array_equal(a.r_e2e, b.r_e2e)
     np.testing.assert_array_equal(a.sr_terms.loop, b.sr_terms.loop)
     assert a.sum_rate == b.sum_rate
@@ -237,14 +259,11 @@ def test_trials_and_batch_guards():
     # a standard error needs a sample covariance, so two trials is the floor
     for trials in (0, 1):
         with pytest.raises(ValueError, match="trials must be >= 2"):
-            mc_rate(CFG, PROF, "zf", trials, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="trials must be >= 2"):
-            genie_rates(CFG, PROF, "zf", trials, np.random.default_rng(0))
+            simulate([(CFG, PROF)], "zf", trials, np.random.default_rng(0))
         with pytest.raises(ValueError, match="trials must be >= 2"):
             wishart_inverse_moment(16, PROF.sigma_sr_sq, trials, np.random.default_rng(0))
-    res = mc_rate(CFG, PROF, "zf", 2, np.random.default_rng(0))
+    res, genie = simulate([(CFG, PROF)], "zf", 2, np.random.default_rng(0))[0]
     assert np.all(np.isfinite(res.r_e2e)) and np.isfinite(res.stderr_sum_rate)
-    genie = genie_rates(CFG, PROF, "zf", 2, np.random.default_rng(0))
     assert np.isfinite(genie.sum_rate) and np.isfinite(genie.stderr_sum_rate)
     # a probe reports no stderr, so one trial is enough
     for trials in (0, -3):
@@ -449,7 +468,7 @@ def test_probe_terms_match_the_n_dimensional_probe(kind, scheme, nrx, ntx):
 
 
 def _closed_probes(cfg, scheme, er, mc):
-    """decode and forward in the pooled bound terms of one mc_rate result."""
+    """decode and forward in the pooled bound terms of one simulated bound."""
     sr, rd = mc.sr_terms, mc.rd_terms
     c = 1.0 if scheme == "zf" else cfg.Nrx * PROF.sigma_sr_sq
     gain2_sr = sr.var_gain + np.abs(sr.mean_gain) ** 2
@@ -471,7 +490,7 @@ def test_probe_is_the_mean_of_its_trials():
     cfg, er, n = replace(CFG, Nrx=16, Ntx=12), 5.0, 300
     for scheme in ("zf", "mr"):
         expected = _closed_probes(
-            cfg, scheme, er, mc_rate(cfg, PROF, scheme, n, np.random.default_rng(44)))
+            cfg, scheme, er, point_bound(cfg, PROF, scheme, n, np.random.default_rng(44)))
         expected["loop_power"] = cfg.sigma_li_sq * er / cfg.Ntx
         for kind, want in expected.items():
             value = convergence_probe(kind, cfg, PROF, scheme, n,
@@ -488,8 +507,8 @@ def test_monte_carlo_cost_is_flat_in_the_array_size():
     tracemalloc.start()
     try:
         for scheme in ("zf", "mr"):
-            mc_rate(big, PROF, scheme, 40, rng)
-            genie_rates(big, PROF, scheme, 40, rng)
+            point_bound(big, PROF, scheme, 40, rng)
+            point_genie(big, PROF, scheme, 40, rng)
             simulate([(big, PROF), (replace(big, Ps=8.0), PROF)], scheme, 40, rng)
             for kind in ("decode", "loop_power", "forward"):
                 convergence_probe(kind, big, PROF, scheme, 40, rng, er=10.0)
@@ -506,10 +525,10 @@ def test_a_bound_call_keeps_no_scaled_copy_of_its_draw(scheme, limit_mb):
     # the engine that kept the unit factors alive beside their scaled copies
     cfg = SystemConfig(K=10, Nrx=128, Ntx=128, tau=20, Pp=1.0, Ps=1.0, Pr=10.0)
     prof = make_profile(np.ones(10), np.ones(10), cfg.tau, cfg.Pp)
-    mc_rate(cfg, prof, scheme, 100, np.random.default_rng(0))
+    point_bound(cfg, prof, scheme, 100, np.random.default_rng(0))
     tracemalloc.start()
     try:
-        mc_rate(cfg, prof, scheme, 100, np.random.default_rng(0))
+        point_bound(cfg, prof, scheme, 100, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -555,14 +574,12 @@ def test_zero_forcing_fails_cleanly_at_its_boundary():
     for nrx, ntx in ((2, 24), (24, 2), (CFG.K, 24), (24, CFG.K)):
         cfg = replace(CFG, Nrx=nrx, Ntx=ntx)
         with pytest.raises(ValueError, match=msg):
-            mc_rate(cfg, PROF, "zf", 40, np.random.default_rng(0))
-        with pytest.raises(ValueError, match=msg):
-            genie_rates(cfg, PROF, "zf", 40, np.random.default_rng(0))
+            simulate([(cfg, PROF)], "zf", 40, np.random.default_rng(0))
         with pytest.raises(ValueError, match=msg):
             convergence_probe("decode", cfg, PROF, "zf", 40, np.random.default_rng(0))
         # MR has no such boundary
-        assert np.all(np.isfinite(mc_rate(cfg, PROF, "mr", 40,
-                                          np.random.default_rng(0)).r_e2e))
+        assert np.all(np.isfinite(point_bound(cfg, PROF, "mr", 40,
+                                              np.random.default_rng(0)).r_e2e))
 
 
 def _bound_estimates(cfg, means):
@@ -604,7 +621,7 @@ def test_plain_moment_stderr_is_the_iid_one(scheme):
     # variance, the rates and the sum rate take the delta method with a
     # finite-difference gradient
     n = 300
-    res = mc_rate(CFG, PROF, scheme, n, np.random.default_rng(77))
+    res = point_bound(CFG, PROF, scheme, n, np.random.default_rng(77))
     features = _rows(CFG, PROF, scheme, n, np.random.default_rng(77))[:, :10]
     for name, row in (("multipair", 3), ("loop", 4), ("noise", 5)):
         x = features[:, row]
@@ -626,7 +643,7 @@ def test_plain_moment_stderr_is_the_iid_one(scheme):
 
 
 def test_second_hop_has_unit_noise_and_no_loop_term():
-    rd = mc_rate(CFG, PROF, "mr", 400, np.random.default_rng(5)).rd_terms
+    rd = point_bound(CFG, PROF, "mr", 400, np.random.default_rng(5)).rd_terms
     np.testing.assert_array_equal(rd.noise, 1.0)
     np.testing.assert_array_equal(rd.loop, 0.0)
     np.testing.assert_array_equal(rd.stderr_noise, 0.0)
@@ -664,14 +681,15 @@ def _leaves(x, name=""):
 
 
 def _entry_point_results(k):
-    """mc_rate, genie_rates, a two-point simulate and wishart_inverse_moment at K = k."""
+    """A one-point bound and genie pass, a two-point simulate and
+    wishart_inverse_moment at K = k."""
     cfg = SystemConfig(K=k, Nrx=2 * k + 4, Ntx=2 * k + 5, tau=2 * k, Pp=4.0, Ps=1.0,
                        Pr=2.0, sigma_li_sq=2.0)
     prof = make_profile(np.linspace(0.6, 1.8, k), np.linspace(1.5, 0.7, k), cfg.tau, cfg.Pp)
     out = []
     for scheme in ("zf", "mr"):
-        out += [mc_rate(cfg, prof, scheme, 300, np.random.default_rng(k)),
-                genie_rates(cfg, prof, scheme, 300, np.random.default_rng(k)),
+        out += [point_bound(cfg, prof, scheme, 300, np.random.default_rng(k)),
+                point_genie(cfg, prof, scheme, 300, np.random.default_rng(k)),
                 simulate([(cfg, prof), (replace(cfg, Ps=4.0), prof)], scheme, 300,
                          np.random.default_rng(k))]
     out.append(wishart_inverse_moment(cfg.Nrx, prof.sigma_sr_sq, 300, np.random.default_rng(k)))

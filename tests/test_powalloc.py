@@ -11,11 +11,10 @@ from fdrelay import (
     energy_efficiency,
     make_profile,
     optimize_powers,
-    sinr_coefficients,
     snapshot_profile,
 )
 from fdrelay import gp, powalloc
-from fdrelay.rates import SinrCoefficients
+from fdrelay.rates import SinrCoefficients, sinr_coefficients
 
 CFG10 = SystemConfig(K=10, Nrx=100, Ntx=100, T=200, tau=20, Pp=10.0, sigma_li_sq=1.0)
 PROF10 = snapshot_profile(CFG10.tau, CFG10.Pp)
@@ -209,6 +208,24 @@ def test_each_uniform_peak_term_is_checked(field, p0, p1, name, term):
         powalloc._init_gamma(SinrCoefficients(**coeffs, scheme="zf"), 1.0, p0, p1)
     assert str(exc.value) == (f"{name} too large: the uniform-peak SINR term {term} "
                               "is not finite")
+
+
+@pytest.mark.parametrize("scheme", ["zf", "mr"])
+def test_a_target_below_the_sinr_floor_is_refused_by_name(scheme):
+    # every round holds each SINR at or above GAMMA_FLOOR, so no round meets a
+    # sum SE below (T - tau)/T K log2(1 + GAMMA_FLOOR); such a target once came
+    # back "infeasible", the status of a target out of reach under the peaks
+    cfg = SystemConfig(K=4, Nrx=32, Ntx=32, tau=8)
+    prof = make_profile(np.ones(4), np.ones(4), cfg.tau, cfg.Pp)
+    floor = (cfg.T - cfg.tau) / cfg.T * cfg.K * math.log2(1.0 + powalloc.GAMMA_FLOOR)
+    assert 5e-9 < floor < 1e-8
+    for s0 in (1e-9, 5e-9, math.nextafter(floor, 0.0)):
+        with pytest.raises(ValueError, match="^s0 must be at least"):
+            optimize_powers(cfg, prof, scheme, s0)
+    for s0 in (floor, 1e-8):
+        alloc = optimize_powers(cfg, prof, scheme, s0)
+        assert alloc.status == "optimal", s0
+        assert alloc.achieved_se == pytest.approx(s0, rel=0.02)
 
 
 def test_optimizer_validation():

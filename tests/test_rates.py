@@ -7,23 +7,23 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-import fdrelay
 from fdrelay import (
     LargeScaleProfile,
     SystemConfig,
     asymptotic_se,
     make_profile,
-    mc_rate,
     rate_mr,
     rate_zf,
     required_power,
-    sinr_coefficients,
+    simulate,
     snapshot_profile,
     sum_se,
 )
 from fdrelay import rates
 from fdrelay.model import _mmse_variance
+from fdrelay.rates import sinr_coefficients
 from power_oracle import min_rate_at, required_power_per_step
+from test_api import public_callables
 
 # reference configuration: symmetric gains, 10 pairs, 100 antennas each side
 REF_CFG = SystemConfig(
@@ -222,8 +222,9 @@ def test_asymptotic_validation():
         asymptotic_se("I", "dpc", REF_CFG, REF_PROF, Es=1.0, Er=1.0)
 
 
-# the arguments besides cfg and profile of each public (cfg, profile) entry
-# point, one dict per call; required_power runs in both pilot modes
+# the arguments besides cfg and profile of each exported or module-held
+# (cfg, profile) entry point, one dict per call; required_power runs in both
+# pilot modes
 ENTRY_CALLS = {
     "asymptotic_se": [dict(case="I", scheme="zf", Es=1.0, Er=1.0)],
     "convergence_probe": [dict(kind="forward", scheme="mr", trials=4,
@@ -243,9 +244,10 @@ def test_every_entry_point_refuses_a_profile_of_another_pair_count():
     # unchecked, a one-pair profile under K = 4 gives plausible numbers and a
     # three-pair one numpy broadcast errors; a new entry point that takes
     # (cfg, profile) has to join ENTRY_CALLS, and so meet the check
+    found = public_callables()
     entry_points = sorted(
-        name for name in fdrelay.__all__ if callable(getattr(fdrelay, name))
-        and {"cfg", "profile"} <= set(inspect.signature(getattr(fdrelay, name)).parameters))
+        name for name, obj in found.items()
+        if {"cfg", "profile"} <= set(inspect.signature(obj).parameters))
     assert sorted(ENTRY_CALLS) == entry_points
     cfg = SystemConfig(K=4, Nrx=32, Ntx=32, tau=8)
     for pairs in (3, 5):
@@ -254,7 +256,7 @@ def test_every_entry_point_refuses_a_profile_of_another_pair_count():
             for extra in calls:
                 with pytest.raises(ValueError,
                                    match=f"profile has {pairs} pairs but cfg.K is 4"):
-                    getattr(fdrelay, name)(cfg=cfg, profile=profile, **extra)
+                    found[name](cfg=cfg, profile=profile, **extra)
 
 
 @pytest.mark.parametrize("tracks", [False, True])
@@ -597,7 +599,7 @@ def small_mr_setups(draw):
 def test_mr_closed_form_matches_simulation(setup):
     # the MRC/MRT closed form is exact, so the simulated bound centres on it
     cfg, prof, seed = setup
-    sim = mc_rate(cfg, prof, "mr", 4000, np.random.default_rng(seed))
+    sim = simulate([(cfg, prof)], "mr", 4000, np.random.default_rng(seed))[0][0]
     closed = float(np.sum(rate_mr(cfg, prof).r_e2e))
     assert abs(sim.sum_rate - closed) <= 3.0 * sim.stderr_sum_rate
 
