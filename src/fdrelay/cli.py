@@ -39,7 +39,7 @@ from .model import (DropGeometry, SystemConfig, _check_count, draw_urban_profile
                     snapshot_profile)
 from .montecarlo import simulate
 from .powalloc import energy_efficiency, optimize_powers
-from .rates import _required_powers, rate_mr, rate_zf
+from .rates import _batch, _required_powers, rate_mr, rate_zf
 
 # the config fields each override key sets; keys ending in _db are in dB
 _KEY_FIELDS = {
@@ -113,15 +113,15 @@ _SE_HEADER = [f"se_{mode}_{s}" for s in ("zf", "mr") for mode in ("fd", "hd", "h
 
 
 def _se_columns(cfgs, profiles) -> list:
-    """_SE_HEADER rows of the points: one rate call per scheme and mode for
-    each run of equal K (a k sweep changes K)."""
+    """_SE_HEADER rows of the points: one batch per run of equal K (a k sweep
+    changes K), and on it one rate call per scheme and mode."""
     rows = []
     for _, run in itertools.groupby(zip(cfgs, profiles), key=lambda point: point[0].K):
-        run_cfgs, run_profiles = zip(*run)
+        batch = _batch(*zip(*run), "zf", "mr")
         columns = []
         for fn in (rate_zf, rate_mr):
-            fd = fn(run_cfgs, run_profiles, mode="fd").sum_se.tolist()
-            hd = fn(run_cfgs, run_profiles, mode="hd").sum_se.tolist()
+            fd = fn(batch, None, mode="fd").sum_se.tolist()
+            hd = fn(batch, None, mode="hd").sum_se.tolist()
             columns += [fd, hd, list(map(max, fd, hd))]
         rows += [list(row) for row in zip(*columns)]
     return rows
@@ -144,11 +144,6 @@ def _mc_sweep(spec: RunSpec, sizes, schemes, genie: bool) -> tuple:
     (size, scheme) on seed stream (seed, size index, scheme index), so
     presets that share a size and a scheme share its cells; one closed-form
     call per scheme. Each row sets the array size, Ps (the SNR) and Pr = K Ps."""
-    header = ["snr_db", "n_ant"]
-    for s in schemes:
-        header += [f"sum_rate_{s}_closed", f"sum_rate_{s}_mc", f"sum_rate_{s}_mc_stderr"]
-        if genie:
-            header += [f"sum_rate_{s}_genie", f"sum_rate_{s}_genie_stderr"]
     snrs_db = (-10, -5, 0, 5, 10)
     rows, points, sims = [], [], {scheme: [] for scheme in schemes}
     for i, n_ant in enumerate(sizes):
@@ -164,12 +159,15 @@ def _mc_sweep(spec: RunSpec, sizes, schemes, genie: bool) -> tuple:
             if scheme in schemes:
                 sims[scheme] += simulate(block, scheme, spec.trials, _rng(spec.seed, i, j))
         points += block
-    cfgs, profiles = zip(*points)
-    for fn, scheme in ((rate_zf, "zf"), (rate_mr, "mr")):
-        if scheme not in schemes:
-            continue
-        closed = np.sum(fn(cfgs, profiles).r_e2e, axis=-1).tolist()
-        for row, sum_rate, (mc, gen) in zip(rows, closed, sims[scheme]):
+    header = ["snr_db", "n_ant"]
+    batch = _batch(*zip(*points), *schemes)
+    for s in schemes:
+        header += [f"sum_rate_{s}_closed", f"sum_rate_{s}_mc", f"sum_rate_{s}_mc_stderr"]
+        if genie:
+            header += [f"sum_rate_{s}_genie", f"sum_rate_{s}_genie_stderr"]
+        rate = rate_zf if s == "zf" else rate_mr
+        closed = np.sum(rate(batch, None).r_e2e, axis=-1).tolist()
+        for row, sum_rate, (mc, gen) in zip(rows, closed, sims[s]):
             row += [sum_rate, mc.sum_rate, mc.stderr_sum_rate]
             if genie:
                 row += [gen.sum_rate, gen.stderr_sum_rate]
@@ -192,7 +190,8 @@ def _run_fig4(spec: RunSpec):
               for pp in ("fixed_pp", "pp_tracks")]
 
     def columns(cfgs, profiles):  # one lockstep bisection per scheme and pilot mode
-        powers = [_required_powers(target, scheme, cfgs, profiles, pilot_tracks_data=tracks)
+        batch = _batch(cfgs, profiles)  # each bisection checks its target, then its scheme
+        powers = [_required_powers(target, scheme, batch, None, pilot_tracks_data=tracks)
                   for scheme in ("zf", "mr") for tracks in (False, True)]
         return [[10.0 * math.log10(ps) for ps in row] for row in zip(*powers)]
 

@@ -18,7 +18,7 @@ def _check_real(name: str, x, strict: bool = False) -> None:
 
 
 def _check_count(name: str, n, least: int = 1) -> None:
-    if not isinstance(n, (int, np.integer)) or n < least:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < least:
         raise ValueError(f"{name} must be >= {least} and an integer")
 
 

@@ -102,7 +102,7 @@ stacked gradients: 11 for a bound, 3 for the genie rates.
 
 Everything consumes a caller-supplied Generator in a fixed chunk order, so a
 given seed reproduces results exactly regardless of available memory, and
-rates._check_inputs refuses a bad (cfg, profile, scheme) before the first draw.
+rates._checked refuses a bad batch of (cfg, profile) points before the first draw.
 """
 from __future__ import annotations
 
@@ -112,7 +112,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import LargeScaleProfile, SystemConfig, _check_count, _check_real
-from .rates import _check_inputs, _rd_limit
+from .rates import _check_inputs, _checked, _rd_limit
 
 # Feature rows of one simulated trial, K columns (pairs) each: first-hop
 # gain real part, imaginary part, |gain|^2, multipair, loop and noise;
@@ -400,17 +400,12 @@ def _features(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
 
 def _simulate(points, scheme: str, trials: int, rng: np.random.Generator,
               least: int = 2) -> list:
-    """One _Accumulator per (cfg, profile) point, every point on the same
-    draws; least is the fewest trials the caller takes (2 for a stderr).
-    Every check, rates._check_inputs on each point among them, runs before
-    the first draw."""
-    if not points:
-        raise ValueError("need at least one point")
-    cfg = points[0][0]
-    if any((c.K, c.Nrx, c.Ntx) != (cfg.K, cfg.Nrx, cfg.Ntx) for c, _ in points):
+    """One _Accumulator per (cfg, profile) point of a list, all on the same draws;
+    least is the fewest trials the caller takes (2 for a stderr). The checks, the
+    shared (K, Nrx, Ntx) and then rates._checked, all run before the first draw."""
+    if len({(c.K, c.Nrx, c.Ntx) for c, _ in points}) > 1:
         raise ValueError("all points must share K, Nrx and Ntx")
-    for c, profile in points:
-        _check_inputs(c, profile, scheme)
+    cfg = _checked([c for c, _ in points], [p for _, p in points], scheme)[0][0]
     _check_count("trials", trials, least)
     accs = [_Accumulator(_FEATURES, cfg.K) for _ in points]
     for n in _chunks(trials, 16 * cfg.K ** 2):

@@ -15,12 +15,12 @@ SinrCoefficients holds (a, b, c, d, e) for one scheme; the power-allocation
 module and the CLI read the same type. rate_zf and rate_mr evaluate it at
 the uniform powers (Ps, Pr) of the config; per-source powers go through
 sinr_coefficients(cfg, profile, scheme).sinrs(p_s, p_r). rate_zf and rate_mr
-also take a batch of points of one K, stacked: each profile vector a row of
-a (P, K) array, each config field a (P, 1) column. One point is a batch of one.
-required_power bisects one point; the CLI's fig4 bisects the points of a
-batch in lockstep through _required_powers, of which it is the batch of one.
-Every entry point that takes (cfg, profile, scheme), here and in montecarlo,
-runs _check_inputs once per point before any work.
+also take a batch of points of one K; one point is a batch of one. _batch
+checks a batch (_checked: _check_inputs on every point, for each scheme)
+and stacks it into a _Batch, a (P, 1) column per config field and a (P, K)
+row per profile vector, for several rate calls to share. required_power
+bisects one point, a batch of one of _required_powers, which the CLI's fig4
+runs in lockstep. Every entry point checks its points before any work.
 """
 from __future__ import annotations
 
@@ -97,48 +97,67 @@ def sinr_coefficients(cfg: SystemConfig, profile: LargeScaleProfile,
                       scheme: str) -> SinrCoefficients:
     """The ZF or MRC/MRT coefficients of the SINR form at (cfg, profile)."""
     _check_inputs(cfg, profile, scheme)
-    return _coefficients(cfg, scheme, profile, profile.sigma_sr_sq, profile.sigma_rd_sq)
+    return _coefficients(cfg, profile, scheme)
 
 
-def _coefficients(cfg: SystemConfig, scheme: str, profile: LargeScaleProfile,
-                  sigma_sr_sq, sigma_rd_sq) -> SinrCoefficients:
-    """The formulas at the profile's gains and the given variances, unchecked."""
-    k, shape = cfg.K, sigma_sr_sq.shape
+def _coefficients(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str) -> SinrCoefficients:
+    """The formulas at the profile's gains and variances, unchecked."""
+    k, sigma_sr_sq, sigma_rd_sq = cfg.K, profile.sigma_sr_sq, profile.sigma_rd_sq
     if scheme == "zf":
         a = (cfg.Nrx - k) * sigma_sr_sq
         b = profile.beta_sr - sigma_sr_sq
-        c = np.full(shape, cfg.sigma_li_sq * (1.0 - k / cfg.Ntx))
-        d = np.full(shape, (cfg.Ntx - k) / (1.0 / sigma_rd_sq).sum(-1, keepdims=True))
+        c = np.full(sigma_sr_sq.shape, cfg.sigma_li_sq * (1.0 - k / cfg.Ntx))
+        d = np.full(sigma_sr_sq.shape, (cfg.Ntx - k) / (1.0 / sigma_rd_sq).sum(-1, keepdims=True))
         e = profile.beta_rd - sigma_rd_sq
     else:  # "mr"
         a = cfg.Nrx * sigma_sr_sq
         b = profile.beta_sr
-        c = np.full(shape, cfg.sigma_li_sq)
+        c = np.full(sigma_sr_sq.shape, cfg.sigma_li_sq)
         d = sigma_rd_sq**2 / sigma_rd_sq.sum(-1, keepdims=True) * cfg.Ntx
         e = profile.beta_rd
     return SinrCoefficients(a, b, c, d, e, scheme)
 
 
-def _stacked(cfgs, profiles, scheme: str) -> tuple:
-    """A batch of points of one K, each checked first, then stacked into
-    (P, 1) config columns and (P, K) profile rows."""
+class _Batch(NamedTuple):
+    """The stack of points of one K, the points, and the schemes they were checked for."""
+
+    cfg: SimpleNamespace
+    profile: SimpleNamespace
+    cfgs: list
+    profiles: list
+    schemes: tuple
+
+
+def _checked(cfgs, profiles, *schemes) -> tuple:
+    """The points as two lists, refused unless a batch, each checked for every scheme."""
     cfgs, profiles = list(cfgs), list(profiles)
     if not cfgs or len(cfgs) != len(profiles) or len({c.K for c in cfgs}) > 1:
         raise ValueError("a batch needs one profile per config, one K and at least one point")
-    for point in zip(cfgs, profiles):
-        _check_inputs(*point, scheme)
+    for scheme in schemes:
+        for point in zip(cfgs, profiles):
+            _check_inputs(*point, scheme)
+    return cfgs, profiles
+
+
+def _batch(cfgs, profiles, *schemes) -> _Batch:
+    """The points checked (_checked) and stacked; a _Batch comes back checked for new schemes."""
+    if isinstance(cfgs, _Batch):
+        if not set(schemes) <= set(cfgs.schemes):
+            _checked(cfgs.cfgs, cfgs.profiles, *schemes)
+        return cfgs
+    cfgs, profiles = _checked(cfgs, profiles, *schemes)
     columns = np.array(list(map(attrgetter(*_COLUMNS), cfgs)), float).T[:, :, None]
     cfg = SimpleNamespace(**dict(zip(_COLUMNS, columns)))
     profile = SimpleNamespace(**{name: np.array([getattr(p, name) for p in profiles])
                                  for name in _PROFILE_ROWS})
-    return cfg, profile
+    return _Batch(cfg, profile, cfgs, profiles, schemes)
 
 
 def _report(cfg, profile, scheme: str, mode: str) -> RateReport:
-    """Rates of one point, or of a batch of points of one K (see _stacked)."""
+    """Rates of one point, or of a batch of points of one K (see _batch)."""
     single = isinstance(cfg, SystemConfig)
-    cfg, profile = _stacked(*(([cfg], [profile]) if single else (cfg, profile)), scheme)
-    coeffs = _coefficients(cfg, scheme, profile, profile.sigma_sr_sq, profile.sigma_rd_sq)
+    cfg, profile, *_ = _batch(*(([cfg], [profile]) if single else (cfg, profile)), scheme)
+    coeffs = _coefficients(cfg, profile, scheme)
     p_s, p_r = cfg.Ps, cfg.Pr
     if mode == "hd":
         # half duplex: no loop interference (c = 0), both hops at doubled power
@@ -262,10 +281,9 @@ def _required_powers(target_rate_per_pair: float, scheme: str, cfgs, profiles,
     target = target_rate_per_pair
     if not target > 0:
         raise ValueError("target rate must be positive")
-    cfg, profile = _stacked(cfgs, profiles, scheme)
+    cfg, profile, *_ = _batch(cfgs, profiles, scheme)
     n, k = len(cfg.K), cfg.K[0, 0]
-    fixed = None if pilot_tracks_data else _coefficients(
-        cfg, scheme, profile, profile.sigma_sr_sq, profile.sigma_rd_sq)
+    fixed = None if pilot_tracks_data else _coefficients(cfg, profile, scheme)
 
     def reaches(points: list, powers: np.ndarray) -> list:
         """Whether each power reaches the target, a row of powers per point."""
@@ -277,8 +295,9 @@ def _required_powers(target_rate_per_pair: float, scheme: str, cfgs, profiles,
             gains = SimpleNamespace(beta_sr=profile.beta_sr.take(rows, 0),
                                     beta_rd=profile.beta_rd.take(rows, 0))
             energy = at.tau * column
-            coeffs = _coefficients(at, scheme, gains, _mmse_variance(gains.beta_sr, energy),
-                                   _mmse_variance(gains.beta_rd, energy))
+            gains.sigma_sr_sq = _mmse_variance(gains.beta_sr, energy)
+            gains.sigma_rd_sq = _mmse_variance(gains.beta_rd, energy)
+            coeffs = _coefficients(at, gains, scheme)
         sr, rd = coeffs.sinrs(column, k * column)
         rate = np.minimum(np.log2(1.0 + sr), np.log2(1.0 + rd)).min(-1)
         # Python floats: numpy cannot convert an int target above the float range

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fdrelay import SystemConfig, cli
+from fdrelay import SystemConfig, cli, rates
 from fdrelay.cli import (
     RunSpec,
     _base_cfg,
@@ -20,6 +20,7 @@ from fdrelay.cli import (
     _se_columns,
     main,
     run_spec,
+    spec_from_manifest,
 )
 
 
@@ -110,6 +111,27 @@ def test_presets_reach_the_rate_layer_through_the_cli_names(tmp_path, monkeypatc
         monkeypatch.setattr(cli, name, counted(name))
     assert main(["run", "--preset"] + preset.split() + ["--out", str(tmp_path)]) == 0
     assert calls == want
+
+
+@pytest.mark.parametrize("preset,want", [
+    ("fig4", [4]), ("fig6", [16]), ("fig7", [11]), ("fig8 --trials 50", [50]),
+    ("fig2 --trials 4", [10]), ("fig3 --trials 4", [15]),
+    ("custom --set sweep=k:2:9:8", [1] * 8),
+])
+def test_a_table_stacks_each_run_of_equal_k_once(tmp_path, monkeypatch, preset, want):
+    # one stacked batch per run of equal K, shared by its four rate calls
+    # (fig4: by its four bisections; fig2 and fig3: by their closed forms);
+    # the Monte Carlo engine checks its points but stacks none
+    stacks = []
+
+    class Counted(rates._Batch):
+        def __new__(cls, *fields):
+            stacks.append(len(fields[2]))
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(rates, "_Batch", Counted)
+    assert main(["run", "--preset"] + preset.split() + ["--out", str(tmp_path)]) == 0
+    assert stacks == want
 
 
 def test_fig8_draws_all_its_drops_in_one_call(tmp_path, monkeypatch):
@@ -629,6 +651,27 @@ def test_a_replay_reads_the_manifest_trials_as_written(tmp_path, capsys):
     assert main(["run", "--manifest", str(path), "--out", str(second)]) == 2
     assert json.loads(capsys.readouterr().err) == {
         "error": "trials must be >= 1 and an integer", "type": "ValueError"}
+    assert not second.exists()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("trials", True, "trials must be >= 1 and an integer"),
+    ("seed", False, "seed must be >= 0 and an integer"),
+])
+def test_a_manifest_boolean_is_not_a_count(tmp_path, capsys, field, value, message):
+    # JSON true and false load as Python bools, which are ints: "trials": true
+    # would replay fig8 with one drop and write true back, "seed": false seed 0
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--preset", "fig8", "--trials", "2", "--out", str(first)]) == 0
+    path = first / "fig8.manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[field] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=message):
+        run_spec(spec_from_manifest(str(path), str(second)))
+    capsys.readouterr()
+    assert main(["run", "--manifest", str(path), "--out", str(second)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": message, "type": "ValueError"}
     assert not second.exists()
 
 

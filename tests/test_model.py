@@ -35,6 +35,7 @@ def test_config_defaults_and_prelog():
         dict(K=2, Nrx=10, Ntx=10, Pr=np.inf),
         dict(K=2, Nrx=10, Ntx=10, sigma_li_sq=np.nan),
         dict(K=2, Nrx=10, Ntx=10, Pp=np.inf),
+        dict(K=True, Nrx=10, Ntx=10),  # a bool is an int, but not a count
     ],
 )
 def test_config_rejects_bad_values(kw):

@@ -1,6 +1,7 @@
 """Tests for the closed-form rate expressions and derived quantities."""
 import inspect
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -518,8 +519,8 @@ def test_lockstep_bisections_refuse_a_bad_target_before_any_work(monkeypatch):
     def fail(*args):
         raise AssertionError("work began before the target was checked")
 
-    monkeypatch.setattr(rates, "_stacked", fail)
-    monkeypatch.setattr(rates, "_coefficients", fail)
+    for name in ("_checked", "_batch", "_coefficients"):
+        monkeypatch.setattr(rates, name, fail)
     cfgs, profiles = zip(*LOCKSTEP_POINTS)
     for target in (math.nan, 0.0, -1.0, 0):
         with pytest.raises(ValueError, match="target rate must be positive"):
@@ -647,6 +648,17 @@ def test_a_batch_equals_its_points_bit_for_bit(scheme, builder, mode, points):
         sr, rd = coeffs.sinrs(np.full(cfg.K, scale * cfg.Ps), scale * cfg.Pr)
         assert (batch.r_sr[i] == np.log2(1.0 + sr)).all()
         assert (batch.r_rd[i] == np.log2(1.0 + rd)).all()
+    # a _Batch, checked and stacked once for both schemes, gives the same
+    # bits to every call that shares it, a lockstep bisection among them
+    shared = rates._batch(cfgs, profs, "zf", "mr")
+    again = builder(shared, None, mode=mode)
+    for name in ("r_sr", "r_rd", "r_e2e", "sum_se"):
+        assert (getattr(again, name) == getattr(batch, name)).all(), name
+    if mode == "fd":
+        for tracks in (False, True):
+            got = rates._required_powers(1.0, scheme, shared, None, pilot_tracks_data=tracks)
+            assert got == [required_power(1.0, scheme, cfg, prof, pilot_tracks_data=tracks)
+                           for cfg, prof in points]
 
 
 @pytest.mark.parametrize("scheme", ["zf", "mr"])
@@ -666,8 +678,10 @@ def test_a_power_stack_equals_its_rows_bit_for_bit(scheme, points, powers):
         k, fixed = cfg.K, sinr_coefficients(cfg, prof, scheme)
 
         def tracking(energy):
-            return rates._coefficients(cfg, scheme, prof, _mmse_variance(prof.beta_sr, energy),
-                                       _mmse_variance(prof.beta_rd, energy))
+            tracked = SimpleNamespace(beta_sr=prof.beta_sr, beta_rd=prof.beta_rd,
+                                      sigma_sr_sq=_mmse_variance(prof.beta_sr, energy),
+                                      sigma_rd_sq=_mmse_variance(prof.beta_rd, energy))
+            return rates._coefficients(cfg, tracked, scheme)
 
         rows = [(fixed.sinrs(np.full(k, ps), k * ps),
                  tracking(cfg.tau * ps).sinrs(np.full(k, ps), k * ps)) for ps in powers]
@@ -699,3 +713,10 @@ def test_a_batch_refuses_mixed_pair_counts_and_bad_points():
             builder([REF_CFG, REF_CFG], [REF_PROF, small_prof])
     with pytest.raises(ValueError, match="zero forcing"):
         rate_zf([REF_CFG, replace(REF_CFG, Nrx=10)], [REF_PROF, REF_PROF])
+    # a _Batch is checked again for a scheme it was not checked for
+    mr_only = rates._batch([REF_CFG, replace(REF_CFG, Nrx=10)], [REF_PROF, REF_PROF], "mr")
+    assert rate_mr(mr_only, None).sum_se.shape == (2,)
+    with pytest.raises(ValueError, match="zero forcing"):
+        rate_zf(mr_only, None)
+    with pytest.raises(ValueError, match="zero forcing"):
+        rates._required_powers(1.0, "zf", mr_only, None)

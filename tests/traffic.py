@@ -1,6 +1,8 @@
 """Print each function's src/fdrelay statement lines that real traffic never runs:
 every CLI preset once in process (fig2, fig3 and fig8 at 20 trials), then one
 pass of each workload of perfbench/workloads.py, traced with sys.settrace.
+A preset that exits non-zero or an op whose check fails is traffic that
+went wrong: each is named with its reason on stderr, and the exit code is 1.
 
     PYTHONPATH=src python tests/traffic.py
 """
@@ -41,12 +43,15 @@ def main() -> None:
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import WORKLOADS
     from fdrelay import cli
+    failures = []
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
         for i, argv in enumerate(PRESETS):
-            cli.main(["run", "--out", os.path.join(tmp, str(i))] + argv)
+            if (code := cli.main(["run", "--out", os.path.join(tmp, str(i))] + argv)) != 0:
+                failures.append(("run " + " ".join(argv), f"exit code {code}"))
         for name, workload in WORKLOADS.items():
             for op in workload.pass_ops(1, 0, os.path.join(tmp, name)):
-                op.check(op.run())
+                if (reason := op.check(op.run())) is not None:
+                    failures.append((f"{name}/{op.name}", reason))
     sys.settrace(None)
     for file in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
         with open(os.path.join(SRC, file)) as fh:
@@ -54,6 +59,9 @@ def main() -> None:
         missed = sorted(n for n in owner if (os.path.join(SRC, file), n) not in seen)
         for fn, lines in itertools.groupby(missed, key=owner.get):
             print(f"{file}:{fn.lineno} {fn.name}: {' '.join(map(str, lines))}")
+    for op, reason in failures:
+        print(f"failed: {op}: {reason}", file=sys.stderr)
+    sys.exit(1 if failures else 0)
 
 
 if __name__ == "__main__":
