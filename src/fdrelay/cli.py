@@ -70,7 +70,7 @@ def _value(key: str, raw) -> float | int:
     and a dB key a value whose linear scale is finite."""
     try:
         x = float(raw)
-    except ValueError:
+    except (TypeError, ValueError):  # a manifest's value may be null, a list or an object
         raise ValueError(f"override {key}={raw} is not a number") from None
     if key.endswith("_db") and key not in _GEOMETRY:
         try:
@@ -393,10 +393,17 @@ def run_spec(spec: RunSpec) -> list:
 
 
 def spec_from_manifest(path: str, out_dir: str) -> RunSpec:
+    """The run a manifest records, refused by name unless its form is right."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("manifest is not a JSON object")
+    if missing := [key for key in ("preset", "seed", "trials") if key not in data]:
+        raise ValueError(f"manifest lacks {', '.join(missing)}")
+    if not isinstance(overrides := data.get("overrides", {}), dict):
+        raise ValueError("manifest overrides are not a JSON object")
     return RunSpec(preset=data["preset"], seed=data["seed"], trials=data["trials"],
-                   overrides=dict(data.get("overrides", {})), out_dir=out_dir)
+                   overrides=dict(overrides), out_dir=out_dir)
 
 
 @functools.cache

@@ -102,7 +102,7 @@ stacked gradients: 11 for a bound, 3 for the genie rates.
 
 Everything consumes a caller-supplied Generator in a fixed chunk order, so a
 given seed reproduces results exactly regardless of available memory, and
-rates._checked refuses a bad batch of (cfg, profile) points before the first draw.
+rates._batch refuses a bad batch of (cfg, profile) points before the first draw.
 """
 from __future__ import annotations
 
@@ -112,7 +112,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import LargeScaleProfile, SystemConfig, _check_count, _check_real
-from .rates import _check_inputs, _checked, _rd_limit
+from .rates import _batch, _check_inputs, _rd_limit
 
 # Feature rows of one simulated trial, K columns (pairs) each: first-hop
 # gain real part, imaginary part, |gain|^2, multipair, loop and noise;
@@ -309,8 +309,8 @@ class _Accumulator:
 
     A row holds F features for each of K pairs. Read mean and stderr only
     after the last add: the sample covariance is built once, on first use.
-    The sum-of-products form is accurate enough here: these features vary
-    by far more than its rounding error.
+    The sum-of-products form keeps every mean exact, but its covariance cancels:
+    the stderrs carry about 11 significant digits (ROADMAP item 15).
     """
 
     def __init__(self, features: int, k: int):
@@ -402,10 +402,11 @@ def _simulate(points, scheme: str, trials: int, rng: np.random.Generator,
               least: int = 2) -> list:
     """One _Accumulator per (cfg, profile) point of a list, all on the same draws;
     least is the fewest trials the caller takes (2 for a stderr). The checks, the
-    shared (K, Nrx, Ntx) and then rates._checked, all run before the first draw."""
+    shared (K, Nrx, Ntx) and then rates._batch's, all run before the first draw."""
     if len({(c.K, c.Nrx, c.Ntx) for c, _ in points}) > 1:
         raise ValueError("all points must share K, Nrx and Ntx")
-    cfg = _checked([c for c, _ in points], [p for _, p in points], scheme)[0][0]
+    _batch([c for c, _ in points], [p for _, p in points], scheme)
+    cfg = points[0][0]
     _check_count("trials", trials, least)
     accs = [_Accumulator(_FEATURES, cfg.K) for _ in points]
     for n in _chunks(trials, 16 * cfg.K ** 2):

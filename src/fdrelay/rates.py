@@ -16,11 +16,11 @@ module and the CLI read the same type. rate_zf and rate_mr evaluate it at
 the uniform powers (Ps, Pr) of the config; per-source powers go through
 sinr_coefficients(cfg, profile, scheme).sinrs(p_s, p_r). rate_zf and rate_mr
 also take a batch of points of one K; one point is a batch of one. _batch
-checks a batch (_checked: _check_inputs on every point, for each scheme)
-and stacks it into a _Batch, a (P, 1) column per config field and a (P, K)
-row per profile vector, for several rate calls to share. required_power
-bisects one point, a batch of one of _required_powers, which the CLI's fig4
-runs in lockstep. Every entry point checks its points before any work.
+stacks it into a _Batch, a (P, 1) column per config field and a (P, K) row
+per profile vector, for several rate calls to share, and runs _check_inputs
+on the stack once per scheme of each call. required_power bisects one point,
+a batch of one of _required_powers, which the CLI's fig4 runs in lockstep.
+Every entry point checks its points before any work.
 """
 from __future__ import annotations
 
@@ -81,15 +81,15 @@ class SinrCoefficients(NamedTuple):
         return sr, rd
 
 
-def _check_inputs(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str) -> None:
-    """The one input check of every (cfg, profile, scheme) entry point: the
-    profile has cfg.K pairs, the scheme is "zf" or "mr", and zero forcing
-    has more relay antennas than pairs on both sides."""
-    if profile.K != cfg.K:
+def _check_inputs(cfg, profile, scheme: str) -> None:
+    """The one input check of every entry point: the profile has cfg.K pairs (at a
+    point; _batch holds each point it stacks to it), the scheme is "zf" or "mr", and
+    ZF has Nrx > K and Ntx > K, one count_nonzero (a cheap np.any) over a stack's columns."""
+    if isinstance(cfg, SystemConfig) and profile.K != cfg.K:
         raise ValueError(f"profile has {profile.K} pairs but cfg.K is {cfg.K}")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if scheme == "zf" and (cfg.Nrx <= cfg.K or cfg.Ntx <= cfg.K):
+    if scheme == "zf" and np.count_nonzero(np.minimum(cfg.Nrx, cfg.Ntx) <= cfg.K):
         raise ValueError("zero forcing needs Nrx > K and Ntx > K")
 
 
@@ -119,44 +119,35 @@ def _coefficients(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str) ->
 
 
 class _Batch(NamedTuple):
-    """The stack of points of one K, the points, and the schemes they were checked for."""
+    """Points of one K: a (P, 1) column per config field, a (P, K) row per profile vector."""
 
     cfg: SimpleNamespace
     profile: SimpleNamespace
-    cfgs: list
-    profiles: list
-    schemes: tuple
-
-
-def _checked(cfgs, profiles, *schemes) -> tuple:
-    """The points as two lists, refused unless a batch, each checked for every scheme."""
-    cfgs, profiles = list(cfgs), list(profiles)
-    if not cfgs or len(cfgs) != len(profiles) or len({c.K for c in cfgs}) > 1:
-        raise ValueError("a batch needs one profile per config, one K and at least one point")
-    for scheme in schemes:
-        for point in zip(cfgs, profiles):
-            _check_inputs(*point, scheme)
-    return cfgs, profiles
 
 
 def _batch(cfgs, profiles, *schemes) -> _Batch:
-    """The points checked (_checked) and stacked; a _Batch comes back checked for new schemes."""
-    if isinstance(cfgs, _Batch):
-        if not set(schemes) <= set(cfgs.schemes):
-            _checked(cfgs.cfgs, cfgs.profiles, *schemes)
-        return cfgs
-    cfgs, profiles = _checked(cfgs, profiles, *schemes)
-    columns = np.array(list(map(attrgetter(*_COLUMNS), cfgs)), float).T[:, :, None]
-    cfg = SimpleNamespace(**dict(zip(_COLUMNS, columns)))
-    profile = SimpleNamespace(**{name: np.array([getattr(p, name) for p in profiles])
-                                 for name in _PROFILE_ROWS})
-    return _Batch(cfg, profile, cfgs, profiles, schemes)
+    """The points stacked, or a _Batch as it is, and the stack checked (_check_inputs)
+    for each scheme; a bad shape or a profile of another pair count is refused first."""
+    if not isinstance(cfgs, _Batch):
+        cfgs, profiles = list(cfgs), list(profiles)
+        if not cfgs or len(cfgs) != len(profiles) or len({c.K for c in cfgs}) > 1:
+            raise ValueError("a batch needs one profile per config, one K and at least one point")
+        for profile in profiles:
+            if profile.K != cfgs[0].K:
+                raise ValueError(f"profile has {profile.K} pairs but cfg.K is {cfgs[0].K}")
+        columns = np.array(list(map(attrgetter(*_COLUMNS), cfgs)), float).T[:, :, None]
+        cfgs = _Batch(SimpleNamespace(**dict(zip(_COLUMNS, columns))),
+                      SimpleNamespace(**{name: np.array([getattr(p, name) for p in profiles])
+                                         for name in _PROFILE_ROWS}))
+    for scheme in schemes:
+        _check_inputs(*cfgs, scheme)
+    return cfgs
 
 
 def _report(cfg, profile, scheme: str, mode: str) -> RateReport:
     """Rates of one point, or of a batch of points of one K (see _batch)."""
     single = isinstance(cfg, SystemConfig)
-    cfg, profile, *_ = _batch(*(([cfg], [profile]) if single else (cfg, profile)), scheme)
+    cfg, profile = _batch(*(([cfg], [profile]) if single else (cfg, profile)), scheme)
     coeffs = _coefficients(cfg, profile, scheme)
     p_s, p_r = cfg.Ps, cfg.Pr
     if mode == "hd":
@@ -281,7 +272,7 @@ def _required_powers(target_rate_per_pair: float, scheme: str, cfgs, profiles,
     target = target_rate_per_pair
     if not target > 0:
         raise ValueError("target rate must be positive")
-    cfg, profile, *_ = _batch(cfgs, profiles, scheme)
+    cfg, profile = _batch(cfgs, profiles, scheme)
     n, k = len(cfg.K), cfg.K[0, 0]
     fixed = None if pilot_tracks_data else _coefficients(cfg, profile, scheme)
 

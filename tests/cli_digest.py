@@ -1,7 +1,7 @@
 """Digest of the CLI's outputs over a fixed list of runs, for byte-identity checks.
 
 Runs every spec of :func:`specs` in process through ``fdrelay.cli.main`` and
-prints the numpy, scipy and BLAS versions, then one line per output: the spec,
+prints the numpy and BLAS versions, then one line per output: the spec,
 its exit code, the file name, the file's sha256 and the run's stderr (a failed
 run prints one line with ``-`` for the file and the hash). Warnings use the
 ``default`` filter, as outside pytest.
@@ -38,7 +38,6 @@ import contextlib
 import csv
 import difflib
 import hashlib
-import importlib.metadata
 import io
 import json
 import os
@@ -68,10 +67,10 @@ def _sets(*items) -> list:
 
 
 def versions() -> str:
-    """The digest's first line: the numpy, scipy and BLAS builds its bytes come from."""
+    """The digest's first line: the numpy and BLAS builds its bytes come from
+    (no fdrelay code loads scipy, so its version moves no byte)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return (f"numpy {np.__version__} scipy {importlib.metadata.version('scipy')} "
-            f"blas {blas.get('name')} {blas.get('version')}")
+    return f"numpy {np.__version__} blas {blas.get('name')} {blas.get('version')}"
 
 
 def specs() -> list:

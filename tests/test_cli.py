@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -121,15 +122,18 @@ def test_presets_reach_the_rate_layer_through_the_cli_names(tmp_path, monkeypatc
 def test_a_table_stacks_each_run_of_equal_k_once(tmp_path, monkeypatch, preset, want):
     # one stacked batch per run of equal K, shared by its four rate calls
     # (fig4: by its four bisections; fig2 and fig3: by their closed forms);
-    # the Monte Carlo engine checks its points but stacks none
+    # the Monte Carlo engine checks its points through its own _batch
+    # binding, which this spy leaves alone
     stacks = []
+    real = rates._batch
 
-    class Counted(rates._Batch):
-        def __new__(cls, *fields):
-            stacks.append(len(fields[2]))
-            return super().__new__(cls, *fields)
+    def counted(cfgs, profiles, *schemes):
+        if not isinstance(cfgs, rates._Batch):
+            stacks.append(len(cfgs))
+        return real(cfgs, profiles, *schemes)
 
-    monkeypatch.setattr(rates, "_Batch", Counted)
+    for module in (cli, rates):
+        monkeypatch.setattr(module, "_batch", counted)
     assert main(["run", "--preset"] + preset.split() + ["--out", str(tmp_path)]) == 0
     assert stacks == want
 
@@ -301,7 +305,8 @@ def test_an_accepted_override_reaches_every_config_the_preset_hands_on(
         tmp_path, monkeypatch, preset):
     # each config key is either refused before the preset runs or its value
     # is in every SystemConfig the preset hands to the rate, Monte Carlo,
-    # bisection and allocation layers, so a preset's declared fields cannot
+    # bisection and allocation layers (the closed forms and the bisection
+    # take theirs through _batch), so a preset's declared fields cannot
     # drift from what its body overwrites
     assert set(KEY_VALUES) == set(cli._KEY_FIELDS)
     ran, seen = [], []
@@ -329,7 +334,8 @@ def test_an_accepted_override_reaches_every_config_the_preset_hands_on(
         return wrapper
 
     monkeypatch.setitem(cli._PRESETS, preset, cli._PRESETS[preset]._replace(run=run))
-    for name in ("rate_zf", "rate_mr", "simulate", "_required_powers", "optimize_powers"):
+    for name in ("_batch", "rate_zf", "rate_mr", "simulate", "_required_powers",
+                 "optimize_powers"):
         monkeypatch.setattr(cli, name, spied(name))
     extra = {"sweep": "ps_db:0:10:2"} if preset == "custom" else {}
     trials = 2 if preset in ("fig2", "fig3", "fig8") else 1
@@ -673,6 +679,27 @@ def test_a_manifest_boolean_is_not_a_count(tmp_path, capsys, field, value, messa
     assert main(["run", "--manifest", str(path), "--out", str(second)]) == 2
     assert json.loads(capsys.readouterr().err) == {"error": message, "type": "ValueError"}
     assert not second.exists()
+
+
+@pytest.mark.parametrize("manifest,message", [
+    ({"preset": "fig6", "seed": 1}, "manifest lacks trials"),
+    ({"overrides": {}}, "manifest lacks preset, seed, trials"),
+    (["fig6", 1, 1], "manifest is not a JSON object"),
+    ({"preset": "fig6", "seed": 1, "trials": 1, "overrides": "x"},
+     "manifest overrides are not a JSON object"),
+    ({"preset": "fig6", "seed": 1, "trials": 1, "overrides": {"nrx": [64]}},
+     r"override nrx=\[64\] is not a number"),
+])
+def test_a_malformed_manifest_is_refused_by_name(tmp_path, capsys, manifest, message):
+    # not a bare KeyError or TypeError from reading the file's fields
+    path, out = tmp_path / "run.manifest.json", tmp_path / "out"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=message):
+        run_spec(spec_from_manifest(str(path), str(out)))
+    assert main(["run", "--manifest", str(path), "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["type"] == "ValueError" and re.fullmatch(message, payload["error"])
+    assert not out.exists()
 
 
 def test_main_calls_share_one_parser(tmp_path, monkeypatch):

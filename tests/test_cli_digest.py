@@ -8,7 +8,7 @@ import cli_digest
 def test_every_cli_output_matches_the_committed_digest():
     # byte-identity of every preset, sweep, benchmark op and edge probe, and
     # of each successful run's manifest replay; the first line holds the
-    # library versions, so another numpy, scipy or BLAS build fails here too
+    # numpy and BLAS versions, so another build of either fails here too
     with open(os.path.join(cli_digest.HERE, "cli_digest.txt")) as fh:
         want = fh.read().splitlines()
     lines, differs, _ = cli_digest.digest_all()

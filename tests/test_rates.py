@@ -519,7 +519,7 @@ def test_lockstep_bisections_refuse_a_bad_target_before_any_work(monkeypatch):
     def fail(*args):
         raise AssertionError("work began before the target was checked")
 
-    for name in ("_checked", "_batch", "_coefficients"):
+    for name in ("_batch", "_check_inputs", "_coefficients"):
         monkeypatch.setattr(rates, name, fail)
     cfgs, profiles = zip(*LOCKSTEP_POINTS)
     for target in (math.nan, 0.0, -1.0, 0):
@@ -713,10 +713,52 @@ def test_a_batch_refuses_mixed_pair_counts_and_bad_points():
             builder([REF_CFG, REF_CFG], [REF_PROF, small_prof])
     with pytest.raises(ValueError, match="zero forcing"):
         rate_zf([REF_CFG, replace(REF_CFG, Nrx=10)], [REF_PROF, REF_PROF])
-    # a _Batch is checked again for a scheme it was not checked for
+    # a _Batch is checked for the scheme of every call that takes it
     mr_only = rates._batch([REF_CFG, replace(REF_CFG, Nrx=10)], [REF_PROF, REF_PROF], "mr")
     assert rate_mr(mr_only, None).sum_se.shape == (2,)
     with pytest.raises(ValueError, match="zero forcing"):
         rate_zf(mr_only, None)
     with pytest.raises(ValueError, match="zero forcing"):
         rates._required_powers(1.0, "zf", mr_only, None)
+
+
+def test_a_batch_refuses_a_profile_of_another_pair_count_before_a_scheme_rule():
+    # the pair counts are checked point by point before the stack, and the
+    # scheme rules once on the stack, so a later point's profile is named
+    # before an earlier point's zero-forcing dimensions or a bad scheme
+    from dataclasses import replace
+
+    small_prof = make_profile([1.0] * 4, [1.0] * 4, 8, REF_CFG.Pp)
+    cfgs, profs = [replace(REF_CFG, Nrx=10), REF_CFG], [REF_PROF, small_prof]
+    for call in (lambda: rate_zf(cfgs, profs), lambda: rates._batch(cfgs, profs, "svd"),
+                 lambda: rates._required_powers(1.0, "zf", cfgs, profs)):
+        with pytest.raises(ValueError, match="profile has 4 pairs but cfg.K is 10"):
+            call()
+    # the schemes are checked in the order given
+    zf_bad = [REF_CFG, replace(REF_CFG, Ntx=10)], [REF_PROF, REF_PROF]
+    with pytest.raises(ValueError, match="zero forcing"):
+        rates._batch(*zf_bad, "zf", "svd")
+    with pytest.raises(ValueError, match="unknown scheme 'svd'"):
+        rates._batch(*zf_bad, "svd", "zf")
+
+
+@pytest.mark.parametrize("points", [1, 5])
+def test_a_batch_runs_each_scheme_check_once_whatever_its_size(monkeypatch, points):
+    # the scheme rules are elementwise tests on the stack's (P, 1) columns,
+    # not a Python loop over the points
+    calls = []
+    real = rates._check_inputs
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(rates, "_check_inputs", counted)
+    cfgs, profs = [REF_CFG] * points, [REF_PROF] * points
+    for mode in ("fd", "hd"):
+        assert rate_zf(cfgs, profs, mode=mode).sum_se.shape == (points,)
+        assert rate_mr(cfgs, profs, mode=mode).sum_se.shape == (points,)
+    assert len(rates._required_powers(1.0, "zf", cfgs, profs)) == points
+    shared = rates._batch(cfgs, profs, "zf", "mr")
+    rate_mr(shared, None)
+    assert calls == ["zf", "mr", "zf", "mr", "zf", "zf", "mr", "mr"]
