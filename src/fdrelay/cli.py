@@ -69,6 +69,8 @@ def _value(key: str, raw) -> float | int:
     """An override value; integer keys take integral spellings only (64, 64.0),
     and a dB key a value whose linear scale is finite."""
     try:
+        if isinstance(raw, bool):  # JSON true would run as 1.0 and write back "True"
+            raise TypeError
         x = float(raw)
     except (TypeError, ValueError):  # a manifest's value may be null, a list or an object
         raise ValueError(f"override {key}={raw} is not a number") from None
@@ -353,7 +355,7 @@ def run_spec(spec: RunSpec) -> list:
     written) and override keys are vetted first: each is a config key or an
     extra the preset reads, and a config field has one source, the preset or
     one key. A failed run writes no file."""
-    if spec.preset not in _PRESETS:
+    if not isinstance(spec.preset, str) or spec.preset not in _PRESETS:  # a JSON list or object
         raise ValueError(f"unknown preset {spec.preset!r}")
     _check_count("trials", spec.trials)
     _check_count("seed", spec.seed, 0)

@@ -52,11 +52,7 @@ affine forms, so the program is convex:
     objective once r_prim vanishes.
 
 The solver needs numpy alone: np.linalg.cholesky is the test that decides
-the ridge, and np.linalg.solve gives each direction. A fresh
-`fdrelay run --preset fig9` takes 0.92 s, and the alloc benchmark's set-up
-(import and one allocation) 0.27 s, against 1.28 s and 0.53 s when this
-module looked up scipy's LAPACK potrf/potrs on its first Newton solve (one
-BLAS thread, 2-core x86 VM).
+the ridge, and np.linalg.solve gives each direction.
 """
 from __future__ import annotations
 

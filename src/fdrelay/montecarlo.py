@@ -57,15 +57,7 @@ Every batched product of _tri_inv, _bases and _features goes through _mm,
 which chooses its method by the pair count K. `@` makes one numpy call per
 K x K matrix, so at K <= 3 a product is instead one whole-batch
 multiply-add per contracted index; from K = 4 it is `@`, bit for bit.
-Complex (n, K, K) products, one BLAS thread, µs (best of 15 on a 2-core
-x86 VM):
-
-    K    n      @      multiply-adds
-    2    600    179     41
-    3    600    198     89
-    4    100     34     38
-    5    600    220    825
-    10   100     67    330
+The timings that set this cut sit beside _BROADCAST_MAX_K.
 
 The decode and forward probes read the same pass. With x and x_fwd the
 source and forwarded symbols (iid CN(0, 1)), the relay noise n ~ CN(0, I_Nrx)
@@ -243,7 +235,7 @@ def _draw(cfg: SystemConfig, n: int, rng: np.random.Generator):
 # Up to this pair count a batched product is one whole-batch multiply-add
 # per contracted index; above it the product is `@`, which makes one numpy
 # call per matrix. Complex (n, K, K) products, one BLAS thread, µs for `@` /
-# multiply-adds:
+# multiply-adds (best of 15 on a 2-core x86 VM):
 #
 #     K = 2,  n = 600:  179 /  41      K = 5,  n = 600:  220 / 825
 #     K = 3,  n = 600:  198 /  89      K = 10, n = 100:   67 / 330

@@ -233,29 +233,22 @@ def _rd_limit(scheme: str, sigma_rd_sq, er: float):
 
 _LOOKAHEAD = 5  # bisection levels resolved per numpy evaluation
 _CEILINGS = (1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12)  # 1e6 grown tenfold, each product exact
-# _midpoints fills a table of 2^_LOOKAHEAD + 1 edges per bracket, lo in
-# column 0 and hi in the last: the midpoints of level l fill the columns at
-# odd multiples of _HALVES[l], each between the two columns _HALVES[l] away,
-# and _LEVEL_ORDER lists the filled columns level by level
-_HALVES = [2**level for level in reversed(range(_LOOKAHEAD))]
-_LEVEL_ORDER = np.concatenate([np.arange(h, 2**_LOOKAHEAD, 2 * h) for h in _HALVES])
 
 
-def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The next _LOOKAHEAD levels of bisection midpoints below each bracket
-    [lo, hi], each sqrt(a * b) of its bracket as one bisection step computes
-    it, one row per bracket, listed level by level: node i splits into nodes
-    2i + 1 (its lower bracket) and 2i + 2 (its upper one)."""
+def _edges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each bracket [lo, hi] with the next _LOOKAHEAD levels of bisection
+    midpoints below it, sorted: lo, the 2^_LOOKAHEAD - 1 midpoints, hi, one
+    row per bracket, each midpoint sqrt(a * b) of its bracket as one
+    bisection step computes it."""
     edges = np.empty((len(lo), 2**_LOOKAHEAD + 1))
     edges[:, 0], edges[:, -1] = lo, hi
-    for h in _HALVES:
+    for h in [2**level for level in reversed(range(_LOOKAHEAD))]:
         edges[:, h::2 * h] = np.sqrt(edges[:, :-1:2 * h] * edges[:, 2 * h::2 * h])
-    return edges[:, _LEVEL_ORDER]
+    return edges
 
 
-# the first evaluation's powers: the floor, the ceilings, then the midpoints below 1e6
-_BELOW_1E6 = _midpoints(np.array([1e-6]), np.array([1e6]))[0].tolist()
-_FIRST = np.array([1e-6, *_CEILINGS, *_BELOW_1E6])
+# the first evaluation's powers, ascending: the floor, the midpoints below 1e6, the ceilings
+_FIRST = np.concatenate([_edges(np.array([1e-6]), np.array([1e6]))[0], _CEILINGS[1:]])
 
 
 def _required_powers(target_rate_per_pair: float, scheme: str, cfgs, profiles,
@@ -295,30 +288,32 @@ def _required_powers(target_rate_per_pair: float, scheme: str, cfgs, profiles,
         return [[r >= target for r in row] for row in rate.reshape(powers.shape).tolist()]
 
     def walk(points: list, mids: list, ok: list) -> None:
-        """Move each point's bracket in los and his down its row of evaluated
-        midpoints, as many steps as the stop rule lets it take."""
+        """Move each point's bracket in los and his by binary search over its
+        row of sorted midpoints, whose bracket ends sit at indices -1 and
+        len(row), as many steps as the stop rule lets it take."""
         for p, row, reached in zip(points, mids, ok):
-            lo, hi, node = los[p], his[p], 0
-            while node < len(row) and (hi - lo) > 1e-6 * hi:
-                if reached[node]:
-                    hi, node = row[node], 2 * node + 1
+            lo, hi, i, j = los[p], his[p], -1, len(row)
+            while j - i > 1 and (hi - lo) > 1e-6 * hi:
+                m = (i + j) // 2
+                if reached[m]:
+                    hi, j = row[m], m
                 else:
-                    lo, node = row[node], 2 * node + 2
+                    lo, i = row[m], m
             los[p], his[p] = lo, hi
 
-    # the first evaluation holds the floor, every ceiling and the midpoints
-    # below 1e6 at every point: it speculates that 1e6 reaches the target
+    # the first evaluation holds the floor, the midpoints below 1e6 and every
+    # ceiling at every point: it speculates that 1e6 reaches the target
     ok = reaches(list(range(n)), np.tile(_FIRST, (n, 1)))
     los, his = [1e-6] * n, []
     for reached in ok:
-        hi = next((h for h, r in zip(_CEILINGS, reached[1:]) if r), math.inf)
+        hi = next((h for h, r in zip(_CEILINGS, reached[32:]) if r), math.inf)
         his.append(1e-6 if reached[0] and hi < math.inf else hi)  # a target met at the floor
     # min rate is nondecreasing in Ps under the Pr = K*Ps coupling
     at_1e6 = [p for p in range(n) if his[p] == 1e6]
-    walk(at_1e6, [_BELOW_1E6] * len(at_1e6), [ok[p][-len(_BELOW_1E6):] for p in at_1e6])
+    walk(at_1e6, [_FIRST[1:32].tolist()] * len(at_1e6), [ok[p][1:32] for p in at_1e6])
     live = [p for p in range(n) if los[p] < his[p] < math.inf]
     while live := [p for p in live if (his[p] - los[p]) > 1e-6 * his[p]]:
-        mids = _midpoints(np.array([los[p] for p in live]), np.array([his[p] for p in live]))
+        mids = _edges(np.array([los[p] for p in live]), np.array([his[p] for p in live]))[:, 1:-1]
         walk(live, mids.tolist(), reaches(live, mids))
     return his
 

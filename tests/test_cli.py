@@ -689,6 +689,16 @@ def test_a_manifest_boolean_is_not_a_count(tmp_path, capsys, field, value, messa
      "manifest overrides are not a JSON object"),
     ({"preset": "fig6", "seed": 1, "trials": 1, "overrides": {"nrx": [64]}},
      r"override nrx=\[64\] is not a number"),
+    # a JSON bool ran as 1 and wrote back "True", which its replay refused
+    ({"preset": "fig6", "seed": 1, "trials": 1, "overrides": {"pp": True}},
+     "override pp=True is not a number"),
+    ({"preset": "fig8", "seed": 1, "trials": 1, "overrides": {"disk_diameter": True}},
+     "override disk_diameter=True is not a number"),
+    ({"preset": "fig4", "seed": 1, "trials": 1, "overrides": {"target_rate": False}},
+     "override target_rate=False is not a number"),
+    # an unhashable preset raised TypeError at the preset lookup
+    ({"preset": ["fig6"], "seed": 1, "trials": 1}, r"unknown preset \['fig6'\]"),
+    ({"preset": {"name": "fig6"}, "seed": 1, "trials": 1}, r"unknown preset \{'name': 'fig6'\}"),
 ])
 def test_a_malformed_manifest_is_refused_by_name(tmp_path, capsys, manifest, message):
     # not a bare KeyError or TypeError from reading the file's fields

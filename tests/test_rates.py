@@ -310,6 +310,7 @@ def test_required_power_builds_coefficients_once_or_once_per_step(monkeypatch, t
         ps = required_power(target, "zf", cfg, prof, pilot_tracks_data=tracks)
         assert len(built) == (len(steps) if tracks else 1)
         assert all((p_r == cfg.K * p_s).all() for p_s, p_r in steps)
+        assert all((np.diff(p_s[:, 0]) > 0).all() for p_s, _ in steps)  # ascending
         return ps, [p_s.shape for p_s, _ in steps]
 
     ps, shapes = rows(1.0, REF_CFG, REF_PROF)
