@@ -72,6 +72,8 @@ def _value(key: str, raw) -> float | int:
         if isinstance(raw, bool):  # JSON true would run as 1.0 and write back "True"
             raise TypeError
         x = float(raw)
+    except OverflowError:  # a JSON integer beyond the float range reads as 1e400 does
+        x = math.inf
     except (TypeError, ValueError):  # a manifest's value may be null, a list or an object
         raise ValueError(f"override {key}={raw} is not a number") from None
     if key.endswith("_db") and key not in _GEOMETRY:

@@ -56,6 +56,7 @@ the ridge, and np.linalg.solve gives each direction.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,7 +67,7 @@ FEAS_MARGIN = 1e-9
 TOL = 1e-9  # stopping tolerance of the primal-dual path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Posynomial:
     """sum_i coeffs[i] * prod_k x_k^exponents[i, k], coeffs > 0."""
 
@@ -100,7 +101,7 @@ class Posynomial:
         return float(np.sum(np.exp(self.exponents @ y + np.log(self.coeffs))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeometricProgram:
     objective: Posynomial
     inequalities: tuple
@@ -214,30 +215,20 @@ class _Centering:
         return max(1.0, -float(g[0] @ sol[:, 1]) / curvature)
 
 
-# (objective, inequalities, their stacked rows) of the last program solved;
-# the rows depend only on those two immutable objects, so reusing them
-# changes no result
-_last_rows = (None, None, None)
-
-
-def _stacked_rows(prog: GeometricProgram):
+@functools.lru_cache(maxsize=1)
+def _stacked_rows(objective: Posynomial, inequalities: tuple):
     """A, b and the segment sizes of LSE(A y + b): the objective, every
     inequality, then both box sides as one-row segments whose offsets
     (-log upper, log lower) b leaves out. Programs sharing the objective and
     the inequality tuple (the allocator's rounds) share one stack."""
-    global _last_rows
-    objective, inequalities, rows = _last_rows
-    if objective is prog.objective and inequalities is prog.inequalities:
-        return rows
-    terms = (prog.objective,) + prog.inequalities
-    eye = np.eye(prog.n_vars)
+    terms = (objective,) + inequalities
+    eye = np.eye(objective.n_vars)
     a = np.vstack([p.exponents for p in terms] + [eye, -eye])
     b = np.concatenate([np.log(p.coeffs) for p in terms])
-    sizes = np.array([p.coeffs.size for p in terms] + [1] * (2 * prog.n_vars),
+    sizes = np.array([p.coeffs.size for p in terms] + [1] * (2 * objective.n_vars),
                      dtype=np.intp)
     for x in (a, b, sizes):
         x.setflags(write=False)
-    _last_rows = (prog.objective, prog.inequalities, (a, b, sizes))
     return a, b, sizes
 
 
@@ -401,7 +392,7 @@ def solve_gp(prog: GeometricProgram, start=None) -> GpResult:
     if not consistent:
         return failed("infeasible")
     # map the objective and every constraint into the null-space coordinates
-    a, b, sizes = _stacked_rows(prog)
+    a, b, sizes = _stacked_rows(prog.objective, prog.inequalities)
     b = np.concatenate([b, -np.log(prog.upper), np.log(prog.lower)])
     block = _Centering(a @ null, b + a @ y_p, sizes)
     obj = prog.objective

@@ -12,8 +12,13 @@ import numpy as np
 
 
 def _check_real(name: str, x, strict: bool = False) -> None:
-    """The scalar rule: x is finite and >= 0 (> 0 if strict); NaN and None fail."""
-    if x is None or not (0 < x if strict else 0 <= x) or not x < np.inf:
+    """The scalar rule: x is >= 0 (> 0 if strict) and finite as a float64, so
+    an int beyond the float range fails; NaN and None fail."""
+    try:
+        ok = x is not None and (0 < x if strict else 0 <= x) and float(x) < np.inf
+    except OverflowError:
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0")
 
 

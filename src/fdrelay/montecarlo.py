@@ -331,23 +331,22 @@ class _Accumulator:
         return (self.cross - self.trials * np.outer(mean, mean)) / (self.trials - 1.0)
 
     def stderr(self, grad: np.ndarray):
-        """Delta-method stderrs of K per-pair estimates and of their sum.
+        """Delta-method stderrs of a stack of M gradients, from one product.
 
-        grad (F, K): column k is the gradient of estimate k in the features
-        of pair k, the only ones it depends on. The sum's gradient is the
-        sum of the per-pair ones, so its stderr counts the covariance
-        between pairs. Returns a (K,) array and a float; a stack (M, F, K)
-        of gradients returns (M, K) and (M,) arrays, all from one product.
+        grad (M, F, K): column k of gradient i is the gradient of its
+        estimate k in the features of pair k, the only ones it depends on.
+        Returns the (M, K) stderrs of the estimates and the (M,) ones of
+        their sums; a sum's gradient is the sum of the per-pair ones, so
+        its stderr counts the covariance between pairs.
         """
-        stack = grad.reshape(-1, *grad.shape[-2:])
-        m, f, k = stack.shape
+        m, f, k = grad.shape
         # column i K + j: estimate j of gradient i, in the features of pair j
-        g = (stack[..., None] * np.eye(k)).transpose(1, 2, 0, 3).reshape(f * k, m * k)
+        g = (grad[..., None] * np.eye(k)).transpose(1, 2, 0, 3).reshape(f * k, m * k)
         cov = (g.T @ self.cov @ g / self.trials).reshape(m, k, m, k)
         own = cov[np.arange(m), :, np.arange(m)]  # (M, K, K): each estimate's own block
         se = np.sqrt(np.maximum(np.diagonal(own, axis1=1, axis2=2), 0.0))
         se_sum = np.sqrt(np.maximum(np.sum(own, axis=(1, 2)), 0.0))
-        return (se[0], float(se_sum[0])) if grad.ndim == 2 else (se, se_sum)
+        return se, se_sum
 
 
 def _grad(k: int, rows: dict) -> np.ndarray:
@@ -408,27 +407,10 @@ def _simulate(points, scheme: str, trials: int, rng: np.random.Generator,
     return accs
 
 
-def _hop_terms(acc: _Accumulator, rows: range):
-    """Pooled bound ingredients of one hop, from its feature rows, and the
-    gradients of its drawn fields' stderrs in HopTerms order."""
-    re, im, gain2, *plain = acc.mean[rows.start:rows.stop]
-    mean = re + 1j * im
-    mag = np.abs(mean)
-    k = mag.size
-    first = rows.start
-    # the second hop draws no loop or noise rows: its loop term is exactly
-    # zero and its noise exactly one
-    mp, li, an = (plain + [np.zeros(k), np.ones(k)])[:3]
-    grads = [_grad(k, {first: re / mag, first + 1: im / mag}),
-             _grad(k, {first: -2.0 * re, first + 1: -2.0 * im, first + 2: 1.0})]
-    grads += [_grad(k, {row: 1.0}) for row in rows[3:]]
-    terms = dict(mean_gain=mean, var_gain=np.maximum(gain2 - mag ** 2, 0.0),
-                 multipair=mp, loop=li, noise=an)
-    return terms, grads
-
-
-def _hop_rate(cfg: SystemConfig, p: float, terms: dict, rows: range):
-    """Bound rate of one hop (transmit power p) and its gradient in the features.
+def _hop(cfg: SystemConfig, acc: _Accumulator, rows: range, p: float):
+    """One hop's pooled bound ingredients (HopTerms' drawn fields), its bound
+    rate at transmit power p, and its gradients in the features: the rate's,
+    then those of its drawn fields' stderrs in HopTerms order.
 
     With m = E{w_k^T g_k}, D = p var + p multipair + Pr loop + noise and
     P = D + p|m|^2 = p E|w_k^T g_k|^2 + p multipair + Pr loop + noise, the
@@ -437,15 +419,26 @@ def _hop_rate(cfg: SystemConfig, p: float, terms: dict, rows: range):
     imaginary rows and (1/P - 1/D) times the power in every other row, all
     over ln 2.
     """
-    m = terms["mean_gain"]
-    signal = p * np.abs(m) ** 2
-    den = (p * terms["var_gain"] + p * terms["multipair"] + cfg.Pr * terms["loop"]
-           + terms["noise"])
+    re, im, gain2, *plain = acc.mean[rows.start:rows.stop]
+    mean = re + 1j * im
+    mag = np.abs(mean)
+    k = mag.size
+    first = rows.start
+    # the second hop draws no loop or noise rows: its loop term is exactly
+    # zero and its noise exactly one
+    mp, li, an = (plain + [np.zeros(k), np.ones(k)])[:3]
+    var = np.maximum(gain2 - mag ** 2, 0.0)
+    signal = p * mag ** 2
+    den = p * var + p * mp + cfg.Pr * li + an
     shrink = 1.0 / (den + signal) - 1.0 / den
-    slopes = (2.0 * p * m.real / den, 2.0 * p * m.imag / den,
+    slopes = (2.0 * p * mean.real / den, 2.0 * p * mean.imag / den,
               p * shrink, p * shrink, cfg.Pr * shrink, shrink)
-    grad = _grad(m.size, dict(zip(rows, slopes))) / np.log(2.0)
-    return np.log2(1.0 + signal / den), grad
+    grads = [_grad(k, dict(zip(rows, slopes))) / np.log(2.0),
+             _grad(k, {first: re / mag, first + 1: im / mag}),
+             _grad(k, {first: -2.0 * re, first + 1: -2.0 * im, first + 2: 1.0})]
+    grads += [_grad(k, {row: 1.0}) for row in rows[3:]]
+    terms = dict(mean_gain=mean, var_gain=var, multipair=mp, loop=li, noise=an)
+    return terms, np.log2(1.0 + signal / den), grads
 
 
 def _rate_fields(acc: _Accumulator, r_sr, r_rd, grad_sr, grad_rd, more=()):
@@ -471,10 +464,8 @@ _HOP_STDERRS = ("stderr_mean_gain", "stderr_var_gain", "stderr_multipair",
 
 def _bound(cfg: SystemConfig, acc: _Accumulator, scheme: str) -> McRateResult:
     """The bound rates assembled from one point's pooled features."""
-    sr_terms, sr_grads = _hop_terms(acc, _SR_ROWS)
-    rd_terms, rd_grads = _hop_terms(acc, _RD_ROWS)
-    r_sr, grad_sr = _hop_rate(cfg, cfg.Ps, sr_terms, _SR_ROWS)
-    r_rd, grad_rd = _hop_rate(cfg, cfg.Pr, rd_terms, _RD_ROWS)
+    sr_terms, r_sr, (grad_sr, *sr_grads) = _hop(cfg, acc, _SR_ROWS, cfg.Ps)
+    rd_terms, r_rd, (grad_rd, *rd_grads) = _hop(cfg, acc, _RD_ROWS, cfg.Pr)
     fields, se = _rate_fields(acc, r_sr, r_rd, grad_sr, grad_rd, sr_grads + rd_grads)
     # the second hop's loop and noise are exact: zero stderr
     zero, n = np.zeros(cfg.K), len(sr_grads)
@@ -554,7 +545,7 @@ def wishart_inverse_moment(n_ant: int, variances, trials: int,
         # (F F^H)^-1 = F^-H F^-1 with F^-1 = R^-H diag(1/sqrt(variances))
         inv = _tri_inv(gram_factor_batch(n_ant, k, n, rng))
         acc.add((np.sum(np.abs(inv) ** 2, axis=1) / variances)[:, None])
-    return acc.mean[0], acc.stderr(np.ones((1, k)))[0]
+    return acc.mean[0], acc.stderr(np.ones((1, 1, k)))[0][0]
 
 
 def convergence_probe(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,

@@ -4,7 +4,10 @@ Runs every spec of :func:`specs` in process through ``fdrelay.cli.main`` and
 prints the numpy and BLAS versions, then one line per output: the spec,
 its exit code, the file name, the file's sha256 and the run's stderr (a failed
 run prints one line with ``-`` for the file and the hash). Warnings use the
-``default`` filter, as outside pytest.
+``default`` filter, as outside pytest. One line per Monte Carlo library call
+follows (:func:`library_lines`): its label and the sha256 over every field
+of its results in field order, so a result the CSVs do not print (a
+``HopTerms`` field, a per-pair rate, a stderr) is pinned bit for bit too.
 Every spec that exits 0 is replayed from its manifest in the same process;
 stderr gets the replay count and each spec whose replay wrote other bytes,
 and the script exits 1 if any did.
@@ -20,9 +23,9 @@ child process) and prints a unified diff of the two digests, or a count of
 identical outputs; it exits 1 if any output differs. After a diff, stderr
 gets one line that counts this tree's differing outputs by exit code: 0 on
 both sides, 2 on both sides (only the refusal's message changed), or
-changed. The child checks its own replays, and a failure there stops the
-comparison. Both sides take the benchmark specs from this tree's
-``perfbench/workloads.py``. With ``--rel``
+changed, and counts the library lines that differ. The child checks its
+own replays, and a failure there stops the comparison. Both sides take the
+benchmark specs from this tree's ``perfbench/workloads.py``. With ``--rel``
 it prints, instead of the diff, one line per column of each CSV that differs
 (spec, file, column, and the largest |a - b| / max(|a|, |b|) over the rows),
 and one line for any other output that differs. ``--keep DIR`` also writes
@@ -36,6 +39,7 @@ it again with the second command above.
 import argparse
 import contextlib
 import csv
+import dataclasses
 import difflib
 import hashlib
 import io
@@ -48,7 +52,8 @@ import warnings
 
 import numpy as np
 
-from fdrelay import cli
+from fdrelay import SystemConfig, cli, convergence_probe, make_profile, simulate
+from fdrelay.montecarlo import wishart_inverse_moment
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
@@ -127,6 +132,56 @@ def digest(argv: list, out: str) -> tuple:
     return code, lines
 
 
+def _field_sha(result) -> str:
+    """sha256 over every field of a result in field order: a record's fields
+    (a HopTerms within one in turn), a tuple's items, and each value as the
+    bytes of its numpy array."""
+    h = hashlib.sha256()
+
+    def add(x):
+        if dataclasses.is_dataclass(x):
+            for field in dataclasses.fields(x):
+                add(getattr(x, field.name))
+        elif isinstance(x, (tuple, list)):
+            for item in x:
+                add(item)
+        else:
+            h.update(np.asarray(x).tobytes())
+
+    add(result)
+    return h.hexdigest()
+
+
+def _points(k: int, n: int) -> list:
+    """Two (cfg, profile) points that share K and n antennas on each side."""
+    cfg = SystemConfig(K=k, Nrx=n, Ntx=n, tau=2 * k, Pp=4.0, Ps=2.0, Pr=8.0)
+    other = dataclasses.replace(cfg, Pp=10.0, Ps=5.0, Pr=1.0, sigma_li_sq=0.3)
+    return [(c, make_profile(np.linspace(0.5, 1.5, k), np.linspace(1.2, 0.8, k), c.tau, c.Pp))
+            for c in (cfg, other)]
+
+
+def library_lines() -> list:
+    """One line per library call: its label and the sha256 of its results
+    (_field_sha). simulate runs both schemes at K = 2 (the multiply-add
+    products) and K = 10 (`@`) with two points a call, and MR with fewer
+    antennas than pairs; then wishart_inverse_moment and the decode and
+    forward probes of both schemes."""
+    results = []
+    for seed, (scheme, k, n, trials) in enumerate([
+            ("zf", 2, 8, 300), ("zf", 10, 24, 200), ("mr", 2, 8, 300),
+            ("mr", 10, 24, 200), ("mr", 4, 3, 300)]):
+        results.append((f"simulate {scheme} K={k} N={n}", simulate(
+            _points(k, n), scheme, trials, np.random.default_rng(seed))))
+    results.append(("wishart_inverse_moment n_ant=12 K=3", wishart_inverse_moment(
+        12, [0.5, 1.0, 2.0], 500, np.random.default_rng(5))))
+    cfg, prof = _points(4, 16)[0]
+    for scheme in ("zf", "mr"):
+        for kind in ("decode", "forward"):
+            results.append((f"convergence_probe {kind} {scheme}", convergence_probe(
+                kind, cfg, prof, scheme, 200, np.random.default_rng(6), er=5.0)))
+    return [f"{label}\t{_field_sha(result)}" for label, result in results]
+
+
 def replay_differs(out: str, again: str) -> bool:
     """Replay the manifest in out into again; True if any output's bytes differ."""
     manifest = next(name for name in os.listdir(out) if name.endswith(".manifest.json"))
@@ -138,8 +193,9 @@ def replay_differs(out: str, again: str) -> bool:
 
 
 def digest_all(keep=None) -> tuple:
-    """The digest lines, and the labels of the specs that exit 0 and whose
-    manifest replay in this process writes other bytes, with the replay count."""
+    """The digest lines (the library's last), and the labels of the specs
+    that exit 0 and whose manifest replay in this process writes other
+    bytes, with the replay count."""
     warnings.simplefilter("default")
     lines, differs, replays = [], [], 0
     for i, argv in enumerate(specs()):
@@ -151,7 +207,7 @@ def digest_all(keep=None) -> tuple:
                 replays += 1
                 if replay_differs(out, os.path.join(tmp, "replay")):
                     differs.append(" ".join(argv))
-    return lines, differs, replays
+    return lines + library_lines(), differs, replays
 
 
 def _read(path: str):
@@ -200,18 +256,23 @@ def rel_report(mine: str, theirs: str) -> list:
 
 
 def classify(theirs: list, mine: list) -> str:
-    """The counts of mine's digest lines missing from theirs, by the exit code
-    of their spec on each side; a failed run writes no file, so an exit 2 on
-    both sides differs in stderr alone."""
+    """The counts of mine's digest lines missing from theirs: a run's by the
+    exit code of its spec on each side (a failed run writes no file, so an
+    exit 2 on both sides differs in stderr alone), and the library's (two
+    fields a line)."""
     codes = {line.split("\t")[0]: line.split("\t")[1] for line in theirs}
-    counts = {"0": 0, "2": 0, "changed": 0}
+    counts = {"0": 0, "2": 0, "changed": 0, "library": 0}
     known = set(theirs)
     for line in mine:
         if line not in known:
             label, code = line.split("\t")[:2]
-            counts[code if codes.get(label) == code else "changed"] += 1
+            if line.count("\t") == 1:
+                counts["library"] += 1
+            else:
+                counts[code if codes.get(label) == code else "changed"] += 1
     return (f"{counts['0']} differ with exit 0 on both sides, {counts['2']} exit 2 "
-            f"on both sides with only stderr changed, {counts['changed']} changed exit code")
+            f"on both sides with only stderr changed, {counts['changed']} changed exit code, "
+            f"{counts['library']} library results differ")
 
 
 def main() -> int:

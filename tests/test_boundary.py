@@ -70,8 +70,9 @@ def valid_call(name: str) -> dict:
 
 NAN, INF = math.nan, math.inf
 COUNT = (NAN, INF, -1, 0, 2.5)  # an integer >= 1 (trials >= 2 for a stderr)
-REAL = (NAN, INF, -1.0)  # finite and >= 0
-POSITIVE = (NAN, INF, -1.0, 0.0)  # finite and > 0
+# 10**400 is finite as an int but not as a float64
+REAL = (NAN, INF, -1.0, 10**400)  # finite and >= 0
+POSITIVE = (NAN, INF, -1.0, 0.0, 10**400)  # finite and > 0
 
 # (callable, argument): the values it refuses; the ValueError's message
 # starts with the argument's name

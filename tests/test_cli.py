@@ -699,6 +699,11 @@ def test_a_manifest_boolean_is_not_a_count(tmp_path, capsys, field, value, messa
     # an unhashable preset raised TypeError at the preset lookup
     ({"preset": ["fig6"], "seed": 1, "trials": 1}, r"unknown preset \['fig6'\]"),
     ({"preset": {"name": "fig6"}, "seed": 1, "trials": 1}, r"unknown preset \{'name': 'fig6'\}"),
+    # a JSON integer beyond the float range raised OverflowError in float()
+    ({"preset": "fig6", "seed": 1, "trials": 1, "overrides": {"pp": 10**400}},
+     "Pp must be finite and >= 0"),
+    ({"preset": "fig6", "seed": 1, "trials": 1, "overrides": {"k": 10**400}},
+     "override k=10{400} is not an integer"),
 ])
 def test_a_malformed_manifest_is_refused_by_name(tmp_path, capsys, manifest, message):
     # not a bare KeyError or TypeError from reading the file's fields

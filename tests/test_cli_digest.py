@@ -1,4 +1,4 @@
-"""Every CLI output of tests/cli_digest.py against the committed digest."""
+"""Every CLI output and library result of tests/cli_digest.py against the committed digest."""
 import difflib
 import os
 
@@ -6,9 +6,10 @@ import cli_digest
 
 
 def test_every_cli_output_matches_the_committed_digest():
-    # byte-identity of every preset, sweep, benchmark op and edge probe, and
-    # of each successful run's manifest replay; the first line holds the
-    # numpy and BLAS versions, so another build of either fails here too
+    # byte-identity of every preset, sweep, benchmark op and edge probe, of
+    # each successful run's manifest replay and of every field of the Monte
+    # Carlo library results; the first line holds the numpy and BLAS
+    # versions, so another build of either fails here too
     with open(os.path.join(cli_digest.HERE, "cli_digest.txt")) as fh:
         want = fh.read().splitlines()
     lines, differs, _ = cli_digest.digest_all()

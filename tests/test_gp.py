@@ -529,13 +529,28 @@ def test_allocator_rounds_stack_their_rows_once(monkeypatch):
     # round reuses the rows stacked for the first; another program restacks,
     # and stacking the first round again gives equal rows
     progs = _fig9_round_programs(monkeypatch, "mr", 4.0)
-    first = gp._stacked_rows(progs[0])
-    assert all(gp._stacked_rows(prog) is first for prog in progs[1:])
-    assert gp._stacked_rows(am_gm_program())[0].shape == (2 + 1 + 4, 2)
-    again = gp._stacked_rows(progs[0])
+
+    def rows(prog):
+        return gp._stacked_rows(prog.objective, prog.inequalities)
+
+    first = rows(progs[0])
+    assert all(rows(prog) is first for prog in progs[1:])
+    assert rows(am_gm_program())[0].shape == (2 + 1 + 4, 2)
+    again = rows(progs[0])
     assert again is not first
     for want, got in zip(first, again):
         np.testing.assert_array_equal(got, want)
+
+
+def test_programs_compare_and_hash_by_identity():
+    # the generated __eq__ and __hash__ ran over ndarray fields: == and `in`
+    # raised on equal fields ("truth value ... is ambiguous"), hash TypeError
+    p, q = (Posynomial([1.0, 2.0], [[1, 0], [0, 1]]) for _ in range(2))
+    prog, other = am_gm_program(), am_gm_program()
+    for x, y in ((p, q), (prog, other)):
+        assert x == x and x != y
+        assert x in [y, x] and x not in [y]
+        assert hash(x) == hash(x) and len({x, y, x}) == 2
 
 
 def test_warm_chain_takes_few_main_path_steps(monkeypatch):

@@ -725,8 +725,7 @@ def test_a_gradient_stack_gives_the_stderrs_of_its_gradients(scheme, k):
     se, se_sum = acc.stderr(grads)
     assert se.shape == (7, k) and se_sum.shape == (7,)
     for grad, row, total in zip(grads, se, se_sum):
-        one, one_sum = acc.stderr(grad)
-        assert isinstance(one, np.ndarray) and one.shape == (k,)
-        assert isinstance(one_sum, float)
-        np.testing.assert_allclose(row, one, rtol=1e-12)
-        assert total == pytest.approx(one_sum, rel=1e-12)
+        one, one_sum = acc.stderr(grad[None])
+        assert one.shape == (1, k) and one_sum.shape == (1,)
+        np.testing.assert_allclose(row, one[0], rtol=1e-12)
+        assert total == pytest.approx(one_sum[0], rel=1e-12)
