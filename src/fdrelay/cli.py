@@ -14,9 +14,11 @@ execution order or chunking.
 Overrides (--set key=value) use flat lower-case keys mirroring the config
 fields; a _db key other than shadow_sigma_db is converted to linear scale at
 parse time. A field has one source, the preset or one key, and a preset
-reads only its own extras, or the run is refused before the preset starts;
-a failed run writes no file. A manifest replay takes its seed, trials and
-overrides from the manifest alone, so it refuses --set, --trials and --seed.
+reads only its own extras, or the run is refused before the preset starts.
+Then each value is parsed once, in argument order (custom's sweep spec
+last), so of two bad values the first is named; a failed run writes no file.
+A manifest replay takes its seed, trials and overrides from the manifest
+alone, so it refuses --set, --trials and --seed.
 """
 from __future__ import annotations
 
@@ -91,15 +93,6 @@ def _value(key: str, raw) -> float | int:
     return int(x)
 
 
-def _apply_overrides(cfg: SystemConfig, overrides: dict) -> SystemConfig:
-    """cfg with the config keys of overrides set (run_spec vets every key)."""
-    fields = {}
-    for key, raw in overrides.items():
-        for name in _KEY_FIELDS.get(key, ()):
-            fields[name] = _value(key, raw)
-    return replace(cfg, **fields) if fields else cfg
-
-
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed,) + key))
 
@@ -131,19 +124,18 @@ def _se_columns(cfgs, profiles) -> list:
     return rows
 
 
-def _sweep(spec: RunSpec, base: SystemConfig, field: str, values, header,
-           columns) -> tuple:
-    """One row per value of the config key field: the overrides apply to
+def _sweep(base: SystemConfig, fields: dict, key: str, values, header, columns) -> tuple:
+    """One row per value of the config key: the override fields apply to
     base, then the row's value (run_spec has refused any override of its
     fields). columns maps the row configs and their flat profiles to rows."""
-    base = _apply_overrides(base, spec.overrides)
-    cfgs = [_apply_overrides(base, {field: v}) for v in values]
+    base = replace(base, **fields)
+    cfgs = [replace(base, **dict.fromkeys(_KEY_FIELDS[key], _value(key, v))) for v in values]
     flat = functools.cache(_flat_profile)  # each distinct profile once per sweep
     rows = columns(cfgs, [flat(cfg.K, cfg.tau, cfg.Pp) for cfg in cfgs])
-    return [field] + header, [[v] + row for v, row in zip(values, rows)]
+    return [key] + header, [[v] + row for v, row in zip(values, rows)]
 
 
-def _mc_sweep(spec: RunSpec, sizes, schemes, genie: bool) -> tuple:
+def _mc_sweep(spec: RunSpec, fields: dict, sizes, schemes, genie: bool) -> tuple:
     """Closed-form and simulated sum rates over SNR: one simulate call per
     (size, scheme) on seed stream (seed, size index, scheme index), so
     presets that share a size and a scheme share its cells; one closed-form
@@ -154,8 +146,7 @@ def _mc_sweep(spec: RunSpec, sizes, schemes, genie: bool) -> tuple:
         block = []
         for snr_db in snrs_db:
             ps = _db(snr_db)
-            cfg = _apply_overrides(_base_cfg(n_ant, Pp=ps, Ps=ps, sigma_li_sq=1.0),
-                                   spec.overrides)
+            cfg = replace(_base_cfg(n_ant, Pp=ps, Ps=ps, sigma_li_sq=1.0), **fields)
             cfg = replace(cfg, Pr=cfg.K * cfg.Ps)
             block.append((cfg, _flat_profile(cfg.K, cfg.tau, cfg.Pp)))
             rows.append([snr_db, n_ant])
@@ -178,18 +169,17 @@ def _mc_sweep(spec: RunSpec, sizes, schemes, genie: bool) -> tuple:
     return header, rows
 
 
-def _run_fig2(spec: RunSpec):
-    return _mc_sweep(spec, (50, 100), ("zf", "mr"), genie=True)
+def _run_fig2(spec: RunSpec, fields: dict, extras: dict):
+    return _mc_sweep(spec, fields, (50, 100), ("zf", "mr"), genie=True)
 
 
-def _run_fig3(spec: RunSpec):
-    return _mc_sweep(spec, (50, 100, 200), ("zf",), genie=False)
+def _run_fig3(spec: RunSpec, fields: dict, extras: dict):
+    return _mc_sweep(spec, fields, (50, 100, 200), ("zf",), genie=False)
 
 
-def _run_fig4(spec: RunSpec):
+def _run_fig4(spec: RunSpec, fields: dict, extras: dict):
     # the bisection sets Ps, and Pr = K Ps, at every step
-    target = _value("target_rate", spec.overrides.get("target_rate", 1.0))
-    pp_fixed = _value("pp_fixed_db", spec.overrides.get("pp_fixed_db", 10.0))
+    target = extras["target_rate"]
     header = [f"ps_req_db_{s}_{pp}" for s in ("zf", "mr")
               for pp in ("fixed_pp", "pp_tracks")]
 
@@ -199,43 +189,36 @@ def _run_fig4(spec: RunSpec):
                   for scheme in ("zf", "mr") for tracks in (False, True)]
         return [[10.0 * math.log10(ps) for ps in row] for row in zip(*powers)]
 
-    base = _base_cfg(Pp=pp_fixed, Ps=1.0, Pr=10.0, sigma_li_sq=1.0)
-    return _sweep(spec, base, "n_ant", (64, 128, 256, 512), header, columns)
+    base = _base_cfg(Pp=extras["pp_fixed_db"], Ps=1.0, Pr=10.0, sigma_li_sq=1.0)
+    return _sweep(base, fields, "n_ant", (64, 128, 256, 512), header, columns)
 
 
-def _run_fig6(spec: RunSpec):
+def _run_fig6(spec: RunSpec, fields: dict, extras: dict):
     p = _db(10.0)
     base = _base_cfg(Pp=p, Ps=p, Pr=p)
-    return _sweep(spec, base, "sigma_li_db", range(-10, 22, 2), _SE_HEADER, _se_columns)
+    return _sweep(base, fields, "sigma_li_db", range(-10, 22, 2), _SE_HEADER, _se_columns)
 
 
-def _run_fig7(spec: RunSpec):
+def _run_fig7(spec: RunSpec, fields: dict, extras: dict):
     p = _db(10.0)
     base = _base_cfg(Pp=p, Ps=p, Pr=p, sigma_li_sq=_db(10.0))
     sizes = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
-    return _sweep(spec, base, "n_ant", sizes, _SE_HEADER, _se_columns)
+    return _sweep(base, fields, "n_ant", sizes, _SE_HEADER, _se_columns)
 
 
-def _run_fig8(spec: RunSpec):
-    header = ["drop"] + _SE_HEADER
+def _run_fig8(spec: RunSpec, fields: dict, extras: dict):
     p = _db(10.0)
-    cfg = _apply_overrides(_base_cfg(
-        200, Pp=p, Ps=p, Pr=p, sigma_li_sq=_db(10.0)), spec.overrides)
-    geometry = DropGeometry(**{key: _value(key, spec.overrides.get(key, default))
-                               for key, default in _GEOMETRY.items()})
-    profiles = draw_urban_profile(geometry, cfg.K, cfg.tau, cfg.Pp,
+    cfg = replace(_base_cfg(200, Pp=p, Ps=p, Pr=p, sigma_li_sq=_db(10.0)), **fields)
+    profiles = draw_urban_profile(DropGeometry(**extras), cfg.K, cfg.tau, cfg.Pp,
                                   [_rng(spec.seed, drop) for drop in range(spec.trials)])
     rows = _se_columns([cfg] * spec.trials, profiles)
-    return header, [[drop] + row for drop, row in enumerate(rows)]
+    return ["drop"] + _SE_HEADER, [[drop] + row for drop, row in enumerate(rows)]
 
 
-def _run_fig9(spec: RunSpec):
+def _run_fig9(spec: RunSpec, fields: dict, extras: dict):
     # the allocator chooses the powers under the peaks p0_db and p1_db
-    p0 = _value("p0_db", spec.overrides.get("p0_db", 10.0))
-    p1 = _value("p1_db", spec.overrides.get("p1_db", 20.0))
-    cfg = _apply_overrides(_base_cfg(
-        200, Pp=_db(10.0), Ps=p0, Pr=p1, sigma_li_sq=_db(10.0)),
-        spec.overrides)
+    p0, p1 = extras["p0_db"], extras["p1_db"]
+    cfg = replace(_base_cfg(200, Pp=_db(10.0), Ps=p0, Pr=p1, sigma_li_sq=_db(10.0)), **fields)
     profile = snapshot_profile(cfg.tau, cfg.Pp)
     header = ["target_se"]
     for s in ("zf", "mr"):
@@ -264,8 +247,8 @@ def _run_fig9(spec: RunSpec):
     return header, rows
 
 
-def _run_custom(spec: RunSpec):
-    sweep = spec.overrides.get("sweep")
+def _run_custom(spec: RunSpec, fields: dict, extras: dict):
+    sweep = extras["sweep"]
     if not sweep:
         raise ValueError("custom preset needs --set sweep=field:start:stop:points[:scale]")
     parts = str(sweep).split(":")
@@ -279,7 +262,7 @@ def _run_custom(spec: RunSpec):
         raise ValueError(f"sweep {sweep!r}: start and stop must be finite")
     scale = parts[4] if len(parts) == 5 else "linear"
     if points < 1:
-        raise ValueError("sweep needs at least one point")
+        raise ValueError(f"sweep {sweep!r}: points must be at least 1")
     if scale in ("linear", "db"):
         values = np.linspace(start, stop, points)
     elif scale == "log2":
@@ -294,14 +277,14 @@ def _run_custom(spec: RunSpec):
     # integer fields take the floor of each grid point, in the table too
     points = [math.floor(v) if field in _INTEGER_KEYS else float(v) for v in values]
     base = _base_cfg(Pp=10.0, Ps=10.0, Pr=10.0, sigma_li_sq=1.0)
-    return _sweep(spec, base, field, points, _SE_HEADER, _se_columns)
+    return _sweep(base, fields, field, points, _SE_HEADER, _se_columns)
 
 
 class _Preset(NamedTuple):
     run: object
     description: str
     trials: int  # default Monte Carlo trials or drops
-    extras: tuple = ()  # the extra (non-config) keys it reads
+    extras: dict = {}  # each extra (non-config) key it reads: its default, as parsed
     sets: tuple = ()  # the config fields it sets itself
 
 
@@ -311,17 +294,18 @@ _PRESETS = {
     "fig3": _Preset(_run_fig3, "ZF closed form vs Monte Carlo sum rate (tightness)", 2000,
                     sets=("Nrx", "Ntx", "Ps", "Pr")),
     "fig4": _Preset(_run_fig4, "source power required for 1 bit/use per pair vs array size",
-                    1, ("target_rate", "pp_fixed_db"), ("Nrx", "Ntx", "Ps", "Pr")),
+                    1, {"target_rate": 1.0, "pp_fixed_db": _db(10.0)},
+                    ("Nrx", "Ntx", "Ps", "Pr")),
     "fig6": _Preset(_run_fig6, "FD/HD/hybrid sum SE vs loop interference level", 1,
                     sets=("sigma_li_sq",)),
     "fig7": _Preset(_run_fig7, "FD/HD/hybrid sum SE vs number of antennas", 1,
                     sets=("Nrx", "Ntx")),
     "fig8": _Preset(_run_fig8, "sum SE distribution over random urban drops", 1000,
-                    tuple(_GEOMETRY)),
+                    _GEOMETRY),
     "fig9": _Preset(_run_fig9, "energy efficiency vs target sum SE under power allocation",
-                    1, ("p0_db", "p1_db"), ("Ps", "Pr")),
+                    1, {"p0_db": _db(10.0), "p1_db": _db(20.0)}, ("Ps", "Pr")),
     "custom": _Preset(_run_custom, "closed-form SE along a user-chosen config sweep", 1,
-                      ("sweep",)),
+                      {"sweep": None}),
 }
 _EXTRA_KEYS = {key for preset in _PRESETS.values() for key in preset.extras}
 
@@ -375,8 +359,13 @@ def run_spec(spec: RunSpec) -> list:
                     f"{spec.preset} sets {name} itself; override {key!r} is not allowed"
                     if source == spec.preset else
                     f"overrides {source!r} and {key!r} both set {name}")
+    # every value parsed once, in argument order (custom parses its sweep spec)
+    parsed = {key: raw if key == "sweep" else _value(key, raw)
+              for key, raw in spec.overrides.items()}
+    fields = {name: v for key, v in parsed.items() for name in _KEY_FIELDS.get(key, ())}
+    extras = {key: parsed.get(key, default) for key, default in preset.extras.items()}
     name = f"{spec.preset}.csv"
-    cells = _cells(name, *preset.run(spec))
+    cells = _cells(name, *preset.run(spec, fields, extras))
     os.makedirs(spec.out_dir, exist_ok=True)
     path = os.path.join(spec.out_dir, name)
     with open(path, "w", newline="") as fh:

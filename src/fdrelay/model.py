@@ -5,6 +5,7 @@ boundary, never inside formulas.
 """
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -56,7 +57,9 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         for name in ("K", "Nrx", "Ntx", "T", "tau"):
-            _check_count(name, getattr(self, name))
+            _check_count(name, n := getattr(self, name))
+            if n > sys.float_info.max:  # the rates compute in float64
+                raise ValueError(f"{name} must be finite as a float64")
         if not 2 * self.K <= self.tau < self.T:
             raise ValueError("training length must satisfy 2K <= tau < T")
         for name in ("Pp", "Ps", "Pr", "sigma_li_sq"):

@@ -210,17 +210,24 @@ def asymptotic_se(case: str, scheme: str, cfg: SystemConfig, profile: LargeScale
     _check_inputs(cfg, profile, scheme)
     _check_real("Es", Es)
     _check_real("Er", Er)
-    if case == "I":
-        v_sr, v_rd, er = profile.sigma_sr_sq, profile.sigma_rd_sq, Er
-    elif case == "II":
-        _check_real("kappa", kappa, strict=True)
-        v_sr, v_rd = cfg.tau * Es * profile.beta_sr**2, cfg.tau * Es * profile.beta_rd**2
-        er = np.sqrt(kappa) * Er
-    else:
-        raise ValueError("case must be 'I' or 'II'")
-    with np.errstate(divide="ignore", invalid="ignore"):  # Case II's 0/0 rd at Es = 0
-        rates = np.log2(1.0 + np.fmin(Es * v_sr, _rd_limit(scheme, v_rd, er)))
-    return sum_se(rates, cfg.T, cfg.tau, "fd")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
+        if case == "I":
+            v_sr, v_rd, er = profile.sigma_sr_sq, profile.sigma_rd_sq, Er
+        elif case == "II":
+            _check_real("kappa", kappa, strict=True)
+            v_sr, v_rd = cfg.tau * Es * profile.beta_sr**2, cfg.tau * Es * profile.beta_rd**2
+            er = np.sqrt(kappa) * Er
+        else:
+            raise ValueError("case must be 'I' or 'II'")
+        sr, rd = Es * v_sr, _rd_limit(scheme, v_rd, er)
+    # a hop SINR that overflowed is named; a zero variance's 0/0 (case II's
+    # rd at Es = 0) is no overflow, and fmin drops it
+    for name, term, ok in (("Es", "first-hop SINR Es*variance", np.isfinite(sr)),
+                           ("Er" if case == "I" else "Es, Er or kappa",
+                            "second-hop SINR limit", np.isfinite(rd) | (v_rd == 0))):
+        if not np.all(ok):
+            raise ValueError(f"{name} too large: the case {case} {term} is not finite")
+    return sum_se(np.log2(1.0 + np.fmin(sr, rd)), cfg.T, cfg.tau, "fd")
 
 
 def _rd_limit(scheme: str, sigma_rd_sq, er: float):

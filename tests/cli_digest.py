@@ -102,6 +102,15 @@ def specs() -> list:
                   "k:9:2:8", "tau:20:150:6", "t:21:400:9", "t:400:5:4", "n_ant:5:-3:3"):
         out.append(["--preset", "custom"] + _sets(f"sweep={sweep}"))
     out.append(["--preset", "custom"] + _sets("sweep=n_ant:16:512:6:log2", "k=6", "tau=12"))
+    # two faults, a bad config value and a bad extra, in both argument orders:
+    # the refusal names the one parsed first
+    for preset, bad, extra in (("fig4", "k=2.5", "target_rate=abc"),
+                               ("fig8", "k=2.5", "disk_diameter=abc"),
+                               ("fig9", "k=2.5", "p0_db=abc"),
+                               ("custom", "tau=2.5", "sweep=n_ant:8:12:x")):
+        out += [["--preset", preset] + _sets(bad, extra),
+                ["--preset", preset] + _sets(extra, bad)]
+    out.append(["--preset", "custom"] + _sets("tau=2.5"))
     for seed in range(60):
         out += [_cli_args(p, _rng(seed, i)) for i, p in enumerate(CLI_PRESETS)]
     for preset in ("fig2", "fig3", "fig4", "fig6", "fig7", "fig8", "custom"):
@@ -308,7 +317,7 @@ def main() -> int:
         else:
             print("\n".join(diff) if diff else f"{len(lines)} outputs identical")
         if diff:
-            print(classify(other, lines), file=sys.stderr)
+            print(classify(other[1:], lines[1:]), file=sys.stderr)  # past the version lines
     return 1 if diff or differs else 0
 
 

@@ -80,7 +80,7 @@ EDGES = {
     **{("DropGeometry", f): POSITIVE for f in ("disk_diameter", "path_exponent",
                                                 "ref_distance")},
     ("DropGeometry", "shadow_sigma_db"): REAL,
-    **{("SystemConfig", f): COUNT for f in ("K", "Nrx", "Ntx", "T", "tau")},
+    **{("SystemConfig", f): COUNT + (10**400,) for f in ("K", "Nrx", "Ntx", "T", "tau")},
     **{("SystemConfig", f): REAL for f in ("Pp", "Ps", "Pr", "sigma_li_sq")},
     ("asymptotic_se", "Es"): REAL,
     ("asymptotic_se", "Er"): REAL,

@@ -256,7 +256,7 @@ def test_two_keys_for_one_field_exit_2_by_name(tmp_path, capsys, preset, first, 
 
 
 def _stub_run(monkeypatch, preset):
-    def run(spec):
+    def run(spec, fields, extras):
         raise AssertionError("the preset ran")
 
     monkeypatch.setitem(cli._PRESETS, preset, cli._PRESETS[preset]._replace(run=run))
@@ -312,9 +312,9 @@ def test_an_accepted_override_reaches_every_config_the_preset_hands_on(
     ran, seen = [], []
     real_run = cli._PRESETS[preset].run
 
-    def run(spec):
+    def run(spec, fields, extras):
         ran.append(1)
-        return real_run(spec)
+        return real_run(spec, fields, extras)
 
     def configs(obj):
         if isinstance(obj, SystemConfig):
@@ -485,6 +485,45 @@ def test_a_value_that_is_not_a_number_names_its_key(tmp_path, capsys, preset, it
     assert not out.exists()
 
 
+def test_each_override_is_parsed_once_per_run(tmp_path, monkeypatch):
+    # run_spec parses every value before the preset runs; fig2's ten grid
+    # points share the parsed fields
+    parsed = []
+    real = cli._value
+
+    def spy(key, raw):
+        parsed.append(key)
+        return real(key, raw)
+
+    monkeypatch.setattr(cli, "_value", spy)
+    assert main(["run", "--preset", "fig2", "--trials", "2", "--set", "pp=5",
+                 "--out", str(tmp_path)]) == 0
+    assert parsed.count("pp") == 1
+
+
+@pytest.mark.parametrize("preset, bad, extra", [
+    ("fig4", "k=2.5", "target_rate=abc"), ("fig8", "k=2.5", "disk_diameter=abc"),
+    ("fig9", "k=2.5", "p0_db=abc"), ("custom", "tau=2.5", "sweep=n_ant:8:12:x"),
+])
+@pytest.mark.parametrize("order", [1, -1], ids=["config-first", "extra-first"])
+def test_of_two_bad_values_the_first_in_argument_order_is_named(tmp_path, capsys, preset,
+                                                                  bad, extra, order):
+    out = tmp_path / "out"
+    items = [bad, extra][::order]
+    argv = ["run", "--preset", preset, "--out", str(out)]
+    for item in items:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    # custom parses its sweep spec after every other value
+    first = bad if preset == "custom" else items[0]
+    assert json.loads(err[0]) == {
+        "error": f"override {first} is not {'an integer' if first == bad else 'a number'}",
+        "type": "ValueError"}
+    assert not out.exists()
+
+
 def test_integral_spellings_are_accepted(tmp_path):
     for spelling in ("64", "64.0"):
         out = tmp_path / spelling
@@ -536,7 +575,8 @@ def test_bad_requests_exit_2_with_json_error(tmp_path, capsys, argv_extra):
     ("ps_db:0:inf:3", "sweep 'ps_db:0:inf:3': start and stop must be finite"),
     ("ps:nan:1:3", "sweep 'ps:nan:1:3': start and stop must be finite"),
     ("ps:1100:1200:2:log2", "sweep 'ps:1100:1200:2:log2': log2 grid points must be finite"),
-], ids=["points", "start", "overflow", "inf", "nan", "log2"])
+    ("n_ant:8:12:0", "sweep 'n_ant:8:12:0': points must be at least 1"),
+], ids=["points", "start", "overflow", "inf", "nan", "log2", "no-points"])
 def test_a_bad_sweep_number_names_the_sweep(tmp_path, capsys, sweep, message):
     # refused before numpy builds the grid: outside pytest's error filter
     # the one JSON line still lists no warning

@@ -212,6 +212,26 @@ def test_asymptotic_case_two_hand_value():
         assert asymptotic_se("II", scheme, cfg, prof, Es=0.0, Er=er, kappa=kappa) == 0.0
 
 
+@pytest.mark.parametrize("scheme", rates.SCHEMES)
+def test_asymptotic_refuses_an_overflowing_sinr_term_by_name(scheme):
+    # finite inputs at which a hop SINR overflows are refused by name before
+    # any arithmetic warns (pytest's filter turns a RuntimeWarning into an
+    # error); the limit used to come back inf
+    cfg = SystemConfig(K=4, Nrx=32, Ntx=32, tau=8)
+    prof = make_profile(np.ones(4), np.ones(4), cfg.tau, cfg.Pp)
+    loud = make_profile(np.full(4, 1e10), np.full(4, 1e10), cfg.tau, cfg.Pp)
+    for case, profile, es, er, kappa, message in (
+            ("II", prof, 1e300, 1e300, 1e300,
+             "Es too large: the case II first-hop SINR Es*variance is not finite"),
+            ("II", prof, 1e100, 1e300, 1e300,
+             "Es, Er or kappa too large: the case II second-hop SINR limit is not finite"),
+            ("I", loud, 1.0, 1e300, None,
+             "Er too large: the case I second-hop SINR limit is not finite")):
+        with pytest.raises(ValueError) as exc:
+            asymptotic_se(case, scheme, cfg, profile, es, er, kappa=kappa)
+        assert str(exc.value) == message
+
+
 def test_asymptotic_validation():
     with pytest.raises(ValueError):
         asymptotic_se("II", "zf", REF_CFG, REF_PROF, Es=1.0, Er=1.0)  # kappa missing
