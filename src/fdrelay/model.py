@@ -66,13 +66,24 @@ class SystemConfig:
             _check_real(name, getattr(self, name))
 
 
+_SQUARE_MAX = np.sqrt(np.finfo(float).max)  # beta**2 overflows above this
+
+
 def _mmse_variance(beta: np.ndarray, pilot_energy: float) -> np.ndarray:
     """tau*Pp*beta^2 / (tau*Pp*beta + 1) at pilot_energy = tau*Pp, unchecked.
 
     The quotient rounds one ulp above beta once tau*Pp*beta exceeds about
-    7e15, so it is clamped to beta, the perfect-CSI limit.
+    7e15, so it is clamped to beta, the perfect-CSI limit. A gain whose
+    square overflows takes the same value as beta / (1 + 1/(tau*Pp*beta)),
+    where tau*Pp*beta = inf gives beta and tau*Pp = 0 gives 0.
     """
-    return np.minimum(pilot_energy * beta**2 / (pilot_energy * beta + 1.0), beta)
+    huge = beta > _SQUARE_MAX
+    if not huge.any():
+        return np.minimum(pilot_energy * beta**2 / (pilot_energy * beta + 1.0), beta)
+    safe = np.where(huge, 1.0, beta)
+    out = np.minimum(pilot_energy * safe**2 / (pilot_energy * safe + 1.0), safe)
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.where(huge, beta / (1.0 + 1.0 / (pilot_energy * beta)), out)
 
 
 def estimation_variance(beta, tau: int, Pp: float):
@@ -140,13 +151,20 @@ class LargeScaleProfile:
 
 def make_profile(beta_sr, beta_rd, tau: int, Pp: float) -> LargeScaleProfile:
     """Build a LargeScaleProfile, deriving sigma^2 from the pilot phase."""
-    # LargeScaleProfile checks the shapes, the gains and the variances
-    return LargeScaleProfile(
-        beta_sr=beta_sr,
-        beta_rd=beta_rd,
-        sigma_sr_sq=estimation_variance(beta_sr, tau, Pp),
-        sigma_rd_sq=estimation_variance(beta_rd, tau, Pp),
-    )
+    gains = (beta_sr, beta_rd)
+    variances = [estimation_variance(beta, tau, Pp) for beta in gains]
+    try:  # LargeScaleProfile checks the shapes, the gains and the variances
+        return LargeScaleProfile(*gains, *variances)
+    except ValueError:
+        if tau * Pp > 0:  # a positive gain with no estimate then underflows
+            for name, gain, beta, sigma_sq in zip(_PROFILE_ROWS[2:], _PROFILE_ROWS[:2], gains,
+                                                  variances):
+                beta = np.asarray(beta, dtype=float)
+                tiny = beta[(sigma_sq == 0) & (beta > 0)]
+                if tiny.size:
+                    raise ValueError(f"{name} must be positive: {gain} = {tiny[0]:g} "
+                                     f"underflows it to 0 at tau*Pp = {tau * Pp:g}") from None
+        raise
 
 
 # Fixed ten-pair urban profile: one saved draw of the drop model below,
@@ -204,9 +222,11 @@ def draw_urban_profile(geometry: DropGeometry, K: int, tau: int, Pp: float,
     dist = geometry.disk_diameter / 2.0 * np.sqrt(draws[:, :, 0])
     shadow = 10.0 ** (geometry.shadow_sigma_db * draws[:, :, 1] / 10.0)
     gains = shadow / (1.0 + (dist / geometry.ref_distance) ** geometry.path_exponent)
-    if not ((0 <= gains) & (gains < np.inf)).all():
-        for sr, rd in gains:  # refused as drop by drop: the first bad drop raises
+    # a bad gain or a zero variance (tau*Pp = 0 or an underflow) is refused as
+    # drop by drop: the first bad drop raises
+    if (not ((0 <= gains) & (gains < np.inf)).all()
+            or not ((variances := estimation_variance(gains, tau, Pp)) > 0).all()):
+        for sr, rd in gains:
             make_profile(sr, rd, tau, Pp)
-    variances = estimation_variance(gains, tau, Pp)
     profiles = [LargeScaleProfile(*g, *v) for g, v in zip(gains, variances)]
     return profiles[0] if single else profiles

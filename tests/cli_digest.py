@@ -24,12 +24,20 @@ identical outputs; it exits 1 if any output differs. After a diff, stderr
 gets one line that counts this tree's differing outputs by exit code: 0 on
 both sides, 2 on both sides (only the refusal's message changed), or
 changed, and counts the library lines that differ. The child checks its
-own replays, and a failure there stops the comparison. Both sides take the
-benchmark specs from this tree's ``perfbench/workloads.py``. With ``--rel``
-it prints, instead of the diff, one line per column of each CSV that differs
-(spec, file, column, and the largest |a - b| / max(|a|, |b|) over the rows),
-and one line for any other output that differs. ``--keep DIR`` also writes
-every output under ``DIR/<spec number>/``.
+own replays, and a failure there stops the comparison. Both sides run this
+tree's spec list. With ``--rel`` it prints, instead of the diff, one line
+per column of each CSV that differs (spec, file, column, and the largest
+|a - b| / max(|a|, |b|) over the rows), and one line for any other output
+that differs. ``--keep DIR`` also writes every output under
+``DIR/<spec number>/``.
+
+Besides the specs that :func:`specs` writes out, two fixed lists feed it:
+``REFUSALS``, the (argv, message) rows that ``tests/test_cli.py`` runs as
+refusals, and ``tests/cli_digest_specs.txt``, one argv per line with its
+items joined by spaces. That file holds 352 runs of fig4, fig6, fig7, fig8
+and custom, drawn once from the benchmark's ``cli_sweeps`` arguments for 60
+seeds (without the repeats) and frozen, so a change to the benchmark moves
+no spec. No argv is run twice.
 
 ``tests/cli_digest.txt`` is the committed stdout, which
 ``tests/test_cli_digest.py`` compares with this tree's digest line by line; a
@@ -56,15 +64,116 @@ from fdrelay import SystemConfig, cli, convergence_probe, make_profile, simulate
 from fdrelay.montecarlo import wishart_inverse_moment
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 
-# the scalar edges of the boundary probes (tests/test_boundary.py), K = 10,
-# at every config key and every scalar extra key the CLI reads (custom's
-# sweep is no scalar; its edge probes set it themselves)
+# the scalar edges of every one-override probe, here and in
+# tests/test_boundary.py, at K = 10, at every config key and every scalar
+# extra key the CLI reads (custom's sweep is no scalar; its edge probes set
+# it themselves)
 EDGE_VALUES = ("0", "1", "10", "11", "-1", "1e300", "2.5", "nan", "inf")
 CONFIG_KEYS = tuple(cli._KEY_FIELDS)
 EXTRA_KEYS = {name: tuple(key for key in preset.extras if key != "sweep")
               for name, preset in cli._PRESETS.items()}
+
+TWO_KEYS = [  # (preset, first key=value, second key=value, the field both set)
+    ("custom", "ps_db=20", "ps=1", "Ps"),
+    ("fig6", "n_ant=64", "nrx=32", "Nrx"),
+    ("fig4", "pp_fixed_db=5", "pp=2", "Pp"),
+    # custom's sweep sets the fields of the key it sweeps
+    ("custom", "nrx=50", "sweep=nrx:40:60:3", "Nrx"),
+    ("custom", "sweep=n_ant:16:64:3", "ntx=32", "Ntx"),
+]
+
+# (argv after ``run``, message): each run exits 2, prints {"error": message,
+# "type": "ValueError"} as its one stderr line and writes nothing
+# (tests/test_cli.py), and each argv is a spec of this digest
+REFUSALS = [(label.split(), message) for label, message in [
+    # two faults, a bad config value and a bad extra, in both argument orders:
+    # the first in argument order is named, custom's sweep spec after the rest
+    ("--preset fig4 --set k=2.5 --set target_rate=abc", "override k=2.5 is not an integer"),
+    ("--preset fig4 --set target_rate=abc --set k=2.5", "override target_rate=abc is not a number"),
+    ("--preset fig8 --set k=2.5 --set disk_diameter=abc", "override k=2.5 is not an integer"),
+    ("--preset fig8 --set disk_diameter=abc --set k=2.5",
+     "override disk_diameter=abc is not a number"),
+    ("--preset fig9 --set k=2.5 --set p0_db=abc", "override k=2.5 is not an integer"),
+    ("--preset fig9 --set p0_db=abc --set k=2.5", "override p0_db=abc is not a number"),
+    ("--preset custom --set tau=2.5 --set sweep=n_ant:8:12:x", "override tau=2.5 is not an integer"),
+    ("--preset custom --set sweep=n_ant:8:12:x --set tau=2.5", "override tau=2.5 is not an integer"),
+    ("--preset custom --set tau=2.5", "override tau=2.5 is not an integer"),
+    # fig2/fig3 set the array size, Ps and Pr = K Ps per row, fig4/fig7 the
+    # array size and fig6 the loop level, so an override of one would
+    # mislabel the rows or vanish; fig4 bisects Ps with Pr = K Ps and fig9's
+    # allocator chooses both powers, so a power override would change
+    # nothing but the manifest
+    *[(f"--preset {preset} --trials 20 --set {key}={value}",
+       f"{preset} sets {field} itself; override {key!r} is not allowed")
+      for preset, key, value, field in [
+          ("fig3", "n_ant", "64", "Nrx"), ("fig2", "pr_db", "5", "Pr"),
+          ("fig4", "nrx", "64", "Nrx"), ("fig6", "sigma_li_db", "0", "sigma_li_sq"),
+          ("fig7", "n_ant", "64", "Nrx"),
+          *[(preset, key, value, field) for preset in ("fig4", "fig9")
+            for key, value, field in (("ps", "2", "Ps"), ("ps_db", "30", "Ps"),
+                                      ("pr", "0.5", "Pr"), ("pr_db", "0", "Pr"))]]],
+    # custom sets the field it sweeps
+    ("--preset custom --trials 20 --set nrx=50 --set sweep=nrx:40:60:3",
+     "overrides 'nrx' and 'sweep' both set Nrx"),
+    # an extra a preset never reads would change nothing but its manifest
+    *[(f"--preset {preset} --set {key}={value}", f"{preset} does not read override {key!r}")
+      for preset, key, value in [("fig6", "target_rate", "3"), ("fig6", "p0_db", "40"),
+                                 ("fig4", "p1_db", "20"), ("fig9", "sweep", "ps:1:2:2"),
+                                 ("fig2", "disk_diameter", "500")]],
+    # two keys would apply in argv order but replay in the manifest's sorted
+    # order, so the run is refused by name
+    *[(f"--preset {preset} --set {first} --set {second}"
+       + (" --set sweep=sigma_li_db:0:10:2" if preset == "custom" and "sweep=" not in
+          first + second else ""),
+       f"overrides {first.split('=')[0]!r} and {second.split('=')[0]!r} both set {field}")
+      for preset, first, second, field in TWO_KEYS],
+    # fig9 allocates on the ten-pair snapshot profile
+    ("--preset fig9 --set k=4", "profile has 10 pairs but cfg.K is 4"),
+    # c*p1 overflows at this loop level and relay peak: the allocator names p1
+    # before any arithmetic overflows, so no warning is listed
+    ("--preset fig9 --set sigma_li_sq=1e300 --set p1_db=100",
+     "p1 too large: the uniform-peak SINR term c*p1 is not finite"),
+    # Pp = 0 leaves no channel estimate: the profile names the field
+    ("--preset fig6 --set pp=0",
+     "sigma_sr_sq must be positive: tau*Pp = 0 leaves no channel estimate"),
+    *[(f"--preset fig6 --set {key}=10.7", f"override {key}=10.7 is not an integer")
+      for key in ("k", "nrx", "ntx", "t", "tau", "n_ant")],
+    # a config key, an integer key and two extras
+    *[(f"--preset {preset} --trials 2 --set {item}", f"override {item} is not a number")
+      for preset, item in [("fig6", "ps=abc"), ("fig6", "k=abc"), ("fig4", "target_rate=x"),
+                           ("fig8", "path_exponent=y")]],
+    ("--preset fig6 --set bogus=1", "unknown override key 'bogus'"),
+    ("--preset fig6 --set novalue", "override 'novalue' is not KEY=VALUE"),
+    ("--preset custom", "custom preset needs --set sweep=field:start:stop:points[:scale]"),
+    ("--preset custom --set sweep=zzz:1:2:2", "sweep field 'zzz' is not a config field"),
+    ("--preset custom --set sweep=ps:1:2:2:cubic", "unknown sweep scale 'cubic'"),
+    ("--preset custom --set sweep=ps:1:2", "sweep spec is field:start:stop:points[:scale]"),
+    ("--preset fig6 --set delay_d=2", "unknown override key 'delay_d'"),
+    ("--preset fig6 --seed -3", "seed must be >= 0 and an integer"),
+    # a bad sweep number is refused before numpy builds the grid
+    *[(f"--preset custom --set sweep={sweep}", f"sweep {sweep!r}: {reason}")
+      for sweep, reason in [
+          ("n_ant:8:12:x", "invalid literal for int() with base 10: 'x'"),
+          ("n_ant:a:12:3", "could not convert string to float: 'a'"),
+          ("n_ant:1e400:3:2", "start and stop must be finite"),
+          ("ps_db:0:inf:3", "start and stop must be finite"),
+          ("ps:nan:1:3", "start and stop must be finite"),
+          ("ps:1100:1200:2:log2", "log2 grid points must be finite"),
+          ("n_ant:8:12:0", "points must be at least 1")]],
+    # 10^(x/10) overflows past about 3 083 dB, and inf and nan have no
+    # finite linear value either
+    *[(f"--preset {preset} --set {item}", f"override {item} has no finite linear value")
+      for preset, item in [("fig4", "pp_fixed_db=1e300"), ("fig6", "ps_db=1e300"),
+                           ("fig9", "p1_db=inf"), ("fig7", "sigma_li_db=nan")]],
+    # fig8's extras meet the scalar rule: a NaN fails DropGeometry by name,
+    # not the drawn gains
+    ("--preset fig8 --trials 2 --set disk_diameter=nan", "disk_diameter must be finite and > 0"),
+    ("--preset fig8 --trials 2 --set shadow_sigma_db=nan",
+     "shadow_sigma_db must be finite and >= 0"),
+    ("--preset fig6 --manifest x.json", "use either --preset or --manifest, not both"),
+    ("", "one of --preset or --manifest is required"),
+]]
 
 
 def _sets(*items) -> list:
@@ -79,10 +188,8 @@ def versions() -> str:
 
 
 def specs() -> list:
-    """argv lists (after ``run``): presets, sweeps, benchmark ops and edge probes."""
-    sys.path.insert(0, PERFBENCH)
-    from workloads import CLI_PRESETS, _cli_args, _rng
-
+    """argv lists (after ``run``): presets, sweeps, the refusals, the sampled
+    benchmark runs of ``cli_digest_specs.txt`` and the edge probes; each once."""
     out = [["--preset", p] for p in ("fig2", "fig3", "fig4", "fig6", "fig7", "fig8",
                                      "fig9", "custom")]
     out += [
@@ -93,34 +200,22 @@ def specs() -> list:
         ["--preset", "fig4"] + _sets("target_rate=1.7", "pp_fixed_db=13"),
         ["--preset", "fig8", "--trials", "300"] + _sets("path_exponent=2"),
         ["--preset", "fig8", "--trials", "50"] + _sets("shadow_sigma_db=6"),
-        ["--preset", "fig8", "--trials", "2"] + _sets("path_exponent=1e300"),
         ["--preset", "fig8", "--trials", "1"],
-        ["--preset", "fig2", "--trials", "2"] + _sets("sigma_li_sq=1e300"),
-        ["--preset", "fig9"] + _sets("k=4"),
     ]
     for sweep in ("pp_db:-10:20:7:db", "n_ant:16:512:6:log2", "k:2:9:8", "k:2:12:11",
                   "k:9:2:8", "tau:20:150:6", "t:21:400:9", "t:400:5:4", "n_ant:5:-3:3"):
         out.append(["--preset", "custom"] + _sets(f"sweep={sweep}"))
     out.append(["--preset", "custom"] + _sets("sweep=n_ant:16:512:6:log2", "k=6", "tau=12"))
-    # two faults, a bad config value and a bad extra, in both argument orders:
-    # the refusal names the one parsed first
-    for preset, bad, extra in (("fig4", "k=2.5", "target_rate=abc"),
-                               ("fig8", "k=2.5", "disk_diameter=abc"),
-                               ("fig9", "k=2.5", "p0_db=abc"),
-                               ("custom", "tau=2.5", "sweep=n_ant:8:12:x")):
-        out += [["--preset", preset] + _sets(bad, extra),
-                ["--preset", preset] + _sets(extra, bad)]
-    out.append(["--preset", "custom"] + _sets("tau=2.5"))
-    for seed in range(60):
-        out += [_cli_args(p, _rng(seed, i)) for i, p in enumerate(CLI_PRESETS)]
+    with open(os.path.join(HERE, "cli_digest_specs.txt")) as fh:
+        rest = [line.split() for line in fh.read().splitlines()]
     for preset in ("fig2", "fig3", "fig4", "fig6", "fig7", "fig8", "custom"):
         for key in CONFIG_KEYS + EXTRA_KEYS[preset]:
             for value in EDGE_VALUES:
                 argv = ["--preset", preset, "--trials", "2"] + _sets(f"{key}={value}")
                 if preset == "custom":
                     argv += _sets("sweep=sigma_li_db:-10:10:3")
-                out.append(argv)
-    return out
+                rest.append(argv)
+    return out + [argv for argv, _ in REFUSALS if argv not in out + rest] + rest
 
 
 def digest(argv: list, out: str) -> tuple:

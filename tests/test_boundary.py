@@ -34,6 +34,7 @@ from fdrelay import (
 )
 from fdrelay.model import estimation_variance
 from fdrelay.montecarlo import wishart_inverse_moment
+from cli_digest import EDGE_VALUES
 from test_api import public_callables
 
 CALLABLES = public_callables()
@@ -181,10 +182,6 @@ def test_array_and_relational_edges_name_their_argument():
 def test_wishart_variances_must_be_a_non_empty_vector(variances):
     with pytest.raises(ValueError, match="^variances must be a non-empty 1-D vector"):
         wishart_inverse_moment(16, variances, 4, np.random.default_rng(0))
-
-
-# override values at the edges, K = 10 in every preset
-EDGE_VALUES = ("0", "1", "10", "11", "-1", "1e300", "2.5", "nan", "inf")
 
 
 def run_at_edge(preset: str, key: str, value: str) -> None:

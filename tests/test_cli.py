@@ -23,6 +23,7 @@ from fdrelay.cli import (
     run_spec,
     spec_from_manifest,
 )
+from cli_digest import REFUSALS, TWO_KEYS
 
 
 def read_csv(path):
@@ -179,51 +180,6 @@ def test_fig2_and_fig3_share_one_sweep(tmp_path, monkeypatch):
     assert [r[1] for r in rows3[10:]] == ["200"] * 5
 
 
-@pytest.mark.parametrize("preset, item", [
-    ("fig3", "n_ant=64"), ("fig2", "pr_db=5"), ("fig4", "nrx=64"),
-    ("fig6", "sigma_li_db=0"), ("fig7", "n_ant=64"), ("custom", "nrx=50"),
-    *[(preset, item) for preset in ("fig4", "fig9")
-      for item in ("ps=2", "ps_db=30", "pr=0.5", "pr_db=0")],
-])
-def test_mc_sweeps_reject_overrides_of_swept_fields(tmp_path, capsys, preset, item):
-    # fig2/fig3 set the array size, Ps and Pr = K Ps per row, fig4/fig7 the
-    # array size, fig6 the loop level and custom its field, so an override
-    # of one would mislabel the rows or vanish; fig4 bisects Ps with
-    # Pr = K Ps and fig9's allocator chooses both powers, so a power
-    # override would change nothing but the manifest
-    argv = ["run", "--preset", preset, "--trials", "20", "--set", item,
-            "--out", str(tmp_path)]
-    if preset == "custom":
-        argv += ["--set", "sweep=nrx:40:60:3"]
-    assert main(argv) == 2
-    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert payload["type"] == "ValueError"
-    assert repr(item.split("=")[0]) in payload["error"]
-    assert not list(tmp_path.glob("*.csv"))
-
-
-@pytest.mark.parametrize("preset, item", [
-    ("fig6", "target_rate=3"), ("fig6", "p0_db=40"), ("fig4", "p1_db=20"),
-    ("fig9", "sweep=ps:1:2:2"), ("fig2", "disk_diameter=500"),
-])
-def test_presets_reject_extra_keys_they_do_not_read(tmp_path, capsys, preset, item):
-    # an extra a preset never reads would change nothing but its manifest
-    assert main(["run", "--preset", preset, "--set", item,
-                 "--out", str(tmp_path)]) == 2
-    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert payload == {"error": f"{preset} does not read override "
-                                f"{item.split('=')[0]!r}", "type": "ValueError"}
-    assert not tmp_path.exists() or not list(tmp_path.iterdir())
-
-
-TWO_KEYS = [  # (preset, first key=value, second key=value, the field both set)
-    ("custom", "ps_db=20", "ps=1", "Ps"),
-    ("fig6", "n_ant=64", "nrx=32", "Nrx"),
-    ("fig4", "pp_fixed_db=5", "pp=2", "Pp"),
-    # custom's sweep sets the fields of the key it sweeps
-    ("custom", "nrx=50", "sweep=nrx:40:60:3", "Nrx"),
-    ("custom", "sweep=n_ant:16:64:3", "ntx=32", "Ntx"),
-]
 # the config fields each preset sets itself, so that no key may set them
 PRESET_SETS = {
     "fig2": ("Nrx", "Ntx", "Ps", "Pr"), "fig3": ("Nrx", "Ntx", "Ps", "Pr"),
@@ -234,25 +190,6 @@ PRESET_SETS = {
 KEY_VALUES = {"k": "4", "nrx": "150", "ntx": "150", "n_ant": "150", "t": "300",
               "tau": "30", "pp": "5", "ps": "5", "pr": "5", "sigma_li_sq": "0.5",
               "pp_db": "7", "ps_db": "7", "pr_db": "7", "sigma_li_db": "-3"}
-
-
-@pytest.mark.parametrize("preset, first, second, field", TWO_KEYS)
-def test_two_keys_for_one_field_exit_2_by_name(tmp_path, capsys, preset, first, second,
-                                                 field):
-    # the two keys would apply in argv order but replay in the manifest's
-    # sorted order, so the run is refused by name and writes nothing
-    out = tmp_path / "out"
-    argv = ["run", "--preset", preset, "--set", first, "--set", second, "--out", str(out)]
-    if preset == "custom" and "sweep=" not in first + second:
-        argv += ["--set", "sweep=sigma_li_db:0:10:2"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert json.loads(err[0]) == {
-        "error": f"overrides {first.split('=')[0]!r} and {second.split('=')[0]!r} "
-                 f"both set {field}",
-        "type": "ValueError"}
-    assert not out.exists()
 
 
 def _stub_run(monkeypatch, preset):
@@ -373,18 +310,6 @@ def test_failed_run_writes_no_file(tmp_path, capsys):
     assert {f.name: f.read_bytes() for f in older.iterdir()} == before
 
 
-def test_fig9_refuses_a_pair_count_other_than_its_profile(tmp_path, capsys):
-    # fig9 allocates on the ten-pair snapshot profile: k=4 stops at the first
-    # rate call with the pair counts, and nothing is written
-    out = tmp_path / "out"
-    assert main(["run", "--preset", "fig9", "--set", "k=4", "--out", str(out)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert json.loads(err[0]) == {"error": "profile has 10 pairs but cfg.K is 4",
-                                  "type": "ValueError"}
-    assert not out.exists()
-
-
 def test_fig9_flags_targets_out_of_reach_and_replays(tmp_path):
     # a loop interference of 1e20 leaves every target out of reach: the run
     # still writes its table, each allocation flagged by its status alone
@@ -400,34 +325,6 @@ def test_fig9_flags_targets_out_of_reach_and_replays(tmp_path):
                  "--out", str(second)]) == 0
     for name in ("fig9.csv", "fig9.manifest.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
-
-
-def test_fig9_refuses_an_overflowing_peak_by_name(tmp_path, capsys):
-    # c*p1 overflows at this loop level and relay peak: the allocator names
-    # p1 before any arithmetic overflows, so even outside pytest's error
-    # filter the one JSON line lists no warning, and nothing is written
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("default")
-        assert main(["run", "--preset", "fig9", "--set", "sigma_li_sq=1e300",
-                     "--set", "p1_db=100", "--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert json.loads(err[0]) == {
-        "error": "p1 too large: the uniform-peak SINR term c*p1 is not finite",
-        "type": "ValueError"}
-    assert not out.exists()
-
-
-def test_zero_pilot_power_is_refused_by_the_profile(tmp_path, capsys):
-    # Pp = 0 leaves no channel estimate (sigma^2 = 0): the profile names the
-    # field before any rate is computed, and nothing is written
-    assert main(["run", "--preset", "fig6", "--set", "pp=0",
-                 "--out", str(tmp_path)]) == 2
-    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert payload["type"] == "ValueError"
-    assert "sigma_sr_sq" in payload["error"]
-    assert not tmp_path.exists() or not list(tmp_path.iterdir())
 
 
 def test_custom_sweep_log2_scale(tmp_path):
@@ -459,32 +356,6 @@ def test_custom_sweep_floors_integer_fields_and_replays(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-@pytest.mark.parametrize("key", ["k", "nrx", "ntx", "t", "tau", "n_ant"])
-def test_non_integer_overrides_exit_2(tmp_path, capsys, key):
-    assert main(["run", "--preset", "fig6", "--set", f"{key}=10.7",
-                 "--out", str(tmp_path)]) == 2
-    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert payload == {"error": f"override {key}=10.7 is not an integer",
-                       "type": "ValueError"}
-    assert not (tmp_path / "fig6.csv").exists()
-
-
-@pytest.mark.parametrize("preset, item", [
-    ("fig6", "ps=abc"), ("fig6", "k=abc"), ("fig4", "target_rate=x"),
-    ("fig8", "path_exponent=y"),
-])
-def test_a_value_that_is_not_a_number_names_its_key(tmp_path, capsys, preset, item):
-    # a config key, an integer key and two extras
-    out = tmp_path / "out"
-    assert main(["run", "--preset", preset, "--trials", "2", "--set", item,
-                 "--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert json.loads(err[0]) == {"error": f"override {item} is not a number",
-                                  "type": "ValueError"}
-    assert not out.exists()
-
-
 def test_each_override_is_parsed_once_per_run(tmp_path, monkeypatch):
     # run_spec parses every value before the preset runs; fig2's ten grid
     # points share the parsed fields
@@ -499,29 +370,6 @@ def test_each_override_is_parsed_once_per_run(tmp_path, monkeypatch):
     assert main(["run", "--preset", "fig2", "--trials", "2", "--set", "pp=5",
                  "--out", str(tmp_path)]) == 0
     assert parsed.count("pp") == 1
-
-
-@pytest.mark.parametrize("preset, bad, extra", [
-    ("fig4", "k=2.5", "target_rate=abc"), ("fig8", "k=2.5", "disk_diameter=abc"),
-    ("fig9", "k=2.5", "p0_db=abc"), ("custom", "tau=2.5", "sweep=n_ant:8:12:x"),
-])
-@pytest.mark.parametrize("order", [1, -1], ids=["config-first", "extra-first"])
-def test_of_two_bad_values_the_first_in_argument_order_is_named(tmp_path, capsys, preset,
-                                                                  bad, extra, order):
-    out = tmp_path / "out"
-    items = [bad, extra][::order]
-    argv = ["run", "--preset", preset, "--out", str(out)]
-    for item in items:
-        argv += ["--set", item]
-    assert main(argv) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    # custom parses its sweep spec after every other value
-    first = bad if preset == "custom" else items[0]
-    assert json.loads(err[0]) == {
-        "error": f"override {first} is not {'an integer' if first == bad else 'a number'}",
-        "type": "ValueError"}
-    assert not out.exists()
 
 
 def test_integral_spellings_are_accepted(tmp_path):
@@ -548,79 +396,21 @@ def test_custom_sweep_linear_scale(tmp_path):
         assert [float(r[0]) for r in rows] == [1.0, 3.0, 5.0]
 
 
-@pytest.mark.parametrize("argv_extra", [
-    ["--set", "bogus=1"],
-    ["--set", "novalue"],
-    ["--preset", "custom"],  # custom without a sweep
-    ["--preset", "custom", "--set", "sweep=zzz:1:2:2"],
-    ["--preset", "custom", "--set", "sweep=ps:1:2:2:cubic"],
-    ["--preset", "custom", "--set", "sweep=ps:1:2"],
-    ["--set", "delay_d=2"],
-    ["--seed", "-3"],
-])
-def test_bad_requests_exit_2_with_json_error(tmp_path, capsys, argv_extra):
-    argv = ["run", "--out", str(tmp_path)] + argv_extra
-    if "--preset" not in argv_extra:
-        argv += ["--preset", "fig6"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    payload = json.loads(err[-1])
-    assert set(payload) == {"error", "type"}
-
-
-@pytest.mark.parametrize("sweep, message", [
-    ("n_ant:8:12:x", "sweep 'n_ant:8:12:x': invalid literal for int() with base 10: 'x'"),
-    ("n_ant:a:12:3", "sweep 'n_ant:a:12:3': could not convert string to float: 'a'"),
-    ("n_ant:1e400:3:2", "sweep 'n_ant:1e400:3:2': start and stop must be finite"),
-    ("ps_db:0:inf:3", "sweep 'ps_db:0:inf:3': start and stop must be finite"),
-    ("ps:nan:1:3", "sweep 'ps:nan:1:3': start and stop must be finite"),
-    ("ps:1100:1200:2:log2", "sweep 'ps:1100:1200:2:log2': log2 grid points must be finite"),
-    ("n_ant:8:12:0", "sweep 'n_ant:8:12:0': points must be at least 1"),
-], ids=["points", "start", "overflow", "inf", "nan", "log2", "no-points"])
-def test_a_bad_sweep_number_names_the_sweep(tmp_path, capsys, sweep, message):
-    # refused before numpy builds the grid: outside pytest's error filter
-    # the one JSON line still lists no warning
+@pytest.mark.parametrize("argv, message", REFUSALS,
+                         ids=[" ".join(argv) or "no preset" for argv, _ in REFUSALS])
+def test_a_refused_run_prints_one_line(tmp_path, capsys, argv, message):
+    # exit 2, the one JSON line of the message and no output directory, also
+    # outside pytest's error filter: a run that warned would list its warnings
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("default")
-        assert main(["run", "--preset", "custom", "--set", f"sweep={sweep}",
-                     "--out", str(out)]) == 2
+        assert main(["run"] + argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert json.loads(err[0]) == {"error": message, "type": "ValueError"}
+    assert [json.loads(line) for line in err] == [{"error": message, "type": "ValueError"}]
     assert not out.exists()
 
 
-@pytest.mark.parametrize("preset, item", [
-    ("fig4", "pp_fixed_db=1e300"), ("fig6", "ps_db=1e300"), ("fig9", "p1_db=inf"),
-    ("fig7", "sigma_li_db=nan"),
-])
-def test_a_db_override_with_no_finite_linear_value_names_its_key(tmp_path, capsys,
-                                                                 preset, item):
-    # 10^(x/10) overflows past about 3 083 dB, and inf and nan have no finite
-    # linear value either; the refusal names the key and the value
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("default")
-        assert main(["run", "--preset", preset, "--set", item, "--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert json.loads(err[0]) == {"error": f"override {item} has no finite linear value",
-                                  "type": "ValueError"}
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("key", ["disk_diameter", "shadow_sigma_db"])
-def test_geometry_extras_meet_the_scalar_rule(tmp_path, capsys, key):
-    # fig8's extras go through cli._value like every key; a NaN then fails
-    # DropGeometry by name, not the drawn gains
-    out = tmp_path / "out"
-    assert main(["run", "--preset", "fig8", "--trials", "2", "--set", f"{key}=nan",
-                 "--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert json.loads(err[0])["error"].startswith(f"{key} must be finite")
-    assert not out.exists()
+def test_shadow_sigma_db_stays_in_db_where_other_db_keys_convert():
     # the drop model takes its shadowing spread in dB; other _db keys convert
     assert cli._value("shadow_sigma_db", "6") == 6.0
     assert cli._value("p0_db", "20") == 100.0
@@ -656,14 +446,6 @@ def test_a_successful_run_reissues_its_warnings(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "rate_zf", warning_rate_zf)
     with pytest.warns(UserWarning, match="from the rate layer"):
         assert main(["run", "--preset", "fig6", "--out", str(tmp_path)]) == 0
-
-
-def test_preset_and_manifest_are_exclusive(tmp_path, capsys):
-    assert main(["run", "--preset", "fig6", "--manifest", "x.json",
-                 "--out", str(tmp_path)]) == 2
-    assert "not both" in json.loads(capsys.readouterr().err)["error"]
-    assert main(["run", "--out", str(tmp_path)]) == 2
-    assert "required" in json.loads(capsys.readouterr().err)["error"]
 
 
 @pytest.mark.parametrize("extra", [["--set", "shadow_sigma_db=2"], ["--trials", "50"],

@@ -17,3 +17,11 @@ def test_every_cli_output_matches_the_committed_digest():
     assert got == want, "\n".join(difflib.unified_diff(
         want, got, "tests/cli_digest.txt", "this tree", lineterm=""))
     assert not differs, differs
+
+
+def test_each_spec_runs_once_and_every_refusal_is_a_spec():
+    # a repeated spec would only repeat its lines; each refusal row of
+    # tests/test_cli.py is pinned here too, with its stderr
+    specs = [tuple(argv) for argv in cli_digest.specs()]
+    assert len(specs) == len(set(specs))
+    assert {tuple(argv) for argv, _ in cli_digest.REFUSALS} <= set(specs)

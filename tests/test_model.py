@@ -169,6 +169,34 @@ def test_huge_pilot_energy_gives_at_most_the_gain():
     assert estimation_variance(3.7, 20, 5e14) == 3.7
 
 
+def test_a_gain_whose_square_overflows_keeps_its_variance():
+    # beta^2 overflows past about 1.3e154; the variance is still formed
+    # without a warning (pytest turns one into an error), and tau*Pp*beta
+    # past the float range gives the perfect-CSI limit beta
+    np.testing.assert_array_equal(estimation_variance(np.array([1e160, 1.0]), 8, 10.0),
+                                  [1e160, 80.0 / 81.0])
+    assert estimation_variance(1e300, 8, 1e300) == 1e300
+    assert estimation_variance(1e160, 1, 1e-200) == pytest.approx(1e120, rel=1e-15)
+    assert estimation_variance(1e160, 8, 0.0) == 0.0
+
+
+def test_an_underflowing_variance_names_its_gain():
+    # tau*Pp = 8, but beta_sr^2 = 1e-600 rounds to 0: the refusal names the
+    # gain, not a zero pilot energy
+    with pytest.raises(ValueError) as exc:
+        make_profile([1e-300, 1.0], [1.0, 1.0], 8, 1.0)
+    assert str(exc.value) == ("sigma_sr_sq must be positive: beta_sr = 1e-300 "
+                              "underflows it to 0 at tau*Pp = 8")
+    with pytest.raises(ValueError, match="^sigma_rd_sq must be positive: beta_rd = 1e-200 "):
+        make_profile([1.0], [1e-200], 4, 1e-100)
+    # a drop whose path loss leaves every gain near 1e-250, alone or in a stack
+    geo = DropGeometry(path_exponent=20, ref_distance=1e-10)
+    for rng in (np.random.default_rng(0), [np.random.default_rng(s) for s in (0, 1)]):
+        with pytest.raises(ValueError, match=r"^sigma_sr_sq must be positive: beta_sr = "
+                                             r"\S+ underflows it to 0 at tau\*Pp = 200$"):
+            draw_urban_profile(geo, 4, 20, 10.0, rng)
+
+
 def test_snapshot_profile_values():
     prof = snapshot_profile(20, 10.0)
     assert prof.K == 10
