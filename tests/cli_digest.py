@@ -83,12 +83,19 @@ TWO_KEYS = [  # (preset, first key=value, second key=value, the field both set)
     ("custom", "sweep=n_ant:16:64:3", "ntx=32", "Ntx"),
 ]
 
+
+def _rows(pairs) -> list:
+    return [(label.split(), message) for label, message in pairs]
+
+
 # (argv after ``run``, message): each run exits 2, prints {"error": message,
 # "type": "ValueError"} as its one stderr line and writes nothing
-# (tests/test_cli.py), and each argv is a spec of this digest
-REFUSALS = [(label.split(), message) for label, message in [
-    # two faults, a bad config value and a bad extra, in both argument orders:
-    # the first in argument order is named, custom's sweep spec after the rest
+# (tests/test_cli.py, which runs the three named slices under names of their
+# own), and each argv is a spec of this digest
+
+# two faults, a bad config value and a bad extra, in both argument orders:
+# the first in argument order is named, custom's sweep spec after the rest
+FIRST_OF_TWO = _rows([
     ("--preset fig4 --set k=2.5 --set target_rate=abc", "override k=2.5 is not an integer"),
     ("--preset fig4 --set target_rate=abc --set k=2.5", "override target_rate=abc is not a number"),
     ("--preset fig8 --set k=2.5 --set disk_diameter=abc", "override k=2.5 is not an integer"),
@@ -98,12 +105,14 @@ REFUSALS = [(label.split(), message) for label, message in [
     ("--preset fig9 --set p0_db=abc --set k=2.5", "override p0_db=abc is not a number"),
     ("--preset custom --set tau=2.5 --set sweep=n_ant:8:12:x", "override tau=2.5 is not an integer"),
     ("--preset custom --set sweep=n_ant:8:12:x --set tau=2.5", "override tau=2.5 is not an integer"),
-    ("--preset custom --set tau=2.5", "override tau=2.5 is not an integer"),
-    # fig2/fig3 set the array size, Ps and Pr = K Ps per row, fig4/fig7 the
-    # array size and fig6 the loop level, so an override of one would
-    # mislabel the rows or vanish; fig4 bisects Ps with Pr = K Ps and fig9's
-    # allocator chooses both powers, so a power override would change
-    # nothing but the manifest
+])
+
+# fig2/fig3 set the array size, Ps and Pr = K Ps per row, fig4/fig7 the
+# array size and fig6 the loop level, so an override of one would mislabel
+# the rows or vanish; fig4 bisects Ps with Pr = K Ps and fig9's allocator
+# chooses both powers, so a power override would change nothing but the
+# manifest; custom sets the field it sweeps
+SWEPT_FIELDS = _rows([
     *[(f"--preset {preset} --trials 20 --set {key}={value}",
        f"{preset} sets {field} itself; override {key!r} is not allowed")
       for preset, key, value, field in [
@@ -113,9 +122,25 @@ REFUSALS = [(label.split(), message) for label, message in [
           *[(preset, key, value, field) for preset in ("fig4", "fig9")
             for key, value, field in (("ps", "2", "Ps"), ("ps_db", "30", "Ps"),
                                       ("pr", "0.5", "Pr"), ("pr_db", "0", "Pr"))]]],
-    # custom sets the field it sweeps
     ("--preset custom --trials 20 --set nrx=50 --set sweep=nrx:40:60:3",
      "overrides 'nrx' and 'sweep' both set Nrx"),
+])
+
+# a bad sweep number is refused before numpy builds the grid
+BAD_SWEEPS = _rows([
+    (f"--preset custom --set sweep={sweep}", f"sweep {sweep!r}: {reason}")
+    for sweep, reason in [
+        ("n_ant:8:12:x", "invalid literal for int() with base 10: 'x'"),
+        ("n_ant:a:12:3", "could not convert string to float: 'a'"),
+        ("n_ant:1e400:3:2", "start and stop must be finite"),
+        ("ps_db:0:inf:3", "start and stop must be finite"),
+        ("ps:nan:1:3", "start and stop must be finite"),
+        ("ps:1100:1200:2:log2", "log2 grid points must be finite"),
+        ("n_ant:8:12:0", "points must be at least 1")]])
+
+REFUSALS = [*FIRST_OF_TWO, *_rows([
+    ("--preset custom --set tau=2.5", "override tau=2.5 is not an integer")]),
+    *SWEPT_FIELDS, *_rows([
     # an extra a preset never reads would change nothing but its manifest
     *[(f"--preset {preset} --set {key}={value}", f"{preset} does not read override {key!r}")
       for preset, key, value in [("fig6", "target_rate", "3"), ("fig6", "p0_db", "40"),
@@ -150,17 +175,8 @@ REFUSALS = [(label.split(), message) for label, message in [
     ("--preset custom --set sweep=ps:1:2:2:cubic", "unknown sweep scale 'cubic'"),
     ("--preset custom --set sweep=ps:1:2", "sweep spec is field:start:stop:points[:scale]"),
     ("--preset fig6 --set delay_d=2", "unknown override key 'delay_d'"),
-    ("--preset fig6 --seed -3", "seed must be >= 0 and an integer"),
-    # a bad sweep number is refused before numpy builds the grid
-    *[(f"--preset custom --set sweep={sweep}", f"sweep {sweep!r}: {reason}")
-      for sweep, reason in [
-          ("n_ant:8:12:x", "invalid literal for int() with base 10: 'x'"),
-          ("n_ant:a:12:3", "could not convert string to float: 'a'"),
-          ("n_ant:1e400:3:2", "start and stop must be finite"),
-          ("ps_db:0:inf:3", "start and stop must be finite"),
-          ("ps:nan:1:3", "start and stop must be finite"),
-          ("ps:1100:1200:2:log2", "log2 grid points must be finite"),
-          ("n_ant:8:12:0", "points must be at least 1")]],
+    ("--preset fig6 --seed -3", "seed must be >= 0 and an integer")]),
+    *BAD_SWEEPS, *_rows([
     # 10^(x/10) overflows past about 3 083 dB, and inf and nan have no
     # finite linear value either
     *[(f"--preset {preset} --set {item}", f"override {item} has no finite linear value")
@@ -172,8 +188,7 @@ REFUSALS = [(label.split(), message) for label, message in [
     ("--preset fig8 --trials 2 --set shadow_sigma_db=nan",
      "shadow_sigma_db must be finite and >= 0"),
     ("--preset fig6 --manifest x.json", "use either --preset or --manifest, not both"),
-    ("", "one of --preset or --manifest is required"),
-]]
+    ("", "one of --preset or --manifest is required")])]
 
 
 def _sets(*items) -> list:

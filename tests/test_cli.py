@@ -23,7 +23,7 @@ from fdrelay.cli import (
     run_spec,
     spec_from_manifest,
 )
-from cli_digest import REFUSALS, TWO_KEYS
+from cli_digest import BAD_SWEEPS, FIRST_OF_TWO, REFUSALS, SWEPT_FIELDS, TWO_KEYS
 
 
 def read_csv(path):
@@ -396,18 +396,33 @@ def test_custom_sweep_linear_scale(tmp_path):
         assert [float(r[0]) for r in rows] == [1.0, 3.0, 5.0]
 
 
-@pytest.mark.parametrize("argv, message", REFUSALS,
-                         ids=[" ".join(argv) or "no preset" for argv, _ in REFUSALS])
-def test_a_refused_run_prints_one_line(tmp_path, capsys, argv, message):
+def _refusal_test(rows, ids):
     # exit 2, the one JSON line of the message and no output directory, also
     # outside pytest's error filter: a run that warned would list its warnings
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("default")
-        assert main(["run"] + argv + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert [json.loads(line) for line in err] == [{"error": message, "type": "ValueError"}]
-    assert not out.exists()
+    @pytest.mark.parametrize("argv, message", rows, ids=ids)
+    def test(tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            assert main(["run"] + argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in err] == [{"error": message, "type": "ValueError"}]
+        assert not out.exists()
+    return test
+
+
+# three slices of REFUSALS keep test names of their own; the rest run as one
+OTHER_REFUSALS = [row for row in REFUSALS if row not in FIRST_OF_TWO + SWEPT_FIELDS + BAD_SWEEPS]
+test_a_refused_run_prints_one_line = _refusal_test(
+    OTHER_REFUSALS, [" ".join(argv) or "no preset" for argv, _ in OTHER_REFUSALS])
+# config-first or extra-first, the preset, the bad config item, the bad extra
+test_of_two_bad_values_the_first_in_argument_order_is_named = _refusal_test(FIRST_OF_TWO, [
+    f"config-first-{a[1]}-{a[3]}-{a[5]}" if a[3].split("=")[0] in cli._KEY_FIELDS
+    else f"extra-first-{a[1]}-{a[5]}-{a[3]}" for a, _ in FIRST_OF_TWO])
+test_mc_sweeps_reject_overrides_of_swept_fields = _refusal_test(
+    SWEPT_FIELDS, [f"{argv[1]}-{argv[5]}" for argv, _ in SWEPT_FIELDS])
+test_a_bad_sweep_number_names_the_sweep = _refusal_test(
+    BAD_SWEEPS, ["points", "start", "overflow", "inf", "nan", "log2", "no-points"])
 
 
 def test_shadow_sigma_db_stays_in_db_where_other_db_keys_convert():
