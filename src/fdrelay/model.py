@@ -5,6 +5,7 @@ boundary, never inside formulas.
 """
 from __future__ import annotations
 
+import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -69,21 +70,25 @@ class SystemConfig:
 _SQUARE_MAX = np.sqrt(np.finfo(float).max)  # beta**2 overflows above this
 
 
-def _mmse_variance(beta: np.ndarray, pilot_energy: float) -> np.ndarray:
+def _mmse_variance(beta: np.ndarray, pilot_energy) -> np.ndarray:
     """tau*Pp*beta^2 / (tau*Pp*beta + 1) at pilot_energy = tau*Pp, unchecked.
 
-    The quotient rounds one ulp above beta once tau*Pp*beta exceeds about
-    7e15, so it is clamped to beta, the perfect-CSI limit. A gain whose
-    square overflows takes the same value as beta / (1 + 1/(tau*Pp*beta)),
-    where tau*Pp*beta = inf gives beta and tau*Pp = 0 gives 0.
+    pilot_energy is a float or an array that broadcasts against beta. The
+    quotient rounds one ulp above beta once tau*Pp*beta exceeds about 7e15,
+    so it is clamped to beta, the perfect-CSI limit. Where tau*Pp*beta^2 or
+    tau*Pp*beta + 1 overflows (a huge gain, a huge pilot energy or both),
+    the entry takes the same value as beta / (1 + 1/(tau*Pp*beta)), which is
+    beta there (tau*Pp = 0 gives 0); every other entry is the quotient.
     """
-    huge = beta > _SQUARE_MAX
-    if not huge.any():
+    # up to this gain neither product comes within a factor 2 of the float range
+    peak = pilot_energy.max() if isinstance(pilot_energy, np.ndarray) else pilot_energy
+    if beta.max(initial=0.0) <= 0.5 * _SQUARE_MAX / math.sqrt(max(peak, 1.0)):
         return np.minimum(pilot_energy * beta**2 / (pilot_energy * beta + 1.0), beta)
-    safe = np.where(huge, 1.0, beta)
-    out = np.minimum(pilot_energy * safe**2 / (pilot_energy * safe + 1.0), safe)
-    with np.errstate(over="ignore", divide="ignore"):
-        return np.where(huge, beta / (1.0 + 1.0 / (pilot_energy * beta)), out)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        square, denominator = pilot_energy * beta**2, pilot_energy * beta + 1.0
+        out = np.minimum(square / denominator, beta)
+        return np.where(np.isfinite(square) & np.isfinite(denominator), out,
+                        beta / (1.0 + 1.0 / (pilot_energy * beta)))
 
 
 def estimation_variance(beta, tau: int, Pp: float):

@@ -56,7 +56,7 @@ def test_pilot_books_longer_than_minimum():
 
 
 def test_pilots_reject_short_training():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^pilot length tau must be at least 2K$"):
         generate_pilots(10, 19)
 
 
@@ -100,7 +100,7 @@ def test_pilot_estimation_perfect_limit():
 def test_pilot_estimation_requires_pilot_power():
     cfg = SystemConfig(K=3, Nrx=16, Ntx=16, tau=6, Pp=0.0)
     book = generate_pilots(3, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^pilot estimation requires Pp > 0$"):
         estimate_via_pilots(sample_true_channels(CFG, PROF, np.random.default_rng(0)),
                             book, cfg, PROF, np.random.default_rng(0))
 

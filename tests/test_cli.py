@@ -621,18 +621,18 @@ def test_cell_formatting_rules():
     assert _cell(7) == "7"
     assert _cell(0.5) == "0.5"
     assert _cell("zf") == "zf"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^non-finite value in results table$"):
         _cell(float("nan"))
 
 
 def test_run_spec_guards(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown preset 'fig1'$"):
         run_spec(RunSpec(preset="fig1", seed=1, trials=1, overrides={},
                          out_dir=str(tmp_path)))
     with pytest.raises(ValueError, match="seed must be >= 0 and an integer"):
         run_spec(RunSpec(preset="fig6", seed=-3, trials=1, overrides={},
                          out_dir=str(tmp_path)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^trials must be >= 1 and an integer$"):
         run_spec(RunSpec(preset="fig6", seed=1, trials=0, overrides={},
                          out_dir=str(tmp_path)))
     # a fractional trials count is refused by name, fig8's drops too

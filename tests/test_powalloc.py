@@ -26,9 +26,6 @@ def sum_se_at(coeffs, p_s, p_r, T, tau):
 
 
 def test_sinr_coefficients_validation():
-    # no loop interference makes c = 0, which no GP round can take
-    with pytest.raises(ValueError, match="coefficient c must be positive"):
-        optimize_powers(dataclasses.replace(CFG10, sigma_li_sq=0.0), PROF10, "zf", 5.0)
     ones = np.ones(3)
     coeffs = SinrCoefficients(a=-ones, b=ones, c=ones, d=ones, e=ones, scheme="zf")
     with pytest.raises(ValueError, match="positive and finite"):
@@ -41,8 +38,6 @@ def test_energy_efficiency_formula():
     assert energy_efficiency(se, p_s, p_r, T=200, tau=20) == pytest.approx(
         9.0 / (0.9 * 6.0)
     )
-    with pytest.raises(ValueError):
-        energy_efficiency(1.0, [0.0], 0.0, T=200, tau=20)
 
 
 def test_single_pair_matches_dense_grid():
@@ -214,25 +209,17 @@ def test_each_uniform_peak_term_is_checked(field, p0, p1, name, term):
 def test_a_target_below_the_sinr_floor_is_refused_by_name(scheme):
     # every round holds each SINR at or above GAMMA_FLOOR, so no round meets a
     # sum SE below (T - tau)/T K log2(1 + GAMMA_FLOOR); such a target once came
-    # back "infeasible", the status of a target out of reach under the peaks
+    # back "infeasible", the status of a target out of reach under the peaks.
+    # LIBRARY_REFUSALS (test_boundary.py) refuses 1e-9, 5e-9 and the float
+    # below the floor at this config; the floor itself is met
     cfg = SystemConfig(K=4, Nrx=32, Ntx=32, tau=8)
     prof = make_profile(np.ones(4), np.ones(4), cfg.tau, cfg.Pp)
     floor = (cfg.T - cfg.tau) / cfg.T * cfg.K * math.log2(1.0 + powalloc.GAMMA_FLOOR)
     assert 5e-9 < floor < 1e-8
-    for s0 in (1e-9, 5e-9, math.nextafter(floor, 0.0)):
-        with pytest.raises(ValueError, match="^s0 must be at least"):
-            optimize_powers(cfg, prof, scheme, s0)
     for s0 in (floor, 1e-8):
         alloc = optimize_powers(cfg, prof, scheme, s0)
         assert alloc.status == "optimal", s0
         assert alloc.achieved_se == pytest.approx(s0, rel=0.02)
-
-
-def test_optimizer_validation():
-    with pytest.raises(ValueError):
-        optimize_powers(CFG10, PROF10, "zf", 0.0)
-    with pytest.raises(ValueError):
-        optimize_powers(CFG10, PROF10, "zf", 1.0, p0=0.0)
 
 
 def _round_gp_by_loops(coeffs, center, s0, p0, p1, T, tau, trust):
