@@ -37,8 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .model import (DropGeometry, SystemConfig, _check_count, draw_urban_profile, make_profile,
-                    snapshot_profile)
+from .model import (DropGeometry, SystemConfig, _check_count, _check_integer, draw_urban_profile,
+                    make_profile, snapshot_profile)
 from .montecarlo import simulate
 from .powalloc import energy_efficiency, optimize_powers
 from .rates import _batch, _required_powers, rate_mr, rate_zf
@@ -344,7 +344,7 @@ def run_spec(spec: RunSpec) -> list:
     if not isinstance(spec.preset, str) or spec.preset not in _PRESETS:  # a JSON list or object
         raise ValueError(f"unknown preset {spec.preset!r}")
     _check_count("trials", spec.trials)
-    _check_count("seed", spec.seed, 0)
+    _check_integer("seed", spec.seed, 0)
     preset = _PRESETS[spec.preset]
     set_by = dict.fromkeys(preset.sets, spec.preset)  # config field: its one source
     for key, raw in spec.overrides.items():

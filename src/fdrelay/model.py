@@ -24,9 +24,18 @@ def _check_real(name: str, x, strict: bool = False) -> None:
         raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0")
 
 
-def _check_count(name: str, n, least: int = 1) -> None:
+def _check_integer(name: str, n, least: int) -> None:
+    """n is an int or numpy integer, not a bool, and >= least; a seed needs no more."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < least:
         raise ValueError(f"{name} must be >= {least} and an integer")
+
+
+def _check_count(name: str, n, least: int = 1) -> None:
+    """The count rule: an integer >= least, and finite as a float64, since the
+    rates compute in float64."""
+    _check_integer(name, n, least)
+    if n > sys.float_info.max:
+        raise ValueError(f"{name} must be finite as a float64")
 
 
 @dataclass(frozen=True)
@@ -58,9 +67,7 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         for name in ("K", "Nrx", "Ntx", "T", "tau"):
-            _check_count(name, n := getattr(self, name))
-            if n > sys.float_info.max:  # the rates compute in float64
-                raise ValueError(f"{name} must be finite as a float64")
+            _check_count(name, getattr(self, name))
         if not 2 * self.K <= self.tau < self.T:
             raise ValueError("training length must satisfy 2K <= tau < T")
         for name in ("Pp", "Ps", "Pr", "sigma_li_sq"):
@@ -78,17 +85,21 @@ def _mmse_variance(beta: np.ndarray, pilot_energy) -> np.ndarray:
     so it is clamped to beta, the perfect-CSI limit. Where tau*Pp*beta^2 or
     tau*Pp*beta + 1 overflows (a huge gain, a huge pilot energy or both),
     the entry takes the same value as beta / (1 + 1/(tau*Pp*beta)), which is
-    beta there (tau*Pp = 0 gives 0); every other entry is the quotient.
+    beta there (tau*Pp = 0 gives 0); every other entry is the quotient. A zero
+    gain gives 0 at any pilot energy, an infinite one (an overflowed tau*Pp)
+    included.
     """
-    # up to this gain neither product comes within a factor 2 of the float range
+    # below this gain neither product comes within a factor 2 of the float
+    # range; an infinite pilot energy puts the bound at 0, so it always takes
+    # the guarded form
     peak = pilot_energy.max() if isinstance(pilot_energy, np.ndarray) else pilot_energy
-    if beta.max(initial=0.0) <= 0.5 * _SQUARE_MAX / math.sqrt(max(peak, 1.0)):
+    if beta.max(initial=0.0) < 0.5 * _SQUARE_MAX / math.sqrt(max(peak, 1.0)):
         return np.minimum(pilot_energy * beta**2 / (pilot_energy * beta + 1.0), beta)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         square, denominator = pilot_energy * beta**2, pilot_energy * beta + 1.0
         out = np.minimum(square / denominator, beta)
         return np.where(np.isfinite(square) & np.isfinite(denominator), out,
-                        beta / (1.0 + 1.0 / (pilot_energy * beta)))
+                        np.where(beta > 0, beta / (1.0 + 1.0 / (pilot_energy * beta)), 0.0))
 
 
 def estimation_variance(beta, tau: int, Pp: float):
@@ -143,8 +154,7 @@ class LargeScaleProfile:
         positive, exceeds = (variances > 0).all(1), (variances > gains).any(1)  # NaN fails
         for name, gain, pos, over in zip(_PROFILE_ROWS[2:], _PROFILE_ROWS[:2], positive, exceeds):
             if not pos:
-                raise ValueError(f"{name} must be positive: tau*Pp = 0 leaves "
-                                 "no channel estimate")
+                raise ValueError(f"{name} must be positive, or there is no channel estimate")
             if over:
                 raise ValueError(f"{name} must not exceed {gain}: an estimate "
                                  "cannot carry more power than its channel")

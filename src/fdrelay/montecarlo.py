@@ -44,9 +44,12 @@ two Grams alone. So each trial has the law of an explicit N-dimensional draw,
 the bound's moments and the genie SINR are both exact, and a trial costs
 O(K^3) whatever the array size. Each chunk draws R_sr^H, R_rd^H, Z_e, Z_l,
 Z_r in that order, and no power or variance enters them, only the diagonal
-scalings above: _bases forms a chunk's P, Q, B_l and N once (X by forward
-substitution), and _features gives each point its rows with no matmul or
-inverse. The loop row and ZF's multipair rows are (n, K, K) real |.|^2 bases
+scalings above. _bases forms a chunk's P, Q, B_l and N once (X by forward
+substitution) in stream order: _draw is a generator, and each Z is drawn
+just before the product that reads it and dies with it (Z_e with Q_sr, Z_l
+with B_l, Z_r with Q_rd), so a pass never holds the five draws beside the
+products. _features gives each point its rows with no matmul or inverse.
+The loop row and ZF's multipair rows are (n, K, K) real |.|^2 bases
 times per-point (K,) weights; MR combines P and Q per point elementwise. So
 one draw serves every point with the same (K, Nrx, Ntx), and
 :func:`simulate` gives a whole sweep the bound and genie rates of common
@@ -171,9 +174,11 @@ def _chunks(trials: int, per_trial: float):
     """Successive chunk sizes adding up to trials: ~64 MB of complex128 for
     per_trial entries a trial holds, and at most 4096 trials. A pass (which
     the bound, the genie rates and two of the probes read) budgets 16 K x K
-    arrays a trial and holds at most about 10 (the five draws and the
-    chunk's products while _bases runs); the inverse-Gram moment budgets 4
-    and holds about 3. So no chunk depends on the array size.
+    arrays a trial and holds at most about 7: MR's bases and one point's
+    gain bracket; ZF holds about 5, the two factors, one Z and its products,
+    while _bases runs, since each Z is drawn just before its product and
+    dies with it. The inverse-Gram moment budgets 4 and holds about 3. So no
+    chunk depends on the array size.
     """
     chunk = max(1, min(4096, int(64e6 / (16.0 * per_trial))))
     for done in range(0, trials, chunk):
@@ -191,12 +196,25 @@ def alpha_mrt(cfg: SystemConfig, profile: LargeScaleProfile) -> float:
 
 
 def _cn(shape, rng: np.random.Generator) -> np.ndarray:
-    """Unit-variance circularly-symmetric complex Gaussian samples from one buffer,
-    real parts first; 1/sqrt(2) scales it as numpy rounds (a + 1j b) / sqrt(2)."""
-    x = rng.standard_normal((2, *shape)) * (1.0 / np.sqrt(2.0))
+    """Unit-variance circularly-symmetric complex Gaussian samples, all real parts
+    first: each half is drawn into one real scratch and scaled straight into z,
+    and 1/sqrt(2) scales it as numpy rounds (a + 1j b) / sqrt(2)."""
     z = np.empty(shape, dtype=complex)
-    z.real, z.imag = x
+    half = np.empty(shape)
+    for part in (z.real, z.imag):
+        np.multiply(rng.standard_normal(out=half), 1.0 / np.sqrt(2.0), out=part)
     return z
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 squared in place, with the bits of np.abs(z) ** 2."""
+    r = np.abs(z)
+    return np.square(r, out=r)
+
+
+def _diag_abs2(q: np.ndarray) -> tuple:
+    """A copy of the diagonal of each matrix of a batch, and |q|^2."""
+    return np.diagonal(q, axis1=1, axis2=2).copy(), _abs2(q)
 
 
 def gram_factor_batch(n_ant: int, k: int, n: int,
@@ -223,13 +241,15 @@ def gram_factor_batch(n_ant: int, k: int, n: int,
 
 
 def _draw(cfg: SystemConfig, n: int, rng: np.random.Generator):
-    """The unit-variance (R_sr^H, R_rd^H, Z_e, Z_l, Z_r) of n trials; they
-    depend on cfg only through (K, Nrx, Ntx), and _bases forms their products."""
-    r_sr_h = gram_factor_batch(cfg.Nrx, cfg.K, n, rng)
-    r_rd_h = gram_factor_batch(cfg.Ntx, cfg.K, n, rng)
-    m_sr, m_rd = r_sr_h.shape[2], r_rd_h.shape[2]
-    return (r_sr_h, r_rd_h, _cn((n, m_sr, cfg.K), rng), _cn((n, m_sr, m_rd), rng),
-            _cn((n, cfg.K, m_rd), rng))
+    """Yield the unit-variance R_sr^H, R_rd^H, Z_e, Z_l and Z_r of n trials, in
+    that order, each drawn from rng only when it is pulled. They depend on cfg
+    only through (K, Nrx, Ntx), and _bases forms their products."""
+    m_sr, m_rd = min(cfg.Nrx, cfg.K), min(cfg.Ntx, cfg.K)
+    yield gram_factor_batch(cfg.Nrx, cfg.K, n, rng)
+    yield gram_factor_batch(cfg.Ntx, cfg.K, n, rng)
+    yield _cn((n, m_sr, cfg.K), rng)
+    yield _cn((n, m_sr, m_rd), rng)
+    yield _cn((n, cfg.K, m_rd), rng)
 
 
 # Up to this pair count a batched product is one whole-batch multiply-add
@@ -276,24 +296,29 @@ def _tri_inv(low: np.ndarray) -> np.ndarray:
 
 def _bases(scheme: str, draw) -> tuple:
     """A chunk's point-independent products (module docstring): per hop ZF's
-    diag(Q) and |Q|^2 or MR's P and Q, and the first hop's norms N and |B_l|^2."""
-    l_sr, l_rd, z_e, z_l, z_r = draw
+    diag(Q) and |Q|^2 or MR's P and Q, and the first hop's norms N and |B_l|^2.
+
+    draw is any iterable of _draw's five arrays. Each Z is pulled only when its
+    product is formed, so from a _draw generator Z_e dies with Q_sr, Z_l with
+    B_l and Z_r with Q_rd; all five are always consumed.
+    """
+    draw = iter(draw)
+    l_sr, l_rd = next(draw), next(draw)
     k = l_sr.shape[1]
     if scheme == "zf":  # Xbar_sr and Xbar_rd overwrite the draw's factors
         xbar_sr = np.conjugate(_tri_inv(l_sr), out=l_sr)
         xbar_rd = np.conjugate(_tri_inv(l_rd), out=l_rd)
         m_sr = np.swapaxes(xbar_sr, 1, 2)
-        q_sr, q_rd = _mm(m_sr, z_e, k), _mm(z_r, xbar_rd, k)
-        return (np.diagonal(q_sr, axis1=1, axis2=2).copy(), np.abs(q_sr) ** 2,
-                np.sum(np.abs(xbar_sr) ** 2, axis=1),
-                np.abs(_mm(_mm(m_sr, z_l, k), xbar_rd, k)) ** 2,
-                np.diagonal(q_rd, axis1=1, axis2=2).copy(), np.abs(q_rd) ** 2)
+        sr = (*_diag_abs2(_mm(m_sr, next(draw), k)), np.sum(_abs2(xbar_sr), axis=1),
+              _abs2(_mm(_mm(m_sr, next(draw), k), xbar_rd, k)))
+        del l_sr, xbar_sr, m_sr  # the first hop's factor dies before Z_r is drawn
+        return (*sr, *_diag_abs2(_mm(next(draw), xbar_rd, k)))
     l_rd_t = np.swapaxes(l_rd, 1, 2)
     p_sr = _mm(l_sr, np.swapaxes(l_sr, 1, 2).conj(), k)
-    p_rd = _mm(l_rd.conj(), l_rd_t, k)
-    return (p_sr, _mm(l_sr, z_e, k), np.diagonal(p_sr, axis1=1, axis2=2).real,
-            np.abs(_mm(_mm(l_sr, z_l, k), l_rd_t, k)) ** 2,
-            p_rd, _mm(z_r, l_rd_t, k))
+    sr = (p_sr, _mm(l_sr, next(draw), k), np.diagonal(p_sr, axis1=1, axis2=2).real,
+          _abs2(_mm(_mm(l_sr, next(draw), k), l_rd_t, k)))
+    del l_sr
+    return (*sr, _mm(l_rd.conj(), l_rd_t, k), _mm(next(draw), l_rd_t, k))
 
 
 class _Accumulator:
@@ -340,13 +365,20 @@ class _Accumulator:
         its stderr counts the covariance between pairs.
         """
         m, f, k = grad.shape
+        # a gradient near the float range (a rate's at a power near it) would
+        # overflow the quadratic form, so it enters scaled by an exact power
+        # of two, 2^-shift, and its stderrs leave scaled by 2^shift; every
+        # other gradient has shift 0 and keeps its bits
+        peak = np.max(np.abs(grad), axis=(1, 2))
+        shift = np.where(peak > 2.0 ** 500, np.frexp(peak)[1], 0)
+        grad = np.ldexp(grad, -shift[:, None, None])
         # column i K + j: estimate j of gradient i, in the features of pair j
         g = (grad[..., None] * np.eye(k)).transpose(1, 2, 0, 3).reshape(f * k, m * k)
         cov = (g.T @ self.cov @ g / self.trials).reshape(m, k, m, k)
         own = cov[np.arange(m), :, np.arange(m)]  # (M, K, K): each estimate's own block
         se = np.sqrt(np.maximum(np.diagonal(own, axis1=1, axis2=2), 0.0))
         se_sum = np.sqrt(np.maximum(np.sum(own, axis=(1, 2)), 0.0))
-        return se, se_sum
+        return np.ldexp(se, shift[:, None]), np.ldexp(se_sum, shift)
 
 
 def _grad(k: int, rows: dict) -> np.ndarray:
@@ -355,6 +387,14 @@ def _grad(k: int, rows: dict) -> np.ndarray:
     for row, value in rows.items():
         grad[row] = value
     return grad
+
+
+def _mr_gain(a, b, s, d):
+    """One hop's MR gain bracket g = a s + b d of a point, built in place, as its
+    diagonal and |g|^2; g itself dies here."""
+    g = a * s
+    g += b * d
+    return _diag_abs2(g)
 
 
 def _features(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
@@ -372,10 +412,10 @@ def _features(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
         go_rd = d_rd ** 2 * (_mm(b_rd, v ** 2, cfg.K) - np.abs(a_rd) ** 2 * v ** 2)
     else:  # "mr"
         alpha, u, v = alpha_mrt(cfg, profile), s_sr, s_rd
-        g_sr, g_rd = a_sr * s_sr + b_sr * d_sr, a_rd * s_rd[:, None] + b_rd * d_rd[:, None]
-        gd_sr, gd_rd = np.diagonal(g_sr, axis1=1, axis2=2), np.diagonal(g_rd, axis1=1, axis2=2)
-        go_sr = np.sum(np.abs(g_sr) ** 2, axis=2) - np.abs(gd_sr) ** 2
-        go_rd = _mm(np.abs(g_rd) ** 2, v ** 2, cfg.K) - np.abs(gd_rd) ** 2 * v ** 2
+        gd_sr, g2_sr = _mr_gain(a_sr, b_sr, s_sr, d_sr)
+        gd_rd, g2_rd = _mr_gain(a_rd, b_rd, s_rd[:, None], d_rd[:, None])
+        go_sr = np.sum(g2_sr, axis=2) - np.abs(gd_sr) ** 2
+        go_rd = _mm(g2_rd, v ** 2, cfg.K) - np.abs(gd_rd) ** 2 * v ** 2
     diag_sr, mp_sr = u * gd_sr, u ** 2 * go_sr
     diag_rd, mp_rd = alpha * v * gd_rd, alpha ** 2 * go_rd
     li = cfg.sigma_li_sq * alpha ** 2 * u ** 2 * _mm(loop2, v ** 2, cfg.K)
@@ -544,7 +584,7 @@ def wishart_inverse_moment(n_ant: int, variances, trials: int,
     for n in _chunks(trials, 4 * k ** 2):
         # (F F^H)^-1 = F^-H F^-1 with F^-1 = R^-H diag(1/sqrt(variances))
         inv = _tri_inv(gram_factor_batch(n_ant, k, n, rng))
-        acc.add((np.sum(np.abs(inv) ** 2, axis=1) / variances)[:, None])
+        acc.add((np.sum(_abs2(inv), axis=1) / variances)[:, None])
     return acc.mean[0], acc.stderr(np.ones((1, 1, k)))[0][0]
 
 

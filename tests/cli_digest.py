@@ -161,7 +161,7 @@ REFUSALS = [*FIRST_OF_TWO, *_rows([
      "p1 too large: the uniform-peak SINR term c*p1 is not finite"),
     # Pp = 0 leaves no channel estimate: the profile names the field
     ("--preset fig6 --set pp=0",
-     "sigma_sr_sq must be positive: tau*Pp = 0 leaves no channel estimate"),
+     "sigma_sr_sq must be positive, or there is no channel estimate"),
     *[(f"--preset fig6 --set {key}=10.7", f"override {key}=10.7 is not an integer")
       for key in ("k", "nrx", "ntx", "t", "tau", "n_ant")],
     # a config key, an integer key and two extras

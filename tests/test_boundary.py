@@ -157,7 +157,7 @@ def vectors(beta_sr, beta_rd, sigma_sr_sq, sigma_rd_sq) -> dict:
 BETA = "beta must be finite and >= 0"
 SHAPE = "profile vectors must be 1-D of one length K >= 1"
 GAINS = "large-scale gains must be positive and finite"
-NO_ESTIMATE = "{} must be positive: tau*Pp = 0 leaves no channel estimate"
+NO_ESTIMATE = "{} must be positive, or there is no channel estimate"
 EXCEEDS = ("sigma_{0}_sq must not exceed beta_{0}: an estimate cannot carry more power "
            "than its channel")
 UNDERFLOW = "{} must be positive: {} underflows it to 0 at tau*Pp = {}"
@@ -200,6 +200,8 @@ LIBRARY_REFUSALS = [
     ("estimation_variance", {"beta": -1.0}, BETA),
     ("estimation_variance", {"beta": [1.0, math.nan]}, BETA),
     ("estimation_variance", {"beta": [1.0, -1.0]}, BETA),
+    # the count rule, not tau * Pp, refuses a tau beyond the float range
+    ("estimation_variance", {"tau": 10**400}, "tau must be finite as a float64"),
     *PROFILE_ORDER,
     # and each rule alone; a (2, 2) profile would give rate_mr a 2 x 2
     # "per-pair" array

@@ -497,6 +497,14 @@ def test_a_replay_reads_the_manifest_trials_as_written(tmp_path, capsys):
     assert not second.exists()
 
 
+def test_a_seed_beyond_the_float_range_runs(tmp_path):
+    # a seed is no count: it never enters float64 arithmetic, so only the
+    # counts are held to the float range
+    assert main(["run", "--preset", "fig6", "--trials", "2", "--seed", str(10**400),
+                 "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "fig6.manifest.json").read_text())["seed"] == 10**400
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("trials", True, "trials must be >= 1 and an integer"),
     ("seed", False, "seed must be >= 0 and an integer"),

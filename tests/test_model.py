@@ -96,6 +96,15 @@ def test_a_gain_whose_square_overflows_keeps_its_variance():
     np.testing.assert_array_equal(prof.sigma_sr_sq, [1e8, 1.0])
 
 
+def test_a_zero_gain_has_zero_variance_at_an_overflowing_pilot_energy():
+    # tau*Pp = 10**300 * 1e300 overflows to inf: a zero gain still gives 0,
+    # not inf * 0, and every positive gain its perfect-CSI limit beta
+    assert estimation_variance(0.0, 10**300, 1e300) == 0.0
+    np.testing.assert_array_equal(
+        estimation_variance(np.array([0.0, 1e-300, 1.0, 1e300]), 10**300, 1e300),
+        [0.0, 1e-300, 1.0, 1e300])
+
+
 def test_snapshot_profile_values():
     prof = snapshot_profile(20, 10.0)
     assert prof.K == 10

@@ -346,7 +346,7 @@ def test_features_equal_the_per_trial_reference(scheme, nrx, ntx):
     # reference on the same draw, to rounding; the reference reads the draw
     # first, because the ZF bases overwrite its factors
     cfg, prof = _weak_pilots(nrx, ntx)
-    draw = montecarlo._draw(cfg, 400, np.random.default_rng(49))
+    draw = tuple(montecarlo._draw(cfg, 400, np.random.default_rng(49)))
     want = _reference_rows(cfg, prof, scheme, draw)
     bases = montecarlo._bases(scheme, draw)
     np.testing.assert_allclose(montecarlo._features(cfg, prof, scheme, bases), want, rtol=1e-9)
@@ -361,7 +361,7 @@ def test_a_sweep_pools_the_reference_rows_of_each_point(scheme):
                                                           cfg.tau, 2.0))]
     n = 300
     accs = montecarlo._simulate(points, scheme, n, np.random.default_rng(50))
-    draw = montecarlo._draw(cfg, n, np.random.default_rng(50))
+    draw = tuple(montecarlo._draw(cfg, n, np.random.default_rng(50)))
     for (c, p), acc in zip(points, accs):
         want = _reference_rows(c, p, scheme, draw)
         np.testing.assert_allclose(acc.mean, np.mean(want, axis=0), rtol=1e-9)
@@ -373,7 +373,7 @@ def test_trial_terms_match_brute_force_oracle(scheme, nrx, ntx):
     cfg, prof = _weak_pilots(nrx, ntx)
     n = 20_000
     rng = np.random.default_rng(41)
-    draw = montecarlo._draw(cfg, n, rng)
+    draw = tuple(montecarlo._draw(cfg, n, rng))
     # ||A||_F^2 = alpha^2 tr(Gram_rd^-1) for ZF and alpha^2 tr(Gram_rd) for MR,
     # read before the ZF bases overwrite the factors
     f_rd = np.sqrt(prof.sigma_rd_sq)[:, None] * draw[1]
@@ -490,20 +490,44 @@ def test_monte_carlo_cost_is_flat_in_the_array_size():
     assert peak < column_block / 8, f"traced peak {peak} B"
 
 
-@pytest.mark.parametrize("scheme,limit_mb", [("zf", 2.40), ("mr", 2.25)])
-def test_a_bound_call_keeps_no_scaled_copy_of_its_draw(scheme, limit_mb):
-    # the traced peak of one K = 10, 100-trial call stays at or below that of
-    # the engine that kept the unit factors alive beside their scaled copies
+@pytest.mark.parametrize("scheme,trials,limit_mb", [
+    ("zf", 100, 0.90), ("mr", 100, 1.45), ("zf", 2000, 15.8), ("mr", 2000, 24.0)])
+def test_a_bound_call_keeps_no_scaled_copy_of_its_draw(scheme, trials, limit_mb):
+    # the traced peak of one K = 10 call, at an mc_fig op's 100 trials and
+    # at fig2's 2 000-trial chunk: each Z is drawn only when its product is
+    # formed and dies with it, and no unit factor is kept beside a scaled copy
     cfg = SystemConfig(K=10, Nrx=128, Ntx=128, tau=20, Pp=1.0, Ps=1.0, Pr=10.0)
     prof = make_profile(np.ones(10), np.ones(10), cfg.tau, cfg.Pp)
-    point_bound(cfg, prof, scheme, 100, np.random.default_rng(0))
+    point_bound(cfg, prof, scheme, trials, np.random.default_rng(0))
     tracemalloc.start()
     try:
-        point_bound(cfg, prof, scheme, 100, np.random.default_rng(0))
+        point_bound(cfg, prof, scheme, trials, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= limit_mb * 1e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("scheme", ["zf", "mr"])
+def test_a_lazy_draw_gives_the_bases_of_a_materialized_one(scheme):
+    # _bases pulls each Z from the generator only when it forms its product;
+    # the bytes are those of the same draw taken whole first
+    cfg, _ = _weak_pilots(8, 6)
+    lazy = montecarlo._bases(scheme, montecarlo._draw(cfg, 50, np.random.default_rng(9)))
+    whole = montecarlo._bases(scheme, tuple(montecarlo._draw(cfg, 50, np.random.default_rng(9))))
+    assert [x.tobytes() for x in lazy] == [x.tobytes() for x in whole]
+
+
+def test_a_rate_gradient_near_the_float_range_keeps_a_finite_stderr():
+    # at Ps = Pr = Pp = 1e300 the second hop's ZF rate gradient reaches
+    # about 7.6e300, past what an unscaled quadratic form can square; the
+    # repo's error::RuntimeWarning filter turns any overflow into a failure
+    cfg = SystemConfig(K=4, Nrx=32, Ntx=32, tau=8, Pp=1e300, Ps=1e300, Pr=1e300)
+    prof = make_profile(np.ones(4), np.ones(4), cfg.tau, cfg.Pp)
+    for bound, genie in simulate([(cfg, prof)], "zf", 4, np.random.default_rng(0)):
+        for name, x in _leaves([bound, genie]):
+            assert np.all(np.isfinite(x)), name
+    assert bound.stderr_sum_rate == pytest.approx(1.164, abs=1e-3)
 
 
 def test_zf_inverts_the_estimated_channels():
