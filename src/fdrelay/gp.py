@@ -161,11 +161,6 @@ class _Centering:
         self.starts = np.cumsum(sizes) - sizes
         self.seg = np.repeat(np.arange(sizes.size), sizes)
         self.m = sizes.size - 1
-        # the trailing one-row segments (the box sides) have softmax weight 1,
-        # so their rows are their gradients; only the head needs a reduceat
-        multi = np.flatnonzero(sizes > 1)
-        self.head = int(multi[-1]) + 1 if multi.size else 0
-        self.head_rows = int(sizes[:self.head].sum())
 
     def _softmax(self, y):
         """Per-segment LSE values and within-segment softmax weights."""
@@ -182,13 +177,9 @@ class _Centering:
         return self._softmax(y)[0]
 
     def _gradients(self, p):
-        """Segment gradients G (one row per segment) from softmax weights p."""
-        g = np.empty((self.m + 1, self.a.shape[1]))
-        k, rows = self.head, self.head_rows
-        if k:
-            np.add.reduceat(p[:rows, None] * self.a[:rows], self.starts[:k], out=g[:k])
-        g[k:] = self.a[rows:]
-        return g
+        """Segment gradients G (one row per segment) from softmax weights p; a
+        one-row segment has weight exactly 1, so its gradient is its row."""
+        return np.add.reduceat(p[:, None] * self.a, self.starts)
 
     def _hessian(self, p, g, w, c):
         """A^T diag(p w[seg]) A + G^T diag(c) G."""

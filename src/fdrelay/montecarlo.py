@@ -107,7 +107,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import LargeScaleProfile, SystemConfig, _check_count, _check_real
-from .rates import _batch, _check_inputs, _rd_limit
+from .rates import _batch, _rd_limit
 
 # Feature rows of one simulated trial, K columns (pairs) each: first-hop
 # gain real part, imaginary part, |gain|^2, multipair, loop and noise;
@@ -612,7 +612,7 @@ def convergence_probe(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
     if kind != "decode":
         _check_real("er", er, strict=True)
     if kind == "loop_power":
-        _check_inputs(cfg, profile, scheme)
+        _batch([cfg], [profile], scheme)
         _check_count("trials", trials)
         return float(cfg.sigma_li_sq * er / cfg.Ntx)
     means = _simulate([(cfg, profile)], scheme, trials, rng, least=1)[0].mean

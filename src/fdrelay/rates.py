@@ -17,10 +17,11 @@ the uniform powers (Ps, Pr) of the config; per-source powers go through
 sinr_coefficients(cfg, profile, scheme).sinrs(p_s, p_r). rate_zf and rate_mr
 also take a batch of points of one K; one point is a batch of one. _batch
 stacks it into a _Batch, a (P, 1) column per config field and a (P, K) row
-per profile vector, for several rate calls to share, and runs _check_inputs
-on the stack once per scheme of each call. required_power bisects one point,
-a batch of one of _required_powers, which the CLI's fig4 runs in lockstep.
-Every entry point checks its points before any work.
+per profile vector, for several rate calls to share, holds each point's pair
+count to K and runs _check_inputs, the scheme rules, on the stack once per
+scheme of each call. required_power bisects one point, a batch of one of
+_required_powers, which the CLI's fig4 runs in lockstep. Every entry point
+checks its points before any work, a lone point as a batch of one.
 """
 from __future__ import annotations
 
@@ -82,11 +83,8 @@ class SinrCoefficients(NamedTuple):
 
 
 def _check_inputs(cfg, profile, scheme: str) -> None:
-    """The one input check of every entry point: the profile has cfg.K pairs (at a
-    point; _batch holds each point it stacks to it), the scheme is "zf" or "mr", and
-    ZF has Nrx > K and Ntx > K, one count_nonzero (a cheap np.any) over a stack's columns."""
-    if isinstance(cfg, SystemConfig) and profile.K != cfg.K:
-        raise ValueError(f"profile has {profile.K} pairs but cfg.K is {cfg.K}")
+    """The scheme rules of a _batch stack: the scheme is "zf" or "mr", and ZF has
+    Nrx > K and Ntx > K, one count_nonzero (a cheap np.any) over its columns."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == "zf" and np.count_nonzero(np.minimum(cfg.Nrx, cfg.Ntx) <= cfg.K):
@@ -96,7 +94,7 @@ def _check_inputs(cfg, profile, scheme: str) -> None:
 def sinr_coefficients(cfg: SystemConfig, profile: LargeScaleProfile,
                       scheme: str) -> SinrCoefficients:
     """The ZF or MRC/MRT coefficients of the SINR form at (cfg, profile)."""
-    _check_inputs(cfg, profile, scheme)
+    _batch([cfg], [profile], scheme)
     return _coefficients(cfg, profile, scheme)
 
 
@@ -207,7 +205,7 @@ def asymptotic_se(case: str, scheme: str, cfg: SystemConfig, profile: LargeScale
     and sqrt(kappa)*Er of Pr*Ntx. The hop SINRs are Es*variance and _rd_limit.
     Es and Er are finite and >= 0; case II needs a finite kappa > 0.
     """
-    _check_inputs(cfg, profile, scheme)
+    _batch([cfg], [profile], scheme)
     _check_real("Es", Es)
     _check_real("Er", Er)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below

@@ -5,8 +5,10 @@ callables that stay importable from their modules, fails at the call with a
 ValueError that names it (`EDGES`); every other refusal of the library's
 arguments is a row of `LIBRARY_REFUSALS` and raises its whole message. Both
 tables change one argument of `valid_call`, which holds one valid call of
-every public callable. Every preset either runs to finite cells or exits 2
-with one JSON line and no output.
+every public callable. Every float-annotated parameter, taken to a huge or a
+tiny finite magnitude, gives finite numbers, a refusal that names it or one
+of two documented non-finite answers. Every preset either runs to finite
+cells or exits 2 with one JSON line and no output.
 """
 import contextlib
 import copy
@@ -134,18 +136,29 @@ EDGES = {
 MESSAGE_NAMES = {"target_rate_per_pair": "target rate"}
 
 
-def scalar_arguments():
-    """(callable, argument) for every int- or float-annotated parameter of
-    an exported or module-held callable, and every field of SystemConfig and
-    DropGeometry."""
-    found = {(cls.__name__, f.name) for cls in (SystemConfig, DropGeometry)
-             for f in dataclasses.fields(cls)}
+def scalar_arguments(types=(int, float)):
+    """(callable, argument) for every parameter of an exported or module-held
+    callable annotated with one of types (an Optional counts), the fields of
+    SystemConfig and DropGeometry among them."""
+    found = set()
     for name, obj in CALLABLES.items():
         for param in inspect.signature(obj, eval_str=True).parameters.values():
             ann = param.annotation
-            if {int, float} & ({ann} | set(typing.get_args(ann))):
+            if set(types) & ({ann} | set(typing.get_args(ann))):
                 found.add((name, param.name))
     return found
+
+
+def numbers(result) -> np.ndarray:
+    """Every number a result holds, its dataclass fields and tuple or list
+    items unpacked; a string (a scheme, a status) holds none."""
+    if isinstance(result, str):
+        return np.zeros(0)
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    if isinstance(result, (tuple, list)):
+        return np.concatenate([numbers(x) for x in result] + [np.zeros(0)])
+    return np.ravel(np.asarray(result, float))
 
 
 def vectors(beta_sr, beta_rd, sigma_sr_sq, sigma_rd_sq) -> dict:
@@ -313,6 +326,34 @@ def test_every_scalar_argument_refuses_its_edges_by_name():
                     failures.append(f"{name}({arg}={value!r}): {exc}")
             except Exception as exc:  # the wrong exception type is the finding
                 failures.append(f"{name}({arg}={value!r}): {type(exc).__name__} {exc}")
+    assert not failures, "\n".join(failures)
+
+
+def test_every_float_argument_runs_or_refuses_at_extreme_magnitudes():
+    # finite but huge or tiny, with the rest of the call valid: a finite
+    # result, a refusal that names the argument, an allocation that reports
+    # "infeasible" with NaN powers and SINRs, or an unreachable required power
+    failures = []
+    for name, arg in sorted(scalar_arguments((float,))):
+        for value in (1e-300, 1e-150, 1e150, 1e300):
+            call = f"{name}({arg}={value:g})"
+            try:
+                result = CALLABLES[name](**dict(valid_call(name), **{arg: value}))
+            except ValueError as exc:
+                if not str(exc).startswith(MESSAGE_NAMES.get(arg, arg) + " "):
+                    failures.append(f"{call}: {exc}")
+                continue
+            except Exception as exc:  # a RuntimeWarning among them
+                failures.append(f"{call}: {type(exc).__name__} {exc}")
+                continue
+            if np.isfinite(numbers(result)).all():
+                continue
+            if name == "optimize_powers" and result.status == "infeasible":
+                if np.isnan(numbers([result.p_s, result.p_r, result.gamma])).all():
+                    continue
+            elif name == "required_power" and result == math.inf:
+                continue
+            failures.append(f"{call} = {result!r}")
     assert not failures, "\n".join(failures)
 
 
