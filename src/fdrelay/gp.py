@@ -15,8 +15,7 @@ affine forms, so the program is convex:
     constraints. A chain of programs sharing one objective and one
     inequality tuple (the allocator's rounds) stacks their rows once,
   * monomial equalities are eliminated exactly: y = y_p + N u, with the
-    least-norm y_p and the null-space basis N from one SVD; when
-    they pin every variable, solve_gp only checks the constraints at y_p,
+    least-norm y_p and the null-space basis N from one SVD,
   * phase 1 finds a strictly feasible start on the same primal-dual path
     (below): it minimizes a slack s subject to LSE_i(u) - s <= 0 from
     (u0, max_i LSE_i(u0) + 1) and stops at the first iterate whose true
@@ -225,14 +224,13 @@ def _stacked_rows(objective: Posynomial, inequalities: tuple):
 
 def _eliminate_equalities(prog: GeometricProgram):
     """Least-norm particular solution, null-space basis and consistency of
-    the log equalities E y = f, from one SVD of E."""
-    n = prog.n_vars
-    if not prog.equalities:
-        return np.zeros(n), np.eye(n), True
-    e_rows = np.concatenate([p.exponents for p in prog.equalities])
+    the log equalities E y = f, from one SVD of E. With no equality E is an
+    empty (0, n) matrix, whose SVD numpy gives as V = I exactly: y_p = 0, N = I."""
+    e_rows = np.concatenate([np.empty((0, prog.n_vars))]
+                            + [p.exponents for p in prog.equalities])
     f = np.array([-math.log(p.coeffs[0]) for p in prog.equalities])
     u, sv, vt = np.linalg.svd(e_rows)
-    rank = int(np.sum(sv > 1e-12 * max(sv[0], 1.0)))
+    rank = int(np.sum(sv > 1e-12 * np.max(sv, initial=1.0)))
     y_p = vt[:rank].T @ ((u[:, :rank].T @ f) / sv[:rank])
     consistent = bool(np.all(np.abs(e_rows @ y_p - f) <= 1e-9 + 1e-5 * np.abs(f)))
     return y_p, vt[rank:].T, consistent
@@ -356,11 +354,14 @@ def solve_gp(prog: GeometricProgram, start=None) -> GpResult:
 
     status "optimal" comes with kkt_residual <= 10 * TOL, "max_iter" with a
     larger one when the main path reaches NEWTON_CAP steps or its step
-    stalls. "infeasible" means inconsistent equalities, equalities that pin
-    every variable outside a constraint or the box, or a phase-1 optimum
+    stalls. "infeasible" means inconsistent equalities or a phase-1 optimum
     that no slack below -FEAS_MARGIN attains; a phase 1 cut off by NEWTON_CAP
     or a stalled step before it finds a feasible point is "max_iter". Both
     come with NaN x, value and kkt_residual.
+
+    Equalities that pin every variable leave a zero-width null space; phase
+    1 certifies a pinned point outside a constraint or the box "infeasible",
+    and one within FEAS_MARGIN inside too, as for any other program.
 
     start, a positive point of length n_vars, replaces the box midpoint as
     the phase-1 start; it need not be feasible.
@@ -386,14 +387,6 @@ def solve_gp(prog: GeometricProgram, start=None) -> GpResult:
     a, b, sizes = _stacked_rows(prog.objective, prog.inequalities)
     b = np.concatenate([b, -np.log(prog.upper), np.log(prog.lower)])
     block = _Centering(a @ null, b + a @ y_p, sizes)
-    obj = prog.objective
-    if null.shape[1] == 0:  # the equalities pin x = exp(y_p): no path to follow
-        if not np.all(block.lse(np.zeros(0))[1:] < 0):
-            return failed("infeasible")
-        x = np.exp(y_p)
-        return GpResult(x=x, value=obj.value(x), status="optimal",
-                        kkt_residual=0.0, iterations=0)
-
     u = null.T @ (y_start - y_p)
     vp = block._softmax(u)
     phase1_iters = 0
@@ -405,6 +398,6 @@ def solve_gp(prog: GeometricProgram, start=None) -> GpResult:
     u, iters, kkt = _primal_dual(block, u, vp)
     x = np.exp(y_p + null @ u)
     status = "optimal" if kkt <= 10.0 * TOL else "max_iter"
-    return GpResult(x=x, value=obj.value(x), status=status,
+    return GpResult(x=x, value=prog.objective.value(x), status=status,
                     kkt_residual=kkt, iterations=iters,
                     phase1_iterations=phase1_iters)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +36,13 @@ def _check_count(name: str, n, least: int = 1) -> None:
     _check_integer(name, n, least)
     if n > sys.float_info.max:
         raise ValueError(f"{name} must be finite as a float64")
+
+
+def _check_rng(rngs: list, message: str = "rng must be a numpy.random.Generator") -> None:
+    """The Generator rule: rngs is a non-empty list of numpy.random.Generator,
+    checked before the first draw; message is the refusal's."""
+    if not rngs or not all(isinstance(rng, np.random.Generator) for rng in rngs):
+        raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -222,12 +229,13 @@ def draw_urban_profile(geometry: DropGeometry, K: int, tau: int, Pp: float,
     which returns one profile per Generator, each the profile that Generator
     alone gives: every Generator draws its own drop, K uniforms and K normals
     per side, and the gains and variances of all drops are formed at once.
+    Any other rng, such as an empty sequence or one that holds something
+    other than a Generator, is refused before the first draw.
     """
     _check_count("K", K)
     single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
-    if not rngs:
-        raise ValueError("rng must be a Generator or a non-empty sequence of them")
+    rngs = [rng] if single else list(rng) if isinstance(rng, Iterable) else []
+    _check_rng(rngs, "rng must be a Generator or a non-empty sequence of them")
     draws = np.empty((len(rngs), 2, 2, K))  # (drop, side, uniform/normal, pair)
     for gen, drop in zip(rngs, draws):
         for side in drop:

@@ -97,7 +97,8 @@ stacked gradients: 11 for a bound, 3 for the genie rates.
 
 Everything consumes a caller-supplied Generator in a fixed chunk order, so a
 given seed reproduces results exactly regardless of available memory, and
-rates._batch refuses a bad batch of (cfg, profile) points before the first draw.
+rates._batch refuses a bad batch of (cfg, profile) points, and
+model._check_rng an rng that is no Generator, before the first draw.
 """
 from __future__ import annotations
 
@@ -106,7 +107,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import LargeScaleProfile, SystemConfig, _check_count, _check_real
+from .model import LargeScaleProfile, SystemConfig, _check_count, _check_real, _check_rng
 from .rates import _batch, _rd_limit
 
 # Feature rows of one simulated trial, K columns (pairs) each: first-hop
@@ -381,14 +382,6 @@ class _Accumulator:
         return np.ldexp(se, shift[:, None]), np.ldexp(se_sum, shift)
 
 
-def _grad(k: int, rows: dict) -> np.ndarray:
-    """A (_FEATURES, K) gradient: the given rows set, every other row zero."""
-    grad = np.zeros((_FEATURES, k))
-    for row, value in rows.items():
-        grad[row] = value
-    return grad
-
-
 def _mr_gain(a, b, s, d):
     """One hop's MR gain bracket g = a s + b d of a point, built in place, as its
     diagonal and |g|^2; g itself dies here."""
@@ -432,13 +425,14 @@ def _features(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
 def _simulate(points, scheme: str, trials: int, rng: np.random.Generator,
               least: int = 2) -> list:
     """One _Accumulator per (cfg, profile) point of a list, all on the same draws;
-    least is the fewest trials the caller takes (2 for a stderr). The checks, the
-    shared (K, Nrx, Ntx) and then rates._batch's, all run before the first draw."""
+    least is the fewest trials the caller takes (2 for a stderr). The checks (shared
+    K, Nrx and Ntx, rates._batch's, trials, rng) all run before the first draw."""
     if len({(c.K, c.Nrx, c.Ntx) for c, _ in points}) > 1:
         raise ValueError("all points must share K, Nrx and Ntx")
     _batch([c for c, _ in points], [p for _, p in points], scheme)
     cfg = points[0][0]
     _check_count("trials", trials, least)
+    _check_rng([rng])
     accs = [_Accumulator(_FEATURES, cfg.K) for _ in points]
     for n in _chunks(trials, 16 * cfg.K ** 2):
         bases = _bases(scheme, _draw(cfg, n, rng))
@@ -448,9 +442,11 @@ def _simulate(points, scheme: str, trials: int, rng: np.random.Generator,
 
 
 def _hop(cfg: SystemConfig, acc: _Accumulator, rows: range, p: float):
-    """One hop's pooled bound ingredients (HopTerms' drawn fields), its bound
-    rate at transmit power p, and its gradients in the features: the rate's,
-    then those of its drawn fields' stderrs in HopTerms order.
+    """One hop's pooled bound ingredients (HopTerms' drawn fields, in order),
+    its bound rate at transmit power p, and its (len(rows), _FEATURES, K)
+    gradient stack in the features: the rate's, then those of its drawn
+    fields' stderrs in HopTerms order (mean_gain, var_gain, then one unit
+    gradient per plain row: multipair, and on the first hop loop and noise).
 
     With m = E{w_k^T g_k}, D = p var + p multipair + Pr loop + noise and
     P = D + p|m|^2 = p E|w_k^T g_k|^2 + p multipair + Pr loop + noise, the
@@ -462,8 +458,7 @@ def _hop(cfg: SystemConfig, acc: _Accumulator, rows: range, p: float):
     re, im, gain2, *plain = acc.mean[rows.start:rows.stop]
     mean = re + 1j * im
     mag = np.abs(mean)
-    k = mag.size
-    first = rows.start
+    k, n, first = mag.size, len(rows), rows.start
     # the second hop draws no loop or noise rows: its loop term is exactly
     # zero and its noise exactly one
     mp, li, an = (plain + [np.zeros(k), np.ones(k)])[:3]
@@ -473,12 +468,11 @@ def _hop(cfg: SystemConfig, acc: _Accumulator, rows: range, p: float):
     shrink = 1.0 / (den + signal) - 1.0 / den
     slopes = (2.0 * p * mean.real / den, 2.0 * p * mean.imag / den,
               p * shrink, p * shrink, cfg.Pr * shrink, shrink)
-    grads = [_grad(k, dict(zip(rows, slopes))) / np.log(2.0),
-             _grad(k, {first: re / mag, first + 1: im / mag}),
-             _grad(k, {first: -2.0 * re, first + 1: -2.0 * im, first + 2: 1.0})]
-    grads += [_grad(k, {row: 1.0}) for row in rows[3:]]
-    terms = dict(mean_gain=mean, var_gain=var, multipair=mp, loop=li, noise=an)
-    return terms, np.log2(1.0 + signal / den), grads
+    grads = np.zeros((n, _FEATURES, k))
+    grads[0, first:rows.stop] = np.array(slopes[:n]) / np.log(2.0)
+    grads[1:3, first:first + 2] = (re / mag, im / mag), (-2.0 * re, -2.0 * im)
+    grads[range(2, n), rows[2:]] = 1.0  # var_gain's |gain|^2 row, each plain row's own
+    return (mean, var, mp, li, an), np.log2(1.0 + signal / den), grads
 
 
 def _rate_fields(acc: _Accumulator, r_sr, r_rd, grad_sr, grad_rd, more=()):
@@ -498,29 +492,25 @@ def _rate_fields(acc: _Accumulator, r_sr, r_rd, grad_sr, grad_rd, more=()):
     ), se[3:]
 
 
-_HOP_STDERRS = ("stderr_mean_gain", "stderr_var_gain", "stderr_multipair",
-                "stderr_loop", "stderr_noise")
-
-
 def _bound(cfg: SystemConfig, acc: _Accumulator, scheme: str) -> McRateResult:
     """The bound rates assembled from one point's pooled features."""
-    sr_terms, r_sr, (grad_sr, *sr_grads) = _hop(cfg, acc, _SR_ROWS, cfg.Ps)
-    rd_terms, r_rd, (grad_rd, *rd_grads) = _hop(cfg, acc, _RD_ROWS, cfg.Pr)
-    fields, se = _rate_fields(acc, r_sr, r_rd, grad_sr, grad_rd, sr_grads + rd_grads)
+    sr_terms, r_sr, grads_sr = _hop(cfg, acc, _SR_ROWS, cfg.Ps)
+    rd_terms, r_rd, grads_rd = _hop(cfg, acc, _RD_ROWS, cfg.Pr)
+    fields, se = _rate_fields(acc, r_sr, r_rd, grads_sr[0], grads_rd[0],
+                              np.concatenate([grads_sr[1:], grads_rd[1:]]))
     # the second hop's loop and noise are exact: zero stderr
-    zero, n = np.zeros(cfg.K), len(sr_grads)
-    se_sr = dict(zip(_HOP_STDERRS, se[:n]))
-    se_rd = dict(zip(_HOP_STDERRS, [*se[n:], zero, zero]))
-    return McRateResult(**fields, sr_terms=HopTerms(**sr_terms, **se_sr),
-                        rd_terms=HopTerms(**rd_terms, **se_rd), scheme=scheme,
+    zero, n = np.zeros(cfg.K), len(grads_sr) - 1
+    return McRateResult(**fields, sr_terms=HopTerms(*sr_terms, *se[:n]),
+                        rd_terms=HopTerms(*rd_terms, *se[n:], zero, zero), scheme=scheme,
                         trials=acc.trials)
 
 
 def _genie(cfg: SystemConfig, acc: _Accumulator, scheme: str) -> GenieResult:
     """The genie rates of one point's pooled features."""
     r_sr, r_rd = acc.mean[_GENIE_SR], acc.mean[_GENIE_RD]
-    grad_sr, grad_rd = _grad(cfg.K, {_GENIE_SR: 1.0}), _grad(cfg.K, {_GENIE_RD: 1.0})
-    return GenieResult(**_rate_fields(acc, r_sr, r_rd, grad_sr, grad_rd)[0],
+    grads = np.zeros((2, _FEATURES, cfg.K))
+    grads[0, _GENIE_SR] = grads[1, _GENIE_RD] = 1.0
+    return GenieResult(**_rate_fields(acc, r_sr, r_rd, *grads)[0],
                        scheme=scheme, trials=acc.trials)
 
 
@@ -580,6 +570,7 @@ def wishart_inverse_moment(n_ant: int, variances, trials: int,
     if n_ant <= k:
         raise ValueError("need more antennas than columns")
     _check_count("trials", trials, 2)
+    _check_rng([rng])
     acc = _Accumulator(1, k)
     for n in _chunks(trials, 4 * k ** 2):
         # (F F^H)^-1 = F^-H F^-1 with F^-1 = R^-H diag(1/sqrt(variances))
@@ -605,7 +596,7 @@ def convergence_probe(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
     means of one pass (trials >= 1), so the cost does not grow with the
     arrays and the draws are those of a one-point simulate on the same
     rng. loop_power is its exact value sigma_li^2 er/Ntx (module docstring)
-    after the same checks, trials among them, and draws nothing from rng.
+    after the same checks (trials and rng among them), and draws nothing.
     """
     if kind not in ("decode", "loop_power", "forward"):
         raise ValueError(f"unknown probe kind {kind!r}")
@@ -614,6 +605,7 @@ def convergence_probe(kind: str, cfg: SystemConfig, profile: LargeScaleProfile,
     if kind == "loop_power":
         _batch([cfg], [profile], scheme)
         _check_count("trials", trials)
+        _check_rng([rng])
         return float(cfg.sigma_li_sq * er / cfg.Ntx)
     means = _simulate([(cfg, profile)], scheme, trials, rng, least=1)[0].mean
     re_sr, _, gain2_sr, mp_sr, li, an, re_rd, _, gain2_rd, mp_rd, _, _ = means

@@ -64,7 +64,6 @@ class SinrCoefficients(NamedTuple):
     c: np.ndarray
     d: np.ndarray
     e: np.ndarray
-    scheme: str
 
     @property
     def K(self) -> int:
@@ -113,7 +112,7 @@ def _coefficients(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str) ->
         c = np.full(sigma_sr_sq.shape, cfg.sigma_li_sq)
         d = sigma_rd_sq**2 / sigma_rd_sq.sum(-1, keepdims=True) * cfg.Ntx
         e = profile.beta_rd
-    return SinrCoefficients(a, b, c, d, e, scheme)
+    return SinrCoefficients(a, b, c, d, e)
 
 
 class _Batch(NamedTuple):
@@ -278,7 +277,7 @@ def _required_powers(target_rate_per_pair: float, scheme: str, cfgs, profiles,
         """Whether each power reaches the target, a row of powers per point."""
         rows, column = np.array(points).repeat(powers.shape[1]), powers.reshape(-1, 1)
         if fixed is not None:
-            coeffs = SinrCoefficients(*(x.take(rows, 0) for x in fixed[:5]), scheme)
+            coeffs = SinrCoefficients(*(x.take(rows, 0) for x in fixed))
         else:  # Pp = ps: only sigma^2(ps) changes, from the gains
             at = SimpleNamespace(**{name: x.take(rows, 0) for name, x in vars(cfg).items()})
             gains = SimpleNamespace(beta_sr=profile.beta_sr.take(rows, 0),

@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import pickle
 import tempfile
 import typing
 
@@ -199,6 +200,19 @@ NOT_A_VECTOR = [("wishart_inverse_moment", {"variances": v},
 BAD_STARTS = [("solve_gp", {"start": start}, START)
               for start in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], [0.0, 1.0], [-1.0, 1.0],
                             [math.nan, 1.0], [math.inf, 1.0])]
+GENERATOR = "rng must be a numpy.random.Generator"
+DROP_RNG = "rng must be a Generator or a non-empty sequence of them"
+# a seed, None and a legacy RandomState are no Generator; each entry point
+# that draws refuses them by name before the first draw, and
+# draw_urban_profile also refuses a sequence that holds one of them
+BAD_RNGS = [*[(name, {**extra, "rng": rng}, GENERATOR)
+              for name, extra in (("simulate", {}), ("mc_rate", {}), ("genie_rates", {}),
+                                  ("convergence_probe", {}),
+                                  ("convergence_probe", {"kind": "loop_power"}),
+                                  ("wishart_inverse_moment", {}))
+              for rng in (42, None, np.random.RandomState(0))],
+            *[("draw_urban_profile", {"rng": rng}, DROP_RNG)
+              for rng in (42, None, np.random.RandomState(0), [np.random.default_rng(0), 42])]]
 
 # (callable, overrides of its valid call, the whole message of the ValueError
 # it raises); a check EDGES makes is no row, but each wording of the scalar
@@ -242,8 +256,7 @@ LIBRARY_REFUSALS = [
     *[("draw_urban_profile", dict(UNDER_DROP, rng=rng),
        UNDERFLOW.format("sigma_sr_sq", "beta_sr = 3.55575e-253", 200))
       for rng in (np.random.default_rng(0), [np.random.default_rng(s) for s in (0, 1)])],
-    ("draw_urban_profile", {"rng": []},
-     "rng must be a Generator or a non-empty sequence of them"),
+    ("draw_urban_profile", {"rng": []}, DROP_RNG),
     ("sum_se", {"tau": 200}, "tau must be below T"),
     ("sum_se", {"mode": "tdd"}, "mode must be 'fd' or 'hd'"),
     ("rate_zf", {"mode": "simplex"}, "mode must be 'fd' or 'hd'"),
@@ -308,6 +321,7 @@ LIBRARY_REFUSALS = [
     ("GeometricProgram", {"equalities": (AM_GM["objective"],)},
      "equality constraints must be monomials"),
     *BAD_STARTS,
+    *BAD_RNGS,
 ]
 
 
@@ -369,14 +383,28 @@ def refusal_test(rows, ids):
     return test
 
 
-# three slices keep their test names: test_model.py runs PROFILE_ORDER and
+# four slices keep their test names: test_model.py runs PROFILE_ORDER and
 # test_gp.py BAD_STARTS
-SLICED = {id(row) for rows in (PROFILE_ORDER, NOT_A_VECTOR, BAD_STARTS) for row in rows}
+SLICED = {id(row) for rows in (PROFILE_ORDER, NOT_A_VECTOR, BAD_STARTS, BAD_RNGS)
+          for row in rows}
 UNSLICED = [row for row in LIBRARY_REFUSALS if id(row) not in SLICED]
 test_a_refused_library_call_raises_its_whole_message = refusal_test(
     UNSLICED, [f"{name}-{'-'.join(overrides)}" for name, overrides, _ in UNSLICED])
 test_wishart_variances_must_be_a_non_empty_vector = refusal_test(
     NOT_A_VECTOR, ["scalar", "2-D", "empty"])
+test_an_rng_that_is_no_generator_is_refused_by_name = refusal_test(
+    BAD_RNGS, ["-".join([name, *[v for k, v in overrides.items() if k != "rng"],
+                         type(overrides["rng"]).__name__]) for name, overrides, _ in BAD_RNGS])
+
+
+def test_a_refused_rng_draws_nothing():
+    # a RandomState has the methods the draws call, and a sequence's first
+    # Generator would draw before the bad item: the refusal comes first
+    for name, overrides, _ in BAD_RNGS:
+        before = pickle.dumps(overrides["rng"])
+        with pytest.raises(ValueError):
+            CALLABLES[name](**{**valid_call(name), **overrides})
+        assert pickle.dumps(overrides["rng"]) == before, name
 
 
 def test_valid_edges_still_pass():

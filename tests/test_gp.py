@@ -94,23 +94,35 @@ def test_monomial_equality_is_eliminated():
 
 
 def test_fully_pinned_variables():
-    # 0.5 x = 1 fixes x = 2 with nothing left to optimize
+    # 0.5 x = 1 fixes x = 2 with nothing left to optimize: the path runs over
+    # the box slacks alone, with a zero-width null space
     lo, hi = box(1, 0.1, 10.0)
     prog = GeometricProgram(mono(1.0, 1.0), (), (mono(0.5, 1.0),), lo, hi)
     res = solve_gp(prog)
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(2.0, rel=1e-12)
-    assert res.iterations == 0
+    assert res.kkt_residual <= 10 * gp.TOL
 
 
 def test_fully_pinned_variables_outside_the_box():
-    # 0.5 x = 1 fixes x = 2 above the upper bound 1.5: nothing to solve
+    # 0.5 x = 1 fixes x = 2 above the upper bound 1.5: phase 1 certifies it
     lo, hi = box(1, 0.1, 1.5)
     prog = GeometricProgram(mono(1.0, 1.0), (), (mono(0.5, 1.0),), lo, hi)
     res = solve_gp(prog)
     assert res.status == "infeasible"
     assert np.all(np.isnan(res.x)) and math.isnan(res.value)
-    assert res.iterations == 0 and res.phase1_iterations == 0
+    assert math.isnan(res.kkt_residual)
+    assert res.iterations == 0 and res.phase1_iterations > 0
+
+
+def test_no_equality_is_eliminated_exactly():
+    # the SVD of an empty (0, n) matrix gives V = I exactly, so a program
+    # with no equality solves in the original coordinates, bit for bit
+    for n in (1, 2, 5, 21):
+        prog = GeometricProgram(Posynomial([1.0], [np.ones(n)]), (), (), *box(n))
+        y_p, null, consistent = gp._eliminate_equalities(prog)
+        assert np.array_equal(y_p, np.zeros(n)) and np.array_equal(null, np.eye(n))
+        assert consistent
 
 
 def test_objective_flat_on_the_free_variables():

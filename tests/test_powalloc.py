@@ -27,7 +27,7 @@ def sum_se_at(coeffs, p_s, p_r, T, tau):
 
 def test_sinr_coefficients_validation():
     ones = np.ones(3)
-    coeffs = SinrCoefficients(a=-ones, b=ones, c=ones, d=ones, e=ones, scheme="zf")
+    coeffs = SinrCoefficients(a=-ones, b=ones, c=ones, d=ones, e=ones)
     with pytest.raises(ValueError, match="positive and finite"):
         powalloc._sinr_program(coeffs, 10.0, 100.0)
 
@@ -200,7 +200,7 @@ def test_each_uniform_peak_term_is_checked(field, p0, p1, name, term):
     else:
         coeffs["b"], coeffs["c"] = np.full(3, 0.5), np.full(3, 1.0)
     with pytest.raises(ValueError) as exc:
-        powalloc._init_gamma(SinrCoefficients(**coeffs, scheme="zf"), 1.0, p0, p1)
+        powalloc._init_gamma(SinrCoefficients(**coeffs), 1.0, p0, p1)
     assert str(exc.value) == (f"{name} too large: the uniform-peak SINR term {term} "
                               "is not finite")
 
@@ -263,8 +263,7 @@ def _round_gp_by_loops(coeffs, center, s0, p0, p1, T, tau, trust):
 @pytest.mark.parametrize("k", [1, 3])
 def test_round_gp_matches_row_by_row_construction(k):
     rng = np.random.default_rng(40 + k)
-    coeffs = SinrCoefficients(*(rng.uniform(0.1, 5.0, size=k) for _ in range(5)),
-                              scheme="zf")
+    coeffs = SinrCoefficients(*(rng.uniform(0.1, 5.0, size=k) for _ in range(5)))
     center = rng.uniform(0.5, 20.0, size=k)
     base = powalloc._sinr_program(coeffs, 10.0, 100.0)
     prog = powalloc._round_gp(base, center, 1.1, 200 * 3.0 / (200 - 20))
