@@ -45,7 +45,12 @@ affine forms, so the program is convex:
     g_phi / g0^T H^-1 g0), with g0 the objective gradient and g_phi, H the
     barrier's, minimizes the centrality residual ||t grad f0 + grad phi|| in
     the H^-1 norm (11.3.1): near 1 from the box midpoint, large from a
-    previous optimum, so a warm start begins with a small duality gap,
+    previous optimum, so a warm start begins with a small duality gap.
+    Given duals, such as the previous optimum's of a chain of programs that
+    share their inequalities, it starts at lam = max(duals, 1e-10) instead
+    and skips t0 (Yildirim & Wright, SIAM J. Optim. 12(3), 2002). lam is in
+    the block's segment order: the inequalities, the upper box sides, then
+    the lower box sides, as GpResult.duals hands it back,
   * the path stops when s^T lam <= TOL, ||r_dual|| <= 10 TOL and
     ||r_prim||_inf <= TOL; s^T lam bounds the duality gap of the log
     objective once r_prim vanishes.
@@ -144,6 +149,9 @@ class GpResult:
     kkt_residual: float  # max(s^T lam, ||r_dual||, ||r_prim||_inf) at x
     iterations: int  # main-path primal-dual steps (one Newton system each), after phase 1
     phase1_iterations: int = 0  # primal-dual steps spent finding a feasible start
+    # the main path's lam at x, one per inequality, then per upper box side,
+    # then per lower box side; NaN when no main path ran
+    duals: np.ndarray | None = None
 
 
 class _Centering:
@@ -276,7 +284,7 @@ def _phase_one(block: _Centering, u0, v0):
         return bool(np.all(v[1:] + z[-1] < -FEAS_MARGIN))
 
     z = np.append(u0, np.max(v0[1:]) + 1.0)
-    z, iters, kkt = _primal_dual(ext, z, ext._softmax(z), stop=feasible)
+    z, iters, kkt, _ = _primal_dual(ext, z, ext._softmax(z), stop=feasible)
     if feasible(z, ext.lse(z)):
         return z[:-1], iters, None
     # only an optimum with no slack below -FEAS_MARGIN certifies infeasibility
@@ -289,17 +297,20 @@ def _step_length(z, dz, fraction):
     return fraction / max(fraction, -float((dz / z).min()))
 
 
-def _primal_dual(block: _Centering, u, vp, stop=None):
-    """(u, steps, kkt residual) of the predictor-corrector path from u, with
-    vp = block._softmax(u); it returns early at the first u with
-    stop(u, LSE values at u)."""
+def _primal_dual(block: _Centering, u, vp, stop=None, lam0=None):
+    """(u, steps, kkt residual, lam) of the predictor-corrector path from u,
+    with vp = block._softmax(u) and the duals lam0 (none: 1 / (t0 s)); it
+    returns early at the first u with stop(u, LSE values at u)."""
     m = block.m
     v, p = vp
     g = block._gradients(p)
     z = np.empty(2 * m)  # the slacks s and duals lam, stepped together
     s, lam = z[:m], z[m:]
     np.maximum(-v[1:], 1e-6, out=s)
-    lam[:] = 1.0 / (block.first_weight(v, p, g) * s)
+    if lam0 is None:
+        lam[:] = 1.0 / (block.first_weight(v, p, g) * s)
+    else:
+        np.maximum(lam0, 1e-10, out=lam)
     w, c = np.empty(m + 1), np.empty(m + 1)  # segment weights (1, lam), (-1, lam / s - lam)
     w[0], c[0] = 1.0, -1.0
     r_dual, r_prim = g[0] + g[1:].T @ lam, v[1:] + s
@@ -310,7 +321,7 @@ def _primal_dual(block: _Centering, u, vp, stop=None):
         kkt = max(gap, dual, prim)
         if (gap <= TOL and dual <= 10.0 * TOL and prim <= TOL) or it == NEWTON_CAP \
                 or (stop is not None and stop(u, v)):
-            return u, it, kkt
+            return u, it, kkt, lam
         df = g[1:]
         w[1:] = lam
         np.subtract(lam / s, lam, out=c[1:])
@@ -344,12 +355,12 @@ def _primal_dual(block: _Centering, u, vp, stop=None):
                 break
             alpha *= 0.5
             if alpha < 1e-10:
-                return u, it, kkt
+                return u, it, kkt, lam
         u, z, gap = u1, z1, gap1
         s, lam = z[:m], z[m:]
 
 
-def solve_gp(prog: GeometricProgram, start=None) -> GpResult:
+def solve_gp(prog: GeometricProgram, start=None, duals=None) -> GpResult:
     """Phase 1, then the primal-dual path.
 
     status "optimal" comes with kkt_residual <= 10 * TOL, "max_iter" with a
@@ -357,14 +368,18 @@ def solve_gp(prog: GeometricProgram, start=None) -> GpResult:
     stalls. "infeasible" means inconsistent equalities or a phase-1 optimum
     that no slack below -FEAS_MARGIN attains; a phase 1 cut off by NEWTON_CAP
     or a stalled step before it finds a feasible point is "max_iter". Both
-    come with NaN x, value and kkt_residual.
+    come with NaN x, value, kkt_residual and duals.
 
     Equalities that pin every variable leave a zero-width null space; phase
     1 certifies a pinned point outside a constraint or the box "infeasible",
     and one within FEAS_MARGIN inside too, as for any other program.
 
     start, a positive point of length n_vars, replaces the box midpoint as
-    the phase-1 start; it need not be feasible.
+    the phase-1 start; it need not be feasible. duals, positive and of
+    length len(inequalities) + 2 n_vars in the order of GpResult.duals
+    (e.g. the previous result's of a chain of programs that share their
+    inequalities), start the main path at lam = max(duals, 1e-10) in place
+    of 1 / (t0 s).
     """
     if start is None:
         y_start = 0.5 * (np.log(prog.lower) + np.log(prog.upper))
@@ -374,12 +389,18 @@ def solve_gp(prog: GeometricProgram, start=None) -> GpResult:
                 or np.any(x_start <= 0):
             raise ValueError("start must be a finite positive point of length n_vars")
         y_start = np.log(x_start)
+    m = len(prog.inequalities) + 2 * prog.n_vars
+    if duals is not None:
+        duals = np.asarray(duals, dtype=float)
+        if duals.shape != (m,) or not np.all(np.isfinite(duals)) or np.any(duals <= 0):
+            raise ValueError("duals must be finite and positive, "
+                             "one per inequality and box side")
     y_p, null, consistent = _eliminate_equalities(prog)
 
     def failed(status, phase1_iterations=0):
         return GpResult(x=np.full(prog.n_vars, np.nan), value=math.nan, status=status,
                         kkt_residual=math.nan, iterations=0,
-                        phase1_iterations=phase1_iterations)
+                        phase1_iterations=phase1_iterations, duals=np.full(m, np.nan))
 
     if not consistent:
         return failed("infeasible")
@@ -395,9 +416,9 @@ def solve_gp(prog: GeometricProgram, start=None) -> GpResult:
         if u is None:
             return failed(status, phase1_iters)
         vp = block._softmax(u)
-    u, iters, kkt = _primal_dual(block, u, vp)
+    u, iters, kkt, lam = _primal_dual(block, u, vp, lam0=duals)
     x = np.exp(y_p + null @ u)
     status = "optimal" if kkt <= 10.0 * TOL else "max_iter"
     return GpResult(x=x, value=prog.objective.value(x), status=status,
                     kkt_residual=kkt, iterations=iters,
-                    phase1_iterations=phase1_iters)
+                    phase1_iterations=phase1_iters, duals=lam)

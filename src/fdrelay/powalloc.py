@@ -15,7 +15,9 @@ kappa = gamma^-eta (1+gamma), exact in value and slope at the center), solves
 the resulting GP inside a trust region gamma in [center/alpha, alpha*center],
 recenters, and repeats until the SINRs settle. The objective, the 2K SINR
 inequalities and the power box are built once per allocation; a round adds
-only the fitted equality and the trust region.
+only the fitted equality and the trust region. So every round has the same
+inequalities and box sides, and each round after the first starts its GP
+from the last feasible round's optimum and duals.
 
 The first center lies on the equality manifold: the uniform-peak SINR vector
 is scaled by the s > 0 that makes sum_k log2(1 + s * gamma_peak,k) hit the
@@ -178,12 +180,13 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     converges when a step is below EPS = 0.01. A round without a feasible
     point ends its stage. The first round is solved cold; every later one
     starts its GP solve from the last feasible round's optimum (p_s, p_r,
-    gamma) instead of the box midpoint, with the same answer to the GP
-    tolerance. iterations, converged and total_power_trace describe the
-    measured rounds alone. Status "optimal" means converged with the last
-    round's GP certified optimal; "infeasible", the one signal of a target
-    out of reach, means that the first center's scaling proved no powers
-    under the peaks reach s0 or that no round found a feasible point. Raises
+    gamma) instead of the box midpoint, and its duals instead of the first
+    barrier weight's, with the same answer to the GP tolerance. iterations,
+    converged and total_power_trace describe the measured rounds alone.
+    Status "optimal" means converged with the last round's GP certified
+    optimal; "infeasible", the one signal of a target out of reach, means
+    that the first center's scaling proved no powers under the peaks reach
+    s0 or that no round found a feasible point. Raises
     ValueError only when s0, p0 or p1 is not finite and > 0, s0 is below
     (T - tau)/T * K * log2(1 + GAMMA_FLOOR) (every round holds each SINR at
     or above GAMMA_FLOOR, so no round could meet a smaller target), an SINR
@@ -209,15 +212,17 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     target = cfg.T * s0 / (cfg.T - cfg.tau)  # sum of log2(1 + gamma) to hit
     center = _init_gamma(coeffs, target, p0, p1)
     base = _sinr_program(coeffs, p0, p1)
-    start = None  # the last feasible round's optimum (p_s, p_r, gamma)
+    # the last feasible round's optimum (p_s, p_r, gamma) and its duals
+    start = duals = None
     # no center: the target is out of reach, and no round runs
     for trust, max_rounds, tol in (WARMUP, MEASURED) if center is not None else ():
         trace, converged = [], False
         for rounds in range(1, max_rounds + 1):
-            result = solve_gp(_round_gp(base, center, trust, target), start=start)
+            result = solve_gp(_round_gp(base, center, trust, target), start=start,
+                              duals=duals)
             if math.isnan(result.value):  # no feasible point: infeasible or cut short
                 break
-            start = result.x
+            start, duals = result.x, result.duals
             trace.append(float(np.sum(start[:k])) + float(start[k]))
             step = float(np.max(np.abs(start[k + 1:] - center)))
             center = start[k + 1:]

@@ -70,7 +70,7 @@ SIGNATURES = {
     "simulate": ["points", "scheme", "trials", "rng"],
     "sinr_coefficients": ["cfg", "profile", "scheme"],
     "snapshot_profile": ["tau", "Pp"],
-    "solve_gp": ["prog", "start"],
+    "solve_gp": ["prog", "start", "duals"],
     "sum_se": ["r_e2e", "T", "tau", "mode"],
     "wishart_inverse_moment": ["n_ant", "variances", "trials", "rng"],
 }

@@ -83,7 +83,8 @@ def valid_calls() -> dict:
         "simulate": dict(points=[(CFG, PROF)], scheme="zf", trials=4, rng=rng),
         "sinr_coefficients": dict(cfg=CFG, profile=PROF, scheme="zf"),
         "snapshot_profile": dict(tau=20, Pp=10.0),
-        "solve_gp": dict(prog=GeometricProgram(**AM_GM)),
+        # one dual per inequality and box side
+        "solve_gp": dict(prog=GeometricProgram(**AM_GM), duals=np.ones(5)),
         "sum_se": dict(r_e2e=[1.0], T=200, tau=20),
         "wishart_inverse_moment": dict(n_ant=16, variances=[1.0, 2.0], trials=4, rng=rng),
     }
@@ -200,6 +201,11 @@ NOT_A_VECTOR = [("wishart_inverse_moment", {"variances": v},
 BAD_STARTS = [("solve_gp", {"start": start}, START)
               for start in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], [0.0, 1.0], [-1.0, 1.0],
                             [math.nan, 1.0], [math.inf, 1.0])]
+DUALS = "duals must be finite and positive, one per inequality and box side"
+BAD_DUALS = [("solve_gp", {"duals": duals}, DUALS)
+             for duals in (np.ones(4), np.ones(6), np.ones((1, 5)), [0.0, 1, 1, 1, 1],
+                           [1.0, 1, 1, 1, -1], [1.0, math.nan, 1, 1, 1],
+                           [1.0, 1, math.inf, 1, 1])]
 GENERATOR = "rng must be a numpy.random.Generator"
 DROP_RNG = "rng must be a Generator or a non-empty sequence of them"
 # a seed, None and a legacy RandomState are no Generator; each entry point
@@ -321,6 +327,7 @@ LIBRARY_REFUSALS = [
     ("GeometricProgram", {"equalities": (AM_GM["objective"],)},
      "equality constraints must be monomials"),
     *BAD_STARTS,
+    *BAD_DUALS,
     *BAD_RNGS,
 ]
 
@@ -383,9 +390,9 @@ def refusal_test(rows, ids):
     return test
 
 
-# four slices keep their test names: test_model.py runs PROFILE_ORDER and
-# test_gp.py BAD_STARTS
-SLICED = {id(row) for rows in (PROFILE_ORDER, NOT_A_VECTOR, BAD_STARTS, BAD_RNGS)
+# five slices run under test names of their own: test_model.py runs
+# PROFILE_ORDER and test_gp.py BAD_STARTS and BAD_DUALS
+SLICED = {id(row) for rows in (PROFILE_ORDER, NOT_A_VECTOR, BAD_STARTS, BAD_DUALS, BAD_RNGS)
           for row in rows}
 UNSLICED = [row for row in LIBRARY_REFUSALS if id(row) not in SLICED]
 test_a_refused_library_call_raises_its_whole_message = refusal_test(

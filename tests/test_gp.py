@@ -22,7 +22,7 @@ from fdrelay.gp import (
 )
 from fdrelay.model import SystemConfig
 from gp_oracle import brute_force_gp
-from test_boundary import BAD_STARTS, refusal_test
+from test_boundary import BAD_DUALS, BAD_STARTS, refusal_test
 
 
 def mono(c, *exps):
@@ -511,14 +511,14 @@ def test_programs_compare_and_hash_by_identity():
 
 def test_warm_chain_takes_few_main_path_steps(monkeypatch):
     # the 27 GPs of MR at 4 bit/s/Hz, each started from the previous optimum
-    # as the allocator does
+    # and its duals as the allocator does
     steps = []
-    prev = None
+    prev = duals = None
     for prog in _fig9_round_programs(monkeypatch, "mr", 4.0):
-        res = solve_gp(prog, start=prev)
+        res = solve_gp(prog, start=prev, duals=duals)
         assert res.status == "optimal" and res.kkt_residual <= 10.0 * gp.TOL
         steps.append(res.iterations)
-        prev = res.x
+        prev, duals = res.x, res.duals
     assert len(steps) == 27
     assert max(steps) <= 20 and sum(steps) <= 400
 
@@ -541,11 +541,16 @@ def test_step_cap_is_not_reported_optimal(monkeypatch):
     assert res.status == "max_iter" and res.iterations == 2
     assert res.phase1_iterations == 0
     assert res.kkt_residual > 10.0 * gp.TOL
+    # the cut main path still hands back its duals, one per inequality and
+    # box side
+    m = len(second.inequalities) + 2 * second.n_vars
+    assert res.duals.shape == (m,) and np.all(res.duals > 0)
     # from the box midpoint, phase 1 is cut before it finds a feasible point
     res = solve_gp(first)
     assert res.status == "max_iter" and res.phase1_iterations == 2
     assert res.iterations == 0
     assert np.all(np.isnan(res.x)) and math.isnan(res.value)
+    assert res.duals.shape == (m,) and np.all(np.isnan(res.duals))
 
 
 def test_warm_start_still_certifies_infeasibility():
@@ -554,8 +559,11 @@ def test_warm_start_still_certifies_infeasibility():
         mono(1.0, 1.0), (mono(10.0, -1.0),), (), np.array([0.1]), np.array([5.0])
     )
     for start in ([1.0], [5.0], [20.0]):
-        res = solve_gp(prog, start=start)
-        assert res.status == "infeasible" and res.phase1_iterations > 0
+        for duals in (None, np.ones(3)):
+            res = solve_gp(prog, start=start, duals=duals)
+            assert res.status == "infeasible" and res.phase1_iterations > 0
+            # no main path ran, so there are no duals
+            assert res.duals.shape == (3,) and np.all(np.isnan(res.duals))
 
 
 @pytest.mark.parametrize("start", [
@@ -575,6 +583,26 @@ def test_warm_start_off_the_interior_reaches_the_cold_optimum(start):
     assert warm.value == pytest.approx(cold.value, rel=1e-9)
 
 
+@pytest.mark.parametrize("prog", [
+    am_gm_program(),  # the inequality is active: the optimum is no strict start
+    # minimize x + y + 1/(x y) subject to x y / 100 <= 1: inactive at x = y = 1
+    GeometricProgram(Posynomial([1.0, 1.0, 1.0], [[1, 0], [0, 1], [-1, -1]]),
+                     (mono(0.01, 1.0, 1.0),), (), *box(2)),
+], ids=["active", "inactive"])
+def test_dual_warm_start_from_the_optimum_takes_fewer_main_path_steps(prog):
+    # the optimum's duals start the main path nearer its end than the
+    # first weight's 1 / (t0 s) does from the same point
+    cold = solve_gp(prog)
+    m = len(prog.inequalities) + 2 * prog.n_vars
+    assert cold.status == "optimal" and cold.duals.shape == (m,)
+    assert np.all(cold.duals > 0)
+    point = solve_gp(prog, start=cold.x)
+    warm = solve_gp(prog, start=cold.x, duals=cold.duals)
+    assert warm.status == "optimal"
+    np.testing.assert_allclose(warm.x, cold.x, rtol=1e-8)
+    assert warm.iterations < point.iterations
+
+
 def test_warm_start_off_the_equality_is_projected_onto_it():
     lo, hi = box(2)
     obj = Posynomial(coeffs=[1.0, 1.0], exponents=[[1, 0], [0, 1]])
@@ -585,3 +613,5 @@ def test_warm_start_off_the_equality_is_projected_onto_it():
 
 
 test_bad_start_is_rejected = refusal_test(BAD_STARTS, [f"start{i}" for i in range(len(BAD_STARTS))])
+test_bad_duals_are_rejected = refusal_test(
+    BAD_DUALS, ["short", "long", "2-D", "zero", "negative", "nan", "inf"])

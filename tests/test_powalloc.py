@@ -303,29 +303,32 @@ def test_rounds_share_one_sinr_program(monkeypatch):
 
 
 def test_every_round_after_the_first_starts_from_the_previous_optimum(monkeypatch):
+    # and from its duals: the rounds share the inequalities and the box
+    # sides, so the duals keep their order
     calls = []
     real = powalloc.solve_gp
 
-    def record(prog, start=None):
-        result = real(prog, start)
-        calls.append((start, result.x))
+    def record(prog, start=None, duals=None):
+        result = real(prog, start, duals)
+        calls.append((start, duals, result))
         return result
 
     monkeypatch.setattr(powalloc, "solve_gp", record)
     alloc = optimize_powers(CFG10, PROF10, "mr", 4.0)
     assert alloc.status == "optimal" and len(calls) > alloc.iterations
-    assert calls[0][0] is None
-    for (_, previous), (start, _) in zip(calls, calls[1:]):
-        assert np.array_equal(start, previous)
+    assert calls[0][:2] == (None, None)
+    for (_, _, previous), (start, duals, _) in zip(calls, calls[1:]):
+        assert np.array_equal(start, previous.x)
+        assert np.array_equal(duals, previous.duals)
 
 
 def test_warm_started_rounds_match_cold_rounds(monkeypatch):
-    # the fig9 setting over its whole target range, with and without the
-    # previous round's optimum as each GP's start. Total power is the GP
-    # objective and agrees to the duality-gap tolerance; single powers lie
-    # in a nearly flat valley of it (at ZF S0=6 the cold allocation itself
-    # is 4e-6 in norm from one solved at tol 1e-12), so p_s is compared in
-    # norm at 1e-5.
+    # the fig9 setting over its whole target range, with the previous
+    # round's optimum and duals, its optimum alone, and neither as each
+    # GP's start. Total power is the GP objective and agrees to the
+    # duality-gap tolerance; single powers lie in a nearly flat valley of it
+    # (at ZF S0=6 the cold allocation itself is 4e-6 in norm from one solved
+    # at tol 1e-12), so p_s is compared in norm at 1e-5.
     cfg = SystemConfig(K=10, Nrx=200, Ntx=200, T=200, tau=20, Pp=10.0,
                        sigma_li_sq=10.0)
     prof = snapshot_profile(cfg.tau, cfg.Pp)
@@ -353,14 +356,17 @@ def test_warm_started_rounds_match_cold_rounds(monkeypatch):
             assert np.all(gamma <= gamma_max * (1.0 + 1e-6)), (scheme, s0)
     real = powalloc.solve_gp
     monkeypatch.setattr(powalloc, "solve_gp",
-                        lambda prog, start=None: real(prog))
+                        lambda prog, start=None, duals=None: real(prog, start))
+    point = sweep()
+    monkeypatch.setattr(powalloc, "solve_gp",
+                        lambda prog, start=None, duals=None: real(prog))
     cold = sweep()
-    for key, a in warm.items():
-        b = cold[key]
-        assert (a.status, a.iterations, a.converged) == \
-            (b.status, b.iterations, b.converged), key
-        assert np.linalg.norm(a.p_s - b.p_s) <= 1e-5 * np.linalg.norm(b.p_s), key
-        total_a, total_b = np.sum(a.p_s) + a.p_r, np.sum(b.p_s) + b.p_r
-        assert total_a == pytest.approx(total_b, rel=1e-6), key
-        assert a.p_r == pytest.approx(b.p_r, rel=1e-6), key
-        assert a.ee == pytest.approx(b.ee, rel=1e-6), key
+    for key, b in cold.items():
+        for a in (warm[key], point[key]):
+            assert (a.status, a.iterations, a.converged) == \
+                (b.status, b.iterations, b.converged), key
+            assert np.linalg.norm(a.p_s - b.p_s) <= 1e-5 * np.linalg.norm(b.p_s), key
+            total_a, total_b = np.sum(a.p_s) + a.p_r, np.sum(b.p_s) + b.p_r
+            assert total_a == pytest.approx(total_b, rel=1e-6), key
+            assert a.p_r == pytest.approx(b.p_r, rel=1e-6), key
+            assert a.ee == pytest.approx(b.ee, rel=1e-6), key
