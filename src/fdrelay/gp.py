@@ -20,11 +20,11 @@ affine forms, so the program is convex:
     (below): it minimizes a slack s subject to LSE_i(u) - s <= 0 from
     (u0, max_i LSE_i(u0) + 1) and stops at the first iterate whose true
     constraint values LSE_i(u) are all below -FEAS_MARGIN. Its optimum
-    with s > -FEAS_MARGIN certifies infeasibility; NEWTON_CAP or a stalled
-    step before either outcome gives "max_iter". u0 is the box midpoint or
-    solve_gp's start (e.g. the previous optimum of a chain of similar
-    programs, need not be feasible) projected onto the equalities,
-    u0 = N^T (log x - y_p); a strictly feasible u0 skips phase 1,
+    with s > -FEAS_MARGIN certifies infeasibility; NEWTON_CAP, a stalled
+    step or a singular Newton system before either outcome gives "max_iter".
+    u0 is the box midpoint or solve_gp's start (e.g. the previous optimum of
+    a chain of similar programs, need not be feasible) projected onto the
+    equalities, u0 = N^T (log x - y_p); a strictly feasible u0 skips phase 1,
   * the main path is primal-dual in slack form (Boyd & Vandenberghe, Convex
     Optimization, 11.7, with Mehrotra's predictor-corrector step). With f0
     the log objective and f the m constraint LSEs it drives to zero
@@ -33,24 +33,20 @@ affine forms, so the program is convex:
         H = hess f0 + sum_i lam_i hess f_i + Df^T diag(lam / s) Df
     once (w = (1, lam), c = (-1, lam / s - lam)), ridges it until its
     Cholesky factorization exists, and solves it twice by LU with partial
-    pivoting: the predictor with sigma = 0,
-    the corrector with sigma = (mu_aff / mu)^3 and the predictor's
-    second-order term. The step is 0.99 of the longest that keeps s and lam
-    positive, capped at 1 and halved while ||(r_dual, r_prim)||, which it
-    cancels to first order, would exceed both (1 - 0.01 a) times its value
-    and the new mu (LSE curvature, as when a Newton step on a nearly linear
-    objective overshoots). u may leave the feasible set on the way,
+    pivoting: the predictor with sigma = 0, the corrector with sigma =
+    (mu_aff / mu)^3 and the predictor's second-order term. The step is 0.99
+    of the longest that keeps s and lam positive, capped at 1 and halved
+    while ||(r_dual, r_prim)||, which it cancels to first order, would
+    exceed both (1 - 0.01 a) times its value and the new mu (LSE curvature,
+    as when a Newton step on a nearly linear objective overshoots). u may
+    leave the feasible set on the way,
   * the main path starts at the phase-1 point (phase 1 at its own start)
-    with s = max(-f(u), 1e-6) and lam = 1 / (t0 s). t0 = max(1, -g0^T H^-1
-    g_phi / g0^T H^-1 g0), with g0 the objective gradient and g_phi, H the
-    barrier's, minimizes the centrality residual ||t grad f0 + grad phi|| in
-    the H^-1 norm (11.3.1): near 1 from the box midpoint, large from a
-    previous optimum, so a warm start begins with a small duality gap.
-    Given duals, such as the previous optimum's of a chain of programs that
-    share their inequalities, it starts at lam = max(duals, 1e-10) instead
-    and skips t0 (Yildirim & Wright, SIAM J. Optim. 12(3), 2002). lam is in
-    the block's segment order: the inequalities, the upper box sides, then
-    the lower box sides, as GpResult.duals hands it back,
+    with s = max(-f(u), 1e-6) and lam = 1 / s, each pair on the central
+    path at mu = 1. Given duals, such as the previous optimum's of a chain
+    of programs that share their inequalities, it starts at lam =
+    max(duals, 1e-10) instead (Yildirim & Wright, SIAM J. Optim. 12(3),
+    2002). lam is in the block's segment order: the inequalities, the upper
+    box sides, then the lower box sides, as GpResult.duals hands it back,
   * the path stops when s^T lam <= TOL, ||r_dual|| <= 10 TOL and
     ||r_prim||_inf <= TOL; s^T lam bounds the duality gap of the log
     objective once r_prim vanishes.
@@ -194,24 +190,6 @@ class _Centering:
         h += (g.T * c) @ g
         return h
 
-    def first_weight(self, v, p, g) -> float:
-        """Barrier weight t0 = max(1, -g0^T H^-1 g_phi / g0^T H^-1 g0) at the
-        point with LSE values v, softmax weights p and segment gradients g.
-
-        g_phi and H are the barrier gradient and Hessian (w = (0, d),
-        c = (0, d^2 - d)); t0 minimizes ||t g0 + g_phi|| in the H^-1 norm.
-        """
-        if (v[1:] >= 0).any():
-            raise FloatingPointError("first_weight needs a strictly feasible y")
-        d = 1.0 / -v[1:]
-        h = self._hessian(p, g, np.concatenate([[0.0], d]),
-                          np.concatenate([[0.0], d * d - d]))
-        sol = _cholesky(h)(np.column_stack([g[0], g[1:].T @ d]))
-        curvature = float(g[0] @ sol[:, 0])
-        if not curvature > 0.0:
-            return 1.0  # objective flat along every feasible direction
-        return max(1.0, -float(g[0] @ sol[:, 1]) / curvature)
-
 
 @functools.lru_cache(maxsize=1)
 def _stacked_rows(objective: Posynomial, inequalities: tuple):
@@ -299,7 +277,7 @@ def _step_length(z, dz, fraction):
 
 def _primal_dual(block: _Centering, u, vp, stop=None, lam0=None):
     """(u, steps, kkt residual, lam) of the predictor-corrector path from u,
-    with vp = block._softmax(u) and the duals lam0 (none: 1 / (t0 s)); it
+    with vp = block._softmax(u) and the duals lam0 (none: 1 / s); it
     returns early at the first u with stop(u, LSE values at u)."""
     m = block.m
     v, p = vp
@@ -307,10 +285,7 @@ def _primal_dual(block: _Centering, u, vp, stop=None, lam0=None):
     z = np.empty(2 * m)  # the slacks s and duals lam, stepped together
     s, lam = z[:m], z[m:]
     np.maximum(-v[1:], 1e-6, out=s)
-    if lam0 is None:
-        lam[:] = 1.0 / (block.first_weight(v, p, g) * s)
-    else:
-        np.maximum(lam0, 1e-10, out=lam)
+    lam[:] = 1.0 / s if lam0 is None else np.maximum(lam0, 1e-10)
     w, c = np.empty(m + 1), np.empty(m + 1)  # segment weights (1, lam), (-1, lam / s - lam)
     w[0], c[0] = 1.0, -1.0
     r_dual, r_prim = g[0] + g[1:].T @ lam, v[1:] + s
@@ -334,12 +309,16 @@ def _primal_dual(block: _Centering, u, vp, stop=None, lam0=None):
             return du, np.concatenate([ds, -(r_cent + lam * ds) / s])
 
         s_lam = s * lam
-        _, dz = direction(s_lam)
-        alpha = _step_length(z, dz, 1.0)
-        mu = gap / m
-        z1 = z + alpha * dz
-        mu_aff = float(z1[:m] @ z1[m:]) / m
-        du, dz = direction(s_lam + dz[:m] * dz[m:] - (mu_aff / mu) ** 3 * mu)
+        # end the path when LU finds the ridged H singular after Cholesky accepted it
+        try:
+            _, dz = direction(s_lam)
+            alpha = _step_length(z, dz, 1.0)
+            mu = gap / m
+            z1 = z + alpha * dz
+            mu_aff = float(z1[:m] @ z1[m:]) / m
+            du, dz = direction(s_lam + dz[:m] * dz[m:] - (mu_aff / mu) ** 3 * mu)
+        except np.linalg.LinAlgError:
+            return u, it, kkt, lam
         alpha = _step_length(z, dz, 0.99)
         # the step cancels r_dual and r_prim to first order; halve it while
         # they grow past both their linear decrease and the new mu
@@ -364,11 +343,12 @@ def solve_gp(prog: GeometricProgram, start=None, duals=None) -> GpResult:
     """Phase 1, then the primal-dual path.
 
     status "optimal" comes with kkt_residual <= 10 * TOL, "max_iter" with a
-    larger one when the main path reaches NEWTON_CAP steps or its step
-    stalls. "infeasible" means inconsistent equalities or a phase-1 optimum
-    that no slack below -FEAS_MARGIN attains; a phase 1 cut off by NEWTON_CAP
-    or a stalled step before it finds a feasible point is "max_iter". Both
-    come with NaN x, value, kkt_residual and duals.
+    larger one when the main path reaches NEWTON_CAP steps, its step stalls
+    or LU finds its ridged Newton system singular. "infeasible" means
+    inconsistent equalities or a phase-1 optimum that no slack below
+    -FEAS_MARGIN attains; a phase 1 cut off in the same ways before it finds
+    a feasible point is "max_iter". Both come with NaN x, value,
+    kkt_residual and duals.
 
     Equalities that pin every variable leave a zero-width null space; phase
     1 certifies a pinned point outside a constraint or the box "infeasible",
@@ -379,7 +359,7 @@ def solve_gp(prog: GeometricProgram, start=None, duals=None) -> GpResult:
     length len(inequalities) + 2 n_vars in the order of GpResult.duals
     (e.g. the previous result's of a chain of programs that share their
     inequalities), start the main path at lam = max(duals, 1e-10) in place
-    of 1 / (t0 s).
+    of 1 / s.
     """
     if start is None:
         y_start = 0.5 * (np.log(prog.lower) + np.log(prog.upper))

@@ -180,9 +180,9 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     converges when a step is below EPS = 0.01. A round without a feasible
     point ends its stage. The first round is solved cold; every later one
     starts its GP solve from the last feasible round's optimum (p_s, p_r,
-    gamma) instead of the box midpoint, and its duals instead of the first
-    barrier weight's, with the same answer to the GP tolerance. iterations,
-    converged and total_power_trace describe the measured rounds alone.
+    gamma) instead of the box midpoint, and its duals instead of 1 / s, with
+    the same answer to the GP tolerance. iterations, converged and
+    total_power_trace describe the measured rounds alone.
     Status "optimal" means converged with the last round's GP certified
     optimal; "infeasible", the one signal of a target out of reach, means
     that the first center's scaling proved no powers under the peaks reach

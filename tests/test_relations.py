@@ -1,0 +1,138 @@
+"""Metamorphic relations of the closed forms: how an answer moves when its
+input moves, checked without an oracle over seeded random valid points.
+
+Each row of RELATIONS is (name, callable, transform, relation, tolerance,
+why): the callable runs at a point and at transform(point), and
+relation(before, after, point, tolerance) must hold at every point.
+
+Rows that wait on other work, named here and not added as failing tests:
+  * ZF's sum rate does not fall when Ntx grows by one. The paper's ZF loop
+    term carries a (1 - K/Ntx) factor that the exact term lacks, and with it
+    the rate falls at many points; the row runs once the exact loop term
+    exists beside the paper's (ROADMAP item 4).
+  * The allocator's total power does not change when both peaks rise far
+    above an optimal allocation that holds no power at its peak. The power
+    floor scales with the peaks, so the floor forces the total there
+    (ROADMAP item 21).
+"""
+import dataclasses
+import math
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+
+from fdrelay import (
+    LargeScaleProfile,
+    SystemConfig,
+    make_profile,
+    rate_mr,
+    rate_zf,
+    required_power,
+)
+
+
+class Point(NamedTuple):
+    cfg: SystemConfig
+    profile: LargeScaleProfile
+    order: np.ndarray  # a permutation of the pairs, drawn with the point
+    target: float = 0.5  # required_power's per-pair rate target
+
+
+def _points(seed=22, count=60):
+    """K 1-8, N up to 300 (above K, so ZF runs), Ps and Pr from 1e-2 to 1e3,
+    sigma_li_sq from 1e-3 to 10 and gains from 1e-2 to 1."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(count):
+        k = int(rng.integers(1, 9))
+        nrx, ntx = (int(n) for n in rng.integers(k + 1, 301, size=2))
+        ps, pr, li = 10.0 ** rng.uniform([-2, -2, -3], [3, 3, 1])
+        cfg = SystemConfig(K=k, Nrx=nrx, Ntx=ntx, T=200, tau=2 * k, Pp=10.0,
+                           Ps=ps, Pr=pr, sigma_li_sq=li)
+        profile = make_profile(10.0 ** rng.uniform(-2, 0, k), 10.0 ** rng.uniform(-2, 0, k),
+                               cfg.tau, cfg.Pp)
+        points.append(Point(cfg, profile, rng.permutation(k)))
+    return points
+
+
+POINTS = _points()
+
+
+def _with(**fields):
+    """Transform: the point with cfg fields set, each from its current value."""
+    def transform(pt):
+        return pt._replace(cfg=dataclasses.replace(
+            pt.cfg, **{name: f(getattr(pt.cfg, name)) for name, f in fields.items()}))
+    return transform
+
+
+def _permuted(pt):
+    return pt._replace(profile=LargeScaleProfile(
+        *(getattr(pt.profile, name)[pt.order]
+          for name in ("beta_sr", "beta_rd", "sigma_sr_sq", "sigma_rd_sq"))))
+
+
+def _power(scheme):
+    return lambda pt: required_power(pt.target, scheme, pt.cfg, pt.profile)
+
+
+def _permutes(before, after, pt, tol):
+    return np.allclose(after, before[pt.order], rtol=tol, atol=0.0)
+
+
+def _equal(before, after, pt, tol):
+    return math.isclose(after, before, rel_tol=tol)  # inf only with inf
+
+
+def _no_fall(before, after, pt, tol):
+    return after >= before * (1.0 - tol)
+
+
+def _no_rise(before, after, pt, tol):
+    return after <= before * (1.0 + tol)
+
+
+def _e2e(rate):
+    return lambda pt: rate(pt.cfg, pt.profile).r_e2e
+
+
+def _mr_sum_se(pt):
+    return rate_mr(pt.cfg, pt.profile).sum_se
+
+
+ROUNDING = "the coefficients sum over the pairs, so a new order rounds differently"
+BISECTION = ("required_power stops at hi - lo <= 1e-6 hi, and a new bracket "
+             "ceiling or a last-bit change can move it by one such step")
+MONOTONE = "the MR SINRs are monotone in the change; only rounding can move them the other way"
+
+RELATIONS = [
+    ("zf r_e2e follows a permutation of the pairs", _e2e(rate_zf), _permuted,
+     _permutes, 1e-14, ROUNDING),
+    ("mr r_e2e follows a permutation of the pairs", _e2e(rate_mr), _permuted,
+     _permutes, 1e-14, ROUNDING),
+    *[(f"{scheme} required_power ignores the order of the pairs", _power(scheme),
+       _permuted, _equal, 1e-6, BISECTION) for scheme in ("zf", "mr")],
+    ("mr sum SE does not fall with one more receive antenna", _mr_sum_se,
+     _with(Nrx=lambda n: n + 1), _no_fall, 1e-12, MONOTONE),
+    ("mr sum SE does not fall with one more transmit antenna", _mr_sum_se,
+     _with(Ntx=lambda n: n + 1), _no_fall, 1e-12, MONOTONE),
+    ("mr sum SE does not fall when Ps doubles", _mr_sum_se,
+     _with(Ps=lambda p: 2.0 * p), _no_fall, 1e-12, MONOTONE),
+    ("mr sum SE does not fall when sigma_li_sq halves", _mr_sum_se,
+     _with(sigma_li_sq=lambda s: 0.5 * s), _no_fall, 1e-12, MONOTONE),
+    *[(f"{scheme} required_power does not rise when both arrays double",
+       _power(scheme), _with(Nrx=lambda n: 2 * n, Ntx=lambda n: 2 * n),
+       _no_rise, 1e-6, BISECTION) for scheme in ("zf", "mr")],
+    *[(f"{scheme} required_power does not fall when the target rises from 0.5 to 1",
+       _power(scheme), lambda pt: pt._replace(target=1.0), _no_fall, 1e-6, BISECTION)
+      for scheme in ("zf", "mr")],
+]
+
+
+@pytest.mark.parametrize("row", RELATIONS, ids=[row[0] for row in RELATIONS])
+def test_relation_holds_at_every_point(row):
+    name, fn, transform, relation, tol, why = row
+    broken = [i for i, pt in enumerate(POINTS)
+              if not relation(fn(pt), fn(transform(pt)), pt, tol)]
+    assert broken == [], f"{name} fails at points {broken} ({why})"
