@@ -48,7 +48,16 @@ scalings above. _bases forms a chunk's P, Q, B_l and N once (X by forward
 substitution) in stream order: _draw is a generator, and each Z is drawn
 just before the product that reads it and dies with it (Z_e with Q_sr, Z_l
 with B_l, Z_r with Q_rd), so a pass never holds the five draws beside the
-products. _features gives each point its rows with no matmul or inverse.
+products. Every array of a pass from (n, K) up is a view of one workspace
+(_Workspace), a block that _simulate sizes for its first, largest chunk and
+lends to every point and chunk of the call: the draws, the products, each
+point's feature rows and the accumulator's scratch are written in place, at
+the offsets _layout gives them over arrays dead by then, with the operands
+and layouts of the plain expressions, so every bit stays. glibc hands a
+call's freed heap top back to the kernel when its largest block is small,
+and the next call faults it in again; one block keeps it, and an mc_fig-shaped
+call of 100 trials went from about 180 minor page faults to none.
+_features gives each point its rows with no matmul or inverse.
 The loop row and ZF's multipair rows are (n, K, K) real |.|^2 bases
 times per-point (K,) weights; MR combines P and Q per point elementwise. So
 one draw serves every point with the same (K, Nrx, Ntx), and
@@ -175,11 +184,11 @@ def _chunks(trials: int, per_trial: float):
     """Successive chunk sizes adding up to trials: ~64 MB of complex128 for
     per_trial entries a trial holds, and at most 4096 trials. A pass (which
     the bound, the genie rates and two of the probes read) budgets 16 K x K
-    arrays a trial and holds at most about 7: MR's bases and one point's
-    gain bracket; ZF holds about 5, the two factors, one Z and its products,
-    while _bases runs, since each Z is drawn just before its product and
-    dies with it. The inverse-Gram moment budgets 4 and holds about 3. So no
-    chunk depends on the array size.
+    arrays a trial, and its workspace holds 7.3 of them at K = 10: MR's
+    bases, then one point's feature rows and gain bracket; ZF's holds 4.75,
+    the two factors, one Z and its products while _bases runs, since each Z
+    is drawn just before its product and dies with it. The inverse-Gram
+    moment budgets 4 and holds about 3. So no chunk depends on the array size.
     """
     chunk = max(1, min(4096, int(64e6 / (16.0 * per_trial))))
     for done in range(0, trials, chunk):
@@ -196,30 +205,115 @@ def alpha_mrt(cfg: SystemConfig, profile: LargeScaleProfile) -> float:
     return float(np.sqrt(1.0 / (cfg.Ntx * np.sum(profile.sigma_rd_sq))))
 
 
-def _cn(shape, rng: np.random.Generator) -> np.ndarray:
+def _even(count: int) -> int:
+    """count float64 entries rounded up to even, so that what follows them
+    starts on a whole complex entry."""
+    return count + count % 2
+
+
+def _layout(scheme: str, n: int, k: int) -> tuple:
+    """The float64 offset of each named array of a pass in its workspace, and
+    the workspace's size, for chunks of up to n trials at pair count k.
+
+    The arrays that outlive _bases come first. The tail after them holds the
+    factors and Z blocks while _bases runs; then a point's (F, n, K) feature
+    rows `feat` and their scratch (gd, sq, den, MR's bracket g and tmp); then
+    the point's (n, F, K) `rows`, and _Accumulator.add's transposed copy
+    `cols` and product `prod`. A name at the offset of another takes its
+    place once that array is dead, in the order _draw, _bases, _features and
+    _Accumulator.add form them; a slot is a complex (n, K, K) array:
+
+        ZF  o1 = |Q_sr|^2, o2 = |B_l|^2 and o3 = |Q_rd|^2 in one half slot
+            each, Q_sr and then M_sr Z_l in the slot o2 and o3 share, then
+            diag(Q_sr) and N; Xbar_sr, then B_l, then Q_rd in tail slot 0,
+            Xbar_rd in 1, each Z in 2, and diag(Q_rd) past every point's
+            scratch. Each draw's real scratch sits in a slot free by then.
+        MR  P_sr, Q_sr, P_rd and Q_rd in slots 0-3 and |B_l|^2 in a half;
+            R_sr^H, then B_l, in Q_rd's slot; Z_e and Z_l in P_rd's slot;
+            R_rd^H in tail slot 0; L_sr Z_l, then conj(L_rd), then Z_r in 1.
+    """
+    half = _even(n * k * k)  # a real (n, K, K) array; a complex one is two
+    slot, row, real_row = 2 * half, 2 * n * k, _even(n * k)
+    feat = _FEATURES * n * k
+    add = 2 * feat + (_FEATURES * k) ** 2  # what _Accumulator.add uses of the tail
+    if scheme == "zf":
+        tail = 3 * half + row + real_row
+        # diag_rd outlives every point, so it lies past what each point uses
+        diag_rd = max(2 * slot, feat + row + 2 * real_row, add)
+        at = {"o1": 0, "q": half, "o2": half, "o3": 2 * half, "diag_sr": 3 * half,
+              "norm": 3 * half + row, "diag_rd": tail + diag_rd,
+              "f_sr": tail, "b": tail, "q_rd": tail, "f_rd": tail + slot,
+              "z_e": tail + 2 * slot, "z_l": tail + 2 * slot, "z_r": tail + 2 * slot,
+              "hf_sr": tail + 2 * slot, "hf_rd": tail + 2 * slot, "tri": tail + 2 * slot,
+              "x2": tail + 2 * slot, "hz_e": half, "hz_l": half, "hz_r": 2 * half}
+        point = tail + feat
+        need = max(3 * slot, diag_rd + row)
+    else:  # "mr"
+        tail = 4 * slot + half
+        at = {"p_sr": 0, "q_sr": slot, "p_rd": 2 * slot, "q_rd": 3 * slot, "loop": 4 * slot,
+              "f_sr": 3 * slot, "b": 3 * slot, "hz_r": 3 * slot, "conj_sr": 2 * slot,
+              "z_e": 2 * slot, "z_l": 2 * slot, "hf_sr": 2 * slot, "hf_rd": 2 * slot,
+              "hz_e": 4 * slot, "hz_l": 4 * slot, "f_rd": tail, "t": tail + slot,
+              "conj_rd": tail + slot, "z_r": tail + slot,
+              "g": tail + feat, "tmp": tail + feat + slot}
+        point = tail + feat + 2 * slot
+        need = max(2 * slot, feat + 2 * slot + row + 2 * real_row)
+    at.update(feat=tail, gd=point, sq=point + row, den=point + row + real_row,
+              rows=tail + feat, cols=tail, prod=tail + 2 * feat)
+    return at, tail + max(need, add)
+
+
+class _Workspace:
+    """One np.empty block that a _simulate call sizes for its first (largest)
+    chunk and lends to every point and chunk of the call; it lives as long
+    as the call. Every array of size (n, K) and up that a pass forms is a
+    C-contiguous view of it at the offset _layout names. Views of a smaller
+    chunk start at the same offsets.
+    """
+
+    def __init__(self, scheme: str, n: int, k: int):
+        self.offsets, size = _layout(scheme, n, k)
+        self.block = np.empty(size)
+
+    def take(self, name: str, shape, dtype=complex) -> np.ndarray:
+        """The C-contiguous array of shape and dtype at name's offset."""
+        return np.ndarray(shape, dtype, self.block, self.block.itemsize * self.offsets[name])
+
+
+class _Fresh:
+    """The arrays of a pass without a workspace: each one is a new array."""
+
+    @staticmethod
+    def take(name: str, shape, dtype=complex) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+
+def _cn(shape, rng: np.random.Generator, out=None, scratch=None) -> np.ndarray:
     """Unit-variance circularly-symmetric complex Gaussian samples, all real parts
     first: each half is drawn into one real scratch and scaled straight into z,
-    and 1/sqrt(2) scales it as numpy rounds (a + 1j b) / sqrt(2)."""
-    z = np.empty(shape, dtype=complex)
-    half = np.empty(shape)
+    and 1/sqrt(2) scales it as numpy rounds (a + 1j b) / sqrt(2). out (complex)
+    and scratch (real) of the given shape receive them when given."""
+    z = np.empty(shape, dtype=complex) if out is None else out
+    half = np.empty(shape) if scratch is None else scratch
     for part in (z.real, z.imag):
         np.multiply(rng.standard_normal(out=half), 1.0 / np.sqrt(2.0), out=part)
     return z
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2 squared in place, with the bits of np.abs(z) ** 2."""
-    r = np.abs(z)
+def _abs2(z: np.ndarray, out=None) -> np.ndarray:
+    """|z|^2 squared in place (in out when given), with the bits of np.abs(z) ** 2."""
+    r = np.abs(z, out=out)
     return np.square(r, out=r)
 
 
-def _diag_abs2(q: np.ndarray) -> tuple:
-    """A copy of the diagonal of each matrix of a batch, and |q|^2."""
-    return np.diagonal(q, axis1=1, axis2=2).copy(), _abs2(q)
+def _diag_abs2(q: np.ndarray, diag: np.ndarray, out: np.ndarray) -> tuple:
+    """The diagonal of each matrix of a batch, copied into diag, and |q|^2 in out."""
+    np.copyto(diag, np.diagonal(q, axis1=1, axis2=2))
+    return diag, _abs2(q, out)
 
 
-def gram_factor_batch(n_ant: int, k: int, n: int,
-                      rng: np.random.Generator) -> np.ndarray:
+def gram_factor_batch(n_ant: int, k: int, n: int, rng: np.random.Generator,
+                      out=None, scratch=None) -> np.ndarray:
     """Unit-variance Bartlett factors R^H (n x k x m, m = min(n_ant, k)).
 
     G is n_ant x k with independent CN(0, variances[j] I) columns. By the
@@ -230,27 +324,42 @@ def gram_factor_batch(n_ant: int, k: int, n: int,
     no variance enters the draw, so one R serves every variance profile,
     and the caller scales it. m < k covers fewer antennas than columns.
     Draw order: the n x m Gamma variates, then the strictly upper entries
-    of each R in row-major order.
+    of each R in row-major order, all real parts first, each half scaled
+    by 1/sqrt(2) as _cn scales it. Both are drawn into one real scratch and
+    written straight into R.
+
+    out, a complex (n, m, k) array, receives R (the result is its conjugate
+    transpose view), and scratch, a real array of n k^2 entries or more, the
+    variates; a call without them allocates its own.
     """
     m = min(n_ant, k)
     diag = np.arange(m)
     rows, cols = np.triu_indices(m, 1, k)
-    r = np.zeros((n, m, k), dtype=complex)
-    r[:, diag, diag] = np.sqrt(rng.standard_gamma(n_ant - diag, size=(n, m)))
-    r[:, rows, cols] = _cn((n, rows.size), rng)
+    r = np.empty((n, m, k), dtype=complex) if out is None else out
+    if scratch is None:
+        scratch = np.empty(n * max(m, rows.size))
+    r.fill(0.0)
+    gamma = rng.standard_gamma(n_ant - diag, out=scratch[:n * m].reshape(n, m))
+    r.real[:, diag, diag] = np.sqrt(gamma, out=gamma)
+    upper = scratch[:n * rows.size].reshape(n, rows.size)
+    for part in (r.real, r.imag):
+        part[:, rows, cols] = np.multiply(rng.standard_normal(out=upper),
+                                          1.0 / np.sqrt(2.0), out=upper)
     return np.swapaxes(np.conjugate(r, out=r), 1, 2)
 
 
-def _draw(cfg: SystemConfig, n: int, rng: np.random.Generator):
+def _draw(cfg: SystemConfig, n: int, rng: np.random.Generator, ws=_Fresh):
     """Yield the unit-variance R_sr^H, R_rd^H, Z_e, Z_l and Z_r of n trials, in
     that order, each drawn from rng only when it is pulled. They depend on cfg
-    only through (K, Nrx, Ntx), and _bases forms their products."""
-    m_sr, m_rd = min(cfg.Nrx, cfg.K), min(cfg.Ntx, cfg.K)
-    yield gram_factor_batch(cfg.Nrx, cfg.K, n, rng)
-    yield gram_factor_batch(cfg.Ntx, cfg.K, n, rng)
-    yield _cn((n, m_sr, cfg.K), rng)
-    yield _cn((n, m_sr, m_rd), rng)
-    yield _cn((n, cfg.K, m_rd), rng)
+    only through (K, Nrx, Ntx), and _bases forms their products. With a
+    workspace, each lands in its place of ws and may overwrite a dead one."""
+    k, m_sr, m_rd = cfg.K, min(cfg.Nrx, cfg.K), min(cfg.Ntx, cfg.K)
+    for name, n_ant, m in (("f_sr", cfg.Nrx, m_sr), ("f_rd", cfg.Ntx, m_rd)):
+        yield gram_factor_batch(n_ant, k, n, rng, ws.take(name, (n, m, k)),
+                                ws.take("h" + name, (n * k * k,), float))
+    for name, shape in (("z_e", (n, m_sr, k)), ("z_l", (n, m_sr, m_rd)),
+                        ("z_r", (n, k, m_rd))):
+        yield _cn(shape, rng, ws.take(name, shape), ws.take("h" + name, shape, float))
 
 
 # Up to this pair count a batched product is one whole-batch multiply-add
@@ -267,59 +376,76 @@ def _draw(cfg: SystemConfig, n: int, rng: np.random.Generator):
 _BROADCAST_MAX_K = 3
 
 
-def _mm(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+def _mm(a: np.ndarray, b: np.ndarray, k: int, out=None) -> np.ndarray:
     """a @ b for a batch of products at pair count k: a matrix or, for a 1-D b,
-    a vector over the last axis of a (_BROADCAST_MAX_K chooses the method)."""
+    a vector over the last axis of a (_BROADCAST_MAX_K chooses the method),
+    written into out when given."""
     width = a.shape[-1]
     if k > _BROADCAST_MAX_K or width == 0:  # an empty contraction is @'s zeros
-        return a @ b
+        return np.matmul(a, b, out=out)
     if b.ndim == 1:
-        out = a[..., 0] * b[0]
+        out = np.multiply(a[..., 0], b[0], out=out)
         for j in range(1, width):
             out += a[..., j] * b[j]
         return out
-    out = a[..., :, 0, None] * b[..., None, 0, :]
+    out = np.multiply(a[..., :, 0, None], b[..., None, 0, :], out=out)
     for j in range(1, width):
         out += a[..., :, j, None] * b[..., None, j, :]
     return out
 
 
-def _tri_inv(low: np.ndarray) -> np.ndarray:
+def _tri_inv(low: np.ndarray, ws=_Fresh) -> np.ndarray:
     """Invert a batch (n, K, K) of lower-triangular L with real diagonals in place
-    by forward substitution: X[i, :i] = -L[i, :i] X[:i, :i] / L_ii, X_ii = 1 / L_ii."""
-    k = low.shape[-1]
+    by forward substitution: X[i, :i] = -L[i, :i] X[:i, :i] / L_ii, X_ii = 1 / L_ii.
+    Each row's product is formed in ws's "tri"."""
+    n, k = low.shape[:2]
     for i in range(k):
         recip = 1.0 / low[:, i, i, None].real
-        low[:, i, :i] = _mm(low[:, i, None, :i], low[:, :i, :i], k)[:, 0] * -recip
+        row = _mm(low[:, i, None, :i], low[:, :i, :i], k, ws.take("tri", (n, 1, i)))[:, 0]
+        low[:, i, :i] = np.multiply(row, -recip, out=row)
         low[:, i, i] = recip[:, 0]
     return low
 
 
-def _bases(scheme: str, draw) -> tuple:
+def _bases(scheme: str, draw, ws=_Fresh) -> tuple:
     """A chunk's point-independent products (module docstring): per hop ZF's
     diag(Q) and |Q|^2 or MR's P and Q, and the first hop's norms N and |B_l|^2.
 
     draw is any iterable of _draw's five arrays. Each Z is pulled only when its
     product is formed, so from a _draw generator Z_e dies with Q_sr, Z_l with
-    B_l and Z_r with Q_rd; all five are always consumed.
+    B_l and Z_r with Q_rd; all five are always consumed. Each product lands
+    in its place of ws (_layout), in the layout numpy gives a new array.
     """
     draw = iter(draw)
     l_sr, l_rd = next(draw), next(draw)
-    k = l_sr.shape[1]
+    n, k = l_sr.shape[:2]
     if scheme == "zf":  # Xbar_sr and Xbar_rd overwrite the draw's factors
-        xbar_sr = np.conjugate(_tri_inv(l_sr), out=l_sr)
-        xbar_rd = np.conjugate(_tri_inv(l_rd), out=l_rd)
+        xbar_sr = np.conjugate(_tri_inv(l_sr, ws), out=l_sr)
+        xbar_rd = np.conjugate(_tri_inv(l_rd, ws), out=l_rd)
         m_sr = np.swapaxes(xbar_sr, 1, 2)
-        sr = (*_diag_abs2(_mm(m_sr, next(draw), k)), np.sum(_abs2(xbar_sr), axis=1),
-              _abs2(_mm(_mm(m_sr, next(draw), k), xbar_rd, k)))
-        del l_sr, xbar_sr, m_sr  # the first hop's factor dies before Z_r is drawn
-        return (*sr, *_diag_abs2(_mm(next(draw), xbar_rd, k)))
+        q_sr = _mm(m_sr, next(draw), k, ws.take("q", (n, k, k)))
+        sr = _diag_abs2(q_sr, ws.take("diag_sr", (n, k)), ws.take("o1", (n, k, k), float))
+        # |Xbar_sr|^2 in the layout of Xbar_sr, as np.abs would give it
+        x2 = np.swapaxes(ws.take("x2", m_sr.shape, float), 1, 2)
+        norm = np.sum(_abs2(xbar_sr, x2), axis=1, out=ws.take("norm", (n, k), float))
+        t = _mm(m_sr, next(draw), k, ws.take("q", (n, k, k)))
+        loop2 = _abs2(_mm(t, xbar_rd, k, ws.take("b", (n, k, k))),
+                      ws.take("o2", (n, k, k), float))
+        q_rd = _mm(next(draw), xbar_rd, k, ws.take("q_rd", (n, k, k)))
+        return (*sr, norm, loop2, *_diag_abs2(q_rd, ws.take("diag_rd", (n, k)),
+                                              ws.take("o3", (n, k, k), float)))
     l_rd_t = np.swapaxes(l_rd, 1, 2)
-    p_sr = _mm(l_sr, np.swapaxes(l_sr, 1, 2).conj(), k)
-    sr = (p_sr, _mm(l_sr, next(draw), k), np.diagonal(p_sr, axis1=1, axis2=2).real,
-          _abs2(_mm(_mm(l_sr, next(draw), k), l_rd_t, k)))
-    del l_sr
-    return (*sr, _mm(l_rd.conj(), l_rd_t, k), _mm(next(draw), l_rd_t, k))
+    l_sr_h = np.swapaxes(l_sr, 1, 2)
+    p_sr = _mm(l_sr, np.conjugate(l_sr_h, out=ws.take("conj_sr", l_sr_h.shape)), k,
+               ws.take("p_sr", (n, k, k)))
+    q_sr = _mm(l_sr, next(draw), k, ws.take("q_sr", (n, k, k)))
+    t = _mm(l_sr, next(draw), k, ws.take("t", l_rd.shape))
+    loop2 = _abs2(_mm(t, l_rd_t, k, ws.take("b", (n, k, k))), ws.take("loop", (n, k, k), float))
+    # conj(L_rd) in the layout of L_rd, as np.conjugate would give it
+    conj_rd = np.conjugate(l_rd, out=np.swapaxes(ws.take("conj_rd", l_rd_t.shape), 1, 2))
+    p_rd = _mm(conj_rd, l_rd_t, k, ws.take("p_rd", (n, k, k)))
+    q_rd = _mm(next(draw), l_rd_t, k, ws.take("q_rd", (n, k, k)))
+    return p_sr, q_sr, np.diagonal(p_sr, axis1=1, axis2=2).real, loop2, p_rd, q_rd
 
 
 class _Accumulator:
@@ -337,15 +463,19 @@ class _Accumulator:
         self.sums = np.zeros(features * k)
         self.cross = np.zeros((features * k, features * k))
 
-    def add(self, rows: np.ndarray) -> None:
-        """Add n trials, rows of shape (n, F, K)."""
+    def add(self, rows: np.ndarray, ws=_Fresh) -> None:
+        """Add n trials, rows of shape (n, F, K); the transposed copy and the
+        product are formed in ws's "cols" and "prod"."""
         rows = rows.reshape(rows.shape[0], -1)
-        self.trials += rows.shape[0]
+        n, width = rows.shape
+        self.trials += n
         # numpy sums a contiguous row pairwise but an axis-0 reduction row by
         # row; the gain variance, a difference of two of these sums, needs
         # the pairwise accuracy
-        self.sums += np.sum(np.ascontiguousarray(rows.T), axis=1)
-        self.cross += rows.T @ rows
+        cols = ws.take("cols", (width, n), float)
+        np.copyto(cols, rows.T)
+        self.sums += np.sum(cols, axis=1)
+        self.cross += np.matmul(rows.T, rows, out=ws.take("prod", (width, width), float))
 
     @property
     def mean(self) -> np.ndarray:
@@ -382,44 +512,84 @@ class _Accumulator:
         return np.ldexp(se, shift[:, None]), np.ldexp(se_sum, shift)
 
 
-def _mr_gain(a, b, s, d):
-    """One hop's MR gain bracket g = a s + b d of a point, built in place, as its
-    diagonal and |g|^2; g itself dies here."""
-    g = a * s
-    g += b * d
-    return _diag_abs2(g)
+def _mr_gain(a, b, s, d, ws, diag) -> np.ndarray:
+    """One hop's MR gain bracket g = a s + b d of a point, built in ws's "g", as
+    its diagonal (copied into diag) and |g|^2 (returned, in "tmp")."""
+    g = np.multiply(a, s, out=ws.take("g", a.shape))
+    g += np.multiply(b, d, out=ws.take("tmp", b.shape))
+    return _diag_abs2(g, diag, ws.take("tmp", g.shape, float))[1]
+
+
+def _gain_rows(out: np.ndarray, diag: np.ndarray) -> None:
+    """A hop's gain rows into out[0:3]: Re diag, Im diag and |diag|^2."""
+    np.copyto(out[0], diag.real)
+    np.copyto(out[1], diag.imag)
+    _abs2(diag, out[2])
+
+
+def _log_sinr(out: np.ndarray, p: float, gain2: np.ndarray, den: np.ndarray) -> None:
+    """log2(1 + p gain2 / den), the genie rate of a hop, formed in out."""
+    np.multiply(p, gain2, out=out)
+    np.divide(out, den, out=out)
+    np.add(1.0, out, out=out)
+    np.log2(out, out=out)
 
 
 def _features(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
-              bases) -> np.ndarray:
+              bases, ws=_Fresh) -> np.ndarray:
     """The (n, _FEATURES, K) feature rows of one point's trials, from a chunk's
-    _bases: gd is the diagonal and go the off-diagonal sum of each bracket."""
+    _bases: gd is the diagonal and go the off-diagonal sum of each bracket.
+
+    Each row is formed in place, in its own C-contiguous (n, K) block of ws's
+    "feat" or in gd, sq and den, with the operands, their order and their
+    layouts of the plain numpy expression, so every row keeps its bits:
+    mp_sr = u^2 go_sr, li = sigma_li^2 alpha^2 u^2 (|B_l|^2 v^2), an = u^2 N,
+    mp_rd = alpha^2 go_rd and the genie rates log2(1 + SINR).
+    """
     a_sr, b_sr, norm_sr, loop2, a_rd, b_rd = bases
+    n, k = norm_sr.shape
+    feat = ws.take("feat", (_FEATURES, n, k), float)
+    gd = ws.take("gd", (n, k))
+    sq, den = ws.take("sq", (n, k), float), ws.take("den", (n, k), float)
     s_sr, s_rd = np.sqrt(profile.sigma_sr_sq), np.sqrt(profile.sigma_rd_sq)
     d_sr = np.sqrt(profile.beta_sr - profile.sigma_sr_sq)
     d_rd = np.sqrt(profile.beta_rd - profile.sigma_rd_sq)
     if scheme == "zf":
         alpha, u, v = alpha_zf(cfg, profile), 1.0 / s_sr, 1.0 / s_rd
-        gd_sr, gd_rd = s_sr + d_sr * a_sr, s_rd + d_rd * a_rd
-        go_sr = _mm(b_sr, d_sr ** 2, cfg.K) - np.abs(a_sr) ** 2 * d_sr ** 2
-        go_rd = d_rd ** 2 * (_mm(b_rd, v ** 2, cfg.K) - np.abs(a_rd) ** 2 * v ** 2)
+        np.add(s_sr, np.multiply(d_sr, a_sr, out=gd), out=gd)  # s_sr + d_sr a_sr
+        # go_sr = b_sr d_sr^2 - |a_sr|^2 d_sr^2
+        np.subtract(_mm(b_sr, d_sr ** 2, k, den),
+                    np.multiply(_abs2(a_sr, sq), d_sr ** 2, out=sq), out=feat[3])
     else:  # "mr"
         alpha, u, v = alpha_mrt(cfg, profile), s_sr, s_rd
-        gd_sr, g2_sr = _mr_gain(a_sr, b_sr, s_sr, d_sr)
-        gd_rd, g2_rd = _mr_gain(a_rd, b_rd, s_rd[:, None], d_rd[:, None])
-        go_sr = np.sum(g2_sr, axis=2) - np.abs(gd_sr) ** 2
-        go_rd = _mm(g2_rd, v ** 2, cfg.K) - np.abs(gd_rd) ** 2 * v ** 2
-    diag_sr, mp_sr = u * gd_sr, u ** 2 * go_sr
-    diag_rd, mp_rd = alpha * v * gd_rd, alpha ** 2 * go_rd
-    li = cfg.sigma_li_sq * alpha ** 2 * u ** 2 * _mm(loop2, v ** 2, cfg.K)
-    an = u ** 2 * norm_sr
-    abs2_sr, abs2_rd = np.abs(diag_sr) ** 2, np.abs(diag_rd) ** 2
-    sinr_sr = cfg.Ps * abs2_sr / (cfg.Ps * mp_sr + cfg.Pr * li + an)
-    sinr_rd = cfg.Pr * abs2_rd / (cfg.Pr * mp_rd + 1.0)
-    return np.stack([
-        diag_sr.real, diag_sr.imag, abs2_sr, mp_sr, li, an,
-        diag_rd.real, diag_rd.imag, abs2_rd, mp_rd,
-        np.log2(1.0 + sinr_sr), np.log2(1.0 + sinr_rd)], axis=1)
+        g2 = _mr_gain(a_sr, b_sr, s_sr, d_sr, ws, gd)
+        np.subtract(np.sum(g2, axis=2, out=den), _abs2(gd, sq), out=feat[3])
+    np.multiply(u ** 2, feat[3], out=feat[3])
+    _gain_rows(feat[0:3], np.multiply(u, gd, out=gd))
+    np.multiply(cfg.sigma_li_sq * alpha ** 2 * u ** 2, _mm(loop2, v ** 2, k, den), out=feat[4])
+    np.multiply(u ** 2, norm_sr, out=feat[5])
+    if scheme == "zf":
+        np.add(s_rd, np.multiply(d_rd, a_rd, out=gd), out=gd)
+        # go_rd = d_rd^2 (b_rd v^2 - |a_rd|^2 v^2)
+        np.subtract(_mm(b_rd, v ** 2, k, den),
+                    np.multiply(_abs2(a_rd, sq), v ** 2, out=sq), out=feat[9])
+        np.multiply(d_rd ** 2, feat[9], out=feat[9])
+    else:  # "mr"
+        g2 = _mr_gain(a_rd, b_rd, s_rd[:, None], d_rd[:, None], ws, gd)
+        np.subtract(_mm(g2, v ** 2, k, den),
+                    np.multiply(_abs2(gd, sq), v ** 2, out=sq), out=feat[9])
+    np.multiply(alpha ** 2, feat[9], out=feat[9])
+    _gain_rows(feat[6:9], np.multiply(alpha * v, gd, out=gd))
+    # the first hop's SINR denominator Ps mp_sr + Pr li + an, then the second's
+    np.multiply(cfg.Ps, feat[3], out=den)
+    np.add(den, np.multiply(cfg.Pr, feat[4], out=sq), out=den)
+    np.add(den, feat[5], out=den)
+    _log_sinr(feat[10], cfg.Ps, feat[2], den)
+    np.add(np.multiply(cfg.Pr, feat[9], out=den), 1.0, out=den)
+    _log_sinr(feat[11], cfg.Pr, feat[8], den)
+    rows = ws.take("rows", (n, _FEATURES, k), float)
+    np.copyto(rows, np.swapaxes(feat, 0, 1))
+    return rows
 
 
 def _simulate(points, scheme: str, trials: int, rng: np.random.Generator,
@@ -434,10 +604,13 @@ def _simulate(points, scheme: str, trials: int, rng: np.random.Generator,
     _check_count("trials", trials, least)
     _check_rng([rng])
     accs = [_Accumulator(_FEATURES, cfg.K) for _ in points]
+    ws = None
     for n in _chunks(trials, 16 * cfg.K ** 2):
-        bases = _bases(scheme, _draw(cfg, n, rng))
+        if ws is None:  # the first chunk is the largest
+            ws = _Workspace(scheme, n, cfg.K)
+        bases = _bases(scheme, _draw(cfg, n, rng, ws), ws)
         for (c, profile), acc in zip(points, accs):
-            acc.add(_features(c, profile, scheme, bases))
+            acc.add(_features(c, profile, scheme, bases, ws), ws)
     return accs
 
 

@@ -117,11 +117,31 @@ def _init_gamma(coeffs: SinrCoefficients, target: float, p0: float,
     return np.maximum(0.5 * (lo + hi) * gamma_peak, GAMMA_FLOOR)
 
 
-def _sinr_program(coeffs: SinrCoefficients, p0: float, p1: float) -> tuple:
+def _min_powers(coeffs: SinrCoefficients, gamma: np.ndarray) -> np.ndarray:
+    """The least powers (p_1..p_K, p_r) at which every pair reaches SINR gamma:
+    p_r = max_k gamma_k / (d_k - e_k gamma_k) and p = u (S + c p_r + 1), with
+    u = gamma / a and S = b^T (u (c p_r + 1)) / (1 - b^T u). An entry that is
+    not positive and finite means no powers reach gamma."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p_r = np.max(gamma / (coeffs.d - coeffs.e * gamma))
+        u = gamma / coeffs.a
+        lift = coeffs.c * p_r + 1.0
+        shared = np.dot(coeffs.b, u * lift) / (1.0 - np.dot(coeffs.b, u))
+        return np.append(u * (shared + lift), p_r)
+
+
+def _sinr_program(coeffs: SinrCoefficients, p0: float, p1: float,
+                  center: np.ndarray | None = None) -> tuple:
     """The rounds' common parts of the GP over (p_1..p_K, p_r, gamma_1..gamma_K):
     (objective, inequalities, lower, upper), the total power, the 2K SINR
     inequalities and the box of the K + 1 powers; each round adds the gamma
-    box and the SE equality."""
+    box and the SE equality.
+
+    Each power's floor is POWER_FLOOR_SCALE times the smaller of its peak and
+    1e6 m, with m the largest of the least powers at the first center, so
+    that a peak far above the optimum cannot lift the floor over it. Without
+    a center, or when those powers are not positive and finite, the floor
+    follows the peak alone."""
     k = coeffs.K
     n = 2 * k + 1
     pr_ix = k
@@ -147,8 +167,12 @@ def _sinr_program(coeffs: SinrCoefficients, p0: float, p1: float) -> tuple:
     ineqs = [Posynomial(co, rows) for co, rows in zip(sr_co, sr_rows)]
     ineqs += [Posynomial(co, rows) for co, rows in zip(rd_co, rd_rows)]
 
-    lower = np.append(np.full(k, POWER_FLOOR_SCALE * p0), POWER_FLOOR_SCALE * p1)
     upper = np.append(np.full(k, p0), p1)
+    lower = POWER_FLOOR_SCALE * upper
+    if center is not None:
+        least = _min_powers(coeffs, center)
+        if np.all(np.isfinite(least)) and np.all(least > 0.0):
+            lower = POWER_FLOOR_SCALE * np.minimum(upper, 1e6 * np.max(least))
     return objective, tuple(ineqs), lower, upper
 
 
@@ -211,7 +235,7 @@ def optimize_powers(cfg: SystemConfig, profile: LargeScaleProfile, scheme: str,
     k = coeffs.K
     target = cfg.T * s0 / (cfg.T - cfg.tau)  # sum of log2(1 + gamma) to hit
     center = _init_gamma(coeffs, target, p0, p1)
-    base = _sinr_program(coeffs, p0, p1)
+    base = _sinr_program(coeffs, p0, p1, center)
     # the last feasible round's optimum (p_s, p_r, gamma) and its duals
     start = duals = None
     # no center: the target is out of reach, and no round runs
